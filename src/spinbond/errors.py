@@ -10,13 +10,13 @@ class ConfigError(SpinBondError):
 
 
 class StateSpaceCapError(SpinBondError):
-    """Exact computation requested on a state space above the configured cap (exit code 3)."""
+    """Exact computation above a supported state count or sweep budget (exit code 3)."""
 
     def __init__(self, required: int, cap: int, label: str = "state space"):
         self.required = required
         self.cap = cap
         super().__init__(
-            f"{label} needs {required} states, above the supported cap of {cap}"
+            f"{label}: {required} needed, above the supported cap of {cap}"
         )
 
 

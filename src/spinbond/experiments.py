@@ -2,12 +2,15 @@
 
 Each runner takes a validated config dict, computes its quantities, applies
 its gates, and returns a result with human-readable summary lines plus the
-list of files it wrote. Floats in output files carry 17 significant digits.
+list of files it wrote. JSON output comes from ``json.dumps``, whose floats
+round-trip exactly (``inf`` and ``nan`` as ``Infinity`` and ``NaN``); CSV
+cells carry 17 significant digits.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -52,36 +55,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt(value)
-    if isinstance(value, int):
-        return str(value)
-    if value is None:
-        return "null"
-    text = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{text}"'
-
-
-def _json_value(value) -> str:
-    if isinstance(value, dict):
-        inner = ", ".join(f'"{k}": {_json_value(v)}' for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    return _json_scalar(value)
-
-
-def _write_jsonl(path: Path, rows) -> None:
-    path.write_text("".join(_json_value(row) + "\n" for row in rows))
-
-
-def _write_json(path: Path, value) -> None:
-    path.write_text(_json_value(value) + "\n")
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -94,14 +67,15 @@ def write_results(records, path, format: str = "jsonl", fieldnames=None) -> None
     """Write mapping records to ``path`` as JSON lines or CSV.
 
     Records keep their key order (JSONL) or follow ``fieldnames`` /
-    the first record's keys (CSV); floats are serialized with 17
-    significant digits, so equal inputs give byte-equal files. An empty
-    record set with explicit fieldnames yields a header-only CSV.
+    the first record's keys (CSV). JSONL floats take ``json.dumps``'s
+    shortest round-trip form and CSV floats 17 significant digits, so equal
+    inputs give byte-equal files. An empty record set with explicit
+    fieldnames yields a header-only CSV.
     """
     records = list(records)
     path = Path(path)
     if format == "jsonl":
-        _write_jsonl(path, records)
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         return
     if format != "csv":
         raise ValueError(f"format must be 'jsonl' or 'csv', got {format!r}")
@@ -517,10 +491,10 @@ def _run_mu_dyn(cfg: dict, write_outputs: bool) -> ExperimentResult:
                 },
             )
             exact = oracle.cylinder_probability(g, pi, cyl)
-        except StateSpaceCapError:
+        except StateSpaceCapError as exc:
             if cfg["oracle"] == "on":
                 raise
-            no_gate_note = "state space above the exact cap; no oracle gate applied"
+            no_gate_note = f"exact solve unavailable ({exc}); no oracle gate applied"
 
     result = ExperimentResult(experiment="mu-dyn", passed=None)
     result.lines.append(
@@ -558,7 +532,7 @@ def _run_mu_dyn(cfg: dict, write_outputs: bool) -> ExperimentResult:
         write_results([record], path, "jsonl")
         result.files.append(str(path))
         reports_path = out / "coalescence_reports.json"
-        _write_json(reports_path, [rep.to_json() for rep in mu.reports])
+        reports_path.write_text(json.dumps([rep.to_json() for rep in mu.reports]) + "\n")
         result.files.append(str(reports_path))
     return result
 

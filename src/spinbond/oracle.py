@@ -4,18 +4,17 @@ Forward configurations are packed into integers with one bit per site and
 per edge (set bit means +1), dual configurations into mixed-radix integers
 (positions base |V|, signs base 2, one base-3 digit per edge: 0 unrevealed,
 1 revealed positive, 2 revealed negative). Transient laws come from
-uniformization, stationary laws from a sparse linear solve.
+uniformization, stationary laws from power iteration on the same uniformized
+kernel.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .cylinders import CylinderEvent
 from .dual import DualState
@@ -28,6 +27,14 @@ DUAL_STATE_CAP = 2_000_000
 UNIFORMIZATION_TAIL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-12
 _MAX_UNIFORM_EXPONENT = 500.0
+# The stationary iteration checks its residual once per sweep of
+# _STEPS_PER_SWEEP uniformized steps and gives up after the budget. Chains
+# that converge need 5-7 sweeps at p = 0.3, v = 1 (C6 to C9) and 114 on C6
+# at p = 0.05, v = 0.02. A sweep costs about 2.3 ns per generator nonzero
+# (0.65 s on C9, 2^18 states, 2-core x86), so at the 2^20-state cap (about
+# 2e7 nonzeros) 200 sweeps end in about 10 minutes instead of hanging.
+STATIONARY_SWEEP_BUDGET = 200
+_STEPS_PER_SWEEP = 64
 
 
 def forward_state_count(g: Graph) -> int:
@@ -117,37 +124,50 @@ def _assemble_generator(size, rows, cols, vals) -> sp.csr_matrix:
     return (off + sp.diags(diag)).tocsr()
 
 
+def _uniformized_kernel(L: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
+    """Jump matrix I + L/lam of the uniformized chain and its rate lam.
+
+    lam is the largest exit rate, so every entry is a probability; a
+    generator with no transitions gets lam = 0 and the identity.
+    """
+    lam = float(np.max(-L.diagonal(), initial=0.0))
+    identity = sp.identity(L.shape[0], format="csr")
+    if lam <= 0.0:
+        return identity, 0.0
+    return (identity + L.multiply(1.0 / lam)).tocsr(), lam
+
+
 def _uniformized(L: sp.csr_matrix, vec: np.ndarray, t: float, tail_tol: float, column: bool) -> np.ndarray:
     """Poisson-weighted power series for vec @ e^{tL} (or e^{tL} @ vec)."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     vec = np.asarray(vec, dtype=np.float64)
-    if t == 0.0:
+    P, lam = _uniformized_kernel(L)
+    if t == 0.0 or lam == 0.0:
         return vec.copy()
-    lam = float(np.max(-L.diagonal(), initial=0.0))
-    if lam <= 0.0:
-        return vec.copy()
-    if lam * t > _MAX_UNIFORM_EXPONENT:
-        half = _uniformized(L, vec, t / 2.0, tail_tol, column)
-        return _uniformized(L, half, t / 2.0, tail_tol, column)
-
-    P = (sp.identity(L.shape[0], format="csr") + L.multiply(1.0 / lam)).tocsr()
     op = P if column else P.T.tocsr()
-    coeff = float(np.exp(-lam * t))
-    acc = coeff * vec
-    cum = coeff
-    w = vec
-    n_terms = 0
-    max_terms = int(lam * t + 50.0 * np.sqrt(lam * t + 1.0) + 200.0)
-    while 1.0 - cum > tail_tol:
-        n_terms += 1
-        if n_terms > max_terms:
-            raise RuntimeError("uniformization series failed to reach its tail tolerance")
-        w = op @ w
-        coeff *= lam * t / n_terms
-        acc += coeff * w
-        cum += coeff
-    return acc
+    # Split [0, t] into 2^d equal pieces so that e^{-lam t} cannot underflow.
+    pieces = 1
+    while lam * (t / pieces) > _MAX_UNIFORM_EXPONENT:
+        pieces *= 2
+    lam_t = lam * (t / pieces)
+    max_terms = int(lam_t + 50.0 * np.sqrt(lam_t + 1.0) + 200.0)
+    for _ in range(pieces):
+        coeff = float(np.exp(-lam_t))
+        acc = coeff * vec
+        cum = coeff
+        w = vec
+        n_terms = 0
+        while 1.0 - cum > tail_tol:
+            n_terms += 1
+            if n_terms > max_terms:
+                raise RuntimeError("uniformization series failed to reach its tail tolerance")
+            w = op @ w
+            coeff *= lam_t / n_terms
+            acc += coeff * w
+            cum += coeff
+        vec = acc
+    return vec
 
 
 def transient_distribution(L: sp.csr_matrix, initial: np.ndarray, t: float, tail_tol: float = UNIFORMIZATION_TAIL) -> np.ndarray:
@@ -181,9 +201,9 @@ def stationary_distribution(L: sp.csr_matrix, residual_tol: float = STATIONARY_R
     """Unique stationary row vector of the generator.
 
     Raises ValueError when the chain has several closed classes (the
-    stationary law is not unique then). Solves the balance equations with
-    one equation replaced by normalization; falls back to power iteration
-    on the uniformized kernel if the direct solve misbehaves.
+    stationary law is not unique then). Iterates the uniformized kernel
+    from the uniform law until max|L^T pi| < residual_tol, and raises
+    StateSpaceCapError when STATIONARY_SWEEP_BUDGET sweeps do not get there.
     """
     closed = count_closed_classes(L)
     if closed != 1:
@@ -191,53 +211,22 @@ def stationary_distribution(L: sp.csr_matrix, residual_tol: float = STATIONARY_R
             f"chain has {closed} closed classes, stationary distribution is not unique"
         )
     size = L.shape[0]
-    pi = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            a = L.T.tolil()
-            a[0, :] = np.ones(size)
-            b = np.zeros(size)
-            b[0] = 1.0
-            candidate = spsolve(a.tocsc(), b)
-            if np.all(np.isfinite(candidate)):
-                pi = candidate
-        except (MatrixRankWarning, RuntimeError):
-            pi = None
-    if pi is not None:
-        pi = np.clip(pi, 0.0, None)
-        total = pi.sum()
-        if total > 0.0:
-            pi = pi / total
-            if _stationary_residual(L, pi) < residual_tol:
-                return pi
-    pi = _stationary_power_iteration(L, residual_tol)
-    return pi
-
-
-def _stationary_residual(L: sp.csr_matrix, pi: np.ndarray) -> float:
-    return float(np.max(np.abs(L.T @ pi)))
-
-
-def _stationary_power_iteration(L: sp.csr_matrix, residual_tol: float, max_sweeps: int = 4000) -> np.ndarray:
-    size = L.shape[0]
-    lam = float(np.max(-L.diagonal(), initial=0.0))
-    if lam <= 0.0:
-        raise RuntimeError("generator has no transitions, cannot iterate")
-    PT = (sp.identity(size, format="csr") + L.multiply(1.0 / lam)).T.tocsr()
+    # A state whose exit rate is below lam keeps a self-loop in I + L/lam,
+    # so the iteration is aperiodic unless every exit rate is equal.
+    PT = _uniformized_kernel(L)[0].T.tocsr()
     pi = np.full(size, 1.0 / size)
-    # Each sweep applies many uniformized steps; squaring the step count
-    # keeps slow-mixing chains affordable.
-    steps_per_sweep = 64
-    for _ in range(max_sweeps):
-        for _ in range(steps_per_sweep):
+    for _ in range(STATIONARY_SWEEP_BUDGET):
+        for _ in range(_STEPS_PER_SWEEP):
             pi = PT @ pi
         pi = np.clip(pi, 0.0, None)
-        pi = pi / pi.sum()
-        if _stationary_residual(L, pi) < residual_tol:
+        pi /= pi.sum()
+        residual = float(np.max(np.abs(L.T @ pi)))
+        if residual < residual_tol:
             return pi
-    raise RuntimeError(
-        f"power iteration failed to push the stationary residual below {residual_tol}"
+    raise StateSpaceCapError(
+        required=STATIONARY_SWEEP_BUDGET + 1,
+        cap=STATIONARY_SWEEP_BUDGET,
+        label=f"stationary sweeps on {size} states (residual {residual:.2e} above {residual_tol:g})",
     )
 
 

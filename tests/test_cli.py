@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -355,10 +356,26 @@ def test_cli_run_outputs_are_byte_identical(tmp_path):
         replicas=200,
         sigmas=25.0,
     )
-    assert main(["run", write_cfg(tmp_path, "a.json", **body, output_dir=str(out_a))]) == 0
-    assert main(["run", write_cfg(tmp_path, "b.json", **body, output_dir=str(out_b))]) == 0
-    for name in ("mu_dyn_estimate.jsonl", "coalescence_reports.json"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    exact = dict(
+        experiment="stationary-compare",
+        seed=2,
+        graph="path:3",
+        p=0.3,
+        v=1.0,
+        max_revealed=2,
+        replicas=0,
+        tolerance=1e-10,
+    )
+    runs = (
+        (body, ("mu_dyn_estimate.jsonl", "coalescence_reports.json")),
+        (exact, ("stationary_distribution.csv", "stationary_compare.jsonl")),
+    )
+    for i, (cfg, names) in enumerate(runs):
+        a, b = out_a / str(i), out_b / str(i)
+        assert main(["run", write_cfg(tmp_path, f"a{i}.json", **cfg, output_dir=str(a))]) == 0
+        assert main(["run", write_cfg(tmp_path, f"b{i}.json", **cfg, output_dir=str(b))]) == 0
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_cli_raw_simulate_end_to_end(tmp_path):
@@ -457,11 +474,14 @@ def test_write_results_jsonl_round_trip(tmp_path):
          "std_error": 0.0, "replicas": 5, "censored": 0},
         {"estimator": "y", "params": {}, "point": -1e-17, "std_error": float(2**53),
          "replicas": 1, "censored": 0, "note": 'quo"te'},
+        {"estimator": "z", "params": {}, "point": math.nan, "std_error": math.inf,
+         "replicas": 0, "censored": 0},
     ]
     path = tmp_path / "records.jsonl"
     write_results(records, path, "jsonl")
     back = [json.loads(line) for line in path.read_text().splitlines()]
-    assert back == records
+    # repr, because nan != nan
+    assert repr(back) == repr(records)
     # key order is preserved, not sorted
     assert list(back[0]) == list(records[0])
 

@@ -1,9 +1,12 @@
 """Exact finite-state oracle: encodings, uniformization, stationary solve, duality."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from spinbond.cli import main
 from spinbond.cylinders import CylinderEvent
 from spinbond.dual import DualState
 from spinbond.errors import StateSpaceCapError
@@ -229,6 +232,41 @@ def test_stationary_single_site_product_form(p3):
                 cyl = CylinderEvent.of(sites={site: sign}, edges={0: e0})
                 want = 0.5 * (p if e0 == 1 else 1.0 - p)
                 assert abs(oracle.cylinder_probability(g, pi, cyl) - want) < 1e-10
+
+
+def test_stationary_reaches_cycle8():
+    # 65,536 states: a sparse direct solve of the balance equations stalls
+    # on fill-in here, while the uniformized iteration takes about a second.
+    g = builtin_graph("cycle", 8)
+    p = 0.3
+    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, 1.0))
+    pi = oracle.stationary_distribution(L)
+    assert np.abs(L.T @ pi).max() < 1e-12
+    for site in range(8):
+        for e0 in (-1, 1):
+            cyl = CylinderEvent.of(sites={site: 1}, edges={site: e0})
+            want = 0.5 * (p if e0 == 1 else 1.0 - p)
+            assert abs(oracle.cylinder_probability(g, pi, cyl) - want) < 1e-10
+
+
+def test_stationary_sweep_budget_raises_cap_error(p3, monkeypatch, tmp_path, capsys):
+    # Slow edges (v = 0.1, p = 0.05) need tens of sweeps; one is not enough.
+    g, kern = p3
+    L = oracle.build_forward_generator(g, kern, ModelParams(0.05, 0.1))
+    monkeypatch.setattr(oracle, "STATIONARY_SWEEP_BUDGET", 1)
+    with pytest.raises(StateSpaceCapError, match="stationary sweeps"):
+        oracle.stationary_distribution(L)
+
+    body = dict(experiment="mu-dyn", seed=3, graph="path:3", p=0.05, v=0.1,
+                sites=[0, 2], signs=[1, 1], replicas=50)
+    on = tmp_path / "on.json"
+    on.write_text(json.dumps(dict(body, oracle="on")))
+    assert main(["check", str(on)]) == 3
+    assert "stationary sweeps" in capsys.readouterr().err
+    auto = tmp_path / "auto.json"
+    auto.write_text(json.dumps(dict(body, oracle="auto")))
+    assert main(["check", str(auto)]) == 0
+    assert "no oracle gate" in capsys.readouterr().out
 
 
 def test_transient_site_marginals_fair_from_flip_invariant_initial(p3):
