@@ -574,14 +574,10 @@ def _tv_decay_exact(
     initial_a: SpinBondState, initial_b: SpinBondState, times,
 ) -> ExperimentResult:
     L = oracle.build_forward_generator(g, kernel, params)
-    dist_a = oracle.forward_delta(g, initial_a)
-    dist_b = oracle.forward_delta(g, initial_b)
-    curve = [oracle.total_variation(dist_a, dist_b)]
-    step = cfg["t_step"]
-    for _ in range(len(times) - 1):
-        dist_a = oracle.transient_distribution(L, dist_a, step)
-        dist_b = oracle.transient_distribution(L, dist_b, step)
-        curve.append(oracle.total_variation(dist_a, dist_b))
+    laws = np.stack([oracle.forward_delta(g, initial_a), oracle.forward_delta(g, initial_b)], axis=1)
+    curve = [oracle.total_variation(laws[:, 0], laws[:, 1])]
+    for laws in oracle.transient_steps(L, laws, cfg["t_step"], len(times) - 1):
+        curve.append(oracle.total_variation(laws[:, 0], laws[:, 1]))
 
     monotone = all(curve[i + 1] <= curve[i] + 1e-10 for i in range(len(curve) - 1))
     small_enough = curve[-1] < cfg["threshold"]

@@ -3,13 +3,17 @@
 Forward configurations are packed into integers with one bit per site and
 per edge (set bit means +1), dual configurations into mixed-radix integers
 (positions base |V|, signs base 2, one base-3 digit per edge: 0 unrevealed,
-1 revealed positive, 2 revealed negative). Transient laws come from
+1 revealed positive, 2 revealed negative). Both generators are assembled
+with array arithmetic on those digits. Transient laws come from
 uniformization, stationary laws from power iteration on the same uniformized
-kernel.
+kernel. The duality gap table's left side takes one pass over the forward
+law per walker position/sign block, not one per dual state, so it does not
+scale as |dual| * |forward|.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,15 +141,17 @@ def _uniformized_kernel(L: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
     return (identity + L.multiply(1.0 / lam)).tocsr(), lam
 
 
-def _uniformized(L: sp.csr_matrix, vec: np.ndarray, t: float, tail_tol: float, column: bool) -> np.ndarray:
-    """Poisson-weighted power series for vec @ e^{tL} (or e^{tL} @ vec)."""
+def _uniformized(op: sp.csr_matrix, lam: float, vec: np.ndarray, t: float, tail_tol: float) -> np.ndarray:
+    """Poisson-weighted power series for e^{t lam (op - I)} @ vec.
+
+    op is I + L/lam for e^{tL} @ vec, or its transpose for vec @ e^{tL};
+    vec may hold one vector per column.
+    """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     vec = np.asarray(vec, dtype=np.float64)
-    P, lam = _uniformized_kernel(L)
     if t == 0.0 or lam == 0.0:
         return vec.copy()
-    op = P if column else P.T.tocsr()
     # Split [0, t] into 2^d equal pieces so that e^{-lam t} cannot underflow.
     pieces = 1
     while lam * (t / pieces) > _MAX_UNIFORM_EXPONENT:
@@ -172,15 +178,37 @@ def _uniformized(L: sp.csr_matrix, vec: np.ndarray, t: float, tail_tol: float, c
 
 def transient_distribution(L: sp.csr_matrix, initial: np.ndarray, t: float, tail_tol: float = UNIFORMIZATION_TAIL) -> np.ndarray:
     """Law at time t from a row distribution, renormalized after truncation."""
-    out = _uniformized(L, initial, t, tail_tol, column=False)
-    total = out.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise RuntimeError("transient distribution lost its mass")
-    return out / total
+    (law,) = transient_steps(L, initial, t, 1, tail_tol)
+    return law
+
+
+def transient_steps(
+    L: sp.csr_matrix, laws: np.ndarray, dt: float, steps: int, tail_tol: float = UNIFORMIZATION_TAIL
+) -> Iterator[np.ndarray]:
+    """Laws at dt, 2 dt, ..., steps * dt from row distributions.
+
+    laws is one distribution, or an (N, c) block with one per column; each
+    column is renormalized after every step. The uniformized kernel is
+    built once for all steps.
+    """
+    P, lam = _uniformized_kernel(L)
+    op = P.T.tocsr()
+    for _ in range(steps):
+        laws = _uniformized(op, lam, laws, dt, tail_tol)
+        # Sum each law along its own contiguous copy: numpy then sums
+        # pairwise, as for a single vector, so every column comes out
+        # bit-identical to propagating its law alone.
+        total = np.ascontiguousarray(laws.T).sum(axis=-1)
+        if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
+            raise RuntimeError("transient distribution lost its mass")
+        laws = laws / total
+        yield laws
+
 
 def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float, tail_tol: float = UNIFORMIZATION_TAIL) -> np.ndarray:
     """e^{tL} applied to a column vector of observables (no renormalization)."""
-    return _uniformized(L, vec, t, tail_tol, column=True)
+    P, lam = _uniformized_kernel(L)
+    return _uniformized(P, lam, vec, t, tail_tol)
 
 
 def count_closed_classes(L: sp.csr_matrix) -> int:
@@ -325,67 +353,64 @@ def build_dual_generator(
     size = dual_state_count(g, k)
     n, m = g.vertex_count, g.edge_count
     p, v = params.p, params.v
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    block = n**k * 2**k  # index stride of the first environment digit
+    idx = np.arange(size, dtype=np.int64)
+    positions = [(idx // n**j) % n for j in range(k)]
+    sign_bits = idx // n**k
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
 
-    for s in range(size):
-        d = decode_dual_state(g, k, s)
-
+    for j in range(k):
+        # Walker j fires for its site: under the coalescing rule only when
+        # no lower-indexed walker shares it, and then it carries them all.
+        fires = np.ones(size, dtype=bool)
         if mode == "coalescing":
-            groups: dict[int, list[int]] = {}
-            for j, z in enumerate(d.positions):
-                groups.setdefault(z, []).append(j)
-            firing = list(groups.items())
-        else:
-            firing = [(d.positions[j], [j]) for j in range(k)]
-
-        for z, movers in firing:
+            for i in range(j):
+                fires &= positions[i] != positions[j]
+        movers = [j] if mode == "independent" else list(range(j, k))
+        for z in range(n):
+            src = idx[fires & (positions[j] == z)]
+            # Per state: sum of n**i over the walkers i that move, and the
+            # index change that flips all their signs.
+            place = np.zeros(src.size, dtype=np.int64)
+            flip = np.zeros(src.size, dtype=np.int64)
+            for i in movers:
+                on_z = positions[i][src] == z
+                bit = (sign_bits[src] >> i) & 1
+                place += on_z * n**i
+                flip += on_z * (1 - 2 * bit) * (n**k << i)
             for y, q in kernel.rows[z]:
                 if q <= 0.0:
                     continue
                 e = g.edge_id(z, y)
-                if e in d.revealed_positive:
-                    branches = [(q, False, None)]
-                elif e in d.revealed_negative:
-                    branches = [(q, True, None)]
-                else:
-                    branches = []
-                    if p > 0.0:
-                        branches.append((q * p, False, 1))
-                    if p < 1.0:
-                        branches.append((q * (1.0 - p), True, -1))
-                for rate, flip, reveal_sign in branches:
-                    nxt = d.copy()
-                    for j in movers:
-                        nxt.positions[j] = y
-                        if flip:
-                            nxt.signs[j] = -nxt.signs[j]
-                    if reveal_sign == 1:
-                        nxt.revealed_positive.add(e)
-                    elif reveal_sign == -1:
-                        nxt.revealed_negative.add(e)
-                    target = encode_dual_state(g, nxt)
-                    if target != s:
-                        rows.append(s)
-                        cols.append(target)
-                        vals.append(rate)
+                stride = block * 3**e
+                digit = (src // stride) % 3
+                moved = src + (y - z) * place
+                fresh = digit == 0
+                # Keep the sign: the edge is revealed positive, or is fresh
+                # and gets revealed positive with probability p.
+                keep = (digit == 1) | (fresh & (p > 0.0))
+                rows.append(src[keep])
+                cols.append(moved[keep] + fresh[keep] * stride)
+                vals.append(np.where(fresh[keep], q * p, q))
+                # Flip the sign: revealed negative, or fresh and revealed
+                # negative with probability 1 - p.
+                neg = (digit == 2) | (fresh & (p < 1.0))
+                rows.append(src[neg])
+                cols.append(moved[neg] + flip[neg] + fresh[neg] * 2 * stride)
+                vals.append(np.where(fresh[neg], q * (1.0 - p), q))
 
-        if v > 0.0:
-            for e in d.revealed_positive | d.revealed_negative:
-                nxt = d.copy()
-                nxt.revealed_positive.discard(e)
-                nxt.revealed_negative.discard(e)
-                rows.append(s)
-                cols.append(encode_dual_state(g, nxt))
-                vals.append(v)
+    if v > 0.0:
+        for e in range(m):
+            stride = block * 3**e
+            digit = (idx // stride) % 3
+            src = idx[digit != 0]
+            rows.append(src)
+            cols.append(src - digit[digit != 0] * stride)
+            vals.append(np.full(src.size, v))
 
-    return _assemble_generator(
-        size,
-        [np.asarray(rows, dtype=np.int64)],
-        [np.asarray(cols, dtype=np.int64)],
-        [np.asarray(vals, dtype=np.float64)],
-    )
+    return _assemble_generator(size, rows, cols, vals)
 
 
 def forward_weight_vector(g: Graph, dual: DualState, p: float) -> np.ndarray:
@@ -479,10 +504,33 @@ def duality_gap_table(
     mu_t = transient_distribution(L_f, forward_delta(g, forward_initial), t)
     L_d = build_dual_generator(g, kernel, params, k, mode=mode)
     rhs_all = transient_action(L_d, dual_weight_vector(g, k, forward_initial, params.p), t)
+    lhs_all = _weighted_cylinder_masses(g, mu_t, k, params.p)
+    return list(zip(range(lhs_all.size), lhs_all.tolist(), rhs_all.tolist()))
 
-    out = []
-    for s in range(dual_state_count(g, k)):
-        dual0 = decode_dual_state(g, k, s)
-        lhs = float(mu_t @ forward_weight_vector(g, dual0, params.p))
-        out.append((s, lhs, float(rhs_all[s])))
-    return out
+
+def _weighted_cylinder_masses(g: Graph, dist: np.ndarray, k: int, p: float) -> np.ndarray:
+    """dist @ forward_weight_vector(dual state s) for every dual state s.
+
+    Each of the n^k 2^k position/sign blocks constrains some sites; the mass
+    dist puts on those sites, split by edge configuration, is expanded one
+    edge at a time into its three reveal digits (free, +, -), each carrying
+    its duality weight (1, 1/p, 1/(1-p)). Walkers on one site with opposite
+    signs match nothing and get 0.
+    """
+    n, m = g.vertex_count, g.edge_count
+    blocks = np.arange(n**k * 2**k, dtype=np.int64)
+    site_configs = np.arange(2**n, dtype=np.int64)
+    matches = np.ones((blocks.size, site_configs.size), dtype=bool)
+    for j in range(k):
+        pos_j = (blocks // n**j) % n
+        bit_j = ((blocks // n**k) >> j) & 1
+        matches &= ((site_configs[None, :] >> pos_j[:, None]) & 1) == bit_j[:, None]
+    # Forward index = site bits + 2^n * edge bits, so rows of this view are
+    # edge configurations; edge e is bit e of the row, axis m - e below.
+    by_edges = np.asarray(dist, dtype=np.float64).reshape(2**m, 2**n)
+    mass = (matches @ by_edges.T).reshape((blocks.size,) + (2,) * m)
+    for axis in range(1, m + 1):
+        minus, plus = np.take(mass, 0, axis=axis), np.take(mass, 1, axis=axis)
+        mass = np.stack([minus + plus, plus / p, minus / (1.0 - p)], axis=axis)
+    # Dual index = block + n^k 2^k * environment, environment digit e at axis m - e.
+    return mass.reshape(blocks.size, -1).T.ravel()

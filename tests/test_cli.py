@@ -216,6 +216,19 @@ def test_cli_run_writes_expected_files(tmp_path, capsys):
         assert abs(row["lhs"] - row["rhs"]) <= 1e-8
 
 
+def test_cli_exact_duality_check_at_benchmark_size(tmp_path, capsys):
+    # cycle:6 with two walkers: 6^2 * 2^2 * 3^6 dual initial states.
+    out_dir = tmp_path / "out"
+    path = write_cfg(
+        tmp_path, **{**DUALITY_BASE, "graph": "cycle:6", "k": 2, "t": 1.0, "oracle": "on"},
+        output_dir=str(out_dir),
+    )
+    assert main(["run", path]) == 0
+    lines = (out_dir / "duality_gaps.jsonl").read_text().splitlines()
+    assert len(lines) == 104_976
+    assert max(json.loads(line)["gap"] for line in lines) <= 1e-8
+
+
 def test_cli_duality_check_mc_mode(tmp_path, capsys):
     out_dir = tmp_path / "mc"
     path = write_cfg(

@@ -11,8 +11,10 @@ from spinbond.cylinders import CylinderEvent
 from spinbond.dual import DualState
 from spinbond.errors import StateSpaceCapError
 from spinbond.forward import ModelParams, SpinBondState
-from spinbond.graphs import builtin_graph, uniform_kernel
+from spinbond.graphs import builtin_graph, kernel_from_rates, uniform_kernel
 from spinbond import oracle
+
+from conftest import striped_state
 
 
 # ---------------------------------------------------------------- encodings
@@ -98,6 +100,84 @@ def test_dual_generator_coalesced_pair_moves_together(k2):
             assert dst.positions[0] == dst.positions[1]
 
 
+def _dual_generator_by_state(g, kernel, params, k, mode):
+    """Reference builder: decode, move and encode one dual state at a time."""
+    size = oracle.dual_state_count(g, k)
+    p, v = params.p, params.v
+    rows, cols, vals = [], [], []
+    for s in range(size):
+        d = oracle.decode_dual_state(g, k, s)
+        if mode == "coalescing":
+            groups = {}
+            for j, z in enumerate(d.positions):
+                groups.setdefault(z, []).append(j)
+            firing = list(groups.items())
+        else:
+            firing = [(d.positions[j], [j]) for j in range(k)]
+        for z, movers in firing:
+            for y, q in kernel.rows[z]:
+                if q <= 0.0:
+                    continue
+                e = g.edge_id(z, y)
+                if e in d.revealed_positive:
+                    branches = [(q, False, None)]
+                elif e in d.revealed_negative:
+                    branches = [(q, True, None)]
+                else:
+                    branches = [(q * p, False, 1), (q * (1.0 - p), True, -1)]
+                for rate, flip, reveal_sign in branches:
+                    nxt = d.copy()
+                    for j in movers:
+                        nxt.positions[j] = y
+                        if flip:
+                            nxt.signs[j] = -nxt.signs[j]
+                    if reveal_sign == 1:
+                        nxt.revealed_positive.add(e)
+                    elif reveal_sign == -1:
+                        nxt.revealed_negative.add(e)
+                    rows.append(s)
+                    cols.append(oracle.encode_dual_state(g, nxt))
+                    vals.append(rate)
+        for e in d.revealed_positive | d.revealed_negative:
+            nxt = d.copy()
+            nxt.revealed_positive.discard(e)
+            nxt.revealed_negative.discard(e)
+            rows.append(s)
+            cols.append(oracle.encode_dual_state(g, nxt))
+            vals.append(v)
+    return oracle._assemble_generator(
+        size, [np.asarray(rows, dtype=np.int64)], [np.asarray(cols, dtype=np.int64)],
+        [np.asarray(vals, dtype=np.float64)],
+    )
+
+
+# Non-uniform kernels with one zero rate each.
+_SKEWED_RATES = {
+    "path:3": {0: {1: 1.0}, 1: {0: 0.7, 2: 0.0}, 2: {1: 0.4}},
+    "cycle:4": {0: {1: 0.5, 3: 1.5}, 1: {0: 1.0, 2: 0.0}, 2: {1: 0.3, 3: 0.9}, 3: {0: 0.2, 2: 1.1}},
+}
+
+
+_DUAL_GENERATOR_CASES = [
+    (spec, k, skewed, mode)
+    for spec, k in [("path:3", 1), ("path:3", 2), ("path:3", 3), ("cycle:4", 1), ("cycle:4", 2)]
+    for skewed in (False, True)
+    for mode in ("coalescing", "independent")
+] + [("cycle:4", 3, False, "coalescing")]
+
+
+@pytest.mark.parametrize("spec, k, skewed, mode", _DUAL_GENERATOR_CASES)
+def test_dual_generator_matches_per_state_builder(spec, k, skewed, mode):
+    name, size = spec.split(":")
+    g = builtin_graph(name, int(size))
+    kern = kernel_from_rates(_SKEWED_RATES[spec], g.vertex_count) if skewed else uniform_kernel(g)
+    params = ModelParams(0.3, 1.5)
+    A = oracle.build_dual_generator(g, kern, params, k, mode=mode)
+    B = _dual_generator_by_state(g, kern, params, k, mode)
+    assert A.shape == B.shape
+    assert abs(A - B).max() == 0.0
+
+
 # ---------------------------------------------------------------- transients
 
 
@@ -123,6 +203,20 @@ def test_transient_semigroup_property(p3):
     stepped = oracle.transient_distribution(L, stepped, 1.3)
     direct = oracle.transient_distribution(L, mu0, 2.2)
     assert np.abs(stepped - direct).max() < 1e-9
+
+
+def test_transient_steps_block_matches_single_laws(p3):
+    # A block of laws steps each column exactly as transient_distribution
+    # steps that law alone.
+    g, kern = p3
+    L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
+    block = np.zeros((32, 2))
+    block[9, 0] = block[22, 1] = 1.0
+    singles = [block[:, 0].copy(), block[:, 1].copy()]
+    for laws in oracle.transient_steps(L, block, 0.5, 6):
+        singles = [oracle.transient_distribution(L, law, 0.5) for law in singles]
+        for c in range(2):
+            assert np.array_equal(laws[:, c], singles[c])
 
 
 def test_transient_long_horizon_uses_halving(p3):
@@ -326,6 +420,24 @@ def test_duality_gap_table_covers_every_dual_state(p3):
     assert len(rows) == oracle.dual_state_count(g, 1)
     for _, lhs, rhs in rows:
         assert abs(lhs - rhs) < 1e-11
+
+
+@pytest.mark.parametrize("graph, k", [("p3", 1), ("p3", 2), ("k2", 2)])
+def test_gap_table_lhs_matches_scalar_formula(graph, k, request):
+    g, kern = request.getfixturevalue(graph)
+    params = ModelParams(0.3, 1.0)
+    fwd = striped_state(g)
+    t = 0.7
+    L = oracle.build_forward_generator(g, kern, params)
+    mu_t = oracle.transient_distribution(L, oracle.forward_delta(g, fwd), t)
+    rows = oracle.duality_gap_table(g, kern, params, fwd, k=k, t=t)
+    assert [s for s, _, _ in rows] == list(range(oracle.dual_state_count(g, k)))
+    for s, lhs, _ in rows:
+        dual = oracle.decode_dual_state(g, k, s)
+        scalar = float(mu_t @ oracle.forward_weight_vector(g, dual, params.p))
+        assert abs(lhs - scalar) <= 1e-13
+        if k == 2 and dual.positions[0] == dual.positions[1] and dual.signs[0] != dual.signs[1]:
+            assert lhs == 0.0
 
 
 def test_independent_rule_breaks_duality_for_shared_sites(k2):
