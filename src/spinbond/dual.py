@@ -161,7 +161,9 @@ def simulate_dual(
         raise ValueError(f"t_max must be >= 0, got {t_max}")
 
     gen = as_generator(rng)
+    random, exponential = gen.random, gen.exponential
     sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
+    draw_index, neighbors, edge_ids = sampler.draw_index, sampler.neighbors, sampler.edge_ids
     st = initial.copy()
     st.validate(g)
     p, v = params.p, params.v
@@ -177,14 +179,14 @@ def simulate_dual(
     if coalescing:
         for z in occupants:
             site_stamp[z] = 0
-            heap.append((gen.exponential(1.0), 0, z, 0))
+            heap.append((exponential(1.0), 0, z, 0))
     else:
         for idx in range(st.walker_count):
-            heap.append((gen.exponential(1.0), 0, idx, 0))
+            heap.append((exponential(1.0), 0, idx, 0))
     if v > 0.0:
         for e in sorted(st.revealed_positive | st.revealed_negative):
             edge_stamp[e] = 0
-            heap.append((gen.exponential(1.0 / v), 1, e, 0))
+            heap.append((exponential(1.0 / v), 1, e, 0))
     heapq.heapify(heap)
 
     if path is not None:
@@ -208,7 +210,7 @@ def simulate_dual(
         elif e in st.revealed_negative:
             flip = True
         else:
-            positive = gen.random() < p
+            positive = random() < p
             if positive:
                 st.revealed_positive.add(e)
                 flip = False
@@ -218,7 +220,7 @@ def simulate_dual(
             stamp = edge_stamp.get(e, 0) + 1
             edge_stamp[e] = stamp
             if v > 0.0:
-                heapq.heappush(heap, (t + gen.exponential(1.0 / v), 1, e, stamp))
+                heapq.heappush(heap, (t + exponential(1.0 / v), 1, e, stamp))
             reveals += 1
             if record_events is not None:
                 record_events.append(("reveal", t, f"edge{e}", "+1" if positive else "-1"))
@@ -257,8 +259,8 @@ def simulate_dual(
         else:
             movers = [obj]
             z = st.positions[obj]
-        y = sampler.draw(z, gen)
-        e = g.edge_id(z, y)
+        i = draw_index(z, random)
+        y, e = neighbors[z][i], edge_ids[z][i]
         events += 1
         cross_edge(t_event, e, movers)
         for idx in movers:
@@ -272,9 +274,9 @@ def simulate_dual(
                 occupants[y] = movers
                 stamp_y = site_stamp.get(y, 0) + 1
                 site_stamp[y] = stamp_y
-                heapq.heappush(heap, (t_event + gen.exponential(1.0), 0, y, stamp_y))
+                heapq.heappush(heap, (t_event + exponential(1.0), 0, y, stamp_y))
         else:
-            heapq.heappush(heap, (t_event + gen.exponential(1.0), 0, obj, 0))
+            heapq.heappush(heap, (t_event + exponential(1.0), 0, obj, 0))
             merged = any(
                 st.positions[other] == y for other in range(st.walker_count) if other != obj
             )

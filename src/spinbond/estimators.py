@@ -1,8 +1,9 @@
 """Monte Carlo estimators over independent replicas.
 
 Replica i always consumes the generator derived from the stream's spawn key
-extended by i, so results do not depend on the worker count and reruns with
-the same seed reproduce byte-identical output.
+extended by i (``RngStream.substream(i)``, derived in blocks through
+``RngStream.substreams``), so results do not depend on the worker count and
+reruns with the same seed reproduce byte-identical output.
 """
 
 from __future__ import annotations
@@ -76,15 +77,19 @@ def _summarize(label: str, values: np.ndarray) -> EstimateResult:
 
 def _run_range(job):
     fn, stream, start, stop = job
-    return [fn(stream.substream(i)) for i in range(start, stop)]
+    return [fn(gen) for gen in stream.substreams(start, stop)]
 
 
 def _collect(fn, replicas: int, stream: RngStream, workers: int = 1) -> list:
-    """Evaluate fn on one substream per replica, in replica order."""
+    """Evaluate fn on one substream per replica, in replica order.
+
+    fn receives a reused generator (see ``RngStream.substreams``): it must
+    not keep it or spawn from it.
+    """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     if workers <= 1:
-        return [fn(stream.substream(i)) for i in range(replicas)]
+        return _run_range((fn, stream, 0, replicas))
     chunk = -(-replicas // workers)
     jobs = [
         (fn, stream, start, min(start + chunk, replicas))
@@ -362,14 +367,15 @@ def birth_death_mgf(theta: float, t: float, v: float, r0: int) -> float:
 
 def simulate_birth_death(r0: int, v: float, t_max: float, gen) -> int:
     """Population at t_max for unit birth rate and per-head death rate v."""
+    random, exponential = gen.random, gen.exponential
     k = r0
     t = 0.0
     while True:
         rate = 1.0 + v * k
-        t += gen.exponential(1.0 / rate)
+        t += exponential(1.0 / rate)
         if t > t_max:
             return k
-        if gen.random() * rate < 1.0:
+        if random() * rate < 1.0:
             k += 1
         else:
             k -= 1

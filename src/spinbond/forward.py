@@ -5,11 +5,17 @@ from the adoption kernel and adopts that neighbor's sign multiplied by the
 sign of the connecting edge. Each edge independently resamples its sign at
 rate ``v``, choosing +1 with probability ``p``. The joint process is
 simulated event by event with one exponential clock per site and per edge.
+
+The event loop keeps the signs in Python lists, written back into the int8
+arrays at the end, and reads each neighbor's edge id from the sampler's
+per-site tables; indexing a Python list costs a fraction of indexing an
+int8 array.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,10 +116,12 @@ class NeighborSampler:
 
     Rows are short (one entry per neighbor), so a linear scan beats binary
     search here; this sits on the hot path of every simulation event.
+    ``edge_ids[x][i]`` is the graph edge joining x to ``neighbors[x][i]``.
     """
 
     def __init__(self, g: Graph, kernel: AdoptionKernel) -> None:
         self.neighbors: list[tuple[int, ...]] = []
+        self.edge_ids: list[tuple[int, ...]] = []
         self.cumulative: list[tuple[float, ...]] = []
         for x in range(g.vertex_count):
             row = kernel.rows[x]
@@ -123,15 +131,17 @@ class NeighborSampler:
                 total += q
                 cum.append(total)
             self.neighbors.append(tuple(y for y, _ in row))
+            self.edge_ids.append(tuple(g.edge_id(x, y) for y, _ in row))
             self.cumulative.append(tuple(cum))
 
-    def draw(self, x: int, gen: np.random.Generator) -> int:
+    def draw_index(self, x: int, random) -> int:
+        """Position in x's row of the neighbor picked by one ``random()`` draw."""
         cum = self.cumulative[x]
-        u = gen.random() * cum[-1]
+        u = random() * cum[-1]
         for i, threshold in enumerate(cum):
             if u < threshold:
-                return self.neighbors[x][i]
-        return self.neighbors[x][-1]
+                return i
+        return len(cum) - 1
 
 
 @dataclass
@@ -166,7 +176,9 @@ def simulate_forward(
     object index and reruns with the same generator state are reproducible.
     """
     gen = as_generator(rng)
+    random, exponential = gen.random, gen.exponential
     sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
+    draw_index, neighbors, edge_ids = sampler.draw_index, sampler.neighbors, sampler.edge_ids
     state = initial.copy()
     state.validate(g)
     if t_max < 0:
@@ -175,62 +187,72 @@ def simulate_forward(
     checkpoints = sorted(checkpoint_times)
     if checkpoints and checkpoints[-1] > t_max:
         raise ValueError(f"checkpoint {checkpoints[-1]} lies beyond t_max={t_max}")
+    checkpoints.append(math.inf)
     rows: list[tuple[float, str, float]] = []
     next_cp = 0
+    sites = state.site_signs.tolist()
+    edges = state.edge_signs.tolist()
 
-    def flush_checkpoints(up_to: float) -> None:
+    def flush_checkpoints(up_to: float) -> float:
+        """Record every checkpoint at or before ``up_to``; return the next one."""
         nonlocal next_cp
-        while next_cp < len(checkpoints) and checkpoints[next_cp] <= up_to:
+        while checkpoints[next_cp] <= up_to:
             tc = checkpoints[next_cp]
             for obs in observables:
-                hit = obs.matches(state.site_signs, state.edge_signs)
+                hit = obs.matches(sites, edges)
                 rows.append((tc, obs.label(), 1.0 if hit else 0.0))
             next_cp += 1
+        return checkpoints[next_cp]
 
     n, m = g.vertex_count, g.edge_count
     heap: list[tuple[float, int, int]] = []
     for x in range(n):
-        heap.append((gen.exponential(1.0), 0, x))
+        heap.append((exponential(1.0), 0, x))
+    p = params.p
     if params.v > 0.0:
         scale = 1.0 / params.v
         for e in range(m):
-            heap.append((gen.exponential(scale), 1, e))
+            heap.append((exponential(scale), 1, e))
     heapq.heapify(heap)
 
-    flip_counts = np.zeros(m, dtype=np.int64)
+    # Each object holds exactly one heap entry, so (time, channel, index) keys
+    # are distinct and replacing the root pops in the same order as pop + push.
+    flip_counts = [0] * m
     events = 0
+    next_tc = checkpoints[0]
     while heap:
         t_event, channel, idx = heap[0]
         if t_event > t_max:
             break
-        heapq.heappop(heap)
-        flush_checkpoints(t_event)
+        if t_event >= next_tc:
+            next_tc = flush_checkpoints(t_event)
         events += 1
         if channel == 0:
-            x = idx
-            y = sampler.draw(x, gen)
-            old = int(state.site_signs[x])
-            adoption_update(state, x, y, g)
+            i = draw_index(idx, random)
+            y = neighbors[idx][i]
+            old = sites[idx]
+            sites[idx] = new = sites[y] * edges[edge_ids[idx][i]]
             if record_events is not None:
-                record_events.append(("site", t_event, x, y, old, int(state.site_signs[x])))
-            heapq.heappush(heap, (t_event + gen.exponential(1.0), 0, x))
+                record_events.append(("site", t_event, idx, y, old, new))
+            heapq.heapreplace(heap, (t_event + exponential(1.0), 0, idx))
         else:
-            e = idx
-            old = int(state.edge_signs[e])
-            new = 1 if gen.random() < params.p else -1
-            state.edge_signs[e] = new
+            old = edges[idx]
+            new = 1 if random() < p else -1
+            edges[idx] = new
             if new != old:
-                flip_counts[e] += 1
+                flip_counts[idx] += 1
             if record_events is not None:
-                record_events.append(("edge", t_event, e, old, new))
-            heapq.heappush(heap, (t_event + gen.exponential(1.0 / params.v), 1, e))
+                record_events.append(("edge", t_event, idx, old, new))
+            heapq.heapreplace(heap, (t_event + exponential(scale), 1, idx))
 
     flush_checkpoints(t_max)
+    state.site_signs[:] = sites
+    state.edge_signs[:] = edges
     return ForwardTrajectory(
         final_state=state,
         elapsed=t_max,
         event_count=events,
-        edge_flip_counts=flip_counts,
+        edge_flip_counts=np.array(flip_counts, dtype=np.int64),
         checkpoint_rows=rows,
     )
 

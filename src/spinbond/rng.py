@@ -3,13 +3,106 @@
 Every generator is derived from (seed, spawn key) through numpy's
 SeedSequence, so any replica can be reproduced in isolation and results do
 not depend on how work is scheduled.
+
+``RngStream.substream(i)`` is numpy's reference derivation of replica i's
+generator. ``RngStream.substreams(start, stop)`` yields generators in
+exactly the same states, derived in blocks: the SeedSequence entropy pool
+and its ``generate_state(4, uint64)`` words are hashed for about a thousand
+indices at once in numpy ``uint32`` arithmetic, PCG64's 128-bit set-seed
+step (O'Neill 2014) runs on Python ints, and one reused ``Generator`` is
+reseeded through ``bit_generator.state``. That costs 5–6 µs per replica
+against about 30 µs for ``substream`` (2-core machine, numpy 2.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
+
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+# PCG64's 128-bit LCG multiplier (pcg64.h, PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+# Replica indices hashed per numpy pass. A multiple of 1024 divides every
+# 2**32k, so the word count of an index is constant inside an aligned block.
+SEED_BLOCK = 1024
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _entropy_pools(words: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence.mix_entropy over a block: ``words[j]`` is entropy word j of
+    every member (a broadcastable uint32 array); returns the four pool words."""
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(words[i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence.generate_state(4, uint64) over a block, shape (4, block)."""
+    hash_const = _INIT_B
+    out = []
+    for i in range(2 * 4):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return np.stack([out[2 * k] | (out[2 * k + 1] << np.uint64(32)) for k in range(4)])
+
+
+def _pcg64_state(seed_hi: int, seed_lo: int, inc_hi: int, inc_lo: int) -> dict:
+    """PCG64's set-seed step (pcg64_set_seed) as a ``bit_generator.state`` dict."""
+    inc = ((((inc_hi << 64) | inc_lo) << 1) | 1) & _MASK128
+    state = (inc + ((seed_hi << 64) | seed_lo)) & _MASK128
+    state = (state * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -29,6 +122,33 @@ class RngStream:
 
     def substream(self, index: int) -> np.random.Generator:
         return self.child(index).generator()
+
+    def substreams(self, start: int, stop: int) -> Iterator[np.random.Generator]:
+        """Yield, for i in [start, stop), a generator in the state of ``substream(i)``.
+
+        One ``Generator`` is reseeded and yielded for every i: a caller must
+        finish with it before asking for the next one, must not keep it, and
+        must not call its ``spawn`` (its seed sequence is not replica i's).
+        """
+        run = _uint32_words(self.seed)
+        run += [0] * (_POOL_SIZE - len(run))  # SeedSequence pads run entropy when spawned
+        for part in self.key:
+            run += _uint32_words(part)
+        # One-element arrays broadcast over a block; uint32 arrays wrap silently.
+        prefix = [np.array([w], dtype=np.uint32) for w in run]
+        gen = np.random.Generator(np.random.PCG64(0))  # reseeded before every yield
+        bit_generator = gen.bit_generator
+        lo = start
+        while lo < stop:
+            hi = min(stop, (lo // SEED_BLOCK + 1) * SEED_BLOCK)
+            width = len(_uint32_words(lo))
+            index = np.arange(lo, hi, dtype=np.uint64)
+            words = [(index >> np.uint64(32 * k)).astype(np.uint32) for k in range(width)]
+            seeds = _generate_state(_entropy_pools(prefix + words)).tolist()
+            for s0, s1, s2, s3 in zip(*seeds):
+                bit_generator.state = _pcg64_state(s0, s1, s2, s3)
+                yield gen
+            lo = hi
 
 
 def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:

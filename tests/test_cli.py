@@ -379,9 +379,21 @@ def test_cli_run_outputs_are_byte_identical(tmp_path):
         replicas=0,
         tolerance=1e-10,
     )
+    raw = dict(
+        experiment="raw-simulate",
+        seed=23,
+        graph="cycle:6",
+        p=0.4,
+        v=1.0,
+        t_max=2.0,
+        checkpoint_times=[0.5, 2.0],
+        observables=["site0=+1", "edge1=-1"],
+        replicas=40,
+    )
     runs = (
         (body, ("mu_dyn_estimate.jsonl", "coalescence_reports.json")),
         (exact, ("stationary_distribution.csv", "stationary_compare.jsonl")),
+        (raw, ("checkpoints.csv",)),
     )
     for i, (cfg, names) in enumerate(runs):
         a, b = out_a / str(i), out_b / str(i)
@@ -389,6 +401,13 @@ def test_cli_run_outputs_are_byte_identical(tmp_path):
         assert main(["run", write_cfg(tmp_path, f"b{i}.json", **cfg, output_dir=str(b))]) == 0
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+        if cfg["replicas"]:
+            # Monte Carlo output must not depend on the worker count either.
+            c = tmp_path / "c" / str(i)
+            path = write_cfg(tmp_path, f"c{i}.json", **cfg, workers=2, output_dir=str(c))
+            assert main(["run", path]) == 0
+            for name in names:
+                assert (a / name).read_bytes() == (c / name).read_bytes()
 
 
 def test_cli_raw_simulate_end_to_end(tmp_path):

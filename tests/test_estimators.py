@@ -77,6 +77,19 @@ def test_parallel_workers_reproduce_sequential(p3):
         assert seq[key].std_error == par[key].std_error
 
 
+def _first_draws(gen):
+    return gen.random(), gen.exponential()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_collect_matches_per_replica_substreams(workers):
+    # 2,500 replicas cross the derivation's block boundaries and, with two
+    # workers, the pool's chunk split at 1,250.
+    stream = RngStream(2024, (3, 1))
+    expected = [_first_draws(stream.substream(i)) for i in range(2500)]
+    assert est._collect(_first_draws, 2500, stream, workers) == expected
+
+
 def test_mu_dyn_single_walker_is_exact(k2):
     # One walker is coalesced from the start: every replica returns 1/2
     # with zero variance, and a revealed edge only rescales by p or 1-p.

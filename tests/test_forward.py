@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from spinbond.forward import (
     simulate_forward,
     write_state_file,
 )
-from spinbond.graphs import builtin_graph, uniform_kernel
+from spinbond.graphs import builtin_graph, kernel_from_rates, uniform_kernel
 from spinbond.rng import RngStream
 
 from conftest import striped_state
@@ -225,3 +226,108 @@ def test_signs_stay_plus_minus_one(seed, p, v):
         g, kern, ModelParams(p, v), striped_state(g), 3.0, RngStream(seed)
     )
     traj.final_state.validate(g)
+
+
+def _reference_forward(g, kernel, params, initial, t_max, gen, checkpoints, observables, record):
+    """The heap loop on int8 arrays with per-event ``g.edge_id`` lookups that
+    ``simulate_forward`` replaced; kept as the reference it must reproduce."""
+    cumulative = []
+    for row in kernel.rows:
+        total, cum = 0.0, []
+        for _, q in row:
+            total += q
+            cum.append(total)
+        cumulative.append(cum)
+
+    def draw(x):
+        cum = cumulative[x]
+        u = gen.random() * cum[-1]
+        for i, threshold in enumerate(cum):
+            if u < threshold:
+                return kernel.rows[x][i][0]
+        return kernel.rows[x][-1][0]
+
+    state = initial.copy()
+    checkpoints = sorted(checkpoints)
+    rows = []
+    next_cp = 0
+
+    def flush(up_to):
+        nonlocal next_cp
+        while next_cp < len(checkpoints) and checkpoints[next_cp] <= up_to:
+            for obs in observables:
+                hit = obs.matches(state.site_signs, state.edge_signs)
+                rows.append((checkpoints[next_cp], obs.label(), 1.0 if hit else 0.0))
+            next_cp += 1
+
+    heap = [(gen.exponential(1.0), 0, x) for x in range(g.vertex_count)]
+    if params.v > 0.0:
+        heap += [(gen.exponential(1.0 / params.v), 1, e) for e in range(g.edge_count)]
+    heapq.heapify(heap)
+    flips = np.zeros(g.edge_count, dtype=np.int64)
+    events = 0
+    while heap:
+        t_event, channel, idx = heap[0]
+        if t_event > t_max:
+            break
+        heapq.heappop(heap)
+        flush(t_event)
+        events += 1
+        if channel == 0:
+            y = draw(idx)
+            old = int(state.site_signs[idx])
+            adoption_update(state, idx, y, g)
+            record.append(("site", t_event, idx, y, old, int(state.site_signs[idx])))
+            heapq.heappush(heap, (t_event + gen.exponential(1.0), 0, idx))
+        else:
+            old = int(state.edge_signs[idx])
+            new = 1 if gen.random() < params.p else -1
+            state.edge_signs[idx] = new
+            flips[idx] += new != old
+            record.append(("edge", t_event, idx, old, new))
+            heapq.heappush(heap, (t_event + gen.exponential(1.0 / params.v), 1, idx))
+    flush(t_max)
+    return events, rows, state, flips
+
+
+_FORWARD_CASES = [
+    ("path", (3,), None, ModelParams(0.3, 1.0)),
+    ("cycle", (6,), None, ModelParams(0.7, 0.4)),
+    ("grid_torus", (3, 3), None, ModelParams(0.5, 2.0)),
+    ("path", (3,), {0: {1: 1.0}, 1: {0: 0.7, 2: 0.0}, 2: {1: 0.4}}, ModelParams(0.3, 1.5)),
+    ("cycle", (6,), None, ModelParams(0.3, 0.0)),  # v = 0: no edge clocks
+]
+
+
+@pytest.mark.parametrize("kind, sizes, rates, params", _FORWARD_CASES)
+def test_forward_loop_matches_reference_loop(kind, sizes, rates, params):
+    g = builtin_graph(kind, *sizes)
+    kern = kernel_from_rates(rates, g.vertex_count) if rates else uniform_kernel(g)
+    t_max = 6.0
+    # checkpoints at 0.0, at a repeated time, at t_max and between events
+    times = [0.0, 1.0, 2.5, 2.5, 4.0, t_max]
+    obs = [
+        CylinderEvent.of(sites={0: 1}),
+        CylinderEvent.of(sites={1: -1}, edges={0: 1}),
+        CylinderEvent.of(edges={g.edge_count - 1: -1}),
+    ]
+    for seed in range(12):
+        initial = sample_product_state(g, RngStream(seed, (1,)).generator())
+        ref_events: list = []
+        ref = _reference_forward(
+            g, kern, params, initial, t_max, RngStream(seed).generator(), times, obs, ref_events
+        )
+        events: list = []
+        traj = simulate_forward(
+            g, kern, params, initial, t_max, RngStream(seed),
+            checkpoint_times=times, observables=obs, record_events=events,
+        )
+        assert traj.event_count == ref[0] > 0
+        assert traj.checkpoint_rows == ref[1]
+        assert np.array_equal(traj.final_state.site_signs, ref[2].site_signs)
+        assert np.array_equal(traj.final_state.edge_signs, ref[2].edge_signs)
+        assert traj.final_state.site_signs.dtype == traj.final_state.edge_signs.dtype == np.int8
+        assert np.array_equal(traj.edge_flip_counts, ref[3])
+        assert traj.edge_flip_counts.dtype == np.int64
+        assert events == ref_events
+        assert [type(v) for ev in events for v in ev] == [type(v) for ev in ref_events for v in ev]
