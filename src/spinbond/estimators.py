@@ -1,9 +1,8 @@
 """Monte Carlo estimators over independent replicas.
 
 Replica i always consumes the generator derived from the stream's spawn key
-extended by i (``RngStream.substream(i)``, derived in blocks through
-``RngStream.substreams``), so results do not depend on the worker count and
-reruns with the same seed reproduce byte-identical output.
+extended by i, so results do not depend on the worker count and reruns with
+the same seed reproduce byte-identical output.
 """
 
 from __future__ import annotations
@@ -77,19 +76,15 @@ def _summarize(label: str, values: np.ndarray) -> EstimateResult:
 
 def _run_range(job):
     fn, stream, start, stop = job
-    return [fn(gen) for gen in stream.substreams(start, stop)]
+    return [fn(stream.substream(i)) for i in range(start, stop)]
 
 
 def _collect(fn, replicas: int, stream: RngStream, workers: int = 1) -> list:
-    """Evaluate fn on one substream per replica, in replica order.
-
-    fn receives a reused generator (see ``RngStream.substreams``): it must
-    not keep it or spawn from it.
-    """
+    """Evaluate fn on one substream per replica, in replica order."""
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     if workers <= 1:
-        return _run_range((fn, stream, 0, replicas))
+        return [fn(stream.substream(i)) for i in range(replicas)]
     chunk = -(-replicas // workers)
     jobs = [
         (fn, stream, start, min(start + chunk, replicas))

@@ -117,6 +117,8 @@ class NeighborSampler:
     Rows are short (one entry per neighbor), so a linear scan beats binary
     search here; this sits on the hot path of every simulation event.
     ``edge_ids[x][i]`` is the graph edge joining x to ``neighbors[x][i]``.
+    Zero-rate entries are left out: they can never be drawn, and a valid
+    kernel may name a non-neighbor with rate 0.
     """
 
     def __init__(self, g: Graph, kernel: AdoptionKernel) -> None:
@@ -124,7 +126,7 @@ class NeighborSampler:
         self.edge_ids: list[tuple[int, ...]] = []
         self.cumulative: list[tuple[float, ...]] = []
         for x in range(g.vertex_count):
-            row = kernel.rows[x]
+            row = [(y, q) for y, q in kernel.rows[x] if q != 0]
             total = 0.0
             cum = []
             for _, q in row:

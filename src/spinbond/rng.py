@@ -4,22 +4,24 @@ Every generator is derived from (seed, spawn key) through numpy's
 SeedSequence, so any replica can be reproduced in isolation and results do
 not depend on how work is scheduled.
 
-``RngStream.substream(i)`` is numpy's reference derivation of replica i's
-generator. ``RngStream.substreams(start, stop)`` yields generators in
-exactly the same states, derived in blocks: the SeedSequence entropy pool
-and its ``generate_state(4, uint64)`` words are hashed for about a thousand
-indices at once in numpy ``uint32`` arithmetic, PCG64's 128-bit set-seed
-step (O'Neill 2014) runs on Python ints, and one reused ``Generator`` is
-reseeded through ``bit_generator.state``. That costs 5–6 µs per replica
-against about 30 µs for ``substream`` (2-core machine, numpy 2.4).
+``RngStream.generator()`` is numpy's own derivation. ``RngStream.substream(i)``
+returns a new generator in exactly the state of ``child(i).generator()``,
+with its PCG64 seed words computed in blocks: the SeedSequence entropy pool
+and its ``generate_state(4, uint64)`` words are hashed for 1,024 indices at
+once in numpy ``uint32`` arithmetic, the block is cached, and numpy's PCG64
+runs its own set-seed step (O'Neill 2014) on the cached words. That costs
+about 4 µs per replica against about 24 µs through ``SeedSequence``, most
+of it the SeedSequence hashing in numpy's per-call code (2-core machine,
+numpy 2.4).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 # Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -31,12 +33,8 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 
-# PCG64's 128-bit LCG multiplier (pcg64.h, PCG_DEFAULT_MULTIPLIER_128).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-# Replica indices hashed per numpy pass. A multiple of 1024 divides every
-# 2**32k, so the word count of an index is constant inside an aligned block.
+# Replica indices hashed per numpy pass. A power of two up to 2**32 divides
+# every 2**32k, so the word count of an index is constant inside a block.
 SEED_BLOCK = 1024
 
 
@@ -81,7 +79,7 @@ def _entropy_pools(words: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence.generate_state(4, uint64) over a block, shape (4, block)."""
+    """SeedSequence.generate_state(4, uint64) over a block, shape (block, 4)."""
     hash_const = _INIT_B
     out = []
     for i in range(2 * 4):
@@ -89,20 +87,53 @@ def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
         hash_const = (hash_const * _MULT_B) & _MASK32
         value = value * np.uint32(hash_const)
         out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    return np.stack([out[2 * k] | (out[2 * k + 1] << np.uint64(32)) for k in range(4)])
+    return np.stack([out[2 * k] | (out[2 * k + 1] << np.uint64(32)) for k in range(4)], axis=1)
 
 
-def _pcg64_state(seed_hi: int, seed_lo: int, inc_hi: int, inc_lo: int) -> dict:
-    """PCG64's set-seed step (pcg64_set_seed) as a ``bit_generator.state`` dict."""
-    inc = ((((inc_hi << 64) | inc_lo) << 1) | 1) & _MASK128
-    state = (inc + ((seed_hi << 64) | seed_lo)) & _MASK128
-    state = (state * _PCG_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+@functools.lru_cache(maxsize=8)
+def _block_seed_words(seed: int, key: tuple[int, ...], block: int) -> np.ndarray:
+    """PCG64 seed words of spawn keys ``key + (i,)`` for the indices i of one
+    block, as a read-only (SEED_BLOCK, 4) uint64 array."""
+    run = _uint32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))  # SeedSequence pads run entropy when spawned
+    for part in key:
+        run += _uint32_words(part)
+    # One-element arrays broadcast over the block; uint32 arrays wrap silently.
+    prefix = [np.array([w], dtype=np.uint32) for w in run]
+    lo = block * SEED_BLOCK
+    width = len(_uint32_words(lo))  # raises for a negative index
+    index = np.arange(lo, lo + SEED_BLOCK, dtype=np.uint64)
+    words = [(index >> np.uint64(32 * k)).astype(np.uint32) for k in range(width)]
+    out = _generate_state(_entropy_pools(prefix + words))
+    out.flags.writeable = False
+    return out
+
+
+class _PrecomputedSeed(ISpawnableSeedSequence):
+    """A SeedSequence whose ``generate_state(4, uint64)`` words are known.
+
+    Any other request, ``spawn`` included, goes to numpy's SeedSequence for
+    the same entropy and spawn key, built on first use.
+    """
+
+    def __init__(self, entropy: int, spawn_key: tuple[int, ...], words: np.ndarray) -> None:
+        self._entropy = entropy
+        self._spawn_key = spawn_key
+        self._words = words
+        self._reference: np.random.SeedSequence | None = None
+
+    def _seed_sequence(self) -> np.random.SeedSequence:
+        if self._reference is None:
+            self._reference = np.random.SeedSequence(self._entropy, spawn_key=self._spawn_key)
+        return self._reference
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:  # what PCG64 asks for
+            return self._words
+        return self._seed_sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._seed_sequence().spawn(n_children)
 
 
 @dataclass(frozen=True)
@@ -121,34 +152,12 @@ class RngStream:
         return RngStream(seed=self.seed, key=self.key + (index,))
 
     def substream(self, index: int) -> np.random.Generator:
-        return self.child(index).generator()
-
-    def substreams(self, start: int, stop: int) -> Iterator[np.random.Generator]:
-        """Yield, for i in [start, stop), a generator in the state of ``substream(i)``.
-
-        One ``Generator`` is reseeded and yielded for every i: a caller must
-        finish with it before asking for the next one, must not keep it, and
-        must not call its ``spawn`` (its seed sequence is not replica i's).
-        """
-        run = _uint32_words(self.seed)
-        run += [0] * (_POOL_SIZE - len(run))  # SeedSequence pads run entropy when spawned
-        for part in self.key:
-            run += _uint32_words(part)
-        # One-element arrays broadcast over a block; uint32 arrays wrap silently.
-        prefix = [np.array([w], dtype=np.uint32) for w in run]
-        gen = np.random.Generator(np.random.PCG64(0))  # reseeded before every yield
-        bit_generator = gen.bit_generator
-        lo = start
-        while lo < stop:
-            hi = min(stop, (lo // SEED_BLOCK + 1) * SEED_BLOCK)
-            width = len(_uint32_words(lo))
-            index = np.arange(lo, hi, dtype=np.uint64)
-            words = [(index >> np.uint64(32 * k)).astype(np.uint32) for k in range(width)]
-            seeds = _generate_state(_entropy_pools(prefix + words)).tolist()
-            for s0, s1, s2, s3 in zip(*seeds):
-                bit_generator.state = _pcg64_state(s0, s1, s2, s3)
-                yield gen
-            lo = hi
+        """A new generator in the state of ``child(index).generator()``; spawning
+        from it gives the same children too."""
+        block, offset = divmod(index, SEED_BLOCK)
+        words = _block_seed_words(self.seed, self.key, block)[offset]
+        seed_seq = _PrecomputedSeed(self.seed, self.key + (index,), words)
+        return np.random.Generator(np.random.PCG64(seed_seq))
 
 
 def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:

@@ -410,6 +410,24 @@ def test_cli_run_outputs_are_byte_identical(tmp_path):
                 assert (a / name).read_bytes() == (c / name).read_bytes()
 
 
+def test_cli_accepts_zero_rate_towards_non_neighbor(tmp_path):
+    # validate_kernel allows rate 0 off the graph's support; such an entry is
+    # never drawn, so the run equals the one with the uniform kernel.
+    kernel = tmp_path / "kernel.txt"
+    kernel.write_text("0 1 1.0\n0 2 0.0\n1 0 0.5\n1 2 0.5\n2 1 1.0\n")
+    body = dict(
+        experiment="raw-simulate", seed=4, graph="path:3", p=0.4, v=1.0, t_max=3.0,
+        checkpoint_times=[1.0, 3.0], observables=["site0=+1", "edge1=-1"], replicas=20,
+    )
+    with_file = tmp_path / "with_file"
+    uniform = tmp_path / "uniform"
+    path = write_cfg(tmp_path, "a.json", **body, kernel_file=str(kernel), output_dir=str(with_file))
+    assert main(["run", path]) == 0
+    assert main(["run", write_cfg(tmp_path, "b.json", **body, output_dir=str(uniform))]) == 0
+    name = "checkpoints.csv"
+    assert (with_file / name).read_bytes() == (uniform / name).read_bytes()
+
+
 def test_cli_raw_simulate_end_to_end(tmp_path):
     out_dir = tmp_path / "raw"
     path = write_cfg(

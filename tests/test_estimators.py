@@ -82,11 +82,11 @@ def _first_draws(gen):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_collect_matches_per_replica_substreams(workers):
+def test_collect_matches_per_replica_generators(workers):
     # 2,500 replicas cross the derivation's block boundaries and, with two
     # workers, the pool's chunk split at 1,250.
     stream = RngStream(2024, (3, 1))
-    expected = [_first_draws(stream.substream(i)) for i in range(2500)]
+    expected = [_first_draws(stream.child(i).generator()) for i in range(2500)]
     assert est._collect(_first_draws, 2500, stream, workers) == expected
 
 

@@ -296,6 +296,8 @@ _FORWARD_CASES = [
     ("grid_torus", (3, 3), None, ModelParams(0.5, 2.0)),
     ("path", (3,), {0: {1: 1.0}, 1: {0: 0.7, 2: 0.0}, 2: {1: 0.4}}, ModelParams(0.3, 1.5)),
     ("cycle", (6,), None, ModelParams(0.3, 0.0)),  # v = 0: no edge clocks
+    # rate 0 towards a non-neighbor: valid, and never drawn
+    ("path", (3,), {0: {1: 1.0, 2: 0.0}, 1: {0: 0.5, 2: 0.5}, 2: {1: 1.0}}, ModelParams(0.6, 1.0)),
 ]
 
 
