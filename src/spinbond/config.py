@@ -1,8 +1,14 @@
 """Experiment configuration: flat JSON with strict key checking.
 
 A config file is a single JSON object whose values are scalars or lists of
-scalars. Unknown keys are rejected so typos fail loudly instead of being
-ignored. The environment variable SPINBOND_SEED overrides the seed.
+scalars. Every key an experiment accepts has one line in ``_COMMON`` or in
+its entry of ``_KEYS``: its kind, its default (or ``REQUIRED``; no default
+leaves an optional key absent), bounds on its value or on each list item,
+and its choices. Unknown keys are rejected so typos fail loudly instead of
+being ignored. Number keys become floats, number lists stay as given, and a
+list may be empty only when its default is. ``validate_config`` walks the
+table; the rules that tie keys together follow it as plain code. The
+environment variable SPINBOND_SEED overrides the seed, even an explicit one.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -27,153 +34,127 @@ EXPERIMENTS = (
 # Experiments whose target quantities only exist for an ergodic chain.
 ERGODIC_EXPERIMENTS = ("stationary-compare", "mu-dyn", "tv-decay")
 
-_COMMON_KEYS = {"experiment", "seed", "stream", "workers", "output_dir", "oracle"}
-_GRAPH_KEYS = {"graph", "graph_file", "kernel_file"}
-_PARAM_KEYS = {"p", "v"}
+REQUIRED = object()
 
-_ALLOWED_KEYS: dict[str, set[str]] = {
-    "duality-check": _COMMON_KEYS
-    | _GRAPH_KEYS
-    | _PARAM_KEYS
-    | {"k", "t", "tolerance", "mode", "forward_initial_file", "replicas", "sigmas"},
-    "stationary-compare": _COMMON_KEYS
-    | _GRAPH_KEYS
-    | _PARAM_KEYS
-    | {"max_revealed", "replicas", "mc_time", "tolerance", "sigmas"},
-    "mu-dyn": _COMMON_KEYS
-    | _GRAPH_KEYS
-    | _PARAM_KEYS
-    | {
-        "sites",
-        "signs",
-        "revealed_positive",
-        "revealed_negative",
-        "replicas",
-        "t_cap",
-        "sigmas",
-        "report_limit",
-    },
-    "tv-decay": _COMMON_KEYS
-    | _GRAPH_KEYS
-    | _PARAM_KEYS
-    | {"t_max", "t_step", "threshold", "initial_file", "replicas", "sigmas"},
-    "mgf-check": _COMMON_KEYS
-    | _GRAPH_KEYS
-    | _PARAM_KEYS
-    | {"thetas", "times", "r0_values", "replicas", "sigmas", "check_domination", "t"},
-    "raw-simulate": _COMMON_KEYS
-    | _GRAPH_KEYS
-    | _PARAM_KEYS
-    | {
-        "t_max",
-        "checkpoint_times",
-        "observables",
-        "initial_file",
-        "site_plus_prob",
-        "edge_plus_prob",
-        "replicas",
-    },
+
+class Key(NamedTuple):
+    """One config key: a kind from ``_KINDS``, its default, bounds and choices."""
+
+    kind: str
+    default: object = None  # None: an optional key that stays absent
+    lo: float | None = None
+    strict: bool = False  # the lower bound itself is excluded
+    hi: float | None = None
+    choices: tuple = ()
+
+
+# kind -> (item types, description, whether the value is a list of such items)
+_KINDS = {
+    "int": (int, "an integer", False),
+    "number": ((int, float), "a number", False),
+    "str": (str, "a string", False),
+    "bool": (bool, "a boolean", False),
+    "ints": (int, "a list of integers", True),
+    "numbers": ((int, float), "a list of numbers", True),
+    "strs": (str, "a list of strings", True),
 }
 
-_DEFAULTS: dict[str, dict] = {
+_SIGMAS = Key("number", 3.0, lo=0.0, strict=True)
+
+_COMMON = {
+    "experiment": Key("str", REQUIRED, choices=EXPERIMENTS),
+    "seed": Key("int", 0, lo=0),
+    "stream": Key("int", 0, lo=0),
+    "workers": Key("int", 1, lo=1),
+    "oracle": Key("str", "auto", choices=("on", "off", "auto")),
+    "output_dir": Key("str"),
+    "graph": Key("str"),
+    "graph_file": Key("str"),
+    "kernel_file": Key("str"),
+    "p": Key("number", 0.5, lo=0.0, hi=1.0),
+    "v": Key("number", 1.0, lo=0.0),
+}
+
+_KEYS: dict[str, dict[str, Key]] = {
     "duality-check": {
-        "k": 1,
-        "t": 1.0,
-        "tolerance": 1e-8,
-        "mode": "coalescing",
-        "replicas": 20000,
-        "sigmas": 3.0,
+        "k": Key("int", 1, lo=1),
+        "t": Key("number", 1.0, lo=0.0),
+        "tolerance": Key("number", 1e-8, lo=0.0, strict=True),
+        "mode": Key("str", "coalescing", choices=("coalescing", "independent")),
+        "forward_initial_file": Key("str"),
+        "replicas": Key("int", 20000, lo=1),
+        "sigmas": _SIGMAS,
     },
     "stationary-compare": {
-        "max_revealed": 2,
-        "replicas": 0,
-        "mc_time": 30.0,
-        "tolerance": 1e-10,
-        "sigmas": 3.0,
+        "max_revealed": Key("int", 2, lo=0),
+        "replicas": Key("int", 0, lo=0),
+        "mc_time": Key("number", 30.0, lo=0.0, strict=True),
+        "tolerance": Key("number", 1e-10, lo=0.0, strict=True),
+        "sigmas": _SIGMAS,
     },
     "mu-dyn": {
-        "revealed_positive": [],
-        "revealed_negative": [],
-        "sigmas": 3.0,
-        "report_limit": 100,
+        "sites": Key("ints", REQUIRED),
+        "signs": Key("ints"),
+        "revealed_positive": Key("ints", []),
+        "revealed_negative": Key("ints", []),
+        "replicas": Key("int", REQUIRED, lo=1),
+        "t_cap": Key("number", lo=0.0, strict=True),
+        "sigmas": _SIGMAS,
+        "report_limit": Key("int", 100, lo=0),
     },
     "tv-decay": {
-        "t_max": 20.0,
-        "t_step": 0.5,
-        "threshold": 0.01,
-        "replicas": 20000,
-        "sigmas": 3.0,
+        "t_max": Key("number", 20.0, lo=0.0, strict=True),
+        "t_step": Key("number", 0.5, lo=0.0, strict=True),
+        "threshold": Key("number", 0.01, lo=0.0, strict=True),
+        "initial_file": Key("str"),
+        "replicas": Key("int", 20000, lo=1),
+        "sigmas": _SIGMAS,
     },
     "mgf-check": {
-        "thetas": [-1.0, 0.5],
-        "times": [1.0, 5.0],
-        "r0_values": [0, 3],
-        "replicas": 50000,
-        "sigmas": 3.0,
-        "check_domination": False,
-        "t": 2.0,
+        "thetas": Key("numbers", [-1.0, 0.5]),
+        "times": Key("numbers", [1.0, 5.0]),
+        "r0_values": Key("ints", [0, 3], lo=0),
+        "replicas": Key("int", 50000, lo=1),
+        "sigmas": _SIGMAS,
+        "check_domination": Key("bool", False),
+        "t": Key("number", 2.0, lo=0.0, strict=True),
     },
-    "raw-simulate": {"replicas": 1, "site_plus_prob": 0.5, "edge_plus_prob": 0.5},
+    "raw-simulate": {
+        "output_dir": Key("str", REQUIRED),
+        "t_max": Key("number", REQUIRED, lo=0.0),
+        "checkpoint_times": Key("numbers"),
+        "observables": Key("strs", REQUIRED),
+        "initial_file": Key("str"),
+        "site_plus_prob": Key("number", 0.5, lo=0.0, hi=1.0),
+        "edge_plus_prob": Key("number", 0.5, lo=0.0, hi=1.0),
+        "replicas": Key("int", 1, lo=1),
+    },
 }
 
-_REQUIRED: dict[str, set[str]] = {
-    "duality-check": set(),
-    "stationary-compare": set(),
-    "mu-dyn": {"sites", "replicas"},
-    "tv-decay": set(),
-    "mgf-check": set(),
-    "raw-simulate": {"t_max", "observables", "output_dir"},
-}
 
-
-def _require_int(cfg: dict, key: str, minimum: int | None = None) -> None:
+def _check(cfg: dict, key: str, spec: Key) -> None:
+    """Reject a value of the wrong kind or outside its bounds or choices."""
     value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"key {key!r} must be >= {minimum}, got {value}")
-
-
-def _require_number(cfg: dict, key: str, minimum=None, maximum=None, strict_min=False) -> None:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key {key!r} must be a number, got {value!r}")
-    if minimum is not None:
-        if strict_min and not value > minimum:
-            raise ConfigError(f"key {key!r} must be > {minimum}, got {value}")
-        if not strict_min and value < minimum:
-            raise ConfigError(f"key {key!r} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"key {key!r} must be <= {maximum}, got {value}")
-    cfg[key] = float(value)
-
-
-def _require_number_list(cfg: dict, key: str, allow_empty=False) -> None:
-    value = cfg[key]
-    if not isinstance(value, list) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in value
+    types, description, many = _KINDS[spec.kind]
+    items = value if many and isinstance(value, list) else [value]
+    # A bool is an int to isinstance; only the bool kind takes one.
+    if many != isinstance(value, list) or not all(
+        isinstance(x, types) and isinstance(x, bool) == (types is bool) for x in items
     ):
-        raise ConfigError(f"key {key!r} must be a list of numbers, got {value!r}")
-    if not value and not allow_empty:
+        raise ConfigError(f"key {key!r} must be {description}, got {value!r}")
+    if many and not value and spec.default != []:
         raise ConfigError(f"key {key!r} must not be empty")
-
-
-def _require_int_list(cfg: dict, key: str, allow_empty=True) -> None:
-    value = cfg[key]
-    if not isinstance(value, list) or any(
-        isinstance(x, bool) or not isinstance(x, int) for x in value
-    ):
-        raise ConfigError(f"key {key!r} must be a list of integers, got {value!r}")
-    if not value and not allow_empty:
-        raise ConfigError(f"key {key!r} must not be empty")
-
-
-def _require_str(cfg: dict, key: str, choices=None) -> None:
-    value = cfg[key]
-    if not isinstance(value, str):
-        raise ConfigError(f"key {key!r} must be a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"key {key!r} must be one of {sorted(choices)}, got {value!r}")
+    for x in items:
+        # Written so that NaN passes a non-strict bound and fails a strict one.
+        if spec.lo is not None and (not x > spec.lo if spec.strict else x < spec.lo):
+            relation = ">" if spec.strict else ">="
+            raise ConfigError(f"key {key!r} must be {relation} {spec.lo}, got {x}")
+        if spec.hi is not None and x > spec.hi:
+            raise ConfigError(f"key {key!r} must be <= {spec.hi}, got {x}")
+        if spec.choices and x not in spec.choices:
+            raise ConfigError(f"key {key!r} must be one of {sorted(spec.choices)}, got {x!r}")
+    if spec.kind == "number":
+        cfg[key] = float(value)
 
 
 def load_config(path, env: dict | None = None) -> dict:
@@ -200,25 +181,19 @@ def validate_config(raw: dict, env: dict | None = None) -> dict:
     cfg = dict(raw)
     if "experiment" not in cfg:
         raise ConfigError("config is missing the 'experiment' key")
-    _require_str(cfg, "experiment", choices=EXPERIMENTS)
+    _check(cfg, "experiment", _COMMON["experiment"])
     experiment = cfg["experiment"]
+    keys = {**_COMMON, **_KEYS[experiment]}
 
-    allowed = _ALLOWED_KEYS[experiment]
-    unknown = sorted(set(cfg) - allowed)
+    unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise ConfigError(
             f"unknown keys for experiment {experiment!r}: {', '.join(unknown)}"
         )
-
-    for key, value in _DEFAULTS[experiment].items():
-        cfg.setdefault(key, list(value) if isinstance(value, list) else value)
-    cfg.setdefault("p", 0.5)
-    cfg.setdefault("v", 1.0)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("stream", 0)
-    cfg.setdefault("workers", 1)
-    cfg.setdefault("oracle", "auto")
-
+    for key, spec in keys.items():
+        if spec.default not in (None, REQUIRED):
+            default = spec.default
+            cfg.setdefault(key, list(default) if isinstance(default, list) else default)
     seed_override = env.get(SEED_ENV_VAR)
     if seed_override is not None:
         try:
@@ -227,130 +202,41 @@ def validate_config(raw: dict, env: dict | None = None) -> dict:
             raise ConfigError(
                 f"{SEED_ENV_VAR} must be an integer, got {seed_override!r}"
             ) from None
-
-    missing = sorted(k for k in _REQUIRED[experiment] if k not in cfg)
+    missing = sorted(k for k, spec in keys.items() if spec.default is REQUIRED and k not in cfg)
     if missing:
         raise ConfigError(
             f"experiment {experiment!r} is missing required keys: {', '.join(missing)}"
         )
-
-    _require_int(cfg, "seed", minimum=0)
-    _require_int(cfg, "stream", minimum=0)
-    _require_int(cfg, "workers", minimum=1)
-    _require_str(cfg, "oracle", choices=("on", "off", "auto"))
+    for key, spec in keys.items():
+        if key in cfg:
+            _check(cfg, key, spec)
 
     needs_graph = experiment != "mgf-check" or cfg["check_domination"]
-    has_graph = ("graph" in cfg) + ("graph_file" in cfg)
-    if needs_graph and has_graph != 1:
+    if needs_graph and ("graph" in cfg) + ("graph_file" in cfg) != 1:
         raise ConfigError(
             f"experiment {experiment!r} needs exactly one of 'graph' or 'graph_file'"
         )
-    if "graph" in cfg:
-        _require_str(cfg, "graph")
-    if "graph_file" in cfg:
-        _require_str(cfg, "graph_file")
-    if "kernel_file" in cfg:
-        _require_str(cfg, "kernel_file")
-    if "output_dir" in cfg:
-        _require_str(cfg, "output_dir")
-
-    _require_number(cfg, "p", minimum=0.0, maximum=1.0)
-    _require_number(cfg, "v", minimum=0.0)
-    if experiment in ERGODIC_EXPERIMENTS:
+    if experiment in ERGODIC_EXPERIMENTS + ("duality-check",) or cfg.get("check_domination"):
         if not 0.0 < cfg["p"] < 1.0:
-            raise ConfigError(
-                f"experiment {experiment!r} needs 0 < p < 1, got p={cfg['p']}"
-            )
-        if not cfg["v"] > 0.0:
-            raise ConfigError(f"experiment {experiment!r} needs v > 0, got v={cfg['v']}")
-    if experiment == "duality-check" and not 0.0 < cfg["p"] < 1.0:
-        raise ConfigError(
-            f"duality weights are undefined at p={cfg['p']}; need 0 < p < 1"
-        )
-    if experiment == "mgf-check" and not cfg["v"] > 0.0:
-        raise ConfigError(f"mgf-check needs v > 0, got v={cfg['v']}")
+            raise ConfigError(f"experiment {experiment!r} needs 0 < p < 1, got p={cfg['p']}")
+    if experiment in ERGODIC_EXPERIMENTS + ("mgf-check",) and not cfg["v"] > 0.0:
+        raise ConfigError(f"experiment {experiment!r} needs v > 0, got v={cfg['v']}")
 
-    if experiment == "duality-check":
-        _require_int(cfg, "k", minimum=1)
-        _require_number(cfg, "t", minimum=0.0)
-        _require_number(cfg, "tolerance", minimum=0.0, strict_min=True)
-        _require_str(cfg, "mode", choices=("coalescing", "independent"))
-        _require_int(cfg, "replicas", minimum=1)
-        _require_number(cfg, "sigmas", minimum=0.0, strict_min=True)
-        if "forward_initial_file" in cfg:
-            _require_str(cfg, "forward_initial_file")
-    elif experiment == "stationary-compare":
-        _require_int(cfg, "max_revealed", minimum=0)
-        _require_int(cfg, "replicas", minimum=0)
-        if cfg["oracle"] == "off" and cfg["replicas"] < 1:
-            raise ConfigError(
-                "stationary-compare with oracle 'off' needs replicas >= 1"
-            )
-        _require_number(cfg, "mc_time", minimum=0.0, strict_min=True)
-        _require_number(cfg, "tolerance", minimum=0.0, strict_min=True)
-        _require_number(cfg, "sigmas", minimum=0.0, strict_min=True)
-    elif experiment == "mu-dyn":
-        _require_int_list(cfg, "sites", allow_empty=False)
-        cfg.setdefault("signs", [1] * len(cfg["sites"]))
-        _require_int_list(cfg, "signs", allow_empty=False)
-        if len(cfg["sites"]) != len(cfg["signs"]):
-            raise ConfigError(
-                f"{len(cfg['sites'])} sites but {len(cfg['signs'])} signs"
-            )
-        if any(s != 1 for s in cfg["signs"]):
+    if experiment == "stationary-compare" and cfg["oracle"] == "off" and cfg["replicas"] < 1:
+        raise ConfigError("stationary-compare with oracle 'off' needs replicas >= 1")
+    if experiment == "mu-dyn":
+        signs = cfg.setdefault("signs", [1] * len(cfg["sites"]))
+        if len(cfg["sites"]) != len(signs):
+            raise ConfigError(f"{len(cfg['sites'])} sites but {len(signs)} signs")
+        if any(s != 1 for s in signs):
             raise ConfigError(
                 "key 'signs' must be all +1: the dual coalescence estimator "
                 "only covers all-plus site constraints"
             )
-        _require_int_list(cfg, "revealed_positive")
-        _require_int_list(cfg, "revealed_negative")
-        _require_int(cfg, "replicas", minimum=1)
-        _require_number(cfg, "sigmas", minimum=0.0, strict_min=True)
-        _require_int(cfg, "report_limit", minimum=0)
-        if "t_cap" in cfg:
-            _require_number(cfg, "t_cap", minimum=0.0, strict_min=True)
-    elif experiment == "tv-decay":
-        _require_number(cfg, "t_max", minimum=0.0, strict_min=True)
-        _require_number(cfg, "t_step", minimum=0.0, strict_min=True)
-        _require_number(cfg, "threshold", minimum=0.0, strict_min=True)
-        _require_int(cfg, "replicas", minimum=1)
-        _require_number(cfg, "sigmas", minimum=0.0, strict_min=True)
-        if "initial_file" in cfg:
-            _require_str(cfg, "initial_file")
-    elif experiment == "mgf-check":
-        _require_number_list(cfg, "thetas")
-        _require_number_list(cfg, "times")
-        _require_int_list(cfg, "r0_values", allow_empty=False)
-        if any(r < 0 for r in cfg["r0_values"]):
-            raise ConfigError("r0_values must be >= 0")
-        _require_int(cfg, "replicas", minimum=1)
-        _require_number(cfg, "sigmas", minimum=0.0, strict_min=True)
-        if not isinstance(cfg["check_domination"], bool):
-            raise ConfigError("key 'check_domination' must be a boolean")
-        _require_number(cfg, "t", minimum=0.0, strict_min=True)
-        if cfg["check_domination"]:
-            if not 0.0 < cfg["p"] < 1.0:
-                raise ConfigError(
-                    f"check_domination needs 0 < p < 1, got p={cfg['p']}"
-                )
-    elif experiment == "raw-simulate":
-        _require_number(cfg, "t_max", minimum=0.0)
-        if "checkpoint_times" not in cfg:
-            cfg["checkpoint_times"] = [cfg["t_max"]]
-        _require_number_list(cfg, "checkpoint_times")
-        if any(t < 0 or t > cfg["t_max"] for t in cfg["checkpoint_times"]):
+    if experiment == "raw-simulate":
+        times = cfg.setdefault("checkpoint_times", [cfg["t_max"]])
+        if any(t < 0 or t > cfg["t_max"] for t in times):
             raise ConfigError("checkpoint_times must lie in [0, t_max]")
-        value = cfg["observables"]
-        if not isinstance(value, list) or not value or any(
-            not isinstance(x, str) for x in value
-        ):
-            raise ConfigError("key 'observables' must be a non-empty list of strings")
-        _require_number(cfg, "site_plus_prob", minimum=0.0, maximum=1.0)
-        _require_number(cfg, "edge_plus_prob", minimum=0.0, maximum=1.0)
-        _require_int(cfg, "replicas", minimum=1)
-        if "initial_file" in cfg:
-            _require_str(cfg, "initial_file")
-
     return cfg
 
 

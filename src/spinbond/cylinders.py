@@ -17,6 +17,7 @@ class CylinderEvent:
     edge_constraints: tuple[tuple[int, int], ...]
     _site_map: dict[int, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
     _edge_map: dict[int, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
+    _label: str = field(repr=False, hash=False, compare=False, default="full")
 
     @staticmethod
     def of(sites: dict[int, int] | None = None, edges: dict[int, int] | None = None) -> "CylinderEvent":
@@ -26,11 +27,16 @@ class CylinderEvent:
             for idx, s in mapping.items():
                 if s not in (-1, 1):
                     raise ValueError(f"{label} {idx} constrained to {s}, signs must be +-1")
+        site_constraints = tuple(sorted(sites.items()))
+        edge_constraints = tuple(sorted(edges.items()))
+        parts = [f"site{x}={'+' if s > 0 else '-'}1" for x, s in site_constraints]
+        parts += [f"edge{e}={'+' if s > 0 else '-'}1" for e, s in edge_constraints]
         return CylinderEvent(
-            site_constraints=tuple(sorted(sites.items())),
-            edge_constraints=tuple(sorted(edges.items())),
+            site_constraints=site_constraints,
+            edge_constraints=edge_constraints,
             _site_map=sites,
             _edge_map=edges,
+            _label="&".join(parts) if parts else "full",
         )
 
     @staticmethod
@@ -55,10 +61,11 @@ class CylinderEvent:
         return True
 
     def label(self) -> str:
-        """Stable observable id, e.g. ``site3=+1&edge0=-1``; empty cylinder is ``full``."""
-        parts = [f"site{x}={'+' if s > 0 else '-'}1" for x, s in self.site_constraints]
-        parts += [f"edge{e}={'+' if s > 0 else '-'}1" for e, s in self.edge_constraints]
-        return "&".join(parts) if parts else "full"
+        """Stable observable id, e.g. ``site3=+1&edge0=-1``; empty cylinder is ``full``.
+
+        Built once in ``of``: forward runs record it at every checkpoint.
+        """
+        return self._label
 
     @property
     def positive_edges(self) -> frozenset[int]:

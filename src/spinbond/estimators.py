@@ -97,7 +97,8 @@ def _collect(fn, replicas: int, stream: RngStream, workers: int = 1) -> list:
     return out
 
 
-def _forward_cylinder_replica(gen, g, sampler, params, initial, times, cylinders):
+def _forward_cylinder_replica(gen, g, sampler, params, initial, t_max, times, cylinders):
+    """One forward run on [0, t_max]: its checkpoint rows and final state."""
     if isinstance(initial, ProductInitial):
         state = sample_product_state(
             g, gen, initial.site_plus_prob, initial.edge_plus_prob
@@ -109,12 +110,18 @@ def _forward_cylinder_replica(gen, g, sampler, params, initial, times, cylinders
         sampler,
         params,
         state,
-        max(times),
+        t_max,
         gen,
         checkpoint_times=times,
         observables=cylinders,
     )
-    return np.array([row[2] for row in traj.checkpoint_rows])
+    return traj.checkpoint_rows, traj.final_state
+
+
+def _cylinder_indicators(gen, **replica) -> np.ndarray:
+    """The 0/1 column of one run's rows, taken per replica to keep the batch small."""
+    rows, _ = _forward_cylinder_replica(gen, **replica)
+    return np.array([value for _, _, value in rows])
 
 
 def estimate_cylinder_probabilities(
@@ -137,11 +144,12 @@ def estimate_cylinder_probabilities(
     cylinders = list(cylinders)
     sampler = NeighborSampler(g, kernel)
     fn = partial(
-        _forward_cylinder_replica,
+        _cylinder_indicators,
         g=g,
         sampler=sampler,
         params=params,
         initial=initial,
+        t_max=max(times),
         times=times,
         cylinders=cylinders,
     )

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from .dual import DualState
 from .errors import ConfigError, StateSpaceCapError
 from .estimators import (
     ProductInitial,
+    _collect,
+    _forward_cylinder_replica,
     birth_death_mgf,
     deviation_sigmas,
     estimate_cylinder_probabilities,
@@ -34,7 +37,13 @@ from .estimators import (
     estimate_revealed_weight,
     estimate_tv_decay,
 )
-from .forward import ModelParams, SpinBondState, read_state_file
+from .forward import (
+    ModelParams,
+    NeighborSampler,
+    SpinBondState,
+    read_state_file,
+    write_state_file,
+)
 from .graphs import Graph, read_graph_file, read_kernel_file, uniform_kernel, validate_kernel
 from .rng import RngStream
 
@@ -163,6 +172,23 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
+def _exact(cfg: dict, solve):
+    """Apply the ``oracle`` policy to an exact computation.
+
+    Returns ``(solve(), None)``, or ``(None, None)`` under ``off``, or
+    ``(None, cap error)`` when the state space is above its cap under
+    ``auto``; under ``on`` the cap error propagates (exit code 3).
+    """
+    if cfg["oracle"] == "off":
+        return None, None
+    try:
+        return solve(), None
+    except StateSpaceCapError as exc:
+        if cfg["oracle"] == "on":
+            raise
+        return None, exc
+
+
 def _env_assignments(edges, max_revealed: int):
     """All (positive set, negative set) pairs with at most max_revealed edges."""
     out = [((), ())]
@@ -194,17 +220,15 @@ def _run_duality_check(cfg: dict, write_outputs: bool) -> ExperimentResult:
     forward_initial = _load_state(cfg, "forward_initial_file", g) or _striped_state(g)
     forward_initial.validate(g)
 
-    fallback = None
-    if cfg["oracle"] != "off":
-        try:
-            return _duality_check_exact(cfg, write_outputs, g, kernel, params, forward_initial)
-        except StateSpaceCapError as exc:
-            if cfg["oracle"] == "on":
-                raise
-            fallback = f"exact check unavailable ({exc}); using Monte Carlo cross-check"
-    result = _duality_check_mc(cfg, write_outputs, g, kernel, params, forward_initial)
-    if fallback:
-        result.lines.insert(0, fallback)
+    args = (cfg, write_outputs, g, kernel, params, forward_initial)
+    exact, capped = _exact(cfg, lambda: _duality_check_exact(*args))
+    if exact is not None:
+        return exact
+    result = _duality_check_mc(*args)
+    if capped:
+        result.lines.insert(
+            0, f"exact check unavailable ({capped}); using Monte Carlo cross-check"
+        )
     return result
 
 
@@ -321,15 +345,12 @@ def _run_stationary_compare(cfg: dict, write_outputs: bool) -> ExperimentResult:
     p = params.p
 
     result = ExperimentResult(experiment="stationary-compare", passed=None)
-    pi = None
-    if cfg["oracle"] != "off":
-        try:
-            L = oracle.build_forward_generator(g, kernel, params)
-            pi = oracle.stationary_distribution(L)
-        except StateSpaceCapError as exc:
-            if cfg["oracle"] == "on":
-                raise
-            result.lines.append(f"exact solve unavailable ({exc}); Monte Carlo only")
+    pi, capped = _exact(
+        cfg,
+        lambda: oracle.stationary_distribution(oracle.build_forward_generator(g, kernel, params)),
+    )
+    if capped:
+        result.lines.append(f"exact solve unavailable ({capped}); Monte Carlo only")
 
     exact_ok = None
     rows = []
@@ -460,6 +481,21 @@ def _run_mu_dyn(cfg: dict, write_outputs: bool) -> ExperimentResult:
     if set(cfg["revealed_positive"]) & set(cfg["revealed_negative"]):
         raise ConfigError("revealed_positive and revealed_negative overlap")
 
+    cyl = CylinderEvent.of(
+        sites=dict(zip(sites, signs)),
+        edges={
+            **{e: 1 for e in cfg["revealed_positive"]},
+            **{e: -1 for e in cfg["revealed_negative"]},
+        },
+    )
+
+    def exact_mass():
+        L = oracle.build_forward_generator(g, kernel, params)
+        return oracle.cylinder_probability(g, oracle.stationary_distribution(L), cyl)
+
+    # The exact solve draws no random numbers, so running it first lets
+    # oracle "on" exit above the cap before any replica runs.
+    exact, capped = _exact(cfg, exact_mass)
     stream = RngStream(cfg["seed"], (cfg["stream"], 0))
     mu = estimate_mu_dyn(
         g,
@@ -477,25 +513,6 @@ def _run_mu_dyn(cfg: dict, write_outputs: bool) -> ExperimentResult:
     )
     est = mu.result
 
-    exact = None
-    no_gate_note = "oracle disabled; no gate applied"
-    if cfg["oracle"] != "off":
-        try:
-            L = oracle.build_forward_generator(g, kernel, params)
-            pi = oracle.stationary_distribution(L)
-            cyl = CylinderEvent.of(
-                sites=dict(zip(sites, signs)),
-                edges={
-                    **{e: 1 for e in cfg["revealed_positive"]},
-                    **{e: -1 for e in cfg["revealed_negative"]},
-                },
-            )
-            exact = oracle.cylinder_probability(g, pi, cyl)
-        except StateSpaceCapError as exc:
-            if cfg["oracle"] == "on":
-                raise
-            no_gate_note = f"exact solve unavailable ({exc}); no oracle gate applied"
-
     result = ExperimentResult(experiment="mu-dyn", passed=None)
     result.lines.append(
         f"mu-dyn: {est.observable} = {est.estimate:.6f} +- {est.std_error:.6f} "
@@ -509,8 +526,10 @@ def _run_mu_dyn(cfg: dict, write_outputs: bool) -> ExperimentResult:
             f"exact stationary mass {exact:.6f}, deviation {sig:.2f} sigma "
             f"(gate {cfg['sigmas']:g}): {_verdict(ok)}"
         )
+    elif capped:
+        result.lines.append(f"exact solve unavailable ({capped}); no oracle gate applied")
     else:
-        result.lines.append(no_gate_note)
+        result.lines.append("oracle disabled; no gate applied")
 
     out = _out_dir(cfg, write_outputs)
     if out is not None:
@@ -555,17 +574,15 @@ def _run_tv_decay(cfg: dict, write_outputs: bool) -> ExperimentResult:
     steps = int(round(cfg["t_max"] / cfg["t_step"]))
     times = [i * cfg["t_step"] for i in range(steps + 1)]
 
-    fallback = None
-    if cfg["oracle"] != "off":
-        try:
-            return _tv_decay_exact(cfg, write_outputs, g, kernel, params, initial_a, initial_b, times)
-        except StateSpaceCapError as exc:
-            if cfg["oracle"] == "on":
-                raise
-            fallback = f"exact transients unavailable ({exc}); using Monte Carlo bounds"
-    result = _tv_decay_mc(cfg, write_outputs, g, kernel, params, initial_a, initial_b, times)
-    if fallback:
-        result.lines.insert(0, fallback)
+    args = (cfg, write_outputs, g, kernel, params, initial_a, initial_b, times)
+    exact, capped = _exact(cfg, lambda: _tv_decay_exact(*args))
+    if exact is not None:
+        return exact
+    result = _tv_decay_mc(*args)
+    if capped:
+        result.lines.insert(
+            0, f"exact transients unavailable ({capped}); using Monte Carlo bounds"
+        )
     return result
 
 
@@ -745,32 +762,7 @@ def _run_mgf_check(cfg: dict, write_outputs: bool) -> ExperimentResult:
     return result
 
 
-def _raw_simulate_replica(gen, g, sampler, params, initial, t_max, times, cylinders):
-    from .forward import sample_product_state, simulate_forward
-
-    if isinstance(initial, ProductInitial):
-        state = sample_product_state(g, gen, initial.site_plus_prob, initial.edge_plus_prob)
-    else:
-        state = initial
-    traj = simulate_forward(
-        g,
-        sampler,
-        params,
-        state,
-        t_max,
-        gen,
-        checkpoint_times=times,
-        observables=cylinders,
-    )
-    return traj.checkpoint_rows, traj.final_state
-
-
 def _run_raw_simulate(cfg: dict, write_outputs: bool) -> ExperimentResult:
-    from functools import partial
-
-    from .estimators import _collect
-    from .forward import NeighborSampler, write_state_file
-
     g = _build_graph(cfg)
     kernel = _build_kernel(cfg, g)
     params = ModelParams(p=cfg["p"], v=cfg["v"])
@@ -799,7 +791,7 @@ def _run_raw_simulate(cfg: dict, write_outputs: bool) -> ExperimentResult:
     stream = RngStream(cfg["seed"], (cfg["stream"], 0))
     sampler = NeighborSampler(g, kernel)
     fn = partial(
-        _raw_simulate_replica,
+        _forward_cylinder_replica,
         g=g,
         sampler=sampler,
         params=params,

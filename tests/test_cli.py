@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -353,6 +354,45 @@ def test_cli_tv_decay_auto_falls_back_to_mc(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Monte Carlo" in out
     assert "tv-decay: PASS" in out
+
+
+# cycle:11 has 2^22 forward states, above the exact cap. Per runner: its
+# extra keys and the note it prints when oracle "auto" falls back.
+ABOVE_CAP = {
+    "duality-check": ({"replicas": 50}, "exact check unavailable ("),
+    "stationary-compare": ({"replicas": 50, "mc_time": 2.0}, "exact solve unavailable ("),
+    "mu-dyn": ({"sites": [0], "replicas": 50}, "exact solve unavailable ("),
+    "tv-decay": ({"replicas": 50, "t_max": 2.0, "t_step": 1.0}, "exact transients unavailable ("),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(ABOVE_CAP))
+@pytest.mark.parametrize("oracle", ["on", "auto"])
+def test_cli_oracle_policy_above_the_cap(tmp_path, capsys, experiment, oracle):
+    extra, note = ABOVE_CAP[experiment]
+    path = write_cfg(
+        tmp_path, experiment=experiment, seed=2, graph="cycle:11", p=0.5, oracle=oracle, **extra
+    )
+    code = main(["check", path])
+    captured = capsys.readouterr()
+    if oracle == "on":
+        assert code == 3
+        assert "resource limit: forward states" in captured.err
+    else:
+        assert code in (0, 1)
+        assert any(line.startswith(note) for line in captured.out.splitlines())
+
+
+def test_cli_mu_dyn_oracle_on_exits_before_any_replica(tmp_path, capsys):
+    path = write_cfg(
+        tmp_path, experiment="mu-dyn", seed=1, graph="cycle:11", sites=[0, 5],
+        replicas=10**6, oracle="on",
+    )
+    # 10^6 coalescing replicas would take many minutes; the cap check is instant.
+    start = time.perf_counter()
+    assert main(["check", path]) == 3
+    assert time.perf_counter() - start < 10.0
+    assert "resource limit" in capsys.readouterr().err
 
 
 def test_cli_run_outputs_are_byte_identical(tmp_path):
