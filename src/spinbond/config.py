@@ -5,15 +5,17 @@ scalars. Every key an experiment accepts has one line in ``_COMMON`` or in
 its entry of ``_KEYS``: its kind, its default (or ``REQUIRED``; no default
 leaves an optional key absent), bounds on its value or on each list item,
 and its choices. Unknown keys are rejected so typos fail loudly instead of
-being ignored. Number keys become floats, number lists stay as given, and a
-list may be empty only when its default is. ``validate_config`` walks the
-table; the rules that tie keys together follow it as plain code. The
-environment variable SPINBOND_SEED overrides the seed, even an explicit one.
+being ignored. Numbers must be finite; number keys become floats, number
+lists stay as given, and a list may be empty only when its default is.
+``validate_config`` walks the table; the rules that tie keys together follow
+it as plain code. The environment variable SPINBOND_SEED overrides the seed,
+even an explicit one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import NamedTuple
@@ -112,7 +114,7 @@ _KEYS: dict[str, dict[str, Key]] = {
     },
     "mgf-check": {
         "thetas": Key("numbers", [-1.0, 0.5]),
-        "times": Key("numbers", [1.0, 5.0]),
+        "times": Key("numbers", [1.0, 5.0], lo=0.0, strict=True),
         "r0_values": Key("ints", [0, 3], lo=0),
         "replicas": Key("int", 50000, lo=1),
         "sigmas": _SIGMAS,
@@ -145,8 +147,10 @@ def _check(cfg: dict, key: str, spec: Key) -> None:
     if many and not value and spec.default != []:
         raise ConfigError(f"key {key!r} must not be empty")
     for x in items:
-        # Written so that NaN passes a non-strict bound and fails a strict one.
-        if spec.lo is not None and (not x > spec.lo if spec.strict else x < spec.lo):
+        # JSON's NaN and Infinity parse as floats; no key has a use for them.
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ConfigError(f"key {key!r} must be finite, got {x}")
+        if spec.lo is not None and (x <= spec.lo if spec.strict else x < spec.lo):
             relation = ">" if spec.strict else ">="
             raise ConfigError(f"key {key!r} must be {relation} {spec.lo}, got {x}")
         if spec.hi is not None and x > spec.hi:
@@ -211,8 +215,7 @@ def validate_config(raw: dict, env: dict | None = None) -> dict:
         if key in cfg:
             _check(cfg, key, spec)
 
-    needs_graph = experiment != "mgf-check" or cfg["check_domination"]
-    if needs_graph and ("graph" in cfg) + ("graph_file" in cfg) != 1:
+    if needs_graph(cfg) and ("graph" in cfg) + ("graph_file" in cfg) != 1:
         raise ConfigError(
             f"experiment {experiment!r} needs exactly one of 'graph' or 'graph_file'"
         )
@@ -233,11 +236,22 @@ def validate_config(raw: dict, env: dict | None = None) -> dict:
                 "key 'signs' must be all +1: the dual coalescence estimator "
                 "only covers all-plus site constraints"
             )
+    if experiment == "tv-decay":
+        steps = round(cfg["t_max"] / cfg["t_step"])
+        if not math.isclose(steps * cfg["t_step"], cfg["t_max"], rel_tol=1e-9):
+            raise ConfigError(
+                f"t_max {cfg['t_max']:g} must be a whole number of t_step {cfg['t_step']:g} steps"
+            )
     if experiment == "raw-simulate":
         times = cfg.setdefault("checkpoint_times", [cfg["t_max"]])
         if any(t < 0 or t > cfg["t_max"] for t in times):
             raise ConfigError("checkpoint_times must lie in [0, t_max]")
     return cfg
+
+
+def needs_graph(cfg: dict) -> bool:
+    """Whether a validated config's run builds a graph, kernel and model."""
+    return cfg["experiment"] != "mgf-check" or cfg["check_domination"]
 
 
 def parse_graph_spec(spec: str):

@@ -97,6 +97,12 @@ def _collect(fn, replicas: int, stream: RngStream, workers: int = 1) -> list:
     return out
 
 
+def _replica_mean(label, replicas, stream, workers, replica, prefactor=1.0, **fixed):
+    """Summary of ``prefactor * replica(gen, **fixed)`` over one generator per replica."""
+    values = np.array(_collect(partial(replica, **fixed), replicas, stream, workers))
+    return _summarize(label, prefactor * values)
+
+
 def _forward_cylinder_replica(gen, g, sampler, params, initial, t_max, times, cylinders):
     """One forward run on [0, t_max]: its checkpoint rows and final state."""
     if isinstance(initial, ProductInitial):
@@ -199,25 +205,17 @@ def estimate_dual_side(
     prefactor = params.p ** len(initial.revealed_positive) * (1.0 - params.p) ** len(
         initial.revealed_negative
     )
-    sampler = NeighborSampler(g, kernel)
-    fn = partial(
-        _dual_side_replica,
-        g=g,
-        sampler=sampler,
-        params=params,
-        forward_state=forward_state,
-        initial=initial,
-        t=t,
-        mode=mode,
-    )
-    values = prefactor * np.array(_collect(fn, replicas, stream, workers))
     parts = [
         f"site{x}={'+' if s > 0 else '-'}1"
         for x, s in zip(initial.positions, initial.signs)
     ]
     parts += [f"edge{e}=+1" for e in sorted(initial.revealed_positive)]
     parts += [f"edge{e}=-1" for e in sorted(initial.revealed_negative)]
-    return _summarize(f"dual_side:t={t:g}:{'&'.join(parts)}", values)
+    return _replica_mean(
+        f"dual_side:t={t:g}:{'&'.join(parts)}", replicas, stream, workers,
+        _dual_side_replica, prefactor, g=g, sampler=NeighborSampler(g, kernel), params=params,
+        forward_state=forward_state, initial=initial, t=t, mode=mode,
+    )
 
 
 @dataclass(frozen=True)
@@ -397,9 +395,10 @@ def estimate_mgf(
     stream: RngStream,
     workers: int = 1,
 ) -> EstimateResult:
-    fn = partial(_mgf_replica, theta=theta, t=t, v=v, r0=r0)
-    values = np.array(_collect(fn, replicas, stream, workers))
-    return _summarize(f"mgf:theta={theta:g},t={t:g},v={v:g},r0={r0}", values)
+    return _replica_mean(
+        f"mgf:theta={theta:g},t={t:g},v={v:g},r0={r0}", replicas, stream, workers,
+        _mgf_replica, theta=theta, t=t, v=v, r0=r0,
+    )
 
 
 def _revealed_weight_replica(gen, g, sampler, params, initial, theta, t):
@@ -421,15 +420,8 @@ def estimate_revealed_weight(
     workers: int = 1,
 ) -> EstimateResult:
     """Sample mean of exp(theta * revealed-set size) at time t."""
-    sampler = NeighborSampler(g, kernel)
-    fn = partial(
-        _revealed_weight_replica,
-        g=g,
-        sampler=sampler,
-        params=params,
-        initial=initial,
-        theta=theta,
-        t=t,
+    return _replica_mean(
+        f"revealed_weight:theta={theta:g},t={t:g}", replicas, stream, workers,
+        _revealed_weight_replica, g=g, sampler=NeighborSampler(g, kernel), params=params,
+        initial=initial, theta=theta, t=t,
     )
-    values = np.array(_collect(fn, replicas, stream, workers))
-    return _summarize(f"revealed_weight:theta={theta:g},t={t:g}", values)

@@ -1,10 +1,12 @@
 """Experiment runners behind the command line interface.
 
-Each runner takes a validated config dict, computes its quantities, applies
-its gates, and returns a result with human-readable summary lines plus the
-list of files it wrote. JSON output comes from ``json.dumps``, whose floats
-round-trip exactly (``inf`` and ``nan`` as ``Infinity`` and ``NaN``); CSV
-cells carry 17 significant digits.
+``run_experiment`` is the one skeleton: it builds the graph, kernel and
+model parameters when the config needs a graph, hands them with an empty
+result to the experiment's runner, and records the runner's verdict. A
+runner appends human-readable summary lines, writes its files through the
+result, and returns True, False, or None when no gate applies. JSON output
+comes from ``json.dumps``, whose floats round-trip exactly (``inf`` and
+``nan`` as ``Infinity`` and ``NaN``); CSV cells carry 17 significant digits.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .config import parse_graph_spec
+from .config import needs_graph, parse_graph_spec
 from .cylinders import CylinderEvent, parse_cylinder_label, single_constraint_events
 from .dual import DualState
 from .errors import ConfigError, StateSpaceCapError
@@ -54,10 +56,33 @@ GATE_ABS_SLACK = 1e-10
 
 @dataclass
 class ExperimentResult:
+    """What one run reports: its verdict, summary lines and written files.
+
+    ``out_dir`` is None when the run writes nothing (``spinbond check``, or
+    no ``output_dir``); ``write`` then does nothing, so records handed to it
+    as a generator are never built.
+    """
+
     experiment: str
-    passed: bool | None
+    passed: bool | None = None
+    out_dir: Path | None = None
     lines: list[str] = field(default_factory=list)
     files: list[str] = field(default_factory=list)
+
+    def path(self, name: str) -> Path:
+        """Record output file ``name`` and return its path in ``out_dir``."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        path = self.out_dir / name
+        self.files.append(str(path))
+        return path
+
+    def write(self, name: str, records, format="jsonl", fieldnames=None, legend=None) -> None:
+        """``write_results`` into ``out_dir``; a CSV's ``legend`` text goes beside it."""
+        if self.out_dir is None:
+            return
+        write_results(records, self.path(name), format, fieldnames)
+        if legend is not None:
+            self.path(name.replace(".csv", ".legend.txt")).write_text(legend)
 
 
 def _fmt(x: float) -> str:
@@ -117,16 +142,15 @@ def _estimate_record(
     return rec
 
 
-def _build_graph(cfg: dict) -> Graph:
+def _build_model(cfg: dict):
+    """The config's graph, its validated kernel, and the model parameters."""
     if "graph" in cfg:
-        return parse_graph_spec(cfg["graph"])
-    try:
-        return read_graph_file(cfg["graph_file"])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load graph file {cfg['graph_file']}: {exc}") from exc
-
-
-def _build_kernel(cfg: dict, g: Graph):
+        g = parse_graph_spec(cfg["graph"])
+    else:
+        try:
+            g = read_graph_file(cfg["graph_file"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load graph file {cfg['graph_file']}: {exc}") from exc
     if "kernel_file" in cfg:
         try:
             kernel = read_kernel_file(g, cfg["kernel_file"])
@@ -142,16 +166,19 @@ def _build_kernel(cfg: dict, g: Graph):
     report = validate_kernel(g, kernel)
     if not report.valid:
         raise ConfigError("invalid kernel: " + "; ".join(report.violations))
-    return kernel
+    return g, kernel, ModelParams(p=cfg["p"], v=cfg["v"])
 
 
 def _load_state(cfg: dict, key: str, g: Graph) -> SpinBondState | None:
+    """The state file named by ``key``, checked against ``g``; None without one."""
     if key not in cfg:
         return None
     try:
-        return read_state_file(g, cfg[key])
+        state = read_state_file(g, cfg[key])
+        state.validate(g)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load state file {cfg[key]}: {exc}") from exc
+    return state
 
 
 def _striped_state(g: Graph) -> SpinBondState:
@@ -160,16 +187,24 @@ def _striped_state(g: Graph) -> SpinBondState:
     return SpinBondState(sites, edges)
 
 
-def _out_dir(cfg: dict, write_outputs: bool) -> Path | None:
-    if not write_outputs or "output_dir" not in cfg:
-        return None
-    path = Path(cfg["output_dir"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _check_range(what: str, indices, count: int) -> None:
+    for i in indices:
+        if not 0 <= i < count:
+            raise ConfigError(f"{what} {i} outside 0..{count - 1}")
 
 
 def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
+
+
+def _versus(name: str, est, target: float, sig: float, ok: bool) -> str:
+    return f"{name}: {est.estimate:.5f} vs {target:.5f} ({sig:.2f} sigma): {_verdict(ok)}"
+
+
+def _sigma_gate(est, target: float, sigmas: float) -> tuple[float, bool]:
+    """Deviation in standard errors; within ``sigmas`` or solver accuracy passes."""
+    sig = deviation_sigmas(est, target)
+    return sig, sig <= sigmas or abs(est.estimate - target) <= GATE_ABS_SLACK
 
 
 def _exact(cfg: dict, solve):
@@ -187,6 +222,31 @@ def _exact(cfg: dict, solve):
         if cfg["oracle"] == "on":
             raise
         return None, exc
+
+
+def _exact_or_mc(note: str, exact, mc, cfg: dict, result: ExperimentResult, *args):
+    """The verdict of ``exact`` under the oracle policy, else that of ``mc``.
+
+    Both runners take ``(cfg, result, *args)``. A fallback above the cap
+    first notes the cap error through the format string ``note``.
+    """
+    passed, capped = _exact(cfg, lambda: exact(cfg, result, *args))
+    if passed is not None:
+        return passed
+    if capped:
+        result.lines.append(note.format(capped))
+    return mc(cfg, result, *args)
+
+
+def _cylinder(sites: dict, positive, negative) -> CylinderEvent:
+    return CylinderEvent.of(
+        sites=sites, edges={**{e: 1 for e in positive}, **{e: -1 for e in negative}}
+    )
+
+
+def _product_mass(p: float, positive, negative) -> float:
+    """Stationary mass of one signed site and these revealed edge signs."""
+    return 0.5 * p ** len(positive) * (1.0 - p) ** len(negative)
 
 
 def _env_assignments(edges, max_revealed: int):
@@ -210,31 +270,26 @@ def run_experiment(cfg: dict, write_outputs: bool = True) -> ExperimentResult:
         "mgf-check": _run_mgf_check,
         "raw-simulate": _run_raw_simulate,
     }[cfg["experiment"]]
-    return runner(cfg, write_outputs)
-
-
-def _run_duality_check(cfg: dict, write_outputs: bool) -> ExperimentResult:
-    g = _build_graph(cfg)
-    kernel = _build_kernel(cfg, g)
-    params = ModelParams(p=cfg["p"], v=cfg["v"])
-    forward_initial = _load_state(cfg, "forward_initial_file", g) or _striped_state(g)
-    forward_initial.validate(g)
-
-    args = (cfg, write_outputs, g, kernel, params, forward_initial)
-    exact, capped = _exact(cfg, lambda: _duality_check_exact(*args))
-    if exact is not None:
-        return exact
-    result = _duality_check_mc(*args)
-    if capped:
-        result.lines.insert(
-            0, f"exact check unavailable ({capped}); using Monte Carlo cross-check"
-        )
+    out_dir = Path(cfg["output_dir"]) if write_outputs and "output_dir" in cfg else None
+    result = ExperimentResult(cfg["experiment"], out_dir=out_dir)
+    model = _build_model(cfg) if needs_graph(cfg) else (None, None, None)
+    stream = RngStream(cfg["seed"], (cfg["stream"], 0))
+    result.passed = runner(cfg, result, stream, *model)
     return result
 
 
+def _run_duality_check(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
+    forward_initial = _load_state(cfg, "forward_initial_file", g) or _striped_state(g)
+    return _exact_or_mc(
+        "exact check unavailable ({}); using Monte Carlo cross-check",
+        _duality_check_exact, _duality_check_mc,
+        cfg, result, stream, g, kernel, params, forward_initial,
+    )
+
+
 def _duality_check_exact(
-    cfg: dict, write_outputs: bool, g: Graph, kernel, params: ModelParams, forward_initial
-) -> ExperimentResult:
+    cfg: dict, result: ExperimentResult, stream, g, kernel, params, forward_initial
+):
     table = oracle.duality_gap_table(
         g, kernel, params, forward_initial, cfg["k"], cfg["t"], mode=cfg["mode"]
     )
@@ -243,30 +298,25 @@ def _duality_check_exact(
     worst_index = table[int(np.argmax(gaps))][0]
     passed = worst <= cfg["tolerance"]
 
-    result = ExperimentResult(experiment="duality-check", passed=passed)
-    result.lines.append(
+    result.lines += [
         f"duality-check: {len(table)} dual initial states, k={cfg['k']}, "
-        f"t={cfg['t']:g}, mode={cfg['mode']}"
-    )
-    result.lines.append(
+        f"t={cfg['t']:g}, mode={cfg['mode']}",
         f"worst |lhs-rhs| = {worst:.3e} at dual state {worst_index} "
-        f"(tolerance {cfg['tolerance']:.1e}): {_verdict(passed)}"
-    )
-    out = _out_dir(cfg, write_outputs)
-    if out is not None:
-        rows = [
+        f"(tolerance {cfg['tolerance']:.1e}): {_verdict(passed)}",
+    ]
+    result.write(
+        "duality_gaps.jsonl",
+        (
             {"dual_state": s, "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
             for s, lhs, rhs in table
-        ]
-        path = out / "duality_gaps.jsonl"
-        write_results(rows, path, "jsonl")
-        result.files.append(str(path))
-    return result
+        ),
+    )
+    return passed
 
 
 def _duality_check_mc(
-    cfg: dict, write_outputs: bool, g: Graph, kernel, params: ModelParams, forward_initial
-) -> ExperimentResult:
+    cfg: dict, result: ExperimentResult, stream, g, kernel, params, forward_initial
+):
     """Statistical two-sided check: forward cylinder frequency vs dual-side value.
 
     Walkers start on the first k vertices (wrapping if k exceeds the vertex
@@ -277,7 +327,6 @@ def _duality_check_mc(
     positions = [j % g.vertex_count for j in range(k)]
     dual_initial = DualState.of(positions, [1] * k)
     cyl = CylinderEvent.of(sites={x: 1 for x in positions})
-    stream = RngStream(cfg["seed"], (cfg["stream"], 0))
     fwd = estimate_cylinder_probabilities(
         g,
         kernel,
@@ -305,46 +354,29 @@ def _duality_check_mc(
     pooled = math.hypot(fwd.std_error, dual.std_error)
     passed = gap <= cfg["sigmas"] * pooled + GATE_ABS_SLACK
 
-    result = ExperimentResult(experiment="duality-check", passed=passed)
-    result.lines.append(
+    result.lines += [
         f"duality-check (mc): k={k}, t={t:g}, mode={cfg['mode']}, "
-        f"{cfg['replicas']} replicas per side"
-    )
-    result.lines.append(
+        f"{cfg['replicas']} replicas per side",
         f"forward {fwd.estimate:.6f} +- {fwd.std_error:.6f}, "
-        f"dual {dual.estimate:.6f} +- {dual.std_error:.6f}"
-    )
-    result.lines.append(
+        f"dual {dual.estimate:.6f} +- {dual.std_error:.6f}",
         f"|forward - dual| = {gap:.6f} within {cfg['sigmas']:g} pooled sigma "
-        f"({pooled:.6f}): {_verdict(passed)}"
+        f"({pooled:.6f}): {_verdict(passed)}",
+    ]
+    result.write(
+        "duality_mc.jsonl",
+        (
+            _estimate_record(name, {"p": params.p, "v": params.v, "t": t, **extra}, est)
+            for name, extra, est in (
+                ("forward_cylinder", {"cylinder": cyl.label()}, fwd),
+                ("dual_side", {"k": k, "mode": cfg["mode"]}, dual),
+            )
+        ),
     )
-    out = _out_dir(cfg, write_outputs)
-    if out is not None:
-        rows = [
-            _estimate_record(
-                "forward_cylinder",
-                {"p": params.p, "v": params.v, "t": t, "cylinder": cyl.label()},
-                fwd,
-            ),
-            _estimate_record(
-                "dual_side",
-                {"p": params.p, "v": params.v, "t": t, "k": k, "mode": cfg["mode"]},
-                dual,
-            ),
-        ]
-        path = out / "duality_mc.jsonl"
-        write_results(rows, path, "jsonl")
-        result.files.append(str(path))
-    return result
+    return passed
 
 
-def _run_stationary_compare(cfg: dict, write_outputs: bool) -> ExperimentResult:
-    g = _build_graph(cfg)
-    kernel = _build_kernel(cfg, g)
-    params = ModelParams(p=cfg["p"], v=cfg["v"])
+def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
     p = params.p
-
-    result = ExperimentResult(experiment="stationary-compare", passed=None)
     pi, capped = _exact(
         cfg,
         lambda: oracle.stationary_distribution(oracle.build_forward_generator(g, kernel, params)),
@@ -360,50 +392,34 @@ def _run_stationary_compare(cfg: dict, write_outputs: bool) -> ExperimentResult:
         for x in range(g.vertex_count):
             for site_sign in (1, -1):
                 for pos, neg in env_all:
-                    cyl = CylinderEvent.of(
-                        sites={x: site_sign},
-                        edges={**{e: 1 for e in pos}, **{e: -1 for e in neg}},
-                    )
+                    cyl = _cylinder({x: site_sign}, pos, neg)
                     exact = oracle.cylinder_probability(g, pi, cyl)
-                    target = 0.5 * p ** len(pos) * (1.0 - p) ** len(neg)
+                    target = _product_mass(p, pos, neg)
                     err = abs(exact - target)
                     worst_exact = max(worst_exact, err)
                     rows.append(
                         {"cylinder": cyl.label(), "exact": exact, "target": target, "abs_err": err}
                     )
         exact_ok = worst_exact <= cfg["tolerance"]
-        result.lines.append(
-            f"stationary-compare: {len(rows)} cylinders, max_revealed={cfg['max_revealed']}"
-        )
-        result.lines.append(
+        result.lines += [
+            f"stationary-compare: {len(rows)} cylinders, max_revealed={cfg['max_revealed']}",
             f"exact vs product form: worst |err| = {worst_exact:.3e} "
-            f"(tolerance {cfg['tolerance']:.1e}): {_verdict(exact_ok)}"
-        )
+            f"(tolerance {cfg['tolerance']:.1e}): {_verdict(exact_ok)}",
+        ]
 
     mc_ok = None
-    mc_rows = []
     if cfg["replicas"] > 0:
         mc_edges = list(range(min(2, g.edge_count)))
-        subset = [
-            (pos, neg)
-            for pos, neg in _env_assignments(mc_edges, min(2, cfg["max_revealed"]))
-        ]
-        cylinders = [
-            CylinderEvent.of(
-                sites={0: 1}, edges={**{e: 1 for e in pos}, **{e: -1 for e in neg}}
-            )
-            for pos, neg in subset
-        ]
+        subset = _env_assignments(mc_edges, min(2, cfg["max_revealed"]))
+        cylinders = [_cylinder({0: 1}, pos, neg) for pos, neg in subset]
         targets = {
-            cyl.label(): 0.5 * p ** len(pos) * (1.0 - p) ** len(neg)
-            for cyl, (pos, neg) in zip(cylinders, subset)
+            cyl.label(): _product_mass(p, pos, neg) for cyl, (pos, neg) in zip(cylinders, subset)
         }
         oracle_values = (
             {cyl.label(): oracle.cylinder_probability(g, pi, cyl) for cyl in cylinders}
             if pi is not None
             else {}
         )
-        stream = RngStream(cfg["seed"], (cfg["stream"], 0))
         estimates = estimate_cylinder_probabilities(
             g,
             kernel,
@@ -417,10 +433,9 @@ def _run_stationary_compare(cfg: dict, write_outputs: bool) -> ExperimentResult:
         )
         mc_ok = True
         for (t, label), est in sorted(estimates.items()):
-            sig = deviation_sigmas(est, targets[label])
-            ok = sig <= cfg["sigmas"] or abs(est.estimate - targets[label]) <= GATE_ABS_SLACK
+            sig, ok = _sigma_gate(est, targets[label], cfg["sigmas"])
             mc_ok = mc_ok and ok
-            mc_rows.append(
+            rows.append(
                 _estimate_record(
                     "forward_cylinder",
                     {"p": p, "v": params.v, "t": t, "cylinder": label},
@@ -430,64 +445,35 @@ def _run_stationary_compare(cfg: dict, write_outputs: bool) -> ExperimentResult:
                     sigmas=sig,
                 )
             )
-            result.lines.append(
-                f"mc {label}: {est.estimate:.5f} vs {targets[label]:.5f} "
-                f"({sig:.2f} sigma): {_verdict(ok)}"
-            )
+            result.lines.append(_versus(f"mc {label}", est, targets[label], sig, ok))
 
     checks = [ok for ok in (exact_ok, mc_ok) if ok is not None]
-    result.passed = all(checks) if checks else None
     if not checks:
         result.lines.append("nothing checked: no exact solve and replicas = 0")
-
-    out = _out_dir(cfg, write_outputs)
-    if out is not None:
-        path = out / "stationary_compare.jsonl"
-        write_results(rows + mc_rows, path, "jsonl")
-        result.files.append(str(path))
-        if pi is not None:
-            dist_path = out / "stationary_distribution.csv"
-            write_results(
-                (
-                    {"state_index": s, "probability": float(mass)}
-                    for s, mass in enumerate(pi)
-                ),
-                dist_path,
-                "csv",
-            )
-            result.files.append(str(dist_path))
-            legend_path = out / "stationary_distribution.legend.txt"
-            legend_path.write_text(
+    result.write("stationary_compare.jsonl", rows)
+    if pi is not None:
+        result.write(
+            "stationary_distribution.csv",
+            ({"state_index": s, "probability": float(mass)} for s, mass in enumerate(pi)),
+            "csv",
+            legend=(
                 "state_index: configuration packed into bits; bit x (x < vertex_count)\n"
                 "is 1 when site x has sign +1, bit vertex_count + e is 1 when edge e\n"
                 "has sign +1.\nprobability: stationary mass of that configuration.\n"
-            )
-            result.files.append(str(legend_path))
-    return result
+            ),
+        )
+    return all(checks) if checks else None
 
 
-def _run_mu_dyn(cfg: dict, write_outputs: bool) -> ExperimentResult:
-    g = _build_graph(cfg)
-    kernel = _build_kernel(cfg, g)
-    params = ModelParams(p=cfg["p"], v=cfg["v"])
+def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
     sites = list(cfg["sites"])
     signs = list(cfg["signs"])
-    for x in sites:
-        if not 0 <= x < g.vertex_count:
-            raise ConfigError(f"site {x} outside 0..{g.vertex_count - 1}")
-    for e in list(cfg["revealed_positive"]) + list(cfg["revealed_negative"]):
-        if not 0 <= e < g.edge_count:
-            raise ConfigError(f"edge {e} outside 0..{g.edge_count - 1}")
-    if set(cfg["revealed_positive"]) & set(cfg["revealed_negative"]):
+    positive, negative = cfg["revealed_positive"], cfg["revealed_negative"]
+    _check_range("site", sites, g.vertex_count)
+    _check_range("edge", positive + negative, g.edge_count)
+    if set(positive) & set(negative):
         raise ConfigError("revealed_positive and revealed_negative overlap")
-
-    cyl = CylinderEvent.of(
-        sites=dict(zip(sites, signs)),
-        edges={
-            **{e: 1 for e in cfg["revealed_positive"]},
-            **{e: -1 for e in cfg["revealed_negative"]},
-        },
-    )
+    cyl = _cylinder(dict(zip(sites, signs)), positive, negative)
 
     def exact_mass():
         L = oracle.build_forward_generator(g, kernel, params)
@@ -496,7 +482,6 @@ def _run_mu_dyn(cfg: dict, write_outputs: bool) -> ExperimentResult:
     # The exact solve draws no random numbers, so running it first lets
     # oracle "on" exit above the cap before any replica runs.
     exact, capped = _exact(cfg, exact_mass)
-    stream = RngStream(cfg["seed"], (cfg["stream"], 0))
     mu = estimate_mu_dyn(
         g,
         kernel,
@@ -505,35 +490,31 @@ def _run_mu_dyn(cfg: dict, write_outputs: bool) -> ExperimentResult:
         signs,
         cfg["replicas"],
         stream,
-        revealed_positive=cfg["revealed_positive"],
-        revealed_negative=cfg["revealed_negative"],
+        revealed_positive=positive,
+        revealed_negative=negative,
         t_cap=cfg.get("t_cap"),
         workers=cfg["workers"],
         report_limit=cfg["report_limit"],
     )
     est = mu.result
 
-    result = ExperimentResult(experiment="mu-dyn", passed=None)
+    passed = None
     result.lines.append(
         f"mu-dyn: {est.observable} = {est.estimate:.6f} +- {est.std_error:.6f} "
         f"({est.replicas} replicas, {mu.censored_count} censored)"
     )
     if exact is not None:
-        sig = deviation_sigmas(est, exact)
-        ok = sig <= cfg["sigmas"] or abs(est.estimate - exact) <= GATE_ABS_SLACK
-        result.passed = ok
+        sig, passed = _sigma_gate(est, exact, cfg["sigmas"])
         result.lines.append(
             f"exact stationary mass {exact:.6f}, deviation {sig:.2f} sigma "
-            f"(gate {cfg['sigmas']:g}): {_verdict(ok)}"
+            f"(gate {cfg['sigmas']:g}): {_verdict(passed)}"
         )
     elif capped:
         result.lines.append(f"exact solve unavailable ({capped}); no oracle gate applied")
     else:
         result.lines.append("oracle disabled; no gate applied")
 
-    out = _out_dir(cfg, write_outputs)
-    if out is not None:
-        path = out / "mu_dyn_estimate.jsonl"
+    if result.out_dir is not None:
         record = _estimate_record(
             "mu_dyn",
             {
@@ -541,30 +522,23 @@ def _run_mu_dyn(cfg: dict, write_outputs: bool) -> ExperimentResult:
                 "v": params.v,
                 "sites": sites,
                 "signs": signs,
-                "revealed_positive": list(cfg["revealed_positive"]),
-                "revealed_negative": list(cfg["revealed_negative"]),
+                "revealed_positive": list(positive),
+                "revealed_negative": list(negative),
             },
             est,
             censored=mu.censored_count,
             oracle_value=exact,
         )
-        write_results([record], path, "jsonl")
-        result.files.append(str(path))
-        reports_path = out / "coalescence_reports.json"
-        reports_path.write_text(json.dumps([rep.to_json() for rep in mu.reports]) + "\n")
-        result.files.append(str(reports_path))
-    return result
+        result.write("mu_dyn_estimate.jsonl", [record])
+        reports = json.dumps([rep.to_json() for rep in mu.reports]) + "\n"
+        result.path("coalescence_reports.json").write_text(reports)
+    return passed
 
 
-def _run_tv_decay(cfg: dict, write_outputs: bool) -> ExperimentResult:
-    g = _build_graph(cfg)
-    kernel = _build_kernel(cfg, g)
-    params = ModelParams(p=cfg["p"], v=cfg["v"])
-
+def _run_tv_decay(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
     initial_a = _load_state(cfg, "initial_file", g) or SpinBondState.constant(
         g, site_sign=-1, edge_sign=-1
     )
-    initial_a.validate(g)
     # The contender law starts from the sign-flipped configuration, the
     # farthest deterministic start (TV = 1 at t = 0).
     initial_b = SpinBondState(
@@ -573,23 +547,17 @@ def _run_tv_decay(cfg: dict, write_outputs: bool) -> ExperimentResult:
     )
     steps = int(round(cfg["t_max"] / cfg["t_step"]))
     times = [i * cfg["t_step"] for i in range(steps + 1)]
-
-    args = (cfg, write_outputs, g, kernel, params, initial_a, initial_b, times)
-    exact, capped = _exact(cfg, lambda: _tv_decay_exact(*args))
-    if exact is not None:
-        return exact
-    result = _tv_decay_mc(*args)
-    if capped:
-        result.lines.insert(
-            0, f"exact transients unavailable ({capped}); using Monte Carlo bounds"
-        )
-    return result
+    return _exact_or_mc(
+        "exact transients unavailable ({}); using Monte Carlo bounds",
+        _tv_decay_exact, _tv_decay_mc,
+        cfg, result, stream, g, kernel, params, initial_a, initial_b, times,
+    )
 
 
 def _tv_decay_exact(
-    cfg: dict, write_outputs: bool, g: Graph, kernel, params: ModelParams,
+    cfg: dict, result: ExperimentResult, stream, g, kernel, params,
     initial_a: SpinBondState, initial_b: SpinBondState, times,
-) -> ExperimentResult:
+):
     L = oracle.build_forward_generator(g, kernel, params)
     laws = np.stack([oracle.forward_delta(g, initial_a), oracle.forward_delta(g, initial_b)], axis=1)
     curve = [oracle.total_variation(laws[:, 0], laws[:, 1])]
@@ -598,42 +566,30 @@ def _tv_decay_exact(
 
     monotone = all(curve[i + 1] <= curve[i] + 1e-10 for i in range(len(curve) - 1))
     small_enough = curve[-1] < cfg["threshold"]
-    passed = monotone and small_enough
 
-    result = ExperimentResult(experiment="tv-decay", passed=passed)
-    result.lines.append(
+    result.lines += [
         f"tv-decay: grid 0..{cfg['t_max']:g} step {cfg['t_step']:g}, "
-        f"TV start {curve[0]:.6f}, TV end {curve[-1]:.2e}"
-    )
-    result.lines.append(f"non-increasing along the grid: {_verdict(monotone)}")
-    result.lines.append(
-        f"final TV < {cfg['threshold']:g}: {_verdict(small_enough)}"
-    )
-
-    out = _out_dir(cfg, write_outputs)
-    if out is not None:
-        path = out / "tv_decay.csv"
-        write_results(
-            ({"t": t, "total_variation": tv} for t, tv in zip(times, curve)),
-            path,
-            "csv",
-        )
-        result.files.append(str(path))
-        legend = out / "tv_decay.legend.txt"
-        legend.write_text(
+        f"TV start {curve[0]:.6f}, TV end {curve[-1]:.2e}",
+        f"non-increasing along the grid: {_verdict(monotone)}",
+        f"final TV < {cfg['threshold']:g}: {_verdict(small_enough)}",
+    ]
+    result.write(
+        "tv_decay.csv",
+        ({"t": t, "total_variation": tv} for t, tv in zip(times, curve)),
+        "csv",
+        legend=(
             "t: elapsed time.\n"
             "total_variation: TV distance between the laws at time t started\n"
             "from the initial configuration and from its sign flip.\n"
-        )
-        result.files.append(str(legend))
-    return result
+        ),
+    )
+    return monotone and small_enough
 
 
 def _tv_decay_mc(
-    cfg: dict, write_outputs: bool, g: Graph, kernel, params: ModelParams,
+    cfg: dict, result: ExperimentResult, stream, g, kernel, params,
     initial_a: SpinBondState, initial_b: SpinBondState, times,
-) -> ExperimentResult:
-    stream = RngStream(cfg["seed"], (cfg["stream"], 0))
+):
     points = estimate_tv_decay(
         g,
         kernel,
@@ -651,57 +607,43 @@ def _tv_decay_mc(
     # that the best observed separation has decayed into the noise floor.
     passed = final.bound <= cfg["threshold"] + cfg["sigmas"] * final.std_error
 
-    result = ExperimentResult(experiment="tv-decay", passed=passed)
-    result.lines.append(
+    result.lines += [
         f"tv-decay (mc): grid 0..{cfg['t_max']:g} step {cfg['t_step']:g}, "
-        f"{cfg['replicas']} replicas per law, {g.vertex_count + g.edge_count} events"
-    )
-    result.lines.append(
+        f"{cfg['replicas']} replicas per law, {g.vertex_count + g.edge_count} events",
         f"TV lower bound start {points[0].bound:.6f}, end {final.bound:.6f} "
-        f"(argmax {final.event})"
-    )
-    result.lines.append(
+        f"(argmax {final.event})",
         f"final bound <= {cfg['threshold']:g} + {cfg['sigmas']:g} sigma "
-        f"({final.std_error:.6f}): {_verdict(passed)}"
-    )
-
-    out = _out_dir(cfg, write_outputs)
-    if out is not None:
-        path = out / "tv_decay.csv"
-        write_results(
-            (
-                {
-                    "t": pt.time,
-                    "tv_lower_bound": pt.bound,
-                    "event": pt.event,
-                    "std_error": pt.std_error,
-                }
-                for pt in points
-            ),
-            path,
-            "csv",
-        )
-        result.files.append(str(path))
-        legend = out / "tv_decay.legend.txt"
-        legend.write_text(
+        f"({final.std_error:.6f}): {_verdict(passed)}",
+    ]
+    result.write(
+        "tv_decay.csv",
+        (
+            {
+                "t": pt.time,
+                "tv_lower_bound": pt.bound,
+                "event": pt.event,
+                "std_error": pt.std_error,
+            }
+            for pt in points
+        ),
+        "csv",
+        legend=(
             "t: elapsed time.\n"
             "tv_lower_bound: largest |frequency difference| over the single-site\n"
             "and single-edge events between runs started from the initial\n"
             "configuration and from its sign flip; a lower bound on their TV\n"
             "distance.\nevent: the maximizing event.\n"
             "std_error: pooled standard error of that event's two frequencies.\n"
-        )
-        result.files.append(str(legend))
-    return result
+        ),
+    )
+    return passed
 
 
-def _run_mgf_check(cfg: dict, write_outputs: bool) -> ExperimentResult:
+def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
     v = cfg["v"]
-    stream = RngStream(cfg["seed"], (cfg["stream"], 0))
     call = 0
     rows = []
     all_ok = True
-    result = ExperimentResult(experiment="mgf-check", passed=True)
     for theta in cfg["thetas"]:
         for t in cfg["times"]:
             for r0 in cfg["r0_values"]:
@@ -722,15 +664,9 @@ def _run_mgf_check(cfg: dict, write_outputs: bool) -> ExperimentResult:
                         sigmas=sig,
                     )
                 )
-                result.lines.append(
-                    f"{est.observable}: {est.estimate:.5f} vs {target:.5f} "
-                    f"({sig:.2f} sigma): {_verdict(ok)}"
-                )
+                result.lines.append(_versus(est.observable, est, target, sig, ok))
 
     if cfg["check_domination"]:
-        g = _build_graph(cfg)
-        kernel = _build_kernel(cfg, g)
-        params = ModelParams(p=cfg["p"], v=v)
         theta = -2.0 * math.log(min(params.p, 1.0 - params.p))
         t = cfg["t"]
         initial = DualState.of([0], [1])
@@ -752,43 +688,24 @@ def _run_mgf_check(cfg: dict, write_outputs: bool) -> ExperimentResult:
             f"revealed-set weight at theta={theta:.4f}, t={t:g}: "
             f"{est.estimate:.5f} <= bound {bound:.5f}: {_verdict(ok)}"
         )
-
-    result.passed = all_ok
-    out = _out_dir(cfg, write_outputs)
-    if out is not None:
-        path = out / "mgf_check.jsonl"
-        write_results(rows, path, "jsonl")
-        result.files.append(str(path))
-    return result
+    result.write("mgf_check.jsonl", rows)
+    return all_ok
 
 
-def _run_raw_simulate(cfg: dict, write_outputs: bool) -> ExperimentResult:
-    g = _build_graph(cfg)
-    kernel = _build_kernel(cfg, g)
-    params = ModelParams(p=cfg["p"], v=cfg["v"])
+def _run_raw_simulate(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
     try:
         cylinders = [parse_cylinder_label(text) for text in cfg["observables"]]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for cyl in cylinders:
-        for x, _ in cyl.site_constraints:
-            if not 0 <= x < g.vertex_count:
-                raise ConfigError(f"observable site {x} outside 0..{g.vertex_count - 1}")
-        for e, _ in cyl.edge_constraints:
-            if not 0 <= e < g.edge_count:
-                raise ConfigError(f"observable edge {e} outside 0..{g.edge_count - 1}")
+        _check_range("observable site", (x for x, _ in cyl.site_constraints), g.vertex_count)
+        _check_range("observable edge", (e for e, _ in cyl.edge_constraints), g.edge_count)
 
-    fixed_initial = _load_state(cfg, "initial_file", g)
-    if fixed_initial is not None:
-        fixed_initial.validate(g)
-        initial = fixed_initial
-    else:
-        initial = ProductInitial(
-            site_plus_prob=cfg["site_plus_prob"], edge_plus_prob=cfg["edge_plus_prob"]
-        )
+    initial = _load_state(cfg, "initial_file", g) or ProductInitial(
+        site_plus_prob=cfg["site_plus_prob"], edge_plus_prob=cfg["edge_plus_prob"]
+    )
     times = sorted(cfg["checkpoint_times"])
 
-    stream = RngStream(cfg["seed"], (cfg["stream"], 0))
     sampler = NeighborSampler(g, kernel)
     fn = partial(
         _forward_cylinder_replica,
@@ -802,27 +719,20 @@ def _run_raw_simulate(cfg: dict, write_outputs: bool) -> ExperimentResult:
     )
     outcomes = _collect(fn, cfg["replicas"], stream, cfg["workers"])
 
-    result = ExperimentResult(experiment="raw-simulate", passed=None)
     result.lines.append(
         f"raw-simulate: {cfg['replicas']} replicas on [0, {cfg['t_max']:g}], "
         f"{len(cylinders)} observables, {len(times)} checkpoints"
     )
-    out = _out_dir(cfg, write_outputs)
-    if out is not None:
-        path = out / "checkpoints.csv"
-        write_results(
-            (
-                {"replica": rep, "time": t, "observable_id": label, "value": value}
-                for rep, (rows, _) in enumerate(outcomes)
-                for t, label, value in rows
-            ),
-            path,
-            "csv",
-            fieldnames=["replica", "time", "observable_id", "value"],
-        )
-        result.files.append(str(path))
-        if cfg["replicas"] == 1:
-            state_path = out / "final_state.txt"
-            write_state_file(outcomes[0][1], state_path)
-            result.files.append(str(state_path))
-    return result
+    result.write(
+        "checkpoints.csv",
+        (
+            {"replica": rep, "time": t, "observable_id": label, "value": value}
+            for rep, (rows, _) in enumerate(outcomes)
+            for t, label, value in rows
+        ),
+        "csv",
+        fieldnames=["replica", "time", "observable_id", "value"],
+    )
+    if cfg["replicas"] == 1 and result.out_dir is not None:
+        write_state_file(outcomes[0][1], result.path("final_state.txt"))
+    return None

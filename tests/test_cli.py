@@ -189,6 +189,23 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        dict(experiment="raw-simulate", graph="path:3", t_max=1.0, observables=["full"], p=math.nan),
+        {**DUALITY_BASE, "t": math.inf},
+    ],
+    ids=["raw-simulate-NaN", "duality-check-Infinity"],
+)
+def test_cli_non_finite_number_exits_two(tmp_path, capsys, body):
+    out_dir = tmp_path / "out"
+    path = write_cfg(tmp_path, **body, output_dir=str(out_dir))
+    assert "NaN" in open(path).read() or "Infinity" in open(path).read()
+    assert main(["run", path]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_cap_error_exits_three(tmp_path, capsys):
     path = write_cfg(
         tmp_path,
@@ -430,10 +447,21 @@ def test_cli_run_outputs_are_byte_identical(tmp_path):
         observables=["site0=+1", "edge1=-1"],
         replicas=40,
     )
+    tv = dict(experiment="tv-decay", seed=4, graph="path:3", p=0.3, v=1.0, t_max=20.0, t_step=5.0)
+    mgf = dict(
+        experiment="mgf-check", seed=5, times=[1.0], replicas=300, check_domination=True,
+        graph="path:3", p=0.3, t=1.0,
+    )
+    tv_names = ("tv_decay.csv", "tv_decay.legend.txt")
     runs = (
         (body, ("mu_dyn_estimate.jsonl", "coalescence_reports.json")),
         (exact, ("stationary_distribution.csv", "stationary_compare.jsonl")),
         (raw, ("checkpoints.csv",)),
+        (DUALITY_BASE, ("duality_gaps.jsonl",)),
+        ({**DUALITY_BASE, "oracle": "off", "replicas": 300}, ("duality_mc.jsonl",)),
+        (tv, tv_names),
+        ({**tv, "t_max": 10.0, "oracle": "off", "replicas": 400}, tv_names),
+        (mgf, ("mgf_check.jsonl",)),
     )
     for i, (cfg, names) in enumerate(runs):
         a, b = out_a / str(i), out_b / str(i)
@@ -441,7 +469,11 @@ def test_cli_run_outputs_are_byte_identical(tmp_path):
         assert main(["run", write_cfg(tmp_path, f"b{i}.json", **cfg, output_dir=str(b))]) == 0
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
-        if cfg["replicas"]:
+        # check evaluates the same gates but writes nothing, not even the directory.
+        d = tmp_path / "d" / str(i)
+        assert main(["check", write_cfg(tmp_path, f"d{i}.json", **cfg, output_dir=str(d))]) == 0
+        assert not d.exists()
+        if cfg.get("replicas"):
             # Monte Carlo output must not depend on the worker count either.
             c = tmp_path / "c" / str(i)
             path = write_cfg(tmp_path, f"c{i}.json", **cfg, workers=2, output_dir=str(c))

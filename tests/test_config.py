@@ -1,5 +1,6 @@
 """The config contract: every resolved dict and every rejected key, pinned."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,17 @@ FAULTS = [
     (RAW, {"edge_plus_prob": -0.1}, "edge_plus_prob"),
     (RAW, {"replicas": 0}, "replicas"),
     (RAW, {"initial_file": 1}, "initial_file"),
+    # JSON's NaN and Infinity parse as floats; every number must be finite.
+    (RAW, {"p": math.nan}, "p"),
+    (DUALITY, {"t": math.inf}, "t"),
+    (DUALITY, {"v": math.inf}, "v"),
+    (STATIONARY, {"mc_time": math.nan}, "mc_time"),
+    (MGF, {"thetas": [0.5, math.nan]}, "thetas"),
+    (MGF, {"times": [-math.inf]}, "times"),
+    (RAW, {"checkpoint_times": [math.nan]}, "checkpoint_times"),
+    (MGF, {"times": [-1.0]}, "times"),
+    (MGF, {"times": [0.0]}, "times"),
+    (TV, {"t_max": 1.0, "t_step": 0.3}, "t_max"),
 ]
 
 
