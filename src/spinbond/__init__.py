@@ -15,7 +15,7 @@ from .dual import (
     run_to_full_coalescence,
     simulate_dual,
 )
-from .errors import CensoringError, ConfigError, InvariantViolation, SpinBondError, StateSpaceCapError
+from .errors import CensoringError, ConfigError, SpinBondError, StateSpaceCapError
 from .forward import (
     ForwardTrajectory,
     ModelParams,
@@ -51,7 +51,6 @@ __all__ = [
     "DualTrajectory",
     "ForwardTrajectory",
     "Graph",
-    "InvariantViolation",
     "ModelParams",
     "RngStream",
     "SpinBondError",

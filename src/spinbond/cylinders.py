@@ -15,8 +15,6 @@ class CylinderEvent:
 
     site_constraints: tuple[tuple[int, int], ...]
     edge_constraints: tuple[tuple[int, int], ...]
-    _site_map: dict[int, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
-    _edge_map: dict[int, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
     _label: str = field(repr=False, hash=False, compare=False, default="full")
 
     @staticmethod
@@ -34,8 +32,6 @@ class CylinderEvent:
         return CylinderEvent(
             site_constraints=site_constraints,
             edge_constraints=edge_constraints,
-            _site_map=sites,
-            _edge_map=edges,
             _label="&".join(parts) if parts else "full",
         )
 
@@ -74,12 +70,6 @@ class CylinderEvent:
     @property
     def negative_edges(self) -> frozenset[int]:
         return frozenset(e for e, s in self.edge_constraints if s < 0)
-
-    def site_sign(self, x: int) -> int | None:
-        return self._site_map.get(x)
-
-    def edge_sign(self, e: int) -> int | None:
-        return self._edge_map.get(e)
 
 
 def single_constraint_events(g) -> list[CylinderEvent]:

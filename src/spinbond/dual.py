@@ -9,14 +9,15 @@ deterministically. Each revealed edge forgets its sign at rate ``v``.
 Two move rules are supported. In the coalescing rule one clock runs per
 occupied site and every walker there moves together, so walkers that meet
 stay together for good. In the independent rule each walker has its own
-clock and moves alone. The revealed-edge bookkeeping is shared.
+clock and moves alone. The revealed-edge bookkeeping is shared, and both
+rules keep one heap discipline with ``simulate_forward``: one entry per
+running clock, keyed by (time, channel, index).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
 
 from .forward import ModelParams, NeighborSampler
 from .graphs import AdoptionKernel, Graph
@@ -149,8 +150,10 @@ def simulate_dual(
     collects (time, state snapshot) pairs, starting with the initial state.
 
     Clock entries are ordered by (time, channel, index) for reproducibility.
-    Entries carry a stamp and are dropped when the site they belong to was
-    vacated or the revealed edge they time was refreshed or re-revealed.
+    Every occupied site (coalescing rule) or walker (independent rule) and,
+    when v > 0, every revealed edge holds exactly one entry: a site is
+    vacated only when its own clock fires, and an edge is unrevealed only
+    when its own forget clock fires, so no entry is ever stale.
     """
     if mode not in ("coalescing", "independent"):
         raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
@@ -167,119 +170,82 @@ def simulate_dual(
     st = initial.copy()
     st.validate(g)
     p, v = params.p, params.v
+    positions, signs = st.positions, st.signs
+    revealed_positive, revealed_negative = st.revealed_positive, st.revealed_negative
 
     occupants: dict[int, list[int]] = {}
-    for idx, z in enumerate(st.positions):
+    for idx, z in enumerate(positions):
         occupants.setdefault(z, []).append(idx)
-    target_classes = _occupied_component_count(g, st.positions)
+    target_classes = _occupied_component_count(g, positions)
 
-    heap: list[tuple[float, int, int, int]] = []
-    site_stamp: dict[int, int] = {}
-    edge_stamp: dict[int, int] = {}
-    if coalescing:
-        for z in occupants:
-            site_stamp[z] = 0
-            heap.append((exponential(1.0), 0, z, 0))
-    else:
-        for idx in range(st.walker_count):
-            heap.append((exponential(1.0), 0, idx, 0))
+    clocks = occupants if coalescing else range(st.walker_count)
+    heap = [(exponential(1.0), 0, obj) for obj in clocks]
     if v > 0.0:
-        for e in sorted(st.revealed_positive | st.revealed_negative):
-            edge_stamp[e] = 0
-            heap.append((exponential(1.0 / v), 1, e, 0))
+        revealed = sorted(revealed_positive | revealed_negative)
+        heap += [(exponential(1.0 / v), 1, e) for e in revealed]
     heapq.heapify(heap)
 
     if path is not None:
         path.append((0.0, st.snapshot()))
 
     events = reveals = refreshes = 0
-    coalescence_time: float | None = None
+    coalescence_time = 0.0 if coalescing and len(occupants) == target_classes else None
     collision_time: float | None = None
-    if coalescing and len(occupants) == target_classes:
-        coalescence_time = 0.0
-    stop = stop_on_full_coalescence and coalescence_time is not None
-    elapsed = 0.0 if stop else t_max
-    if stop:
-        heap.clear()
 
-    def cross_edge(t: float, e: int, movers: list[int]) -> None:
-        """Apply the sign effect of edge e to movers, revealing it if needed."""
-        nonlocal reveals
-        if e in st.revealed_positive:
-            flip = False
-        elif e in st.revealed_negative:
-            flip = True
-        else:
-            positive = random() < p
-            if positive:
-                st.revealed_positive.add(e)
-                flip = False
-            else:
-                st.revealed_negative.add(e)
-                flip = True
-            stamp = edge_stamp.get(e, 0) + 1
-            edge_stamp[e] = stamp
-            if v > 0.0:
-                heapq.heappush(heap, (t + exponential(1.0 / v), 1, e, stamp))
-            reveals += 1
-            if record_events is not None:
-                record_events.append(("reveal", t, f"edge{e}", "+1" if positive else "-1"))
-        if flip:
-            for idx in movers:
-                st.signs[idx] = -st.signs[idx]
-
-    while heap:
-        t_event, channel, obj, stamp = heap[0]
-        if t_event > t_max:
+    t_event = 0.0  # ends as the elapsed time: the stopping event's, else t_max
+    while not (
+        stop_on_full_coalescence and coalescence_time is not None
+        or stop_on_collision and collision_time is not None
+    ):
+        if not heap or heap[0][0] > t_max:
+            t_event = t_max
             break
-        heapq.heappop(heap)
+        t_event, channel, obj = heapq.heappop(heap)
+        events += 1
         if channel == 1:
-            e = obj
-            if edge_stamp.get(e, -1) != stamp:
-                continue
-            if e not in st.revealed_positive and e not in st.revealed_negative:
-                continue
-            st.revealed_positive.discard(e)
-            st.revealed_negative.discard(e)
-            edge_stamp[e] = stamp + 1
-            events += 1
+            revealed_positive.discard(obj)
+            revealed_negative.discard(obj)
             refreshes += 1
             if record_events is not None:
-                record_events.append(("refresh", t_event, f"edge{e}", ""))
+                record_events.append(("refresh", t_event, f"edge{obj}", ""))
             if path is not None:
                 path.append((t_event, st.snapshot()))
             continue
 
         if coalescing:
             z = obj
-            if site_stamp.get(z, -1) != stamp or z not in occupants:
-                continue
             movers = occupants.pop(z)
-            site_stamp[z] = stamp + 1
         else:
             movers = [obj]
-            z = st.positions[obj]
+            z = positions[obj]
         i = draw_index(z, random)
         y, e = neighbors[z][i], edge_ids[z][i]
-        events += 1
-        cross_edge(t_event, e, movers)
+        if e in revealed_positive:
+            flip = False
+        elif e in revealed_negative:
+            flip = True
+        else:
+            flip = random() >= p
+            (revealed_negative if flip else revealed_positive).add(e)
+            if v > 0.0:
+                heapq.heappush(heap, (t_event + exponential(1.0 / v), 1, e))
+            reveals += 1
+            if record_events is not None:
+                record_events.append(("reveal", t_event, f"edge{e}", "-1" if flip else "+1"))
         for idx in movers:
-            st.positions[idx] = y
-        merged = False
+            positions[idx] = y
+            if flip:
+                signs[idx] = -signs[idx]
         if coalescing:
-            if y in occupants:
+            merged = y in occupants
+            if merged:
                 occupants[y].extend(movers)
-                merged = True
             else:
                 occupants[y] = movers
-                stamp_y = site_stamp.get(y, 0) + 1
-                site_stamp[y] = stamp_y
-                heapq.heappush(heap, (t_event + exponential(1.0), 0, y, stamp_y))
+                heapq.heappush(heap, (t_event + exponential(1.0), 0, y))
         else:
-            heapq.heappush(heap, (t_event + exponential(1.0), 0, obj, 0))
-            merged = any(
-                st.positions[other] == y for other in range(st.walker_count) if other != obj
-            )
+            heapq.heappush(heap, (t_event + exponential(1.0), 0, obj))
+            merged = positions.count(y) > 1
         if record_events is not None:
             detail = f"site{z}->site{y};walkers={','.join(map(str, movers))}"
             record_events.append(("move", t_event, f"site{z}", detail))
@@ -293,27 +259,16 @@ def simulate_dual(
             collision_time = t_event
         if coalescing and coalescence_time is None and len(occupants) == target_classes:
             coalescence_time = t_event
-        if stop_on_full_coalescence and coalescence_time is not None:
-            elapsed = t_event
-            stop = True
-            break
-        if stop_on_collision and collision_time is not None:
-            elapsed = t_event
-            stop = True
-            break
 
-    censored = stop_on_full_coalescence and coalescence_time is None
-    if not stop:
-        elapsed = t_max
     return DualTrajectory(
         final_state=st,
-        elapsed=elapsed,
+        elapsed=t_event,
         event_count=events,
         reveal_count=reveals,
         refresh_count=refreshes,
         coalescence_time=coalescence_time,
         collision_time=collision_time,
-        censored=censored,
+        censored=stop_on_full_coalescence and coalescence_time is None,
     )
 
 
@@ -381,15 +336,6 @@ class CoupledResult:
     coalescing_path: list[tuple[float, tuple]] = field(repr=False, default_factory=list)
 
 
-def _shift_path(path, offset: float, skip_first: bool):
-    out = []
-    for i, (t, snap) in enumerate(path):
-        if skip_first and i == 0:
-            continue
-        out.append((t + offset, snap))
-    return out
-
-
 def coupled_run(
     g: Graph,
     kernel: AdoptionKernel | NeighborSampler,
@@ -413,95 +359,38 @@ def coupled_run(
 
     head_path: list[tuple[float, tuple]] = []
     head = simulate_dual(
-        g,
-        sampler,
-        params,
-        initial,
-        t_max,
-        gen,
-        mode="independent",
-        stop_on_collision=True,
-        path=head_path,
+        g, sampler, params, initial, t_max, gen,
+        mode="independent", stop_on_collision=True, path=head_path,
     )
     tau = head.collision_time
-    coal_target = _occupied_component_count(g, initial.positions)
-
     if tau is None:
         # No meeting before the horizon: the two rules coincide throughout.
-        ind_final = head.final_state
-        coal_final = ind_final.copy()
-        coalescence_time = 0.0 if len(set(initial.positions)) == coal_target else None
-        coal = DualTrajectory(
-            final_state=coal_final,
+        coal_target = _occupied_component_count(g, initial.positions)
+        coal = replace(
+            head,
+            final_state=head.final_state.copy(),
+            coalescence_time=0.0 if len(initial.positions) == coal_target else None,
+        )
+        return CoupledResult(head, coal, None, list(head_path), list(head_path))
+
+    # Each leg continues from the collision state; the coalescing leg runs
+    # first, on a child generator spawned before either leg draws.
+    legs = []
+    for mode, leg_gen in (("coalescing", gen.spawn(1)[0]), ("independent", gen)):
+        tail_path: list[tuple[float, tuple]] = []
+        tail = simulate_dual(
+            g, sampler, params, head.final_state, t_max - tau, leg_gen,
+            mode=mode, path=tail_path,
+        )
+        leg = replace(
+            tail,
             elapsed=t_max,
-            event_count=head.event_count,
-            reveal_count=head.reveal_count,
-            refresh_count=head.refresh_count,
-            coalescence_time=coalescence_time,
-            collision_time=None,
-            censored=False,
+            event_count=head.event_count + tail.event_count,
+            reveal_count=head.reveal_count + tail.reveal_count,
+            refresh_count=head.refresh_count + tail.refresh_count,
+            coalescence_time=None if tail.coalescence_time is None else tau + tail.coalescence_time,
+            collision_time=tau,
         )
-        return CoupledResult(
-            independent=head,
-            coalescing=coal,
-            collision_time=None,
-            independent_path=list(head_path),
-            coalescing_path=list(head_path),
-        )
-
-    remaining = t_max - tau
-    coal_gen = gen.spawn(1)[0]
-
-    coal_tail_path: list[tuple[float, tuple]] = []
-    coal_tail = simulate_dual(
-        g,
-        sampler,
-        params,
-        head.final_state,
-        remaining,
-        coal_gen,
-        mode="coalescing",
-        path=coal_tail_path,
-    )
-    ind_tail_path: list[tuple[float, tuple]] = []
-    ind_tail = simulate_dual(
-        g,
-        sampler,
-        params,
-        head.final_state,
-        remaining,
-        gen,
-        mode="independent",
-        path=ind_tail_path,
-    )
-
-    independent = DualTrajectory(
-        final_state=ind_tail.final_state,
-        elapsed=t_max,
-        event_count=head.event_count + ind_tail.event_count,
-        reveal_count=head.reveal_count + ind_tail.reveal_count,
-        refresh_count=head.refresh_count + ind_tail.refresh_count,
-        coalescence_time=None,
-        collision_time=tau,
-        censored=False,
-    )
-    coal_coal_time = None
-    if coal_tail.coalescence_time is not None:
-        coal_coal_time = tau + coal_tail.coalescence_time
-    coalescing = DualTrajectory(
-        final_state=coal_tail.final_state,
-        elapsed=t_max,
-        event_count=head.event_count + coal_tail.event_count,
-        reveal_count=head.reveal_count + coal_tail.reveal_count,
-        refresh_count=head.refresh_count + coal_tail.refresh_count,
-        coalescence_time=coal_coal_time,
-        collision_time=tau,
-        censored=False,
-    )
-    return CoupledResult(
-        independent=independent,
-        coalescing=coalescing,
-        collision_time=tau,
-        independent_path=list(head_path) + _shift_path(ind_tail_path, tau, skip_first=True),
-        coalescing_path=list(head_path) + _shift_path(coal_tail_path, tau, skip_first=True),
-    )
+        legs.append((leg, head_path + [(t + tau, snap) for t, snap in tail_path[1:]]))
+    (coal, coal_path), (ind, ind_path) = legs
+    return CoupledResult(ind, coal, tau, ind_path, coal_path)

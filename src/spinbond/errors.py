@@ -22,7 +22,3 @@ class StateSpaceCapError(SpinBondError):
 
 class CensoringError(SpinBondError):
     """Too many replicas hit the simulation horizon before completing."""
-
-
-class InvariantViolation(SpinBondError):
-    """A structural invariant failed during simulation; indicates a bug."""

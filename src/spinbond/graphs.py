@@ -157,9 +157,6 @@ class AdoptionKernel:
                 return q
         return 0.0
 
-    def row(self, x: int) -> dict[int, float]:
-        return dict(self.rows[x])
-
 
 def kernel_from_rates(rates_by_vertex, vertex_count: int) -> AdoptionKernel:
     """Assemble a kernel from {vertex: {neighbor: rate}} without validating it."""

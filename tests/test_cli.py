@@ -608,6 +608,32 @@ def test_write_results_jsonl_round_trip(tmp_path):
     assert list(back[0]) == list(records[0])
 
 
+def test_write_results_jsonl_columns_match_json_dumps_per_row(tmp_path):
+    from spinbond.experiments import write_results
+
+    special_lhs = [math.nan, math.inf, -0.0, 1.0 / 3.0, -math.inf, 5e-324, 1e300]
+    special_rhs = [0.0, math.inf, 0.0, 0.1, 2.0, -0.0, math.nan]
+    # 9,000 rows span nine blocks of 1,024; the special values sit at both
+    # ends of the table and on each side of the block boundary at row 4,096
+    lhs = [i / 7.0 for i in range(9000)]
+    rhs = [-i * 1e-9 for i in range(9000)]
+    for at in (0, 4090, 8993):
+        lhs[at:at + 7], rhs[at:at + 7] = special_lhs, special_rhs
+    columns = {
+        "dual_state": list(range(len(lhs))),
+        "lhs": tuple(lhs),
+        "rhs": rhs,
+        "gap": [abs(a - b) for a, b in zip(lhs, rhs)],
+    }
+    rows = zip(*columns.values())
+    want = "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
+    assert "NaN" in want and "-Infinity" in want and "-0.0" in want
+    write_results(columns, tmp_path / "columns.jsonl", "jsonl")
+    assert (tmp_path / "columns.jsonl").read_text() == want
+    write_results({"gap": []}, tmp_path / "empty.jsonl", "jsonl")
+    assert (tmp_path / "empty.jsonl").read_text() == ""
+
+
 def test_write_results_csv_field_order(tmp_path):
     from spinbond.experiments import write_results
 

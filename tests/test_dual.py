@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 
@@ -6,15 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinbond.dual import (
+    CoupledResult,
     DualState,
+    DualTrajectory,
     coupled_run,
     duality_weight,
     run_to_full_coalescence,
     simulate_dual,
 )
-from spinbond.forward import ModelParams, SpinBondState
-from spinbond.graphs import build_graph, builtin_graph, uniform_kernel
-from spinbond.rng import RngStream
+from spinbond.forward import ModelParams, NeighborSampler, SpinBondState
+from spinbond.graphs import AdoptionKernel, Graph, build_graph, builtin_graph, uniform_kernel
+from spinbond.rng import RngStream, as_generator
 
 
 def test_dual_state_validation(p3):
@@ -339,3 +342,374 @@ def test_random_runs_keep_invariants(seed, p, v):
     traj.final_state.validate(g)
     for _, (_, _, pos_edges, neg_edges) in path:
         assert not pos_edges & neg_edges
+
+
+def _reference_dual(
+    g: Graph,
+    kernel: AdoptionKernel | NeighborSampler,
+    params: ModelParams,
+    initial: DualState,
+    t_max: float,
+    rng,
+    mode: str = "coalescing",
+    stop_on_full_coalescence: bool = False,
+    stop_on_collision: bool = False,
+    record_events: list | None = None,
+    path: list | None = None,
+) -> DualTrajectory:
+    """The stamped heap loop that ``simulate_dual`` replaced: entries carry
+    a stamp and are dropped when their site was vacated or their edge was
+    refreshed or re-revealed. Kept as the reference it must reproduce."""
+    if mode not in ("coalescing", "independent"):
+        raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
+    coalescing = mode == "coalescing"
+    if stop_on_full_coalescence and not coalescing:
+        raise ValueError("full coalescence is only meaningful for the coalescing rule")
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+
+    gen = as_generator(rng)
+    random, exponential = gen.random, gen.exponential
+    sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
+    draw_index, neighbors, edge_ids = sampler.draw_index, sampler.neighbors, sampler.edge_ids
+    st = initial.copy()
+    st.validate(g)
+    p, v = params.p, params.v
+
+    occupants: dict[int, list[int]] = {}
+    for idx, z in enumerate(st.positions):
+        occupants.setdefault(z, []).append(idx)
+    target_classes = len({g.component_ids[z] for z in st.positions})
+
+    heap: list[tuple[float, int, int, int]] = []
+    site_stamp: dict[int, int] = {}
+    edge_stamp: dict[int, int] = {}
+    if coalescing:
+        for z in occupants:
+            site_stamp[z] = 0
+            heap.append((exponential(1.0), 0, z, 0))
+    else:
+        for idx in range(st.walker_count):
+            heap.append((exponential(1.0), 0, idx, 0))
+    if v > 0.0:
+        for e in sorted(st.revealed_positive | st.revealed_negative):
+            edge_stamp[e] = 0
+            heap.append((exponential(1.0 / v), 1, e, 0))
+    heapq.heapify(heap)
+
+    if path is not None:
+        path.append((0.0, st.snapshot()))
+
+    events = reveals = refreshes = 0
+    coalescence_time: float | None = None
+    collision_time: float | None = None
+    if coalescing and len(occupants) == target_classes:
+        coalescence_time = 0.0
+    stop = stop_on_full_coalescence and coalescence_time is not None
+    elapsed = 0.0 if stop else t_max
+    if stop:
+        heap.clear()
+
+    def cross_edge(t: float, e: int, movers: list[int]) -> None:
+        """Apply the sign effect of edge e to movers, revealing it if needed."""
+        nonlocal reveals
+        if e in st.revealed_positive:
+            flip = False
+        elif e in st.revealed_negative:
+            flip = True
+        else:
+            positive = random() < p
+            if positive:
+                st.revealed_positive.add(e)
+                flip = False
+            else:
+                st.revealed_negative.add(e)
+                flip = True
+            stamp = edge_stamp.get(e, 0) + 1
+            edge_stamp[e] = stamp
+            if v > 0.0:
+                heapq.heappush(heap, (t + exponential(1.0 / v), 1, e, stamp))
+            reveals += 1
+            if record_events is not None:
+                record_events.append(("reveal", t, f"edge{e}", "+1" if positive else "-1"))
+        if flip:
+            for idx in movers:
+                st.signs[idx] = -st.signs[idx]
+
+    while heap:
+        t_event, channel, obj, stamp = heap[0]
+        if t_event > t_max:
+            break
+        heapq.heappop(heap)
+        if channel == 1:
+            e = obj
+            if edge_stamp.get(e, -1) != stamp:
+                continue
+            if e not in st.revealed_positive and e not in st.revealed_negative:
+                continue
+            st.revealed_positive.discard(e)
+            st.revealed_negative.discard(e)
+            edge_stamp[e] = stamp + 1
+            events += 1
+            refreshes += 1
+            if record_events is not None:
+                record_events.append(("refresh", t_event, f"edge{e}", ""))
+            if path is not None:
+                path.append((t_event, st.snapshot()))
+            continue
+
+        if coalescing:
+            z = obj
+            if site_stamp.get(z, -1) != stamp or z not in occupants:
+                continue
+            movers = occupants.pop(z)
+            site_stamp[z] = stamp + 1
+        else:
+            movers = [obj]
+            z = st.positions[obj]
+        i = draw_index(z, random)
+        y, e = neighbors[z][i], edge_ids[z][i]
+        events += 1
+        cross_edge(t_event, e, movers)
+        for idx in movers:
+            st.positions[idx] = y
+        merged = False
+        if coalescing:
+            if y in occupants:
+                occupants[y].extend(movers)
+                merged = True
+            else:
+                occupants[y] = movers
+                stamp_y = site_stamp.get(y, 0) + 1
+                site_stamp[y] = stamp_y
+                heapq.heappush(heap, (t_event + exponential(1.0), 0, y, stamp_y))
+        else:
+            heapq.heappush(heap, (t_event + exponential(1.0), 0, obj, 0))
+            merged = any(
+                st.positions[other] == y for other in range(st.walker_count) if other != obj
+            )
+        if record_events is not None:
+            detail = f"site{z}->site{y};walkers={','.join(map(str, movers))}"
+            record_events.append(("move", t_event, f"site{z}", detail))
+            if coalescing and merged:
+                record_events.append(
+                    ("merge", t_event, f"site{y}", ",".join(map(str, sorted(occupants[y]))))
+                )
+        if path is not None:
+            path.append((t_event, st.snapshot()))
+        if merged and collision_time is None:
+            collision_time = t_event
+        if coalescing and coalescence_time is None and len(occupants) == target_classes:
+            coalescence_time = t_event
+        if stop_on_full_coalescence and coalescence_time is not None:
+            elapsed = t_event
+            stop = True
+            break
+        if stop_on_collision and collision_time is not None:
+            elapsed = t_event
+            stop = True
+            break
+
+    censored = stop_on_full_coalescence and coalescence_time is None
+    if not stop:
+        elapsed = t_max
+    return DualTrajectory(
+        final_state=st,
+        elapsed=elapsed,
+        event_count=events,
+        reveal_count=reveals,
+        refresh_count=refreshes,
+        coalescence_time=coalescence_time,
+        collision_time=collision_time,
+        censored=censored,
+    )
+
+
+def _shift_path(path, offset: float, skip_first: bool):
+    out = []
+    for i, (t, snap) in enumerate(path):
+        if skip_first and i == 0:
+            continue
+        out.append((t + offset, snap))
+    return out
+
+
+def _reference_coupled(
+    g: Graph,
+    kernel: AdoptionKernel | NeighborSampler,
+    params: ModelParams,
+    initial: DualState,
+    t_max: float,
+    rng,
+) -> CoupledResult:
+    """The ``coupled_run`` that built its legs field by field; kept as the
+    reference for the ``dataclasses.replace`` version."""
+    if len(set(initial.positions)) != len(initial.positions):
+        raise ValueError("coupled_run requires pairwise distinct starting sites")
+    gen = as_generator(rng)
+    sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
+
+    head_path: list[tuple[float, tuple]] = []
+    head = _reference_dual(
+        g,
+        sampler,
+        params,
+        initial,
+        t_max,
+        gen,
+        mode="independent",
+        stop_on_collision=True,
+        path=head_path,
+    )
+    tau = head.collision_time
+    coal_target = len({g.component_ids[z] for z in initial.positions})
+
+    if tau is None:
+        # No meeting before the horizon: the two rules coincide throughout.
+        ind_final = head.final_state
+        coal_final = ind_final.copy()
+        coalescence_time = 0.0 if len(set(initial.positions)) == coal_target else None
+        coal = DualTrajectory(
+            final_state=coal_final,
+            elapsed=t_max,
+            event_count=head.event_count,
+            reveal_count=head.reveal_count,
+            refresh_count=head.refresh_count,
+            coalescence_time=coalescence_time,
+            collision_time=None,
+            censored=False,
+        )
+        return CoupledResult(
+            independent=head,
+            coalescing=coal,
+            collision_time=None,
+            independent_path=list(head_path),
+            coalescing_path=list(head_path),
+        )
+
+    remaining = t_max - tau
+    coal_gen = gen.spawn(1)[0]
+
+    coal_tail_path: list[tuple[float, tuple]] = []
+    coal_tail = _reference_dual(
+        g,
+        sampler,
+        params,
+        head.final_state,
+        remaining,
+        coal_gen,
+        mode="coalescing",
+        path=coal_tail_path,
+    )
+    ind_tail_path: list[tuple[float, tuple]] = []
+    ind_tail = _reference_dual(
+        g,
+        sampler,
+        params,
+        head.final_state,
+        remaining,
+        gen,
+        mode="independent",
+        path=ind_tail_path,
+    )
+
+    independent = DualTrajectory(
+        final_state=ind_tail.final_state,
+        elapsed=t_max,
+        event_count=head.event_count + ind_tail.event_count,
+        reveal_count=head.reveal_count + ind_tail.reveal_count,
+        refresh_count=head.refresh_count + ind_tail.refresh_count,
+        coalescence_time=None,
+        collision_time=tau,
+        censored=False,
+    )
+    coal_coal_time = None
+    if coal_tail.coalescence_time is not None:
+        coal_coal_time = tau + coal_tail.coalescence_time
+    coalescing = DualTrajectory(
+        final_state=coal_tail.final_state,
+        elapsed=t_max,
+        event_count=head.event_count + coal_tail.event_count,
+        reveal_count=head.reveal_count + coal_tail.reveal_count,
+        refresh_count=head.refresh_count + coal_tail.refresh_count,
+        coalescence_time=coal_coal_time,
+        collision_time=tau,
+        censored=False,
+    )
+    return CoupledResult(
+        independent=independent,
+        coalescing=coalescing,
+        collision_time=tau,
+        independent_path=list(head_path) + _shift_path(ind_tail_path, tau, skip_first=True),
+        coalescing_path=list(head_path) + _shift_path(coal_tail_path, tau, skip_first=True),
+    )
+
+
+_REFERENCE_GRAPHS = {
+    "path:3": lambda: builtin_graph("path", 3),
+    "cycle:6": lambda: builtin_graph("cycle", 6),
+    "complete:4": lambda: builtin_graph("complete", 4),
+    "grid_torus:3,3": lambda: builtin_graph("grid_torus", 3, 3),
+    "two components": lambda: build_graph([(0, 1), (1, 2), (3, 4)], 5),
+}
+
+_REFERENCE_RULES = [
+    ("coalescing", {}),
+    ("coalescing", {"stop_on_full_coalescence": True}),
+    ("coalescing", {"stop_on_collision": True}),
+    ("independent", {}),
+    ("independent", {"stop_on_collision": True}),
+]
+
+
+def _reference_starts(g):
+    last_site, last_edge = g.vertex_count - 1, g.edge_count - 1
+    return [
+        # distinct sites, nothing revealed
+        DualState.of([0, last_site], [1, -1]),
+        # two walkers on one site, edges revealed with both signs
+        DualState.of([0, last_site, 0], [1, -1, -1], [0], [last_edge]),
+        # three walkers, two of them adjacent: not coalesced on any graph here
+        DualState.of([0, 1, last_site], [1, 1, -1]),
+        # one shared site: fully coalesced at time 0 on a connected graph
+        DualState.of([1, 1], [1, -1], revealed_negative=[0]),
+    ]
+
+
+@pytest.mark.parametrize("mode, flags", _REFERENCE_RULES)
+@pytest.mark.parametrize("graph", sorted(_REFERENCE_GRAPHS))
+def test_dual_loop_matches_reference_loop(graph, mode, flags):
+    g = _REFERENCE_GRAPHS[graph]()
+    kern = uniform_kernel(g)
+    # v = 0 runs no forget clocks; an int horizon must come back as elapsed unchanged
+    for params, t_max in ((ModelParams(0.4, 1.5), 6.0), (ModelParams(0.7, 0.0), 4)):
+        for initial in _reference_starts(g):
+            for seed in range(6):
+                got, want = ([], []), ([], [])
+                traj = simulate_dual(
+                    g, kern, params, initial, t_max, RngStream(seed), mode=mode,
+                    record_events=got[0], path=got[1], **flags,
+                )
+                ref = _reference_dual(
+                    g, kern, params, initial, t_max, RngStream(seed), mode=mode,
+                    record_events=want[0], path=want[1], **flags,
+                )
+                assert repr(traj) == repr(ref)
+                assert got == want
+
+
+@pytest.mark.parametrize("graph, starts", [("path:3", [0, 2]), ("cycle:6", [0, 3])])
+def test_coupled_run_matches_reference(graph, starts):
+    g = _REFERENCE_GRAPHS[graph]()
+    kern = uniform_kernel(g)
+    params = ModelParams(0.4, 1.0)
+    initial = DualState.of(starts, [1, -1], revealed_positive=[1])
+    collided = []
+    for seed in range(24):
+        got = coupled_run(g, kern, params, initial, 2.0, RngStream(seed))
+        want = _reference_coupled(g, kern, params, initial, 2.0, RngStream(seed))
+        assert repr(got) == repr(want)
+        assert got.independent_path == want.independent_path
+        assert got.coalescing_path == want.coalescing_path
+        collided.append(got.collision_time is not None)
+    assert any(collided) and not all(collided)
