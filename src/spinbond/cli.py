@@ -13,7 +13,7 @@ import sys
 from .config import load_config
 from .errors import CensoringError, ConfigError, StateSpaceCapError
 from .experiments import run_experiment
-from .graphs import builtin_graph, write_graph_file
+from .graphs import builtin_graph, format_graph, write_graph_file
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,9 +46,7 @@ def _run_graph_command(args) -> int:
         write_graph_file(g, args.out)
         print(f"wrote {args.out}: {g.vertex_count} vertices, {g.edge_count} edges")
     else:
-        print(f"{g.vertex_count} {g.edge_count}")
-        for u, v in g.edges:
-            print(f"{u} {v}")
+        print(format_graph(g), end="")
     return 0
 
 

@@ -208,11 +208,15 @@ def validate_kernel(g: Graph, kernel: AdoptionKernel) -> KernelReport:
     return KernelReport(valid=not violations, violations=tuple(violations))
 
 
-def write_graph_file(g: Graph, path) -> None:
+def format_graph(g: Graph) -> str:
     """Plain-text graph format: header "<V> <E>", then one "u v" line per edge."""
     lines = [f"{g.vertex_count} {g.edge_count}"]
     lines += [f"{u} {v}" for u, v in g.edges]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_graph_file(g: Graph, path) -> None:
+    Path(path).write_text(format_graph(g))
 
 
 def read_graph_file(path) -> Graph:

@@ -3,12 +3,14 @@
 Forward configurations are packed into integers with one bit per site and
 per edge (set bit means +1), dual configurations into mixed-radix integers
 (positions base |V|, signs base 2, one base-3 digit per edge: 0 unrevealed,
-1 revealed positive, 2 revealed negative). Both generators are assembled
-with array arithmetic on those digits. Transient laws come from
-uniformization, stationary laws from power iteration on the same uniformized
-kernel. The duality gap table's left side takes one pass over the forward
-law per walker position/sign block, not one per dual state, so it does not
-scale as |dual| * |forward|.
+1 revealed positive, 2 revealed negative). A builder fills a table of
+`targets` and `rates` with a fixed number of slots per state, one slot
+column at a time with array arithmetic on those digits; rate 0 means no
+transition, and slots with one target add their rates. Transient laws come
+from uniformization, stationary laws from power iteration on the same
+uniformized kernel. The duality gap table's left side takes one pass over
+the forward law per walker position/sign block, not one per dual state, so
+it does not scale as |dual| * |forward|.
 """
 
 from __future__ import annotations
@@ -50,14 +52,9 @@ def forward_state_count(g: Graph) -> int:
 
 
 def encode_forward_state(g: Graph, state: SpinBondState) -> int:
-    index = 0
-    for x in range(g.vertex_count):
-        if state.site_signs[x] > 0:
-            index |= 1 << x
-    for e in range(g.edge_count):
-        if state.edge_signs[e] > 0:
-            index |= 1 << (g.vertex_count + e)
-    return index
+    signs = [*state.site_signs, *state.edge_signs]  # bit x for site x, n + e for edge e
+    return sum(1 << i for i, s in enumerate(signs) if s > 0)
+
 
 def decode_forward_state(g: Graph, index: int) -> SpinBondState:
     n, m = g.vertex_count, g.edge_count
@@ -70,60 +67,47 @@ def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParam
     """Generator of the joint spin-bond chain as a sparse rate matrix.
 
     Row s holds the rates out of configuration s; the diagonal is minus the
-    row sum. Adoption events that leave the state unchanged contribute
-    nothing.
+    row sum. Every transition flips one bit: one slot per positive kernel
+    entry (x, y), whose rate is 0 when adopting from y leaves x unchanged,
+    and one slot per edge.
     """
     n, m = g.vertex_count, g.edge_count
     size = forward_state_count(g)
     idx = np.arange(size, dtype=np.int64)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    entries = [(x, y, q) for x in range(n) for y, q in kernel.rows[x] if q > 0.0]
+    targets = np.empty((size, len(entries) + m), dtype=np.int32)  # FORWARD_STATE_CAP < 2^31
+    rates = np.empty(targets.shape)
 
-    for x in range(n):
-        bit_x = (idx >> x) & 1
-        for y, q in kernel.rows[x]:
-            if q <= 0.0:
-                continue
-            e = g.edge_id(x, y)
-            bit_y = (idx >> y) & 1
-            bit_e = (idx >> (n + e)) & 1
-            # adopted sign is the product of neighbor and edge signs
-            new_bit = 1 ^ bit_y ^ bit_e
-            src = idx[new_bit != bit_x]
-            rows.append(src)
-            cols.append(src ^ (1 << x))
-            vals.append(np.full(src.size, q))
+    for slot, (x, y, q) in enumerate(entries):
+        e = g.edge_id(x, y)
+        # adopted sign is the product of neighbor and edge signs
+        new_bit = 1 ^ ((idx >> y) & 1) ^ ((idx >> (n + e)) & 1)
+        targets[:, slot] = idx ^ (1 << x)
+        rates[:, slot] = np.where(new_bit != ((idx >> x) & 1), q, 0.0)
 
     up_rate = edge_flip_rate(-1, params)
     down_rate = edge_flip_rate(1, params)
-    for e in range(m):
-        bit_e = (idx >> (n + e)) & 1
-        mask = 1 << (n + e)
-        if up_rate > 0.0:
-            src = idx[bit_e == 0]
-            rows.append(src)
-            cols.append(src ^ mask)
-            vals.append(np.full(src.size, up_rate))
-        if down_rate > 0.0:
-            src = idx[bit_e == 1]
-            rows.append(src)
-            cols.append(src ^ mask)
-            vals.append(np.full(src.size, down_rate))
+    for slot, e in enumerate(range(m), start=len(entries)):
+        targets[:, slot] = idx ^ (1 << (n + e))
+        rates[:, slot] = np.where((idx >> (n + e)) & 1, down_rate, up_rate)
 
-    return _assemble_generator(size, rows, cols, vals)
+    return _assemble_generator(targets, rates)
 
 
-def _assemble_generator(size, rows, cols, vals) -> sp.csr_matrix:
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-    else:
-        r = c = np.empty(0, dtype=np.int64)
-        v = np.empty(0, dtype=np.float64)
-    off = sp.coo_matrix((v, (r, c)), shape=(size, size)).tocsr()
+def _assemble_generator(targets: np.ndarray, rates: np.ndarray) -> sp.csr_matrix:
+    """Generator from a table of transitions with one row per state.
+
+    Slot j of row s jumps from s to targets[s, j] at rate rates[s, j]; rate 0
+    means no transition, and slots of one row with one target add their
+    rates. The tables are read in place as CSR (and overwritten); the result
+    stores no zeros and has minus the row sum on its diagonal.
+    """
+    size, slots = targets.shape
+    off = sp.csr_matrix(
+        (rates.ravel(), targets.ravel(), np.arange(size + 1) * slots), shape=(size, size)
+    )
     off.sum_duplicates()
+    off.eliminate_zeros()
     diag = -np.asarray(off.sum(axis=1)).ravel()
     return (off + sp.diags(diag)).tocsr()
 
@@ -141,7 +125,7 @@ def _uniformized_kernel(L: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
     return (identity + L.multiply(1.0 / lam)).tocsr(), lam
 
 
-def _uniformized(op: sp.csr_matrix, lam: float, vec: np.ndarray, t: float, tail_tol: float) -> np.ndarray:
+def _uniformized(op: sp.csr_matrix, lam: float, vec: np.ndarray, t: float) -> np.ndarray:
     """Poisson-weighted power series for e^{t lam (op - I)} @ vec.
 
     op is I + L/lam for e^{tL} @ vec, or its transpose for vec @ e^{tL};
@@ -164,7 +148,7 @@ def _uniformized(op: sp.csr_matrix, lam: float, vec: np.ndarray, t: float, tail_
         cum = coeff
         w = vec
         n_terms = 0
-        while 1.0 - cum > tail_tol:
+        while 1.0 - cum > UNIFORMIZATION_TAIL:
             n_terms += 1
             if n_terms > max_terms:
                 raise RuntimeError("uniformization series failed to reach its tail tolerance")
@@ -176,25 +160,23 @@ def _uniformized(op: sp.csr_matrix, lam: float, vec: np.ndarray, t: float, tail_
     return vec
 
 
-def transient_distribution(L: sp.csr_matrix, initial: np.ndarray, t: float, tail_tol: float = UNIFORMIZATION_TAIL) -> np.ndarray:
+def transient_distribution(L: sp.csr_matrix, initial: np.ndarray, t: float) -> np.ndarray:
     """Law at time t from a row distribution, renormalized after truncation."""
-    (law,) = transient_steps(L, initial, t, 1, tail_tol)
+    (law,) = transient_steps(L, initial, t, 1)
     return law
 
 
-def transient_steps(
-    L: sp.csr_matrix, laws: np.ndarray, dt: float, steps: int, tail_tol: float = UNIFORMIZATION_TAIL
-) -> Iterator[np.ndarray]:
+def transient_steps(L: sp.csr_matrix, laws: np.ndarray, dt: float, steps: int) -> Iterator[np.ndarray]:
     """Laws at dt, 2 dt, ..., steps * dt from row distributions.
 
     laws is one distribution, or an (N, c) block with one per column; each
     column is renormalized after every step. The uniformized kernel is
     built once for all steps.
     """
-    P, lam = _uniformized_kernel(L)
-    op = P.T.tocsr()
+    op, lam = _uniformized_kernel(L)
+    op = op.T.tocsr()  # the transpose alone is kept for the steps
     for _ in range(steps):
-        laws = _uniformized(op, lam, laws, dt, tail_tol)
+        laws = _uniformized(op, lam, laws, dt)
         # Sum each law along its own contiguous copy: numpy then sums
         # pairwise, as for a single vector, so every column comes out
         # bit-identical to propagating its law alone.
@@ -205,33 +187,32 @@ def transient_steps(
         yield laws
 
 
-def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float, tail_tol: float = UNIFORMIZATION_TAIL) -> np.ndarray:
+def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float) -> np.ndarray:
     """e^{tL} applied to a column vector of observables (no renormalization)."""
     P, lam = _uniformized_kernel(L)
-    return _uniformized(P, lam, vec, t, tail_tol)
+    return _uniformized(P, lam, vec, t)
 
 
 def count_closed_classes(L: sp.csr_matrix) -> int:
-    """Number of strongly connected classes with no outgoing rate."""
-    coo = L.tocoo()
-    keep = (coo.row != coo.col) & (coo.data > 0.0)
-    adj = sp.coo_matrix(
-        (np.ones(int(keep.sum())), (coo.row[keep], coo.col[keep])), shape=L.shape
-    ).tocsr()
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    src, dst = adj.nonzero()
-    leaving = labels[src] != labels[dst]
-    open_classes = set(labels[src[leaving]].tolist())
-    return n_comp - len(open_classes)
+    """Number of strongly connected classes with no outgoing rate.
+
+    L's stored entries are its positive rates plus diagonal self-loops, which
+    change no class, so its own sparsity is the transition graph.
+    """
+    n_comp, labels = connected_components(L, directed=True, connection="strong")
+    src_labels = np.repeat(labels, np.diff(L.indptr))
+    open_classes = np.unique(src_labels[src_labels != labels[L.indices]])
+    return n_comp - open_classes.size
 
 
-def stationary_distribution(L: sp.csr_matrix, residual_tol: float = STATIONARY_RESIDUAL_TOL) -> np.ndarray:
+def stationary_distribution(L: sp.csr_matrix) -> np.ndarray:
     """Unique stationary row vector of the generator.
 
     Raises ValueError when the chain has several closed classes (the
     stationary law is not unique then). Iterates the uniformized kernel
-    from the uniform law until max|L^T pi| < residual_tol, and raises
-    StateSpaceCapError when STATIONARY_SWEEP_BUDGET sweeps do not get there.
+    from the uniform law until max|L^T pi| < STATIONARY_RESIDUAL_TOL, and
+    raises StateSpaceCapError when STATIONARY_SWEEP_BUDGET sweeps do not get
+    there.
     """
     closed = count_closed_classes(L)
     if closed != 1:
@@ -249,24 +230,34 @@ def stationary_distribution(L: sp.csr_matrix, residual_tol: float = STATIONARY_R
         pi = np.clip(pi, 0.0, None)
         pi /= pi.sum()
         residual = float(np.max(np.abs(L.T @ pi)))
-        if residual < residual_tol:
+        if residual < STATIONARY_RESIDUAL_TOL:
             return pi
     raise StateSpaceCapError(
         required=STATIONARY_SWEEP_BUDGET + 1,
         cap=STATIONARY_SWEEP_BUDGET,
-        label=f"stationary sweeps on {size} states (residual {residual:.2e} above {residual_tol:g})",
+        label=f"stationary sweeps on {size} states "
+        f"(residual {residual:.2e} above {STATIONARY_RESIDUAL_TOL:g})",
     )
 
 
-def forward_cylinder_mask(g: Graph, cylinder: CylinderEvent) -> np.ndarray:
+def _forward_sign_mask(g: Graph, pairs) -> np.ndarray:
+    """Forward states whose bit i is set exactly when s > 0, for each (i, s).
+
+    Pairs, not a dict: two walkers on one site may carry opposite signs.
+    """
     size = forward_state_count(g)
     idx = np.arange(size, dtype=np.int64)
     mask = np.ones(size, dtype=bool)
-    for x, s in cylinder.site_constraints:
-        mask &= ((idx >> x) & 1) == (1 if s > 0 else 0)
-    for e, s in cylinder.edge_constraints:
-        mask &= ((idx >> (g.vertex_count + e)) & 1) == (1 if s > 0 else 0)
+    for i, s in pairs:
+        mask &= ((idx >> i) & 1) == (1 if s > 0 else 0)
     return mask
+
+
+def forward_cylinder_mask(g: Graph, cylinder: CylinderEvent) -> np.ndarray:
+    n = g.vertex_count
+    return _forward_sign_mask(
+        g, [*cylinder.site_constraints, *((n + e, s) for e, s in cylinder.edge_constraints)]
+    )
 
 
 def cylinder_probability(g: Graph, dist: np.ndarray, cylinder: CylinderEvent) -> float:
@@ -293,40 +284,24 @@ def dual_state_count(g: Graph, k: int) -> int:
 
 
 def encode_dual_state(g: Graph, dual: DualState) -> int:
-    n = g.vertex_count
-    k = dual.walker_count
-    index = 0
-    for j in range(k - 1, -1, -1):
-        index = index * n + dual.positions[j]
-    bits = 0
-    for j, s in enumerate(dual.signs):
-        if s > 0:
-            bits |= 1 << j
-    index += n**k * bits
-    env = 0
-    for e in range(g.edge_count - 1, -1, -1):
-        digit = 1 if e in dual.revealed_positive else 2 if e in dual.revealed_negative else 0
-        env = env * 3 + digit
+    n, k = g.vertex_count, dual.walker_count
+    index = sum(z * n**j for j, z in enumerate(dual.positions))
+    index += n**k * sum(1 << j for j, s in enumerate(dual.signs) if s > 0)
+    env = sum(3**e for e in dual.revealed_positive) + sum(2 * 3**e for e in dual.revealed_negative)
     return index + n**k * 2**k * env
 
 
 def decode_dual_state(g: Graph, k: int, index: int) -> DualState:
     n = g.vertex_count
-    rem, positions = index, []
-    for _ in range(k):
-        positions.append(rem % n)
-        rem //= n
-    signs = [1 if (rem >> j) & 1 else -1 for j in range(k)]
-    rem >>= k
-    pos_edges, neg_edges = set(), set()
-    for e in range(g.edge_count):
-        digit = rem % 3
-        rem //= 3
-        if digit == 1:
-            pos_edges.add(e)
-        elif digit == 2:
-            neg_edges.add(e)
-    return DualState(positions=positions, signs=signs, revealed_positive=pos_edges, revealed_negative=neg_edges)
+    positions = [index // n**j % n for j in range(k)]
+    signs = [1 if (index // n**k >> j) & 1 else -1 for j in range(k)]
+    digits = [index // (n**k * 2**k * 3**e) % 3 for e in range(g.edge_count)]
+    return DualState(
+        positions=positions,
+        signs=signs,
+        revealed_positive={e for e, d in enumerate(digits) if d == 1},
+        revealed_negative={e for e, d in enumerate(digits) if d == 2},
+    )
 
 
 def dual_delta(g: Graph, dual: DualState) -> np.ndarray:
@@ -336,11 +311,7 @@ def dual_delta(g: Graph, dual: DualState) -> np.ndarray:
 
 
 def build_dual_generator(
-    g: Graph,
-    kernel: AdoptionKernel,
-    params: ModelParams,
-    k: int,
-    mode: str = "coalescing",
+    g: Graph, kernel: AdoptionKernel, params: ModelParams, k: int, mode: str = "coalescing"
 ) -> sp.csr_matrix:
     """Generator of the k-walker dual chain with its revealed environment.
 
@@ -357,73 +328,65 @@ def build_dual_generator(
     idx = np.arange(size, dtype=np.int64)
     positions = [(idx // n**j) % n for j in range(k)]
     sign_bits = idx // n**k
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    # Neighbour, rate and edge stride of the d-th kernel entry of every site
+    # z at [d][z], padded to a common width with y = z at rate 0.
+    width = max(len(row) for row in kernel.rows)
+    nbr = np.repeat(np.arange(n, dtype=np.int64)[None, :], width, axis=0)
+    rate_of = np.zeros((width, n))
+    stride_of = np.full((width, n), block, dtype=np.int64)
+    for z, row in enumerate(kernel.rows):
+        for d, (y, q) in enumerate(row):
+            nbr[d, z], rate_of[d, z], stride_of[d, z] = y, q, block * 3 ** g.edge_id(z, y)
+    targets = np.empty((size, 2 * k * width + m), dtype=np.int32)  # DUAL_STATE_CAP < 2^31
+    rates = np.empty(targets.shape)
 
     for j in range(k):
+        z = positions[j]
         # Walker j fires for its site: under the coalescing rule only when
         # no lower-indexed walker shares it, and then it carries them all.
         fires = np.ones(size, dtype=bool)
         if mode == "coalescing":
             for i in range(j):
-                fires &= positions[i] != positions[j]
-        movers = [j] if mode == "independent" else list(range(j, k))
-        for z in range(n):
-            src = idx[fires & (positions[j] == z)]
-            # Per state: sum of n**i over the walkers i that move, and the
-            # index change that flips all their signs.
-            place = np.zeros(src.size, dtype=np.int64)
-            flip = np.zeros(src.size, dtype=np.int64)
-            for i in movers:
-                on_z = positions[i][src] == z
-                bit = (sign_bits[src] >> i) & 1
-                place += on_z * n**i
-                flip += on_z * (1 - 2 * bit) * (n**k << i)
-            for y, q in kernel.rows[z]:
-                if q <= 0.0:
-                    continue
-                e = g.edge_id(z, y)
-                stride = block * 3**e
-                digit = (src // stride) % 3
-                moved = src + (y - z) * place
-                fresh = digit == 0
-                # Keep the sign: the edge is revealed positive, or is fresh
-                # and gets revealed positive with probability p.
-                keep = (digit == 1) | (fresh & (p > 0.0))
-                rows.append(src[keep])
-                cols.append(moved[keep] + fresh[keep] * stride)
-                vals.append(np.where(fresh[keep], q * p, q))
-                # Flip the sign: revealed negative, or fresh and revealed
-                # negative with probability 1 - p.
-                neg = (digit == 2) | (fresh & (p < 1.0))
-                rows.append(src[neg])
-                cols.append(moved[neg] + flip[neg] + fresh[neg] * 2 * stride)
-                vals.append(np.where(fresh[neg], q * (1.0 - p), q))
+                fires &= positions[i] != z
+        movers = [j] if mode == "independent" else range(j, k)
+        # Per state: sum of n**i over the walkers i that move, and the index
+        # change that flips all their signs.
+        place = sum((positions[i] == z) * n**i for i in movers)
+        flip = sum((positions[i] == z) * (1 - 2 * ((sign_bits >> i) & 1)) * (n**k << i) for i in movers)
+        for d in range(width):
+            q = rate_of[d][z] * fires
+            stride = stride_of[d][z]
+            digit = idx // stride % 3
+            fresh = digit == 0
+            live = q > 0.0
+            step = np.where(live, (nbr[d][z] - z) * place + fresh * stride, 0)
+            keep = 2 * (j * width + d)  # this slot keeps the sign, the next flips it
+            # Keep: the edge is revealed positive, or is fresh and gets
+            # revealed positive with probability p.
+            targets[:, keep] = idx + step
+            rates[:, keep] = q * np.where(fresh, p, digit == 1)
+            # Flip: revealed negative, or fresh and revealed negative with
+            # probability 1 - p.
+            targets[:, keep + 1] = idx + np.where(live, step + flip + fresh * stride, 0)
+            rates[:, keep + 1] = q * np.where(fresh, 1.0 - p, digit == 2)
 
-    if v > 0.0:
-        for e in range(m):
-            stride = block * 3**e
-            digit = (idx // stride) % 3
-            src = idx[digit != 0]
-            rows.append(src)
-            cols.append(src - digit[digit != 0] * stride)
-            vals.append(np.full(src.size, v))
+    for slot, e in enumerate(range(m), start=2 * k * width):
+        stride = block * 3**e
+        digit = (idx // stride) % 3
+        targets[:, slot] = idx - digit * stride
+        rates[:, slot] = np.where(digit != 0, v, 0.0)
 
-    return _assemble_generator(size, rows, cols, vals)
+    return _assemble_generator(targets, rates)
 
 
 def forward_weight_vector(g: Graph, dual: DualState, p: float) -> np.ndarray:
     """Duality weight of every forward configuration against a fixed dual one."""
-    size = forward_state_count(g)
-    idx = np.arange(size, dtype=np.int64)
-    mask = np.ones(size, dtype=bool)
-    for z, s in zip(dual.positions, dual.signs):
-        mask &= ((idx >> z) & 1) == (1 if s > 0 else 0)
-    for e in dual.revealed_positive:
-        mask &= ((idx >> (g.vertex_count + e)) & 1) == 1
-    for e in dual.revealed_negative:
-        mask &= ((idx >> (g.vertex_count + e)) & 1) == 0
+    n = g.vertex_count
+    mask = _forward_sign_mask(g, [
+        *zip(dual.positions, dual.signs),
+        *((n + e, 1) for e in dual.revealed_positive),
+        *((n + e, -1) for e in dual.revealed_negative),
+    ])
     weight = p ** (-len(dual.revealed_positive)) * (1.0 - p) ** (-len(dual.revealed_negative))
     return weight * mask.astype(np.float64)
 

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from spinbond.cli import main
@@ -100,11 +101,54 @@ def test_dual_generator_coalesced_pair_moves_together(k2):
             assert dst.positions[0] == dst.positions[1]
 
 
+def _reference_generator(size, transitions):
+    """CSR generator from (source, target, rate) triples with positive rates.
+
+    Built with scipy's own COO -> CSR conversion, which sums duplicate
+    entries; the diagonal is minus the row sum.
+    """
+    rows, cols, vals = zip(*transitions)
+    off = sp.coo_matrix((np.array(vals, dtype=np.float64), (rows, cols)), shape=(size, size)).tocsr()
+    return (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
+
+
+def _assert_same_csr(A, B):
+    assert A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.array_equal(A.data, B.data)
+    assert (A.data != 0).all()
+
+
+def _forward_generator_by_state(g, kernel, params):
+    """Reference builder: decode, change and encode one forward state at a time."""
+    size = oracle.forward_state_count(g)
+    p, v = params.p, params.v
+    transitions = []
+    for s in range(size):
+        st = oracle.decode_forward_state(g, s)
+        for x in range(g.vertex_count):
+            for y, q in kernel.rows[x]:
+                adopted = st.site_signs[y] * st.edge_signs[g.edge_id(x, y)]
+                if q > 0.0 and adopted != st.site_signs[x]:
+                    nxt = st.copy()
+                    nxt.site_signs[x] = adopted
+                    transitions.append((s, oracle.encode_forward_state(g, nxt), q))
+        for e in range(g.edge_count):
+            # A -1 edge turns +1 at rate v p, a +1 edge turns -1 at v (1 - p).
+            rate = v * p if st.edge_signs[e] < 0 else v * (1.0 - p)
+            if rate > 0.0:
+                nxt = st.copy()
+                nxt.edge_signs[e] = -nxt.edge_signs[e]
+                transitions.append((s, oracle.encode_forward_state(g, nxt), rate))
+    return _reference_generator(size, transitions)
+
+
 def _dual_generator_by_state(g, kernel, params, k, mode):
     """Reference builder: decode, move and encode one dual state at a time."""
     size = oracle.dual_state_count(g, k)
     p, v = params.p, params.v
-    rows, cols, vals = [], [], []
+    transitions = []
     for s in range(size):
         d = oracle.decode_dual_state(g, k, s)
         if mode == "coalescing":
@@ -135,20 +179,15 @@ def _dual_generator_by_state(g, kernel, params, k, mode):
                         nxt.revealed_positive.add(e)
                     elif reveal_sign == -1:
                         nxt.revealed_negative.add(e)
-                    rows.append(s)
-                    cols.append(oracle.encode_dual_state(g, nxt))
-                    vals.append(rate)
+                    if rate > 0.0:
+                        transitions.append((s, oracle.encode_dual_state(g, nxt), rate))
         for e in d.revealed_positive | d.revealed_negative:
             nxt = d.copy()
             nxt.revealed_positive.discard(e)
             nxt.revealed_negative.discard(e)
-            rows.append(s)
-            cols.append(oracle.encode_dual_state(g, nxt))
-            vals.append(v)
-    return oracle._assemble_generator(
-        size, [np.asarray(rows, dtype=np.int64)], [np.asarray(cols, dtype=np.int64)],
-        [np.asarray(vals, dtype=np.float64)],
-    )
+            if v > 0.0:
+                transitions.append((s, oracle.encode_dual_state(g, nxt), v))
+    return _reference_generator(size, transitions)
 
 
 # Non-uniform kernels with one zero rate each.
@@ -174,8 +213,27 @@ def test_dual_generator_matches_per_state_builder(spec, k, skewed, mode):
     params = ModelParams(0.3, 1.5)
     A = oracle.build_dual_generator(g, kern, params, k, mode=mode)
     B = _dual_generator_by_state(g, kern, params, k, mode)
-    assert A.shape == B.shape
-    assert abs(A - B).max() == 0.0
+    _assert_same_csr(A, B)
+
+
+_FORWARD_GENERATOR_CASES = [
+    (spec, skewed, p, v)
+    for spec, skewed in [
+        ("path:3", False), ("cycle:4", False), ("cycle:4", True), ("complete:4", False), ("grid_torus:2,2", False),
+    ]
+    for p, v in [(0.3, 1.5), (0.3, 0.0), (0.0, 1.0), (1.0, 1.0)]
+]
+
+
+@pytest.mark.parametrize("spec, skewed, p, v", _FORWARD_GENERATOR_CASES)
+def test_forward_generator_matches_per_state_builder(spec, skewed, p, v):
+    name, sizes = spec.split(":")
+    g = builtin_graph(name, *map(int, sizes.split(",")))
+    kern = kernel_from_rates(_SKEWED_RATES[spec], g.vertex_count) if skewed else uniform_kernel(g)
+    params = ModelParams(p, v)
+    _assert_same_csr(
+        oracle.build_forward_generator(g, kern, params), _forward_generator_by_state(g, kern, params)
+    )
 
 
 # ---------------------------------------------------------------- transients
