@@ -52,8 +52,14 @@ def forward_state_count(g: Graph) -> int:
 
 
 def encode_forward_state(g: Graph, state: SpinBondState) -> int:
-    signs = [*state.site_signs, *state.edge_signs]  # bit x for site x, n + e for edge e
-    return sum(1 << i for i, s in enumerate(signs) if s > 0)
+    index = 0
+    for x in range(g.vertex_count):
+        if state.site_signs[x] > 0:
+            index |= 1 << x
+    for e in range(g.edge_count):
+        if state.edge_signs[e] > 0:
+            index |= 1 << (g.vertex_count + e)
+    return index
 
 
 def decode_forward_state(g: Graph, index: int) -> SpinBondState:
@@ -284,24 +290,40 @@ def dual_state_count(g: Graph, k: int) -> int:
 
 
 def encode_dual_state(g: Graph, dual: DualState) -> int:
-    n, k = g.vertex_count, dual.walker_count
-    index = sum(z * n**j for j, z in enumerate(dual.positions))
-    index += n**k * sum(1 << j for j, s in enumerate(dual.signs) if s > 0)
-    env = sum(3**e for e in dual.revealed_positive) + sum(2 * 3**e for e in dual.revealed_negative)
+    n = g.vertex_count
+    k = dual.walker_count
+    index = 0
+    for j in range(k - 1, -1, -1):
+        index = index * n + dual.positions[j]
+    bits = 0
+    for j, s in enumerate(dual.signs):
+        if s > 0:
+            bits |= 1 << j
+    index += n**k * bits
+    env = 0
+    for e in range(g.edge_count - 1, -1, -1):
+        digit = 1 if e in dual.revealed_positive else 2 if e in dual.revealed_negative else 0
+        env = env * 3 + digit
     return index + n**k * 2**k * env
 
 
 def decode_dual_state(g: Graph, k: int, index: int) -> DualState:
     n = g.vertex_count
-    positions = [index // n**j % n for j in range(k)]
-    signs = [1 if (index // n**k >> j) & 1 else -1 for j in range(k)]
-    digits = [index // (n**k * 2**k * 3**e) % 3 for e in range(g.edge_count)]
-    return DualState(
-        positions=positions,
-        signs=signs,
-        revealed_positive={e for e, d in enumerate(digits) if d == 1},
-        revealed_negative={e for e, d in enumerate(digits) if d == 2},
-    )
+    rem, positions = index, []
+    for _ in range(k):
+        positions.append(rem % n)
+        rem //= n
+    signs = [1 if (rem >> j) & 1 else -1 for j in range(k)]
+    rem >>= k
+    pos_edges, neg_edges = set(), set()
+    for e in range(g.edge_count):
+        digit = rem % 3
+        rem //= 3
+        if digit == 1:
+            pos_edges.add(e)
+        elif digit == 2:
+            neg_edges.add(e)
+    return DualState(positions=positions, signs=signs, revealed_positive=pos_edges, revealed_negative=neg_edges)
 
 
 def dual_delta(g: Graph, dual: DualState) -> np.ndarray:
@@ -311,7 +333,11 @@ def dual_delta(g: Graph, dual: DualState) -> np.ndarray:
 
 
 def build_dual_generator(
-    g: Graph, kernel: AdoptionKernel, params: ModelParams, k: int, mode: str = "coalescing"
+    g: Graph,
+    kernel: AdoptionKernel,
+    params: ModelParams,
+    k: int,
+    mode: str = "coalescing",
 ) -> sp.csr_matrix:
     """Generator of the k-walker dual chain with its revealed environment.
 
@@ -328,13 +354,15 @@ def build_dual_generator(
     idx = np.arange(size, dtype=np.int64)
     positions = [(idx // n**j) % n for j in range(k)]
     sign_bits = idx // n**k
-    # Neighbour, rate and edge stride of the d-th kernel entry of every site
-    # z at [d][z], padded to a common width with y = z at rate 0.
-    width = max(len(row) for row in kernel.rows)
+    # Neighbour, rate and edge stride of the d-th positive kernel entry of
+    # every site z at [d][z], padded to a common width with y = z at rate 0.
+    # A rate-0 entry may point at a non-neighbour, which has no edge id.
+    entries = [[(y, q) for y, q in row if q > 0.0] for row in kernel.rows]
+    width = max(map(len, entries))
     nbr = np.repeat(np.arange(n, dtype=np.int64)[None, :], width, axis=0)
     rate_of = np.zeros((width, n))
     stride_of = np.full((width, n), block, dtype=np.int64)
-    for z, row in enumerate(kernel.rows):
+    for z, row in enumerate(entries):
         for d, (y, q) in enumerate(row):
             nbr[d, z], rate_of[d, z], stride_of[d, z] = y, q, block * 3 ** g.edge_id(z, y)
     targets = np.empty((size, 2 * k * width + m), dtype=np.int32)  # DUAL_STATE_CAP < 2^31

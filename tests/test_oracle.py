@@ -129,8 +129,10 @@ def _forward_generator_by_state(g, kernel, params):
         st = oracle.decode_forward_state(g, s)
         for x in range(g.vertex_count):
             for y, q in kernel.rows[x]:
+                if q <= 0.0:
+                    continue
                 adopted = st.site_signs[y] * st.edge_signs[g.edge_id(x, y)]
-                if q > 0.0 and adopted != st.site_signs[x]:
+                if adopted != st.site_signs[x]:
                     nxt = st.copy()
                     nxt.site_signs[x] = adopted
                     transitions.append((s, oracle.encode_forward_state(g, nxt), q))
@@ -190,10 +192,13 @@ def _dual_generator_by_state(g, kernel, params, k, mode):
     return _reference_generator(size, transitions)
 
 
-# Non-uniform kernels with one zero rate each.
+# Non-uniform kernels, each with a zero rate towards a neighbour and one
+# towards a non-neighbour (which has no edge id).
 _SKEWED_RATES = {
-    "path:3": {0: {1: 1.0}, 1: {0: 0.7, 2: 0.0}, 2: {1: 0.4}},
-    "cycle:4": {0: {1: 0.5, 3: 1.5}, 1: {0: 1.0, 2: 0.0}, 2: {1: 0.3, 3: 0.9}, 3: {0: 0.2, 2: 1.1}},
+    "path:3": {0: {1: 1.0, 2: 0.0}, 1: {0: 0.7, 2: 0.0}, 2: {1: 0.4}},
+    "cycle:4": {
+        0: {1: 0.5, 2: 0.0, 3: 1.5}, 1: {0: 1.0, 2: 0.0}, 2: {1: 0.3, 3: 0.9}, 3: {0: 0.2, 2: 1.1},
+    },
 }
 
 
