@@ -574,11 +574,13 @@ def _tv_decay_exact(
     cfg: dict, result: ExperimentResult, stream, g, kernel, params,
     initial_a: SpinBondState, initial_b: SpinBondState, times,
 ):
-    L = oracle.build_forward_generator(g, kernel, params)
-    laws = np.stack([oracle.forward_delta(g, initial_a), oracle.forward_delta(g, initial_b)], axis=1)
-    curve = [oracle.total_variation(laws[:, 0], laws[:, 1])]
-    for laws in oracle.transient_steps(L, laws, cfg["t_step"], len(times) - 1):
-        curve.append(oracle.total_variation(laws[:, 0], laws[:, 1]))
+    curve = oracle.total_variation_curve(
+        oracle.build_forward_generator(g, kernel, params),
+        oracle.forward_delta(g, initial_a),
+        oracle.forward_delta(g, initial_b),
+        cfg["t_step"],
+        len(times) - 1,
+    )
 
     monotone = all(curve[i + 1] <= curve[i] + 1e-10 for i in range(len(curve) - 1))
     small_enough = curve[-1] < cfg["threshold"]

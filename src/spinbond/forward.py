@@ -6,8 +6,8 @@ sign of the connecting edge. Each edge independently resamples its sign at
 rate ``v``, choosing +1 with probability ``p``. The joint process is
 simulated event by event with one exponential clock per site and per edge.
 
-The event loop keeps the signs in Python lists, written back into the int8
-arrays at the end, and reads each neighbor's edge id from the sampler's
+The event loop keeps the signs in Python lists, checked once and turned into
+new arrays of the initial state's dtype at the end, and reads each neighbor's edge id from the sampler's
 per-site tables; indexing a Python list costs a fraction of indexing an
 int8 array.
 """
@@ -59,6 +59,10 @@ class SpinBondState:
         return SpinBondState(self.site_signs.copy(), self.edge_signs.copy())
 
     def validate(self, g: Graph) -> None:
+        self.check_shapes(g)
+        _check_sign_values(self.site_signs.tolist(), self.edge_signs.tolist())
+
+    def check_shapes(self, g: Graph) -> None:
         if self.site_signs.shape != (g.vertex_count,):
             raise ValueError(
                 f"site_signs has shape {self.site_signs.shape}, graph has {g.vertex_count} vertices"
@@ -67,10 +71,6 @@ class SpinBondState:
             raise ValueError(
                 f"edge_signs has shape {self.edge_signs.shape}, graph has {g.edge_count} edges"
             )
-        for arr, label in ((self.site_signs, "site"), (self.edge_signs, "edge")):
-            bad = np.nonzero(np.abs(arr) != 1)[0]
-            if bad.size:
-                raise ValueError(f"{label} signs must be +-1, found {arr[bad[0]]} at index {bad[0]}")
 
     @staticmethod
     def constant(g: Graph, site_sign: int = 1, edge_sign: int = 1) -> "SpinBondState":
@@ -78,6 +78,13 @@ class SpinBondState:
             site_signs=np.full(g.vertex_count, site_sign, dtype=np.int8),
             edge_signs=np.full(g.edge_count, edge_sign, dtype=np.int8),
         )
+
+
+def _check_sign_values(sites: list, edges: list) -> None:
+    for signs, label in ((sites, "site"), (edges, "edge")):
+        for i, s in enumerate(signs):
+            if abs(s) != 1:
+                raise ValueError(f"{label} signs must be +-1, found {s} at index {i}")
 
 
 def sample_product_state(
@@ -166,7 +173,7 @@ def simulate_forward(
     observables=(),
     record_events: list | None = None,
 ) -> ForwardTrajectory:
-    """Run the joint spin-bond process on [0, t_max] from a copy of ``initial``.
+    """Run the joint spin-bond process on [0, t_max] from ``initial``, left unchanged.
 
     ``observables`` are cylinder events evaluated at each checkpoint time;
     rows come back as (time, observable label, 0.0 or 1.0). ``record_events``
@@ -181,8 +188,10 @@ def simulate_forward(
     random, exponential = gen.random, gen.exponential
     sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
     draw_index, neighbors, edge_ids = sampler.draw_index, sampler.neighbors, sampler.edge_ids
-    state = initial.copy()
-    state.validate(g)
+    initial.check_shapes(g)
+    sites = initial.site_signs.tolist()
+    edges = initial.edge_signs.tolist()
+    _check_sign_values(sites, edges)
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
 
@@ -192,8 +201,6 @@ def simulate_forward(
     checkpoints.append(math.inf)
     rows: list[tuple[float, str, float]] = []
     next_cp = 0
-    sites = state.site_signs.tolist()
-    edges = state.edge_signs.tolist()
 
     def flush_checkpoints(up_to: float) -> float:
         """Record every checkpoint at or before ``up_to``; return the next one."""
@@ -248,10 +255,11 @@ def simulate_forward(
             heapq.heapreplace(heap, (t_event + exponential(scale), 1, idx))
 
     flush_checkpoints(t_max)
-    state.site_signs[:] = sites
-    state.edge_signs[:] = edges
     return ForwardTrajectory(
-        final_state=state,
+        final_state=SpinBondState(
+            np.array(sites, dtype=initial.site_signs.dtype),
+            np.array(edges, dtype=initial.edge_signs.dtype),
+        ),
         elapsed=t_max,
         event_count=events,
         edge_flip_counts=np.array(flip_counts, dtype=np.int64),

@@ -7,8 +7,9 @@ per edge (set bit means +1), dual configurations into mixed-radix integers
 `targets` and `rates` with a fixed number of slots per state, one slot
 column at a time with array arithmetic on those digits; rate 0 means no
 transition, and slots with one target add their rates. Transient laws come
-from uniformization, stationary laws from power iteration on the same
-uniformized kernel. The duality gap table's left side takes one pass over
+from uniformization, one series of products per segment of at most
+_SEGMENT_TIMES times on a grid; stationary laws from power iteration on the
+same uniformized kernel. The duality gap table's left side takes one pass over
 the forward law per walker position/sign block, not one per dual state, so
 it does not scale as |dual| * |forward|.
 """
@@ -33,6 +34,8 @@ DUAL_STATE_CAP = 2_000_000
 UNIFORMIZATION_TAIL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-12
 _MAX_UNIFORM_EXPONENT = 500.0
+# Times on one uniformization series before it restarts from its last result.
+_SEGMENT_TIMES = 8
 # The stationary iteration checks its residual once per sweep of
 # _STEPS_PER_SWEEP uniformized steps and gives up after the budget. Chains
 # that converge need 5-7 sweeps at p = 0.3, v = 1 (C6 to C9) and 114 on C6
@@ -131,72 +134,113 @@ def _uniformized_kernel(L: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
     return (identity + L.multiply(1.0 / lam)).tocsr(), lam
 
 
-def _uniformized(op: sp.csr_matrix, lam: float, vec: np.ndarray, t: float) -> np.ndarray:
-    """Poisson-weighted power series for e^{t lam (op - I)} @ vec.
+def _uniformized(
+    op: sp.csr_matrix, lam: float, vec: np.ndarray, times: list[float]
+) -> Iterator[np.ndarray]:
+    """Poisson-weighted power series for e^{t lam (op - I)} @ vec at each time.
 
     op is I + L/lam for e^{tL} @ vec, or its transpose for vec @ e^{tL};
-    vec may hold one vector per column.
+    vec may hold one vector per column, and times must not decrease. A
+    segment of at most _SEGMENT_TIMES times shares one sequence of products
+    op^n @ base from its start's result. It ends before lam times its span
+    would pass _MAX_UNIFORM_EXPONENT, so that e^{-lam t} cannot underflow; a
+    time that far from the previous one alone is reached in 2^d equal
+    pieces. The next segment starts from the last result divided by the
+    Poisson mass its series summed, which for a law is the renormalization
+    of a per-step routine, so truncation does not compound over segments.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    vec = np.asarray(vec, dtype=np.float64)
-    if t == 0.0 or lam == 0.0:
-        return vec.copy()
-    # Split [0, t] into 2^d equal pieces so that e^{-lam t} cannot underflow.
-    pieces = 1
-    while lam * (t / pieces) > _MAX_UNIFORM_EXPONENT:
-        pieces *= 2
-    lam_t = lam * (t / pieces)
-    max_terms = int(lam_t + 50.0 * np.sqrt(lam_t + 1.0) + 200.0)
-    for _ in range(pieces):
-        coeff = float(np.exp(-lam_t))
-        acc = coeff * vec
-        cum = coeff
-        w = vec
-        n_terms = 0
-        while 1.0 - cum > UNIFORMIZATION_TAIL:
-            n_terms += 1
-            if n_terms > max_terms:
-                raise RuntimeError("uniformization series failed to reach its tail tolerance")
-            w = op @ w
-            coeff *= lam_t / n_terms
-            acc += coeff * w
-            cum += coeff
-        vec = acc
-    return vec
+    base = np.asarray(vec, dtype=np.float64)
+    for prev, t in zip([0.0, *times], times):
+        if t < prev:
+            raise ValueError(f"time must be >= 0 and must not decrease, got {t} after {prev}")
+    start, i = 0.0, 0
+    while i < len(times):
+        span = times[i] - start
+        pieces = 1
+        while lam * (span / pieces) > _MAX_UNIFORM_EXPONENT:
+            pieces *= 2
+        end = i + 1
+        if pieces > 1:
+            mass = 1.0
+            for _ in range(pieces):
+                ((base, cum),) = _series(op, lam, base, [span / pieces])
+                mass *= cum
+            yield base
+        else:
+            while (
+                end - i < _SEGMENT_TIMES
+                and end < len(times)
+                and lam * (times[end] - start) <= _MAX_UNIFORM_EXPONENT
+            ):
+                end += 1
+            results = _series(op, lam, base, [t - start for t in times[i:end]])
+            yield from (acc for acc, _ in results)
+            base, mass = results[-1]
+        base = base / mass
+        start = times[end - 1]
+        i = end
+
+
+def _series(
+    op: sp.csr_matrix, lam: float, vec: np.ndarray, spans: list[float]
+) -> list[tuple[np.ndarray, float]]:
+    """e^{s lam (op - I)} @ vec for each span s, from one sequence of products.
+
+    Each span has its own Poisson weights, starting from e^{-lam s}, and
+    stops taking terms once they hold all but UNIFORMIZATION_TAIL of its
+    mass; the sequence runs as long as the longest span needs. Returns each
+    span's sum with the Poisson mass it took.
+    """
+    lam_ts = [lam * s for s in spans]
+    max_terms = [int(x + 50.0 * np.sqrt(x + 1.0) + 200.0) for x in lam_ts]
+    coeffs = [float(np.exp(-x)) for x in lam_ts]
+    accs = [c * vec for c in coeffs]
+    cums = list(coeffs)
+    live = [k for k, cum in enumerate(cums) if 1.0 - cum > UNIFORMIZATION_TAIL]
+    w = vec
+    n_terms = 0
+    while live:
+        n_terms += 1
+        if n_terms > max_terms[live[0]]:  # spans increase, and so do the limits
+            raise RuntimeError("uniformization series failed to reach its tail tolerance")
+        w = op @ w
+        for k in live:
+            coeffs[k] *= lam_ts[k] / n_terms
+            accs[k] += coeffs[k] * w
+            cums[k] += coeffs[k]
+        live = [k for k in live if 1.0 - cums[k] > UNIFORMIZATION_TAIL]
+    return list(zip(accs, cums))
 
 
 def transient_distribution(L: sp.csr_matrix, initial: np.ndarray, t: float) -> np.ndarray:
     """Law at time t from a row distribution, renormalized after truncation."""
     (law,) = transient_steps(L, initial, t, 1)
-    return law
+    total = law.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        raise RuntimeError("transient distribution lost its mass")
+    return law / total
 
 
-def transient_steps(L: sp.csr_matrix, laws: np.ndarray, dt: float, steps: int) -> Iterator[np.ndarray]:
-    """Laws at dt, 2 dt, ..., steps * dt from row distributions.
+def transient_steps(L: sp.csr_matrix, rows: np.ndarray, dt: float, steps: int) -> Iterator[np.ndarray]:
+    """rows @ e^{i dt L} for i = 1, ..., steps, not renormalized.
 
-    laws is one distribution, or an (N, c) block with one per column; each
-    column is renormalized after every step. The uniformized kernel is
-    built once for all steps.
+    rows is one row vector, or an (N, c) block with one per column; a
+    signed difference of two laws is propagated like a law. The uniformized
+    kernel is built once, and one series serves each segment of the grid.
     """
     op, lam = _uniformized_kernel(L)
     op = op.T.tocsr()  # the transpose alone is kept for the steps
-    for _ in range(steps):
-        laws = _uniformized(op, lam, laws, dt)
-        # Sum each law along its own contiguous copy: numpy then sums
-        # pairwise, as for a single vector, so every column comes out
-        # bit-identical to propagating its law alone.
-        total = np.ascontiguousarray(laws.T).sum(axis=-1)
-        if not np.all(np.isfinite(total)) or np.any(total <= 0.0):
-            raise RuntimeError("transient distribution lost its mass")
-        laws = laws / total
-        yield laws
+    for law in _uniformized(op, lam, rows, [i * dt for i in range(1, steps + 1)]):
+        if not np.all(np.isfinite(law)):
+            raise RuntimeError("transient series is not finite")
+        yield law
 
 
 def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float) -> np.ndarray:
     """e^{tL} applied to a column vector of observables (no renormalization)."""
     P, lam = _uniformized_kernel(L)
-    return _uniformized(P, lam, vec, t)
+    (out,) = _uniformized(P, lam, vec, [t])
+    return out
 
 
 def count_closed_classes(L: sp.csr_matrix) -> int:
@@ -272,6 +316,21 @@ def cylinder_probability(g: Graph, dist: np.ndarray, cylinder: CylinderEvent) ->
 
 def total_variation(dist_a: np.ndarray, dist_b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(dist_a) - np.asarray(dist_b)).sum())
+
+
+def total_variation_curve(
+    L: sp.csr_matrix, law_a: np.ndarray, law_b: np.ndarray, dt: float, steps: int
+) -> list[float]:
+    """TV between the laws started from law_a and law_b at 0, dt, ..., steps * dt.
+
+    TV(t) = |(law_a - law_b) e^{tL}|_1 / 2 by linearity, so one signed
+    vector is propagated instead of both laws.
+    """
+    diff = np.asarray(law_a, dtype=np.float64) - law_b
+    curve = [0.5 * float(np.abs(diff).sum())]
+    for diff in transient_steps(L, diff, dt, steps):
+        curve.append(0.5 * float(np.abs(diff).sum()))
+    return curve
 
 
 def forward_delta(g: Graph, state: SpinBondState) -> np.ndarray:

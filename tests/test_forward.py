@@ -78,6 +78,47 @@ def test_simulate_does_not_mutate_initial(p3):
     assert np.array_equal(initial.edge_signs, before[1])
 
 
+@pytest.mark.parametrize(
+    "sites, edges, message",
+    [
+        (np.ones(2, dtype=np.int8), np.ones(2, dtype=np.int8),
+         "site_signs has shape (2,), graph has 3 vertices"),
+        (np.ones(3, dtype=np.int8), np.ones((2, 1), dtype=np.int8),
+         "edge_signs has shape (2, 1), graph has 2 edges"),
+        (np.array([1, -1, 2], dtype=np.int8), np.ones(2, dtype=np.int8),
+         "site signs must be +-1, found 2 at index 2"),
+        (np.ones(3, dtype=np.int8), np.array([1, 0], dtype=np.int8),
+         "edge signs must be +-1, found 0 at index 1"),
+        (np.array([1.0, -1.0, 0.5]), np.ones(2), "site signs must be +-1, found 0.5 at index 2"),
+        (np.array([1, -1, 1]), np.array([1, -3]), "edge signs must be +-1, found -3 at index 1"),
+    ],
+)
+def test_simulate_rejects_bad_initial_states_unchanged(p3, sites, edges, message):
+    # The same texts as SpinBondState.validate, and the input is untouched.
+    g, kern = p3
+    initial = SpinBondState(sites, edges)
+    before = (sites.copy(), edges.copy())
+    for check in (
+        lambda: initial.validate(g),
+        lambda: simulate_forward(g, kern, ModelParams(0.4, 1.0), initial, 5.0, RngStream(3)),
+    ):
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == message
+    assert np.array_equal(initial.site_signs, before[0])
+    assert np.array_equal(initial.edge_signs, before[1])
+
+
+def test_simulate_keeps_the_initial_dtype(p3):
+    g, kern = p3
+    initial = SpinBondState(np.array([1.0, -1.0, 1.0]), np.array([-1, 1], dtype=np.int64))
+    traj = simulate_forward(g, kern, ModelParams(0.4, 1.0), initial, 5.0, RngStream(3))
+    assert traj.final_state.site_signs.dtype == np.float64
+    assert traj.final_state.edge_signs.dtype == np.int64
+    assert traj.final_state.site_signs is not initial.site_signs
+    assert np.array_equal(initial.site_signs, [1.0, -1.0, 1.0])
+
+
 def test_determinism_same_seed(p3):
     g, kern = p3
     params = ModelParams(0.4, 1.0)

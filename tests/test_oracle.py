@@ -1,6 +1,7 @@
 """Exact finite-state oracle: encodings, uniformization, stationary solve, duality."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from spinbond.cli import main
+from spinbond.config import parse_graph_spec, validate_config
 from spinbond.cylinders import CylinderEvent
 from spinbond.dual import DualState
 from spinbond.errors import StateSpaceCapError
+from spinbond.experiments import run_experiment
 from spinbond.forward import ModelParams, SpinBondState
 from spinbond.graphs import builtin_graph, kernel_from_rates, uniform_kernel
 from spinbond import oracle
@@ -269,17 +272,165 @@ def test_transient_semigroup_property(p3):
 
 
 def test_transient_steps_block_matches_single_laws(p3):
-    # A block of laws steps each column exactly as transient_distribution
-    # steps that law alone.
+    # A block of rows steps each column exactly as that row steps alone, and
+    # every unnormalized step stays within truncation error of repeated
+    # renormalized transient_distribution steps.
     g, kern = p3
     L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
     block = np.zeros((32, 2))
     block[9, 0] = block[22, 1] = 1.0
+    alone = [list(oracle.transient_steps(L, block[:, c], 0.5, 20)) for c in range(2)]
     singles = [block[:, 0].copy(), block[:, 1].copy()]
-    for laws in oracle.transient_steps(L, block, 0.5, 6):
+    for i, laws in enumerate(oracle.transient_steps(L, block, 0.5, 20)):
         singles = [oracle.transient_distribution(L, law, 0.5) for law in singles]
         for c in range(2):
-            assert np.array_equal(laws[:, c], singles[c])
+            assert np.array_equal(laws[:, c], alone[c][i])
+            assert np.abs(laws[:, c] - singles[c]).max() < 1e-12
+
+
+def _per_step_uniformized(op, lam, vec, t):
+    """One uniformization series for one time step: the oracle's routine
+    before one series served a segment of times, kept as the reference."""
+    vec = np.asarray(vec, dtype=np.float64)
+    if t == 0.0 or lam == 0.0:
+        return vec.copy()
+    pieces = 1
+    while lam * (t / pieces) > oracle._MAX_UNIFORM_EXPONENT:
+        pieces *= 2
+    lam_t = lam * (t / pieces)
+    for _ in range(pieces):
+        coeff = float(np.exp(-lam_t))
+        acc = coeff * vec
+        cum = coeff
+        w = vec
+        n_terms = 0
+        while 1.0 - cum > oracle.UNIFORMIZATION_TAIL:
+            n_terms += 1
+            w = op @ w
+            coeff *= lam_t / n_terms
+            acc += coeff * w
+            cum += coeff
+        vec = acc
+    return vec
+
+
+def _per_step_tv_curve(L, law_a, law_b, dt, steps):
+    """TV curve from both laws, each stepped and renormalized one dt at a time."""
+    op, lam = oracle._uniformized_kernel(L)
+    op = op.T.tocsr()
+    laws = np.stack([law_a, law_b], axis=1)
+    curve = [oracle.total_variation(law_a, law_b)]
+    for _ in range(steps):
+        laws = _per_step_uniformized(op, lam, laws, dt)
+        laws = laws / np.ascontiguousarray(laws.T).sum(axis=-1)
+        curve.append(oracle.total_variation(laws[:, 0], laws[:, 1]))
+    return curve
+
+
+def _flipped_pair(g):
+    a = striped_state(g)
+    b = SpinBondState((-a.site_signs).astype(np.int8), (-a.edge_signs).astype(np.int8))
+    return oracle.forward_delta(g, a), oracle.forward_delta(g, b)
+
+
+@pytest.mark.parametrize(
+    "spec, p, v, dt, steps, case",
+    [
+        ("path:3", 0.4, 2.0, 0.5, 20, "restarts"),
+        ("cycle:4", 0.3, 1.0, 0.5, 40, "restarts"),
+        ("path:3", 0.3, 1.0, 1.5, 80, "long grid"),
+        ("cycle:4", 0.2, 0.5, 1.0, 100, "long grid"),
+        ("path:3", 0.05, 0.02, 200.0, 2, "long step"),
+        ("cycle:4", 0.2, 0.5, 120.0, 2, "long step"),
+        ("path:3", 0.4, 0.0, 0.5, 12, "frozen edges"),
+        ("cycle:4", 0.3, 0.0, 0.5, 12, "frozen edges"),
+        ("path:3", 0.4, 2.0, 2.0, 1, "one step"),
+        ("cycle:4", 0.3, 1.0, 2.0, 1, "one step"),
+        ("path:3", 0.4, 2.0, 0.5, 10, "no transitions"),
+        ("cycle:4", 0.3, 1.0, 0.5, 10, "no transitions"),
+    ],
+)
+def test_tv_curve_matches_per_step_reference_and_dense_expm(spec, p, v, dt, steps, case):
+    g = parse_graph_spec(spec)
+    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
+    if case == "no transitions":
+        L = sp.csr_matrix(L.shape)
+    lam = oracle._uniformized_kernel(L)[1]
+    assert {
+        "restarts": steps > oracle._SEGMENT_TIMES,
+        "long grid": lam * dt * steps > oracle._MAX_UNIFORM_EXPONENT,
+        "long step": lam * dt > oracle._MAX_UNIFORM_EXPONENT,
+        "frozen edges": v == 0.0,
+        "one step": steps == 1,
+        "no transitions": lam == 0.0,
+    }[case]
+    law_a, law_b = _flipped_pair(g)
+    curve = oracle.total_variation_curve(L, law_a, law_b, dt, steps)
+    assert len(curve) == steps + 1 and curve[0] == 1.0
+    reference = _per_step_tv_curve(L, law_a, law_b, dt, steps)
+    assert np.abs(np.subtract(curve, reference)).max() < 1e-12
+    dense = L.toarray()
+    for i in range(0, steps + 1, max(1, steps // 40)):
+        exact = 0.5 * np.abs((law_a - law_b) @ expm(dense * (i * dt))).sum()
+        assert abs(curve[i] - exact) < 1e-10
+
+
+def test_tv_curve_stays_on_dense_expm_over_many_segments():
+    # A slow chain on 150 segments. Restarting each from its last result
+    # divided by its Poisson mass keeps truncation from compounding: the
+    # curve stays within 4e-13 of the dense exponential, while the per-step
+    # reference, renormalized after each of its 1,200 steps, drifts 3.7e-12
+    # from it.
+    g = parse_graph_spec("cycle:4")
+    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(0.05, 0.02))
+    law_a, law_b = _flipped_pair(g)
+    curve = oracle.total_variation_curve(L, law_a, law_b, 0.5, 1200)
+    reference = _per_step_tv_curve(L, law_a, law_b, 0.5, 1200)
+    assert np.abs(np.subtract(curve, reference)).max() < 5e-12
+    dense = L.toarray()
+    for i in range(0, 1201, 30):
+        exact = 0.5 * np.abs((law_a - law_b) @ expm(dense * (i * 0.5))).sum()
+        assert abs(curve[i] - exact) < 1e-12
+
+
+def test_exact_tv_decay_writes_the_oracle_curve(tmp_path):
+    g = builtin_graph("cycle", 4)
+    cfg = validate_config(dict(
+        experiment="tv-decay", seed=1, graph="cycle:4", p=0.3, v=1.0, t_max=6.0,
+        t_step=0.5, oracle="on", output_dir=str(tmp_path),
+    ))
+    run_experiment(cfg)
+    rows = (tmp_path / "tv_decay.csv").read_text().splitlines()[1:]
+    written = [float(row.split(",")[1]) for row in rows]
+    a = SpinBondState.constant(g, site_sign=-1, edge_sign=-1)
+    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(0.3, 1.0))
+    curve = oracle.total_variation_curve(
+        L, oracle.forward_delta(g, a), oracle.forward_delta(g, SpinBondState.constant(g)), 0.5, 12
+    )
+    assert written == curve
+
+
+def test_exact_tv_decay_shares_products_between_grid_points():
+    # cycle:4 on a 40-point grid: one series per segment needs fewer than
+    # half the sparse products of one series per step (355 calls, generator
+    # assembly included, against 40 * 23).
+    cfg = validate_config(dict(
+        experiment="tv-decay", seed=1, graph="cycle:4", p=0.3, v=1.0, t_max=20.0,
+        t_step=0.5, oracle="on",
+    ))
+    g = builtin_graph("cycle", 4)
+    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(0.3, 1.0))
+    lam = oracle._uniformized_kernel(L)[1]
+    coeff = cum = float(np.exp(-lam * 0.5))
+    terms = 0
+    while 1.0 - cum > oracle.UNIFORMIZATION_TAIL:
+        terms += 1
+        coeff *= lam * 0.5 / terms
+        cum += coeff
+    product = sp.csr_matrix.__matmul__
+    with mock.patch.object(sp.csr_matrix, "__matmul__", autospec=True, side_effect=product) as spy:
+        run_experiment(cfg, write_outputs=False)
+    assert 0 < spy.call_count < 40 * terms / 2
 
 
 def test_transient_long_horizon_uses_halving(p3):
