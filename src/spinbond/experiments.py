@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -98,14 +98,15 @@ def _csv_cell(value) -> str:
 
 
 def write_results(records, path, format: str = "jsonl", fieldnames=None) -> None:
-    """Write mapping records to ``path`` as JSON lines or CSV.
+    """Write mapping records to ``path`` as JSON lines or CSV, as they come.
 
     Records keep their key order (JSONL) or follow ``fieldnames`` /
     the first record's keys (CSV). For JSONL, ``records`` may also be one
-    mapping of equal-length number columns, written as one record per row.
-    JSONL floats take ``json.dumps``'s shortest round-trip form and CSV
-    floats 17 significant digits, so equal inputs give byte-equal files. An
-    empty record set with explicit fieldnames yields a header-only CSV.
+    mapping of equal-length number columns (sequences or numpy arrays),
+    written as one record per row. JSONL floats take ``json.dumps``'s
+    shortest round-trip form and CSV floats 17 significant digits, so equal
+    inputs give byte-equal files. An empty record set with explicit
+    fieldnames yields a header-only CSV.
     """
     path = Path(path)
     if format == "jsonl":
@@ -113,20 +114,22 @@ def write_results(records, path, format: str = "jsonl", fieldnames=None) -> None
             lines = _jsonl_columns(records)
         else:
             lines = (json.dumps(rec) + "\n" for rec in records)
-        path.write_text("".join(lines))
+        with path.open("w") as fh:
+            fh.writelines(lines)
         return
-    records = list(records)
     if format != "csv":
         raise ValueError(f"format must be 'jsonl' or 'csv', got {format!r}")
+    records = iter(records)
     if fieldnames is None:
-        if not records:
+        first = next(records, None)
+        if first is None:
             raise ValueError("an empty CSV needs explicit fieldnames for its header")
-        fieldnames = list(records[0])
+        fieldnames = list(first)
+        records = chain([first], records)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        for rec in records:
-            writer.writerow([_csv_cell(rec[name]) for name in fieldnames])
+        writer.writerows([_csv_cell(rec[name]) for name in fieldnames] for rec in records)
 
 
 def _jsonl_columns(columns: dict):
@@ -136,12 +139,17 @@ def _jsonl_columns(columns: dict):
     1,024 rows of a column goes through ``json.dumps`` once: a number's
     encoding contains no ", ", so splitting the encoded list yields the
     per-row cells, with ``NaN`` and ``Infinity`` spelled as ``json.dumps``
-    spells them. Blocks bound the cell strings held at once.
+    spells them. A numpy block becomes Python numbers through ``tolist``.
+    Blocks bound the cell strings held at once.
     """
     template = "{" + ", ".join(json.dumps(key) + ": %s" for key in columns) + "}\n"
     cols = list(columns.values())
     for start in range(0, len(cols[0]), 1024):
-        cells = [json.dumps(col[start:start + 1024])[1:-1].split(", ") for col in cols]
+        blocks = [col[start:start + 1024] for col in cols]
+        cells = [
+            json.dumps(b.tolist() if isinstance(b, np.ndarray) else b)[1:-1].split(", ")
+            for b in blocks
+        ]
         yield "".join(template % row for row in zip(*cells))
 
 
@@ -311,22 +319,24 @@ def _run_duality_check(cfg: dict, result: ExperimentResult, stream, g, kernel, p
 def _duality_check_exact(
     cfg: dict, result: ExperimentResult, stream, g, kernel, params, forward_initial
 ):
-    # Split into columns at once, so the row tuples are freed before writing.
-    index, lhs, rhs = zip(*oracle.duality_gap_table(
+    table = oracle.duality_gap_table(
         g, kernel, params, forward_initial, cfg["k"], cfg["t"], mode=cfg["mode"]
-    ))
-    gaps = [abs(a - b) for a, b in zip(lhs, rhs)]
-    worst = max(gaps)
-    worst_index = index[int(np.argmax(gaps))]
+    )
+    gap = np.abs(table.lhs - table.rhs)
+    worst_row = int(np.argmax(gap))
+    worst = float(gap[worst_row])
     passed = worst <= cfg["tolerance"]
 
     result.lines += [
-        f"duality-check: {len(index)} dual initial states, k={cfg['k']}, "
+        f"duality-check: {len(table)} dual initial states, k={cfg['k']}, "
         f"t={cfg['t']:g}, mode={cfg['mode']}",
-        f"worst |lhs-rhs| = {worst:.3e} at dual state {worst_index} "
+        f"worst |lhs-rhs| = {worst:.3e} at dual state {table.dual_state[worst_row]} "
         f"(tolerance {cfg['tolerance']:.1e}): {_verdict(passed)}",
     ]
-    result.write("duality_gaps.jsonl", {"dual_state": index, "lhs": lhs, "rhs": rhs, "gap": gaps})
+    result.write(
+        "duality_gaps.jsonl",
+        {"dual_state": table.dual_state, "lhs": table.lhs, "rhs": table.rhs, "gap": gap},
+    )
     return passed
 
 

@@ -6,12 +6,16 @@ per edge (set bit means +1), dual configurations into mixed-radix integers
 1 revealed positive, 2 revealed negative). A builder fills a table of
 `targets` and `rates` with a fixed number of slots per state, one slot
 column at a time with array arithmetic on those digits; rate 0 means no
-transition, and slots with one target add their rates. Transient laws come
-from uniformization, one series of products per segment of at most
-_SEGMENT_TIMES times on a grid; stationary laws from power iteration on the
-same uniformized kernel. The duality gap table's left side takes one pass over
-the forward law per walker position/sign block, not one per dual state, so
-it does not scale as |dual| * |forward|.
+transition, slots with one target add their rates, and the last slot
+holds the diagonal, so the table read in place as CSR is the generator.
+Each chain is then held at most twice: the uniformized jump matrix
+I + L/lam is made from L itself where the caller gives L up (the dual side
+of the duality gap table), else from one copy of L's transpose. Transient
+laws come from uniformization, one series of products per segment of at
+most _SEGMENT_TIMES times on a grid; stationary laws from power iteration
+on the same jump matrix. The duality gap table's left side takes one pass
+over the forward law per walker position/sign block, not one per dual
+state, so it does not scale as |dual| * |forward|.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ _SEGMENT_TIMES = 8
 # 2e7 nonzeros) 200 sweeps end in about 10 minutes instead of hanging.
 STATIONARY_SWEEP_BUDGET = 200
 _STEPS_PER_SWEEP = 64
+# Rows per block of a pass over a generator's entries, so that its
+# temporaries stay small beside the generator itself.
+_ROW_BLOCK = 1024
 
 
 def forward_state_count(g: Graph) -> int:
@@ -76,29 +83,31 @@ def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParam
     """Generator of the joint spin-bond chain as a sparse rate matrix.
 
     Row s holds the rates out of configuration s; the diagonal is minus the
-    row sum. Every transition flips one bit: one slot per positive kernel
-    entry (x, y), whose rate is 0 when adopting from y leaves x unchanged,
-    and one slot per edge.
+    row sum. Every transition flips one bit: site x has one slot, whose rate
+    sums, in kernel-row order, q(x, y) over the positive kernel entries
+    whose adopted sign differs from x's, and each edge has one slot.
     """
     n, m = g.vertex_count, g.edge_count
     size = forward_state_count(g)
     idx = np.arange(size, dtype=np.int64)
-    entries = [(x, y, q) for x in range(n) for y, q in kernel.rows[x] if q > 0.0]
-    targets = np.empty((size, len(entries) + m), dtype=np.int32)  # FORWARD_STATE_CAP < 2^31
-    rates = np.empty(targets.shape)
+    # One slot per site, one per edge, and the diagonal's (see _assemble_generator).
+    targets = np.empty((size, n + m + 1), dtype=np.int32)  # FORWARD_STATE_CAP < 2^31
+    rates = np.zeros(targets.shape)
 
-    for slot, (x, y, q) in enumerate(entries):
-        e = g.edge_id(x, y)
-        # adopted sign is the product of neighbor and edge signs
-        new_bit = 1 ^ ((idx >> y) & 1) ^ ((idx >> (n + e)) & 1)
-        targets[:, slot] = idx ^ (1 << x)
-        rates[:, slot] = np.where(new_bit != ((idx >> x) & 1), q, 0.0)
+    for x in range(n):
+        targets[:, x] = idx ^ (1 << x)
+        bit_x = (idx >> x) & 1
+        for y, q in kernel.rows[x]:
+            if q > 0.0:
+                # adopted sign is the product of neighbor and edge signs
+                new_bit = 1 ^ ((idx >> y) & 1) ^ ((idx >> (n + g.edge_id(x, y))) & 1)
+                rates[:, x] += np.where(new_bit != bit_x, q, 0.0)
 
     up_rate = edge_flip_rate(-1, params)
     down_rate = edge_flip_rate(1, params)
-    for slot, e in enumerate(range(m), start=len(entries)):
-        targets[:, slot] = idx ^ (1 << (n + e))
-        rates[:, slot] = np.where((idx >> (n + e)) & 1, down_rate, up_rate)
+    for e in range(m):
+        targets[:, n + e] = idx ^ (1 << (n + e))
+        rates[:, n + e] = np.where((idx >> (n + e)) & 1, down_rate, up_rate)
 
     return _assemble_generator(targets, rates)
 
@@ -108,30 +117,51 @@ def _assemble_generator(targets: np.ndarray, rates: np.ndarray) -> sp.csr_matrix
 
     Slot j of row s jumps from s to targets[s, j] at rate rates[s, j]; rate 0
     means no transition, and slots of one row with one target add their
-    rates. The tables are read in place as CSR (and overwritten); the result
-    stores no zeros and has minus the row sum on its diagonal.
+    rates. The last slot is the diagonal's, filled here. The tables are read
+    in place as CSR (and overwritten), so the result is the one
+    generator-sized matrix made; it stores no zeros and has minus the row
+    sum on its diagonal. The row sum is np.add.reduceat over the row's
+    off-diagonal entries in column order, as scipy's sum(axis=1) takes it,
+    computed _ROW_BLOCK rows at a time.
     """
     size, slots = targets.shape
-    off = sp.csr_matrix(
+    targets[:, -1] = np.arange(size)
+    rates[:, -1] = -1.0  # not 0, so that the diagonal keeps its place
+    L = sp.csr_matrix(
         (rates.ravel(), targets.ravel(), np.arange(size + 1) * slots), shape=(size, size)
     )
-    off.sum_duplicates()
-    off.eliminate_zeros()
-    diag = -np.asarray(off.sum(axis=1)).ravel()
-    return (off + sp.diags(diag)).tocsr()
+    L.sum_duplicates()
+    L.eliminate_zeros()
+    for start in range(0, size, _ROW_BLOCK):
+        ptr = L.indptr[start:start + _ROW_BLOCK + 1]
+        lengths = np.diff(ptr)
+        rows = np.arange(start, start + lengths.size, dtype=L.indices.dtype)
+        on_diag = L.indices[ptr[0]:ptr[-1]] == np.repeat(rows, lengths)
+        data = L.data[ptr[0]:ptr[-1]]
+        off = lengths - 1  # off-diagonal entries per row
+        row_sum = np.zeros(lengths.size)
+        row_sum[off > 0] = np.add.reduceat(data[~on_diag], (np.cumsum(off) - off)[off > 0])
+        data[on_diag] = -row_sum
+    L.eliminate_zeros()  # the diagonal of a state with no transitions
+    return L
 
 
-def _uniformized_kernel(L: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
-    """Jump matrix I + L/lam of the uniformized chain and its rate lam.
+def _uniformize(G: sp.csr_matrix) -> float:
+    """Turn a generator, or its transpose, into I + G/lam in place; return lam.
 
     lam is the largest exit rate, so every entry is a probability; a
-    generator with no transitions gets lam = 0 and the identity.
+    generator with no transitions gets lam = 0 and becomes the identity.
+    Entries are G_ij * (1/lam) off the diagonal and 1 + G_ii * (1/lam) on
+    it, a state with no transitions gets a 1 there, and entries that reach
+    0 are dropped, so G holds what the sum of I and G.multiply(1/lam) holds.
     """
-    lam = float(np.max(-L.diagonal(), initial=0.0))
-    identity = sp.identity(L.shape[0], format="csr")
-    if lam <= 0.0:
-        return identity, 0.0
-    return (identity + L.multiply(1.0 / lam)).tocsr(), lam
+    diag = G.diagonal()
+    lam = float(np.max(-diag, initial=0.0))
+    scale = 1.0 / lam if lam > 0.0 else 0.0
+    G.data *= scale
+    G.setdiag(1.0 + diag * scale)
+    G.eliminate_zeros()
+    return lam
 
 
 def _uniformized(
@@ -176,6 +206,7 @@ def _uniformized(
             results = _series(op, lam, base, [t - start for t in times[i:end]])
             yield from (acc for acc, _ in results)
             base, mass = results[-1]
+            del results  # so that the next segment's sums do not sit beside these
         base = base / mass
         start = times[end - 1]
         i = end
@@ -225,21 +256,26 @@ def transient_steps(L: sp.csr_matrix, rows: np.ndarray, dt: float, steps: int) -
     """rows @ e^{i dt L} for i = 1, ..., steps, not renormalized.
 
     rows is one row vector, or an (N, c) block with one per column; a
-    signed difference of two laws is propagated like a law. The uniformized
-    kernel is built once, and one series serves each segment of the grid.
+    signed difference of two laws is propagated like a law. The transposed
+    jump matrix is made once, from a copy of L's transpose, and one series
+    serves each segment of the grid.
     """
-    op, lam = _uniformized_kernel(L)
-    op = op.T.tocsr()  # the transpose alone is kept for the steps
-    for law in _uniformized(op, lam, rows, [i * dt for i in range(1, steps + 1)]):
+    PT = L.T.tocsr()
+    lam = _uniformize(PT)
+    for law in _uniformized(PT, lam, rows, [i * dt for i in range(1, steps + 1)]):
         if not np.all(np.isfinite(law)):
             raise RuntimeError("transient series is not finite")
         yield law
 
 
 def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float) -> np.ndarray:
-    """e^{tL} applied to a column vector of observables (no renormalization)."""
-    P, lam = _uniformized_kernel(L)
-    (out,) = _uniformized(P, lam, vec, [t])
+    """e^{tL} applied to a column vector of observables (no renormalization).
+
+    L is overwritten: it becomes the jump matrix I + L/lam, so no copy of
+    it is made.
+    """
+    lam = _uniformize(L)
+    (out,) = _uniformized(L, lam, vec, [t])
     return out
 
 
@@ -247,12 +283,18 @@ def count_closed_classes(L: sp.csr_matrix) -> int:
     """Number of strongly connected classes with no outgoing rate.
 
     L's stored entries are its positive rates plus diagonal self-loops, which
-    change no class, so its own sparsity is the transition graph.
+    change no class, so its own sparsity is the transition graph. A class is
+    open when an entry leads out of it; the entries are read _ROW_BLOCK
+    rows at a time.
     """
     n_comp, labels = connected_components(L, directed=True, connection="strong")
-    src_labels = np.repeat(labels, np.diff(L.indptr))
-    open_classes = np.unique(src_labels[src_labels != labels[L.indices]])
-    return n_comp - open_classes.size
+    is_open = np.zeros(n_comp, dtype=bool)
+    for start in range(0, L.shape[0], _ROW_BLOCK):
+        ptr = L.indptr[start:start + _ROW_BLOCK + 1]
+        src = np.repeat(labels[start:start + ptr.size - 1], np.diff(ptr))
+        dst = labels[L.indices[ptr[0]:ptr[-1]]]
+        is_open[src[src != dst]] = True
+    return n_comp - int(np.count_nonzero(is_open))
 
 
 def stationary_distribution(L: sp.csr_matrix) -> np.ndarray:
@@ -272,7 +314,8 @@ def stationary_distribution(L: sp.csr_matrix) -> np.ndarray:
     size = L.shape[0]
     # A state whose exit rate is below lam keeps a self-loop in I + L/lam,
     # so the iteration is aperiodic unless every exit rate is equal.
-    PT = _uniformized_kernel(L)[0].T.tocsr()
+    PT = L.T.tocsr()
+    _uniformize(PT)
     pi = np.full(size, 1.0 / size)
     for _ in range(STATIONARY_SWEEP_BUDGET):
         for _ in range(_STEPS_PER_SWEEP):
@@ -296,11 +339,13 @@ def _forward_sign_mask(g: Graph, pairs) -> np.ndarray:
     Pairs, not a dict: two walkers on one site may carry opposite signs.
     """
     size = forward_state_count(g)
-    idx = np.arange(size, dtype=np.int64)
-    mask = np.ones(size, dtype=bool)
+    bits = g.vertex_count + g.edge_count
+    # Bit i of the index is axis bits - 1 - i of this view, so each pair
+    # clears one half of it in place, with no index-sized temporaries.
+    mask = np.ones((2,) * bits, dtype=bool)
     for i, s in pairs:
-        mask &= ((idx >> i) & 1) == (1 if s > 0 else 0)
-    return mask
+        mask[(slice(None),) * (bits - 1 - i) + (0 if s > 0 else 1,)] = False
+    return mask.reshape(size)
 
 
 def forward_cylinder_mask(g: Graph, cylinder: CylinderEvent) -> np.ndarray:
@@ -424,7 +469,8 @@ def build_dual_generator(
     for z, row in enumerate(entries):
         for d, (y, q) in enumerate(row):
             nbr[d, z], rate_of[d, z], stride_of[d, z] = y, q, block * 3 ** g.edge_id(z, y)
-    targets = np.empty((size, 2 * k * width + m), dtype=np.int32)  # DUAL_STATE_CAP < 2^31
+    # Two slots per walker and kernel entry, one per edge, and the diagonal's.
+    targets = np.empty((size, 2 * k * width + m + 1), dtype=np.int32)  # DUAL_STATE_CAP < 2^31
     rates = np.empty(targets.shape)
 
     for j in range(k):
@@ -544,18 +590,23 @@ def duality_gap_table(
     k: int,
     t: float,
     mode: str = "coalescing",
-) -> list[tuple[int, float, float]]:
+) -> np.recarray:
     """Duality gaps for every dual initial configuration at once.
 
-    Returns (dual state index, lhs, rhs) triples. The right side for all
-    initial conditions is a single semigroup action on the weight vector.
+    Returns one record (dual_state, lhs, rhs) per dual state, in index
+    order. The right side for all initial conditions is a single semigroup
+    action on the weight vector, made on the dual generator itself.
     """
-    L_f = build_forward_generator(g, kernel, params)
-    mu_t = transient_distribution(L_f, forward_delta(g, forward_initial), t)
-    L_d = build_dual_generator(g, kernel, params, k, mode=mode)
-    rhs_all = transient_action(L_d, dual_weight_vector(g, k, forward_initial, params.p), t)
-    lhs_all = _weighted_cylinder_masses(g, mu_t, k, params.p)
-    return list(zip(range(lhs_all.size), lhs_all.tolist(), rhs_all.tolist()))
+    mu_t = transient_distribution(
+        build_forward_generator(g, kernel, params), forward_delta(g, forward_initial), t
+    )
+    lhs = _weighted_cylinder_masses(g, mu_t, k, params.p)
+    rhs = transient_action(
+        build_dual_generator(g, kernel, params, k, mode=mode),
+        dual_weight_vector(g, k, forward_initial, params.p),
+        t,
+    )
+    return np.rec.fromarrays([np.arange(lhs.size), lhs, rhs], names=["dual_state", "lhs", "rhs"])
 
 
 def _weighted_cylinder_masses(g: Graph, dist: np.ndarray, k: int, p: float) -> np.ndarray:

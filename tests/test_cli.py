@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from spinbond.config import (
@@ -650,3 +651,55 @@ def test_write_results_csv_field_order(tmp_path):
     assert lines[0] == "b,a"
     assert lines[1] == "2,1"
     assert lines[2] == "0.125,3"
+
+
+def test_write_results_jsonl_numpy_columns_match_sequences(tmp_path):
+    from spinbond.experiments import write_results
+
+    # 2,500 rows span three blocks of 1,024; special values sit on each side
+    # of the block boundary at row 1,024
+    lhs = np.arange(2500) / 7.0
+    lhs[1020:1027] = [math.nan, math.inf, -0.0, 1.0 / 3.0, -math.inf, 5e-324, 1e300]
+    rhs = -np.arange(2500) * 1e-9
+    # the fields of a record array are strided views
+    table = np.rec.fromarrays([np.arange(2500), lhs, rhs], names=["dual_state", "lhs", "rhs"])
+    columns = {
+        "dual_state": table.dual_state,
+        "lhs": table.lhs,
+        "rhs": table.rhs,
+        "gap": np.abs(table.lhs - table.rhs),
+    }
+    assert table.dual_state.dtype == np.int64 and not table.lhs.flags.contiguous
+    as_lists = {key: col.tolist() for key, col in columns.items()}
+    rows = zip(*as_lists.values())
+    want = "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
+    assert "NaN" in want and "-Infinity" in want and "-0.0" in want
+    write_results(columns, tmp_path / "numpy.jsonl", "jsonl")
+    write_results(as_lists, tmp_path / "lists.jsonl", "jsonl")
+    assert (tmp_path / "numpy.jsonl").read_text() == want
+    assert (tmp_path / "lists.jsonl").read_text() == want
+
+
+def test_write_results_streams_csv_records_from_a_generator(tmp_path):
+    import tracemalloc
+
+    from spinbond.experiments import write_results
+
+    def records(count):
+        return ({"state_index": s, "probability": s / 7.0} for s in range(count))
+
+    write_results(list(records(50)), tmp_path / "list.csv", "csv")
+    write_results(records(50), tmp_path / "generator.csv", "csv")
+    text = (tmp_path / "generator.csv").read_text()
+    assert text == (tmp_path / "list.csv").read_text()
+    assert text.splitlines()[:2] == ["state_index,probability", "0,0"]
+    # 100,000 records held at once would take tens of MB; streamed, the
+    # writer holds one record and the file buffer
+    tracemalloc.start()
+    try:
+        write_results(records(100_000), tmp_path / "long.csv", "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len((tmp_path / "long.csv").read_text().splitlines()) == 100_001

@@ -288,6 +288,44 @@ def test_transient_steps_block_matches_single_laws(p3):
             assert np.abs(laws[:, c] - singles[c]).max() < 1e-12
 
 
+def _uniformized_kernel(L):
+    """Jump matrix I + L/lam and its rate lam, built as a new matrix beside L:
+    the oracle's routine before it turned a generator into its jump matrix
+    in place, kept as the reference."""
+    lam = float(np.max(-L.diagonal(), initial=0.0))
+    identity = sp.identity(L.shape[0], format="csr")
+    if lam <= 0.0:
+        return identity, 0.0
+    return (identity + L.multiply(1.0 / lam)).tocsr(), lam
+
+
+@pytest.mark.parametrize(
+    "spec, p, v, case",
+    [
+        ("path:3", 0.4, 2.0, "ergodic"),
+        ("cycle:4", 0.3, 1.0, "ergodic"),
+        ("cycle:4", 0.3, 0.0, "absorbing states"),
+        # 256 of 65,536 states absorb, few enough that scipy inserts their
+        # 1s row by row; for the 16 of 256 on cycle:4 it rebuilds through COO
+        ("cycle:8", 0.3, 0.0, "absorbing states"),
+        ("path:3", 0.4, 2.0, "no transitions"),
+    ],
+)
+def test_uniformize_in_place_matches_the_jump_matrix_beside_it(spec, p, v, case):
+    g = parse_graph_spec(spec)
+    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
+    if case == "no transitions":
+        L = sp.csr_matrix(L.shape)
+    assert (L.diagonal() == 0.0).any() == (case != "ergodic")
+    P, lam = _uniformized_kernel(L)
+    for G, reference in ((L.copy(), P), (L.T.tocsr(), P.T.tocsr())):
+        assert oracle._uniformize(G) == lam
+        if lam > 0.0:
+            _assert_same_csr(G, reference)
+        else:
+            assert (G != reference).nnz == 0
+
+
 def _per_step_uniformized(op, lam, vec, t):
     """One uniformization series for one time step: the oracle's routine
     before one series served a segment of times, kept as the reference."""
@@ -316,7 +354,7 @@ def _per_step_uniformized(op, lam, vec, t):
 
 def _per_step_tv_curve(L, law_a, law_b, dt, steps):
     """TV curve from both laws, each stepped and renormalized one dt at a time."""
-    op, lam = oracle._uniformized_kernel(L)
+    op, lam = _uniformized_kernel(L)
     op = op.T.tocsr()
     laws = np.stack([law_a, law_b], axis=1)
     curve = [oracle.total_variation(law_a, law_b)]
@@ -355,7 +393,7 @@ def test_tv_curve_matches_per_step_reference_and_dense_expm(spec, p, v, dt, step
     L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
     if case == "no transitions":
         L = sp.csr_matrix(L.shape)
-    lam = oracle._uniformized_kernel(L)[1]
+    lam = _uniformized_kernel(L)[1]
     assert {
         "restarts": steps > oracle._SEGMENT_TIMES,
         "long grid": lam * dt * steps > oracle._MAX_UNIFORM_EXPONENT,
@@ -420,7 +458,7 @@ def test_exact_tv_decay_shares_products_between_grid_points():
     ))
     g = builtin_graph("cycle", 4)
     L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(0.3, 1.0))
-    lam = oracle._uniformized_kernel(L)[1]
+    lam = _uniformized_kernel(L)[1]
     coeff = cum = float(np.exp(-lam * 0.5))
     terms = 0
     while 1.0 - cum > oracle.UNIFORMIZATION_TAIL:
@@ -492,6 +530,21 @@ def test_stationary_rejects_reducible_chains(p3):
     assert oracle.count_closed_classes(frozen_edges) == 8
     with pytest.raises(ValueError):
         oracle.stationary_distribution(frozen_edges)
+
+
+@pytest.mark.parametrize("block", [1, 5, 32])
+def test_closed_classes_and_generator_over_row_blocks(p3, block, monkeypatch):
+    # Blocks of 1 and 5 rows split the 32-state chains into 32 and 7 pieces
+    # (the last one short), and 32 rows make one block that ends with the
+    # chain; the counts and the generators' bytes do not change.
+    g, kern = p3
+    for params, closed in ((ModelParams(1.0, 1.0), 2), (ModelParams(0.5, 0.0), 8)):
+        whole = oracle.build_forward_generator(g, kern, params)
+        monkeypatch.setattr(oracle, "_ROW_BLOCK", block)
+        L = oracle.build_forward_generator(g, kern, params)
+        assert oracle.count_closed_classes(L) == closed
+        _assert_same_csr(L, whole)
+        monkeypatch.undo()
 
 
 def test_stationary_matches_lumped_two_site_chain(k2):
