@@ -11,12 +11,14 @@ occupied site and every walker there moves together, so walkers that meet
 stay together for good. In the independent rule each walker has its own
 clock and moves alone. The revealed-edge bookkeeping is shared, and both
 rules keep one heap discipline with ``simulate_forward``: one entry per
-running clock, keyed by (time, channel, index).
+running clock, keyed by (time, channel, index), and draw neighbors by the
+same inlined bisection of the sampler's per-site cumulative rates.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 from .forward import ModelParams, NeighborSampler
@@ -164,9 +166,10 @@ def simulate_dual(
         raise ValueError(f"t_max must be >= 0, got {t_max}")
 
     gen = as_generator(rng)
-    random, exponential = gen.random, gen.exponential
+    random, standard_exponential = gen.random, gen.standard_exponential
+    heappush, heappop = heapq.heappush, heapq.heappop
     sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
-    draw_index, neighbors, edge_ids = sampler.draw_index, sampler.neighbors, sampler.edge_ids
+    tables = sampler.rows
     st = initial.copy()
     st.validate(g)
     p, v = params.p, params.v
@@ -178,11 +181,15 @@ def simulate_dual(
         occupants.setdefault(z, []).append(idx)
     target_classes = _occupied_component_count(g, positions)
 
+    # Clocks run out as scale * standard_exponential(), which is what
+    # exponential(scale) computes. A dual starts with few clocks (k walkers,
+    # rarely a revealed edge), too few for an array draw to pay.
     clocks = occupants if coalescing else range(st.walker_count)
-    heap = [(exponential(1.0), 0, obj) for obj in clocks]
+    heap = [(standard_exponential(), 0, obj) for obj in clocks]
     if v > 0.0:
+        scale = 1.0 / v
         revealed = sorted(revealed_positive | revealed_negative)
-        heap += [(exponential(1.0 / v), 1, e) for e in revealed]
+        heap += [(scale * standard_exponential(), 1, e) for e in revealed]
     heapq.heapify(heap)
 
     if path is not None:
@@ -192,15 +199,14 @@ def simulate_dual(
     coalescence_time = 0.0 if coalescing and len(occupants) == target_classes else None
     collision_time: float | None = None
 
+    # Only a move can set a stop flag, so only moves test them.
+    done = stop_on_full_coalescence and coalescence_time is not None
     t_event = 0.0  # ends as the elapsed time: the stopping event's, else t_max
-    while not (
-        stop_on_full_coalescence and coalescence_time is not None
-        or stop_on_collision and collision_time is not None
-    ):
+    while not done:
         if not heap or heap[0][0] > t_max:
             t_event = t_max
             break
-        t_event, channel, obj = heapq.heappop(heap)
+        t_event, channel, obj = heappop(heap)
         events += 1
         if channel == 1:
             revealed_positive.discard(obj)
@@ -218,8 +224,11 @@ def simulate_dual(
         else:
             movers = [obj]
             z = positions[obj]
-        i = draw_index(z, random)
-        y, e = neighbors[z][i], edge_ids[z][i]
+        cumulative, total, last, neighbors, edge_ids = tables[z]
+        i = bisect_right(cumulative, random() * total)
+        if i > last:
+            i = last
+        y, e = neighbors[i], edge_ids[i]
         if e in revealed_positive:
             flip = False
         elif e in revealed_negative:
@@ -228,7 +237,7 @@ def simulate_dual(
             flip = random() >= p
             (revealed_negative if flip else revealed_positive).add(e)
             if v > 0.0:
-                heapq.heappush(heap, (t_event + exponential(1.0 / v), 1, e))
+                heappush(heap, (t_event + scale * standard_exponential(), 1, e))
             reveals += 1
             if record_events is not None:
                 record_events.append(("reveal", t_event, f"edge{e}", "-1" if flip else "+1"))
@@ -242,9 +251,9 @@ def simulate_dual(
                 occupants[y].extend(movers)
             else:
                 occupants[y] = movers
-                heapq.heappush(heap, (t_event + exponential(1.0), 0, y))
+                heappush(heap, (t_event + standard_exponential(), 0, y))
         else:
-            heapq.heappush(heap, (t_event + exponential(1.0), 0, obj))
+            heappush(heap, (t_event + standard_exponential(), 0, obj))
             merged = positions.count(y) > 1
         if record_events is not None:
             detail = f"site{z}->site{y};walkers={','.join(map(str, movers))}"
@@ -257,8 +266,10 @@ def simulate_dual(
             path.append((t_event, st.snapshot()))
         if merged and collision_time is None:
             collision_time = t_event
+            done = stop_on_collision
         if coalescing and coalescence_time is None and len(occupants) == target_classes:
             coalescence_time = t_event
+            done = done or stop_on_full_coalescence
 
     return DualTrajectory(
         final_state=st,

@@ -368,12 +368,12 @@ def birth_death_mgf(theta: float, t: float, v: float, r0: int) -> float:
 
 def simulate_birth_death(r0: int, v: float, t_max: float, gen) -> int:
     """Population at t_max for unit birth rate and per-head death rate v."""
-    random, exponential = gen.random, gen.exponential
+    random, standard_exponential = gen.random, gen.standard_exponential
     k = r0
     t = 0.0
     while True:
         rate = 1.0 + v * k
-        t += exponential(1.0 / rate)
+        t += (1.0 / rate) * standard_exponential()  # the draw of exponential(1.0 / rate)
         if t > t_max:
             return k
         if random() * rate < 1.0:

@@ -7,22 +7,28 @@ rate ``v``, choosing +1 with probability ``p``. The joint process is
 simulated event by event with one exponential clock per site and per edge.
 
 The event loop keeps the signs in Python lists, checked once and turned into
-new arrays of the initial state's dtype at the end, and reads each neighbor's edge id from the sampler's
-per-site tables; indexing a Python list costs a fraction of indexing an
-int8 array.
+new arrays of the initial state's dtype at the end; indexing a Python list
+costs a fraction of indexing an int8 array. It draws a neighbor by
+bisecting the firing site's cumulative rates in the sampler's per-site
+tuple, inlined rather than called, and draws the start clocks as two
+arrays; every draw is the one scalar calls would make, in the same order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .graphs import AdoptionKernel, Graph
 from .rng import as_generator
+
+_SIGNS = frozenset((1, -1))
 
 
 @dataclass(frozen=True)
@@ -81,10 +87,12 @@ class SpinBondState:
 
 
 def _check_sign_values(sites: list, edges: list) -> None:
+    # One set test per list; the scan runs only to name the first bad sign.
     for signs, label in ((sites, "site"), (edges, "edge")):
-        for i, s in enumerate(signs):
-            if abs(s) != 1:
-                raise ValueError(f"{label} signs must be +-1, found {s} at index {i}")
+        if not _SIGNS.issuperset(signs):
+            for i, s in enumerate(signs):
+                if abs(s) != 1:
+                    raise ValueError(f"{label} signs must be +-1, found {s} at index {i}")
 
 
 def sample_product_state(
@@ -121,36 +129,37 @@ def edge_flip_rate(edge_sign: int, params: ModelParams) -> float:
 class NeighborSampler:
     """Cached cumulative-weight tables for drawing neighbors from a kernel.
 
-    Rows are short (one entry per neighbor), so a linear scan beats binary
-    search here; this sits on the hot path of every simulation event.
-    ``edge_ids[x][i]`` is the graph edge joining x to ``neighbors[x][i]``.
-    Zero-rate entries are left out: they can never be drawn, and a valid
-    kernel may name a non-neighbor with rate 0.
+    ``rows[x]`` is x's ``(cumulative, total, last, neighbors, edge_ids)``:
+    the running sums of its kernel rates, their total, the last position in
+    the row, its neighbors, and the graph edge joining x to each of them.
+    ``neighbors[x]`` and ``edge_ids[x]`` are the last two. One ``random()``
+    draw picks position ``bisect_right(cumulative, random() * total)``,
+    clamped to ``last`` against rounding at the top: the first position
+    whose running sum exceeds the draw. The event loops inline that rule,
+    since a call on every event costs more than the bisection. Zero-rate
+    entries are left out: they can never be drawn, and a valid kernel may
+    name a non-neighbor with rate 0.
     """
 
     def __init__(self, g: Graph, kernel: AdoptionKernel) -> None:
-        self.neighbors: list[tuple[int, ...]] = []
-        self.edge_ids: list[tuple[int, ...]] = []
-        self.cumulative: list[tuple[float, ...]] = []
+        self.rows: list[tuple[tuple[float, ...], float, int, tuple[int, ...], tuple[int, ...]]] = []
         for x in range(g.vertex_count):
             row = [(y, q) for y, q in kernel.rows[x] if q != 0]
             total = 0.0
-            cum = []
+            cumulative = []
             for _, q in row:
                 total += q
-                cum.append(total)
-            self.neighbors.append(tuple(y for y, _ in row))
-            self.edge_ids.append(tuple(g.edge_id(x, y) for y, _ in row))
-            self.cumulative.append(tuple(cum))
+                cumulative.append(total)
+            neighbors = tuple(y for y, _ in row)
+            edge_ids = tuple(g.edge_id(x, y) for y in neighbors)
+            self.rows.append((tuple(cumulative), total, len(row) - 1, neighbors, edge_ids))
+        self.neighbors = [row[3] for row in self.rows]
+        self.edge_ids = [row[4] for row in self.rows]
 
     def draw_index(self, x: int, random) -> int:
         """Position in x's row of the neighbor picked by one ``random()`` draw."""
-        cum = self.cumulative[x]
-        u = random() * cum[-1]
-        for i, threshold in enumerate(cum):
-            if u < threshold:
-                return i
-        return len(cum) - 1
+        cumulative, total, last, _, _ = self.rows[x]
+        return min(bisect_right(cumulative, random() * total), last)
 
 
 @dataclass
@@ -185,9 +194,10 @@ def simulate_forward(
     object index and reruns with the same generator state are reproducible.
     """
     gen = as_generator(rng)
-    random, exponential = gen.random, gen.exponential
+    random, standard_exponential = gen.random, gen.standard_exponential
+    heapreplace = heapq.heapreplace
     sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
-    draw_index, neighbors, edge_ids = sampler.draw_index, sampler.neighbors, sampler.edge_ids
+    tables = sampler.rows
     initial.check_shapes(g)
     sites = initial.site_signs.tolist()
     edges = initial.edge_signs.tolist()
@@ -213,15 +223,15 @@ def simulate_forward(
             next_cp += 1
         return checkpoints[next_cp]
 
+    # Start clocks drawn as arrays take the same draws, in the same order, as
+    # one scalar call per object; numpy's exponential(scale) is
+    # scale * standard_exponential(), so renewals take the same products.
     n, m = g.vertex_count, g.edge_count
-    heap: list[tuple[float, int, int]] = []
-    for x in range(n):
-        heap.append((exponential(1.0), 0, x))
+    heap = list(zip(gen.exponential(1.0, n).tolist(), repeat(0), range(n)))
     p = params.p
     if params.v > 0.0:
         scale = 1.0 / params.v
-        for e in range(m):
-            heap.append((exponential(scale), 1, e))
+        heap += zip(gen.exponential(scale, m).tolist(), repeat(1), range(m))
     heapq.heapify(heap)
 
     # Each object holds exactly one heap entry, so (time, channel, index) keys
@@ -237,13 +247,16 @@ def simulate_forward(
             next_tc = flush_checkpoints(t_event)
         events += 1
         if channel == 0:
-            i = draw_index(idx, random)
-            y = neighbors[idx][i]
+            cumulative, total, last, neighbors, edge_ids = tables[idx]
+            i = bisect_right(cumulative, random() * total)
+            if i > last:
+                i = last
+            y = neighbors[i]
             old = sites[idx]
-            sites[idx] = new = sites[y] * edges[edge_ids[idx][i]]
+            sites[idx] = new = sites[y] * edges[edge_ids[i]]
             if record_events is not None:
                 record_events.append(("site", t_event, idx, y, old, new))
-            heapq.heapreplace(heap, (t_event + exponential(1.0), 0, idx))
+            heapreplace(heap, (t_event + standard_exponential(), 0, idx))
         else:
             old = edges[idx]
             new = 1 if random() < p else -1
@@ -252,7 +265,7 @@ def simulate_forward(
                 flip_counts[idx] += 1
             if record_events is not None:
                 record_events.append(("edge", t_event, idx, old, new))
-            heapq.heapreplace(heap, (t_event + exponential(scale), 1, idx))
+            heapreplace(heap, (t_event + scale * standard_exponential(), 1, idx))
 
     flush_checkpoints(t_max)
     return ForwardTrajectory(

@@ -21,7 +21,6 @@ state, so it does not scale as |dual| * |forward|.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -411,31 +410,6 @@ def encode_dual_state(g: Graph, dual: DualState) -> int:
     return index + n**k * 2**k * env
 
 
-def decode_dual_state(g: Graph, k: int, index: int) -> DualState:
-    n = g.vertex_count
-    rem, positions = index, []
-    for _ in range(k):
-        positions.append(rem % n)
-        rem //= n
-    signs = [1 if (rem >> j) & 1 else -1 for j in range(k)]
-    rem >>= k
-    pos_edges, neg_edges = set(), set()
-    for e in range(g.edge_count):
-        digit = rem % 3
-        rem //= 3
-        if digit == 1:
-            pos_edges.add(e)
-        elif digit == 2:
-            neg_edges.add(e)
-    return DualState(positions=positions, signs=signs, revealed_positive=pos_edges, revealed_negative=neg_edges)
-
-
-def dual_delta(g: Graph, dual: DualState) -> np.ndarray:
-    out = np.zeros(dual_state_count(g, dual.walker_count))
-    out[encode_dual_state(g, dual)] = 1.0
-    return out
-
-
 def build_dual_generator(
     g: Graph,
     kernel: AdoptionKernel,
@@ -455,7 +429,10 @@ def build_dual_generator(
     n, m = g.vertex_count, g.edge_count
     p, v = params.p, params.v
     block = n**k * 2**k  # index stride of the first environment digit
-    idx = np.arange(size, dtype=np.int64)
+    # State-sized integers are int32, since DUAL_STATE_CAP < 2^31. The small
+    # tables below are int32 as well and every scalar is a Python int or an
+    # np.int32, so that no product widens to int64.
+    idx = np.arange(size, dtype=np.int32)
     positions = [(idx // n**j) % n for j in range(k)]
     sign_bits = idx // n**k
     # Neighbour, rate and edge stride of the d-th positive kernel entry of
@@ -463,9 +440,9 @@ def build_dual_generator(
     # A rate-0 entry may point at a non-neighbour, which has no edge id.
     entries = [[(y, q) for y, q in row if q > 0.0] for row in kernel.rows]
     width = max(map(len, entries))
-    nbr = np.repeat(np.arange(n, dtype=np.int64)[None, :], width, axis=0)
+    nbr = np.repeat(np.arange(n, dtype=np.int32)[None, :], width, axis=0)
     rate_of = np.zeros((width, n))
-    stride_of = np.full((width, n), block, dtype=np.int64)
+    stride_of = np.full((width, n), block, dtype=np.int32)
     for z, row in enumerate(entries):
         for d, (y, q) in enumerate(row):
             nbr[d, z], rate_of[d, z], stride_of[d, z] = y, q, block * 3 ** g.edge_id(z, y)
@@ -484,7 +461,7 @@ def build_dual_generator(
         movers = [j] if mode == "independent" else range(j, k)
         # Per state: sum of n**i over the walkers i that move, and the index
         # change that flips all their signs.
-        place = sum((positions[i] == z) * n**i for i in movers)
+        place = sum((positions[i] == z) * np.int32(n**i) for i in movers)
         flip = sum((positions[i] == z) * (1 - 2 * ((sign_bits >> i) & 1)) * (n**k << i) for i in movers)
         for d in range(width):
             q = rate_of[d][z] * fires
@@ -547,39 +524,6 @@ def dual_weight_vector(g: Graph, k: int, forward_state: SpinBondState, p: float)
         weight *= np.where(digit == 1, 1.0 / p, 1.0)
         weight *= np.where(digit == 2, 1.0 / (1.0 - p), 1.0)
     return weight * ok
-
-
-@dataclass(frozen=True)
-class DualityCheck:
-    lhs: float
-    rhs: float
-    gap: float
-
-
-def exact_duality_check(
-    g: Graph,
-    kernel: AdoptionKernel,
-    params: ModelParams,
-    forward_initial: SpinBondState,
-    dual_initial: DualState,
-    t: float,
-    mode: str = "coalescing",
-) -> DualityCheck:
-    """Both sides of the duality identity for one forward/dual state pair.
-
-    The left side propagates the forward chain and weighs it against the
-    dual initial condition; the right side propagates the dual chain and
-    weighs it against the forward initial condition.
-    """
-    k = dual_initial.walker_count
-    L_f = build_forward_generator(g, kernel, params)
-    mu_t = transient_distribution(L_f, forward_delta(g, forward_initial), t)
-    lhs = float(mu_t @ forward_weight_vector(g, dual_initial, params.p))
-
-    L_d = build_dual_generator(g, kernel, params, k, mode=mode)
-    nu_t = transient_distribution(L_d, dual_delta(g, dual_initial), t)
-    rhs = float(nu_t @ dual_weight_vector(g, k, forward_initial, params.p))
-    return DualityCheck(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 
 def duality_gap_table(

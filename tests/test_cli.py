@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,10 +572,15 @@ def test_cli_graph_subcommand(tmp_path, capsys):
 
 
 def test_cli_entry_point_installed():
+    # pytest's pythonpath setting reaches only this process, so the child
+    # gets the source tree on PYTHONPATH and runs without an install.
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-m", "spinbond.cli", "graph", "path", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "3 2"

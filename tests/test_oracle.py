@@ -1,6 +1,7 @@
 """Exact finite-state oracle: encodings, uniformization, stationary solve, duality."""
 
 import json
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -15,10 +16,76 @@ from spinbond.dual import DualState
 from spinbond.errors import StateSpaceCapError
 from spinbond.experiments import run_experiment
 from spinbond.forward import ModelParams, SpinBondState
-from spinbond.graphs import builtin_graph, kernel_from_rates, uniform_kernel
+from spinbond.graphs import AdoptionKernel, Graph, builtin_graph, kernel_from_rates, uniform_kernel
 from spinbond import oracle
 
 from conftest import striped_state
+
+
+# ------------------------------------------------------------- references
+# Test-only counterparts of the oracle: one dual state decoded, and both
+# sides of the duality identity for a single forward/dual pair, which
+# duality_gap_table computes for every dual state at once.
+
+
+def decode_dual_state(g: Graph, k: int, index: int) -> DualState:
+    n = g.vertex_count
+    rem, positions = index, []
+    for _ in range(k):
+        positions.append(rem % n)
+        rem //= n
+    signs = [1 if (rem >> j) & 1 else -1 for j in range(k)]
+    rem >>= k
+    pos_edges, neg_edges = set(), set()
+    for e in range(g.edge_count):
+        digit = rem % 3
+        rem //= 3
+        if digit == 1:
+            pos_edges.add(e)
+        elif digit == 2:
+            neg_edges.add(e)
+    return DualState(
+        positions=positions, signs=signs, revealed_positive=pos_edges, revealed_negative=neg_edges
+    )
+
+
+def dual_delta(g: Graph, dual: DualState) -> np.ndarray:
+    out = np.zeros(oracle.dual_state_count(g, dual.walker_count))
+    out[oracle.encode_dual_state(g, dual)] = 1.0
+    return out
+
+
+@dataclass(frozen=True)
+class DualityCheck:
+    lhs: float
+    rhs: float
+    gap: float
+
+
+def exact_duality_check(
+    g: Graph,
+    kernel: AdoptionKernel,
+    params: ModelParams,
+    forward_initial: SpinBondState,
+    dual_initial: DualState,
+    t: float,
+    mode: str = "coalescing",
+) -> DualityCheck:
+    """Both sides of the duality identity for one forward/dual state pair.
+
+    The left side propagates the forward chain and weighs it against the
+    dual initial condition; the right side propagates the dual chain and
+    weighs it against the forward initial condition.
+    """
+    k = dual_initial.walker_count
+    L_f = oracle.build_forward_generator(g, kernel, params)
+    mu_t = oracle.transient_distribution(L_f, oracle.forward_delta(g, forward_initial), t)
+    lhs = float(mu_t @ oracle.forward_weight_vector(g, dual_initial, params.p))
+
+    L_d = oracle.build_dual_generator(g, kernel, params, k, mode=mode)
+    nu_t = oracle.transient_distribution(L_d, dual_delta(g, dual_initial), t)
+    rhs = float(nu_t @ oracle.dual_weight_vector(g, k, forward_initial, params.p))
+    return DualityCheck(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 
 # ---------------------------------------------------------------- encodings
@@ -53,7 +120,7 @@ def test_dual_encode_decode_roundtrip(p3):
     g, _ = p3
     total = oracle.dual_state_count(g, 2)
     for idx in range(total):
-        dual = oracle.decode_dual_state(g, 2, idx)
+        dual = decode_dual_state(g, 2, idx)
         dual.validate(g)
         assert oracle.encode_dual_state(g, dual) == idx
 
@@ -98,8 +165,8 @@ def test_dual_generator_coalesced_pair_moves_together(k2):
     for i, j, rate in zip(L.row, L.col, L.data):
         if i == j or rate <= 0.0:
             continue
-        src = oracle.decode_dual_state(g, 2, int(i))
-        dst = oracle.decode_dual_state(g, 2, int(j))
+        src = decode_dual_state(g, 2, int(i))
+        dst = decode_dual_state(g, 2, int(j))
         if src.positions[0] == src.positions[1]:
             assert dst.positions[0] == dst.positions[1]
 
@@ -155,7 +222,7 @@ def _dual_generator_by_state(g, kernel, params, k, mode):
     p, v = params.p, params.v
     transitions = []
     for s in range(size):
-        d = oracle.decode_dual_state(g, k, s)
+        d = decode_dual_state(g, k, s)
         if mode == "coalescing":
             groups = {}
             for j, z in enumerate(d.positions):
@@ -672,7 +739,7 @@ def test_exact_duality_single_tuple(k2):
     params = ModelParams(0.3, 1.0)
     fwd = SpinBondState(np.array([1, -1], dtype=np.int8), np.array([1], dtype=np.int8))
     dual = DualState.of([0, 1], [1, -1])
-    check = oracle.exact_duality_check(g, kern, params, fwd, dual, 1.5)
+    check = exact_duality_check(g, kern, params, fwd, dual, 1.5)
     assert check.gap < 1e-11
     assert check.lhs == pytest.approx(check.rhs, abs=1e-11)
 
@@ -700,7 +767,7 @@ def test_gap_table_lhs_matches_scalar_formula(graph, k, request):
     rows = oracle.duality_gap_table(g, kern, params, fwd, k=k, t=t)
     assert [s for s, _, _ in rows] == list(range(oracle.dual_state_count(g, k)))
     for s, lhs, _ in rows:
-        dual = oracle.decode_dual_state(g, k, s)
+        dual = decode_dual_state(g, k, s)
         scalar = float(mu_t @ oracle.forward_weight_vector(g, dual, params.p))
         assert abs(lhs - scalar) <= 1e-13
         if k == 2 and dual.positions[0] == dual.positions[1] and dual.signs[0] != dual.signs[1]:
@@ -715,8 +782,8 @@ def test_independent_rule_breaks_duality_for_shared_sites(k2):
     params = ModelParams(0.3, 1.0)
     fwd = SpinBondState(np.array([1, -1], dtype=np.int8), np.array([1], dtype=np.int8))
     dual = DualState.of([0, 0], [1, 1])
-    good = oracle.exact_duality_check(g, kern, params, fwd, dual, 1.0, mode="coalescing")
-    bad = oracle.exact_duality_check(g, kern, params, fwd, dual, 1.0, mode="independent")
+    good = exact_duality_check(g, kern, params, fwd, dual, 1.0, mode="coalescing")
+    bad = exact_duality_check(g, kern, params, fwd, dual, 1.0, mode="independent")
     assert good.gap < 1e-11
     assert bad.gap > 1e-2
 
@@ -736,7 +803,7 @@ def test_duality_weight_vectors_agree_with_scalar(k2):
     fwd = oracle.decode_forward_state(g, 6)
     dual_weights = oracle.dual_weight_vector(g, 1, fwd, p)
     for idx in range(oracle.dual_state_count(g, 1)):
-        d = oracle.decode_dual_state(g, 1, idx)
+        d = decode_dual_state(g, 1, idx)
         assert dual_weights[idx] == pytest.approx(
             duality_weight(fwd.site_signs, fwd.edge_signs, d, p)
         )

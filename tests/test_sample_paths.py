@@ -1,0 +1,152 @@
+"""Sample paths pinned as literals for fixed seeds.
+
+The reference-loop tests in test_forward.py and test_dual.py replay numpy's
+calls in a second copy of each loop, so they cannot see a change in which
+numbers get drawn, or in what order. These literals can: any change to the
+draws of ``simulate_forward``, ``simulate_dual`` or ``simulate_birth_death``
+fails here. A change that alters sample paths on purpose (batched or
+uniformized simulation, say) updates them, and says so.
+"""
+
+import pytest
+
+from spinbond.cylinders import CylinderEvent
+from spinbond.dual import DualState, simulate_dual
+from spinbond.estimators import simulate_birth_death
+from spinbond.forward import ModelParams, simulate_forward
+from spinbond.graphs import builtin_graph, uniform_kernel
+from spinbond.rng import RngStream
+
+from conftest import striped_state
+
+PARAMS = ModelParams(p=0.3, v=0.7)
+
+
+def _signs(values) -> str:
+    return "".join("+" if s > 0 else "-" for s in values)
+
+
+def _forward_path(kind, sizes, seed):
+    g = builtin_graph(kind, *sizes)
+    obs = [CylinderEvent.of(sites={0: 1}), CylinderEvent.of(sites={1: -1}, edges={0: 1})]
+    traj = simulate_forward(
+        g, uniform_kernel(g), PARAMS, striped_state(g), 3.0, RngStream(seed),
+        checkpoint_times=[0.0, 1.0, 2.5, 3.0], observables=obs,
+    )
+    return {
+        "events": traj.event_count,
+        "sites": _signs(traj.final_state.site_signs),
+        "edges": _signs(traj.final_state.edge_signs),
+        "flips": traj.edge_flip_counts.tolist(),
+        "rows": "".join(str(int(value)) for _, _, value in traj.checkpoint_rows),
+    }
+
+
+def _dual_path(kind, sizes, seed, mode, stop, t_max):
+    g = builtin_graph(kind, *sizes)
+    initial = DualState.of([0, 2, 4], [1, -1, 1], revealed_positive=[1], revealed_negative=[3])
+    traj = simulate_dual(
+        g, uniform_kernel(g), PARAMS, initial, t_max, RngStream(seed),
+        mode=mode, stop_on_full_coalescence=stop,
+    )
+    st = traj.final_state
+    return {
+        "positions": st.positions,
+        "signs": st.signs,
+        "revealed": (sorted(st.revealed_positive), sorted(st.revealed_negative)),
+        "events": traj.event_count,
+        "reveals": traj.reveal_count,
+        "refreshes": traj.refresh_count,
+        "coalescence_time": traj.coalescence_time,
+    }
+
+
+FORWARD_PINS = {
+    ("cycle", (6,), 1): dict(
+        events=38, sites="+---+-", edges="-+----", flips=[1, 3, 1, 0, 1, 0], rows="11101010",
+    ),
+    ("cycle", (6,), 2): dict(
+        events=27, sites="+--+++", edges="-+--++", flips=[1, 1, 1, 0, 0, 1], rows="11101010",
+    ),
+    ("grid_torus", (3, 3), 1): dict(
+        events=71, sites="--+---++-", edges="-+-------------+--",
+        flips=[3, 1, 3, 2, 3, 0, 1, 0, 3, 0, 1, 0, 1, 0, 1, 1, 1, 0], rows="11101100",
+    ),
+    ("grid_torus", (3, 3), 2): dict(
+        events=61, sites="--++++--+", edges="+-------+--++--+--",
+        flips=[0, 0, 1, 0, 1, 2, 1, 0, 0, 0, 3, 3, 0, 2, 1, 1, 1, 0], rows="11110101",
+    ),
+}
+
+DUAL_PINS = {
+    ("cycle", (6,), 1, "coalescing", False, 4.0): dict(
+        positions=[2, 2, 2], signs=[1, 1, 1], revealed=([], [1, 5]), events=17, reveals=7,
+        refreshes=7, coalescence_time=1.822578992070731,
+    ),
+    ("cycle", (6,), 1, "independent", False, 4.0): dict(
+        positions=[4, 1, 2], signs=[1, -1, -1], revealed=([], [1, 4, 5]), events=17, reveals=7,
+        refreshes=6, coalescence_time=None,
+    ),
+    ("cycle", (6,), 1, "coalescing", True, 10000.0): dict(
+        positions=[0, 0, 0], signs=[1, 1, 1], revealed=([3, 4], [5]), events=12, reveals=5,
+        refreshes=4, coalescence_time=1.822578992070731,
+    ),
+    ("cycle", (6,), 2, "coalescing", False, 4.0): dict(
+        positions=[3, 3, 3], signs=[1, 1, 1], revealed=([3], [2, 4]), events=16, reveals=7,
+        refreshes=6, coalescence_time=3.4044044714851873,
+    ),
+    ("cycle", (6,), 2, "independent", False, 4.0): dict(
+        positions=[5, 3, 0], signs=[-1, 1, -1], revealed=([3], [0, 1, 2, 4]), events=20,
+        reveals=9, refreshes=6, coalescence_time=None,
+    ),
+    ("cycle", (6,), 2, "coalescing", True, 10000.0): dict(
+        positions=[3, 3, 3], signs=[1, 1, 1], revealed=([3], [2, 4]), events=16, reveals=7,
+        refreshes=6, coalescence_time=3.4044044714851873,
+    ),
+    ("grid_torus", (3, 3), 1, "coalescing", False, 4.0): dict(
+        positions=[3, 3, 3], signs=[-1, -1, 1], revealed=([7], [1, 12]), events=19, reveals=10,
+        refreshes=9, coalescence_time=3.801862686353597,
+    ),
+    ("grid_torus", (3, 3), 1, "independent", False, 4.0): dict(
+        positions=[4, 8, 4], signs=[1, -1, 1], revealed=([], [6, 16]), events=24, reveals=12,
+        refreshes=12, coalescence_time=None,
+    ),
+    ("grid_torus", (3, 3), 1, "coalescing", True, 10000.0): dict(
+        positions=[3, 3, 3], signs=[-1, -1, 1], revealed=([7], [1, 12]), events=19, reveals=10,
+        refreshes=9, coalescence_time=3.801862686353597,
+    ),
+    ("grid_torus", (3, 3), 2, "coalescing", False, 4.0): dict(
+        positions=[2, 2, 2], signs=[1, -1, -1], revealed=([17], [12]), events=18, reveals=8,
+        refreshes=8, coalescence_time=3.2119118396020534,
+    ),
+    ("grid_torus", (3, 3), 2, "independent", False, 4.0): dict(
+        positions=[8, 5, 7], signs=[1, 1, -1], revealed=([11, 16], [5, 12, 14]), events=19,
+        reveals=10, refreshes=7, coalescence_time=None,
+    ),
+    ("grid_torus", (3, 3), 2, "coalescing", True, 10000.0): dict(
+        positions=[6, 6, 6], signs=[-1, 1, 1], revealed=([0, 4, 15], [12]), events=12,
+        reveals=6, refreshes=4, coalescence_time=3.2119118396020534,
+    ),
+}
+
+BIRTH_DEATH_PINS = {
+    (0, 1.0, 2.0): [0, 0, 0, 0, 0, 1, 1, 1],
+    (3, 0.5, 4.0): [3, 5, 0, 3, 3, 0, 1, 1],
+    (10, 2.5, 1.0): [2, 2, 3, 1, 3, 1, 1, 1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORWARD_PINS))
+def test_forward_sample_path_is_pinned(case):
+    assert _forward_path(*case) == FORWARD_PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(DUAL_PINS))
+def test_dual_sample_path_is_pinned(case):
+    assert _dual_path(*case) == DUAL_PINS[case]
+
+
+def test_birth_death_values_are_pinned():
+    for (r0, v, t_max), expected in BIRTH_DEATH_PINS.items():
+        got = [simulate_birth_death(r0, v, t_max, RngStream(seed).generator()) for seed in range(8)]
+        assert got == expected
