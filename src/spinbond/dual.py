@@ -181,7 +181,7 @@ def simulate_dual(
         occupants.setdefault(z, []).append(idx)
     target_classes = _occupied_component_count(g, positions)
 
-    # Clocks run out as scale * standard_exponential(), which is what
+    # Clock times are scale * standard_exponential(), the product that
     # exponential(scale) computes. A dual starts with few clocks (k walkers,
     # rarely a revealed edge), too few for an array draw to pay.
     clocks = occupants if coalescing else range(st.walker_count)
