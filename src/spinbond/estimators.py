@@ -1,7 +1,10 @@
 """Monte Carlo estimators over independent replicas.
 
-Replica i always consumes the generator derived from the stream's spawn key
-extended by i, so results do not depend on the worker count and reruns with
+Forward cylinder probabilities run replicas in blocks of ``REPLICA_BLOCK``,
+stepped in lockstep as numpy arrays; block b consumes the generator derived
+from the stream's spawn key extended by b. Every other estimator runs one
+replica at a time, and replica i consumes the generator of the key extended
+by i. Either way results do not depend on the worker count, and reruns with
 the same seed reproduce byte-identical output.
 """
 
@@ -11,6 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -33,6 +37,10 @@ from .graphs import AdoptionKernel, Graph
 from .rng import RngStream
 
 DEFAULT_CENSOR_TOLERANCE = 1e-3
+
+# Replicas per block of the batched forward estimator: a fixed constant, so
+# that estimates do not depend on how many workers share the blocks.
+REPLICA_BLOCK = 4096
 
 
 def default_time_cap(g: Graph) -> float:
@@ -75,20 +83,28 @@ def _summarize(label: str, values: np.ndarray) -> EstimateResult:
 
 
 def _run_range(job):
-    fn, stream, start, stop = job
-    return [fn(stream.substream(i)) for i in range(start, stop)]
+    fn, stream, start, stop, replicas, block = job
+    if block == 1:
+        return [fn(stream.substream(i)) for i in range(start, stop)]
+    return [fn(stream.substream(b), min(block, replicas - b * block)) for b in range(start, stop)]
 
 
-def _collect(fn, replicas: int, stream: RngStream, workers: int = 1) -> list:
-    """Evaluate fn on one substream per replica, in replica order."""
+def _collect(fn, replicas: int, stream: RngStream, workers: int = 1, block: int = 1) -> list:
+    """Evaluate fn on one substream per replica, in replica order.
+
+    With ``block`` > 1 the replicas go in blocks of that many, the last one
+    possibly short, and block b calls ``fn(stream.substream(b), size)``
+    once. Workers get contiguous runs of whole blocks.
+    """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if workers <= 1:
-        return [fn(stream.substream(i)) for i in range(replicas)]
-    chunk = -(-replicas // workers)
+    units = -(-replicas // block)
+    if workers <= 1 or units == 1:
+        return _run_range((fn, stream, 0, units, replicas, block))
+    chunk = -(-units // workers)
     jobs = [
-        (fn, stream, start, min(start + chunk, replicas))
-        for start in range(0, replicas, chunk)
+        (fn, stream, start, min(start + chunk, units), replicas, block)
+        for start in range(0, units, chunk)
     ]
     out: list = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -124,10 +140,91 @@ def _forward_cylinder_replica(gen, g, sampler, params, initial, t_max, times, cy
     return traj.checkpoint_rows, traj.final_state
 
 
-def _cylinder_indicators(gen, **replica) -> np.ndarray:
-    """The 0/1 column of one run's rows, taken per replica to keep the batch small."""
-    rows, _ = _forward_cylinder_replica(gen, **replica)
-    return np.array([value for _, _, value in rows])
+def _event_table(g: Graph, sampler: NeighborSampler, p: float):
+    """What one uniformized event does to a batched state row.
+
+    A row holds the n site signs, the m edge signs, then a constant +1 and a
+    constant -1 column. Object k (site k, or edge k - n) draws position j of
+    its row of cumulative probabilities, the first one above a uniform
+    draw, and takes the product of columns ``src[k, j]`` and ``via[k, j]``.
+    A site's positions are its kernel neighbours, rate-0 entries left out as
+    in ``NeighborSampler``: the neighbour's sign times the joining edge's. An
+    edge's are +1 with probability p and -1 otherwise, times the +1 column.
+    Rows end on exactly 1.0 (a total divided by itself) and are padded with
+    2.0, so the first position above a draw in [0, 1) is always a real one.
+    Returns the cumulative table and the flattened ``src`` and ``via``.
+    """
+    n, m = g.vertex_count, g.edge_count
+    plus, minus = n + m, n + m + 1
+    rows = [
+        (np.array(cumulative) / total, neighbors, [n + e for e in edge_ids])
+        for cumulative, total, _, neighbors, edge_ids in sampler.rows
+    ]
+    refresh = [(q, col) for q, col in ((p, plus), (1.0 - p, minus)) if q != 0.0]
+    cumulative = np.cumsum([q for q, _ in refresh])
+    rows += [(cumulative / cumulative[-1], [col for _, col in refresh], [plus] * len(refresh))] * m
+    width = max(len(cum) for cum, _, _ in rows)
+    cum = np.full((n + m, width), 2.0)
+    src = np.full((n + m, width), plus, dtype=np.intp)
+    via = src.copy()
+    for k, (row, sources, vias) in enumerate(rows):
+        cum[k, : len(row)] = row
+        src[k, : len(sources)] = sources
+        via[k, : len(vias)] = vias
+    return cum, src.ravel(), via.ravel()
+
+
+def _cylinder_hits(gen, size, g, table, v, initial, times, cylinders) -> np.ndarray:
+    """How many of ``size`` forward runs hit each (time, cylinder), times outermost.
+
+    Uniformization (Jensen 1953): the site clocks (rate 1) and edge clocks
+    (rate v) together ring as one Poisson process of rate n + v m, and each
+    ring picks its object in proportion to its rate. Per checkpoint interval
+    every run draws its ring count; the runs are sorted by count, so that
+    the ones with a ring left are a prefix, and that prefix steps at once.
+    """
+    n, m = g.vertex_count, g.edge_count
+    cum, src, via = table
+    width = cum.shape[1]
+    objects = n + m if v > 0.0 else n  # with v = 0 no edge ever rings
+    rate = n + v * m if v > 0.0 else float(n)
+    # Start rows: a ProductInitial drawn in one call per sign array, or a fixed state tiled.
+    state = np.empty((size, n + m + 2), dtype=np.int8)
+    if isinstance(initial, ProductInitial):
+        state[:, :n] = np.where(gen.random((size, n)) < initial.site_plus_prob, 1, -1)
+        state[:, n:-2] = np.where(gen.random((size, m)) < initial.edge_plus_prob, 1, -1)
+    else:
+        state[:, :n] = initial.site_signs
+        state[:, n:-2] = initial.edge_signs
+    state[:, -2:] = (1, -1)
+    offsets = np.arange(size) * state.shape[1]
+    hits = []
+    elapsed = 0.0
+    for t in times:
+        counts = gen.poisson(rate * (t - elapsed), size)
+        elapsed = t
+        order = np.argsort(-counts, kind="stable")
+        state = state[order]
+        flat = state.reshape(-1)
+        # live[s]: runs with more than s rings in this interval.
+        for live in size - np.cumsum(np.bincount(counts))[:-1]:
+            draws = gen.random(2 * live)
+            u = draws[:live] * rate
+            if objects > n:
+                u = np.where(u < n, u, n + (u - n) / v)
+            k = np.minimum(u.astype(np.intp), objects - 1)  # against rounding up to the top
+            j = (np.take(cum, k, axis=0) <= draws[live:, None]).argmin(axis=1)
+            entry = k * width + j
+            at = offsets[:live]
+            flat[at + k] = flat[at + src.take(entry)] * flat[at + via.take(entry)]
+        for cyl in cylinders:
+            hit = np.ones(size, dtype=bool)
+            for x, s in cyl.site_constraints:
+                hit &= state[:, x] == s
+            for e, s in cyl.edge_constraints:
+                hit &= state[:, n + e] == s
+            hits.append(np.count_nonzero(hit))
+    return np.array(hits, dtype=np.int64)
 
 
 def estimate_cylinder_probabilities(
@@ -144,29 +241,31 @@ def estimate_cylinder_probabilities(
     """Forward-simulation estimates of cylinder probabilities.
 
     One trajectory per replica serves every requested time and cylinder;
-    keys of the result are (time, cylinder label).
+    keys of the result are (time, cylinder label). Replicas run in blocks
+    of ``REPLICA_BLOCK`` on the uniformized chain (``_cylinder_hits``).
     """
     times = sorted(times)
     cylinders = list(cylinders)
-    sampler = NeighborSampler(g, kernel)
+    if not times or times[0] < 0:
+        raise ValueError(f"checkpoint times must be given and >= 0, got {times}")
+    if not isinstance(initial, ProductInitial):
+        initial.validate(g)
     fn = partial(
-        _cylinder_indicators,
+        _cylinder_hits,
         g=g,
-        sampler=sampler,
-        params=params,
+        table=_event_table(g, NeighborSampler(g, kernel), params.p),
+        v=params.v,
         initial=initial,
-        t_max=max(times),
         times=times,
         cylinders=cylinders,
     )
-    rows = np.array(_collect(fn, replicas, stream, workers))
+    hits = np.sum(_collect(fn, replicas, stream, workers, block=REPLICA_BLOCK), axis=0)
     out: dict[tuple[float, str], EstimateResult] = {}
-    col = 0
-    for t in times:
-        for cyl in cylinders:
-            label = f"t={t:g}:{cyl.label()}"
-            out[(t, cyl.label())] = _summarize(label, rows[:, col])
-            col += 1
+    for (t, cyl), count in zip(product(times, cylinders), hits.tolist()):
+        # The sample mean and standard error of count ones among 0/1 values.
+        mean = count / replicas
+        std_error = math.sqrt(mean * (1.0 - mean) / (replicas - 1)) if replicas > 1 else math.nan
+        out[(t, cyl.label())] = EstimateResult(f"t={t:g}:{cyl.label()}", mean, std_error, replicas)
     return out
 
 

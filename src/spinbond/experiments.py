@@ -230,6 +230,16 @@ def _versus(name: str, est, target: float, sig: float, ok: bool) -> str:
     return f"{name}: {est.estimate:.5f} vs {target:.5f} ({sig:.2f} sigma): {_verdict(ok)}"
 
 
+def _family_rate(gates: int, sigmas: float) -> str:
+    """A gate family's size, per-gate threshold and family-wise false-failure rate.
+
+    The rate is the union bound over two-sided gates under the normal
+    approximation, which holds however the gates are correlated.
+    """
+    rate = min(1.0, gates * math.erfc(sigmas / math.sqrt(2.0)))
+    return f"{gates} gate{'s' if gates != 1 else ''} at {sigmas:g} sigma, family-wise <= {100 * rate:.2g}%"
+
+
 def _sigma_gate(est, target: float, sigmas: float) -> tuple[float, bool]:
     """Deviation in standard errors; within ``sigmas`` or solver accuracy passes."""
     sig = deviation_sigmas(est, target)
@@ -386,7 +396,7 @@ def _duality_check_mc(
         f"forward {fwd.estimate:.6f} +- {fwd.std_error:.6f}, "
         f"dual {dual.estimate:.6f} +- {dual.std_error:.6f}",
         f"|forward - dual| = {gap:.6f} within {cfg['sigmas']:g} pooled sigma "
-        f"({pooled:.6f}): {_verdict(passed)}",
+        f"({pooled:.6f}; {_family_rate(1, cfg['sigmas'])}): {_verdict(passed)}",
     ]
     result.write(
         "duality_mc.jsonl",
@@ -472,6 +482,9 @@ def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, g, kern
                 )
             )
             result.lines.append(_versus(f"mc {label}", est, targets[label], sig, ok))
+        result.lines.append(
+            f"mc gates ({_family_rate(len(estimates), cfg['sigmas'])}): {_verdict(mc_ok)}"
+        )
 
     checks = [ok for ok in (exact_ok, mc_ok) if ok is not None]
     if not checks:
@@ -632,16 +645,19 @@ def _tv_decay_mc(
     )
     final = points[-1]
     # Frequency gaps only bound TV from below, so the one checkable gate is
-    # that the best observed separation has decayed into the noise floor.
+    # that the best observed separation has decayed into the noise floor. It
+    # can fail falsely through any of the events' gaps, so its stated rate is
+    # that of one gate per event.
+    events = g.vertex_count + g.edge_count
     passed = final.bound <= cfg["threshold"] + cfg["sigmas"] * final.std_error
 
     result.lines += [
         f"tv-decay (mc): grid 0..{cfg['t_max']:g} step {cfg['t_step']:g}, "
-        f"{cfg['replicas']} replicas per law, {g.vertex_count + g.edge_count} events",
+        f"{cfg['replicas']} replicas per law, {events} events",
         f"TV lower bound start {points[0].bound:.6f}, end {final.bound:.6f} "
         f"(argmax {final.event})",
         f"final bound <= {cfg['threshold']:g} + {cfg['sigmas']:g} sigma "
-        f"({final.std_error:.6f}): {_verdict(passed)}",
+        f"({final.std_error:.6f}; {_family_rate(events, cfg['sigmas'])}): {_verdict(passed)}",
     ]
     result.write(
         "tv_decay.csv",

@@ -102,7 +102,9 @@ def test_criterion_2_single_site_stationary_law(p3, c6):
     # MC part: forward runs from a product initial with edges already at the
     # stationary plus-probability, burned in to t=20 where the exact
     # transient law is within 7e-5 of stationary in total variation --
-    # negligible against the 3-sigma gates below.
+    # negligible against the 3-sigma gates below. Stated false-failure rate:
+    # 18 two-sided gates at 3 sigma, family-wise <= 4.9% under the normal
+    # approximation (union bound, 18 * 0.27%), whatever their correlation.
     t_burn = 20.0
     replicas = 100_000
     failures = []
@@ -252,6 +254,11 @@ def test_criterion_5_transient_mc_vs_oracle(p3):
     # All single-site and single-edge cylinder probabilities at two times,
     # Monte Carlo vs uniformization. 20 gates at 3 binomial sigma each: up
     # to 2 boundary failures are tolerated as a multiple-testing allowance.
+    # Stated false-failure rate: the +1 and -1 cylinders of a coordinate are
+    # complements and fail together, so 3 failures means 2 of the 10 pairs.
+    # Under the normal approximation a pair fails with probability 0.27%, so
+    # by Markov's inequality on the pair count the family fails with
+    # probability <= 10 * 0.27% / 2 = 1.4%, however the pairs are correlated.
     g, kern = p3
     p, v = 0.5, 1.0
     params = ModelParams(p, v)

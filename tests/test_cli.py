@@ -459,6 +459,9 @@ def test_cli_run_outputs_are_byte_identical(tmp_path):
     runs = (
         (body, ("mu_dyn_estimate.jsonl", "coalescence_reports.json")),
         (exact, ("stationary_distribution.csv", "stationary_compare.jsonl")),
+        # 9,000 replicas are three blocks of the batched forward estimator.
+        ({**exact, "replicas": 9000, "mc_time": 2.0, "sigmas": 25.0},
+         ("stationary_compare.jsonl",)),
         (raw, ("checkpoints.csv",)),
         (DUALITY_BASE, ("duality_gaps.jsonl",)),
         ({**DUALITY_BASE, "oracle": "off", "replicas": 300}, ("duality_mc.jsonl",)),

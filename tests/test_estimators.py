@@ -13,7 +13,7 @@ from spinbond.cylinders import CylinderEvent, single_constraint_events
 from spinbond.dual import DualState
 from spinbond.errors import CensoringError
 from spinbond.forward import ModelParams, NeighborSampler, SpinBondState, simulate_forward
-from spinbond.graphs import build_graph, uniform_kernel
+from spinbond.graphs import build_graph, builtin_graph, kernel_from_rates, uniform_kernel
 from spinbond.rng import RngStream
 
 
@@ -56,25 +56,25 @@ def test_cylinder_estimates_shape_and_determinism(p3):
 
 
 def test_parallel_workers_reproduce_sequential(p3):
-    # Replica i draws from substream i regardless of scheduling, so the
-    # worker count must not change a single bit of the output.
+    # Block b draws from substream b however the blocks are shared out, so
+    # the worker count must not change a single bit of the output. Three
+    # blocks, the last one short, split unevenly over two and three workers.
     g, kern = p3
     params = ModelParams(0.4, 1.0)
-    cyls = [CylinderEvent.of(sites={1: -1})]
+    cyls = [CylinderEvent.of(sites={1: -1}), CylinderEvent.of(sites={0: 1}, edges={1: 1})]
     kwargs = dict(
         g=g,
         kernel=kern,
         params=params,
         initial=est.ProductInitial(),
-        times=[1.0],
+        times=[0.5, 1.0],
         cylinders=cyls,
-        replicas=48,
+        replicas=2 * est.REPLICA_BLOCK + 100,
     )
     seq = est.estimate_cylinder_probabilities(stream=RngStream(11), workers=1, **kwargs)
-    par = est.estimate_cylinder_probabilities(stream=RngStream(11), workers=2, **kwargs)
-    for key in seq:
-        assert seq[key].estimate == par[key].estimate
-        assert seq[key].std_error == par[key].std_error
+    for workers in (2, 3):
+        par = est.estimate_cylinder_probabilities(stream=RngStream(11), workers=workers, **kwargs)
+        assert par == seq
 
 
 def _first_draws(gen):
@@ -88,6 +88,85 @@ def test_collect_matches_per_replica_generators(workers):
     stream = RngStream(2024, (3, 1))
     expected = [_first_draws(stream.child(i).generator()) for i in range(2500)]
     assert est._collect(_first_draws, 2500, stream, workers) == expected
+
+
+def _block_draw(gen, size):
+    return gen.random(), size
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_collect_hands_out_whole_blocks(workers):
+    stream = RngStream(2024, (3, 1))
+    expected = [(stream.child(b).generator().random(), size) for b, size in enumerate([4, 4, 2])]
+    assert est._collect(_block_draw, 10, stream, workers, block=4) == expected
+
+
+# Asymmetric kernel on C4 (edges 0-1, 1-2, 2-3, 0-3) with a rate-0 entry
+# towards the non-neighbour 2 of vertex 0.
+_C4_SKEWED = {0: {1: 0.8, 2: 0.0, 3: 0.2}, 1: {0: 0.3, 2: 0.7}, 2: {1: 0.5, 3: 0.5}, 3: {0: 0.1, 2: 0.9}}
+
+
+def _product_law(g, initial):
+    """Exact law of a ProductInitial over the oracle's packed states."""
+    n, m = g.vertex_count, g.edge_count
+    idx = np.arange(oracle.forward_state_count(g))
+    law = np.ones(idx.size)
+    for bit in range(n + m):
+        q = initial.site_plus_prob if bit < n else initial.edge_plus_prob
+        law *= np.where((idx >> bit) & 1, q, 1.0 - q)
+    return law
+
+
+# (graph, skewed kernel, p, v, initial): a fixed state or a ProductInitial.
+_LAW_CASES = {
+    "P3 striped": ("path:3", False, 0.3, 1.0, None),
+    "C4 skewed product": ("cycle:4", True, 0.6, 0.8, est.ProductInitial(0.7, 0.4)),
+    "C4 skewed striped v=0": ("cycle:4", True, 0.6, 0.0, None),
+    "P3 product v=0": ("path:3", False, 0.3, 0.0, est.ProductInitial(0.5, 0.3)),
+    "C4 striped p=0": ("cycle:4", False, 0.0, 1.5, None),
+    "C4 product p=1": ("cycle:4", False, 1.0, 1.5, est.ProductInitial(0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAW_CASES))
+def test_batched_estimator_follows_the_exact_transient_law(case):
+    # Every (time, cylinder) frequency against oracle.transient_distribution,
+    # at t = 0 and with a repeated checkpoint. Stated false-failure rate: the
+    # six cases hold 162 two-sided gates at 4 binomial sigma, family-wise
+    # <= 162 * 0.0063% = 1.0% under the normal approximation. Where the exact
+    # value is 0 or 1 (a fixed start at t = 0, frozen edges at v = 0) the
+    # estimate must equal it.
+    spec, skewed, p, v, initial = _LAW_CASES[case]
+    kind, size = spec.split(":")
+    g = builtin_graph(kind, int(size))
+    kern = kernel_from_rates(_C4_SKEWED, 4) if skewed else uniform_kernel(g)
+    params = ModelParams(p, v)
+    if initial is None:
+        initial = striped_state(g)
+        law0 = oracle.forward_delta(g, initial)
+    else:
+        law0 = _product_law(g, initial)
+    cyls = single_constraint_events(g) + [
+        CylinderEvent.of(sites={0: 1}, edges={0: -1}),
+        CylinderEvent.of(sites={0: 1, 1: 1}),
+    ]
+    times = [0.0, 0.4, 0.4, 1.5]
+    replicas = 20_000
+    got = est.estimate_cylinder_probabilities(
+        g, kern, params, initial, times, cyls, replicas, RngStream(71, (len(case),))
+    )
+    L = oracle.build_forward_generator(g, kern, params)
+    failures = []
+    for t in sorted(set(times)):
+        law = oracle.transient_distribution(L, law0, t)
+        for cyl in cyls:
+            want = oracle.cylinder_probability(g, law, cyl)
+            res = got[(t, cyl.label())]
+            sigma = math.sqrt(max(want * (1.0 - want), 0.0) / replicas)
+            if abs(res.estimate - want) > 4.0 * sigma + 1e-12:
+                failures.append(f"t={t} {cyl.label()}: {res.estimate} vs {want}")
+    assert len(got) == 3 * len(cyls)
+    assert not failures
 
 
 def test_mu_dyn_single_walker_is_exact(k2):

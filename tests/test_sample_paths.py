@@ -3,16 +3,17 @@
 The reference-loop tests in test_forward.py and test_dual.py replay numpy's
 calls in a second copy of each loop, so they cannot see a change in which
 numbers get drawn, or in what order. These literals can: any change to the
-draws of ``simulate_forward``, ``simulate_dual`` or ``simulate_birth_death``
-fails here. A change that alters sample paths on purpose (batched or
-uniformized simulation, say) updates them, and says so.
+draws of ``simulate_forward``, ``simulate_dual``, ``simulate_birth_death`` or
+the batched forward estimator behind ``estimate_cylinder_probabilities``
+fails here. A change that alters sample paths on purpose updates them, and
+says so.
 """
 
 import pytest
 
 from spinbond.cylinders import CylinderEvent
 from spinbond.dual import DualState, simulate_dual
-from spinbond.estimators import simulate_birth_death
+from spinbond.estimators import ProductInitial, estimate_cylinder_probabilities, simulate_birth_death
 from spinbond.forward import ModelParams, simulate_forward
 from spinbond.graphs import builtin_graph, uniform_kernel
 from spinbond.rng import RngStream
@@ -40,6 +41,17 @@ def _forward_path(kind, sizes, seed):
         "flips": traj.edge_flip_counts.tolist(),
         "rows": "".join(str(int(value)) for _, _, value in traj.checkpoint_rows),
     }
+
+
+def _batched_hits(kind, sizes, seed, product):
+    """Hit counts of the batched estimator over two blocks, times outermost."""
+    g = builtin_graph(kind, *sizes)
+    obs = [CylinderEvent.of(sites={0: 1}), CylinderEvent.of(sites={1: -1}, edges={0: 1})]
+    initial = ProductInitial(0.5, 0.3) if product else striped_state(g)
+    out = estimate_cylinder_probabilities(
+        g, uniform_kernel(g), PARAMS, initial, [0.0, 1.0, 2.5], obs, 5000, RngStream(seed),
+    )
+    return [round(res.estimate * res.replicas) for res in out.values()]
 
 
 def _dual_path(kind, sizes, seed, mode, stop, t_max):
@@ -76,6 +88,13 @@ FORWARD_PINS = {
         events=61, sites="--++++--+", edges="+-------+--++--+--",
         flips=[0, 0, 1, 0, 1, 2, 1, 0, 0, 0, 3, 3, 0, 2, 1, 1, 1, 0], rows="11110101",
     ),
+}
+
+BATCHED_PINS = {
+    ("cycle", (6,), 1, False): [5000, 5000, 3606, 2167, 3061, 1210],
+    ("cycle", (6,), 2, True): [2503, 713, 2497, 743, 2513, 707],
+    ("grid_torus", (3, 3), 1, False): [5000, 5000, 3535, 1970, 2787, 1187],
+    ("grid_torus", (3, 3), 2, True): [2446, 753, 2495, 776, 2549, 753],
 }
 
 DUAL_PINS = {
@@ -139,6 +158,11 @@ BIRTH_DEATH_PINS = {
 @pytest.mark.parametrize("case", sorted(FORWARD_PINS))
 def test_forward_sample_path_is_pinned(case):
     assert _forward_path(*case) == FORWARD_PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_PINS))
+def test_batched_forward_hits_are_pinned(case):
+    assert _batched_hits(*case) == BATCHED_PINS[case]
 
 
 @pytest.mark.parametrize("case", sorted(DUAL_PINS))
