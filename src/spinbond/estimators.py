@@ -187,7 +187,7 @@ def _cylinder_hits(gen, size, g, table, v, initial, times, cylinders) -> np.ndar
     cum, src, via = table
     width = cum.shape[1]
     objects = n + m if v > 0.0 else n  # with v = 0 no edge ever rings
-    rate = n + v * m if v > 0.0 else float(n)
+    rate = n + v * m
     # Start rows: a ProductInitial drawn in one call per sign array, or a fixed state tiled.
     state = np.empty((size, n + m + 2), dtype=np.int8)
     if isinstance(initial, ProductInitial):
