@@ -292,6 +292,13 @@ class CoalescenceReport:
     time: float
     censored: bool
 
+    @staticmethod
+    def of(st: DualState, time: float, censored: bool) -> "CoalescenceReport":
+        """Report on a final state: its classes and whether each shares one sign."""
+        partition = tuple(st.classes())
+        sync = tuple(all(st.signs[j] == st.signs[cls[0]] for j in cls) for cls in partition)
+        return CoalescenceReport(partition=partition, sync=sync, time=time, censored=censored)
+
     def to_json(self) -> dict:
         return {
             "partition": [list(c) for c in self.partition],
@@ -324,15 +331,8 @@ def run_to_full_coalescence(
         mode="coalescing",
         stop_on_full_coalescence=True,
     )
-    st = traj.final_state
-    partition = tuple(st.classes())
-    sync = tuple(
-        all(st.signs[j] == st.signs[cls[0]] for j in cls) for cls in partition
-    )
     time = traj.coalescence_time if traj.coalescence_time is not None else traj.elapsed
-    return CoalescenceReport(
-        partition=partition, sync=sync, time=time, censored=traj.censored
-    )
+    return CoalescenceReport.of(traj.final_state, time, traj.censored)
 
 
 @dataclass

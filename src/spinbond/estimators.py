@@ -1,11 +1,16 @@
 """Monte Carlo estimators over independent replicas.
 
-Forward cylinder probabilities run replicas in blocks of ``REPLICA_BLOCK``,
-stepped in lockstep as numpy arrays; block b consumes the generator derived
-from the stream's spawn key extended by b. Every other estimator runs one
-replica at a time, and replica i consumes the generator of the key extended
-by i. Either way results do not depend on the worker count, and reruns with
-the same seed reproduce byte-identical output.
+Every estimator runs its replicas in blocks of ``REPLICA_BLOCK``, stepped in
+lockstep as numpy arrays; block b consumes the generator derived from the
+stream's spawn key extended by b, and workers get whole blocks, so results
+do not depend on the worker count and reruns with the same seed reproduce
+byte-identical output. Forward runs use the uniformized chain of all site
+and edge clocks (``_cylinder_hits``); dual runs draw each replica's next
+event at its own total rate, walkers plus v per revealed edge
+(``_dual_block``); birth-death runs are batched Gillespie
+(``simulate_birth_death``). ``raw-simulate`` outputs paths, so it runs the
+event-driven ``simulate_forward`` once per replica on the replica's own
+substream.
 """
 
 from __future__ import annotations
@@ -18,13 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .dual import (
-    CoalescenceReport,
-    DualState,
-    duality_weight,
-    run_to_full_coalescence,
-    simulate_dual,
-)
+from .dual import CoalescenceReport, DualState, _occupied_component_count
 from .errors import CensoringError
 from .forward import (
     ModelParams,
@@ -38,8 +37,8 @@ from .rng import RngStream
 
 DEFAULT_CENSOR_TOLERANCE = 1e-3
 
-# Replicas per block of the batched forward estimator: a fixed constant, so
-# that estimates do not depend on how many workers share the blocks.
+# Replicas per block of the batched estimators: a fixed constant, so that
+# estimates do not depend on how many workers share the blocks.
 REPLICA_BLOCK = 4096
 
 
@@ -111,12 +110,6 @@ def _collect(fn, replicas: int, stream: RngStream, workers: int = 1, block: int 
         for part in pool.map(_run_range, jobs):
             out.extend(part)
     return out
-
-
-def _replica_mean(label, replicas, stream, workers, replica, prefactor=1.0, **fixed):
-    """Summary of ``prefactor * replica(gen, **fixed)`` over one generator per replica."""
-    values = np.array(_collect(partial(replica, **fixed), replicas, stream, workers))
-    return _summarize(label, prefactor * values)
 
 
 def _forward_cylinder_replica(gen, g, sampler, params, initial, t_max, times, cylinders):
@@ -269,11 +262,106 @@ def estimate_cylinder_probabilities(
     return out
 
 
-def _dual_side_replica(gen, g, sampler, params, forward_state, initial, t, mode):
-    traj = simulate_dual(g, sampler, params, initial, t, gen, mode=mode)
-    return duality_weight(
-        forward_state.site_signs, forward_state.edge_signs, traj.final_state, params.p
+def _dual_block(gen, size, g, table, params, initial, t_max, coalescing, target):
+    """``size`` dual runs from ``initial`` in lockstep, each stopped at t_max.
+
+    Each running replica draws its next event at its own total rate k + v r,
+    with k walkers and r revealed edges; the rate is constant between
+    events, so this is exact Gillespie. A ring u < k belongs to walker slot
+    ⌊u⌋. Under the coalescing rule it moves every walker on that slot's
+    site, but only when the slot is the lowest-indexed walker there: each
+    occupied site rings at rate 1 after this thinning. Under the independent
+    rule it moves that walker alone. The neighbour and joining edge come
+    from the site rows of ``_event_table``; an unrevealed edge is revealed
+    +1 with probability p. Any other ring forgets a uniformly chosen
+    revealed edge. With ``target`` a replica also stops once its walkers
+    form that many classes (coalescing rule only).
+
+    Returns positions and signs ``(size, k)``, edge statuses ``(size, m)``
+    (0 unrevealed, else the revealed sign), and per replica the time it
+    stopped (t_max unless it coalesced) and whether it coalesced.
+    """
+    n, k = g.vertex_count, initial.walker_count
+    p, v = params.p, params.v
+    cum, src, via = table
+    width = cum.shape[1]
+    pos = np.tile(np.array(initial.positions, dtype=np.intp), (size, 1))
+    sgn = np.tile(np.array(initial.signs, dtype=np.int8), (size, 1))
+    status = np.zeros((size, g.edge_count), dtype=np.int8)
+    status[:, sorted(initial.revealed_positive)] = 1
+    status[:, sorted(initial.revealed_negative)] = -1
+    # Replica i's revealed edges are revealed[i, :count[i]], in no set order;
+    # a forget moves the last entry into the freed place.
+    first = sorted(initial.revealed_positive | initial.revealed_negative)
+    revealed = np.zeros(status.shape, dtype=np.intp)
+    revealed[:, : len(first)] = first
+    count = np.full(size, len(first))
+    clock = np.zeros(size)
+    classes = np.full(size, len(set(initial.positions)))
+    coalesced = classes == target
+    live = np.flatnonzero(~coalesced)
+    while live.size:
+        rate = k + v * count[live]
+        t = clock[live] + gen.standard_exponential(live.size) / rate
+        u, w, q = gen.random((3, live.size))
+        on = t <= t_max
+        live, rate, u, w, q = live[on], rate[on], u[on], w[on], q[on]
+        clock[live] = t[on]
+        u *= rate
+        ring = u < k
+        if v > 0.0:
+            f = live[~ring]
+            last = count[f] - 1
+            at = np.minimum(((u[~ring] - k) / v).astype(np.intp), last)
+            status[f, revealed[f, at]] = 0
+            revealed[f, at] = revealed[f, last]
+            count[f] = last
+        r, slot, w, q = live[ring], np.minimum(u[ring].astype(np.intp), k - 1), w[ring], q[ring]
+        here = pos[r]
+        z = here[np.arange(r.size), slot]
+        if coalescing:
+            movers = here == z[:, None]
+            lead = movers.argmax(axis=1) == slot
+            r, z, here, movers, w, q = r[lead], z[lead], here[lead], movers[lead], w[lead], q[lead]
+        else:
+            movers = slot[:, None] == np.arange(k)
+        entry = z * width + (np.take(cum, z, axis=0) <= w[:, None]).argmin(axis=1)
+        y, e = src.take(entry), via.take(entry) - n
+        s = status[r, e]
+        fresh = s == 0
+        s[fresh] = np.where(q[fresh] < p, 1, -1)
+        rf, ef = r[fresh], e[fresh]
+        status[rf, ef] = s[fresh]
+        revealed[rf, count[rf]] = ef
+        count[rf] += 1
+        if target is not None:  # a move onto an occupied site merges two classes
+            classes[r] -= (here == y[:, None]).any(axis=1)
+            coalesced[r[classes[r] == target]] = True
+            live = live[~coalesced[live]]
+        pos[r] = np.where(movers, y[:, None], here)
+        sgn[r] = np.where(movers, sgn[r] * s[:, None], sgn[r])
+    return pos, sgn, status, np.where(coalesced, clock, t_max), coalesced
+
+
+def _dual_runs(g, kernel, params, initial, t_max, replicas, stream, workers, mode, target=None):
+    """``_dual_block`` over ``replicas`` runs, each output joined in replica order."""
+    if mode not in ("coalescing", "independent"):
+        raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    initial.validate(g)
+    fn = partial(
+        _dual_block,
+        g=g,
+        table=_event_table(g, NeighborSampler(g, kernel), params.p),
+        params=params,
+        initial=initial,
+        t_max=t_max,
+        coalescing=mode == "coalescing",
+        target=target,
     )
+    parts = _collect(fn, replicas, stream, workers, block=REPLICA_BLOCK)
+    return [np.concatenate(field) for field in zip(*parts)]
 
 
 def estimate_dual_side(
@@ -297,7 +385,6 @@ def estimate_dual_side(
     probability of the cylinder event the dual initial condition encodes,
     so at t=0 the value is exactly that event's indicator.
     """
-    initial.validate(g)
     forward_state.validate(g)
     if not 0.0 < params.p < 1.0:
         raise ValueError(f"duality weights need p in (0,1), got {params.p}")
@@ -310,11 +397,17 @@ def estimate_dual_side(
     ]
     parts += [f"edge{e}=+1" for e in sorted(initial.revealed_positive)]
     parts += [f"edge{e}=-1" for e in sorted(initial.revealed_negative)]
-    return _replica_mean(
-        f"dual_side:t={t:g}:{'&'.join(parts)}", replicas, stream, workers,
-        _dual_side_replica, prefactor, g=g, sampler=NeighborSampler(g, kernel), params=params,
-        forward_state=forward_state, initial=initial, t=t, mode=mode,
+    pos, sgn, status, _, _ = _dual_runs(
+        g, kernel, params, initial, t, replicas, stream, workers, mode
     )
+    # duality_weight per replica: zero unless every walker sits on a site of
+    # its sign and every revealed edge shows its revealed sign, else 1/p per
+    # positive and 1/(1-p) per negative reveal.
+    match = (forward_state.site_signs[pos] == sgn).all(axis=1)
+    match &= ((status == 0) | (status == forward_state.edge_signs)).all(axis=1)
+    plus, minus = (status == 1).sum(axis=1), (status == -1).sum(axis=1)
+    weight = np.where(match, params.p**-plus * (1.0 - params.p) ** -minus, 0.0)
+    return _summarize(f"dual_side:t={t:g}:{'&'.join(parts)}", prefactor * weight)
 
 
 @dataclass(frozen=True)
@@ -379,12 +472,6 @@ class MuDynResult:
     reports: tuple[CoalescenceReport, ...]
 
 
-def _mu_dyn_replica(gen, g, sampler, params, initial, t_cap):
-    report = run_to_full_coalescence(g, sampler, params, initial, t_cap, gen)
-    value = 0.5 ** len(report.partition) if all(report.sync) else 0.0
-    return value, report
-
-
 def estimate_mu_dyn(
     g: Graph,
     kernel: AdoptionKernel,
@@ -419,22 +506,27 @@ def estimate_mu_dyn(
             f"all-+1 site constraints, got signs {signs}"
         )
     initial = DualState.of(sites, signs, revealed_positive, revealed_negative)
-    initial.validate(g)
     if t_cap is None:
         t_cap = default_time_cap(g)
-    sampler = NeighborSampler(g, kernel)
-    fn = partial(
-        _mu_dyn_replica, g=g, sampler=sampler, params=params, initial=initial, t_cap=t_cap
+    target = _occupied_component_count(g, initial.positions)
+    pos, sgn, _, time, coalesced = _dual_runs(
+        g, kernel, params, initial, t_cap, replicas, stream, workers, "coalescing", target
     )
-    outcomes = _collect(fn, replicas, stream, workers)
-    reports = tuple(rep for _, rep in outcomes[:report_limit])
-    censored = sum(1 for _, rep in outcomes if rep.censored)
+    reports = tuple(
+        CoalescenceReport.of(DualState.of(at.tolist(), sg.tolist()), float(t), not done)
+        for at, sg, t, done in zip(pos[:report_limit], sgn[:report_limit], time, coalesced)
+    )
+    censored = replicas - int(np.count_nonzero(coalesced))
     if censored > censor_tolerance * replicas or censored == replicas:
         raise CensoringError(
             f"{censored} of {replicas} replicas hit the time cap {t_cap:g} "
             f"before coalescing (tolerance {censor_tolerance:.1%})"
         )
-    values = np.array([v for v, rep in outcomes if not rep.censored])
+    # A coalesced replica has ``target`` classes; its value is 2^-target
+    # when no class holds walkers of both signs, and 0 otherwise.
+    together = pos[coalesced, :, None] == pos[coalesced, None, :]
+    clash = together & (sgn[coalesced, :, None] != sgn[coalesced, None, :])
+    values = np.where(clash.any(axis=(1, 2)), 0.0, 0.5**target)
     prefactor = params.p ** len(initial.revealed_positive) * (1.0 - params.p) ** len(
         initial.revealed_negative
     )
@@ -465,24 +557,25 @@ def birth_death_mgf(theta: float, t: float, v: float, r0: int) -> float:
     return survivor**r0 * math.exp(arrivals)
 
 
-def simulate_birth_death(r0: int, v: float, t_max: float, gen) -> int:
-    """Population at t_max for unit birth rate and per-head death rate v."""
-    random, standard_exponential = gen.random, gen.standard_exponential
-    k = r0
-    t = 0.0
-    while True:
-        rate = 1.0 + v * k
-        t += (1.0 / rate) * standard_exponential()  # the draw of exponential(1.0 / rate)
-        if t > t_max:
-            return k
-        if random() * rate < 1.0:
-            k += 1
-        else:
-            k -= 1
+def simulate_birth_death(gen, size: int, r0: int, v: float, t_max: float) -> np.ndarray:
+    """Populations at t_max of ``size`` runs with unit birth rate and per-head death rate v.
 
-
-def _mgf_replica(gen, theta, t, v, r0):
-    return math.exp(theta * simulate_birth_death(r0, v, t, gen))
+    Batched Gillespie (1977): each round, every run still short of t_max
+    draws one exponential waiting time at its total rate 1 + v k and one
+    uniform that picks a birth with probability 1 / (1 + v k).
+    """
+    k = np.full(size, r0, dtype=np.int64)
+    clock = np.zeros(size)
+    live = np.arange(size)
+    while live.size:
+        rate = 1.0 + v * k[live]
+        t = clock[live] + gen.standard_exponential(live.size) / rate
+        birth = gen.random(live.size) * rate < 1.0
+        on = t <= t_max
+        live = live[on]
+        clock[live] = t[on]
+        k[live] += np.where(birth[on], 1, -1)
+    return k
 
 
 def estimate_mgf(
@@ -494,17 +587,9 @@ def estimate_mgf(
     stream: RngStream,
     workers: int = 1,
 ) -> EstimateResult:
-    return _replica_mean(
-        f"mgf:theta={theta:g},t={t:g},v={v:g},r0={r0}", replicas, stream, workers,
-        _mgf_replica, theta=theta, t=t, v=v, r0=r0,
-    )
-
-
-def _revealed_weight_replica(gen, g, sampler, params, initial, theta, t):
-    traj = simulate_dual(g, sampler, params, initial, t, gen, mode="coalescing")
-    st = traj.final_state
-    size = len(st.revealed_positive) + len(st.revealed_negative)
-    return math.exp(theta * size)
+    fn = partial(simulate_birth_death, r0=r0, v=v, t_max=t)
+    sizes = np.concatenate(_collect(fn, replicas, stream, workers, block=REPLICA_BLOCK))
+    return _summarize(f"mgf:theta={theta:g},t={t:g},v={v:g},r0={r0}", np.exp(theta * sizes))
 
 
 def estimate_revealed_weight(
@@ -519,8 +604,6 @@ def estimate_revealed_weight(
     workers: int = 1,
 ) -> EstimateResult:
     """Sample mean of exp(theta * revealed-set size) at time t."""
-    return _replica_mean(
-        f"revealed_weight:theta={theta:g},t={t:g}", replicas, stream, workers,
-        _revealed_weight_replica, g=g, sampler=NeighborSampler(g, kernel), params=params,
-        initial=initial, theta=theta, t=t,
-    )
+    status = _dual_runs(g, kernel, params, initial, t, replicas, stream, workers, "coalescing")[2]
+    size = np.count_nonzero(status, axis=1)
+    return _summarize(f"revealed_weight:theta={theta:g},t={t:g}", np.exp(theta * size))

@@ -230,14 +230,19 @@ def _versus(name: str, est, target: float, sig: float, ok: bool) -> str:
     return f"{name}: {est.estimate:.5f} vs {target:.5f} ({sig:.2f} sigma): {_verdict(ok)}"
 
 
-def _family_rate(gates: int, sigmas: float) -> str:
+def _family_rate(gates: int, sigmas: float, sides: int = 2) -> str:
     """A gate family's size, per-gate threshold and family-wise false-failure rate.
 
-    The rate is the union bound over two-sided gates under the normal
-    approximation, which holds however the gates are correlated.
+    The rate is the union bound over two-sided (or, with ``sides=1``,
+    one-sided) gates under the normal approximation, which holds however
+    the gates are correlated.
     """
-    rate = min(1.0, gates * math.erfc(sigmas / math.sqrt(2.0)))
-    return f"{gates} gate{'s' if gates != 1 else ''} at {sigmas:g} sigma, family-wise <= {100 * rate:.2g}%"
+    rate = min(1.0, gates * sides / 2 * math.erfc(sigmas / math.sqrt(2.0)))
+    kind = "" if sides == 2 else " one-sided"
+    return (
+        f"{gates}{kind} gate{'s' if gates != 1 else ''} at {sigmas:g} sigma, "
+        f"family-wise <= {100 * rate:.2g}%"
+    )
 
 
 def _sigma_gate(est, target: float, sigmas: float) -> tuple[float, bool]:
@@ -546,7 +551,7 @@ def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
         sig, passed = _sigma_gate(est, exact, cfg["sigmas"])
         result.lines.append(
             f"exact stationary mass {exact:.6f}, deviation {sig:.2f} sigma "
-            f"(gate {cfg['sigmas']:g}): {_verdict(passed)}"
+            f"({_family_rate(1, cfg['sigmas'])}): {_verdict(passed)}"
         )
     elif capped:
         result.lines.append(f"exact solve unavailable ({capped}); no oracle gate applied")
@@ -709,6 +714,7 @@ def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, g, kernel, param
                     )
                 )
                 result.lines.append(_versus(est.observable, est, target, sig, ok))
+    result.lines.append(f"mgf gates ({_family_rate(len(rows), cfg['sigmas'])}): {_verdict(all_ok)}")
 
     if cfg["check_domination"]:
         theta = -2.0 * math.log(min(params.p, 1.0 - params.p))
@@ -730,7 +736,8 @@ def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, g, kernel, param
         )
         result.lines.append(
             f"revealed-set weight at theta={theta:.4f}, t={t:g}: "
-            f"{est.estimate:.5f} <= bound {bound:.5f}: {_verdict(ok)}"
+            f"{est.estimate:.5f} <= bound {bound:.5f} "
+            f"({_family_rate(1, cfg['sigmas'], sides=1)}): {_verdict(ok)}"
         )
     result.write("mgf_check.jsonl", rows)
     return all_ok

@@ -1,139 +1,15 @@
 """Deterministic random number streams.
 
 Every generator is derived from (seed, spawn key) through numpy's
-SeedSequence, so any replica can be reproduced in isolation and results do
-not depend on how work is scheduled.
-
-``RngStream.generator()`` is numpy's own derivation. ``RngStream.substream(i)``
-returns a new generator in exactly the state of ``child(i).generator()``,
-with its PCG64 seed words computed in blocks: the SeedSequence entropy pool
-and its ``generate_state(4, uint64)`` words are hashed for 1,024 indices at
-once in numpy ``uint32`` arithmetic, the block is cached, and numpy's PCG64
-runs its own set-seed step (O'Neill 2014) on the cached words. That costs
-about 2 µs per replica against about 20 µs through ``SeedSequence``, most
-of it the SeedSequence hashing in numpy's per-call code (best of 7 timeit
-repeats: 1.9-2.5 µs against 19-22 µs, 2-core machine, numpy 2.4).
+SeedSequence, so any replica or block of replicas can be reproduced in
+isolation and results do not depend on how work is scheduled.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISpawnableSeedSequence
-
-# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_MASK32 = 0xFFFFFFFF
-
-# Replica indices hashed per numpy pass. A power of two up to 2**32 divides
-# every 2**32k, so the word count of an index is constant inside a block.
-SEED_BLOCK = 1024
-
-
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return out ^ (out >> np.uint32(16))
-
-
-def _entropy_pools(words: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence.mix_entropy over a block: ``words[j]`` is entropy word j of
-    every member (a broadcastable uint32 array); returns the four pool words."""
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    pool = [hashmix(words[i]) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool
-
-
-def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence.generate_state(4, uint64) over a block, shape (block, 4)."""
-    hash_const = _INIT_B
-    out = []
-    for i in range(2 * 4):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    return np.stack([out[2 * k] | (out[2 * k + 1] << np.uint64(32)) for k in range(4)], axis=1)
-
-
-@functools.lru_cache(maxsize=8)
-def _block_seed_words(seed: int, key: tuple[int, ...], block: int) -> np.ndarray:
-    """PCG64 seed words of spawn keys ``key + (i,)`` for the indices i of one
-    block, as a read-only (SEED_BLOCK, 4) uint64 array."""
-    run = _uint32_words(seed)
-    run += [0] * (_POOL_SIZE - len(run))  # SeedSequence pads run entropy when spawned
-    for part in key:
-        run += _uint32_words(part)
-    # One-element arrays broadcast over the block; uint32 arrays wrap silently.
-    prefix = [np.array([w], dtype=np.uint32) for w in run]
-    lo = block * SEED_BLOCK
-    width = len(_uint32_words(lo))  # raises for a negative index
-    index = np.arange(lo, lo + SEED_BLOCK, dtype=np.uint64)
-    words = [(index >> np.uint64(32 * k)).astype(np.uint32) for k in range(width)]
-    out = _generate_state(_entropy_pools(prefix + words))
-    out.flags.writeable = False
-    return out
-
-
-class _PrecomputedSeed(ISpawnableSeedSequence):
-    """A SeedSequence whose ``generate_state(4, uint64)`` words are known.
-
-    Any other request, ``spawn`` included, goes to numpy's SeedSequence for
-    the same entropy and spawn key, built on first use.
-    """
-
-    def __init__(self, entropy: int, spawn_key: tuple[int, ...], words: np.ndarray) -> None:
-        self._entropy = entropy
-        self._spawn_key = spawn_key
-        self._words = words
-        self._reference: np.random.SeedSequence | None = None
-
-    def _seed_sequence(self) -> np.random.SeedSequence:
-        if self._reference is None:
-            self._reference = np.random.SeedSequence(self._entropy, spawn_key=self._spawn_key)
-        return self._reference
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words == 4 and dtype is np.uint64:  # what PCG64 asks for
-            return self._words
-        return self._seed_sequence().generate_state(n_words, dtype)
-
-    def spawn(self, n_children):
-        return self._seed_sequence().spawn(n_children)
 
 
 @dataclass(frozen=True)
@@ -152,12 +28,8 @@ class RngStream:
         return RngStream(seed=self.seed, key=self.key + (index,))
 
     def substream(self, index: int) -> np.random.Generator:
-        """A new generator in the state of ``child(index).generator()``; spawning
-        from it gives the same children too."""
-        block, offset = divmod(index, SEED_BLOCK)
-        words = _block_seed_words(self.seed, self.key, block)[offset]
-        seed_seq = _PrecomputedSeed(self.seed, self.key + (index,), words)
-        return np.random.Generator(np.random.PCG64(seed_seq))
+        """A new generator for replica or block ``index``: ``child(index).generator()``."""
+        return self.child(index).generator()
 
 
 def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:

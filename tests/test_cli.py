@@ -468,6 +468,9 @@ def test_cli_run_outputs_are_byte_identical(tmp_path):
         (tv, tv_names),
         ({**tv, "t_max": 10.0, "oracle": "off", "replicas": 400}, tv_names),
         (mgf, ("mgf_check.jsonl",)),
+        # 4,200 replicas are two blocks of the batched dual and birth-death runs.
+        ({**body, "replicas": 4200}, ("mu_dyn_estimate.jsonl", "coalescence_reports.json")),
+        ({**mgf, "replicas": 4200, "sigmas": 25.0}, ("mgf_check.jsonl",)),
     )
     for i, (cfg, names) in enumerate(runs):
         a, b = out_a / str(i), out_b / str(i)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import striped_state
+from scipy import stats
 from scipy.linalg import expm
 
 from spinbond import estimators as est
@@ -77,14 +78,44 @@ def test_parallel_workers_reproduce_sequential(p3):
         assert par == seq
 
 
+def _block_estimates(name, workers):
+    """One block estimator over three blocks, the last one short."""
+    replicas, stream = 2 * est.REPLICA_BLOCK + 100, RngStream(19, (4,))
+    g = builtin_graph("path", 3)
+    kern, params = uniform_kernel(g), ModelParams(0.3, 1.0)
+    if name == "dual_side":
+        return est.estimate_dual_side(
+            g, kern, params, striped_state(g), DualState.of([0, 2], [1, -1], [1]), 0.8,
+            replicas, stream, workers, mode="independent",
+        )
+    if name == "revealed_weight":
+        return est.estimate_revealed_weight(
+            g, kern, params, DualState.of([1], [1]), 0.7, 2.0, replicas, stream, workers
+        )
+    if name == "mu_dyn":
+        return est.estimate_mu_dyn(
+            g, kern, params, [0, 2], [1, 1], replicas, stream, workers=workers,
+            report_limit=replicas,
+        )
+    return est.estimate_mgf(0.5, 1.5, 0.5, 3, replicas, stream, workers)
+
+
+@pytest.mark.parametrize("name", ["dual_side", "revealed_weight", "mu_dyn", "mgf"])
+def test_block_estimators_reproduce_sequential(name):
+    # As for the forward estimator: whole results, mu-dyn's coalescence
+    # reports of every replica included, must not depend on the workers.
+    seq = _block_estimates(name, 1)
+    for workers in (2, 3):
+        assert _block_estimates(name, workers) == seq
+
+
 def _first_draws(gen):
     return gen.random(), gen.exponential()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_collect_matches_per_replica_generators(workers):
-    # 2,500 replicas cross the derivation's block boundaries and, with two
-    # workers, the pool's chunk split at 1,250.
+    # With two workers, 2,500 replicas cross the pool's chunk split at 1,250.
     stream = RngStream(2024, (3, 1))
     expected = [_first_draws(stream.child(i).generator()) for i in range(2500)]
     assert est._collect(_first_draws, 2500, stream, workers) == expected
@@ -167,6 +198,85 @@ def test_batched_estimator_follows_the_exact_transient_law(case):
                 failures.append(f"t={t} {cyl.label()}: {res.estimate} vs {want}")
     assert len(got) == 3 * len(cyls)
     assert not failures
+
+
+def _dual_events(g, pos, sgn, status):
+    """Indicator columns of the dual events the law test gates.
+
+    Each walker's (site, sign), each edge revealed +1 and -1, each revealed
+    count, and for two walkers: co-located, and co-located with one sign.
+    """
+    n, m, k = g.vertex_count, g.edge_count, pos.shape[1]
+    cols = [(pos[:, j] == x) & (sgn[:, j] == s) for j in range(k) for x in range(n) for s in (1, -1)]
+    cols += [status[:, e] == s for e in range(m) for s in (1, -1)]
+    revealed = np.count_nonzero(status, axis=1)
+    cols += [revealed == c for c in range(m + 1)]
+    if k == 2:
+        together = pos[:, 0] == pos[:, 1]
+        cols += [together, together & (sgn[:, 0] == sgn[:, 1])]
+    return np.stack(cols, axis=1)
+
+
+def _decoded_dual_states(g, k):
+    """Positions, signs and edge statuses of every oracle dual state, in index order."""
+    n, m = g.vertex_count, g.edge_count
+    idx = np.arange(oracle.dual_state_count(g, k))
+    pos = np.stack([(idx // n**j) % n for j in range(k)], axis=1)
+    bits = (idx // n**k) % 2**k
+    sgn = np.stack([np.where((bits >> j) & 1, 1, -1) for j in range(k)], axis=1)
+    env = idx // (n**k * 2**k)
+    digit = np.stack([(env // 3**e) % 3 for e in range(m)], axis=1)
+    return pos, sgn, np.select([digit == 1, digit == 2], [1, -1], 0)
+
+
+# (graph, skewed kernel, p, v, t, mode, start): k = 1 and 2, both rules,
+# v = 0, the skewed C4 kernel with its rate-0 entry, and revealed starts.
+_DUAL_LAW_CASES = {
+    "P3 k=1": ("path:3", False, 0.3, 1.0, 1.0, "coalescing", DualState.of([1], [1])),
+    "P3 k=2 independent revealed": (
+        "path:3", False, 0.3, 1.5, 0.8, "independent", DualState.of([0, 2], [1, -1], [0]),
+    ),
+    "C4 k=2 coalescing revealed": (
+        "cycle:4", False, 0.6, 0.8, 1.2, "coalescing", DualState.of([0, 2], [1, 1], [1], [3]),
+    ),
+    "C4 skewed k=2 coalescing v=0": (
+        "cycle:4", True, 0.6, 0.0, 1.0, "coalescing", DualState.of([0, 1], [1, -1]),
+    ),
+    "C4 skewed k=2 independent co-located": (
+        "cycle:4", True, 0.4, 1.0, 1.0, "independent", DualState.of([0, 0], [1, -1], (), [2]),
+    ),
+    "C4 k=1 independent two revealed": (
+        "cycle:4", False, 0.5, 2.0, 0.5, "independent", DualState.of([3], [-1], [0, 2]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DUAL_LAW_CASES))
+def test_batched_dual_follows_the_exact_transient_law(case):
+    # Event frequencies of the batched dual runner against
+    # oracle.transient_distribution on build_dual_generator. Stated
+    # false-failure rate: the six cases hold 148 two-sided gates at 4
+    # binomial sigma, family-wise <= 148 * 0.0063% = 0.94% under the normal
+    # approximation. Where the exact value is 0 or 1 the frequency must
+    # equal it.
+    spec, skewed, p, v, t, mode, initial = _DUAL_LAW_CASES[case]
+    kind, size = spec.split(":")
+    g = builtin_graph(kind, int(size))
+    kern = kernel_from_rates(_C4_SKEWED, 4) if skewed else uniform_kernel(g)
+    params = ModelParams(p, v)
+    replicas = 20_000
+    pos, sgn, status, _, _ = est._dual_runs(
+        g, kern, params, initial, t, replicas, RngStream(83, (len(case),)), 1, mode
+    )
+    k = initial.walker_count
+    law0 = np.zeros(oracle.dual_state_count(g, k))
+    law0[oracle.encode_dual_state(g, initial)] = 1.0
+    law = oracle.transient_distribution(oracle.build_dual_generator(g, kern, params, k, mode), law0, t)
+    want = law @ _dual_events(g, *_decoded_dual_states(g, k))
+    got = _dual_events(g, pos, sgn, status).mean(axis=0)
+    sigma = np.sqrt(np.clip(want * (1.0 - want), 0.0, None) / replicas)
+    bad = np.flatnonzero(np.abs(got - want) > 4.0 * sigma + 1e-12)
+    assert not [(int(i), got[i], want[i]) for i in bad]
 
 
 def test_mu_dyn_single_walker_is_exact(k2):
@@ -484,6 +594,27 @@ def test_birth_death_mgf_identities():
     assert est.birth_death_mgf(-40.0, t, v, 0) == pytest.approx(expected, rel=1e-9)
     with pytest.raises(ValueError):
         est.birth_death_mgf(0.1, 1.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("r0", [0, 3])
+@pytest.mark.parametrize("t", [1.0, 5.0])
+@pytest.mark.parametrize("v", [0.5, 4.0])
+def test_batched_birth_death_follows_the_closed_form_law(r0, t, v):
+    # K_t is Binomial(r0, e^{-vt}) survivors plus Poisson((1 - e^{-vt}) / v)
+    # arrivals. Stated false-failure rate: the eight cases hold 104
+    # two-sided gates (P(K = j) for j < 12 and P(K >= 12)) at 4 binomial
+    # sigma, family-wise <= 104 * 0.0063% = 0.66% under the normal
+    # approximation.
+    replicas = 20_000
+    sizes = est.simulate_birth_death(RngStream(89, (r0, int(t), int(v))).generator(), replicas, r0, v, t)
+    survive = math.exp(-v * t)
+    arrivals = stats.poisson.pmf(np.arange(12), (1.0 - survive) / v)
+    law = np.convolve(stats.binom.pmf(np.arange(r0 + 1), r0, survive), arrivals)[:12]
+    want = np.append(law, 1.0 - law.sum())
+    got = np.append(np.bincount(np.minimum(sizes, 12), minlength=13)[:12], np.count_nonzero(sizes >= 12))
+    got = got / replicas
+    sigma = np.sqrt(np.clip(want * (1.0 - want), 0.0, None) / replicas)
+    assert np.all(np.abs(got - want) <= 4.0 * sigma + 1e-12), (got, want)
 
 
 def test_mgf_monte_carlo_within_three_sigma():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinbond.rng import SEED_BLOCK, RngStream
+from spinbond.rng import RngStream
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**70 + 3]
 KEYS = [(0,), (3, 0), (1, 2, 7), (2**33,)]
@@ -21,7 +21,7 @@ def _assert_same_generator(gen: np.random.Generator, ref: np.random.Generator, i
 @pytest.mark.parametrize("key", KEYS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_block_derivation_equals_seed_sequence(seed, key):
-    # 2100 indices cross the block boundaries at 1024 and 2048.
+    # 2100 consecutive indices, each against numpy's own derivation.
     stream = RngStream(seed, key)
     for i in range(2100):
         _assert_same_generator(stream.substream(i), _reference(seed, key + (i,)), i)
@@ -30,9 +30,9 @@ def test_block_derivation_equals_seed_sequence(seed, key):
 @pytest.mark.parametrize(
     "indices",
     [
-        [SEED_BLOCK - 1, SEED_BLOCK, 3, 5 * SEED_BLOCK + 7, 3],  # blocks out of order
+        [1023, 1024, 3, 5 * 1024 + 7, 3],  # indices out of order
         [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1],  # one to two 32-bit words
-        [2**63, 2**64 - 1],  # the last block of uint64 indices
+        [2**63, 2**64 - 1],  # the largest uint64 indices
     ],
 )
 def test_block_derivation_out_of_order_and_large(indices):
@@ -58,8 +58,6 @@ def test_substreams_are_independent_generators():
     assert a is not b
     first = a.random(4)
     assert np.array_equal(b.random(4), first)
-    with pytest.raises(ValueError):
-        a.bit_generator.seed_seq.generate_state(4, np.uint64)[0] = 0
 
 
 def test_block_derivation_rejects_what_seed_sequence_rejects():

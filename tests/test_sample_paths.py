@@ -3,17 +3,28 @@
 The reference-loop tests in test_forward.py and test_dual.py replay numpy's
 calls in a second copy of each loop, so they cannot see a change in which
 numbers get drawn, or in what order. These literals can: any change to the
-draws of ``simulate_forward``, ``simulate_dual``, ``simulate_birth_death`` or
-the batched forward estimator behind ``estimate_cylinder_probabilities``
+draws of ``simulate_forward``, ``simulate_dual``, the batched birth-death
+block ``simulate_birth_death``, the batched forward estimator behind
+``estimate_cylinder_probabilities`` or the batched dual runner behind
+``estimate_dual_side``, ``estimate_revealed_weight`` and ``estimate_mu_dyn``
 fails here. A change that alters sample paths on purpose updates them, and
 says so.
 """
+
+import math
 
 import pytest
 
 from spinbond.cylinders import CylinderEvent
 from spinbond.dual import DualState, simulate_dual
-from spinbond.estimators import ProductInitial, estimate_cylinder_probabilities, simulate_birth_death
+from spinbond.estimators import (
+    ProductInitial,
+    estimate_cylinder_probabilities,
+    estimate_dual_side,
+    estimate_mu_dyn,
+    estimate_revealed_weight,
+    simulate_birth_death,
+)
 from spinbond.forward import ModelParams, simulate_forward
 from spinbond.graphs import builtin_graph, uniform_kernel
 from spinbond.rng import RngStream
@@ -71,6 +82,28 @@ def _dual_path(kind, sizes, seed, mode, stop, t_max):
         "refreshes": traj.refresh_count,
         "coalescence_time": traj.coalescence_time,
     }
+
+
+def _dual_estimates(kind, sizes):
+    """Batched dual estimates over two blocks: dual side in both rules, the
+    revealed weight at theta = ln 2 (the mean of 2^size), and mu-dyn with
+    its censored count and first two coalescence times."""
+    g = builtin_graph(kind, *sizes)
+    kern = uniform_kernel(g)
+    initial = DualState.of([0, 2, 4], [1, -1, 1], revealed_positive=[1], revealed_negative=[3])
+    out = {
+        mode: estimate_dual_side(
+            g, kern, PARAMS, striped_state(g), initial, 2.0, 5000, RngStream(1), mode=mode
+        ).estimate
+        for mode in ("coalescing", "independent")
+    }
+    out["revealed_weight"] = estimate_revealed_weight(
+        g, kern, PARAMS, initial, math.log(2.0), 2.0, 5000, RngStream(2)
+    ).estimate
+    mu = estimate_mu_dyn(g, kern, PARAMS, [0, 3], [1, 1], 5000, RngStream(3), report_limit=2)
+    out.update(mu_dyn=mu.result.estimate, censored=mu.censored_count)
+    out.update((f"time{i}", rep.time) for i, rep in enumerate(mu.reports))
+    return out
 
 
 FORWARD_PINS = {
@@ -148,10 +181,32 @@ DUAL_PINS = {
     ),
 }
 
+# Populations of one 12-replica birth-death block, keyed (r0, v, t_max).
 BIRTH_DEATH_PINS = {
-    (0, 1.0, 2.0): [0, 0, 0, 0, 0, 1, 1, 1],
-    (3, 0.5, 4.0): [3, 5, 0, 3, 3, 0, 1, 1],
-    (10, 2.5, 1.0): [2, 2, 3, 1, 3, 1, 1, 1],
+    (0, 1.0, 2.0): [1, 1, 0, 0, 0, 2, 0, 0, 1, 1, 0, 0],
+    (3, 0.5, 4.0): [2, 2, 2, 3, 3, 7, 0, 2, 2, 2, 1, 1],
+    (10, 2.5, 1.0): [1, 2, 3, 1, 0, 2, 1, 3, 0, 2, 1, 1],
+}
+
+DUAL_ESTIMATE_PINS = {
+    ("cycle", (6,)): {
+        "coalescing": 0.03154884353741496,
+        "independent": 0.030482448979591834,
+        "revealed_weight": 5.8996,
+        "mu_dyn": 0.2462,
+        "censored": 0,
+        "time0": 5.614535910973497,
+        "time1": 1.0392834130344566,
+    },
+    ("grid_torus", (3, 3)): {
+        "coalescing": 0.022275199222546165,
+        "independent": 0.019872357628765793,
+        "revealed_weight": 11.275,
+        "mu_dyn": 0.221,
+        "censored": 0,
+        "time0": 4.027044561513199,
+        "time1": 4.928776280341801,
+    },
 }
 
 
@@ -172,5 +227,10 @@ def test_dual_sample_path_is_pinned(case):
 
 def test_birth_death_values_are_pinned():
     for (r0, v, t_max), expected in BIRTH_DEATH_PINS.items():
-        got = [simulate_birth_death(r0, v, t_max, RngStream(seed).generator()) for seed in range(8)]
-        assert got == expected
+        assert simulate_birth_death(RngStream(7).generator(), 12, r0, v, t_max).tolist() == expected
+
+
+@pytest.mark.parametrize("case", sorted(DUAL_ESTIMATE_PINS))
+def test_batched_dual_estimates_are_pinned(case):
+    # Means of floats: equal to the last few ulps, not bit for bit.
+    assert _dual_estimates(*case) == pytest.approx(DUAL_ESTIMATE_PINS[case], rel=1e-12)
