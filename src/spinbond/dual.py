@@ -10,9 +10,9 @@ Two move rules are supported. In the coalescing rule one clock runs per
 occupied site and every walker there moves together, so walkers that meet
 stay together for good. In the independent rule each walker has its own
 clock and moves alone. The revealed-edge bookkeeping is shared, and both
-rules keep one heap discipline with ``simulate_forward``: one entry per
-running clock, keyed by (time, channel, index), and draw neighbors by the
-same inlined bisection of the sampler's per-site cumulative rates.
+rules keep one heap entry per running clock, keyed by (time, channel,
+index), and draw neighbors by an inlined bisection of the per-site
+cumulative rates in ``NeighborSampler``.
 """
 
 from __future__ import annotations

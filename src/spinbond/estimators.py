@@ -8,9 +8,9 @@ byte-identical output. Forward runs use the uniformized chain of all site
 and edge clocks (``_cylinder_hits``); dual runs draw each replica's next
 event at its own total rate, walkers plus v per revealed edge
 (``_dual_block``); birth-death runs are batched Gillespie
-(``simulate_birth_death``). ``raw-simulate`` outputs paths, so it runs the
-event-driven ``simulate_forward`` once per replica on the replica's own
-substream.
+(``simulate_birth_death``). ``raw-simulate`` outputs paths, so it runs
+``simulate_forward`` once per replica on the replica's own substream: the
+same uniformized chain, one replica at a time, sharing one event table.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 from .dual import CoalescenceReport, DualState, _occupied_component_count
 from .errors import CensoringError
 from .forward import (
+    EventTable,
     ModelParams,
-    NeighborSampler,
     SpinBondState,
     sample_product_state,
     simulate_forward,
@@ -112,75 +112,22 @@ def _collect(fn, replicas: int, stream: RngStream, workers: int = 1, block: int 
     return out
 
 
-def _forward_cylinder_replica(gen, g, sampler, params, initial, t_max, times, cylinders):
+def _forward_cylinder_replica(gen, g, table, initial, t_max, times, cylinders):
     """One forward run on [0, t_max]: its checkpoint rows and final state."""
     if isinstance(initial, ProductInitial):
-        state = sample_product_state(
-            g, gen, initial.site_plus_prob, initial.edge_plus_prob
-        )
-    else:
-        state = initial
-    traj = simulate_forward(
-        g,
-        sampler,
-        params,
-        state,
-        t_max,
-        gen,
-        checkpoint_times=times,
-        observables=cylinders,
-    )
+        initial = sample_product_state(g, gen, initial.site_plus_prob, initial.edge_plus_prob)
+    traj = simulate_forward(g, table, table.params, initial, t_max, gen, times, cylinders)
     return traj.checkpoint_rows, traj.final_state
 
 
-def _event_table(g: Graph, sampler: NeighborSampler, p: float):
-    """What one uniformized event does to a batched state row.
-
-    A row holds the n site signs, the m edge signs, then a constant +1 and a
-    constant -1 column. Object k (site k, or edge k - n) draws position j of
-    its row of cumulative probabilities, the first one above a uniform
-    draw, and takes the product of columns ``src[k, j]`` and ``via[k, j]``.
-    A site's positions are its kernel neighbours, rate-0 entries left out as
-    in ``NeighborSampler``: the neighbour's sign times the joining edge's. An
-    edge's are +1 with probability p and -1 otherwise, times the +1 column.
-    Rows end on exactly 1.0 (a total divided by itself) and are padded with
-    2.0, so the first position above a draw in [0, 1) is always a real one.
-    Returns the cumulative table and the flattened ``src`` and ``via``.
-    """
-    n, m = g.vertex_count, g.edge_count
-    plus, minus = n + m, n + m + 1
-    rows = [
-        (np.array(cumulative) / total, neighbors, [n + e for e in edge_ids])
-        for cumulative, total, _, neighbors, edge_ids in sampler.rows
-    ]
-    refresh = [(q, col) for q, col in ((p, plus), (1.0 - p, minus)) if q != 0.0]
-    cumulative = np.cumsum([q for q, _ in refresh])
-    rows += [(cumulative / cumulative[-1], [col for _, col in refresh], [plus] * len(refresh))] * m
-    width = max(len(cum) for cum, _, _ in rows)
-    cum = np.full((n + m, width), 2.0)
-    src = np.full((n + m, width), plus, dtype=np.intp)
-    via = src.copy()
-    for k, (row, sources, vias) in enumerate(rows):
-        cum[k, : len(row)] = row
-        src[k, : len(sources)] = sources
-        via[k, : len(vias)] = vias
-    return cum, src.ravel(), via.ravel()
-
-
-def _cylinder_hits(gen, size, g, table, v, initial, times, cylinders) -> np.ndarray:
+def _cylinder_hits(gen, size, g, table, initial, times, cylinders) -> np.ndarray:
     """How many of ``size`` forward runs hit each (time, cylinder), times outermost.
 
-    Uniformization (Jensen 1953): the site clocks (rate 1) and edge clocks
-    (rate v) together ring as one Poisson process of rate n + v m, and each
-    ring picks its object in proportion to its rate. Per checkpoint interval
-    every run draws its ring count; the runs are sorted by count, so that
+    Per checkpoint interval every run draws its count of rings of the
+    uniformized chain (``EventTable``); the runs are sorted by count, so that
     the ones with a ring left are a prefix, and that prefix steps at once.
     """
     n, m = g.vertex_count, g.edge_count
-    cum, src, via = table
-    width = cum.shape[1]
-    objects = n + m if v > 0.0 else n  # with v = 0 no edge ever rings
-    rate = n + v * m
     # Start rows: a ProductInitial drawn in one call per sign array, or a fixed state tiled.
     state = np.empty((size, n + m + 2), dtype=np.int8)
     if isinstance(initial, ProductInitial):
@@ -194,7 +141,7 @@ def _cylinder_hits(gen, size, g, table, v, initial, times, cylinders) -> np.ndar
     hits = []
     elapsed = 0.0
     for t in times:
-        counts = gen.poisson(rate * (t - elapsed), size)
+        counts = gen.poisson(table.rate * (t - elapsed), size)
         elapsed = t
         order = np.argsort(-counts, kind="stable")
         state = state[order]
@@ -202,14 +149,9 @@ def _cylinder_hits(gen, size, g, table, v, initial, times, cylinders) -> np.ndar
         # live[s]: runs with more than s rings in this interval.
         for live in size - np.cumsum(np.bincount(counts))[:-1]:
             draws = gen.random(2 * live)
-            u = draws[:live] * rate
-            if objects > n:
-                u = np.where(u < n, u, n + (u - n) / v)
-            k = np.minimum(u.astype(np.intp), objects - 1)  # against rounding up to the top
-            j = (np.take(cum, k, axis=0) <= draws[live:, None]).argmin(axis=1)
-            entry = k * width + j
+            k, src, via = table.rings(draws[:live], draws[live:])
             at = offsets[:live]
-            flat[at + k] = flat[at + src.take(entry)] * flat[at + via.take(entry)]
+            flat[at + k] = flat[at + src] * flat[at + via]
         for cyl in cylinders:
             hit = np.ones(size, dtype=bool)
             for x, s in cyl.site_constraints:
@@ -246,8 +188,7 @@ def estimate_cylinder_probabilities(
     fn = partial(
         _cylinder_hits,
         g=g,
-        table=_event_table(g, NeighborSampler(g, kernel), params.p),
-        v=params.v,
+        table=EventTable(g, kernel, params),
         initial=initial,
         times=times,
         cylinders=cylinders,
@@ -272,7 +213,7 @@ def _dual_block(gen, size, g, table, params, initial, t_max, coalescing, target)
     site, but only when the slot is the lowest-indexed walker there: each
     occupied site rings at rate 1 after this thinning. Under the independent
     rule it moves that walker alone. The neighbour and joining edge come
-    from the site rows of ``_event_table``; an unrevealed edge is revealed
+    from the site rows of the ``EventTable``; an unrevealed edge is revealed
     +1 with probability p. Any other ring forgets a uniformly chosen
     revealed edge. With ``target`` a replica also stops once its walkers
     form that many classes (coalescing rule only).
@@ -283,8 +224,6 @@ def _dual_block(gen, size, g, table, params, initial, t_max, coalescing, target)
     """
     n, k = g.vertex_count, initial.walker_count
     p, v = params.p, params.v
-    cum, src, via = table
-    width = cum.shape[1]
     pos = np.tile(np.array(initial.positions, dtype=np.intp), (size, 1))
     sgn = np.tile(np.array(initial.signs, dtype=np.int8), (size, 1))
     status = np.zeros((size, g.edge_count), dtype=np.int8)
@@ -325,8 +264,8 @@ def _dual_block(gen, size, g, table, params, initial, t_max, coalescing, target)
             r, z, here, movers, w, q = r[lead], z[lead], here[lead], movers[lead], w[lead], q[lead]
         else:
             movers = slot[:, None] == np.arange(k)
-        entry = z * width + (np.take(cum, z, axis=0) <= w[:, None]).argmin(axis=1)
-        y, e = src.take(entry), via.take(entry) - n
+        y, e = table.columns(z, w)
+        e -= n
         s = status[r, e]
         fresh = s == 0
         s[fresh] = np.where(q[fresh] < p, 1, -1)
@@ -353,7 +292,7 @@ def _dual_runs(g, kernel, params, initial, t_max, replicas, stream, workers, mod
     fn = partial(
         _dual_block,
         g=g,
-        table=_event_table(g, NeighborSampler(g, kernel), params.p),
+        table=EventTable(g, kernel, params),
         params=params,
         initial=initial,
         t_max=t_max,

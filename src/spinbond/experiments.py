@@ -40,8 +40,8 @@ from .estimators import (
     estimate_tv_decay,
 )
 from .forward import (
+    EventTable,
     ModelParams,
-    NeighborSampler,
     SpinBondState,
     read_state_file,
     write_state_file,
@@ -757,12 +757,10 @@ def _run_raw_simulate(cfg: dict, result: ExperimentResult, stream, g, kernel, pa
     )
     times = sorted(cfg["checkpoint_times"])
 
-    sampler = NeighborSampler(g, kernel)
     fn = partial(
         _forward_cylinder_replica,
         g=g,
-        sampler=sampler,
-        params=params,
+        table=EventTable(g, kernel, params),
         initial=initial,
         t_max=cfg["t_max"],
         times=times,

@@ -3,24 +3,23 @@
 Each site carries a sign and wakes at rate 1; on waking it picks a neighbor
 from the adoption kernel and adopts that neighbor's sign multiplied by the
 sign of the connecting edge. Each edge independently resamples its sign at
-rate ``v``, choosing +1 with probability ``p``. The joint process is
-simulated event by event with one exponential clock per site and per edge.
+rate ``v``, choosing +1 with probability ``p``.
 
-The event loop keeps the signs in Python lists, checked once and turned into
-new arrays of the initial state's dtype at the end; indexing a Python list
-costs a fraction of indexing an int8 array. It draws a neighbor by
-bisecting the firing site's cumulative rates in the sampler's per-site
-tuple, inlined rather than called, and draws the start clocks as two
-arrays; every draw is the one scalar calls would make, in the same order.
+All site and edge clocks together ring as one Poisson clock of constant
+rate n + v m, and each ring picks its object in proportion to its rate
+(uniformization, Jensen 1953; every ring is a real event). ``EventTable``
+says what a ring does: the ringing object takes the product of two columns
+of a state row. ``simulate_forward`` draws its rings as arrays, a chunk at
+a time, maps them through the table in numpy, and keeps only that product
+in a Python loop over a list of signs.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -132,13 +131,11 @@ class NeighborSampler:
     ``rows[x]`` is x's ``(cumulative, total, last, neighbors, edge_ids)``:
     the running sums of its kernel rates, their total, the last position in
     the row, its neighbors, and the graph edge joining x to each of them.
-    ``neighbors[x]`` and ``edge_ids[x]`` are the last two. One ``random()``
-    draw picks position ``bisect_right(cumulative, random() * total)``,
-    clamped to ``last`` against rounding at the top: the first position
-    whose running sum exceeds the draw. The event loops inline that rule,
-    since a call on every event costs more than the bisection. Zero-rate
-    entries are left out: they can never be drawn, and a valid kernel may
-    name a non-neighbor with rate 0.
+    One ``random()`` draw picks position ``bisect_right(cumulative, random()
+    * total)``, clamped to ``last`` against rounding at the top: the first
+    position whose running sum exceeds the draw. The dual event loop inlines
+    that rule. Zero-rate entries are left out: they can never be drawn, and
+    a valid kernel may name a non-neighbor with rate 0.
     """
 
     def __init__(self, g: Graph, kernel: AdoptionKernel) -> None:
@@ -153,13 +150,65 @@ class NeighborSampler:
             neighbors = tuple(y for y, _ in row)
             edge_ids = tuple(g.edge_id(x, y) for y in neighbors)
             self.rows.append((tuple(cumulative), total, len(row) - 1, neighbors, edge_ids))
-        self.neighbors = [row[3] for row in self.rows]
-        self.edge_ids = [row[4] for row in self.rows]
 
-    def draw_index(self, x: int, random) -> int:
-        """Position in x's row of the neighbor picked by one ``random()`` draw."""
-        cumulative, total, last, _, _ = self.rows[x]
-        return min(bisect_right(cumulative, random() * total), last)
+
+class EventTable:
+    """What one ring of the uniformized chain does to a state row.
+
+    A row holds the n site signs, the m edge signs, then a constant +1 and a
+    constant -1 column. Ringing object k (site k, or edge k - n) takes the
+    first position j of its row of cumulative probabilities ``cum`` above a
+    uniform draw, and the product of columns ``src[k, j]`` and ``via[k, j]``
+    (both kept flattened): for a site, a neighbour's sign times the joining
+    edge's, rate-0 kernel entries left out; for an edge, +1 with probability
+    p, else -1, times the +1 column. Rows end on exactly 1.0 and are padded
+    with 2.0, so a draw in [0, 1) always finds a real position. ``rate`` is
+    the total ring rate n + v m; ``objects`` counts the objects that can
+    ring: every site, and every edge when v > 0.
+    """
+
+    def __init__(self, g: Graph, kernel: AdoptionKernel | NeighborSampler, params: ModelParams):
+        sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
+        n, m = g.vertex_count, g.edge_count
+        plus, minus = n + m, n + m + 1
+        rows = [
+            (np.array(cumulative) / total, neighbors, [n + e for e in edge_ids])
+            for cumulative, total, _, neighbors, edge_ids in sampler.rows
+        ]
+        refresh = [(q, col) for q, col in ((params.p, plus), (1.0 - params.p, minus)) if q != 0.0]
+        cumulative = np.cumsum([q for q, _ in refresh])
+        rows += [(cumulative / cumulative[-1], [col for _, col in refresh], [plus] * len(refresh))] * m
+        width = max(len(cum) for cum, _, _ in rows)
+        self.cum = np.full((n + m, width), 2.0)
+        src = np.full((n + m, width), plus, dtype=np.intp)
+        via = src.copy()
+        for k, (row, sources, vias) in enumerate(rows):
+            self.cum[k, : len(row)] = row
+            src[k, : len(sources)] = sources
+            via[k, : len(vias)] = vias
+        self.src, self.via = src.ravel(), via.ravel()
+        self.params, self.n = params, n
+        self.rate = n + params.v * m
+        self.objects = n + m if params.v > 0.0 else n
+
+    def rings(self, u: np.ndarray, w: np.ndarray):
+        """The object, source column and via column of each ring.
+
+        ``u * rate`` picks the object: below n it is site ⌊u·rate⌋, above it
+        edge ⌊(u·rate − n)/v⌋, clamped against rounding up to the top. ``w``
+        picks the position in that object's row.
+        """
+        n, v = self.n, self.params.v
+        u = u * self.rate
+        if self.objects > n:
+            u = np.minimum(u, n) + np.maximum(u - n, 0.0) / v
+        k = np.minimum(u.astype(np.intp), self.objects - 1)
+        return (k, *self.columns(k, w))
+
+    def columns(self, k: np.ndarray, w: np.ndarray):
+        """Source and via columns of the row positions that uniforms ``w`` pick for objects ``k``."""
+        entry = k * self.cum.shape[1] + (np.take(self.cum, k, axis=0) <= w[:, None]).argmin(axis=1)
+        return self.src.take(entry), self.via.take(entry)
 
 
 @dataclass
@@ -171,9 +220,28 @@ class ForwardTrajectory:
     checkpoint_rows: list[tuple[float, str, float]]
 
 
+# Rings drawn per chunk: the expected count on [0, t_max] plus four standard
+# deviations, so that a short run draws one chunk, but never more than this,
+# so that memory stays bounded however long the run.
+CHUNK_CAP = 1 << 12
+
+
+def _replay(k: np.ndarray, new: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Old values of rings setting objects ``k`` to ``new``; moves ``values`` past them in place."""
+    size = k.size
+    # Sorting (object, ring) keys groups the rings by object, in time order.
+    objects, order = np.divmod(np.sort(k * size + np.arange(size)), size)
+    old = values[k]
+    again = objects[1:] == objects[:-1]
+    old[order[1:][again]] = new[order[:-1][again]]
+    last = order[objects != np.append(objects[1:], -1)]
+    values[k[last]] = new[last]
+    return old
+
+
 def simulate_forward(
     g: Graph,
-    kernel: AdoptionKernel | NeighborSampler,
+    kernel: AdoptionKernel | NeighborSampler | EventTable,
     params: ModelParams,
     initial: SpinBondState,
     t_max: float,
@@ -184,20 +252,22 @@ def simulate_forward(
 ) -> ForwardTrajectory:
     """Run the joint spin-bond process on [0, t_max] from ``initial``, left unchanged.
 
-    ``observables`` are cylinder events evaluated at each checkpoint time;
-    rows come back as (time, observable label, 0.0 or 1.0). ``record_events``
-    collects ("site", t, x, y, old, new) and ("edge", t, e, old, new) tuples
-    when a list is supplied.
+    ``observables`` are cylinder events evaluated at each checkpoint time,
+    on the state the rings before it leave; rows come back as (time,
+    observable label, 0.0 or 1.0). ``record_events`` collects ("site", t, x,
+    y, old, new) and ("edge", t, e, old, new) tuples when a list is
+    supplied. An ``EventTable`` built for ``params`` may stand in for the
+    kernel, so that many runs share one.
 
-    Clocks are per-object exponentials kept in a priority queue; entries are
-    ordered by (time, channel, index) so simultaneous floats resolve by
-    object index and reruns with the same generator state are reproducible.
+    Rings come in chunks whose size depends only on the rate and t_max:
+    exponential gaps, and two uniforms per ring for ``EventTable.rings``.
+    So what is recorded never changes the path. Flip counts and recorded
+    old values are worked out per chunk from the new values.
     """
     gen = as_generator(rng)
-    random, standard_exponential = gen.random, gen.standard_exponential
-    heapreplace = heapq.heapreplace
-    sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
-    tables = sampler.rows
+    table = kernel if isinstance(kernel, EventTable) else EventTable(g, kernel, params)
+    if table.params != params:
+        raise ValueError(f"event table was built for {table.params}, not {params}")
     initial.check_shapes(g)
     sites = initial.site_signs.tolist()
     edges = initial.edge_signs.tolist()
@@ -206,76 +276,66 @@ def simulate_forward(
         raise ValueError(f"t_max must be >= 0, got {t_max}")
 
     checkpoints = sorted(checkpoint_times)
+    if checkpoints and checkpoints[0] < 0:
+        raise ValueError(f"checkpoint {checkpoints[0]} lies before time 0")
     if checkpoints and checkpoints[-1] > t_max:
         raise ValueError(f"checkpoint {checkpoints[-1]} lies beyond t_max={t_max}")
-    checkpoints.append(math.inf)
     rows: list[tuple[float, str, float]] = []
     next_cp = 0
 
-    def flush_checkpoints(up_to: float) -> float:
-        """Record every checkpoint at or before ``up_to``; return the next one."""
-        nonlocal next_cp
-        while checkpoints[next_cp] <= up_to:
-            tc = checkpoints[next_cp]
-            for obs in observables:
-                hit = obs.matches(sites, edges)
-                rows.append((tc, obs.label(), 1.0 if hit else 0.0))
-            next_cp += 1
-        return checkpoints[next_cp]
-
-    # Start clocks drawn as arrays take the same draws, in the same order, as
-    # one scalar call per object; numpy's exponential(scale) is
-    # scale * standard_exponential(), so renewals take the same products.
     n, m = g.vertex_count, g.edge_count
-    heap = list(zip(gen.exponential(1.0, n).tolist(), repeat(0), range(n)))
-    p = params.p
-    if params.v > 0.0:
-        scale = 1.0 / params.v
-        heap += zip(gen.exponential(scale, m).tolist(), repeat(1), range(m))
-    heapq.heapify(heap)
-
-    # Each object holds exactly one heap entry, so (time, channel, index) keys
-    # are distinct and replacing the root pops in the same order as pop + push.
-    flip_counts = [0] * m
+    state = sites + edges + [1, -1]
+    # The state as of the end of the last chunk, kept as an array.
+    values = np.concatenate((initial.site_signs, initial.edge_signs, (1, -1)))
+    mean = table.rate * t_max
+    chunk = int(min(CHUNK_CAP, mean + 4.0 * math.sqrt(mean) + 1.0))
+    flip_counts = np.zeros(m, dtype=np.int64)
     events = 0
-    next_tc = checkpoints[0]
-    while heap:
-        t_event, channel, idx = heap[0]
-        if t_event > t_max:
+    clock = 0.0  # time of the last ring drawn
+    while True:
+        times = clock + np.cumsum(gen.standard_exponential(chunk)) / table.rate
+        clock = times[-1]
+        u, w = gen.random((2, chunk))
+        stop = int(np.searchsorted(times, t_max, side="right"))
+        k, src, via = table.rings(u[:stop], w[:stop])
+        news: list = []
+        append = news.append
+        steps = zip(k.tolist(), src.tolist(), via.tolist())
+        # Cut the chunk at each checkpoint it reaches; the last cut is its end.
+        reached = bisect_right(checkpoints, times[-1], next_cp)
+        due, next_cp = checkpoints[next_cp:reached], reached
+        counts = np.diff(np.searchsorted(times, due), prepend=0, append=stop).tolist()
+        for count, tc in zip(counts, due + [None]):
+            for x, a, b in islice(steps, count):
+                state[x] = new = state[a] * state[b]
+                append(new)
+            if tc is not None:
+                now, edges_now = state[:n], state[n : n + m]
+                rows += [
+                    (tc, obs.label(), 1.0 if obs.matches(now, edges_now) else 0.0)
+                    for obs in observables
+                ]
+        new = np.array(news, dtype=values.dtype)
+        old = _replay(k, new, values)
+        flip_counts += np.bincount(k[(k >= n) & (old != new)] - n, minlength=m)
+        if record_events is not None:
+            rings = zip(times[:stop].tolist(), k.tolist(), src.tolist(), old.tolist(), news)
+            record_events += [
+                ("site", t, x, a, o, s) if x < n else ("edge", t, x - n, o, s)
+                for t, x, a, o, s in rings
+            ]
+        events += stop
+        if stop < chunk:
             break
-        if t_event >= next_tc:
-            next_tc = flush_checkpoints(t_event)
-        events += 1
-        if channel == 0:
-            cumulative, total, last, neighbors, edge_ids = tables[idx]
-            i = bisect_right(cumulative, random() * total)
-            if i > last:
-                i = last
-            y = neighbors[i]
-            old = sites[idx]
-            sites[idx] = new = sites[y] * edges[edge_ids[i]]
-            if record_events is not None:
-                record_events.append(("site", t_event, idx, y, old, new))
-            heapreplace(heap, (t_event + standard_exponential(), 0, idx))
-        else:
-            old = edges[idx]
-            new = 1 if random() < p else -1
-            edges[idx] = new
-            if new != old:
-                flip_counts[idx] += 1
-            if record_events is not None:
-                record_events.append(("edge", t_event, idx, old, new))
-            heapreplace(heap, (t_event + scale * standard_exponential(), 1, idx))
 
-    flush_checkpoints(t_max)
     return ForwardTrajectory(
         final_state=SpinBondState(
-            np.array(sites, dtype=initial.site_signs.dtype),
-            np.array(edges, dtype=initial.edge_signs.dtype),
+            values[:n].astype(initial.site_signs.dtype),
+            values[n : n + m].astype(initial.edge_signs.dtype),
         ),
         elapsed=t_max,
         event_count=events,
-        edge_flip_counts=np.array(flip_counts, dtype=np.int64),
+        edge_flip_counts=flip_counts,
         checkpoint_rows=rows,
     )
 

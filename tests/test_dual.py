@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -371,7 +372,7 @@ def _reference_dual(
     gen = as_generator(rng)
     random, exponential = gen.random, gen.exponential
     sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
-    draw_index, neighbors, edge_ids = sampler.draw_index, sampler.neighbors, sampler.edge_ids
+    rows = sampler.rows
     st = initial.copy()
     st.validate(g)
     p, v = params.p, params.v
@@ -467,8 +468,9 @@ def _reference_dual(
         else:
             movers = [obj]
             z = st.positions[obj]
-        i = draw_index(z, random)
-        y, e = neighbors[z][i], edge_ids[z][i]
+        cumulative, total, last, neighbors, edge_ids = rows[z]
+        i = min(bisect_right(cumulative, random() * total), last)
+        y, e = neighbors[i], edge_ids[i]
         events += 1
         cross_edge(t_event, e, movers)
         for idx in movers:

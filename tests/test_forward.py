@@ -1,12 +1,15 @@
-import heapq
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbond.cylinders import CylinderEvent
+import spinbond
+from spinbond import forward, oracle
+from spinbond.cylinders import CylinderEvent, single_constraint_events
 from spinbond.forward import (
+    EventTable,
     ModelParams,
     SpinBondState,
     adoption_update,
@@ -216,6 +219,26 @@ def test_checkpoint_rows(p3):
         )
 
 
+def test_checkpoint_before_time_zero_is_rejected(p3):
+    g, kern = p3
+    with pytest.raises(ValueError, match="checkpoint -0.5 lies before time 0"):
+        spinbond.simulate_forward(
+            g, kern, ModelParams(0.5, 1.0), striped_state(g), 1.0, RngStream(7),
+            checkpoint_times=[1.0, -0.5], observables=[CylinderEvent.of(sites={0: 1})],
+        )
+
+
+def test_event_table_must_match_the_params(p3):
+    g, kern = p3
+    table = EventTable(g, kern, ModelParams(0.5, 1.0))
+    traj = simulate_forward(g, table, ModelParams(0.5, 1.0), striped_state(g), 1.0, RngStream(7))
+    same = simulate_forward(g, kern, ModelParams(0.5, 1.0), striped_state(g), 1.0, RngStream(7))
+    assert traj.event_count == same.event_count
+    assert np.array_equal(traj.final_state.site_signs, same.final_state.site_signs)
+    with pytest.raises(ValueError, match="event table was built for"):
+        simulate_forward(g, table, ModelParams(0.5, 2.0), striped_state(g), 1.0, RngStream(7))
+
+
 def test_frozen_edges_when_refresh_rate_zero(p3):
     g, kern = p3
     initial = striped_state(g)
@@ -269,108 +292,148 @@ def test_signs_stay_plus_minus_one(seed, p, v):
     traj.final_state.validate(g)
 
 
-def _reference_forward(g, kernel, params, initial, t_max, gen, checkpoints, observables, record):
-    """The heap loop on int8 arrays with per-event ``g.edge_id`` lookups that
-    ``simulate_forward`` replaced; kept as the reference it must reproduce."""
-    cumulative = []
-    for row in kernel.rows:
-        total, cum = 0.0, []
-        for _, q in row:
-            total += q
-            cum.append(total)
-        cumulative.append(cum)
-
-    def draw(x):
-        cum = cumulative[x]
-        u = gen.random() * cum[-1]
-        for i, threshold in enumerate(cum):
-            if u < threshold:
-                return kernel.rows[x][i][0]
-        return kernel.rows[x][-1][0]
-
-    state = initial.copy()
-    checkpoints = sorted(checkpoints)
-    rows = []
-    next_cp = 0
-
-    def flush(up_to):
-        nonlocal next_cp
-        while next_cp < len(checkpoints) and checkpoints[next_cp] <= up_to:
-            for obs in observables:
-                hit = obs.matches(state.site_signs, state.edge_signs)
-                rows.append((checkpoints[next_cp], obs.label(), 1.0 if hit else 0.0))
-            next_cp += 1
-
-    heap = [(gen.exponential(1.0), 0, x) for x in range(g.vertex_count)]
-    if params.v > 0.0:
-        heap += [(gen.exponential(1.0 / params.v), 1, e) for e in range(g.edge_count)]
-    heapq.heapify(heap)
-    flips = np.zeros(g.edge_count, dtype=np.int64)
-    events = 0
-    while heap:
-        t_event, channel, idx = heap[0]
-        if t_event > t_max:
-            break
-        heapq.heappop(heap)
-        flush(t_event)
-        events += 1
-        if channel == 0:
-            y = draw(idx)
-            old = int(state.site_signs[idx])
-            adoption_update(state, idx, y, g)
-            record.append(("site", t_event, idx, y, old, int(state.site_signs[idx])))
-            heapq.heappush(heap, (t_event + gen.exponential(1.0), 0, idx))
-        else:
-            old = int(state.edge_signs[idx])
-            new = 1 if gen.random() < params.p else -1
-            state.edge_signs[idx] = new
-            flips[idx] += new != old
-            record.append(("edge", t_event, idx, old, new))
-            heapq.heappush(heap, (t_event + gen.exponential(1.0 / params.v), 1, idx))
-    flush(t_max)
-    return events, rows, state, flips
-
-
 _FORWARD_CASES = [
     ("path", (3,), None, ModelParams(0.3, 1.0)),
     ("cycle", (6,), None, ModelParams(0.7, 0.4)),
-    ("grid_torus", (3, 3), None, ModelParams(0.5, 2.0)),
-    ("path", (3,), {0: {1: 1.0}, 1: {0: 0.7, 2: 0.0}, 2: {1: 0.4}}, ModelParams(0.3, 1.5)),
-    ("cycle", (6,), None, ModelParams(0.3, 0.0)),  # v = 0: no edge clocks
+    ("grid_torus", (2, 3), None, ModelParams(0.5, 2.0)),
+    # asymmetric, with rate 0 towards the neighbor 1 of vertex 2
+    ("cycle", (4,), {0: {1: 0.8, 3: 0.2}, 1: {0: 0.3, 2: 0.7}, 2: {1: 0.0, 3: 1.0}, 3: {0: 0.1, 2: 0.9}},
+     ModelParams(0.3, 1.5)),
+    ("cycle", (6,), None, ModelParams(0.3, 0.0)),  # v = 0: edges never ring
     # rate 0 towards a non-neighbor: valid, and never drawn
     ("path", (3,), {0: {1: 1.0, 2: 0.0}, 1: {0: 0.5, 2: 0.5}, 2: {1: 1.0}}, ModelParams(0.6, 1.0)),
 ]
+_LAW_CASES = _FORWARD_CASES + [
+    ("cycle", (4,), None, ModelParams(0.0, 1.5)),
+    ("cycle", (4,), None, ModelParams(1.0, 1.5)),
+]
+_T_MAX = 6.0
+# Checkpoints at 0.0, at a repeated time, at t_max and between rings.
+_TIMES = [0.0, 1.0, 2.5, 2.5, 4.0, _T_MAX]
 
 
-@pytest.mark.parametrize("kind, sizes, rates, params", _FORWARD_CASES)
-def test_forward_loop_matches_reference_loop(kind, sizes, rates, params):
+def _case(kind, sizes, rates):
     g = builtin_graph(kind, *sizes)
-    kern = kernel_from_rates(rates, g.vertex_count) if rates else uniform_kernel(g)
-    t_max = 6.0
-    # checkpoints at 0.0, at a repeated time, at t_max and between events
-    times = [0.0, 1.0, 2.5, 2.5, 4.0, t_max]
-    obs = [
-        CylinderEvent.of(sites={0: 1}),
-        CylinderEvent.of(sites={1: -1}, edges={0: 1}),
-        CylinderEvent.of(edges={g.edge_count - 1: -1}),
+    return g, kernel_from_rates(rates, g.vertex_count) if rates else uniform_kernel(g)
+
+
+def _observables(g):
+    return single_constraint_events(g) + [
+        CylinderEvent.of(sites={0: 1}, edges={0: -1}),
+        CylinderEvent.of(sites={0: 1, 1: 1}),
     ]
-    for seed in range(12):
-        initial = sample_product_state(g, RngStream(seed, (1,)).generator())
-        ref_events: list = []
-        ref = _reference_forward(
-            g, kern, params, initial, t_max, RngStream(seed).generator(), times, obs, ref_events
+
+
+@pytest.mark.parametrize("case", range(len(_LAW_CASES)))
+def test_forward_follows_the_exact_transient_law(case):
+    # Every (time, cylinder) frequency over 2,000 runs against
+    # oracle.transient_distribution. Stated false-failure rate: the eight
+    # cases hold 308 two-sided gates at 4 binomial sigma, family-wise
+    # <= 308 * 0.0063% = 2.0% under the normal approximation. Where the exact
+    # value is 0 or 1 (t = 0, frozen edges at v = 0, edges at p = 0 or 1)
+    # every run must show it.
+    kind, sizes, rates, params = _LAW_CASES[case]
+    g, kern = _case(kind, sizes, rates)
+    initial = striped_state(g)
+    obs = _observables(g)
+    table = EventTable(g, kern, params)
+    stream = RngStream(83, (case,))
+    replicas = 2000
+    hits = np.zeros(len(_TIMES) * len(obs))
+    for i in range(replicas):
+        traj = simulate_forward(
+            g, table, params, initial, _T_MAX, stream.substream(i),
+            checkpoint_times=_TIMES, observables=obs,
         )
+        hits += [value for _, _, value in traj.checkpoint_rows]
+    freq = dict(zip(product(_TIMES, [cyl.label() for cyl in obs]), hits / replicas))
+    L = oracle.build_forward_generator(g, kern, params)
+    failures = []
+    for t in sorted(set(_TIMES)):
+        law = oracle.transient_distribution(L, oracle.forward_delta(g, initial), t)
+        for cyl in obs:
+            want = oracle.cylinder_probability(g, law, cyl)
+            sigma = math.sqrt(max(want * (1.0 - want), 0.0) / replicas)
+            if abs(freq[(t, cyl.label())] - want) > 4.0 * sigma + 1e-12:
+                failures.append(f"t={t} {cyl.label()}: {freq[(t, cyl.label())]} vs {want}")
+    assert not failures
+
+
+def _replayed(g, kern, initial, events, checkpoints, observables):
+    """Apply recorded events in order: checkpoint rows, final state, flip counts.
+
+    Checks each event against the state it finds: its old value, and for a
+    site event a positive-rate kernel neighbour whose sign times the joining
+    edge's is the new value.
+    """
+    sites, edges = initial.site_signs.tolist(), initial.edge_signs.tolist()
+    rates = [dict(row) for row in kern.rows]
+    flips = [0] * g.edge_count
+    rows = []
+    pending = list(events)
+    for tc in sorted(checkpoints) + [math.inf]:
+        while pending and pending[0][1] < tc:
+            ev = pending.pop(0)
+            if ev[0] == "site":
+                _, _, x, y, old, new = ev
+                assert rates[x].get(y, 0.0) > 0.0
+                assert new == sites[y] * edges[g.edge_id(x, y)]
+                assert old == sites[x]
+                sites[x] = new
+            else:
+                _, _, e, old, new = ev
+                assert old == edges[e] and new in (1, -1)
+                flips[e] += old != new
+                edges[e] = new
+        if tc < math.inf:
+            rows += [(tc, o.label(), 1.0 if o.matches(sites, edges) else 0.0) for o in observables]
+    return rows, sites, edges, flips
+
+
+@pytest.mark.parametrize("cap", [None, 7])
+@pytest.mark.parametrize("case", range(len(_FORWARD_CASES)))
+def test_recorded_events_replay_to_the_path(monkeypatch, case, cap):
+    # With cap 7 the rings come in many chunks, so a chunk's first ring of
+    # an object takes its old value from the chunk before.
+    if cap is not None:
+        monkeypatch.setattr(forward, "CHUNK_CAP", cap)
+    kind, sizes, rates, params = _FORWARD_CASES[case]
+    g, kern = _case(kind, sizes, rates)
+    obs = _observables(g)
+    for seed in range(4):
+        initial = sample_product_state(g, RngStream(seed, (1,)).generator())
         events: list = []
         traj = simulate_forward(
-            g, kern, params, initial, t_max, RngStream(seed),
-            checkpoint_times=times, observables=obs, record_events=events,
+            g, kern, params, initial, _T_MAX, RngStream(seed),
+            checkpoint_times=_TIMES, observables=obs, record_events=events,
         )
-        assert traj.event_count == ref[0] > 0
-        assert traj.checkpoint_rows == ref[1]
-        assert np.array_equal(traj.final_state.site_signs, ref[2].site_signs)
-        assert np.array_equal(traj.final_state.edge_signs, ref[2].edge_signs)
+        times = [ev[1] for ev in events]
+        assert traj.event_count == len(events) > 0
+        assert times == sorted(times) and 0.0 <= times[0] and times[-1] <= _T_MAX
+        rows, sites, edges, flips = _replayed(g, kern, initial, events, _TIMES, obs)
+        assert traj.checkpoint_rows == rows
+        assert traj.final_state.site_signs.tolist() == sites
+        assert traj.final_state.edge_signs.tolist() == edges
         assert traj.final_state.site_signs.dtype == traj.final_state.edge_signs.dtype == np.int8
-        assert np.array_equal(traj.edge_flip_counts, ref[3])
+        assert traj.edge_flip_counts.tolist() == flips
         assert traj.edge_flip_counts.dtype == np.int64
-        assert events == ref_events
-        assert [type(v) for ev in events for v in ev] == [type(v) for ev in ref_events for v in ev]
+
+
+@pytest.mark.parametrize("cap", [None, 7])
+def test_recording_leaves_the_path_unchanged(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(forward, "CHUNK_CAP", cap)
+    for kind, sizes, rates, params in _FORWARD_CASES:
+        g, kern = _case(kind, sizes, rates)
+        obs = _observables(g)
+        runs = []
+        for record in (None, []):
+            traj = simulate_forward(
+                g, kern, params, striped_state(g), _T_MAX, RngStream(11),
+                checkpoint_times=_TIMES, observables=obs, record_events=record,
+            )
+            runs.append((
+                traj.event_count, traj.checkpoint_rows, traj.final_state.site_signs.tolist(),
+                traj.final_state.edge_signs.tolist(), traj.edge_flip_counts.tolist(),
+            ))
+        assert runs[0] == runs[1]

@@ -1,10 +1,11 @@
 """Sample paths pinned as literals for fixed seeds.
 
-The reference-loop tests in test_forward.py and test_dual.py replay numpy's
-calls in a second copy of each loop, so they cannot see a change in which
-numbers get drawn, or in what order. These literals can: any change to the
-draws of ``simulate_forward``, ``simulate_dual``, the batched birth-death
-block ``simulate_birth_death``, the batched forward estimator behind
+The reference-loop test in test_dual.py replays numpy's calls in a second
+copy of the loop, and the law and replay tests in test_forward.py hold for
+any draws, so none of them sees a change in which numbers get drawn, or in
+what order. These literals can: any change to the draws of
+``simulate_forward``, ``simulate_dual``, the batched birth-death block
+``simulate_birth_death``, the batched forward estimator behind
 ``estimate_cylinder_probabilities`` or the batched dual runner behind
 ``estimate_dual_side``, ``estimate_revealed_weight`` and ``estimate_mu_dyn``
 fails here. A change that alters sample paths on purpose updates them, and
@@ -108,18 +109,18 @@ def _dual_estimates(kind, sizes):
 
 FORWARD_PINS = {
     ("cycle", (6,), 1): dict(
-        events=38, sites="+---+-", edges="-+----", flips=[1, 3, 1, 0, 1, 0], rows="11101010",
+        events=33, sites="+-+---", edges="---+--", flips=[1, 2, 1, 1, 1, 0], rows="11101010",
     ),
     ("cycle", (6,), 2): dict(
-        events=27, sites="+--+++", edges="-+--++", flips=[1, 1, 1, 0, 0, 1], rows="11101010",
+        events=26, sites="+-++-+", edges="--+-++", flips=[1, 0, 0, 0, 2, 1], rows="11001010",
     ),
     ("grid_torus", (3, 3), 1): dict(
-        events=71, sites="--+---++-", edges="-+-------------+--",
-        flips=[3, 1, 3, 2, 3, 0, 1, 0, 3, 0, 1, 0, 1, 0, 1, 1, 1, 0], rows="11101100",
+        events=64, sites="++----+++", edges="-+----+-+-+--++-+-",
+        flips=[1, 1, 1, 0, 1, 0, 0, 0, 0, 2, 0, 2, 1, 3, 2, 0, 0, 4], rows="11101010",
     ),
     ("grid_torus", (3, 3), 2): dict(
-        events=61, sites="--++++--+", edges="+-------+--++--+--",
-        flips=[0, 0, 1, 0, 1, 2, 1, 0, 0, 0, 3, 3, 0, 2, 1, 1, 1, 0], rows="11110101",
+        events=55, sites="+++++---+", edges="+-+-+-+-----+--++-",
+        flips=[0, 0, 2, 0, 2, 0, 0, 2, 1, 0, 1, 2, 0, 0, 1, 3, 0, 0], rows="11101010",
     ),
 }
 
