@@ -9,8 +9,10 @@ and edge clocks (``_cylinder_hits``); dual runs draw each replica's next
 event at its own total rate, walkers plus v per revealed edge
 (``_dual_block``); birth-death runs are batched Gillespie
 (``simulate_birth_death``). ``raw-simulate`` outputs paths, so it runs
-``simulate_forward`` once per replica on the replica's own substream: the
-same uniformized chain, one replica at a time, sharing one event table.
+``simulate_forward`` once per replica on the replica's own substream,
+sharing one event table; that run makes exactly the draws of a one-replica
+``_cylinder_hits`` block, so replica i of ``raw-simulate`` is such a block
+on substream i.
 """
 
 from __future__ import annotations

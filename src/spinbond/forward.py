@@ -9,22 +9,20 @@ All site and edge clocks together ring as one Poisson clock of constant
 rate n + v m, and each ring picks its object in proportion to its rate
 (uniformization, Jensen 1953; every ring is a real event). ``EventTable``
 says what a ring does: the ringing object takes the product of two columns
-of a state row. ``simulate_forward`` draws its rings as arrays, a chunk at
-a time, maps them through the table in numpy, and keeps only that product
-in a Python loop over a list of signs.
+of a state row. ``simulate_forward`` draws a Poisson ring count per
+checkpoint interval, then two uniforms per ring, a chunk at a time; it maps
+them through the table in numpy and keeps only that product in a Python
+loop over a list of signs.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import AdoptionKernel, Graph
+from .graphs import AdoptionKernel, Graph, validate_kernel
 from .rng import as_generator
 
 _SIGNS = frozenset((1, -1))
@@ -135,10 +133,14 @@ class NeighborSampler:
     * total)``, clamped to ``last`` against rounding at the top: the first
     position whose running sum exceeds the draw. The dual event loop inlines
     that rule. Zero-rate entries are left out: they can never be drawn, and
-    a valid kernel may name a non-neighbor with rate 0.
+    a valid kernel may name a non-neighbor with rate 0. An invalid kernel
+    (see ``validate_kernel``) raises ``ValueError``.
     """
 
     def __init__(self, g: Graph, kernel: AdoptionKernel) -> None:
+        report = validate_kernel(g, kernel)
+        if not report.valid:
+            raise ValueError("invalid kernel: " + "; ".join(report.violations))
         self.rows: list[tuple[tuple[float, ...], float, int, tuple[int, ...], tuple[int, ...]]] = []
         for x in range(g.vertex_count):
             row = [(y, q) for y, q in kernel.rows[x] if q != 0]
@@ -220,9 +222,8 @@ class ForwardTrajectory:
     checkpoint_rows: list[tuple[float, str, float]]
 
 
-# Rings drawn per chunk: the expected count on [0, t_max] plus four standard
-# deviations, so that a short run draws one chunk, but never more than this,
-# so that memory stays bounded however long the run.
+# Rings drawn per chunk at most, so that memory stays bounded however long
+# the run.
 CHUNK_CAP = 1 << 12
 
 
@@ -259,10 +260,14 @@ def simulate_forward(
     supplied. An ``EventTable`` built for ``params`` may stand in for the
     kernel, so that many runs share one.
 
-    Rings come in chunks whose size depends only on the rate and t_max:
-    exponential gaps, and two uniforms per ring for ``EventTable.rings``.
-    So what is recorded never changes the path. Flip counts and recorded
-    old values are worked out per chunk from the new values.
+    Each interval between checkpoints, the last one ending at t_max, draws
+    its Poisson(rate * length) ring count, then its rings in chunks of at
+    most ``CHUNK_CAP``: two uniforms per ring for ``EventTable.rings``. These
+    are the draws of a one-replica block of the batched forward estimator,
+    so the checkpoint rows are its hits. Ring times are drawn only for
+    ``record_events``, as sorted uniforms on each interval from a child
+    generator, so what is recorded never changes the path. Flip counts and
+    recorded old values are worked out per chunk from the new values.
     """
     gen = as_generator(rng)
     table = kernel if isinstance(kernel, EventTable) else EventTable(g, kernel, params)
@@ -281,52 +286,44 @@ def simulate_forward(
     if checkpoints and checkpoints[-1] > t_max:
         raise ValueError(f"checkpoint {checkpoints[-1]} lies beyond t_max={t_max}")
     rows: list[tuple[float, str, float]] = []
-    next_cp = 0
+    clock = None if record_events is None else gen.spawn(1)[0]
 
     n, m = g.vertex_count, g.edge_count
     state = sites + edges + [1, -1]
     # The state as of the end of the last chunk, kept as an array.
     values = np.concatenate((initial.site_signs, initial.edge_signs, (1, -1)))
-    mean = table.rate * t_max
-    chunk = int(min(CHUNK_CAP, mean + 4.0 * math.sqrt(mean) + 1.0))
     flip_counts = np.zeros(m, dtype=np.int64)
     events = 0
-    clock = 0.0  # time of the last ring drawn
-    while True:
-        times = clock + np.cumsum(gen.standard_exponential(chunk)) / table.rate
-        clock = times[-1]
-        u, w = gen.random((2, chunk))
-        stop = int(np.searchsorted(times, t_max, side="right"))
-        k, src, via = table.rings(u[:stop], w[:stop])
-        news: list = []
-        append = news.append
-        steps = zip(k.tolist(), src.tolist(), via.tolist())
-        # Cut the chunk at each checkpoint it reaches; the last cut is its end.
-        reached = bisect_right(checkpoints, times[-1], next_cp)
-        due, next_cp = checkpoints[next_cp:reached], reached
-        counts = np.diff(np.searchsorted(times, due), prepend=0, append=stop).tolist()
-        for count, tc in zip(counts, due + [None]):
-            for x, a, b in islice(steps, count):
+    start = 0.0
+    # The last interval, up to t_max, ends on no checkpoint.
+    for end, checked in [(t, observables) for t in checkpoints] + [(t_max, ())]:
+        count = int(gen.poisson(table.rate * (end - start)))
+        if clock is not None:
+            times = (start + np.sort(clock.random(count)) * (end - start)).tolist()
+        for first in range(0, count, CHUNK_CAP):
+            draws = gen.random(2 * min(CHUNK_CAP, count - first))
+            k, src, via = table.rings(draws[0::2], draws[1::2])
+            news: list = []
+            append = news.append
+            for x, a, b in zip(k.tolist(), src.tolist(), via.tolist()):
                 state[x] = new = state[a] * state[b]
                 append(new)
-            if tc is not None:
-                now, edges_now = state[:n], state[n : n + m]
-                rows += [
-                    (tc, obs.label(), 1.0 if obs.matches(now, edges_now) else 0.0)
-                    for obs in observables
+            new = np.array(news, dtype=values.dtype)
+            old = _replay(k, new, values)
+            flip_counts += np.bincount(k[(k >= n) & (old != new)] - n, minlength=m)
+            if record_events is not None:
+                chunk_times = times[first : first + k.size]
+                rings = zip(chunk_times, k.tolist(), src.tolist(), old.tolist(), news)
+                record_events += [
+                    ("site", t, x, a, o, s) if x < n else ("edge", t, x - n, o, s)
+                    for t, x, a, o, s in rings
                 ]
-        new = np.array(news, dtype=values.dtype)
-        old = _replay(k, new, values)
-        flip_counts += np.bincount(k[(k >= n) & (old != new)] - n, minlength=m)
-        if record_events is not None:
-            rings = zip(times[:stop].tolist(), k.tolist(), src.tolist(), old.tolist(), news)
-            record_events += [
-                ("site", t, x, a, o, s) if x < n else ("edge", t, x - n, o, s)
-                for t, x, a, o, s in rings
-            ]
-        events += stop
-        if stop < chunk:
-            break
+        events += count
+        start = end
+        now, edges_now = state[:n], state[n : n + m]
+        rows += [
+            (end, obs.label(), 1.0 if obs.matches(now, edges_now) else 0.0) for obs in checked
+        ]
 
     return ForwardTrajectory(
         final_state=SpinBondState(

@@ -501,31 +501,6 @@ def forward_weight_vector(g: Graph, dual: DualState, p: float) -> np.ndarray:
     return weight * mask.astype(np.float64)
 
 
-def dual_weight_vector(g: Graph, k: int, forward_state: SpinBondState, p: float) -> np.ndarray:
-    """Duality weight of every dual configuration against a fixed forward one."""
-    size = dual_state_count(g, k)
-    n, m = g.vertex_count, g.edge_count
-    idx = np.arange(size, dtype=np.int64)
-    site_plus = np.asarray(forward_state.site_signs) > 0
-    edge_plus = np.asarray(forward_state.edge_signs) > 0
-
-    ok = np.ones(size, dtype=bool)
-    weight = np.ones(size, dtype=np.float64)
-    sign_bits = idx // n**k
-    for j in range(k):
-        pos_j = (idx // n**j) % n
-        want_plus = ((sign_bits >> j) & 1) == 1
-        ok &= site_plus[pos_j] == want_plus
-    env = idx // (n**k * 2**k)
-    for e in range(m):
-        digit = (env // 3**e) % 3
-        ok &= ~((digit == 1) & ~edge_plus[e])
-        ok &= ~((digit == 2) & edge_plus[e])
-        weight *= np.where(digit == 1, 1.0 / p, 1.0)
-        weight *= np.where(digit == 2, 1.0 / (1.0 - p), 1.0)
-    return weight * ok
-
-
 def duality_gap_table(
     g: Graph,
     kernel: AdoptionKernel,
@@ -539,15 +514,16 @@ def duality_gap_table(
 
     Returns one record (dual_state, lhs, rhs) per dual state, in index
     order. The right side for all initial conditions is a single semigroup
-    action on the weight vector, made on the dual generator itself.
+    action on the weight vector, made on the dual generator itself; that
+    vector is the left side's masses at t = 0, where the law is the point
+    mass on the forward initial state.
     """
-    mu_t = transient_distribution(
-        build_forward_generator(g, kernel, params), forward_delta(g, forward_initial), t
-    )
+    delta = forward_delta(g, forward_initial)
+    mu_t = transient_distribution(build_forward_generator(g, kernel, params), delta, t)
     lhs = _weighted_cylinder_masses(g, mu_t, k, params.p)
     rhs = transient_action(
         build_dual_generator(g, kernel, params, k, mode=mode),
-        dual_weight_vector(g, k, forward_initial, params.p),
+        _weighted_cylinder_masses(g, delta, k, params.p),
         t,
     )
     return np.rec.fromarrays([np.arange(lhs.size), lhs, rhs], names=["dual_state", "lhs", "rhs"])

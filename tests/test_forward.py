@@ -4,10 +4,19 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 import spinbond
 from spinbond import forward, oracle
 from spinbond.cylinders import CylinderEvent, single_constraint_events
+from spinbond.dual import DualState, simulate_dual
+from spinbond.estimators import (
+    ProductInitial,
+    _cylinder_hits,
+    _forward_cylinder_replica,
+    estimate_cylinder_probabilities,
+    estimate_mu_dyn,
+)
 from spinbond.forward import (
     EventTable,
     ModelParams,
@@ -437,3 +446,88 @@ def test_recording_leaves_the_path_unchanged(monkeypatch, cap):
                 traj.final_state.edge_signs.tolist(), traj.edge_flip_counts.tolist(),
             ))
         assert runs[0] == runs[1]
+
+
+# (kind, sizes, params, product start, chunk cap)
+_BLOCK_CASES = [
+    ("path", (3,), ModelParams(0.3, 1.0), False, None),
+    ("path", (3,), ModelParams(0.3, 1.0), True, None),
+    ("cycle", (6,), ModelParams(0.3, 0.0), True, None),  # v = 0
+    ("grid_torus", (3, 3), ModelParams(0.5, 2.0), True, 3),  # many chunks per interval
+    ("cycle", (5,), ModelParams(0.7, 0.4), False, 3),
+]
+
+
+@pytest.mark.parametrize("case", _BLOCK_CASES)
+def test_forward_rows_are_the_hits_of_a_one_replica_block(monkeypatch, case):
+    # simulate_forward makes exactly the draws of _cylinder_hits with one
+    # replica, so its checkpoint rows are that block's hits, bit for bit.
+    # Checkpoints at 0.0, repeated, and at t_max (or short of it).
+    kind, sizes, params, product_start, cap = case
+    if cap is not None:
+        monkeypatch.setattr(forward, "CHUNK_CAP", cap)
+    g = builtin_graph(kind, *sizes)
+    table = EventTable(g, uniform_kernel(g), params)
+    obs = _observables(g)
+    times = [0.0, 0.4, 0.4, 1.3, 3.0]
+    initial = ProductInitial(0.5, 0.3) if product_start else striped_state(g)
+    stream = RngStream(5)
+    for i in range(100):
+        t_max = 3.0 if i % 2 else 3.5
+        rows, _ = _forward_cylinder_replica(
+            stream.substream(i), g, table, initial, t_max, times, obs
+        )
+        hits = _cylinder_hits(stream.substream(i), 1, g, table, initial, times, obs)
+        assert [value for _, _, value in rows] == hits.tolist()
+
+
+def test_recorded_ring_times_are_poisson_and_uniform(p3):
+    # Per interval between checkpoints (and t_max), the pooled ring counts
+    # must have mean and variance rate * length, and the ring times within
+    # it, scaled to [0, 1), must pass a KS test for uniformity. Stated
+    # false-failure rate: six normal gates at 4 sigma (6 * 0.0063%) and
+    # three KS gates at p < 1e-4, family-wise <= 0.07%.
+    g, kern = p3
+    params = ModelParams(0.4, 1.0)
+    table = EventTable(g, kern, params)
+    bounds = [0.0, 0.5, 1.2, 2.0]
+    replicas = 4000
+    stream = RngStream(61)
+    counts = np.zeros((replicas, len(bounds) - 1), dtype=np.int64)
+    scaled = [[] for _ in bounds[1:]]
+    for i in range(replicas):
+        events: list = []
+        simulate_forward(
+            g, table, params, striped_state(g), bounds[-1], stream.substream(i),
+            checkpoint_times=bounds[1:-1], record_events=events,
+        )
+        for t in (ev[1] for ev in events):
+            j = int(np.searchsorted(bounds, t, side="right")) - 1
+            counts[i, j] += 1
+            scaled[j].append((t - bounds[j]) / (bounds[j + 1] - bounds[j]))
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        lam = table.rate * (hi - lo)
+        assert abs(counts[:, j].mean() - lam) < 4.0 * math.sqrt(lam / replicas)
+        # The sample variance of Poisson(lam) counts has variance about (lam + 2 lam^2) / N.
+        var_sd = math.sqrt((lam + 2.0 * lam**2) / replicas)
+        assert abs(counts[:, j].var(ddof=1) - lam) < 4.0 * var_sd
+        assert stats.kstest(scaled[j], "uniform").pvalue > 1e-4
+
+
+def test_invalid_kernel_is_rejected_everywhere(p3):
+    # Rows summing to 0.7 and 0.4: no simulator may quietly rescale them.
+    g, _ = p3
+    bad = kernel_from_rates({0: {1: 1.0}, 1: {0: 0.7, 2: 0.0}, 2: {1: 0.4}}, g.vertex_count)
+    params = ModelParams(0.5, 1.0)
+    dual = DualState.of([0], [1])
+    for run in (
+        lambda: simulate_forward(g, bad, params, striped_state(g), 1.0, RngStream(1)),
+        lambda: simulate_dual(g, bad, params, dual, 1.0, RngStream(1)),
+        lambda: estimate_cylinder_probabilities(
+            g, bad, params, striped_state(g), [1.0], [CylinderEvent.of(sites={0: 1})], 10,
+            RngStream(1),
+        ),
+        lambda: estimate_mu_dyn(g, bad, params, [0], [1], 10, RngStream(1)),
+    ):
+        with pytest.raises(ValueError, match=r"invalid kernel: row sum at vertex 1 is 0\.7"):
+            run()

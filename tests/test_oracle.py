@@ -84,7 +84,10 @@ def exact_duality_check(
 
     L_d = oracle.build_dual_generator(g, kernel, params, k, mode=mode)
     nu_t = oracle.transient_distribution(L_d, dual_delta(g, dual_initial), t)
-    rhs = float(nu_t @ oracle.dual_weight_vector(g, k, forward_initial, params.p))
+    weights = oracle._weighted_cylinder_masses(
+        g, oracle.forward_delta(g, forward_initial), k, params.p
+    )
+    rhs = float(nu_t @ weights)
     return DualityCheck(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 
@@ -801,7 +804,7 @@ def test_duality_weight_vectors_agree_with_scalar(k2):
             duality_weight(st.site_signs, st.edge_signs, dual, p)
         )
     fwd = oracle.decode_forward_state(g, 6)
-    dual_weights = oracle.dual_weight_vector(g, 1, fwd, p)
+    dual_weights = oracle._weighted_cylinder_masses(g, oracle.forward_delta(g, fwd), 1, p)
     for idx in range(oracle.dual_state_count(g, 1)):
         d = decode_dual_state(g, 1, idx)
         assert dual_weights[idx] == pytest.approx(

@@ -109,18 +109,18 @@ def _dual_estimates(kind, sizes):
 
 FORWARD_PINS = {
     ("cycle", (6,), 1): dict(
-        events=33, sites="+-+---", edges="---+--", flips=[1, 2, 1, 1, 1, 0], rows="11101010",
+        events=29, sites="++++++", edges="+---+-", flips=[2, 0, 1, 2, 2, 2], rows="11111110",
     ),
     ("cycle", (6,), 2): dict(
-        events=26, sites="+-++-+", edges="--+-++", flips=[1, 0, 0, 0, 2, 1], rows="11001010",
+        events=33, sites="--+---", edges="---+--", flips=[1, 0, 1, 1, 1, 2], rows="11110100",
     ),
     ("grid_torus", (3, 3), 1): dict(
-        events=64, sites="++----+++", edges="-+----+-+-+--++-+-",
-        flips=[1, 1, 1, 0, 1, 0, 0, 0, 0, 2, 0, 2, 1, 3, 2, 0, 0, 4], rows="11101010",
+        events=68, sites="+----+++-", edges="+-+--++---------++",
+        flips=[2, 0, 2, 0, 1, 1, 0, 0, 1, 2, 1, 0, 1, 0, 3, 0, 0, 1], rows="11111111",
     ),
     ("grid_torus", (3, 3), 2): dict(
-        events=55, sites="+++++---+", edges="+-+-+-+-----+--++-",
-        flips=[0, 0, 2, 0, 2, 0, 0, 2, 1, 0, 1, 2, 0, 0, 1, 3, 0, 0], rows="11101010",
+        events=59, sites="+++--+-+-", edges="-----+-----++-+++-",
+        flips=[1, 0, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 0, 3, 0, 0], rows="11001010",
     ),
 }
 
