@@ -7,12 +7,11 @@ solvers, and Monte Carlo estimators, plus a CLI for scripted experiments.
 from .cylinders import CylinderEvent, parse_cylinder_label, single_constraint_events
 from .dual import (
     CoalescenceReport,
-    CoupledResult,
+    DualEvents,
     DualState,
     DualTrajectory,
     coupled_run,
     duality_weight,
-    run_to_full_coalescence,
     simulate_dual,
 )
 from .errors import CensoringError, ConfigError, SpinBondError, StateSpaceCapError
@@ -45,8 +44,8 @@ __all__ = [
     "CensoringError",
     "CoalescenceReport",
     "ConfigError",
-    "CoupledResult",
     "CylinderEvent",
+    "DualEvents",
     "DualState",
     "DualTrajectory",
     "ForwardTrajectory",
@@ -67,7 +66,6 @@ __all__ = [
     "single_constraint_events",
     "read_graph_file",
     "read_kernel_file",
-    "run_to_full_coalescence",
     "sample_product_state",
     "simulate_dual",
     "simulate_forward",

@@ -9,21 +9,22 @@ deterministically. Each revealed edge forgets its sign at rate ``v``.
 Two move rules are supported. In the coalescing rule one clock runs per
 occupied site and every walker there moves together, so walkers that meet
 stay together for good. In the independent rule each walker has its own
-clock and moves alone. The revealed-edge bookkeeping is shared, and both
-rules keep one heap entry per running clock, keyed by (time, channel,
-index), and draw neighbors by an inlined bisection of the per-site
-cumulative rates in ``NeighborSampler``.
+clock and moves alone.
+
+``simulate_dual`` runs a block of replicas in lockstep as numpy arrays, by
+exact Gillespie; ``coupled_run`` runs the two rules on one shared history
+up to the first collision.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .forward import ModelParams, NeighborSampler
+import numpy as np
+
+from .forward import EventTable, ModelParams
 from .graphs import AdoptionKernel, Graph
-from .rng import as_generator
 
 
 @dataclass
@@ -52,14 +53,6 @@ class DualState:
     def walker_count(self) -> int:
         return len(self.positions)
 
-    def copy(self) -> "DualState":
-        return DualState(
-            positions=list(self.positions),
-            signs=list(self.signs),
-            revealed_positive=set(self.revealed_positive),
-            revealed_negative=set(self.revealed_negative),
-        )
-
     def validate(self, g: Graph) -> None:
         if len(self.signs) != len(self.positions):
             raise ValueError(
@@ -85,14 +78,6 @@ class DualState:
             by_site.setdefault(z, []).append(idx)
         return sorted((tuple(v) for v in by_site.values()), key=lambda c: c[0])
 
-    def snapshot(self) -> tuple:
-        return (
-            tuple(self.positions),
-            tuple(self.signs),
-            frozenset(self.revealed_positive),
-            frozenset(self.revealed_negative),
-        )
-
 
 def duality_weight(site_signs, edge_signs, dual: DualState, p: float) -> float:
     """Weight pairing a forward configuration with a dual configuration.
@@ -115,172 +100,203 @@ def duality_weight(site_signs, edge_signs, dual: DualState, p: float) -> float:
 
 @dataclass
 class DualTrajectory:
-    final_state: DualState
-    elapsed: float
+    """Where a block of dual runs stopped, one row per replica.
+
+    ``positions`` and ``signs`` are ``(size, k)``; ``status`` is ``(size, m)``,
+    0 for an unrevealed edge, else its revealed sign. ``time`` is when each
+    replica stopped: t_max, unless it reached the target class count, which
+    ``stopped`` marks. ``event_count`` counts the block's moves and forgets,
+    ``reveal_count`` its fresh reveals.
+    """
+
+    positions: np.ndarray
+    signs: np.ndarray
+    status: np.ndarray
+    time: np.ndarray
+    stopped: np.ndarray
     event_count: int
     reveal_count: int
-    refresh_count: int
-    coalescence_time: float | None
-    collision_time: float | None
-    censored: bool
+
+    @staticmethod
+    def join(parts) -> "DualTrajectory":
+        """Blocks in order as one: arrays concatenated, counts summed."""
+        names = ("positions", "signs", "status", "time", "stopped")
+        return DualTrajectory(
+            *(np.concatenate([getattr(part, name) for part in parts]) for name in names),
+            event_count=sum(part.event_count for part in parts),
+            reveal_count=sum(part.reveal_count for part in parts),
+        )
 
 
-def _occupied_component_count(g: Graph, positions) -> int:
-    return len({g.component_ids[z] for z in positions})
+class DualEvents(NamedTuple):
+    """The events of one lockstep step of ``simulate_dual``, forgets first.
+
+    Entry j is an event of replica ``replica[j]`` at ``time[j]``: a move
+    when ``moved[j]``, else a forget. ``edge[j]`` is the edge crossed or
+    forgotten and ``edge_status[j]`` its status after the event;
+    ``revealed[j]`` marks a move that revealed it. ``positions[j]`` and
+    ``signs[j]`` are the replica's walkers after the event.
+    """
+
+    replica: np.ndarray
+    time: np.ndarray
+    edge: np.ndarray
+    edge_status: np.ndarray
+    moved: np.ndarray
+    revealed: np.ndarray
+    positions: np.ndarray
+    signs: np.ndarray
 
 
 def simulate_dual(
+    gen: np.random.Generator,
+    size: int,
     g: Graph,
-    kernel: AdoptionKernel | NeighborSampler,
+    kernel: AdoptionKernel | EventTable,
     params: ModelParams,
-    initial: DualState,
+    initial: DualState | DualTrajectory,
     t_max: float,
-    rng,
     mode: str = "coalescing",
-    stop_on_full_coalescence: bool = False,
-    stop_on_collision: bool = False,
-    record_events: list | None = None,
-    path: list | None = None,
+    target: int | None = None,
+    record: list | None = None,
 ) -> DualTrajectory:
-    """Run the dual process on [0, t_max] from a copy of ``initial``.
+    """``size`` dual runs in lockstep, each stopped at t_max or at ``target`` classes.
 
-    ``mode`` selects the coalescing or independent move rule. With
-    ``stop_on_full_coalescence`` the run ends once the walkers form one
-    class per occupied graph component (coalescing rule only); with
-    ``stop_on_collision`` it ends the first time two walkers share a site.
-    ``record_events`` collects (kind, time, target, detail) tuples; ``path``
-    collects (time, state snapshot) pairs, starting with the initial state.
+    ``initial`` is one ``DualState`` for every replica, or a block of the
+    same size, whose replicas go on from their stop times and states. An
+    ``EventTable`` built for ``params`` may stand in for the kernel.
 
-    Clock entries are ordered by (time, channel, index) for reproducibility.
-    Every occupied site (coalescing rule) or walker (independent rule) and,
-    when v > 0, every revealed edge holds exactly one entry: a site is
-    vacated only when its own clock fires, and an edge is unrevealed only
-    when its own forget clock fires, so no entry is ever stale.
+    Each running replica draws its next event at its own total rate k + v r,
+    with k walkers and r revealed edges; the rate is constant between
+    events, so this is exact Gillespie. A ring u < k belongs to walker slot
+    ⌊u⌋. Under the coalescing rule it moves every walker on that slot's
+    site, but only when the slot is the lowest-indexed walker there: each
+    occupied site rings at rate 1 after this thinning. Under the independent
+    rule it moves that walker alone. The neighbour and joining edge come
+    from the site rows of the ``EventTable``; an unrevealed edge is revealed
+    +1 with probability p. Any other ring forgets a uniformly chosen
+    revealed edge.
+
+    With ``target`` a replica also stops once its walkers form at most that
+    many classes. Under the independent rule the only target is k - 1: from
+    pairwise distinct sites, the first collision. ``record`` collects one
+    ``DualEvents`` per step.
     """
     if mode not in ("coalescing", "independent"):
         raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
-    coalescing = mode == "coalescing"
-    if stop_on_full_coalescence and not coalescing:
-        raise ValueError("full coalescence is only meaningful for the coalescing rule")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-
-    gen = as_generator(rng)
-    random, standard_exponential = gen.random, gen.standard_exponential
-    heappush, heappop = heapq.heappush, heapq.heappop
-    sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
-    tables = sampler.rows
-    st = initial.copy()
-    st.validate(g)
-    p, v = params.p, params.v
-    positions, signs = st.positions, st.signs
-    revealed_positive, revealed_negative = st.revealed_positive, st.revealed_negative
-
-    occupants: dict[int, list[int]] = {}
-    for idx, z in enumerate(positions):
-        occupants.setdefault(z, []).append(idx)
-    target_classes = _occupied_component_count(g, positions)
-
-    # Clock times are scale * standard_exponential(), the product that
-    # exponential(scale) computes. A dual starts with few clocks (k walkers,
-    # rarely a revealed edge), too few for an array draw to pay.
-    clocks = occupants if coalescing else range(st.walker_count)
-    heap = [(standard_exponential(), 0, obj) for obj in clocks]
-    if v > 0.0:
-        scale = 1.0 / v
-        revealed = sorted(revealed_positive | revealed_negative)
-        heap += [(scale * standard_exponential(), 1, e) for e in revealed]
-    heapq.heapify(heap)
-
-    if path is not None:
-        path.append((0.0, st.snapshot()))
-
-    events = reveals = refreshes = 0
-    coalescence_time = 0.0 if coalescing and len(occupants) == target_classes else None
-    collision_time: float | None = None
-
-    # Only a move can set a stop flag, so only moves test them.
-    done = stop_on_full_coalescence and coalescence_time is not None
-    t_event = 0.0  # ends as the elapsed time: the stopping event's, else t_max
-    while not done:
-        if not heap or heap[0][0] > t_max:
-            t_event = t_max
-            break
-        t_event, channel, obj = heappop(heap)
-        events += 1
-        if channel == 1:
-            revealed_positive.discard(obj)
-            revealed_negative.discard(obj)
-            refreshes += 1
-            if record_events is not None:
-                record_events.append(("refresh", t_event, f"edge{obj}", ""))
-            if path is not None:
-                path.append((t_event, st.snapshot()))
-            continue
-
+    table = kernel if isinstance(kernel, EventTable) else EventTable(g, kernel, params)
+    if table.params != params:
+        raise ValueError(f"event table was built for {table.params}, not {params}")
+    if isinstance(initial, DualTrajectory):
+        if initial.time.shape != (size,):
+            raise ValueError(f"a block of {initial.time.size} replicas cannot start {size}")
+        pos, sgn, status = initial.positions.copy(), initial.signs.copy(), initial.status.copy()
+        clock = initial.time.copy()
+    else:
+        initial.validate(g)
+        pos = np.tile(np.array(initial.positions, dtype=np.intp), (size, 1))
+        sgn = np.tile(np.array(initial.signs, dtype=np.int8), (size, 1))
+        status = np.zeros((size, g.edge_count), dtype=np.int8)
+        status[:, sorted(initial.revealed_positive)] = 1
+        status[:, sorted(initial.revealed_negative)] = -1
+        clock = np.zeros(size)
+    n, k, p, v = g.vertex_count, pos.shape[1], params.p, params.v
+    coalescing = mode == "coalescing"
+    if target is not None and not coalescing and target != k - 1:
+        raise ValueError(f"the independent rule stops only at the first collision, k - 1 = {k - 1}")
+    # Replica i's revealed edges are revealed[i, :count[i]], in no set order;
+    # a forget moves the last entry into the freed place.
+    revealed = np.argsort(status == 0, axis=1, kind="stable")
+    count = np.count_nonzero(status, axis=1)
+    ordered = np.sort(pos, axis=1)
+    classes = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    stopped = classes <= (target or 0)  # without a target none stops: classes >= 1
+    live = np.flatnonzero(~stopped)
+    events = reveals = 0
+    while live.size:
+        rate = k + v * count[live]
+        t = clock[live] + gen.standard_exponential(live.size) / rate
+        u, w, q = gen.random((3, live.size))
+        on = t <= t_max
+        live, rate, u, w, q = live[on], rate[on], u[on], w[on], q[on]
+        clock[live] = t[on]
+        u *= rate
+        ring = u < k
+        f = live[~ring]
+        if f.size:
+            last = count[f] - 1
+            at = np.minimum(((u[~ring] - k) / v).astype(np.intp), last)
+            gone = revealed[f, at]
+            status[f, gone] = 0
+            revealed[f, at] = revealed[f, last]
+            count[f] = last
+        r, slot, w, q = live[ring], np.minimum(u[ring].astype(np.intp), k - 1), w[ring], q[ring]
+        here = pos[r]
+        z = here[np.arange(r.size), slot]
         if coalescing:
-            z = obj
-            movers = occupants.pop(z)
+            movers = here == z[:, None]
+            lead = movers.argmax(axis=1) == slot
+            r, z, here, movers, w, q = r[lead], z[lead], here[lead], movers[lead], w[lead], q[lead]
         else:
-            movers = [obj]
-            z = positions[obj]
-        cumulative, total, last, neighbors, edge_ids = tables[z]
-        i = bisect_right(cumulative, random() * total)
-        if i > last:
-            i = last
-        y, e = neighbors[i], edge_ids[i]
-        if e in revealed_positive:
-            flip = False
-        elif e in revealed_negative:
-            flip = True
-        else:
-            flip = random() >= p
-            (revealed_negative if flip else revealed_positive).add(e)
-            if v > 0.0:
-                heappush(heap, (t_event + scale * standard_exponential(), 1, e))
-            reveals += 1
-            if record_events is not None:
-                record_events.append(("reveal", t_event, f"edge{e}", "-1" if flip else "+1"))
-        for idx in movers:
-            positions[idx] = y
-            if flip:
-                signs[idx] = -signs[idx]
-        if coalescing:
-            merged = y in occupants
-            if merged:
-                occupants[y].extend(movers)
-            else:
-                occupants[y] = movers
-                heappush(heap, (t_event + standard_exponential(), 0, y))
-        else:
-            heappush(heap, (t_event + standard_exponential(), 0, obj))
-            merged = positions.count(y) > 1
-        if record_events is not None:
-            detail = f"site{z}->site{y};walkers={','.join(map(str, movers))}"
-            record_events.append(("move", t_event, f"site{z}", detail))
-            if coalescing and merged:
-                record_events.append(
-                    ("merge", t_event, f"site{y}", ",".join(map(str, sorted(occupants[y]))))
-                )
-        if path is not None:
-            path.append((t_event, st.snapshot()))
-        if merged and collision_time is None:
-            collision_time = t_event
-            done = stop_on_collision
-        if coalescing and coalescence_time is None and len(occupants) == target_classes:
-            coalescence_time = t_event
-            done = done or stop_on_full_coalescence
+            movers = slot[:, None] == np.arange(k)
+        y, e = table.columns(z, w)
+        e -= n
+        s = status[r, e]
+        fresh = s == 0
+        s[fresh] = np.where(q[fresh] < p, 1, -1)
+        rf, ef = r[fresh], e[fresh]
+        status[rf, ef] = s[fresh]
+        revealed[rf, count[rf]] = ef
+        count[rf] += 1
+        if target is not None:  # a move onto an occupied site merges two classes
+            classes[r] -= (here == y[:, None]).any(axis=1)
+            stopped[r[classes[r] <= target]] = True
+            live = live[~stopped[live]]
+        pos[r] = np.where(movers, y[:, None], here)
+        sgn[r] = np.where(movers, sgn[r] * s[:, None], sgn[r])
+        events += f.size + r.size
+        reveals += rf.size
+        if record is not None:
+            who, edge = np.concatenate((f, r)), np.concatenate((gone, e)) if f.size else e
+            moved = np.arange(who.size) >= f.size
+            fresh = np.concatenate((np.zeros(f.size, dtype=bool), fresh))
+            record.append(DualEvents(
+                who, clock[who], edge, status[who, edge], moved, fresh, pos[who], sgn[who]
+            ))
+    time = np.where(stopped, clock, t_max)
+    return DualTrajectory(pos, sgn, status, time, stopped, events, reveals)
 
-    return DualTrajectory(
-        final_state=st,
-        elapsed=t_event,
-        event_count=events,
-        reveal_count=reveals,
-        refresh_count=refreshes,
-        coalescence_time=coalescence_time,
-        collision_time=collision_time,
-        censored=stop_on_full_coalescence and coalescence_time is None,
-    )
+
+def coupled_run(
+    gen: np.random.Generator,
+    size: int,
+    g: Graph,
+    kernel: AdoptionKernel | EventTable,
+    params: ModelParams,
+    initial: DualState,
+    t_max: float,
+) -> tuple[DualTrajectory, DualTrajectory, DualTrajectory]:
+    """Couple the independent and coalescing rules on one noise history.
+
+    Returns ``(head, coalescing, independent)`` blocks of ``size`` runs. The
+    head runs the independent rule to each replica's first collision, which
+    its ``stopped`` and ``time`` give, or to t_max. Both legs go on from the
+    head to t_max: the coalescing leg on a child generator spawned before
+    either leg draws, the independent leg on ``gen``. Before a collision each
+    walker is alone on its site, where the two rules agree, so each leg
+    follows its own rule's law. Walkers must start at pairwise distinct sites.
+    """
+    if len(set(initial.positions)) != len(initial.positions):
+        raise ValueError("coupled_run requires pairwise distinct starting sites")
+    table = kernel if isinstance(kernel, EventTable) else EventTable(g, kernel, params)
+    k = initial.walker_count
+    head = simulate_dual(gen, size, g, table, params, initial, t_max, "independent", k - 1)
+    child = gen.spawn(1)[0]
+    coalescing = simulate_dual(child, size, g, table, params, head, t_max)
+    independent = simulate_dual(gen, size, g, table, params, head, t_max, "independent")
+    return head, coalescing, independent
 
 
 @dataclass(frozen=True)
@@ -306,102 +322,3 @@ class CoalescenceReport:
             "time": self.time,
             "censored": self.censored,
         }
-
-
-def run_to_full_coalescence(
-    g: Graph,
-    kernel: AdoptionKernel | NeighborSampler,
-    params: ModelParams,
-    initial: DualState,
-    t_max: float,
-    rng,
-) -> CoalescenceReport:
-    """Coalescing run until the walkers form one class per occupied component.
-
-    Sign agreement inside a class is settled the moment the class forms, so
-    the sync flags are final even when the run is censored at ``t_max``.
-    """
-    traj = simulate_dual(
-        g,
-        kernel,
-        params,
-        initial,
-        t_max,
-        rng,
-        mode="coalescing",
-        stop_on_full_coalescence=True,
-    )
-    time = traj.coalescence_time if traj.coalescence_time is not None else traj.elapsed
-    return CoalescenceReport.of(traj.final_state, time, traj.censored)
-
-
-@dataclass
-class CoupledResult:
-    """Paired independent and coalescing runs sharing one history up to the
-    first collision."""
-
-    independent: DualTrajectory
-    coalescing: DualTrajectory
-    collision_time: float | None
-    independent_path: list[tuple[float, tuple]] = field(repr=False, default_factory=list)
-    coalescing_path: list[tuple[float, tuple]] = field(repr=False, default_factory=list)
-
-
-def coupled_run(
-    g: Graph,
-    kernel: AdoptionKernel | NeighborSampler,
-    params: ModelParams,
-    initial: DualState,
-    t_max: float,
-    rng,
-) -> CoupledResult:
-    """Couple the independent and coalescing rules on one noise history.
-
-    Both runs follow the identical trajectory until the first collision;
-    afterwards the independent walkers keep the primary generator and the
-    coalescing continuation consumes a child generator spawned at the
-    collision, so each leg keeps its own law. Walkers must start at
-    pairwise distinct sites.
-    """
-    if len(set(initial.positions)) != len(initial.positions):
-        raise ValueError("coupled_run requires pairwise distinct starting sites")
-    gen = as_generator(rng)
-    sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
-
-    head_path: list[tuple[float, tuple]] = []
-    head = simulate_dual(
-        g, sampler, params, initial, t_max, gen,
-        mode="independent", stop_on_collision=True, path=head_path,
-    )
-    tau = head.collision_time
-    if tau is None:
-        # No meeting before the horizon: the two rules coincide throughout.
-        coal_target = _occupied_component_count(g, initial.positions)
-        coal = replace(
-            head,
-            final_state=head.final_state.copy(),
-            coalescence_time=0.0 if len(initial.positions) == coal_target else None,
-        )
-        return CoupledResult(head, coal, None, list(head_path), list(head_path))
-
-    # Each leg continues from the collision state; the coalescing leg runs
-    # first, on a child generator spawned before either leg draws.
-    legs = []
-    for mode, leg_gen in (("coalescing", gen.spawn(1)[0]), ("independent", gen)):
-        tail_path: list[tuple[float, tuple]] = []
-        tail = simulate_dual(
-            g, sampler, params, head.final_state, t_max - tau, leg_gen,
-            mode=mode, path=tail_path,
-        )
-        leg = replace(
-            tail,
-            elapsed=t_max,
-            event_count=head.event_count + tail.event_count,
-            reveal_count=head.reveal_count + tail.reveal_count,
-            refresh_count=head.refresh_count + tail.refresh_count,
-            coalescence_time=None if tail.coalescence_time is None else tau + tail.coalescence_time,
-            collision_time=tau,
-        )
-        legs.append((leg, head_path + [(t + tau, snap) for t, snap in tail_path[1:]]))
-    (coal, coal_path), (ind, ind_path) = legs
-    return CoupledResult(ind, coal, tau, ind_path, coal_path)

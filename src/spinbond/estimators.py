@@ -7,7 +7,7 @@ do not depend on the worker count and reruns with the same seed reproduce
 byte-identical output. Forward runs use the uniformized chain of all site
 and edge clocks (``_cylinder_hits``); dual runs draw each replica's next
 event at its own total rate, walkers plus v per revealed edge
-(``_dual_block``); birth-death runs are batched Gillespie
+(``dual.simulate_dual``); birth-death runs are batched Gillespie
 (``simulate_birth_death``). ``raw-simulate`` outputs paths, so it runs
 ``simulate_forward`` once per replica on the replica's own substream,
 sharing one event table; that run makes exactly the draws of a one-replica
@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .dual import CoalescenceReport, DualState, _occupied_component_count
+from .dual import CoalescenceReport, DualState, DualTrajectory, simulate_dual
 from .errors import CensoringError
 from .forward import (
     EventTable,
@@ -205,104 +205,10 @@ def estimate_cylinder_probabilities(
     return out
 
 
-def _dual_block(gen, size, g, table, params, initial, t_max, coalescing, target):
-    """``size`` dual runs from ``initial`` in lockstep, each stopped at t_max.
-
-    Each running replica draws its next event at its own total rate k + v r,
-    with k walkers and r revealed edges; the rate is constant between
-    events, so this is exact Gillespie. A ring u < k belongs to walker slot
-    ⌊u⌋. Under the coalescing rule it moves every walker on that slot's
-    site, but only when the slot is the lowest-indexed walker there: each
-    occupied site rings at rate 1 after this thinning. Under the independent
-    rule it moves that walker alone. The neighbour and joining edge come
-    from the site rows of the ``EventTable``; an unrevealed edge is revealed
-    +1 with probability p. Any other ring forgets a uniformly chosen
-    revealed edge. With ``target`` a replica also stops once its walkers
-    form that many classes (coalescing rule only).
-
-    Returns positions and signs ``(size, k)``, edge statuses ``(size, m)``
-    (0 unrevealed, else the revealed sign), and per replica the time it
-    stopped (t_max unless it coalesced) and whether it coalesced.
-    """
-    n, k = g.vertex_count, initial.walker_count
-    p, v = params.p, params.v
-    pos = np.tile(np.array(initial.positions, dtype=np.intp), (size, 1))
-    sgn = np.tile(np.array(initial.signs, dtype=np.int8), (size, 1))
-    status = np.zeros((size, g.edge_count), dtype=np.int8)
-    status[:, sorted(initial.revealed_positive)] = 1
-    status[:, sorted(initial.revealed_negative)] = -1
-    # Replica i's revealed edges are revealed[i, :count[i]], in no set order;
-    # a forget moves the last entry into the freed place.
-    first = sorted(initial.revealed_positive | initial.revealed_negative)
-    revealed = np.zeros(status.shape, dtype=np.intp)
-    revealed[:, : len(first)] = first
-    count = np.full(size, len(first))
-    clock = np.zeros(size)
-    classes = np.full(size, len(set(initial.positions)))
-    coalesced = classes == target
-    live = np.flatnonzero(~coalesced)
-    while live.size:
-        rate = k + v * count[live]
-        t = clock[live] + gen.standard_exponential(live.size) / rate
-        u, w, q = gen.random((3, live.size))
-        on = t <= t_max
-        live, rate, u, w, q = live[on], rate[on], u[on], w[on], q[on]
-        clock[live] = t[on]
-        u *= rate
-        ring = u < k
-        if v > 0.0:
-            f = live[~ring]
-            last = count[f] - 1
-            at = np.minimum(((u[~ring] - k) / v).astype(np.intp), last)
-            status[f, revealed[f, at]] = 0
-            revealed[f, at] = revealed[f, last]
-            count[f] = last
-        r, slot, w, q = live[ring], np.minimum(u[ring].astype(np.intp), k - 1), w[ring], q[ring]
-        here = pos[r]
-        z = here[np.arange(r.size), slot]
-        if coalescing:
-            movers = here == z[:, None]
-            lead = movers.argmax(axis=1) == slot
-            r, z, here, movers, w, q = r[lead], z[lead], here[lead], movers[lead], w[lead], q[lead]
-        else:
-            movers = slot[:, None] == np.arange(k)
-        y, e = table.columns(z, w)
-        e -= n
-        s = status[r, e]
-        fresh = s == 0
-        s[fresh] = np.where(q[fresh] < p, 1, -1)
-        rf, ef = r[fresh], e[fresh]
-        status[rf, ef] = s[fresh]
-        revealed[rf, count[rf]] = ef
-        count[rf] += 1
-        if target is not None:  # a move onto an occupied site merges two classes
-            classes[r] -= (here == y[:, None]).any(axis=1)
-            coalesced[r[classes[r] == target]] = True
-            live = live[~coalesced[live]]
-        pos[r] = np.where(movers, y[:, None], here)
-        sgn[r] = np.where(movers, sgn[r] * s[:, None], sgn[r])
-    return pos, sgn, status, np.where(coalesced, clock, t_max), coalesced
-
-
-def _dual_runs(g, kernel, params, initial, t_max, replicas, stream, workers, mode, target=None):
-    """``_dual_block`` over ``replicas`` runs, each output joined in replica order."""
-    if mode not in ("coalescing", "independent"):
-        raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    initial.validate(g)
-    fn = partial(
-        _dual_block,
-        g=g,
-        table=EventTable(g, kernel, params),
-        params=params,
-        initial=initial,
-        t_max=t_max,
-        coalescing=mode == "coalescing",
-        target=target,
-    )
-    parts = _collect(fn, replicas, stream, workers, block=REPLICA_BLOCK)
-    return [np.concatenate(field) for field in zip(*parts)]
+def _dual_runs(g, kernel, params, replicas, stream, workers, **run):
+    """``simulate_dual(..., **run)`` over ``replicas`` runs in blocks, joined in replica order."""
+    fn = partial(simulate_dual, g=g, kernel=EventTable(g, kernel, params), params=params, **run)
+    return DualTrajectory.join(_collect(fn, replicas, stream, workers, block=REPLICA_BLOCK))
 
 
 def estimate_dual_side(
@@ -338,9 +244,10 @@ def estimate_dual_side(
     ]
     parts += [f"edge{e}=+1" for e in sorted(initial.revealed_positive)]
     parts += [f"edge{e}=-1" for e in sorted(initial.revealed_negative)]
-    pos, sgn, status, _, _ = _dual_runs(
-        g, kernel, params, initial, t, replicas, stream, workers, mode
+    runs = _dual_runs(
+        g, kernel, params, replicas, stream, workers, initial=initial, t_max=t, mode=mode
     )
+    pos, sgn, status = runs.positions, runs.signs, runs.status
     # duality_weight per replica: zero unless every walker sits on a site of
     # its sign and every revealed edge shows its revealed sign, else 1/p per
     # positive and 1/(1-p) per negative reveal.
@@ -449,10 +356,11 @@ def estimate_mu_dyn(
     initial = DualState.of(sites, signs, revealed_positive, revealed_negative)
     if t_cap is None:
         t_cap = default_time_cap(g)
-    target = _occupied_component_count(g, initial.positions)
-    pos, sgn, _, time, coalesced = _dual_runs(
-        g, kernel, params, initial, t_cap, replicas, stream, workers, "coalescing", target
+    target = len({g.component_ids[z] for z in initial.positions})  # occupied components
+    runs = _dual_runs(
+        g, kernel, params, replicas, stream, workers, initial=initial, t_max=t_cap, target=target
     )
+    pos, sgn, time, coalesced = runs.positions, runs.signs, runs.time, runs.stopped
     reports = tuple(
         CoalescenceReport.of(DualState.of(at.tolist(), sg.tolist()), float(t), not done)
         for at, sg, t, done in zip(pos[:report_limit], sgn[:report_limit], time, coalesced)
@@ -475,12 +383,7 @@ def estimate_mu_dyn(
         f"site{x}={'+' if s > 0 else '-'}1" for x, s in zip(sites, signs)
     )
     raw = _summarize(f"mu_dyn:{site_part}", values)
-    scaled = EstimateResult(
-        observable=raw.observable,
-        estimate=prefactor * raw.estimate,
-        std_error=prefactor * raw.std_error,
-        replicas=raw.replicas,
-    )
+    scaled = replace(raw, estimate=prefactor * raw.estimate, std_error=prefactor * raw.std_error)
     return MuDynResult(result=scaled, censored_count=censored, reports=reports)
 
 
@@ -545,6 +448,6 @@ def estimate_revealed_weight(
     workers: int = 1,
 ) -> EstimateResult:
     """Sample mean of exp(theta * revealed-set size) at time t."""
-    status = _dual_runs(g, kernel, params, initial, t, replicas, stream, workers, "coalescing")[2]
-    size = np.count_nonzero(status, axis=1)
+    runs = _dual_runs(g, kernel, params, replicas, stream, workers, initial=initial, t_max=t)
+    size = np.count_nonzero(runs.status, axis=1)
     return _summarize(f"revealed_weight:theta={theta:g},t={t:g}", np.exp(theta * size))

@@ -46,7 +46,7 @@ from .forward import (
     read_state_file,
     write_state_file,
 )
-from .graphs import Graph, read_graph_file, read_kernel_file, uniform_kernel, validate_kernel
+from .graphs import Graph, read_graph_file, read_kernel_file, require_valid_kernel, uniform_kernel
 from .rng import RngStream
 
 # Numerical cushion on statistical gates so zero-variance estimators are
@@ -192,9 +192,10 @@ def _build_model(cfg: dict):
             kernel = uniform_kernel(g)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    report = validate_kernel(g, kernel)
-    if not report.valid:
-        raise ConfigError("invalid kernel: " + "; ".join(report.violations))
+    try:
+        require_valid_kernel(g, kernel)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return g, kernel, ModelParams(p=cfg["p"], v=cfg["v"])
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import AdoptionKernel, Graph, validate_kernel
+from .graphs import AdoptionKernel, Graph, require_valid_kernel
 from .rng import as_generator
 
 _SIGNS = frozenset((1, -1))
@@ -123,37 +123,6 @@ def edge_flip_rate(edge_sign: int, params: ModelParams) -> float:
     return params.v * params.p if edge_sign == -1 else params.v * (1.0 - params.p)
 
 
-class NeighborSampler:
-    """Cached cumulative-weight tables for drawing neighbors from a kernel.
-
-    ``rows[x]`` is x's ``(cumulative, total, last, neighbors, edge_ids)``:
-    the running sums of its kernel rates, their total, the last position in
-    the row, its neighbors, and the graph edge joining x to each of them.
-    One ``random()`` draw picks position ``bisect_right(cumulative, random()
-    * total)``, clamped to ``last`` against rounding at the top: the first
-    position whose running sum exceeds the draw. The dual event loop inlines
-    that rule. Zero-rate entries are left out: they can never be drawn, and
-    a valid kernel may name a non-neighbor with rate 0. An invalid kernel
-    (see ``validate_kernel``) raises ``ValueError``.
-    """
-
-    def __init__(self, g: Graph, kernel: AdoptionKernel) -> None:
-        report = validate_kernel(g, kernel)
-        if not report.valid:
-            raise ValueError("invalid kernel: " + "; ".join(report.violations))
-        self.rows: list[tuple[tuple[float, ...], float, int, tuple[int, ...], tuple[int, ...]]] = []
-        for x in range(g.vertex_count):
-            row = [(y, q) for y, q in kernel.rows[x] if q != 0]
-            total = 0.0
-            cumulative = []
-            for _, q in row:
-                total += q
-                cumulative.append(total)
-            neighbors = tuple(y for y, _ in row)
-            edge_ids = tuple(g.edge_id(x, y) for y in neighbors)
-            self.rows.append((tuple(cumulative), total, len(row) - 1, neighbors, edge_ids))
-
-
 class EventTable:
     """What one ring of the uniformized chain does to a state row.
 
@@ -162,21 +131,24 @@ class EventTable:
     first position j of its row of cumulative probabilities ``cum`` above a
     uniform draw, and the product of columns ``src[k, j]`` and ``via[k, j]``
     (both kept flattened): for a site, a neighbour's sign times the joining
-    edge's, rate-0 kernel entries left out; for an edge, +1 with probability
-    p, else -1, times the +1 column. Rows end on exactly 1.0 and are padded
-    with 2.0, so a draw in [0, 1) always finds a real position. ``rate`` is
-    the total ring rate n + v m; ``objects`` counts the objects that can
-    ring: every site, and every edge when v > 0.
+    edge's; for an edge, +1 with probability p, else -1, times the +1
+    column. Rate-0 kernel entries are left out: they can never be drawn, and
+    a valid kernel may name a non-neighbour with rate 0. An invalid kernel
+    (see ``validate_kernel``) raises ``ValueError``. Rows end on exactly 1.0
+    and are padded with 2.0, so a draw in [0, 1) always finds a real
+    position. ``rate`` is the total ring rate n + v m; ``objects`` counts the
+    objects that can ring: every site, and every edge when v > 0.
     """
 
-    def __init__(self, g: Graph, kernel: AdoptionKernel | NeighborSampler, params: ModelParams):
-        sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
+    def __init__(self, g: Graph, kernel: AdoptionKernel, params: ModelParams):
+        require_valid_kernel(g, kernel)
         n, m = g.vertex_count, g.edge_count
         plus, minus = n + m, n + m + 1
-        rows = [
-            (np.array(cumulative) / total, neighbors, [n + e for e in edge_ids])
-            for cumulative, total, _, neighbors, edge_ids in sampler.rows
-        ]
+        rows = []
+        for x, row in enumerate(kernel.rows):
+            ys = [y for y, q in row if q != 0]
+            cumulative = np.cumsum([q for _, q in row if q != 0])
+            rows.append((cumulative / cumulative[-1], ys, [n + g.edge_id(x, y) for y in ys]))
         refresh = [(q, col) for q, col in ((params.p, plus), (1.0 - params.p, minus)) if q != 0.0]
         cumulative = np.cumsum([q for q, _ in refresh])
         rows += [(cumulative / cumulative[-1], [col for _, col in refresh], [plus] * len(refresh))] * m
@@ -242,7 +214,7 @@ def _replay(k: np.ndarray, new: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def simulate_forward(
     g: Graph,
-    kernel: AdoptionKernel | NeighborSampler | EventTable,
+    kernel: AdoptionKernel | EventTable,
     params: ModelParams,
     initial: SpinBondState,
     t_max: float,

@@ -208,6 +208,13 @@ def validate_kernel(g: Graph, kernel: AdoptionKernel) -> KernelReport:
     return KernelReport(valid=not violations, violations=tuple(violations))
 
 
+def require_valid_kernel(g: Graph, kernel: AdoptionKernel) -> None:
+    """Raise ``ValueError("invalid kernel: ...")`` naming every violation."""
+    report = validate_kernel(g, kernel)
+    if not report.valid:
+        raise ValueError("invalid kernel: " + "; ".join(report.violations))
+
+
 def format_graph(g: Graph) -> str:
     """Plain-text graph format: header "<V> <E>", then one "u v" line per edge."""
     lines = [f"{g.vertex_count} {g.edge_count}"]

@@ -30,7 +30,7 @@ from .cylinders import CylinderEvent
 from .dual import DualState
 from .errors import StateSpaceCapError
 from .forward import ModelParams, SpinBondState, edge_flip_rate
-from .graphs import AdoptionKernel, Graph
+from .graphs import AdoptionKernel, Graph, require_valid_kernel
 
 FORWARD_STATE_CAP = 2**20
 DUAL_STATE_CAP = 2_000_000
@@ -86,6 +86,7 @@ def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParam
     sums, in kernel-row order, q(x, y) over the positive kernel entries
     whose adopted sign differs from x's, and each edge has one slot.
     """
+    require_valid_kernel(g, kernel)
     n, m = g.vertex_count, g.edge_count
     size = forward_state_count(g)
     idx = np.arange(size, dtype=np.int64)
@@ -423,6 +424,7 @@ def build_dual_generator(
     same event, so co-located walkers never separate; under the independent
     rule each walker fires alone.
     """
+    require_valid_kernel(g, kernel)
     if mode not in ("coalescing", "independent"):
         raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
     size = dual_state_count(g, k)

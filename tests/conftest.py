@@ -34,3 +34,44 @@ def striped_state(g) -> SpinBondState:
     sites = np.array([1 if x % 2 == 0 else -1 for x in range(g.vertex_count)], dtype=np.int8)
     edges = np.array([1 if e % 2 == 0 else -1 for e in range(g.edge_count)], dtype=np.int8)
     return SpinBondState(sites, edges)
+
+
+def merge_breaks(record, pos, sgn) -> int:
+    """Replicas whose met walkers later part, or change their product of signs.
+
+    ``pos`` and ``sgn`` are a dual block's ``(size, k)`` starting walkers and
+    ``record`` its ``DualEvents``, one per step; each replica has at most one
+    event per step.
+    """
+    together = pos[:, :, None] == pos[:, None, :]
+    relation = sgn[:, :, None] * sgn[:, None, :]
+    bad = np.zeros(len(pos), dtype=bool)
+    for step in record:
+        i = step.replica
+        now = step.positions[:, :, None] == step.positions[:, None, :]
+        product = step.signs[:, :, None] * step.signs[:, None, :]
+        was = together[i]
+        bad[i] |= (was & (~now | (product != relation[i]))).any(axis=(1, 2))
+        relation[i] = np.where(was, relation[i], product)
+        together[i] = was | now
+    return int(np.count_nonzero(bad))
+
+
+def replay_statuses(record, status):
+    """Edge statuses after replaying ``record`` on a copy of ``status``, and
+    the number of recorded events that break the status rules.
+
+    A forget must strike a revealed edge and leave it unrevealed; a move
+    must reveal an unrevealed edge, or cross a revealed one and keep it.
+    """
+    status = status.copy()
+    bad = 0
+    for step in record:
+        before, after, moved = status[step.replica, step.edge], step.edge_status, step.moved
+        known = moved & ~step.revealed
+        ok = np.where(moved, after != 0, (before != 0) & (after == 0))
+        ok &= np.where(step.revealed, before == 0, True)
+        ok &= np.where(known, (before != 0) & (after == before), True)
+        bad += int(np.count_nonzero(~ok))
+        status[step.replica, step.edge] = after
+    return status, bad

@@ -24,7 +24,7 @@ from spinbond.rng import RngStream
 from spinbond import estimators as est
 from spinbond import oracle
 
-from conftest import striped_state
+from conftest import merge_breaks, replay_statuses, striped_state
 
 
 def _report(criterion: int, description: str, passed: bool, detail: str) -> None:
@@ -143,7 +143,7 @@ def test_criterion_2_single_site_stationary_law(p3, c6):
         exact_ok and mc_ok,
         f"exact worst error {worst:.3e} over {exact_gates} cylinders "
         f"(tolerance 1e-10); MC {mc_gates - len(failures)}/{mc_gates} gates "
-        f"within 3 binomial sigma at {replicas} replicas"
+        f"within 3 binomial sigma at {replicas} replicas (family-wise <= 4.9%)"
         + (f"; failed {failures}" if failures else ""),
     )
 
@@ -153,7 +153,12 @@ def test_criterion_2_single_site_stationary_law(p3, c6):
 
 def test_criterion_3_mu_dyn_consistency(k2, p3):
     # The dual estimator of stationary cylinder masses agrees with the exact
-    # solve for one and two walkers, and on two sites P(sync) = p.
+    # solve for one and two walkers, and on two sites P(sync) = p. Stated
+    # false-failure rate: 5 gates at 3 sigma, but the one-walker gates are
+    # exact (every replica returns 1/2) and the P(sync) gate repeats the
+    # two-site K2 gate's deviation, so 2 random two-sided gates, family-wise
+    # <= 2 * 0.27% = 0.54% under the normal approximation (union bound),
+    # whatever their correlation. The exact anchor is deterministic.
     p, v = 0.3, 1.0
     params = ModelParams(p, v)
     replicas = 100_000
@@ -217,6 +222,7 @@ def test_criterion_3_mu_dyn_consistency(k2, p3):
             sync_sigmas = est.deviation_sigmas(sync, p)
             ok &= sync_sigmas < 3.0
     details.append(f"P(sync) vs p: {sync_sigmas:.2f} sigma")
+    details.append("2 random gates at 3 sigma, family-wise <= 0.54%")
     _report(3, "dual mu_dyn estimator vs exact stationary solve", ok, "; ".join(details))
 
 
@@ -292,7 +298,7 @@ def test_criterion_5_transient_mc_vs_oracle(p3):
         "transient MC vs uniformization, 20-gate family",
         len(failures) <= 2,
         f"{20 - len(failures)}/20 gates within 3 binomial sigma at "
-        f"{replicas} replicas (<=2 failures allowed)"
+        f"{replicas} replicas (<=2 failures allowed, family-wise <= 1.4%)"
         + (f"; failed {failures}" if failures else ""),
     )
 
@@ -304,6 +310,10 @@ def test_criterion_6_birth_death_mgf_and_domination(p3):
     # Gillespie MGF vs the closed form on a 16-point grid, then the
     # revealed-set size of a one-walker dual is dominated by the unit-birth,
     # rate-v-death count at the exponential scale theta = -2 ln min(p, 1-p).
+    # Stated false-failure rate: 16 two-sided grid gates at 3 sigma (0.27%
+    # each) and one one-sided domination gate at 3 sigma (0.13%), family-wise
+    # <= 16 * 0.27% + 0.13% = 4.5% under the normal approximation (union
+    # bound), whatever their correlation.
     replicas = 50_000
     failures = []
     call = 0
@@ -340,7 +350,7 @@ def test_criterion_6_birth_death_mgf_and_domination(p3):
         "birth-death MGF closed form and revealed-set domination",
         grid_ok and dominated,
         f"{grid_note}; revealed-set E[exp(theta |A+B|)] = {res.estimate:.4f} "
-        f"<= {bound:.4f} + 3 sigma: {dominated}",
+        f"<= {bound:.4f} + 3 sigma: {dominated}; 17 gates, family-wise <= 4.5%",
     )
 
 
@@ -350,51 +360,41 @@ def test_criterion_6_birth_death_mgf_and_domination(p3):
 def test_criterion_7_coupling_fidelity(p3):
     # The coupled pair of dual runs shares its path up to the first
     # collision, and the coalescing leg has the same law as a direct run.
+    # Both legs go on from one head block, so the shared history holds by
+    # construction; the pathwise check is that a replica with no collision
+    # ends both legs where the head ended, and that every collision leaves
+    # two walkers on one site. Stated false-failure rate: 4 two-sided
+    # two-sample gates at 3 sigma, family-wise <= 4 * 0.27% = 1.1% under the
+    # normal approximation (union bound), whatever their correlation.
     g, kern = p3
     params = ModelParams(0.3, 1.0)
     initial = DualState.of([0, 2], [1, -1])
     t_max = 1.5
     replicas = 10_000
 
-    stream = RngStream(707)
-    violations = 0
-    coupled_stats = []
-    for i in range(replicas):
-        out = coupled_run(g, kern, params, initial, t_max, stream.substream(i))
-        tau = out.collision_time
-        cut = t_max if tau is None else tau
-        head_i = [entry for entry in out.independent_path if entry[0] <= cut]
-        head_c = [entry for entry in out.coalescing_path if entry[0] <= cut]
-        if head_i != head_c:
-            violations += 1
-        st = out.coalescing.final_state
-        coupled_stats.append(
-            (
-                float(st.positions[0] == st.positions[1]),
-                float(st.signs[0] == st.signs[1]),
-                float(len(st.revealed_positive) + len(st.revealed_negative)),
-                float(st.positions[0]),
-            )
-        )
+    head, coalescing, independent = coupled_run(
+        RngStream(707).generator(), replicas, g, kern, params, initial, t_max
+    )
+    met = head.stopped
+    violations = np.count_nonzero(head.positions[met, 0] != head.positions[met, 1])
+    for leg in (coalescing, independent):
+        for part in ("positions", "signs", "status"):
+            mismatch = getattr(leg, part)[~met] != getattr(head, part)[~met]
+            violations += np.count_nonzero(mismatch.any(axis=1))
+    direct = simulate_dual(RngStream(708).generator(), replicas, g, kern, params, initial, t_max)
 
-    direct_stream = RngStream(708)
-    direct_stats = []
-    for i in range(replicas):
-        traj = simulate_dual(
-            g, kern, params, initial, t_max, direct_stream.substream(i)
-        )
-        st = traj.final_state
-        direct_stats.append(
-            (
-                float(st.positions[0] == st.positions[1]),
-                float(st.signs[0] == st.signs[1]),
-                float(len(st.revealed_positive) + len(st.revealed_negative)),
-                float(st.positions[0]),
-            )
-        )
+    def stats(traj):
+        return np.stack(
+            [
+                traj.positions[:, 0] == traj.positions[:, 1],
+                traj.signs[:, 0] == traj.signs[:, 1],
+                np.count_nonzero(traj.status, axis=1),
+                traj.positions[:, 0],
+            ],
+            axis=1,
+        ).astype(np.float64)
 
-    coupled_arr = np.array(coupled_stats)
-    direct_arr = np.array(direct_stats)
+    coupled_arr, direct_arr = stats(coalescing), stats(direct)
     names = ("P(coalesced)", "P(signs equal)", "mean revealed", "mean position0")
     worst_z = 0.0
     for col, name in enumerate(names):
@@ -406,8 +406,9 @@ def test_criterion_7_coupling_fidelity(p3):
         7,
         "coupled dual runs: shared history and matching statistics",
         violations == 0 and worst_z < 3.0,
-        f"{violations}/{replicas} pathwise mismatches before collision; "
-        f"worst two-sample |z| = {worst_z:.2f} over {len(names)} statistics",
+        f"{violations} pathwise mismatches over {replicas} runs "
+        f"({np.count_nonzero(met)} collided); worst two-sample |z| = {worst_z:.2f} over "
+        f"{len(names)} statistics at 3 sigma (family-wise <= 1.1%)",
     )
 
 
@@ -421,33 +422,21 @@ def test_criterion_8_structural_properties(k2, p3, c6):
     g2, kern2 = k2
     details = []
 
-    # (a) revealed sets stay disjoint and merges are permanent, checked at
-    # every event of 300 three-walker runs.
+    # (a) revealed statuses replay from the recorded events (forgets strike
+    # only revealed edges, fresh reveals only unrevealed ones) and merges are
+    # permanent, checked at every event of one block of 300 three-walker runs.
     params = ModelParams(0.3, 1.0)
     initial = DualState.of([0, 2, 4], [1, 1, -1])
-    stream = RngStream(808)
-    disjoint_bad = permanence_bad = 0
-    for i in range(300):
-        path = []
-        simulate_dual(
-            g6, kern6, params, initial, 8.0, stream.substream(i), path=path
-        )
-        merged_at: dict[tuple[int, int], tuple[int, int]] = {}
-        for step, (_, (positions, signs, pos_set, neg_set)) in enumerate(path):
-            if pos_set & neg_set:
-                disjoint_bad += 1
-            for a, b in itertools.combinations(range(3), 2):
-                if positions[a] == positions[b]:
-                    # merged pairs move together and keep their sign product:
-                    # synced stays synced, anti-synced stays anti-synced
-                    merged_at.setdefault((a, b), (step, signs[a] * signs[b]))
-        for (a, b), (step, relation) in merged_at.items():
-            for _, (positions, signs, _, _) in path[step:]:
-                if positions[a] != positions[b] or signs[a] * signs[b] != relation:
-                    permanence_bad += 1
-                    break
+    record: list = []
+    traj = simulate_dual(
+        RngStream(808).generator(), 300, g6, kern6, params, initial, 8.0, record=record
+    )
+    start = simulate_dual(RngStream(808).generator(), 300, g6, kern6, params, initial, 0.0)
+    status, replay_bad = replay_statuses(record, start.status)
+    replay_bad += np.count_nonzero((status != traj.status).any(axis=1))
+    permanence_bad = merge_breaks(record, start.positions, start.signs)
     details.append(
-        f"disjointness violations {disjoint_bad}, permanence violations "
+        f"status replay violations {replay_bad}, permanence violations "
         f"{permanence_bad} over 300 runs"
     )
 
@@ -462,12 +451,14 @@ def test_criterion_8_structural_properties(k2, p3, c6):
         )
         fwd_logs.append((events, traj.final_state.site_signs.tobytes(),
                          traj.final_state.edge_signs.tobytes()))
-        devents: list = []
+        record = []
         dtraj = simulate_dual(
-            g3, kern3, ModelParams(0.3, 1.0), DualState.of([0, 2], [1, 1]),
-            5.0, RngStream(810).generator(), record_events=devents,
+            RngStream(810).generator(), 100, g3, kern3, ModelParams(0.3, 1.0),
+            DualState.of([0, 2], [1, 1]), 5.0, record=record,
         )
-        dual_logs.append((devents, dtraj.final_state.snapshot()))
+        arrays = [dtraj.positions, dtraj.signs, dtraj.status, dtraj.time, dtraj.stopped]
+        arrays += [column for step in record for column in step]
+        dual_logs.append((b"".join(a.tobytes() for a in arrays), dtraj.event_count))
     deterministic = fwd_logs[0] == fwd_logs[1] and dual_logs[0] == dual_logs[1]
     details.append(f"identical reruns: {deterministic}")
 
@@ -518,7 +509,7 @@ def test_criterion_8_structural_properties(k2, p3, c6):
     details.append(f"semigroup gap {semi_worst:.1e}")
 
     ok = (
-        disjoint_bad == 0
+        replay_bad == 0
         and permanence_bad == 0
         and deterministic
         and absorbed

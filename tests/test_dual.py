@@ -1,24 +1,17 @@
-import heapq
-import itertools
 import math
-from bisect import bisect_right
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import merge_breaks, replay_statuses
 from hypothesis import given, settings, strategies as st
 
-from spinbond.dual import (
-    CoupledResult,
-    DualState,
-    DualTrajectory,
-    coupled_run,
-    duality_weight,
-    run_to_full_coalescence,
-    simulate_dual,
-)
-from spinbond.forward import ModelParams, NeighborSampler, SpinBondState
-from spinbond.graphs import AdoptionKernel, Graph, build_graph, builtin_graph, uniform_kernel
-from spinbond.rng import RngStream, as_generator
+from spinbond.dual import DualState, coupled_run, duality_weight, simulate_dual
+from spinbond.errors import CensoringError
+from spinbond.estimators import estimate_mu_dyn
+from spinbond.forward import ModelParams, SpinBondState
+from spinbond.graphs import build_graph, builtin_graph, uniform_kernel
+from spinbond.rng import RngStream
 
 
 def test_dual_state_validation(p3):
@@ -66,178 +59,162 @@ def test_duality_weight_values(p3):
     )
 
 
-def _run_with_path(g, kern, params, initial, t, seed, **kwargs):
-    path = []
-    events = []
+def _block(g, kern, params, initial, t_max, seed, size, **kwargs):
+    """One block of ``size`` dual runs with its record, and its starting arrays."""
+    record = []
     traj = simulate_dual(
-        g, kern, params, initial, t, RngStream(seed),
-        record_events=events, path=path, **kwargs
+        RngStream(seed).generator(), size, g, kern, params, initial, t_max, record=record, **kwargs
     )
-    return traj, path, events
+    start = simulate_dual(RngStream(seed).generator(), size, g, kern, params, initial, 0.0)
+    return traj, record, start
+
+
+def _same(a, b) -> bool:
+    """Two blocks agree in every array and count."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
 def test_revealed_sets_stay_disjoint_and_valid(p3):
+    # One status per edge keeps the revealed sets disjoint; the record must
+    # replay to the final statuses, with every walker on a site and of sign +-1.
     g, kern = p3
-    params = ModelParams(0.5, 3.0)
-    for seed in range(20):
-        _, path, _ = _run_with_path(
-            g, kern, params, DualState.of([0, 2], [1, 1]), 6.0, seed
-        )
-        assert len(path) > 1
-        for _, (positions, signs, pos_edges, neg_edges) in path:
-            assert not pos_edges & neg_edges
-            assert all(s in (-1, 1) for s in signs)
-            assert all(0 <= z < g.vertex_count for z in positions)
+    traj, record, start = _block(
+        g, kern, ModelParams(0.5, 3.0), DualState.of([0, 2], [1, 1]), 6.0, 0, 200
+    )
+    assert len(record) > 1
+    status, bad = replay_statuses(record, start.status)
+    assert bad == 0 and (status == traj.status).all()
+    for step in record:
+        assert ((step.positions >= 0) & (step.positions < g.vertex_count)).all()
+        assert (np.abs(step.signs) == 1).all()
+        assert np.isin(step.edge_status, (-1, 0, 1)).all()
 
 
 def test_coalescence_and_sign_sync_permanence(p3):
     g, kern = p3
-    params = ModelParams(0.4, 1.0)
-    k = 3
-    for seed in range(25):
-        _, path, _ = _run_with_path(
-            g, kern, params, DualState.of([0, 1, 2], [1, -1, 1]), 10.0, seed
-        )
-        merged_at: dict[tuple[int, int], int] = {}
-        for step, (_, (positions, signs, _, _)) in enumerate(path):
-            for a, b in itertools.combinations(range(k), 2):
-                if positions[a] == positions[b] and (a, b) not in merged_at:
-                    merged_at[(a, b)] = step
-        for (a, b), step in merged_at.items():
-            for _, (positions, signs, _, _) in path[step:]:
-                assert positions[a] == positions[b]
-            product0 = path[step][1][1][a] * path[step][1][1][b]
-            for _, (_, signs, _, _) in path[step:]:
-                assert signs[a] * signs[b] == product0
+    traj, record, start = _block(
+        g, kern, ModelParams(0.4, 1.0), DualState.of([0, 1, 2], [1, -1, 1]), 10.0, 1, 300
+    )
+    assert merge_breaks(record, start.positions, start.signs) == 0
+    # the check has something to see: most replicas end fully merged
+    assert np.count_nonzero((traj.positions == traj.positions[:, :1]).all(axis=1)) > 150
 
 
 def test_known_negative_edge_flips_without_revealing(k2):
     g, kern = k2
-    params = ModelParams(0.5, 0.0)
     initial = DualState.of([0], [1], revealed_negative=[0])
-    traj, path, events = _run_with_path(g, kern, params, initial, 5.0, 3)
-    moves = sum(1 for ev in events if ev[0] == "move")
-    assert moves > 0
-    assert all(ev[0] == "move" for ev in events)
-    assert traj.final_state.revealed_negative == {0}
-    assert traj.final_state.revealed_positive == set()
-    assert traj.final_state.signs[0] == (-1) ** moves
-    assert traj.final_state.positions[0] == moves % 2
+    traj, record, _ = _block(g, kern, ModelParams(0.5, 0.0), initial, 5.0, 3, 100)
+    moves = np.bincount(np.concatenate([step.replica for step in record]), minlength=100)
+    assert moves.max() > 1 and traj.reveal_count == 0
+    assert all(step.moved.all() and not step.revealed.any() for step in record)
+    assert (traj.status == -1).all()
+    assert (traj.signs[:, 0] == (-1) ** moves).all()
+    assert (traj.positions[:, 0] == moves % 2).all()
 
 
-def test_unknown_edge_reveals_atomically(k2):
-    g, kern = k2
-    # p = 1 with frozen environment: the single edge reveals positive on the
-    # first crossing and the sign never flips afterwards
-    traj, _, events = _run_with_path(
-        g, kern, ModelParams(1.0, 0.0), DualState.of([0], [1]), 5.0, 4
-    )
-    reveals = [ev for ev in events if ev[0] == "reveal"]
-    assert len(reveals) == 1 and reveals[0][3] == "+1"
-    assert traj.final_state.revealed_positive == {0}
-    assert traj.final_state.signs[0] == 1
-    # the reveal happens in the same event as the first move
-    first_move = next(ev for ev in events if ev[0] == "move")
-    assert reveals[0][1] == first_move[1]
+def test_unknown_edge_reveals_atomically(p3):
+    # Every move multiplies the movers' signs by the status its edge has
+    # after the move, so a reveal acts in the same event as the move that
+    # makes it; walkers that stay put keep their signs.
+    g, kern = p3
+    initial = DualState.of([0, 2], [1, -1])
+    traj, record, start = _block(g, kern, ModelParams(0.3, 1.0), initial, 4.0, 4, 300)
+    pos, sgn = start.positions.copy(), start.signs.copy()
+    for step in record:
+        i, moved = step.replica[step.moved], step.moved
+        walked = step.positions[moved] != pos[i]
+        assert walked.any(axis=1).all()
+        flip = step.edge_status[moved][:, None]
+        want = np.where(walked, sgn[i] * flip, sgn[i])
+        assert (step.signs[moved] == want).all()
+        pos[step.replica], sgn[step.replica] = step.positions, step.signs
+    assert (pos == traj.positions).all() and (sgn == traj.signs).all()
+    assert traj.reveal_count > 0
 
 
 def test_refresh_only_strikes_revealed_edges(p3):
     g, kern = p3
-    params = ModelParams(0.5, 4.0)
-    for seed in range(10):
-        traj, path, events = _run_with_path(
-            g, kern, params, DualState.of([1], [1], revealed_positive=[0]), 6.0, seed
+    initial = DualState.of([1], [1], revealed_positive=[0])
+    traj, record, start = _block(g, kern, ModelParams(0.5, 4.0), initial, 6.0, 5, 200)
+    status, bad = replay_statuses(record, start.status)
+    assert bad == 0 and (status == traj.status).all()
+    assert sum(np.count_nonzero(~step.moved) for step in record) > 0
+
+
+def test_event_counts_match_the_record(p3, c6):
+    # event_count is the recorded moves plus forgets, reveal_count the
+    # recorded fresh reveals, whatever the rule, v or stopping target.
+    for (g, kern), mode, v, target in (
+        (p3, "coalescing", 1.0, None),
+        (p3, "independent", 2.0, 1),
+        (c6, "coalescing", 0.0, 1),
+        (c6, "independent", 0.5, None),
+    ):
+        traj, record, _ = _block(
+            g, kern, ModelParams(0.4, v), DualState.of([0, 2], [1, -1], [1]), 3.0, 6, 150,
+            mode=mode, target=target,
         )
-        revealed = {0}
-        for ev in events:
-            kind = ev[0]
-            if kind == "reveal":
-                e = int(ev[2][4:])
-                assert e not in revealed
-                revealed.add(e)
-            elif kind == "refresh":
-                e = int(ev[2][4:])
-                assert e in revealed
-                revealed.remove(e)
-        final = traj.final_state
-        assert final.revealed_positive | final.revealed_negative == revealed
-        assert traj.refresh_count > 0
+        moves = sum(np.count_nonzero(step.moved) for step in record)
+        forgets = sum(np.count_nonzero(~step.moved) for step in record)
+        assert traj.event_count == moves + forgets and moves > 0 and (forgets > 0) == (v > 0)
+        assert traj.reveal_count == sum(np.count_nonzero(step.revealed) for step in record) > 0
 
 
 def test_stop_on_full_coalescence(p3):
     g, kern = p3
     params = ModelParams(0.5, 1.0)
-    single = simulate_dual(
-        g, kern, params, DualState.of([1], [1]), 50.0, RngStream(5),
-        stop_on_full_coalescence=True,
-    )
-    assert single.coalescence_time == 0.0 and single.elapsed == 0.0
-    assert single.event_count == 0 and not single.censored
+    gen = RngStream(5).generator()
+    single = simulate_dual(gen, 50, g, kern, params, DualState.of([1], [1]), 50.0, target=1)
+    assert single.stopped.all() and (single.time == 0.0).all()
+    assert single.event_count == 0
 
-    pair = simulate_dual(
-        g, kern, params, DualState.of([0, 2], [1, 1]), 500.0, RngStream(6),
-        stop_on_full_coalescence=True,
-    )
-    assert not pair.censored and pair.coalescence_time is not None
-    assert len(set(pair.final_state.positions)) == 1
-    assert pair.elapsed == pair.coalescence_time
+    pair = simulate_dual(gen, 200, g, kern, params, DualState.of([0, 2], [1, 1]), 500.0, target=1)
+    assert pair.stopped.all() and (pair.time < 500.0).all()
+    assert (pair.positions[:, 0] == pair.positions[:, 1]).all()
 
-    capped = simulate_dual(
-        g, kern, params, DualState.of([0, 2], [1, 1]), 1e-9, RngStream(7),
-        stop_on_full_coalescence=True,
-    )
-    assert capped.censored and capped.coalescence_time is None
+    capped = simulate_dual(gen, 50, g, kern, params, DualState.of([0, 2], [1, 1]), 1e-9, target=1)
+    assert not capped.stopped.any() and (capped.time == 1e-9).all()
 
 
 def test_full_coalescence_counts_components():
     g = build_graph([(0, 1), (2, 3)], 4)
-    kern = uniform_kernel(g)
     traj = simulate_dual(
-        g, kern, ModelParams(0.5, 1.0), DualState.of([0, 2], [1, 1]), 50.0, RngStream(8),
-        stop_on_full_coalescence=True,
+        RngStream(8).generator(), 20, g, uniform_kernel(g), ModelParams(0.5, 1.0),
+        DualState.of([0, 2], [1, 1]), 50.0, target=2,
     )
     # one walker per component is already fully coalesced
-    assert traj.coalescence_time == 0.0
+    assert traj.stopped.all() and (traj.time == 0.0).all()
 
 
 def test_run_to_full_coalescence_reports(k2):
     g, kern = k2
     params = ModelParams(0.3, 1.0)
-    single = run_to_full_coalescence(
-        g, kern, params, DualState.of([1], [1]), 50.0, RngStream(9)
-    )
+    single = estimate_mu_dyn(g, kern, params, [1], [1], 10, RngStream(9)).reports[0]
     assert single.partition == ((0,),)
     assert single.sync == (True,)
     assert single.time == 0.0 and not single.censored
 
     two = build_graph([(0, 1), (2, 3)], 4)
-    split = run_to_full_coalescence(
-        two, uniform_kernel(two), params, DualState.of([0, 2], [1, 1]), 50.0, RngStream(10)
-    )
-    assert split.partition == ((0,), (1,))
-    assert split.sync == (True, True)
+    split = estimate_mu_dyn(two, uniform_kernel(two), params, [0, 2], [1, 1], 10, RngStream(10))
+    assert {rep.partition for rep in split.reports} == {((0,), (1,))}
+    assert {rep.sync for rep in split.reports} == {(True, True)}
 
-    capped = run_to_full_coalescence(
-        g, kern, params, DualState.of([0, 1], [1, 1]), 1e-9, RngStream(11)
-    )
-    assert capped.censored
+    with pytest.raises(CensoringError, match="10 of 10 replicas"):
+        estimate_mu_dyn(g, kern, params, [0, 1], [1, 1], 10, RngStream(11), t_cap=1e-9)
 
 
 def test_pair_on_single_edge_syncs_with_probability_p(k2):
     g, kern = k2
     p = 0.3
-    params = ModelParams(p, 1.0)
     # Nothing is revealed at the start, so the first event is one walker
     # crossing the lone edge; the merge syncs exactly when that reveal is +.
-    stream = RngStream(12)
     replicas = 4000
-    hits = 0
-    for i in range(replicas):
-        rep = run_to_full_coalescence(
-            g, kern, params, DualState.of([0, 1], [1, 1]), 500.0, stream.substream(i)
-        )
-        assert not rep.censored and len(rep.partition) == 1
-        hits += all(rep.sync)
+    traj = simulate_dual(
+        RngStream(12).generator(), replicas, g, kern, ModelParams(p, 1.0),
+        DualState.of([0, 1], [1, 1]), 500.0, target=1,
+    )
+    assert traj.stopped.all() and (traj.positions[:, 0] == traj.positions[:, 1]).all()
+    hits = np.count_nonzero(traj.signs[:, 0] == traj.signs[:, 1])
     sigma = math.sqrt(p * (1 - p) / replicas)
     assert abs(hits / replicas - p) <= 3 * sigma
 
@@ -245,409 +222,96 @@ def test_pair_on_single_edge_syncs_with_probability_p(k2):
 def test_independent_mode_separates_cohabitants(k2):
     g, kern = k2
     params = ModelParams(1.0, 0.0)
-    for seed in range(10):
-        traj = simulate_dual(
-            g, kern, params, DualState.of([0, 0], [1, 1]), 3.0, RngStream(seed),
-            mode="independent",
-        )
-        if len(set(traj.final_state.positions)) == 2:
-            break
-    else:
-        pytest.fail("independent walkers never separated")
-    with pytest.raises(ValueError, match="full coalescence"):
+    gen = RngStream(0).generator()
+    traj = simulate_dual(
+        gen, 50, g, kern, params, DualState.of([0, 0], [1, 1]), 3.0, mode="independent"
+    )
+    assert (traj.positions[:, 0] != traj.positions[:, 1]).any()
+    with pytest.raises(ValueError, match="first collision"):
         simulate_dual(
-            g, kern, params, DualState.of([0], [1]), 1.0, RngStream(0),
-            mode="independent", stop_on_full_coalescence=True,
+            gen, 5, g, kern, params, DualState.of([0, 1], [1, 1]), 1.0,
+            mode="independent", target=0,
         )
     with pytest.raises(ValueError, match="mode"):
-        simulate_dual(g, kern, params, DualState.of([0], [1]), 1.0, RngStream(0), mode="x")
+        simulate_dual(gen, 5, g, kern, params, DualState.of([0], [1]), 1.0, mode="x")
 
 
 def test_coalesced_walkers_share_every_later_move(p3):
     g, kern = p3
-    params = ModelParams(0.3, 1.0)
     traj = simulate_dual(
-        g, kern, params, DualState.of([0, 2], [1, -1]), 200.0, RngStream(11),
+        RngStream(11).generator(), 200, g, kern, ModelParams(0.3, 1.0),
+        DualState.of([0, 2], [1, -1]), 200.0,
     )
-    # by this horizon the pair must have met, and met walkers stay together
-    assert len(set(traj.final_state.positions)) == 1
+    # by this horizon every pair must have met, and met walkers stay together
+    assert (traj.positions[:, 0] == traj.positions[:, 1]).all()
 
 
 def test_determinism_same_seed(p3):
     g, kern = p3
-    params = ModelParams(0.4, 1.5)
-    outs = []
-    for _ in range(2):
-        events = []
-        traj = simulate_dual(
-            g, kern, params, DualState.of([0, 2], [1, -1]), 7.0, RngStream(19),
-            record_events=events,
-        )
-        outs.append((traj.final_state.snapshot(), events, traj.event_count))
-    assert outs[0] == outs[1]
+    runs = [
+        _block(g, kern, ModelParams(0.4, 1.5), DualState.of([0, 2], [1, -1]), 7.0, 19, 100)
+        for _ in range(2)
+    ]
+    (a, record_a, _), (b, record_b, _) = runs
+    assert _same(a, b) and len(record_a) == len(record_b)
+    for step_a, step_b in zip(record_a, record_b):
+        assert all((x == y).all() for x, y in zip(step_a, step_b))
 
 
 def test_coupled_run_requires_distinct_starts(p3):
     g, kern = p3
     with pytest.raises(ValueError, match="distinct"):
-        coupled_run(g, kern, ModelParams(0.5, 1.0), DualState.of([1, 1], [1, 1]), 1.0, RngStream(0))
+        coupled_run(
+            RngStream(0).generator(), 5, g, kern, ModelParams(0.5, 1.0),
+            DualState.of([1, 1], [1, 1]), 1.0,
+        )
 
 
 def test_coupled_run_shares_history_before_collision(p3):
+    # Both legs go on from the head: a replica that never collides ends
+    # both legs where the head ended, and a collided one starts both legs
+    # from two walkers on one site, which the coalescing leg keeps together.
     g, kern = p3
-    params = ModelParams(0.4, 1.0)
-    saw_collision = saw_no_collision = False
-    for seed in range(40):
-        res = coupled_run(
-            g, kern, params, DualState.of([0, 2], [1, -1]), 3.0, RngStream(seed)
-        )
-        tau = res.collision_time
-        if tau is None:
-            saw_no_collision = True
-            assert res.independent_path == res.coalescing_path
-            assert res.coalescing.final_state.snapshot() == res.independent.final_state.snapshot()
-        else:
-            saw_collision = True
-            head_ind = [(t, s) for t, s in res.independent_path if t <= tau]
-            head_coal = [(t, s) for t, s in res.coalescing_path if t <= tau]
-            assert head_ind == head_coal
-            # the collision snapshot has the walkers together
-            assert head_ind[-1][0] == tau
-            positions = head_ind[-1][1][0]
-            assert len(set(positions)) == 1
-        if saw_collision and saw_no_collision:
-            break
-    assert saw_collision and saw_no_collision
+    head, coal, ind = coupled_run(
+        RngStream(3).generator(), 400, g, kern, ModelParams(0.4, 1.0),
+        DualState.of([0, 2], [1, -1]), 3.0,
+    )
+    met = head.stopped
+    assert met.any() and not met.all()
+    assert (head.time[~met] == 3.0).all() and (head.time[met] < 3.0).all()
+    assert (head.positions[met, 0] == head.positions[met, 1]).all()
+    for leg in (coal, ind):
+        assert not leg.stopped.any() and (leg.time == 3.0).all()
+        for name in ("positions", "signs", "status"):
+            assert (getattr(leg, name)[~met] == getattr(head, name)[~met]).all()
+    assert (coal.positions[met, 0] == coal.positions[met, 1]).all()
+    assert (ind.positions[met, 0] != ind.positions[met, 1]).any()
 
 
 def test_coupled_run_determinism(p3):
     g, kern = p3
     params = ModelParams(0.4, 1.0)
-    a = coupled_run(g, kern, params, DualState.of([0, 2], [1, 1]), 4.0, RngStream(23))
-    b = coupled_run(g, kern, params, DualState.of([0, 2], [1, 1]), 4.0, RngStream(23))
-    assert a.collision_time == b.collision_time
-    assert a.coalescing_path == b.coalescing_path
-    assert a.independent_path == b.independent_path
+    initial = DualState.of([0, 2], [1, 1])
+    a, b = (
+        coupled_run(RngStream(23).generator(), 100, g, kern, params, initial, 4.0) for _ in range(2)
+    )
+    assert all(_same(x, y) for x, y in zip(a, b))
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), p=st.floats(0.05, 0.95), v=st.floats(0.0, 4.0))
 def test_random_runs_keep_invariants(seed, p, v):
     g = builtin_graph("cycle", 4)
-    kern = uniform_kernel(g)
-    path = []
-    traj = simulate_dual(
-        g, kern, ModelParams(p, v), DualState.of([0, 2], [1, -1]), 4.0,
-        RngStream(seed), path=path,
+    traj, record, start = _block(
+        g, uniform_kernel(g), ModelParams(p, v), DualState.of([0, 2], [1, -1]), 4.0, seed, 20
     )
-    traj.final_state.validate(g)
-    for _, (_, _, pos_edges, neg_edges) in path:
-        assert not pos_edges & neg_edges
+    status, bad = replay_statuses(record, start.status)
+    assert bad == 0 and (status == traj.status).all()
+    assert merge_breaks(record, start.positions, start.signs) == 0
+    assert ((traj.positions >= 0) & (traj.positions < 4)).all() and (np.abs(traj.signs) == 1).all()
 
 
-def _reference_dual(
-    g: Graph,
-    kernel: AdoptionKernel | NeighborSampler,
-    params: ModelParams,
-    initial: DualState,
-    t_max: float,
-    rng,
-    mode: str = "coalescing",
-    stop_on_full_coalescence: bool = False,
-    stop_on_collision: bool = False,
-    record_events: list | None = None,
-    path: list | None = None,
-) -> DualTrajectory:
-    """The stamped heap loop that ``simulate_dual`` replaced: entries carry
-    a stamp and are dropped when their site was vacated or their edge was
-    refreshed or re-revealed. Kept as the reference it must reproduce."""
-    if mode not in ("coalescing", "independent"):
-        raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
-    coalescing = mode == "coalescing"
-    if stop_on_full_coalescence and not coalescing:
-        raise ValueError("full coalescence is only meaningful for the coalescing rule")
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-
-    gen = as_generator(rng)
-    random, exponential = gen.random, gen.exponential
-    sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
-    rows = sampler.rows
-    st = initial.copy()
-    st.validate(g)
-    p, v = params.p, params.v
-
-    occupants: dict[int, list[int]] = {}
-    for idx, z in enumerate(st.positions):
-        occupants.setdefault(z, []).append(idx)
-    target_classes = len({g.component_ids[z] for z in st.positions})
-
-    heap: list[tuple[float, int, int, int]] = []
-    site_stamp: dict[int, int] = {}
-    edge_stamp: dict[int, int] = {}
-    if coalescing:
-        for z in occupants:
-            site_stamp[z] = 0
-            heap.append((exponential(1.0), 0, z, 0))
-    else:
-        for idx in range(st.walker_count):
-            heap.append((exponential(1.0), 0, idx, 0))
-    if v > 0.0:
-        for e in sorted(st.revealed_positive | st.revealed_negative):
-            edge_stamp[e] = 0
-            heap.append((exponential(1.0 / v), 1, e, 0))
-    heapq.heapify(heap)
-
-    if path is not None:
-        path.append((0.0, st.snapshot()))
-
-    events = reveals = refreshes = 0
-    coalescence_time: float | None = None
-    collision_time: float | None = None
-    if coalescing and len(occupants) == target_classes:
-        coalescence_time = 0.0
-    stop = stop_on_full_coalescence and coalescence_time is not None
-    elapsed = 0.0 if stop else t_max
-    if stop:
-        heap.clear()
-
-    def cross_edge(t: float, e: int, movers: list[int]) -> None:
-        """Apply the sign effect of edge e to movers, revealing it if needed."""
-        nonlocal reveals
-        if e in st.revealed_positive:
-            flip = False
-        elif e in st.revealed_negative:
-            flip = True
-        else:
-            positive = random() < p
-            if positive:
-                st.revealed_positive.add(e)
-                flip = False
-            else:
-                st.revealed_negative.add(e)
-                flip = True
-            stamp = edge_stamp.get(e, 0) + 1
-            edge_stamp[e] = stamp
-            if v > 0.0:
-                heapq.heappush(heap, (t + exponential(1.0 / v), 1, e, stamp))
-            reveals += 1
-            if record_events is not None:
-                record_events.append(("reveal", t, f"edge{e}", "+1" if positive else "-1"))
-        if flip:
-            for idx in movers:
-                st.signs[idx] = -st.signs[idx]
-
-    while heap:
-        t_event, channel, obj, stamp = heap[0]
-        if t_event > t_max:
-            break
-        heapq.heappop(heap)
-        if channel == 1:
-            e = obj
-            if edge_stamp.get(e, -1) != stamp:
-                continue
-            if e not in st.revealed_positive and e not in st.revealed_negative:
-                continue
-            st.revealed_positive.discard(e)
-            st.revealed_negative.discard(e)
-            edge_stamp[e] = stamp + 1
-            events += 1
-            refreshes += 1
-            if record_events is not None:
-                record_events.append(("refresh", t_event, f"edge{e}", ""))
-            if path is not None:
-                path.append((t_event, st.snapshot()))
-            continue
-
-        if coalescing:
-            z = obj
-            if site_stamp.get(z, -1) != stamp or z not in occupants:
-                continue
-            movers = occupants.pop(z)
-            site_stamp[z] = stamp + 1
-        else:
-            movers = [obj]
-            z = st.positions[obj]
-        cumulative, total, last, neighbors, edge_ids = rows[z]
-        i = min(bisect_right(cumulative, random() * total), last)
-        y, e = neighbors[i], edge_ids[i]
-        events += 1
-        cross_edge(t_event, e, movers)
-        for idx in movers:
-            st.positions[idx] = y
-        merged = False
-        if coalescing:
-            if y in occupants:
-                occupants[y].extend(movers)
-                merged = True
-            else:
-                occupants[y] = movers
-                stamp_y = site_stamp.get(y, 0) + 1
-                site_stamp[y] = stamp_y
-                heapq.heappush(heap, (t_event + exponential(1.0), 0, y, stamp_y))
-        else:
-            heapq.heappush(heap, (t_event + exponential(1.0), 0, obj, 0))
-            merged = any(
-                st.positions[other] == y for other in range(st.walker_count) if other != obj
-            )
-        if record_events is not None:
-            detail = f"site{z}->site{y};walkers={','.join(map(str, movers))}"
-            record_events.append(("move", t_event, f"site{z}", detail))
-            if coalescing and merged:
-                record_events.append(
-                    ("merge", t_event, f"site{y}", ",".join(map(str, sorted(occupants[y]))))
-                )
-        if path is not None:
-            path.append((t_event, st.snapshot()))
-        if merged and collision_time is None:
-            collision_time = t_event
-        if coalescing and coalescence_time is None and len(occupants) == target_classes:
-            coalescence_time = t_event
-        if stop_on_full_coalescence and coalescence_time is not None:
-            elapsed = t_event
-            stop = True
-            break
-        if stop_on_collision and collision_time is not None:
-            elapsed = t_event
-            stop = True
-            break
-
-    censored = stop_on_full_coalescence and coalescence_time is None
-    if not stop:
-        elapsed = t_max
-    return DualTrajectory(
-        final_state=st,
-        elapsed=elapsed,
-        event_count=events,
-        reveal_count=reveals,
-        refresh_count=refreshes,
-        coalescence_time=coalescence_time,
-        collision_time=collision_time,
-        censored=censored,
-    )
-
-
-def _shift_path(path, offset: float, skip_first: bool):
-    out = []
-    for i, (t, snap) in enumerate(path):
-        if skip_first and i == 0:
-            continue
-        out.append((t + offset, snap))
-    return out
-
-
-def _reference_coupled(
-    g: Graph,
-    kernel: AdoptionKernel | NeighborSampler,
-    params: ModelParams,
-    initial: DualState,
-    t_max: float,
-    rng,
-) -> CoupledResult:
-    """The ``coupled_run`` that built its legs field by field; kept as the
-    reference for the ``dataclasses.replace`` version."""
-    if len(set(initial.positions)) != len(initial.positions):
-        raise ValueError("coupled_run requires pairwise distinct starting sites")
-    gen = as_generator(rng)
-    sampler = kernel if isinstance(kernel, NeighborSampler) else NeighborSampler(g, kernel)
-
-    head_path: list[tuple[float, tuple]] = []
-    head = _reference_dual(
-        g,
-        sampler,
-        params,
-        initial,
-        t_max,
-        gen,
-        mode="independent",
-        stop_on_collision=True,
-        path=head_path,
-    )
-    tau = head.collision_time
-    coal_target = len({g.component_ids[z] for z in initial.positions})
-
-    if tau is None:
-        # No meeting before the horizon: the two rules coincide throughout.
-        ind_final = head.final_state
-        coal_final = ind_final.copy()
-        coalescence_time = 0.0 if len(set(initial.positions)) == coal_target else None
-        coal = DualTrajectory(
-            final_state=coal_final,
-            elapsed=t_max,
-            event_count=head.event_count,
-            reveal_count=head.reveal_count,
-            refresh_count=head.refresh_count,
-            coalescence_time=coalescence_time,
-            collision_time=None,
-            censored=False,
-        )
-        return CoupledResult(
-            independent=head,
-            coalescing=coal,
-            collision_time=None,
-            independent_path=list(head_path),
-            coalescing_path=list(head_path),
-        )
-
-    remaining = t_max - tau
-    coal_gen = gen.spawn(1)[0]
-
-    coal_tail_path: list[tuple[float, tuple]] = []
-    coal_tail = _reference_dual(
-        g,
-        sampler,
-        params,
-        head.final_state,
-        remaining,
-        coal_gen,
-        mode="coalescing",
-        path=coal_tail_path,
-    )
-    ind_tail_path: list[tuple[float, tuple]] = []
-    ind_tail = _reference_dual(
-        g,
-        sampler,
-        params,
-        head.final_state,
-        remaining,
-        gen,
-        mode="independent",
-        path=ind_tail_path,
-    )
-
-    independent = DualTrajectory(
-        final_state=ind_tail.final_state,
-        elapsed=t_max,
-        event_count=head.event_count + ind_tail.event_count,
-        reveal_count=head.reveal_count + ind_tail.reveal_count,
-        refresh_count=head.refresh_count + ind_tail.refresh_count,
-        coalescence_time=None,
-        collision_time=tau,
-        censored=False,
-    )
-    coal_coal_time = None
-    if coal_tail.coalescence_time is not None:
-        coal_coal_time = tau + coal_tail.coalescence_time
-    coalescing = DualTrajectory(
-        final_state=coal_tail.final_state,
-        elapsed=t_max,
-        event_count=head.event_count + coal_tail.event_count,
-        reveal_count=head.reveal_count + coal_tail.reveal_count,
-        refresh_count=head.refresh_count + coal_tail.refresh_count,
-        coalescence_time=coal_coal_time,
-        collision_time=tau,
-        censored=False,
-    )
-    return CoupledResult(
-        independent=independent,
-        coalescing=coalescing,
-        collision_time=tau,
-        independent_path=list(head_path) + _shift_path(ind_tail_path, tau, skip_first=True),
-        coalescing_path=list(head_path) + _shift_path(coal_tail_path, tau, skip_first=True),
-    )
-
-
-_REFERENCE_GRAPHS = {
+_GRAPHS = {
     "path:3": lambda: builtin_graph("path", 3),
     "cycle:6": lambda: builtin_graph("cycle", 6),
     "complete:4": lambda: builtin_graph("complete", 4),
@@ -655,16 +319,16 @@ _REFERENCE_GRAPHS = {
     "two components": lambda: build_graph([(0, 1), (1, 2), (3, 4)], 5),
 }
 
-_REFERENCE_RULES = [
+_RULES = [
     ("coalescing", {}),
-    ("coalescing", {"stop_on_full_coalescence": True}),
-    ("coalescing", {"stop_on_collision": True}),
+    ("coalescing", {"stop": "full coalescence"}),
+    ("coalescing", {"stop": "collision"}),
     ("independent", {}),
-    ("independent", {"stop_on_collision": True}),
+    ("independent", {"stop": "collision"}),
 ]
 
 
-def _reference_starts(g):
+def _starts(g):
     last_site, last_edge = g.vertex_count - 1, g.edge_count - 1
     return [
         # distinct sites, nothing revealed
@@ -678,40 +342,50 @@ def _reference_starts(g):
     ]
 
 
-@pytest.mark.parametrize("mode, flags", _REFERENCE_RULES)
-@pytest.mark.parametrize("graph", sorted(_REFERENCE_GRAPHS))
-def test_dual_loop_matches_reference_loop(graph, mode, flags):
-    g = _REFERENCE_GRAPHS[graph]()
+def _class_counts(positions):
+    ordered = np.sort(positions, axis=1)
+    return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
+
+
+@pytest.mark.parametrize("mode, flags", _RULES)
+@pytest.mark.parametrize("graph", sorted(_GRAPHS))
+def test_dual_runs_keep_their_invariants(graph, mode, flags):
+    # Over graphs, rules, stopping targets and starts: the record replays to
+    # the block's end, merges are permanent under the coalescing rule, and a
+    # replica stops exactly at its first event that reaches the target. v = 0
+    # forgets nothing, and an int horizon works as a float one.
+    g = _GRAPHS[graph]()
     kern = uniform_kernel(g)
-    # v = 0 runs no forget clocks; an int horizon must come back as elapsed unchanged
     for params, t_max in ((ModelParams(0.4, 1.5), 6.0), (ModelParams(0.7, 0.0), 4)):
-        for initial in _reference_starts(g):
-            for seed in range(6):
-                got, want = ([], []), ([], [])
-                traj = simulate_dual(
-                    g, kern, params, initial, t_max, RngStream(seed), mode=mode,
-                    record_events=got[0], path=got[1], **flags,
-                )
-                ref = _reference_dual(
-                    g, kern, params, initial, t_max, RngStream(seed), mode=mode,
-                    record_events=want[0], path=want[1], **flags,
-                )
-                assert repr(traj) == repr(ref)
-                assert got == want
-
-
-@pytest.mark.parametrize("graph, starts", [("path:3", [0, 2]), ("cycle:6", [0, 3])])
-def test_coupled_run_matches_reference(graph, starts):
-    g = _REFERENCE_GRAPHS[graph]()
-    kern = uniform_kernel(g)
-    params = ModelParams(0.4, 1.0)
-    initial = DualState.of(starts, [1, -1], revealed_positive=[1])
-    collided = []
-    for seed in range(24):
-        got = coupled_run(g, kern, params, initial, 2.0, RngStream(seed))
-        want = _reference_coupled(g, kern, params, initial, 2.0, RngStream(seed))
-        assert repr(got) == repr(want)
-        assert got.independent_path == want.independent_path
-        assert got.coalescing_path == want.coalescing_path
-        collided.append(got.collision_time is not None)
-    assert any(collided) and not all(collided)
+        for seed, initial in enumerate(_starts(g)):
+            target = None
+            if flags.get("stop") == "collision":
+                target = initial.walker_count - 1
+            elif flags.get("stop") == "full coalescence":
+                target = len({g.component_ids[z] for z in initial.positions})
+            traj, record, start = _block(
+                g, kern, params, initial, t_max, seed, 60, mode=mode, target=target
+            )
+            status, bad = replay_statuses(record, start.status)
+            assert bad == 0 and (status == traj.status).all()
+            if mode == "coalescing":
+                assert merge_breaks(record, start.positions, start.signs) == 0
+            assert traj.event_count == sum(step.replica.size for step in record)
+            assert traj.reveal_count == sum(np.count_nonzero(step.revealed) for step in record)
+            if params.v == 0.0:
+                assert all(step.moved.all() for step in record)
+            pos, sgn, clock = start.positions.copy(), start.signs.copy(), np.zeros(60)
+            reached = np.full(60, np.inf)
+            if target is not None:
+                reached[_class_counts(pos) <= target] = 0.0
+            for step in record:
+                i = step.replica
+                assert (step.time > clock[i]).all() and (step.time <= t_max).all()
+                assert np.isinf(reached[i]).all()  # nothing runs on after its target
+                pos[i], sgn[i], clock[i] = step.positions, step.signs, step.time
+                if target is not None:
+                    hit = _class_counts(step.positions) <= target
+                    reached[i[hit]] = step.time[hit]
+            assert (pos == traj.positions).all() and (sgn == traj.signs).all()
+            assert (traj.stopped == np.isfinite(reached)).all()
+            assert (traj.time == np.where(traj.stopped, reached, t_max)).all()

@@ -11,9 +11,9 @@ from scipy.linalg import expm
 from spinbond import estimators as est
 from spinbond import oracle
 from spinbond.cylinders import CylinderEvent, single_constraint_events
-from spinbond.dual import DualState
+from spinbond.dual import DualState, coupled_run
 from spinbond.errors import CensoringError
-from spinbond.forward import ModelParams, NeighborSampler, SpinBondState, simulate_forward
+from spinbond.forward import EventTable, ModelParams, SpinBondState, simulate_forward
 from spinbond.graphs import build_graph, builtin_graph, kernel_from_rates, uniform_kernel
 from spinbond.rng import RngStream
 
@@ -265,18 +265,46 @@ def test_batched_dual_follows_the_exact_transient_law(case):
     kern = kernel_from_rates(_C4_SKEWED, 4) if skewed else uniform_kernel(g)
     params = ModelParams(p, v)
     replicas = 20_000
-    pos, sgn, status, _, _ = est._dual_runs(
-        g, kern, params, initial, t, replicas, RngStream(83, (len(case),)), 1, mode
+    runs = est._dual_runs(
+        g, kern, params, replicas, RngStream(83, (len(case),)), 1, initial=initial, t_max=t, mode=mode
     )
     k = initial.walker_count
     law0 = np.zeros(oracle.dual_state_count(g, k))
     law0[oracle.encode_dual_state(g, initial)] = 1.0
     law = oracle.transient_distribution(oracle.build_dual_generator(g, kern, params, k, mode), law0, t)
     want = law @ _dual_events(g, *_decoded_dual_states(g, k))
-    got = _dual_events(g, pos, sgn, status).mean(axis=0)
+    got = _dual_events(g, runs.positions, runs.signs, runs.status).mean(axis=0)
     sigma = np.sqrt(np.clip(want * (1.0 - want), 0.0, None) / replicas)
     bad = np.flatnonzero(np.abs(got - want) > 4.0 * sigma + 1e-12)
     assert not [(int(i), got[i], want[i]) for i in bad]
+
+
+def test_coupled_legs_follow_the_exact_transient_law():
+    # Each leg of coupled_run on P3, two walkers from distinct sites, against
+    # oracle.transient_distribution on its own rule's build_dual_generator.
+    # Stated false-failure rate: 2 legs of 21 two-sided gates at 4 binomial
+    # sigma, family-wise <= 42 * 0.0063% = 0.27% under the normal
+    # approximation. Where the exact value is 0 or 1 the frequency must
+    # equal it.
+    g = builtin_graph("path", 3)
+    kern = uniform_kernel(g)
+    params = ModelParams(0.3, 1.0)
+    initial = DualState.of([0, 2], [1, -1])
+    t, replicas = 1.5, 20_000
+    head, coalescing, independent = coupled_run(
+        RngStream(84).generator(), replicas, g, kern, params, initial, t
+    )
+    assert 0.2 < np.count_nonzero(head.stopped) / replicas < 0.95
+    law0 = np.zeros(oracle.dual_state_count(g, 2))
+    law0[oracle.encode_dual_state(g, initial)] = 1.0
+    for mode, leg in (("coalescing", coalescing), ("independent", independent)):
+        L = oracle.build_dual_generator(g, kern, params, 2, mode)
+        want = oracle.transient_distribution(L, law0, t) @ _dual_events(g, *_decoded_dual_states(g, 2))
+        got = _dual_events(g, leg.positions, leg.signs, leg.status).mean(axis=0)
+        sigma = np.sqrt(np.clip(want * (1.0 - want), 0.0, None) / replicas)
+        bad = np.flatnonzero(np.abs(got - want) > 4.0 * sigma + 1e-12)
+        assert want.size == 21
+        assert not [(mode, int(i), got[i], want[i]) for i in bad]
 
 
 def test_mu_dyn_single_walker_is_exact(k2):
@@ -439,7 +467,7 @@ def test_mu_dyn_is_stationary(k2):
         stream=RngStream(59),
     )
     cyl = CylinderEvent.of(sites={0: 1, 1: 1})
-    sampler = NeighborSampler(g, kern)
+    table = EventTable(g, kern, params)
     stream = RngStream(61)
     for call, t in enumerate((1.0, 5.0)):
         values = []
@@ -447,7 +475,7 @@ def test_mu_dyn_is_stationary(k2):
             gen = stream.child(call).substream(i)
             start = oracle.decode_forward_state(g, int(gen.choice(pi.size, p=pi)))
             traj = simulate_forward(
-                g, sampler, params, start, t, gen,
+                g, table, params, start, t, gen,
                 checkpoint_times=[t], observables=[cyl],
             )
             values.append(traj.checkpoint_rows[0][2])

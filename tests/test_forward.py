@@ -9,7 +9,7 @@ from scipy import stats
 import spinbond
 from spinbond import forward, oracle
 from spinbond.cylinders import CylinderEvent, single_constraint_events
-from spinbond.dual import DualState, simulate_dual
+from spinbond.dual import DualState, coupled_run, simulate_dual
 from spinbond.estimators import (
     ProductInitial,
     _cylinder_hits,
@@ -515,14 +515,19 @@ def test_recorded_ring_times_are_poisson_and_uniform(p3):
 
 
 def test_invalid_kernel_is_rejected_everywhere(p3):
-    # Rows summing to 0.7 and 0.4: no simulator may quietly rescale them.
+    # Rows summing to 0.7 and 0.4: no simulator may quietly rescale them, and
+    # the exact builders may not take their rates as given.
     g, _ = p3
     bad = kernel_from_rates({0: {1: 1.0}, 1: {0: 0.7, 2: 0.0}, 2: {1: 0.4}}, g.vertex_count)
     params = ModelParams(0.5, 1.0)
-    dual = DualState.of([0], [1])
+    dual = DualState.of([0, 2], [1, 1])
+    gen = RngStream(1).generator()
     for run in (
         lambda: simulate_forward(g, bad, params, striped_state(g), 1.0, RngStream(1)),
-        lambda: simulate_dual(g, bad, params, dual, 1.0, RngStream(1)),
+        lambda: simulate_dual(gen, 10, g, bad, params, dual, 1.0),
+        lambda: coupled_run(gen, 10, g, bad, params, dual, 1.0),
+        lambda: oracle.build_forward_generator(g, bad, params),
+        lambda: oracle.build_dual_generator(g, bad, params, 2),
         lambda: estimate_cylinder_probabilities(
             g, bad, params, striped_state(g), [1.0], [CylinderEvent.of(sites={0: 1})], 10,
             RngStream(1),

@@ -245,7 +245,7 @@ def _dual_generator_by_state(g, kernel, params, k, mode):
                 else:
                     branches = [(q * p, False, 1), (q * (1.0 - p), True, -1)]
                 for rate, flip, reveal_sign in branches:
-                    nxt = d.copy()
+                    nxt = DualState.of(d.positions, d.signs, d.revealed_positive, d.revealed_negative)
                     for j in movers:
                         nxt.positions[j] = y
                         if flip:
@@ -257,7 +257,7 @@ def _dual_generator_by_state(g, kernel, params, k, mode):
                     if rate > 0.0:
                         transitions.append((s, oracle.encode_dual_state(g, nxt), rate))
         for e in d.revealed_positive | d.revealed_negative:
-            nxt = d.copy()
+            nxt = DualState.of(d.positions, d.signs, d.revealed_positive, d.revealed_negative)
             nxt.revealed_positive.discard(e)
             nxt.revealed_negative.discard(e)
             if v > 0.0:
@@ -265,12 +265,12 @@ def _dual_generator_by_state(g, kernel, params, k, mode):
     return _reference_generator(size, transitions)
 
 
-# Non-uniform kernels, each with a zero rate towards a neighbour and one
-# towards a non-neighbour (which has no edge id).
+# Non-uniform valid kernels (unit row sums), each with a zero rate towards a
+# neighbour and one towards a non-neighbour (which has no edge id).
 _SKEWED_RATES = {
-    "path:3": {0: {1: 1.0, 2: 0.0}, 1: {0: 0.7, 2: 0.0}, 2: {1: 0.4}},
+    "path:3": {0: {1: 1.0, 2: 0.0}, 1: {0: 1.0, 2: 0.0}, 2: {1: 1.0}},
     "cycle:4": {
-        0: {1: 0.5, 2: 0.0, 3: 1.5}, 1: {0: 1.0, 2: 0.0}, 2: {1: 0.3, 3: 0.9}, 3: {0: 0.2, 2: 1.1},
+        0: {1: 0.25, 2: 0.0, 3: 0.75}, 1: {0: 1.0, 2: 0.0}, 2: {1: 0.25, 3: 0.75}, 3: {0: 0.15, 2: 0.85},
     },
 }
 

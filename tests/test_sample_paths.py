@@ -1,19 +1,19 @@
 """Sample paths pinned as literals for fixed seeds.
 
-The reference-loop test in test_dual.py replays numpy's calls in a second
-copy of the loop, and the law and replay tests in test_forward.py hold for
-any draws, so none of them sees a change in which numbers get drawn, or in
-what order. These literals can: any change to the draws of
-``simulate_forward``, ``simulate_dual``, the batched birth-death block
-``simulate_birth_death``, the batched forward estimator behind
-``estimate_cylinder_probabilities`` or the batched dual runner behind
-``estimate_dual_side``, ``estimate_revealed_weight`` and ``estimate_mu_dyn``
-fails here. A change that alters sample paths on purpose updates them, and
-says so.
+The law, replay and record tests in test_forward.py, test_dual.py and
+test_estimators.py hold for any draws, so none of them sees a change in
+which numbers get drawn, or in what order. These literals can: any change
+to the draws of ``simulate_forward``, a one-replica ``simulate_dual``
+block, the batched birth-death block ``simulate_birth_death``, the batched
+forward estimator behind ``estimate_cylinder_probabilities`` or the
+``simulate_dual`` blocks behind ``estimate_dual_side``,
+``estimate_revealed_weight`` and ``estimate_mu_dyn`` fails here. A change
+that alters sample paths on purpose updates them, and says so.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from spinbond.cylinders import CylinderEvent
@@ -67,21 +67,22 @@ def _batched_hits(kind, sizes, seed, product):
 
 
 def _dual_path(kind, sizes, seed, mode, stop, t_max):
+    """One run of ``simulate_dual``: a one-replica block, stopped at full coalescence or not."""
     g = builtin_graph(kind, *sizes)
     initial = DualState.of([0, 2, 4], [1, -1, 1], revealed_positive=[1], revealed_negative=[3])
     traj = simulate_dual(
-        g, uniform_kernel(g), PARAMS, initial, t_max, RngStream(seed),
-        mode=mode, stop_on_full_coalescence=stop,
+        RngStream(seed).generator(), 1, g, uniform_kernel(g), PARAMS, initial, t_max,
+        mode=mode, target=1 if stop else None,
     )
-    st = traj.final_state
+    status = traj.status[0]
     return {
-        "positions": st.positions,
-        "signs": st.signs,
-        "revealed": (sorted(st.revealed_positive), sorted(st.revealed_negative)),
+        "positions": traj.positions[0].tolist(),
+        "signs": traj.signs[0].tolist(),
+        "revealed": (np.flatnonzero(status == 1).tolist(), np.flatnonzero(status == -1).tolist()),
         "events": traj.event_count,
         "reveals": traj.reveal_count,
-        "refreshes": traj.refresh_count,
-        "coalescence_time": traj.coalescence_time,
+        "time": float(traj.time[0]),
+        "stopped": bool(traj.stopped[0]),
     }
 
 
@@ -133,52 +134,52 @@ BATCHED_PINS = {
 
 DUAL_PINS = {
     ("cycle", (6,), 1, "coalescing", False, 4.0): dict(
-        positions=[2, 2, 2], signs=[1, 1, 1], revealed=([], [1, 5]), events=17, reveals=7,
-        refreshes=7, coalescence_time=1.822578992070731,
-    ),
-    ("cycle", (6,), 1, "independent", False, 4.0): dict(
-        positions=[4, 1, 2], signs=[1, -1, -1], revealed=([], [1, 4, 5]), events=17, reveals=7,
-        refreshes=6, coalescence_time=None,
+        positions=[5, 1, 5], signs=[-1, -1, 1], revealed=([], []), events=9,
+        reveals=2, time=4.0, stopped=False,
     ),
     ("cycle", (6,), 1, "coalescing", True, 10000.0): dict(
-        positions=[0, 0, 0], signs=[1, 1, 1], revealed=([3, 4], [5]), events=12, reveals=5,
-        refreshes=4, coalescence_time=1.822578992070731,
+        positions=[5, 5, 5], signs=[-1, 1, 1], revealed=([0, 1], [5]), events=13,
+        reveals=5, time=5.579399310574031, stopped=True,
+    ),
+    ("cycle", (6,), 1, "independent", False, 4.0): dict(
+        positions=[5, 1, 5], signs=[-1, -1, 1], revealed=([], []), events=13,
+        reveals=2, time=4.0, stopped=False,
     ),
     ("cycle", (6,), 2, "coalescing", False, 4.0): dict(
-        positions=[3, 3, 3], signs=[1, 1, 1], revealed=([3], [2, 4]), events=16, reveals=7,
-        refreshes=6, coalescence_time=3.4044044714851873,
-    ),
-    ("cycle", (6,), 2, "independent", False, 4.0): dict(
-        positions=[5, 3, 0], signs=[-1, 1, -1], revealed=([3], [0, 1, 2, 4]), events=20,
-        reveals=9, refreshes=6, coalescence_time=None,
+        positions=[0, 0, 0], signs=[1, -1, 1], revealed=([], [0, 1]), events=18,
+        reveals=8, time=4.0, stopped=False,
     ),
     ("cycle", (6,), 2, "coalescing", True, 10000.0): dict(
-        positions=[3, 3, 3], signs=[1, 1, 1], revealed=([3], [2, 4]), events=16, reveals=7,
-        refreshes=6, coalescence_time=3.4044044714851873,
+        positions=[0, 0, 0], signs=[1, -1, 1], revealed=([], [0, 1, 2]), events=17,
+        reveals=8, time=3.8784672735296546, stopped=True,
+    ),
+    ("cycle", (6,), 2, "independent", False, 4.0): dict(
+        positions=[0, 1, 0], signs=[1, 1, 1], revealed=([], [1, 2]), events=19,
+        reveals=8, time=4.0, stopped=False,
     ),
     ("grid_torus", (3, 3), 1, "coalescing", False, 4.0): dict(
-        positions=[3, 3, 3], signs=[-1, -1, 1], revealed=([7], [1, 12]), events=19, reveals=10,
-        refreshes=9, coalescence_time=3.801862686353597,
-    ),
-    ("grid_torus", (3, 3), 1, "independent", False, 4.0): dict(
-        positions=[4, 8, 4], signs=[1, -1, 1], revealed=([], [6, 16]), events=24, reveals=12,
-        refreshes=12, coalescence_time=None,
+        positions=[7, 1, 7], signs=[1, -1, 1], revealed=([], []), events=9,
+        reveals=3, time=4.0, stopped=False,
     ),
     ("grid_torus", (3, 3), 1, "coalescing", True, 10000.0): dict(
-        positions=[3, 3, 3], signs=[-1, -1, 1], revealed=([7], [1, 12]), events=19, reveals=10,
-        refreshes=9, coalescence_time=3.801862686353597,
+        positions=[7, 7, 7], signs=[1, -1, 1], revealed=([15], []), events=10,
+        reveals=4, time=4.3297237092488, stopped=True,
+    ),
+    ("grid_torus", (3, 3), 1, "independent", False, 4.0): dict(
+        positions=[7, 1, 8], signs=[1, -1, 1], revealed=([], []), events=13,
+        reveals=5, time=4.0, stopped=False,
     ),
     ("grid_torus", (3, 3), 2, "coalescing", False, 4.0): dict(
-        positions=[2, 2, 2], signs=[1, -1, -1], revealed=([17], [12]), events=18, reveals=8,
-        refreshes=8, coalescence_time=3.2119118396020534,
-    ),
-    ("grid_torus", (3, 3), 2, "independent", False, 4.0): dict(
-        positions=[8, 5, 7], signs=[1, 1, -1], revealed=([11, 16], [5, 12, 14]), events=19,
-        reveals=10, refreshes=7, coalescence_time=None,
+        positions=[1, 1, 7], signs=[1, 1, 1], revealed=([], []), events=14,
+        reveals=6, time=4.0, stopped=False,
     ),
     ("grid_torus", (3, 3), 2, "coalescing", True, 10000.0): dict(
-        positions=[6, 6, 6], signs=[-1, 1, 1], revealed=([0, 4, 15], [12]), events=12,
-        reveals=6, refreshes=4, coalescence_time=3.2119118396020534,
+        positions=[4, 4, 4], signs=[-1, -1, -1], revealed=([], [9]), events=18,
+        reveals=8, time=5.063648638792446, stopped=True,
+    ),
+    ("grid_torus", (3, 3), 2, "independent", False, 4.0): dict(
+        positions=[1, 5, 1], signs=[1, -1, 1], revealed=([], [2, 11, 13]), events=19,
+        reveals=10, time=4.0, stopped=False,
     ),
 }
 
