@@ -19,7 +19,6 @@ from .forward import (
     ForwardTrajectory,
     ModelParams,
     SpinBondState,
-    adoption_update,
     edge_flip_rate,
     sample_product_state,
     simulate_forward,
@@ -55,7 +54,6 @@ __all__ = [
     "SpinBondError",
     "SpinBondState",
     "StateSpaceCapError",
-    "adoption_update",
     "build_graph",
     "builtin_graph",
     "coupled_run",

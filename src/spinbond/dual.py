@@ -314,11 +314,3 @@ class CoalescenceReport:
         partition = tuple(st.classes())
         sync = tuple(all(st.signs[j] == st.signs[cls[0]] for j in cls) for cls in partition)
         return CoalescenceReport(partition=partition, sync=sync, time=time, censored=censored)
-
-    def to_json(self) -> dict:
-        return {
-            "partition": [list(c) for c in self.partition],
-            "sync": list(self.sync),
-            "time": self.time,
-            "censored": self.censored,
-        }

@@ -141,10 +141,10 @@ def _cylinder_hits(gen, size, g, table, initial, times, cylinders) -> np.ndarray
     state[:, -2:] = (1, -1)
     offsets = np.arange(size) * state.shape[1]
     hits = []
-    elapsed = 0.0
+    start = 0.0
     for t in times:
-        counts = gen.poisson(table.rate * (t - elapsed), size)
-        elapsed = t
+        counts = gen.poisson(table.rate * (t - start), size)
+        start = t
         order = np.argsort(-counts, kind="stable")
         state = state[order]
         flat = state.reshape(-1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, combinations, product
 from pathlib import Path
@@ -575,7 +575,7 @@ def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
             oracle_value=exact,
         )
         result.write("mu_dyn_estimate.jsonl", [record])
-        reports = json.dumps([rep.to_json() for rep in mu.reports]) + "\n"
+        reports = json.dumps([asdict(rep) for rep in mu.reports]) + "\n"
         result.path("coalescence_reports.json").write_text(reports)
     return passed
 
@@ -689,42 +689,51 @@ def _tv_decay_mc(
     return passed
 
 
+def _mgf_closed_form(theta: float, t: float, v: float, r0: int) -> float:
+    """``birth_death_mgf``, or a ``ConfigError`` where it overflows a double."""
+    try:
+        value = birth_death_mgf(theta, t, v, r0)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ConfigError(f"mgf closed form at theta={theta:g}, t={t:g} overflows a double")
+    return value
+
+
 def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
     v = cfg["v"]
-    call = 0
-    rows = []
-    all_ok = True
-    for theta in cfg["thetas"]:
-        for t in cfg["times"]:
-            for r0 in cfg["r0_values"]:
-                target = birth_death_mgf(theta, t, v, r0)
-                est = estimate_mgf(
-                    theta, t, v, r0, cfg["replicas"], stream.child(call), cfg["workers"]
-                )
-                call += 1
-                sig = deviation_sigmas(est, target)
-                ok = sig <= cfg["sigmas"]
-                all_ok = all_ok and ok
-                rows.append(
-                    _estimate_record(
-                        "birth_death_mgf",
-                        {"theta": theta, "t": t, "v": v, "r0": r0},
-                        est,
-                        oracle_value=target,
-                        sigmas=sig,
-                    )
-                )
-                result.lines.append(_versus(est.observable, est, target, sig, ok))
-    result.lines.append(f"mgf gates ({_family_rate(len(rows), cfg['sigmas'])}): {_verdict(all_ok)}")
-
+    grid = list(product(cfg["thetas"], cfg["times"], cfg["r0_values"]))
+    # Every closed form is worked out before any replica runs.
+    targets = [_mgf_closed_form(theta, t, v, r0) for theta, t, r0 in grid]
+    domination = None
     if cfg["check_domination"]:
         theta = -2.0 * math.log(min(params.p, 1.0 - params.p))
-        t = cfg["t"]
-        initial = DualState.of([0], [1])
-        est = estimate_revealed_weight(
-            g, kernel, params, initial, theta, t, cfg["replicas"], stream.child(call), cfg["workers"]
+        domination = theta, cfg["t"], _mgf_closed_form(theta, cfg["t"], v, 0)
+    rows = []
+    all_ok = True
+    for call, ((theta, t, r0), target) in enumerate(zip(grid, targets)):
+        est = estimate_mgf(theta, t, v, r0, cfg["replicas"], stream.child(call), cfg["workers"])
+        sig = deviation_sigmas(est, target)
+        ok = sig <= cfg["sigmas"]
+        all_ok = all_ok and ok
+        rows.append(
+            _estimate_record(
+                "birth_death_mgf",
+                {"theta": theta, "t": t, "v": v, "r0": r0},
+                est,
+                oracle_value=target,
+                sigmas=sig,
+            )
         )
-        bound = birth_death_mgf(theta, t, v, 0)
+        result.lines.append(_versus(est.observable, est, target, sig, ok))
+    result.lines.append(f"mgf gates ({_family_rate(len(rows), cfg['sigmas'])}): {_verdict(all_ok)}")
+
+    if domination is not None:
+        theta, t, bound = domination
+        est = estimate_revealed_weight(
+            g, kernel, params, DualState.of([0], [1]), theta, t, cfg["replicas"],
+            stream.child(len(grid)), cfg["workers"],
+        )
         ok = est.estimate <= bound + cfg["sigmas"] * est.std_error
         all_ok = all_ok and ok
         rows.append(

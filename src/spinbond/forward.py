@@ -11,8 +11,10 @@ rate n + v m, and each ring picks its object in proportion to its rate
 says what a ring does: the ringing object takes the product of two columns
 of a state row. ``simulate_forward`` draws a Poisson ring count per
 checkpoint interval, then two uniforms per ring, a chunk at a time; it maps
-them through the table in numpy and keeps only that product in a Python
-loop over a list of signs.
+them through the table in numpy, and its one Python loop sets each ringing
+object of a list of signs to that product. It returns what the laws are
+read from: the cylinder rows at the checkpoints, the final state and the
+ring count.
 """
 
 from __future__ import annotations
@@ -105,12 +107,6 @@ def sample_product_state(
     return SpinBondState(sites, edges)
 
 
-def adoption_update(state: SpinBondState, x: int, y: int, g: Graph) -> None:
-    """Site x adopts the sign of neighbor y times the sign of edge {x, y}."""
-    e = g.edge_id(x, y)
-    state.site_signs[x] = state.site_signs[y] * state.edge_signs[e]
-
-
 def edge_flip_rate(edge_sign: int, params: ModelParams) -> float:
     """Rate at which an edge with the given sign changes to the other sign.
 
@@ -188,28 +184,13 @@ class EventTable:
 @dataclass
 class ForwardTrajectory:
     final_state: SpinBondState
-    elapsed: float
     event_count: int
-    edge_flip_counts: np.ndarray
     checkpoint_rows: list[tuple[float, str, float]]
 
 
 # Rings drawn per chunk at most, so that memory stays bounded however long
 # the run.
 CHUNK_CAP = 1 << 12
-
-
-def _replay(k: np.ndarray, new: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Old values of rings setting objects ``k`` to ``new``; moves ``values`` past them in place."""
-    size = k.size
-    # Sorting (object, ring) keys groups the rings by object, in time order.
-    objects, order = np.divmod(np.sort(k * size + np.arange(size)), size)
-    old = values[k]
-    again = objects[1:] == objects[:-1]
-    old[order[1:][again]] = new[order[:-1][again]]
-    last = order[objects != np.append(objects[1:], -1)]
-    values[k[last]] = new[last]
-    return old
 
 
 def simulate_forward(
@@ -221,25 +202,21 @@ def simulate_forward(
     rng,
     checkpoint_times=(),
     observables=(),
-    record_events: list | None = None,
 ) -> ForwardTrajectory:
     """Run the joint spin-bond process on [0, t_max] from ``initial``, left unchanged.
 
     ``observables`` are cylinder events evaluated at each checkpoint time,
     on the state the rings before it leave; rows come back as (time,
-    observable label, 0.0 or 1.0). ``record_events`` collects ("site", t, x,
-    y, old, new) and ("edge", t, e, old, new) tuples when a list is
-    supplied. An ``EventTable`` built for ``params`` may stand in for the
-    kernel, so that many runs share one.
+    observable label, 0.0 or 1.0). The final state keeps the initial
+    arrays' dtypes, and ``event_count`` is the number of rings. An
+    ``EventTable`` built for ``params`` may stand in for the kernel, so that
+    many runs share one.
 
     Each interval between checkpoints, the last one ending at t_max, draws
     its Poisson(rate * length) ring count, then its rings in chunks of at
     most ``CHUNK_CAP``: two uniforms per ring for ``EventTable.rings``. These
     are the draws of a one-replica block of the batched forward estimator,
-    so the checkpoint rows are its hits. Ring times are drawn only for
-    ``record_events``, as sorted uniforms on each interval from a child
-    generator, so what is recorded never changes the path. Flip counts and
-    recorded old values are worked out per chunk from the new values.
+    so the checkpoint rows are its hits.
     """
     gen = as_generator(rng)
     table = kernel if isinstance(kernel, EventTable) else EventTable(g, kernel, params)
@@ -258,38 +235,19 @@ def simulate_forward(
     if checkpoints and checkpoints[-1] > t_max:
         raise ValueError(f"checkpoint {checkpoints[-1]} lies beyond t_max={t_max}")
     rows: list[tuple[float, str, float]] = []
-    clock = None if record_events is None else gen.spawn(1)[0]
 
     n, m = g.vertex_count, g.edge_count
     state = sites + edges + [1, -1]
-    # The state as of the end of the last chunk, kept as an array.
-    values = np.concatenate((initial.site_signs, initial.edge_signs, (1, -1)))
-    flip_counts = np.zeros(m, dtype=np.int64)
     events = 0
     start = 0.0
     # The last interval, up to t_max, ends on no checkpoint.
     for end, checked in [(t, observables) for t in checkpoints] + [(t_max, ())]:
         count = int(gen.poisson(table.rate * (end - start)))
-        if clock is not None:
-            times = (start + np.sort(clock.random(count)) * (end - start)).tolist()
         for first in range(0, count, CHUNK_CAP):
             draws = gen.random(2 * min(CHUNK_CAP, count - first))
             k, src, via = table.rings(draws[0::2], draws[1::2])
-            news: list = []
-            append = news.append
             for x, a, b in zip(k.tolist(), src.tolist(), via.tolist()):
-                state[x] = new = state[a] * state[b]
-                append(new)
-            new = np.array(news, dtype=values.dtype)
-            old = _replay(k, new, values)
-            flip_counts += np.bincount(k[(k >= n) & (old != new)] - n, minlength=m)
-            if record_events is not None:
-                chunk_times = times[first : first + k.size]
-                rings = zip(chunk_times, k.tolist(), src.tolist(), old.tolist(), news)
-                record_events += [
-                    ("site", t, x, a, o, s) if x < n else ("edge", t, x - n, o, s)
-                    for t, x, a, o, s in rings
-                ]
+                state[x] = state[a] * state[b]
         events += count
         start = end
         now, edges_now = state[:n], state[n : n + m]
@@ -299,12 +257,10 @@ def simulate_forward(
 
     return ForwardTrajectory(
         final_state=SpinBondState(
-            values[:n].astype(initial.site_signs.dtype),
-            values[n : n + m].astype(initial.edge_signs.dtype),
+            np.array(state[:n], dtype=initial.site_signs.dtype),
+            np.array(state[n : n + m], dtype=initial.edge_signs.dtype),
         ),
-        elapsed=t_max,
         event_count=events,
-        edge_flip_counts=flip_counts,
         checkpoint_rows=rows,
     )
 

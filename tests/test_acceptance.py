@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from spinbond.cylinders import CylinderEvent
+from spinbond.cylinders import CylinderEvent, single_constraint_events
 from spinbond.dual import DualState, coupled_run, simulate_dual
 from spinbond.forward import (
     ModelParams,
@@ -441,16 +441,17 @@ def test_criterion_8_structural_properties(k2, p3, c6):
     )
 
     # (b) byte-level determinism of both simulators under a fixed stream.
+    # The forward run is compared through dense checkpoint rows.
     fwd_logs = []
     dual_logs = []
     for _ in range(2):
-        events: list = []
         traj = simulate_forward(
             g3, kern3, ModelParams(0.3, 1.0), striped_state(g3), 5.0,
-            RngStream(809).generator(), record_events=events,
+            RngStream(809).generator(), checkpoint_times=np.linspace(0.0, 5.0, 101).tolist(),
+            observables=single_constraint_events(g3),
         )
-        fwd_logs.append((events, traj.final_state.site_signs.tobytes(),
-                         traj.final_state.edge_signs.tobytes()))
+        fwd_logs.append((traj.checkpoint_rows, traj.final_state.site_signs.tobytes(),
+                         traj.final_state.edge_signs.tobytes(), traj.event_count))
         record = []
         dtraj = simulate_dual(
             RngStream(810).generator(), 100, g3, kern3, ModelParams(0.3, 1.0),

@@ -18,6 +18,7 @@ from spinbond.config import (
     parse_graph_spec,
     validate_config,
 )
+from spinbond import experiments
 from spinbond.errors import ConfigError
 from spinbond.cli import main
 
@@ -206,6 +207,31 @@ def test_cli_non_finite_number_exits_two(tmp_path, capsys, body):
     assert "NaN" in open(path).read() or "Infinity" in open(path).read()
     assert main(["run", path]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "body, theta",
+    [
+        (dict(thetas=[800.0], times=[1.0], r0_values=[0]), "800"),
+        # The domination bound's theta is -2 ln p = 18.42 at p = 1e-4.
+        (dict(check_domination=True, p=0.0001, t=2.0, graph="path:3"), "18.4207"),
+    ],
+    ids=["theta-800", "domination-p-1e-4"],
+)
+def test_cli_mgf_closed_form_overflow_exits_two(monkeypatch, tmp_path, capsys, body, theta):
+    # The closed form overflows a double, and the error comes before any
+    # replica runs.
+    def no_replicas(*args, **kwargs):
+        raise AssertionError("a replica ran before the closed forms were checked")
+
+    monkeypatch.setattr(experiments, "estimate_mgf", no_replicas)
+    monkeypatch.setattr(experiments, "estimate_revealed_weight", no_replicas)
+    out_dir = tmp_path / "out"
+    path = write_cfg(tmp_path, experiment="mgf-check", output_dir=str(out_dir), **body)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert f"theta={theta}, t=" in err and "overflows a double" in err
     assert not out_dir.exists()
 
 

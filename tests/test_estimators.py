@@ -1,5 +1,7 @@
 """Monte Carlo estimators: determinism, parallel equivalence, known targets."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -351,7 +353,7 @@ def test_mu_dyn_reports_describe_replicas(k2):
         assert len(rep.sync) == 1
         assert rep.time >= 0.0
         assert not rep.censored
-        js = rep.to_json()
+        js = json.loads(json.dumps(dataclasses.asdict(rep)))
         assert js["partition"] == [[0, 1]]
 
 

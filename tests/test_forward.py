@@ -4,7 +4,6 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
 
 import spinbond
 from spinbond import forward, oracle
@@ -21,7 +20,6 @@ from spinbond.forward import (
     EventTable,
     ModelParams,
     SpinBondState,
-    adoption_update,
     edge_flip_rate,
     read_state_file,
     sample_product_state,
@@ -41,21 +39,6 @@ def test_model_params_validation():
         ModelParams(p=1.2, v=1.0)
     with pytest.raises(ValueError, match="v must be"):
         ModelParams(p=0.5, v=-0.1)
-
-
-def test_adoption_update_truth_table(k2):
-    g, _ = k2
-    # adopted sign is neighbor sign times edge sign, for every combination
-    for neighbor_sign in (1, -1):
-        for edge_sign in (1, -1):
-            for own_sign in (1, -1):
-                state = SpinBondState(
-                    site_signs=np.array([own_sign, neighbor_sign], dtype=np.int8),
-                    edge_signs=np.array([edge_sign], dtype=np.int8),
-                )
-                adoption_update(state, 0, 1, g)
-                assert state.site_signs[0] == neighbor_sign * edge_sign
-                assert state.site_signs[1] == neighbor_sign
 
 
 def test_edge_flip_rate_values():
@@ -134,45 +117,22 @@ def test_simulate_keeps_the_initial_dtype(p3):
 def test_determinism_same_seed(p3):
     g, kern = p3
     params = ModelParams(0.4, 1.0)
-    runs = []
-    for _ in range(2):
-        events = []
+    times = np.linspace(0.0, 8.0, 81).tolist()
+    obs = single_constraint_events(g)
+
+    def run(seed):
         traj = simulate_forward(
-            g, kern, params, striped_state(g), 8.0, RngStream(17), record_events=events
+            g, kern, params, striped_state(g), 8.0, RngStream(seed),
+            checkpoint_times=times, observables=obs,
         )
-        runs.append((traj.final_state, events, traj.event_count))
-    assert runs[0][1] == runs[1][1]
-    assert runs[0][2] == runs[1][2]
-    assert np.array_equal(runs[0][0].site_signs, runs[1][0].site_signs)
-    assert np.array_equal(runs[0][0].edge_signs, runs[1][0].edge_signs)
-    other = simulate_forward(g, kern, params, striped_state(g), 8.0, RngStream(18))
-    assert other.event_count != runs[0][2] or not np.array_equal(
-        other.final_state.site_signs, runs[0][0].site_signs
-    )
+        final = traj.final_state
+        return (
+            traj.checkpoint_rows, final.site_signs.tobytes(), final.edge_signs.tobytes(),
+            traj.event_count,
+        )
 
-
-def test_event_times_within_horizon_and_sorted(p3):
-    g, kern = p3
-    events = []
-    simulate_forward(
-        g, kern, ModelParams(0.5, 2.0), striped_state(g), 4.0, RngStream(5), record_events=events
-    )
-    times = [ev[1] for ev in events]
-    assert times == sorted(times)
-    assert all(0.0 <= t <= 4.0 for t in times)
-
-
-def test_edge_flip_rate_matches_alternating_rates(k2):
-    # in equilibrium an edge flips up at rate v p from minus and down at
-    # rate v (1-p) from plus, so the long-run flip rate is 2 v p (1-p)
-    g, kern = k2
-    p, v, horizon = 0.3, 2.0, 3000.0
-    traj = simulate_forward(
-        g, kern, ModelParams(p, v), SpinBondState.constant(g), horizon, RngStream(29)
-    )
-    rate = traj.edge_flip_counts[0] / horizon
-    target = 2.0 * v * p * (1.0 - p)
-    assert abs(rate - target) < 0.05 * target
+    assert run(17) == run(17)
+    assert run(18) != run(17)
 
 
 def test_edge_marginal_transient_closed_form(p3):
@@ -368,84 +328,59 @@ def test_forward_follows_the_exact_transient_law(case):
     assert not failures
 
 
-def _replayed(g, kern, initial, events, checkpoints, observables):
-    """Apply recorded events in order: checkpoint rows, final state, flip counts.
+def test_event_table_rings(k2):
+    # On K2 a site ring takes the neighbour's sign times the edge's, whatever
+    # its own sign: the product of its two columns for all four sign pairs.
+    g, kern = k2
+    k, src, via = EventTable(g, kern, ModelParams(0.5, 1.0)).rings(
+        np.array([0.0, 0.4]), np.array([0.5, 0.5])
+    )
+    assert k.tolist() == [0, 1]
+    for y_sign, e_sign, own in product((1, -1), repeat=3):
+        row = np.array([own, y_sign, e_sign, 1, -1])
+        assert row[src[0]] * row[via[0]] == y_sign * e_sign
+        row[:2] = y_sign, own
+        assert row[src[1]] * row[via[1]] == y_sign * e_sign
 
-    Checks each event against the state it finds: its old value, and for a
-    site event a positive-rate kernel neighbour whose sign times the joining
-    edge's is the new value.
-    """
-    sites, edges = initial.site_signs.tolist(), initial.edge_signs.tolist()
-    rates = [dict(row) for row in kern.rows]
-    flips = [0] * g.edge_count
-    rows = []
-    pending = list(events)
-    for tc in sorted(checkpoints) + [math.inf]:
-        while pending and pending[0][1] < tc:
-            ev = pending.pop(0)
-            if ev[0] == "site":
-                _, _, x, y, old, new = ev
-                assert rates[x].get(y, 0.0) > 0.0
-                assert new == sites[y] * edges[g.edge_id(x, y)]
-                assert old == sites[x]
-                sites[x] = new
-            else:
-                _, _, e, old, new = ev
-                assert old == edges[e] and new in (1, -1)
-                flips[e] += old != new
-                edges[e] = new
-        if tc < math.inf:
-            rows += [(tc, o.label(), 1.0 if o.matches(sites, edges) else 0.0) for o in observables]
-    return rows, sites, edges, flips
-
-
-@pytest.mark.parametrize("cap", [None, 7])
-@pytest.mark.parametrize("case", range(len(_FORWARD_CASES)))
-def test_recorded_events_replay_to_the_path(monkeypatch, case, cap):
-    # With cap 7 the rings come in many chunks, so a chunk's first ring of
-    # an object takes its old value from the chunk before.
-    if cap is not None:
-        monkeypatch.setattr(forward, "CHUNK_CAP", cap)
-    kind, sizes, rates, params = _FORWARD_CASES[case]
-    g, kern = _case(kind, sizes, rates)
-    obs = _observables(g)
-    for seed in range(4):
-        initial = sample_product_state(g, RngStream(seed, (1,)).generator())
-        events: list = []
-        traj = simulate_forward(
-            g, kern, params, initial, _T_MAX, RngStream(seed),
-            checkpoint_times=_TIMES, observables=obs, record_events=events,
-        )
-        times = [ev[1] for ev in events]
-        assert traj.event_count == len(events) > 0
-        assert times == sorted(times) and 0.0 <= times[0] and times[-1] <= _T_MAX
-        rows, sites, edges, flips = _replayed(g, kern, initial, events, _TIMES, obs)
-        assert traj.checkpoint_rows == rows
-        assert traj.final_state.site_signs.tolist() == sites
-        assert traj.final_state.edge_signs.tolist() == edges
-        assert traj.final_state.site_signs.dtype == traj.final_state.edge_signs.dtype == np.int8
-        assert traj.edge_flip_counts.tolist() == flips
-        assert traj.edge_flip_counts.dtype == np.int64
-
-
-@pytest.mark.parametrize("cap", [None, 7])
-def test_recording_leaves_the_path_unchanged(monkeypatch, cap):
-    if cap is not None:
-        monkeypatch.setattr(forward, "CHUNK_CAP", cap)
-    for kind, sizes, rates, params in _FORWARD_CASES:
+    # For many uniform pairs (u, w), every ring must pick a site and a
+    # positive-rate kernel neighbour y with via column n + edge_id(x, y), or
+    # an edge and the +1 or -1 column with via the +1 column. Objects come in
+    # proportion to their rates (1 per site, v per edge), neighbours in
+    # proportion to the kernel rates, and +1 with probability p. Stated
+    # false-failure rate: the six cases hold 145 binomial gates, 132 of them
+    # random, two-sided at 4 sigma, family-wise <= 132 * 0.0063% = 0.84%
+    # under the normal approximation; the 13 whose probability is 0 or 1
+    # are exact.
+    gates = []  # (hits, trials, probability)
+    for case, (kind, sizes, rates, params) in enumerate(_FORWARD_CASES):
         g, kern = _case(kind, sizes, rates)
-        obs = _observables(g)
-        runs = []
-        for record in (None, []):
-            traj = simulate_forward(
-                g, kern, params, striped_state(g), _T_MAX, RngStream(11),
-                checkpoint_times=_TIMES, observables=obs, record_events=record,
-            )
-            runs.append((
-                traj.event_count, traj.checkpoint_rows, traj.final_state.site_signs.tolist(),
-                traj.final_state.edge_signs.tolist(), traj.edge_flip_counts.tolist(),
-            ))
-        assert runs[0] == runs[1]
+        table = EventTable(g, kern, params)
+        n, m = g.vertex_count, g.edge_count
+        plus, minus = n + m, n + m + 1
+        k, src, via = table.rings(*RngStream(97, (case,)).generator().random((2, 50_000)))
+        ringing = np.bincount(k, minlength=n + m)
+        assert ringing.size == n + m
+        gates += [(ringing[x], k.size, (1.0 if x < n else params.v) / table.rate)
+                  for x in range(n + m)]
+        for x, row in enumerate(kern.rows):
+            mine = k == x
+            total = sum(q for _, q in row)
+            positive = {y for y, q in row if q > 0.0}
+            assert set(src[mine].tolist()) <= positive
+            for y in positive:
+                assert (via[mine & (src == y)] == n + g.edge_id(x, y)).all()
+            gates += [(np.count_nonzero(src[mine] == y), ringing[x], q / total) for y, q in row]
+        for e in range(m):
+            mine = k == n + e
+            assert np.isin(src[mine], (plus, minus)).all() and (via[mine] == plus).all()
+            gates.append((np.count_nonzero(src[mine] == plus), ringing[n + e], params.p))
+    assert sum(0.0 < q < 1.0 for _, _, q in gates) == 132
+    failures = [
+        (hits, trials, q)
+        for hits, trials, q in gates
+        if abs(hits - trials * q) > 4.0 * math.sqrt(trials * q * (1.0 - q)) + 1e-9
+    ]
+    assert not failures
 
 
 # (kind, sizes, params, product start, chunk cap)
@@ -482,36 +417,26 @@ def test_forward_rows_are_the_hits_of_a_one_replica_block(monkeypatch, case):
 
 
 def test_recorded_ring_times_are_poisson_and_uniform(p3):
-    # Per interval between checkpoints (and t_max), the pooled ring counts
-    # must have mean and variance rate * length, and the ring times within
-    # it, scaled to [0, 1), must pass a KS test for uniformity. Stated
-    # false-failure rate: six normal gates at 4 sigma (6 * 0.0063%) and
-    # three KS gates at p < 1e-4, family-wise <= 0.07%.
+    # The ring count over [0, t_max] must have mean and variance rate * t_max,
+    # however the checkpoints split it into intervals. Stated false-failure
+    # rate: two normal gates at 4 sigma, family-wise <= 2 * 0.0063% = 0.013%.
     g, kern = p3
     params = ModelParams(0.4, 1.0)
     table = EventTable(g, kern, params)
-    bounds = [0.0, 0.5, 1.2, 2.0]
-    replicas = 4000
+    t_max, replicas = 2.0, 4000
     stream = RngStream(61)
-    counts = np.zeros((replicas, len(bounds) - 1), dtype=np.int64)
-    scaled = [[] for _ in bounds[1:]]
-    for i in range(replicas):
-        events: list = []
+    counts = np.array([
         simulate_forward(
-            g, table, params, striped_state(g), bounds[-1], stream.substream(i),
-            checkpoint_times=bounds[1:-1], record_events=events,
-        )
-        for t in (ev[1] for ev in events):
-            j = int(np.searchsorted(bounds, t, side="right")) - 1
-            counts[i, j] += 1
-            scaled[j].append((t - bounds[j]) / (bounds[j + 1] - bounds[j]))
-    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        lam = table.rate * (hi - lo)
-        assert abs(counts[:, j].mean() - lam) < 4.0 * math.sqrt(lam / replicas)
-        # The sample variance of Poisson(lam) counts has variance about (lam + 2 lam^2) / N.
-        var_sd = math.sqrt((lam + 2.0 * lam**2) / replicas)
-        assert abs(counts[:, j].var(ddof=1) - lam) < 4.0 * var_sd
-        assert stats.kstest(scaled[j], "uniform").pvalue > 1e-4
+            g, table, params, striped_state(g), t_max, stream.substream(i),
+            checkpoint_times=[0.5, 1.2],
+        ).event_count
+        for i in range(replicas)
+    ])
+    lam = table.rate * t_max
+    assert abs(counts.mean() - lam) < 4.0 * math.sqrt(lam / replicas)
+    # The sample variance of Poisson(lam) counts has variance about (lam + 2 lam^2) / N.
+    var_sd = math.sqrt((lam + 2.0 * lam**2) / replicas)
+    assert abs(counts.var(ddof=1) - lam) < 4.0 * var_sd
 
 
 def test_invalid_kernel_is_rejected_everywhere(p3):

@@ -50,7 +50,6 @@ def _forward_path(kind, sizes, seed):
         "events": traj.event_count,
         "sites": _signs(traj.final_state.site_signs),
         "edges": _signs(traj.final_state.edge_signs),
-        "flips": traj.edge_flip_counts.tolist(),
         "rows": "".join(str(int(value)) for _, _, value in traj.checkpoint_rows),
     }
 
@@ -110,18 +109,16 @@ def _dual_estimates(kind, sizes):
 
 FORWARD_PINS = {
     ("cycle", (6,), 1): dict(
-        events=29, sites="++++++", edges="+---+-", flips=[2, 0, 1, 2, 2, 2], rows="11111110",
+        events=29, sites="++++++", edges="+---+-", rows="11111110",
     ),
     ("cycle", (6,), 2): dict(
-        events=33, sites="--+---", edges="---+--", flips=[1, 0, 1, 1, 1, 2], rows="11110100",
+        events=33, sites="--+---", edges="---+--", rows="11110100",
     ),
     ("grid_torus", (3, 3), 1): dict(
-        events=68, sites="+----+++-", edges="+-+--++---------++",
-        flips=[2, 0, 2, 0, 1, 1, 0, 0, 1, 2, 1, 0, 1, 0, 3, 0, 0, 1], rows="11111111",
+        events=68, sites="+----+++-", edges="+-+--++---------++", rows="11111111",
     ),
     ("grid_torus", (3, 3), 2): dict(
-        events=59, sites="+++--+-+-", edges="-----+-----++-+++-",
-        flips=[1, 0, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 0, 3, 0, 0], rows="11001010",
+        events=59, sites="+++--+-+-", edges="-----+-----++-+++-", rows="11001010",
     ),
 }
 
