@@ -4,7 +4,9 @@ Walkers sit on vertices and carry +-1 signs. A walker stepping across an
 edge whose sign is unrevealed reveals it in the same event: positive with
 probability ``p`` (sign kept) or negative with probability ``1 - p`` (sign
 flipped). Stepping across an already revealed edge keeps or flips the sign
-deterministically. Each revealed edge forgets its sign at rate ``v``.
+deterministically. Each revealed edge forgets its sign at rate ``v``,
+independently of everything else, so a simulation need only ask whether an
+edge is still revealed when a walker crosses it or when the run stops.
 
 Two move rules are supported. In the coalescing rule one clock runs per
 occupied site and every walker there moves together, so walkers that meet
@@ -12,8 +14,9 @@ stay together for good. In the independent rule each walker has its own
 clock and moves alone.
 
 ``simulate_dual`` runs a block of replicas in lockstep as numpy arrays, by
-exact Gillespie; ``coupled_run`` runs the two rules on one shared history
-up to the first collision.
+exact Gillespie on the walkers' rings with forgetting sampled lazily;
+``coupled_run`` runs the two rules on one shared history up to the first
+collision.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class DualTrajectory:
     ``positions`` and ``signs`` are ``(size, k)``; ``status`` is ``(size, m)``,
     0 for an unrevealed edge, else its revealed sign. ``time`` is when each
     replica stopped: t_max, unless it reached the target class count, which
-    ``stopped`` marks. ``event_count`` counts the block's moves and forgets,
+    ``stopped`` marks. ``event_count`` counts the block's moves,
     ``reveal_count`` its fresh reveals.
     """
 
@@ -127,25 +130,44 @@ class DualTrajectory:
             reveal_count=sum(part.reveal_count for part in parts),
         )
 
+    def validate(self, g: Graph) -> None:
+        size, m = self.time.size, g.edge_count
+        if self.positions.shape != self.signs.shape or self.positions.shape[0] != size:
+            raise ValueError(
+                f"positions {self.positions.shape} and signs {self.signs.shape} "
+                f"do not fit {size} replicas"
+            )
+        if self.status.shape != (size, m):
+            raise ValueError(f"status {self.status.shape} is not {size} replicas by {m} edges")
+        if ((self.positions < 0) | (self.positions >= g.vertex_count)).any():
+            raise ValueError(f"walker positions outside 0..{g.vertex_count - 1}")
+        if not np.isin(self.signs, (-1, 1)).all():
+            raise ValueError("walker signs must be +-1")
+        if not np.isin(self.status, (-1, 0, 1)).all():
+            raise ValueError("edge statuses must be -1, 0 or 1")
+
 
 class DualEvents(NamedTuple):
-    """The events of one lockstep step of ``simulate_dual``, forgets first.
+    """The moves of one lockstep step of ``simulate_dual``.
 
-    Entry j is an event of replica ``replica[j]`` at ``time[j]``: a move
-    when ``moved[j]``, else a forget. ``edge[j]`` is the edge crossed or
-    forgotten and ``edge_status[j]`` its status after the event;
-    ``revealed[j]`` marks a move that revealed it. ``positions[j]`` and
-    ``signs[j]`` are the replica's walkers after the event.
+    Entry j is a move of replica ``replica[j]`` at ``time[j]`` across edge
+    ``edge[j]``; ``edge_status[j]`` is the edge's status after the move and
+    ``revealed[j]`` marks a fresh reveal, of an unrevealed edge or of one
+    forgotten since it was last seen. ``positions[j]`` and ``signs[j]`` are
+    the replica's walkers after the move.
     """
 
     replica: np.ndarray
     time: np.ndarray
     edge: np.ndarray
     edge_status: np.ndarray
-    moved: np.ndarray
     revealed: np.ndarray
     positions: np.ndarray
     signs: np.ndarray
+
+
+_PLUS, _MINUS = np.int8(1), np.int8(-1)
+_RESOLVE_ROWS = 512
 
 
 def simulate_dual(
@@ -166,16 +188,21 @@ def simulate_dual(
     same size, whose replicas go on from their stop times and states. An
     ``EventTable`` built for ``params`` may stand in for the kernel.
 
-    Each running replica draws its next event at its own total rate k + v r,
-    with k walkers and r revealed edges; the rate is constant between
-    events, so this is exact Gillespie. A ring u < k belongs to walker slot
-    ⌊u⌋. Under the coalescing rule it moves every walker on that slot's
-    site, but only when the slot is the lowest-indexed walker there: each
-    occupied site rings at rate 1 after this thinning. Under the independent
-    rule it moves that walker alone. The neighbour and joining edge come
-    from the site rows of the ``EventTable``; an unrevealed edge is revealed
-    +1 with probability p. Any other ring forgets a uniformly chosen
-    revealed edge.
+    Each running replica draws its next ring at the constant rate k, with k
+    walkers, so this is exact Gillespie. The ring belongs to a uniformly
+    drawn walker slot. Under the coalescing rule it moves every walker on
+    that slot's site, but only when the slot is the lowest-indexed walker
+    there: each occupied site rings at rate 1 after this thinning. Under the
+    independent rule it moves that walker alone. The neighbour and joining
+    edge come from the site rows of the ``EventTable``.
+
+    Forgetting is sampled lazily. ``seen`` holds, per replica and edge, the
+    last time the edge's status was known. An edge revealed then is still
+    revealed at the move's time t with probability a = exp(-v (t - seen)),
+    and an unrevealed one with a = 0. The move's uniform q keeps the sign if
+    q < a, else reveals it afresh: +1 iff q - a < p (1 - a). When a replica
+    stops, each of its revealed edges is kept with probability
+    exp(-v (time - seen)) against one more uniform, else cleared.
 
     With ``target`` a replica also stops once its walkers form at most that
     many classes. Under the independent rule the only target is k - 1: from
@@ -189,83 +216,71 @@ def simulate_dual(
     table = kernel if isinstance(kernel, EventTable) else EventTable(g, kernel, params)
     if table.params != params:
         raise ValueError(f"event table was built for {table.params}, not {params}")
+    initial.validate(g)
     if isinstance(initial, DualTrajectory):
         if initial.time.shape != (size,):
             raise ValueError(f"a block of {initial.time.size} replicas cannot start {size}")
         pos, sgn, status = initial.positions.copy(), initial.signs.copy(), initial.status.copy()
         clock = initial.time.copy()
     else:
-        initial.validate(g)
         pos = np.tile(np.array(initial.positions, dtype=np.intp), (size, 1))
         sgn = np.tile(np.array(initial.signs, dtype=np.int8), (size, 1))
         status = np.zeros((size, g.edge_count), dtype=np.int8)
         status[:, sorted(initial.revealed_positive)] = 1
         status[:, sorted(initial.revealed_negative)] = -1
         clock = np.zeros(size)
+    seen = np.empty(status.shape)
+    seen[:] = clock[:, None]
     n, k, p, v = g.vertex_count, pos.shape[1], params.p, params.v
     coalescing = mode == "coalescing"
     if target is not None and not coalescing and target != k - 1:
         raise ValueError(f"the independent rule stops only at the first collision, k - 1 = {k - 1}")
-    # Replica i's revealed edges are revealed[i, :count[i]], in no set order;
-    # a forget moves the last entry into the freed place.
-    revealed = np.argsort(status == 0, axis=1, kind="stable")
-    count = np.count_nonzero(status, axis=1)
     ordered = np.sort(pos, axis=1)
     classes = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
     stopped = classes <= (target or 0)  # without a target none stops: classes >= 1
     live = np.flatnonzero(~stopped)
     events = reveals = 0
     while live.size:
-        rate = k + v * count[live]
-        t = clock[live] + gen.standard_exponential(live.size) / rate
-        u, w, q = gen.random((3, live.size))
+        t = clock[live] + gen.standard_exponential(live.size) / k
+        draws = gen.random((3, live.size))
         on = t <= t_max
-        live, rate, u, w, q = live[on], rate[on], u[on], w[on], q[on]
-        clock[live] = t[on]
-        u *= rate
-        ring = u < k
-        f = live[~ring]
-        if f.size:
-            last = count[f] - 1
-            at = np.minimum(((u[~ring] - k) / v).astype(np.intp), last)
-            gone = revealed[f, at]
-            status[f, gone] = 0
-            revealed[f, at] = revealed[f, last]
-            count[f] = last
-        r, slot, w, q = live[ring], np.minimum(u[ring].astype(np.intp), k - 1), w[ring], q[ring]
+        live, t, (u, w, q) = live[on], t[on], draws[:, on]
+        clock[live] = t
+        r, slot = live, np.minimum((u * k).astype(np.intp), k - 1)
         here = pos[r]
         z = here[np.arange(r.size), slot]
         if coalescing:
             movers = here == z[:, None]
             lead = movers.argmax(axis=1) == slot
-            r, z, here, movers, w, q = r[lead], z[lead], here[lead], movers[lead], w[lead], q[lead]
+            r, t, z, w, q = r[lead], t[lead], z[lead], w[lead], q[lead]
+            here, movers = here[lead], movers[lead]
         else:
             movers = slot[:, None] == np.arange(k)
         y, e = table.columns(z, w)
         e -= n
         s = status[r, e]
-        fresh = s == 0
-        s[fresh] = np.where(q[fresh] < p, 1, -1)
-        rf, ef = r[fresh], e[fresh]
-        status[rf, ef] = s[fresh]
-        revealed[rf, count[rf]] = ef
-        count[rf] += 1
+        a = (s != 0) * np.exp(-v * (t - seen[r, e]))
+        fresh = q >= a
+        s = np.where(fresh, np.where(q - a < p * (1.0 - a), _PLUS, _MINUS), s)
+        status[r, e] = s
+        seen[r, e] = t
         if target is not None:  # a move onto an occupied site merges two classes
             classes[r] -= (here == y[:, None]).any(axis=1)
             stopped[r[classes[r] <= target]] = True
             live = live[~stopped[live]]
         pos[r] = np.where(movers, y[:, None], here)
-        sgn[r] = np.where(movers, sgn[r] * s[:, None], sgn[r])
-        events += f.size + r.size
-        reveals += rf.size
+        sgn[r] *= np.where(movers, s[:, None], _PLUS)
+        events += r.size
+        reveals += int(np.count_nonzero(fresh))
         if record is not None:
-            who, edge = np.concatenate((f, r)), np.concatenate((gone, e)) if f.size else e
-            moved = np.arange(who.size) >= f.size
-            fresh = np.concatenate((np.zeros(f.size, dtype=bool), fresh))
-            record.append(DualEvents(
-                who, clock[who], edge, status[who, edge], moved, fresh, pos[who], sgn[who]
-            ))
+            record.append(DualEvents(r, t, e, s, fresh, pos[r], sgn[r]))
     time = np.where(stopped, clock, t_max)
+    seen -= time[:, None]  # minus each entry's time since it was last seen
+    for lo in range(0, size, _RESOLVE_ROWS):  # row chunks bound the per-entry temporaries
+        part = status[lo : lo + _RESOLVE_ROWS]
+        known = np.flatnonzero(part)
+        kept = np.exp(v * seen[lo : lo + _RESOLVE_ROWS].take(known))
+        part.flat[known[gen.random(known.size) >= kept]] = 0
     return DualTrajectory(pos, sgn, status, time, stopped, events, reveals)
 
 

@@ -6,7 +6,7 @@ stream's spawn key extended by b, and workers get whole blocks, so results
 do not depend on the worker count and reruns with the same seed reproduce
 byte-identical output. Forward runs use the uniformized chain of all site
 and edge clocks (``_cylinder_hits``); dual runs draw each replica's next
-event at its own total rate, walkers plus v per revealed edge
+move at the walkers' rate and sample edge forgetting lazily
 (``dual.simulate_dual``); birth-death runs are batched Gillespie
 (``simulate_birth_death``). ``raw-simulate`` outputs paths, so it runs
 ``simulate_forward`` once per replica on the replica's own substream,

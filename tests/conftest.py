@@ -57,21 +57,25 @@ def merge_breaks(record, pos, sgn) -> int:
     return int(np.count_nonzero(bad))
 
 
-def replay_statuses(record, status):
-    """Edge statuses after replaying ``record`` on a copy of ``status``, and
-    the number of recorded events that break the status rules.
+def replay_statuses(record, start, end):
+    """Replay ``record`` on a copy of the ``start`` statuses and check it against ``end``.
 
-    A forget must strike a revealed edge and leave it unrevealed; a move
-    must reveal an unrevealed edge, or cross a revealed one and keep it.
+    Returns ``(cleared, renewed, bad)``: the entries the end resolution
+    cleared, the moves that revealed an already revealed edge afresh (it was
+    forgotten since last seen), and the recorded moves or end entries that
+    break the status rules. A move across an unrevealed edge must reveal it;
+    a move across a revealed edge keeps its status or reveals it afresh with
+    a sign; the end resolution may only clear entries.
     """
-    status = status.copy()
-    bad = 0
+    status = start.copy()
+    renewed = bad = 0
     for step in record:
-        before, after, moved = status[step.replica, step.edge], step.edge_status, step.moved
-        known = moved & ~step.revealed
-        ok = np.where(moved, after != 0, (before != 0) & (after == 0))
-        ok &= np.where(step.revealed, before == 0, True)
-        ok &= np.where(known, (before != 0) & (after == before), True)
+        before, after = status[step.replica, step.edge], step.edge_status
+        ok = np.where(step.revealed, after != 0, (before != 0) & (after == before))
         bad += int(np.count_nonzero(~ok))
+        renewed += int(np.count_nonzero(step.revealed & (before != 0)))
         status[step.replica, step.edge] = after
-    return status, bad
+    kept = end == status
+    cleared = ~kept & (end == 0)
+    bad += int(np.count_nonzero(~kept & ~cleared))
+    return int(np.count_nonzero(cleared)), renewed, bad

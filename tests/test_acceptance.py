@@ -422,9 +422,10 @@ def test_criterion_8_structural_properties(k2, p3, c6):
     g2, kern2 = k2
     details = []
 
-    # (a) revealed statuses replay from the recorded events (forgets strike
-    # only revealed edges, fresh reveals only unrevealed ones) and merges are
-    # permanent, checked at every event of one block of 300 three-walker runs.
+    # (a) revealed statuses replay from the recorded moves (a move reveals an
+    # unrevealed edge, and keeps a revealed one or reveals it afresh; the end
+    # resolution only clears) and merges are permanent, checked at every move
+    # of one block of 300 three-walker runs.
     params = ModelParams(0.3, 1.0)
     initial = DualState.of([0, 2, 4], [1, 1, -1])
     record: list = []
@@ -432,8 +433,7 @@ def test_criterion_8_structural_properties(k2, p3, c6):
         RngStream(808).generator(), 300, g6, kern6, params, initial, 8.0, record=record
     )
     start = simulate_dual(RngStream(808).generator(), 300, g6, kern6, params, initial, 0.0)
-    status, replay_bad = replay_statuses(record, start.status)
-    replay_bad += np.count_nonzero((status != traj.status).any(axis=1))
+    replay_bad = replay_statuses(record, start.status, traj.status)[2]
     permanence_bad = merge_breaks(record, start.positions, start.signs)
     details.append(
         f"status replay violations {replay_bad}, permanence violations "

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,29 @@ def test_dual_state_validation(p3):
         DualState.of([0, 1], [1]).validate(g)
     with pytest.raises(ValueError, match="revealed edge"):
         DualState.of([0], [1], revealed_positive=[7]).validate(g)
+
+
+def test_block_start_is_checked_against_the_graph():
+    g = builtin_graph("cycle", 6)
+    params = ModelParams(0.5, 1.0)
+    gen = RngStream(1).generator()
+    block = simulate_dual(gen, 50, g, uniform_kernel(g), params, DualState.of([0, 3], [1, -1]), 1.0)
+    for other in (builtin_graph("path", 6), builtin_graph("cycle", 4)):
+        with pytest.raises(ValueError, match="status"):
+            simulate_dual(gen, 50, other, uniform_kernel(other), params, block, 2.0)
+    for name, value, match in (
+        ("positions", 6, "positions"),
+        ("positions", -1, "positions"),
+        ("signs", 0, "signs"),
+        ("status", 2, "statuses"),
+    ):
+        bad = replace(block, **{name: getattr(block, name).copy()})
+        getattr(bad, name)[7, 1] = value
+        with pytest.raises(ValueError, match=match):
+            simulate_dual(gen, 50, g, uniform_kernel(g), params, bad, 2.0)
+    narrow = replace(block, signs=block.signs[:, :1])
+    with pytest.raises(ValueError, match="signs"):
+        simulate_dual(gen, 50, g, uniform_kernel(g), params, narrow, 2.0)
 
 
 def test_classes_group_by_position():
@@ -76,14 +99,14 @@ def _same(a, b) -> bool:
 
 def test_revealed_sets_stay_disjoint_and_valid(p3):
     # One status per edge keeps the revealed sets disjoint; the record must
-    # replay to the final statuses, with every walker on a site and of sign +-1.
+    # replay to the final statuses up to the end resolution's clearing, with
+    # every walker on a site and of sign +-1.
     g, kern = p3
     traj, record, start = _block(
         g, kern, ModelParams(0.5, 3.0), DualState.of([0, 2], [1, 1]), 6.0, 0, 200
     )
     assert len(record) > 1
-    status, bad = replay_statuses(record, start.status)
-    assert bad == 0 and (status == traj.status).all()
+    assert replay_statuses(record, start.status, traj.status)[2] == 0
     for step in record:
         assert ((step.positions >= 0) & (step.positions < g.vertex_count)).all()
         assert (np.abs(step.signs) == 1).all()
@@ -106,7 +129,7 @@ def test_known_negative_edge_flips_without_revealing(k2):
     traj, record, _ = _block(g, kern, ModelParams(0.5, 0.0), initial, 5.0, 3, 100)
     moves = np.bincount(np.concatenate([step.replica for step in record]), minlength=100)
     assert moves.max() > 1 and traj.reveal_count == 0
-    assert all(step.moved.all() and not step.revealed.any() for step in record)
+    assert not any(step.revealed.any() for step in record)
     assert (traj.status == -1).all()
     assert (traj.signs[:, 0] == (-1) ** moves).all()
     assert (traj.positions[:, 0] == moves % 2).all()
@@ -121,42 +144,45 @@ def test_unknown_edge_reveals_atomically(p3):
     traj, record, start = _block(g, kern, ModelParams(0.3, 1.0), initial, 4.0, 4, 300)
     pos, sgn = start.positions.copy(), start.signs.copy()
     for step in record:
-        i, moved = step.replica[step.moved], step.moved
-        walked = step.positions[moved] != pos[i]
+        i = step.replica
+        walked = step.positions != pos[i]
         assert walked.any(axis=1).all()
-        flip = step.edge_status[moved][:, None]
-        want = np.where(walked, sgn[i] * flip, sgn[i])
-        assert (step.signs[moved] == want).all()
-        pos[step.replica], sgn[step.replica] = step.positions, step.signs
+        want = np.where(walked, sgn[i] * step.edge_status[:, None], sgn[i])
+        assert (step.signs == want).all()
+        pos[i], sgn[i] = step.positions, step.signs
     assert (pos == traj.positions).all() and (sgn == traj.signs).all()
     assert traj.reveal_count > 0
 
 
-def test_refresh_only_strikes_revealed_edges(p3):
+def test_end_resolution_clears_only_revealed_edges(p3):
+    # Forgetting shows only at a move across a revealed edge or at the end:
+    # the end resolution clears some revealed edges when v > 0, none at v = 0,
+    # and never touches an unrevealed one.
     g, kern = p3
     initial = DualState.of([1], [1], revealed_positive=[0])
-    traj, record, start = _block(g, kern, ModelParams(0.5, 4.0), initial, 6.0, 5, 200)
-    status, bad = replay_statuses(record, start.status)
-    assert bad == 0 and (status == traj.status).all()
-    assert sum(np.count_nonzero(~step.moved) for step in record) > 0
+    for v in (4.0, 0.0):
+        traj, record, start = _block(g, kern, ModelParams(0.5, v), initial, 6.0, 5, 200)
+        cleared, renewed, bad = replay_statuses(record, start.status, traj.status)
+        assert bad == 0 and (cleared > 0) == (renewed > 0) == (v > 0)
 
 
 def test_event_counts_match_the_record(p3, c6):
-    # event_count is the recorded moves plus forgets, reveal_count the
-    # recorded fresh reveals, whatever the rule, v or stopping target.
+    # event_count is the recorded moves, reveal_count the recorded fresh
+    # reveals, whatever the rule, v or stopping target; a revealed edge is
+    # revealed afresh or cleared at the end only when v > 0.
     for (g, kern), mode, v, target in (
         (p3, "coalescing", 1.0, None),
         (p3, "independent", 2.0, 1),
         (c6, "coalescing", 0.0, 1),
         (c6, "independent", 0.5, None),
     ):
-        traj, record, _ = _block(
+        traj, record, start = _block(
             g, kern, ModelParams(0.4, v), DualState.of([0, 2], [1, -1], [1]), 3.0, 6, 150,
             mode=mode, target=target,
         )
-        moves = sum(np.count_nonzero(step.moved) for step in record)
-        forgets = sum(np.count_nonzero(~step.moved) for step in record)
-        assert traj.event_count == moves + forgets and moves > 0 and (forgets > 0) == (v > 0)
+        cleared, renewed, bad = replay_statuses(record, start.status, traj.status)
+        assert bad == 0 and (cleared + renewed > 0) == (v > 0)
+        assert traj.event_count == sum(step.replica.size for step in record) > 0
         assert traj.reveal_count == sum(np.count_nonzero(step.revealed) for step in record) > 0
 
 
@@ -305,8 +331,7 @@ def test_random_runs_keep_invariants(seed, p, v):
     traj, record, start = _block(
         g, uniform_kernel(g), ModelParams(p, v), DualState.of([0, 2], [1, -1]), 4.0, seed, 20
     )
-    status, bad = replay_statuses(record, start.status)
-    assert bad == 0 and (status == traj.status).all()
+    assert replay_statuses(record, start.status, traj.status)[2] == 0
     assert merge_breaks(record, start.positions, start.signs) == 0
     assert ((traj.positions >= 0) & (traj.positions < 4)).all() and (np.abs(traj.signs) == 1).all()
 
@@ -352,7 +377,7 @@ def _class_counts(positions):
 def test_dual_runs_keep_their_invariants(graph, mode, flags):
     # Over graphs, rules, stopping targets and starts: the record replays to
     # the block's end, merges are permanent under the coalescing rule, and a
-    # replica stops exactly at its first event that reaches the target. v = 0
+    # replica stops exactly at its first move that reaches the target. v = 0
     # forgets nothing, and an int horizon works as a float one.
     g = _GRAPHS[graph]()
     kern = uniform_kernel(g)
@@ -366,14 +391,14 @@ def test_dual_runs_keep_their_invariants(graph, mode, flags):
             traj, record, start = _block(
                 g, kern, params, initial, t_max, seed, 60, mode=mode, target=target
             )
-            status, bad = replay_statuses(record, start.status)
-            assert bad == 0 and (status == traj.status).all()
+            cleared, renewed, bad = replay_statuses(record, start.status, traj.status)
+            assert bad == 0
             if mode == "coalescing":
                 assert merge_breaks(record, start.positions, start.signs) == 0
             assert traj.event_count == sum(step.replica.size for step in record)
             assert traj.reveal_count == sum(np.count_nonzero(step.revealed) for step in record)
             if params.v == 0.0:
-                assert all(step.moved.all() for step in record)
+                assert cleared == renewed == 0
             pos, sgn, clock = start.positions.copy(), start.signs.copy(), np.zeros(60)
             reached = np.full(60, np.inf)
             if target is not None:

@@ -13,7 +13,7 @@ from scipy.linalg import expm
 from spinbond import estimators as est
 from spinbond import oracle
 from spinbond.cylinders import CylinderEvent, single_constraint_events
-from spinbond.dual import DualState, coupled_run
+from spinbond.dual import DualState, coupled_run, simulate_dual
 from spinbond.errors import CensoringError
 from spinbond.forward import EventTable, ModelParams, SpinBondState, simulate_forward
 from spinbond.graphs import build_graph, builtin_graph, kernel_from_rates, uniform_kernel
@@ -232,7 +232,8 @@ def _decoded_dual_states(g, k):
 
 
 # (graph, skewed kernel, p, v, t, mode, start): k = 1 and 2, both rules,
-# v = 0, the skewed C4 kernel with its rate-0 entry, and revealed starts.
+# v = 0, the skewed C4 kernel with its rate-0 entry, and revealed starts,
+# one of them an edge that the walker seldom reaches before it is forgotten.
 _DUAL_LAW_CASES = {
     "P3 k=1": ("path:3", False, 0.3, 1.0, 1.0, "coalescing", DualState.of([1], [1])),
     "P3 k=2 independent revealed": (
@@ -250,15 +251,33 @@ _DUAL_LAW_CASES = {
     "C4 k=1 independent two revealed": (
         "cycle:4", False, 0.5, 2.0, 0.5, "independent", DualState.of([3], [-1], [0, 2]),
     ),
+    "P5 k=1 v=4 far revealed edge": (
+        "path:5", False, 0.3, 4.0, 0.6, "coalescing", DualState.of([0], [1], [3]),
+    ),
 }
+
+
+def _law_misses(g, kern, params, initial, t, mode, runs):
+    """Event frequencies of the block ``runs`` more than 4 binomial sigma off
+    oracle.transient_distribution on build_dual_generator at t, or off an
+    exact 0 or 1 at all."""
+    k = initial.walker_count
+    law0 = np.zeros(oracle.dual_state_count(g, k))
+    law0[oracle.encode_dual_state(g, initial)] = 1.0
+    law = oracle.transient_distribution(oracle.build_dual_generator(g, kern, params, k, mode), law0, t)
+    want = law @ _dual_events(g, *_decoded_dual_states(g, k))
+    got = _dual_events(g, runs.positions, runs.signs, runs.status).mean(axis=0)
+    sigma = np.sqrt(np.clip(want * (1.0 - want), 0.0, None) / runs.time.size)
+    bad = np.flatnonzero(np.abs(got - want) > 4.0 * sigma + 1e-12)
+    return [(int(i), got[i], want[i]) for i in bad]
 
 
 @pytest.mark.parametrize("case", sorted(_DUAL_LAW_CASES))
 def test_batched_dual_follows_the_exact_transient_law(case):
     # Event frequencies of the batched dual runner against
     # oracle.transient_distribution on build_dual_generator. Stated
-    # false-failure rate: the six cases hold 148 two-sided gates at 4
-    # binomial sigma, family-wise <= 148 * 0.0063% = 0.94% under the normal
+    # false-failure rate: the seven cases hold 171 two-sided gates at 4
+    # binomial sigma, family-wise <= 171 * 0.0063% = 1.1% under the normal
     # approximation. Where the exact value is 0 or 1 the frequency must
     # equal it.
     spec, skewed, p, v, t, mode, initial = _DUAL_LAW_CASES[case]
@@ -266,19 +285,27 @@ def test_batched_dual_follows_the_exact_transient_law(case):
     g = builtin_graph(kind, int(size))
     kern = kernel_from_rates(_C4_SKEWED, 4) if skewed else uniform_kernel(g)
     params = ModelParams(p, v)
-    replicas = 20_000
     runs = est._dual_runs(
-        g, kern, params, replicas, RngStream(83, (len(case),)), 1, initial=initial, t_max=t, mode=mode
+        g, kern, params, 20_000, RngStream(83, (len(case),)), 1, initial=initial, t_max=t, mode=mode
     )
-    k = initial.walker_count
-    law0 = np.zeros(oracle.dual_state_count(g, k))
-    law0[oracle.encode_dual_state(g, initial)] = 1.0
-    law = oracle.transient_distribution(oracle.build_dual_generator(g, kern, params, k, mode), law0, t)
-    want = law @ _dual_events(g, *_decoded_dual_states(g, k))
-    got = _dual_events(g, runs.positions, runs.signs, runs.status).mean(axis=0)
-    sigma = np.sqrt(np.clip(want * (1.0 - want), 0.0, None) / replicas)
-    bad = np.flatnonzero(np.abs(got - want) > 4.0 * sigma + 1e-12)
-    assert not [(int(i), got[i], want[i]) for i in bad]
+    assert not _law_misses(g, kern, params, initial, t, mode, runs)
+
+
+def test_continued_dual_block_follows_the_exact_transient_law():
+    # A block run to t1 and continued from its DualTrajectory to t2 against
+    # the oracle at t2: the continuation must take each revealed edge as
+    # last seen at t1. Stated false-failure rate: 31 two-sided gates at 4
+    # binomial sigma, family-wise <= 31 * 0.0063% = 0.20% under the normal
+    # approximation.
+    g = builtin_graph("cycle", 4)
+    kern = uniform_kernel(g)
+    params = ModelParams(0.6, 1.0)
+    initial = DualState.of([0, 2], [1, 1], [1], [3])
+    gen, replicas = RngStream(86).generator(), 20_000
+    first = simulate_dual(gen, replicas, g, kern, params, initial, 0.6)
+    runs = simulate_dual(gen, replicas, g, kern, params, first, 1.2)
+    assert (first.time == 0.6).all() and (runs.time == 1.2).all()
+    assert not _law_misses(g, kern, params, initial, 1.2, "coalescing", runs)
 
 
 def test_coupled_legs_follow_the_exact_transient_law():

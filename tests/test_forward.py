@@ -143,9 +143,11 @@ def test_edge_marginal_transient_closed_form(p3):
     n = 20000
     stream = RngStream(31)
     hits = 0
+    params = ModelParams(p, v)
+    table = EventTable(g, kern, params)  # built and checked once, not per run
     initial = SpinBondState.constant(g, 1, -1)
     for i in range(n):
-        traj = simulate_forward(g, kern, ModelParams(p, v), initial, t, stream.substream(i))
+        traj = simulate_forward(g, table, params, initial, t, stream.substream(i))
         hits += traj.final_state.edge_signs[0] == 1
     se = math.sqrt(target * (1 - target) / n)
     assert abs(hits / n - target) < 3 * se

@@ -1,12 +1,13 @@
-"""Traced memory of the exact oracle: no generator-sized copy beyond one.
+"""Traced memory of the exact oracle and of one dual block.
 
 numpy reports its buffers to tracemalloc, so the traced peak of a call
 counts every array the call makes, the sparse matrices' arrays included.
-Each bound is in units of the generator's own arrays, and allows the
+Each oracle bound is in units of the generator's own arrays, and allows the
 matrix the call is about plus one generator-sized matrix beside it; the
 state-sized vectors of these chains are small beside either. A copy of
 L + diag(-row sums) at assembly, or a jump matrix I + L/lam made beside
-L (and then transposed), breaks the bound.
+L (and then transposed), breaks the bound. The dual block's bound is per
+(replica, edge) cell.
 """
 
 import tracemalloc
@@ -15,8 +16,10 @@ import numpy as np
 import pytest
 
 from spinbond import oracle
-from spinbond.forward import ModelParams
+from spinbond.dual import DualState, simulate_dual
+from spinbond.forward import EventTable, ModelParams
 from spinbond.graphs import builtin_graph, uniform_kernel
+from spinbond.rng import RngStream
 
 PARAMS = ModelParams(0.3, 1.0)
 
@@ -84,3 +87,20 @@ def test_duality_gap_table_holds_one_dual_generator():
     assert len(table) == L_d.shape[0]
     assert np.abs(table.lhs - table.rhs).max() < 1e-10
     assert peak < 3.0 * _generator_bytes(L_d)
+
+
+def test_dual_block_holds_its_edge_arrays_once():
+    # A block keeps one int8 status and one float64 last-seen time per
+    # (replica, edge) cell, 9 bytes; the bound of 14 leaves room for the
+    # per-replica arrays and for the end resolution's temporaries, which
+    # grow only with the revealed entries of a chunk of rows. Full-size
+    # (replica, edge) temporaries at the end break it.
+    g = builtin_graph("grid_torus", 10, 10)
+    table = EventTable(g, uniform_kernel(g), PARAMS)
+    initial = DualState.of(list(range(0, 100, 11)), [1, -1] * 5)  # ten walkers on the diagonal
+    size = 4096
+    traj, peak = _traced_peak(
+        lambda: simulate_dual(RngStream(5).generator(), size, g, table, PARAMS, initial, 5.0)
+    )
+    assert traj.status.shape == (size, g.edge_count) and traj.reveal_count > 0
+    assert peak <= 14 * size * g.edge_count

@@ -131,51 +131,51 @@ BATCHED_PINS = {
 
 DUAL_PINS = {
     ("cycle", (6,), 1, "coalescing", False, 4.0): dict(
-        positions=[5, 1, 5], signs=[-1, -1, 1], revealed=([], []), events=9,
-        reveals=2, time=4.0, stopped=False,
+        positions=[5, 2, 5], signs=[-1, -1, -1], revealed=([], [4]), events=10,
+        reveals=4, time=4.0, stopped=False,
     ),
     ("cycle", (6,), 1, "coalescing", True, 10000.0): dict(
-        positions=[5, 5, 5], signs=[-1, 1, 1], revealed=([0, 1], [5]), events=13,
-        reveals=5, time=5.579399310574031, stopped=True,
+        positions=[4, 4, 4], signs=[1, -1, 1], revealed=([3, 4], [5]), events=33,
+        reveals=18, time=17.02192623257505, stopped=True,
     ),
     ("cycle", (6,), 1, "independent", False, 4.0): dict(
-        positions=[5, 1, 5], signs=[-1, -1, 1], revealed=([], []), events=13,
-        reveals=2, time=4.0, stopped=False,
+        positions=[5, 2, 0], signs=[-1, -1, 1], revealed=([], [4, 5]), events=11,
+        reveals=4, time=4.0, stopped=False,
     ),
     ("cycle", (6,), 2, "coalescing", False, 4.0): dict(
-        positions=[0, 0, 0], signs=[1, -1, 1], revealed=([], [0, 1]), events=18,
-        reveals=8, time=4.0, stopped=False,
+        positions=[0, 0, 0], signs=[1, -1, -1], revealed=([], [4]), events=9,
+        reveals=5, time=4.0, stopped=False,
     ),
     ("cycle", (6,), 2, "coalescing", True, 10000.0): dict(
-        positions=[0, 0, 0], signs=[1, -1, 1], revealed=([], [0, 1, 2]), events=17,
-        reveals=8, time=3.8784672735296546, stopped=True,
+        positions=[0, 0, 0], signs=[1, -1, -1], revealed=([2, 5], [3, 4]), events=9,
+        reveals=5, time=3.4295975621264443, stopped=True,
     ),
     ("cycle", (6,), 2, "independent", False, 4.0): dict(
-        positions=[0, 1, 0], signs=[1, 1, 1], revealed=([], [1, 2]), events=19,
+        positions=[0, 0, 0], signs=[1, -1, -1], revealed=([0, 2], [4]), events=12,
         reveals=8, time=4.0, stopped=False,
     ),
     ("grid_torus", (3, 3), 1, "coalescing", False, 4.0): dict(
-        positions=[7, 1, 7], signs=[1, -1, 1], revealed=([], []), events=9,
-        reveals=3, time=4.0, stopped=False,
+        positions=[7, 7, 7], signs=[1, 1, 1], revealed=([], []), events=6,
+        reveals=4, time=4.0, stopped=False,
     ),
     ("grid_torus", (3, 3), 1, "coalescing", True, 10000.0): dict(
-        positions=[7, 7, 7], signs=[1, -1, 1], revealed=([15], []), events=10,
-        reveals=4, time=4.3297237092488, stopped=True,
+        positions=[4, 4, 4], signs=[1, 1, 1], revealed=([2, 6], [3]), events=5,
+        reveals=3, time=1.3862150878077126, stopped=True,
     ),
     ("grid_torus", (3, 3), 1, "independent", False, 4.0): dict(
-        positions=[7, 1, 8], signs=[1, -1, 1], revealed=([], []), events=13,
-        reveals=5, time=4.0, stopped=False,
+        positions=[7, 6, 4], signs=[1, 1, 1], revealed=([9], [3]), events=11,
+        reveals=8, time=4.0, stopped=False,
     ),
     ("grid_torus", (3, 3), 2, "coalescing", False, 4.0): dict(
-        positions=[1, 1, 7], signs=[1, 1, 1], revealed=([], []), events=14,
-        reveals=6, time=4.0, stopped=False,
+        positions=[1, 1, 1], signs=[1, 1, -1], revealed=([15], []), events=5,
+        reveals=4, time=4.0, stopped=False,
     ),
     ("grid_torus", (3, 3), 2, "coalescing", True, 10000.0): dict(
-        positions=[4, 4, 4], signs=[-1, -1, -1], revealed=([], [9]), events=18,
-        reveals=8, time=5.063648638792446, stopped=True,
+        positions=[1, 1, 1], signs=[1, 1, -1], revealed=([15], [4]), events=5,
+        reveals=4, time=2.3272355123726536, stopped=True,
     ),
     ("grid_torus", (3, 3), 2, "independent", False, 4.0): dict(
-        positions=[1, 5, 1], signs=[1, -1, 1], revealed=([], [2, 11, 13]), events=19,
+        positions=[1, 3, 0], signs=[1, 1, 1], revealed=([4, 7, 15], [0]), events=12,
         reveals=10, time=4.0, stopped=False,
     ),
 }
@@ -189,22 +189,22 @@ BIRTH_DEATH_PINS = {
 
 DUAL_ESTIMATE_PINS = {
     ("cycle", (6,)): {
-        "coalescing": 0.03154884353741496,
-        "independent": 0.030482448979591834,
-        "revealed_weight": 5.8996,
-        "mu_dyn": 0.2462,
+        "coalescing": 0.02721553741496598,
+        "independent": 0.029836911564625847,
+        "revealed_weight": 5.8478,
+        "mu_dyn": 0.2408,
         "censored": 0,
-        "time0": 5.614535910973497,
-        "time1": 1.0392834130344566,
+        "time0": 5.554582965904749,
+        "time1": 6.036723073890355,
     },
     ("grid_torus", (3, 3)): {
-        "coalescing": 0.022275199222546165,
-        "independent": 0.019872357628765793,
-        "revealed_weight": 11.275,
-        "mu_dyn": 0.221,
+        "coalescing": 0.021077484936831876,
+        "independent": 0.018627817298347914,
+        "revealed_weight": 10.8146,
+        "mu_dyn": 0.2204,
         "censored": 0,
-        "time0": 4.027044561513199,
-        "time1": 4.928776280341801,
+        "time0": 2.3371124244351984,
+        "time1": 1.365320277802381,
     },
 }
 
