@@ -206,6 +206,10 @@ def validate_config(raw: dict, env: dict | None = None) -> dict:
             raise ConfigError(
                 f"{SEED_ENV_VAR} must be an integer, got {seed_override!r}"
             ) from None
+        if cfg["seed"] < 0:
+            raise ConfigError(
+                f"{SEED_ENV_VAR} sets the seed, which must be >= 0, got {seed_override!r}"
+            )
     missing = sorted(k for k, spec in keys.items() if spec.default is REQUIRED and k not in cfg)
     if missing:
         raise ConfigError(
@@ -215,7 +219,14 @@ def validate_config(raw: dict, env: dict | None = None) -> dict:
         if key in cfg:
             _check(cfg, key, spec)
 
-    if needs_graph(cfg) and ("graph" in cfg) + ("graph_file" in cfg) != 1:
+    if not needs_graph(cfg):
+        unread = [key for key in ("graph", "graph_file", "kernel_file") if key in cfg]
+        if unread:
+            raise ConfigError(
+                f"experiment {experiment!r} reads {', '.join(map(repr, unread))} only "
+                "when 'check_domination' is true"
+            )
+    elif ("graph" in cfg) + ("graph_file" in cfg) != 1:
         raise ConfigError(
             f"experiment {experiment!r} needs exactly one of 'graph' or 'graph_file'"
         )

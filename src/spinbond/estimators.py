@@ -18,7 +18,6 @@ on substream i.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
@@ -102,6 +101,8 @@ def _collect(fn, replicas: int, stream: RngStream, workers: int = 1, block: int 
     units = -(-replicas // block)
     if workers <= 1 or units == 1:
         return _run_range((fn, stream, 0, units, replicas, block))
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = -(-units // workers)
     jobs = [
         (fn, stream, start, min(start + chunk, units), replicas, block)

@@ -101,12 +101,19 @@ def _label_components(n: int, adjacency) -> tuple[int, ...]:
     return tuple(labels)
 
 
+# How many sizes each builtin graph kind takes; an unknown kind is rejected below.
+_SIZE_COUNTS = {"path": 1, "cycle": 1, "complete": 1, "grid_torus": 2}
+
+
 def builtin_graph(kind: str, *sizes: int) -> Graph:
     """Named graph families: path, cycle, complete, grid_torus.
 
     ``grid_torus`` takes (rows, cols); wrap-around duplicates collapse to
     single edges and self-loops (from size-1 dimensions) are dropped.
     """
+    count = _SIZE_COUNTS.get(kind, len(sizes))
+    if len(sizes) != count:
+        raise ValueError(f"{kind} takes {count} size{'s' * (count > 1)}, got {len(sizes)}")
     if kind == "path":
         (n,) = sizes
         if n < 1:

@@ -15,22 +15,27 @@ laws come from uniformization, one series of products per segment of at
 most _SEGMENT_TIMES times on a grid; stationary laws from power iteration
 on the same jump matrix. The duality gap table's left side takes one pass
 over the forward law per walker position/sign block, not one per dual
-state, so it does not scale as |dual| * |forward|.
+state, so it does not scale as |dual| * |forward|. scipy is imported only
+where a generator is assembled (``scipy.sparse``) and where closed classes
+are counted (``scipy.sparse.csgraph``), so importing this module, or
+running any Monte Carlo path, loads none of it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .cylinders import CylinderEvent
 from .dual import DualState
 from .errors import StateSpaceCapError
 from .forward import ModelParams, SpinBondState, edge_flip_rate
 from .graphs import AdoptionKernel, Graph, require_valid_kernel
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FORWARD_STATE_CAP = 2**20
 DUAL_STATE_CAP = 2_000_000
@@ -124,6 +129,8 @@ def _assemble_generator(targets: np.ndarray, rates: np.ndarray) -> sp.csr_matrix
     off-diagonal entries in column order, as scipy's sum(axis=1) takes it,
     computed _ROW_BLOCK rows at a time.
     """
+    import scipy.sparse as sp
+
     size, slots = targets.shape
     targets[:, -1] = np.arange(size)
     rates[:, -1] = -1.0  # not 0, so that the diagonal keeps its place
@@ -287,6 +294,8 @@ def count_closed_classes(L: sp.csr_matrix) -> int:
     open when an entry leads out of it; the entries are read _ROW_BLOCK
     rows at a time.
     """
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, labels = connected_components(L, directed=True, connection="strong")
     is_open = np.zeros(n_comp, dtype=bool)
     for start in range(0, L.shape[0], _ROW_BLOCK):

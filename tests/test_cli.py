@@ -73,6 +73,8 @@ def test_seed_env_override(tmp_path):
     assert cfg2["seed"] == 9
     with pytest.raises(ConfigError):
         load_config(path, env={SEED_ENV_VAR: "not-a-number"})
+    with pytest.raises(ConfigError, match=f"{SEED_ENV_VAR} sets the seed, which must be >= 0"):
+        load_config(path, env={SEED_ENV_VAR: "-1"})
 
 
 def test_oracle_key_validated():
@@ -159,6 +161,10 @@ def test_graph_spec_parsing():
     for bad in ("cycle", "cycle:", "cycle:x", "mystery:3", "cycle:3:4"):
         with pytest.raises(ConfigError):
             parse_graph_spec(bad)
+    with pytest.raises(ConfigError, match="grid_torus takes 2 sizes, got 1"):
+        parse_graph_spec("grid_torus:3")
+    with pytest.raises(ConfigError, match="cycle takes 1 size, got 2"):
+        parse_graph_spec("cycle:3,4")
 
 
 def test_exactly_one_graph_source(tmp_path):
@@ -594,6 +600,9 @@ def test_cli_graph_subcommand(tmp_path, capsys):
     assert out[0] == "3 2"
     assert out[1:] == ["0 1", "1 2"]
     assert main(["graph", "cycle", "2"]) == 2  # too short for a cycle
+    capsys.readouterr()
+    assert main(["graph", "cycle", "3", "4"]) == 2
+    assert "cycle takes 1 size, got 2" in capsys.readouterr().err
 
     target = tmp_path / "g.txt"
     assert main(["graph", "grid_torus", "2", "2", "--out", str(target)]) == 0

@@ -248,6 +248,11 @@ FAULTS = [
     (MGF, {"times": [-1.0]}, "times"),
     (MGF, {"times": [0.0]}, "times"),
     (TV, {"t_max": 1.0, "t_step": 0.3}, "t_max"),
+    # mgf-check reads a graph only to check the domination bound.
+    (MGF, {"graph": "star:3"}, "check_domination"),
+    (MGF, {"graph": "cycle:3,4"}, "check_domination"),
+    (MGF, {"graph_file": "g.txt"}, "check_domination"),
+    (MGF, {"kernel_file": "k.txt"}, "check_domination"),
 ]
 
 

@@ -53,6 +53,12 @@ def test_builtin_families():
         builtin_graph("cycle", 2)
     with pytest.raises(ValueError, match="unknown builtin"):
         builtin_graph("star", 3)
+    with pytest.raises(ValueError, match="cycle takes 1 size, got 2"):
+        builtin_graph("cycle", 3, 4)
+    with pytest.raises(ValueError, match="path takes 1 size, got 0"):
+        builtin_graph("path")
+    with pytest.raises(ValueError, match="grid_torus takes 2 sizes, got 1"):
+        builtin_graph("grid_torus", 3)
 
 
 def test_grid_torus_small_cases():

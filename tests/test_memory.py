@@ -15,6 +15,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+# The oracle imports scipy.sparse and its csgraph on first use; importing
+# them here keeps a module's own import out of every traced peak, whatever
+# order the tests run in.
+import scipy.sparse.csgraph  # noqa: F401
+
 from spinbond import oracle
 from spinbond.dual import DualState, simulate_dual
 from spinbond.forward import EventTable, ModelParams
