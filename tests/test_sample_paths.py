@@ -4,13 +4,16 @@ The law, replay and record tests in test_forward.py, test_dual.py and
 test_estimators.py hold for any draws, so none of them sees a change in
 which numbers get drawn, or in what order. These literals can: any change
 to the draws of ``simulate_forward``, a one-replica ``simulate_dual``
-block, the batched birth-death block ``simulate_birth_death``, the batched
+block, whole 300-replica ``simulate_dual`` blocks and their records
+(hashed, so a change that permutes rows fails too), the batched
+birth-death block ``simulate_birth_death``, the batched
 forward estimator behind ``estimate_cylinder_probabilities`` or the
 ``simulate_dual`` blocks behind ``estimate_dual_side``,
 ``estimate_revealed_weight`` and ``estimate_mu_dyn`` fails here. A change
 that alters sample paths on purpose updates them, and says so.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -105,6 +108,50 @@ def _dual_estimates(kind, sizes):
     out.update(mu_dyn=mu.result.estimate, censored=mu.censored_count)
     out.update((f"time{i}", rep.time) for i, rep in enumerate(mu.reports))
     return out
+
+
+def _digest(arrays) -> str:
+    """sha256 of the arrays' dtypes, shapes and bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _dual_block(case):
+    """A 300-replica ``simulate_dual`` block on cycle:8 with its record.
+
+    ``target`` runs the coalescing rule to one class; ``t_max`` runs it to
+    t = 3, past walkers meeting, so the thinning rejects rings of non-lead
+    slots; ``independent`` runs the independent rule to t = 3; ``continued``
+    goes on to one class by t = 4 from a block stopped at two classes or
+    t = 1.5, so its replicas start from different clocks.
+    """
+    g = builtin_graph("cycle", 8)
+    kern = uniform_kernel(g)
+    initial = DualState.of([0, 2, 5], [1, -1, 1], revealed_positive=[1], revealed_negative=[3])
+    gen = RngStream(11).generator()
+    record = []
+    run = dict(target=1, record=record)
+    if case == "target":
+        traj = simulate_dual(gen, 300, g, kern, PARAMS, initial, 1e4, **run)
+    elif case == "t_max":
+        traj = simulate_dual(gen, 300, g, kern, PARAMS, initial, 3.0, record=record)
+    elif case == "independent":
+        traj = simulate_dual(gen, 300, g, kern, PARAMS, initial, 3.0, "independent", record=record)
+    else:
+        first = simulate_dual(gen, 300, g, kern, PARAMS, initial, 1.5, target=2)
+        traj = simulate_dual(gen, 300, g, kern, PARAMS, first, 4.0, **run)
+    names = ("positions", "signs", "status", "time", "stopped")
+    return traj, {
+        "block": _digest(getattr(traj, name) for name in names),
+        "events": traj.event_count,
+        "reveals": traj.reveal_count,
+        "record": _digest(column for step in record for column in step),
+        "steps": len(record),
+    }
 
 
 FORWARD_PINS = {
@@ -209,6 +256,30 @@ DUAL_ESTIMATE_PINS = {
 }
 
 
+DUAL_BLOCK_PINS = {
+    "continued": dict(
+        block="03e9e12fc35ca80a3af703ae73d4e39956a67dbe5398f6501732291c488f855f",
+        events=1791, reveals=1114, steps=20,
+        record="77bfcaaf5c6f943361cf08efe1b9565e432dc8591b3fadf0f1bd3a7343def226",
+    ),
+    "independent": dict(
+        block="65f923e7b02e3ce2b54c2885d31615f6e5c732c6abd71a477c997caee2657265",
+        events=2741, reveals=1729, steps=22,
+        record="31f5257c0f0339499600fe7184577a3abf418f804e48a9d371a9f58144d00bb1",
+    ),
+    "t_max": dict(
+        block="e5fd122c4422263fed86cd14c80e2041f191d2cb4e35386f4882d4fb1c5df46d",
+        events=2337, reveals=1598, steps=22,
+        record="c20ddddc936074cb1564dce928128f4260da7a65b351cc2350feb1f72e884e14",
+    ),
+    "target": dict(
+        block="c112203c97d6f559d116c0342916707b0f23de49d532c615741ff4381e2a43a5",
+        events=6402, reveals=4288, steps=154,
+        record="c873fed0b906e568a6c4dfa905ff37eb799e01a075dd31b474e671413b960a13",
+    ),
+}
+
+
 @pytest.mark.parametrize("case", sorted(FORWARD_PINS))
 def test_forward_sample_path_is_pinned(case):
     assert _forward_path(*case) == FORWARD_PINS[case]
@@ -233,3 +304,12 @@ def test_birth_death_values_are_pinned():
 def test_batched_dual_estimates_are_pinned(case):
     # Means of floats: equal to the last few ulps, not bit for bit.
     assert _dual_estimates(*case) == pytest.approx(DUAL_ESTIMATE_PINS[case], rel=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(DUAL_BLOCK_PINS))
+def test_whole_dual_block_is_pinned(case):
+    traj, pins = _dual_block(case)
+    assert pins == DUAL_BLOCK_PINS[case]
+    if case == "t_max":  # walkers met and kept ringing, so the thinning rejected rings
+        ordered = np.sort(traj.positions, axis=1)
+        assert (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).sum() > 100
