@@ -14,7 +14,9 @@ stay together for good. In the independent rule each walker has its own
 clock and moves alone.
 
 ``simulate_dual`` runs a block of replicas in lockstep as numpy arrays, by
-exact Gillespie on the walkers' rings with forgetting sampled lazily;
+exact Gillespie on the walkers' rings with forgetting sampled lazily. Its
+loop steps compact arrays of the live replicas' walkers, clocks and class
+counts, and writes a replica back to the block arrays when it stops;
 ``coupled_run`` runs the two rules on one shared history up to the first
 collision.
 """
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forward import EventTable, ModelParams
+from .forward import EventTable, ModelParams, check_t_max
 from .graphs import AdoptionKernel, Graph
 
 
@@ -57,6 +59,8 @@ class DualState:
         return len(self.positions)
 
     def validate(self, g: Graph) -> None:
+        if not self.positions:
+            raise ValueError("a dual state needs at least one walker")
         if len(self.signs) != len(self.positions):
             raise ValueError(
                 f"{len(self.positions)} positions but {len(self.signs)} signs"
@@ -208,11 +212,18 @@ def simulate_dual(
     many classes. Under the independent rule the only target is k - 1: from
     pairwise distinct sites, the first collision. ``record`` collects one
     ``DualEvents`` per step.
+
+    The loop holds only the live replicas, one column each: their walkers'
+    positions and signs, one row per walker slot, their clocks and their
+    class counts. A replica's column goes back to the block arrays when it
+    stops, at the target or at a ring past t_max, and only then are the
+    columns compacted. ``status`` and ``seen`` stay block-sized and are read
+    and written at the flat cell index replica * m + edge, never copied.
+    t_max must be finite and >= 0.
     """
     if mode not in ("coalescing", "independent"):
         raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    check_t_max(t_max)
     table = kernel if isinstance(kernel, EventTable) else EventTable(g, kernel, params)
     if table.params != params:
         raise ValueError(f"event table was built for {table.params}, not {params}")
@@ -231,49 +242,65 @@ def simulate_dual(
         clock = np.zeros(size)
     seen = np.empty(status.shape)
     seen[:] = clock[:, None]
-    n, k, p, v = g.vertex_count, pos.shape[1], params.p, params.v
+    n, m, k, p, v = g.vertex_count, g.edge_count, pos.shape[1], params.p, params.v
     coalescing = mode == "coalescing"
     if target is not None and not coalescing and target != k - 1:
         raise ValueError(f"the independent rule stops only at the first collision, k - 1 = {k - 1}")
     ordered = np.sort(pos, axis=1)
-    classes = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
-    stopped = classes <= (target or 0)  # without a target none stops: classes >= 1
-    live = np.flatnonzero(~stopped)
+    count = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)  # classes
+    stop = target or 0  # without a target none stops early: classes >= 1
+    stopped = np.zeros(size, dtype=bool)
+    # One column per live replica, in block order: block index, walkers,
+    # clock and class count.
+    live, here, signs, now = np.arange(size), pos.T.copy(), sgn.T.copy(), clock.copy()
+    on = np.ones(size, dtype=bool)  # not past t_max
+    cells_status, cells_seen = status.reshape(-1), seen.reshape(-1)
+    below = np.arange(k)[:, None]
     events = reveals = 0
-    while live.size:
-        t = clock[live] + gen.standard_exponential(live.size) / k
-        draws = gen.random((3, live.size))
-        on = t <= t_max
-        live, t, (u, w, q) = live[on], t[on], draws[:, on]
-        clock[live] = t
-        r, slot = live, np.minimum((u * k).astype(np.intp), k - 1)
-        here = pos[r]
-        z = here[np.arange(r.size), slot]
-        if coalescing:
-            movers = here == z[:, None]
-            lead = movers.argmax(axis=1) == slot
-            r, t, z, w, q = r[lead], t[lead], z[lead], w[lead], q[lead]
-            here, movers = here[lead], movers[lead]
+    while True:
+        leave = ~on | (count <= stop)
+        if leave.any():
+            out, keep = live[leave], ~leave
+            stopped[out], clock[out] = count[leave] <= stop, now[leave]
+            pos[out], sgn[out] = here.compress(leave, axis=1).T, signs.compress(leave, axis=1).T
+            live, now, count = live[keep], now[keep], count[keep]
+            here, signs = here.compress(keep, axis=1), signs.compress(keep, axis=1)
+        if not live.size:
+            break
+        width = live.size
+        now = now + gen.standard_exponential(width) / k
+        u, w, q = gen.random((3, width))
+        on = now <= t_max  # a column past t_max does not move, and leaves
+        slot = np.minimum((u * k).astype(np.intp), k - 1)
+        z = here.reshape(-1).take(slot * width + np.arange(width))
+        if coalescing:  # only the lowest-indexed walker on a site moves it
+            movers = here == z
+            move = on & ~(movers & (below < slot)).any(axis=0)
         else:
-            movers = slot[:, None] == np.arange(k)
+            movers, move = below == slot, on
         y, e = table.columns(z, w)
-        e -= n
-        s = status[r, e]
-        a = (s != 0) * np.exp(-v * (t - seen[r, e]))
+        j = slice(None)  # the columns that move
+        if not move.all():
+            j = np.flatnonzero(move)
+            movers &= move
+        r, t, e, q = live[j], now[j], e[j] - n, q[j]
+        cell = r * m + e
+        s = cells_status[cell]
+        a = (s != 0) * np.exp(-v * (t - cells_seen[cell]))
         fresh = q >= a
         s = np.where(fresh, np.where(q - a < p * (1.0 - a), _PLUS, _MINUS), s)
-        status[r, e] = s
-        seen[r, e] = t
+        cells_status[cell] = s
+        cells_seen[cell] = t
         if target is not None:  # a move onto an occupied site merges two classes
-            classes[r] -= (here == y[:, None]).any(axis=1)
-            stopped[r[classes[r] <= target]] = True
-            live = live[~stopped[live]]
-        pos[r] = np.where(movers, y[:, None], here)
-        sgn[r] *= np.where(movers, s[:, None], _PLUS)
+            count -= (here == y).any(axis=0) & move
+        flip = np.ones(width, dtype=np.int8)
+        flip[j] = s
+        here = np.where(movers, y, here)
+        signs = signs * np.where(movers, flip, _PLUS)
         events += r.size
         reveals += int(np.count_nonzero(fresh))
         if record is not None:
-            record.append(DualEvents(r, t, e, s, fresh, pos[r], sgn[r]))
+            record.append(DualEvents(r, t, e, s, fresh, here[:, j].T, signs[:, j].T))
     time = np.where(stopped, clock, t_max)
     seen -= time[:, None]  # minus each entry's time since it was last seen
     for lo in range(0, size, _RESOLVE_ROWS):  # row chunks bound the per-entry temporaries

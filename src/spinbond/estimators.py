@@ -30,6 +30,7 @@ from .forward import (
     EventTable,
     ModelParams,
     SpinBondState,
+    check_t_max,
     sample_product_state,
     simulate_forward,
 )
@@ -409,6 +410,7 @@ def simulate_birth_death(gen, size: int, r0: int, v: float, t_max: float) -> np.
     draws one exponential waiting time at its total rate 1 + v k and one
     uniform that picks a birth with probability 1 / (1 + v k).
     """
+    check_t_max(t_max)
     k = np.full(size, r0, dtype=np.int64)
     clock = np.zeros(size)
     live = np.arange(size)

@@ -19,6 +19,7 @@ ring count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,6 +189,12 @@ class ForwardTrajectory:
     checkpoint_rows: list[tuple[float, str, float]]
 
 
+def check_t_max(t_max: float) -> None:
+    """Raise unless ``t_max`` is a finite time >= 0: an infinite horizon never ends a run."""
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+
+
 # Rings drawn per chunk at most, so that memory stays bounded however long
 # the run.
 CHUNK_CAP = 1 << 12
@@ -226,8 +233,7 @@ def simulate_forward(
     sites = initial.site_signs.tolist()
     edges = initial.edge_signs.tolist()
     _check_sign_values(sites, edges)
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    check_t_max(t_max)
 
     checkpoints = sorted(checkpoint_times)
     if checkpoints and checkpoints[0] < 0:

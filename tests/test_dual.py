@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from spinbond.rng import RngStream
 
 
 def test_dual_state_validation(p3):
-    g, _ = p3
+    g, kern = p3
     DualState.of([0, 2], [1, -1], revealed_positive=[0], revealed_negative=[1]).validate(g)
     with pytest.raises(ValueError, match="both signs"):
         DualState.of([0], [1], revealed_positive=[0], revealed_negative=[0]).validate(g)
@@ -27,6 +28,24 @@ def test_dual_state_validation(p3):
         DualState.of([0, 1], [1]).validate(g)
     with pytest.raises(ValueError, match="revealed edge"):
         DualState.of([0], [1], revealed_positive=[7]).validate(g)
+    with pytest.raises(ValueError, match="at least one walker"):
+        DualState.of([], []).validate(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero warning before the error
+        with pytest.raises(ValueError, match="at least one walker"):
+            simulate_dual(
+                RngStream(0).generator(), 4, g, kern, ModelParams(0.5, 1.0), DualState.of([], []), 1.0
+            )
+
+
+@pytest.mark.parametrize("t_max", [-1.0, math.inf, math.nan])
+def test_dual_rejects_a_horizon_that_is_not_a_finite_time(c6, t_max):
+    # An infinite horizon never ended the loop; a NaN one gave NaN times.
+    g, kern = c6
+    with pytest.raises(ValueError, match="t_max must be finite and >= 0"):
+        simulate_dual(
+            RngStream(0).generator(), 2, g, kern, ModelParams(0.5, 1.0), DualState.of([0], [1]), t_max
+        )
 
 
 def test_block_start_is_checked_against_the_graph():

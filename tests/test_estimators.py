@@ -674,6 +674,13 @@ def test_batched_birth_death_follows_the_closed_form_law(r0, t, v):
     assert np.all(np.abs(got - want) <= 4.0 * sigma + 1e-12), (got, want)
 
 
+@pytest.mark.parametrize("t_max", [-1.0, math.inf, math.nan])
+def test_birth_death_rejects_a_horizon_that_is_not_a_finite_time(t_max):
+    # An infinite horizon never ended the loop; a NaN one returned the start.
+    with pytest.raises(ValueError, match="t_max must be finite and >= 0"):
+        est.simulate_birth_death(RngStream(0).generator(), 4, 2, 1.0, t_max)
+
+
 def test_mgf_monte_carlo_within_three_sigma():
     v, theta, t, r0 = 1.5, -0.7, 1.2, 2
     res = est.estimate_mgf(theta, t, v, r0, replicas=20000, stream=RngStream(13))

@@ -199,6 +199,14 @@ def test_checkpoint_before_time_zero_is_rejected(p3):
         )
 
 
+@pytest.mark.parametrize("t_max", [-1.0, math.inf, math.nan])
+def test_simulate_rejects_a_horizon_that_is_not_a_finite_time(p3, t_max):
+    g, kern = p3
+    state = striped_state(g)
+    with pytest.raises(ValueError, match="t_max must be finite and >= 0"):
+        simulate_forward(g, kern, ModelParams(0.5, 1.0), state, t_max, RngStream(0))
+
+
 def test_event_table_must_match_the_params(p3):
     g, kern = p3
     table = EventTable(g, kern, ModelParams(0.5, 1.0))
