@@ -16,6 +16,7 @@ from .dual import (
 )
 from .errors import CensoringError, ConfigError, SpinBondError, StateSpaceCapError
 from .forward import (
+    EventTable,
     ForwardTrajectory,
     ModelParams,
     SpinBondState,
@@ -47,6 +48,7 @@ __all__ = [
     "DualEvents",
     "DualState",
     "DualTrajectory",
+    "EventTable",
     "ForwardTrajectory",
     "Graph",
     "ModelParams",

@@ -35,18 +35,6 @@ class CylinderEvent:
             _label="&".join(parts) if parts else "full",
         )
 
-    @staticmethod
-    def edges_positive_negative(positive, negative) -> "CylinderEvent":
-        """Cylinder pinning one edge set to +1 and a disjoint set to -1."""
-        positive = set(positive)
-        negative = set(negative)
-        overlap = positive & negative
-        if overlap:
-            raise ValueError(f"edges {sorted(overlap)} constrained to both signs")
-        edges = {e: 1 for e in positive}
-        edges.update({e: -1 for e in negative})
-        return CylinderEvent.of(edges=edges)
-
     def matches(self, site_signs, edge_signs) -> bool:
         for x, s in self.site_constraints:
             if site_signs[x] != s:
@@ -62,14 +50,6 @@ class CylinderEvent:
         Built once in ``of``: forward runs record it at every checkpoint.
         """
         return self._label
-
-    @property
-    def positive_edges(self) -> frozenset[int]:
-        return frozenset(e for e, s in self.edge_constraints if s > 0)
-
-    @property
-    def negative_edges(self) -> frozenset[int]:
-        return frozenset(e for e, s in self.edge_constraints if s < 0)
 
 
 def single_constraint_events(g) -> list[CylinderEvent]:

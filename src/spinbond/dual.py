@@ -13,8 +13,9 @@ occupied site and every walker there moves together, so walkers that meet
 stay together for good. In the independent rule each walker has its own
 clock and moves alone.
 
-``simulate_dual`` runs a block of replicas in lockstep as numpy arrays, by
-exact Gillespie on the walkers' rings with forgetting sampled lazily. Its
+``simulate_dual`` runs a block of replicas of one model, an ``EventTable``
+that holds the graph, the kernel and (p, v), in lockstep as numpy arrays,
+by exact Gillespie on the walkers' rings with forgetting sampled lazily. Its
 loop steps compact arrays of the live replicas' walkers, clocks and class
 counts, and writes a replica back to the block arrays when it stops;
 ``coupled_run`` runs the two rules on one shared history up to the first
@@ -28,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forward import EventTable, ModelParams, check_t_max
-from .graphs import AdoptionKernel, Graph
+from .forward import EventTable, check_t_max
+from .graphs import Graph
 
 
 @dataclass
@@ -177,20 +178,17 @@ _RESOLVE_ROWS = 512
 def simulate_dual(
     gen: np.random.Generator,
     size: int,
-    g: Graph,
-    kernel: AdoptionKernel | EventTable,
-    params: ModelParams,
+    table: EventTable,
     initial: DualState | DualTrajectory,
     t_max: float,
     mode: str = "coalescing",
     target: int | None = None,
     record: list | None = None,
 ) -> DualTrajectory:
-    """``size`` dual runs in lockstep, each stopped at t_max or at ``target`` classes.
+    """``size`` dual runs of the model ``table`` in lockstep, to t_max or ``target`` classes.
 
     ``initial`` is one ``DualState`` for every replica, or a block of the
-    same size, whose replicas go on from their stop times and states. An
-    ``EventTable`` built for ``params`` may stand in for the kernel.
+    same size, whose replicas go on from their stop times and states.
 
     Each running replica draws its next ring at the constant rate k, with k
     walkers, so this is exact Gillespie. The ring belongs to a uniformly
@@ -198,7 +196,7 @@ def simulate_dual(
     that slot's site, but only when the slot is the lowest-indexed walker
     there: each occupied site rings at rate 1 after this thinning. Under the
     independent rule it moves that walker alone. The neighbour and joining
-    edge come from the site rows of the ``EventTable``.
+    edge come from the site rows of ``table``.
 
     Forgetting is sampled lazily. ``seen`` holds, per replica and edge, the
     last time the edge's status was known. An edge revealed then is still
@@ -224,9 +222,7 @@ def simulate_dual(
     if mode not in ("coalescing", "independent"):
         raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
     check_t_max(t_max)
-    table = kernel if isinstance(kernel, EventTable) else EventTable(g, kernel, params)
-    if table.params != params:
-        raise ValueError(f"event table was built for {table.params}, not {params}")
+    g = table.g
     initial.validate(g)
     if isinstance(initial, DualTrajectory):
         if initial.time.shape != (size,):
@@ -242,7 +238,7 @@ def simulate_dual(
         clock = np.zeros(size)
     seen = np.empty(status.shape)
     seen[:] = clock[:, None]
-    n, m, k, p, v = g.vertex_count, g.edge_count, pos.shape[1], params.p, params.v
+    n, m, k, p, v = g.vertex_count, g.edge_count, pos.shape[1], table.params.p, table.params.v
     coalescing = mode == "coalescing"
     if target is not None and not coalescing and target != k - 1:
         raise ValueError(f"the independent rule stops only at the first collision, k - 1 = {k - 1}")
@@ -314,13 +310,11 @@ def simulate_dual(
 def coupled_run(
     gen: np.random.Generator,
     size: int,
-    g: Graph,
-    kernel: AdoptionKernel | EventTable,
-    params: ModelParams,
+    table: EventTable,
     initial: DualState,
     t_max: float,
 ) -> tuple[DualTrajectory, DualTrajectory, DualTrajectory]:
-    """Couple the independent and coalescing rules on one noise history.
+    """Couple the independent and coalescing rules of the model ``table`` on one noise history.
 
     Returns ``(head, coalescing, independent)`` blocks of ``size`` runs. The
     head runs the independent rule to each replica's first collision, which
@@ -332,12 +326,11 @@ def coupled_run(
     """
     if len(set(initial.positions)) != len(initial.positions):
         raise ValueError("coupled_run requires pairwise distinct starting sites")
-    table = kernel if isinstance(kernel, EventTable) else EventTable(g, kernel, params)
     k = initial.walker_count
-    head = simulate_dual(gen, size, g, table, params, initial, t_max, "independent", k - 1)
+    head = simulate_dual(gen, size, table, initial, t_max, "independent", k - 1)
     child = gen.spawn(1)[0]
-    coalescing = simulate_dual(child, size, g, table, params, head, t_max)
-    independent = simulate_dual(gen, size, g, table, params, head, t_max, "independent")
+    coalescing = simulate_dual(child, size, table, head, t_max)
+    independent = simulate_dual(gen, size, table, head, t_max, "independent")
     return head, coalescing, independent
 
 

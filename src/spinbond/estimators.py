@@ -9,10 +9,14 @@ and edge clocks (``_cylinder_hits``); dual runs draw each replica's next
 move at the walkers' rate and sample edge forgetting lazily
 (``dual.simulate_dual``); birth-death runs are batched Gillespie
 (``simulate_birth_death``). ``raw-simulate`` outputs paths, so it runs
-``simulate_forward`` once per replica on the replica's own substream,
-sharing one event table; that run makes exactly the draws of a one-replica
+``simulate_forward`` in blocks of one replica, on the replica's own
+substream; that run makes exactly the draws of a one-replica
 ``_cylinder_hits`` block, so replica i of ``raw-simulate`` is such a block
 on substream i.
+
+The model is one argument: the ``EventTable`` that holds the graph, the
+kernel and (p, v). The estimators hand it as it is to every block, in this
+process or a worker's.
 """
 
 from __future__ import annotations
@@ -26,15 +30,8 @@ import numpy as np
 
 from .dual import CoalescenceReport, DualState, DualTrajectory, simulate_dual
 from .errors import CensoringError
-from .forward import (
-    EventTable,
-    ModelParams,
-    SpinBondState,
-    check_t_max,
-    sample_product_state,
-    simulate_forward,
-)
-from .graphs import AdoptionKernel, Graph
+from .forward import EventTable, SpinBondState, check_t_max, sample_product_state, simulate_forward
+from .graphs import Graph, closed_classes
 from .rng import RngStream
 
 DEFAULT_CENSOR_TOLERANCE = 1e-3
@@ -85,17 +82,15 @@ def _summarize(label: str, values: np.ndarray) -> EstimateResult:
 
 def _run_range(job):
     fn, stream, start, stop, replicas, block = job
-    if block == 1:
-        return [fn(stream.substream(i)) for i in range(start, stop)]
     return [fn(stream.substream(b), min(block, replicas - b * block)) for b in range(start, stop)]
 
 
-def _collect(fn, replicas: int, stream: RngStream, workers: int = 1, block: int = 1) -> list:
-    """Evaluate fn on one substream per replica, in replica order.
+def _collect(fn, replicas: int, stream: RngStream, workers: int, block: int) -> list:
+    """Evaluate fn on blocks of ``block`` replicas, in block order.
 
-    With ``block`` > 1 the replicas go in blocks of that many, the last one
-    possibly short, and block b calls ``fn(stream.substream(b), size)``
-    once. Workers get contiguous runs of whole blocks.
+    The last block is possibly short, and block b calls
+    ``fn(stream.substream(b), size)`` once. Workers get contiguous runs of
+    whole blocks.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
@@ -116,22 +111,25 @@ def _collect(fn, replicas: int, stream: RngStream, workers: int = 1, block: int 
     return out
 
 
-def _forward_cylinder_replica(gen, g, table, initial, t_max, times, cylinders):
-    """One forward run on [0, t_max]: its checkpoint rows and final state."""
+def _forward_cylinder_replica(gen, size, table, initial, t_max, times, cylinders):
+    """A block of one forward run on [0, t_max]: its checkpoint rows and final state.
+
+    ``size`` is 1: a path needs a substream of its own.
+    """
     if isinstance(initial, ProductInitial):
-        initial = sample_product_state(g, gen, initial.site_plus_prob, initial.edge_plus_prob)
-    traj = simulate_forward(g, table, table.params, initial, t_max, gen, times, cylinders)
+        initial = sample_product_state(table.g, gen, initial.site_plus_prob, initial.edge_plus_prob)
+    traj = simulate_forward(table, initial, t_max, gen, times, cylinders)
     return traj.checkpoint_rows, traj.final_state
 
 
-def _cylinder_hits(gen, size, g, table, initial, times, cylinders) -> np.ndarray:
+def _cylinder_hits(gen, size, table, initial, times, cylinders) -> np.ndarray:
     """How many of ``size`` forward runs hit each (time, cylinder), times outermost.
 
     Per checkpoint interval every run draws its count of rings of the
     uniformized chain (``EventTable``); the runs are sorted by count, so that
     the ones with a ring left are a prefix, and that prefix steps at once.
     """
-    n, m = g.vertex_count, g.edge_count
+    n, m = table.g.vertex_count, table.g.edge_count
     # Start rows: a ProductInitial drawn in one call per sign array, or a fixed state tiled.
     state = np.empty((size, n + m + 2), dtype=np.int8)
     if isinstance(initial, ProductInitial):
@@ -167,9 +165,7 @@ def _cylinder_hits(gen, size, g, table, initial, times, cylinders) -> np.ndarray
 
 
 def estimate_cylinder_probabilities(
-    g: Graph,
-    kernel: AdoptionKernel,
-    params: ModelParams,
+    table: EventTable,
     initial: SpinBondState | ProductInitial,
     times,
     cylinders,
@@ -177,7 +173,7 @@ def estimate_cylinder_probabilities(
     stream: RngStream,
     workers: int = 1,
 ) -> dict[tuple[float, str], EstimateResult]:
-    """Forward-simulation estimates of cylinder probabilities.
+    """Forward-simulation estimates of cylinder probabilities under the model ``table``.
 
     One trajectory per replica serves every requested time and cylinder;
     keys of the result are (time, cylinder label). Replicas run in blocks
@@ -188,15 +184,8 @@ def estimate_cylinder_probabilities(
     if not times or times[0] < 0:
         raise ValueError(f"checkpoint times must be given and >= 0, got {times}")
     if not isinstance(initial, ProductInitial):
-        initial.validate(g)
-    fn = partial(
-        _cylinder_hits,
-        g=g,
-        table=EventTable(g, kernel, params),
-        initial=initial,
-        times=times,
-        cylinders=cylinders,
-    )
+        initial.validate(table.g)
+    fn = partial(_cylinder_hits, table=table, initial=initial, times=times, cylinders=cylinders)
     hits = np.sum(_collect(fn, replicas, stream, workers, block=REPLICA_BLOCK), axis=0)
     out: dict[tuple[float, str], EstimateResult] = {}
     for (t, cyl), count in zip(product(times, cylinders), hits.tolist()):
@@ -207,16 +196,14 @@ def estimate_cylinder_probabilities(
     return out
 
 
-def _dual_runs(g, kernel, params, replicas, stream, workers, **run):
+def _dual_runs(table, replicas, stream, workers, **run):
     """``simulate_dual(..., **run)`` over ``replicas`` runs in blocks, joined in replica order."""
-    fn = partial(simulate_dual, g=g, kernel=EventTable(g, kernel, params), params=params, **run)
+    fn = partial(simulate_dual, table=table, **run)
     return DualTrajectory.join(_collect(fn, replicas, stream, workers, block=REPLICA_BLOCK))
 
 
 def estimate_dual_side(
-    g: Graph,
-    kernel: AdoptionKernel,
-    params: ModelParams,
+    table: EventTable,
     forward_state: SpinBondState,
     initial: DualState,
     t: float,
@@ -225,7 +212,7 @@ def estimate_dual_side(
     workers: int = 1,
     mode: str = "coalescing",
 ) -> EstimateResult:
-    """Dual-side Monte Carlo value of the duality identity.
+    """Dual-side Monte Carlo value of the duality identity under the model ``table``.
 
     Holds the spin-bond configuration fixed, evolves the dual for time t in
     each replica, and averages the duality weight of the evolved dual
@@ -234,21 +221,18 @@ def estimate_dual_side(
     probability of the cylinder event the dual initial condition encodes,
     so at t=0 the value is exactly that event's indicator.
     """
-    forward_state.validate(g)
-    if not 0.0 < params.p < 1.0:
-        raise ValueError(f"duality weights need p in (0,1), got {params.p}")
-    prefactor = params.p ** len(initial.revealed_positive) * (1.0 - params.p) ** len(
-        initial.revealed_negative
-    )
+    p = table.params.p
+    forward_state.validate(table.g)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"duality weights need p in (0,1), got {p}")
+    prefactor = p ** len(initial.revealed_positive) * (1.0 - p) ** len(initial.revealed_negative)
     parts = [
         f"site{x}={'+' if s > 0 else '-'}1"
         for x, s in zip(initial.positions, initial.signs)
     ]
     parts += [f"edge{e}=+1" for e in sorted(initial.revealed_positive)]
     parts += [f"edge{e}=-1" for e in sorted(initial.revealed_negative)]
-    runs = _dual_runs(
-        g, kernel, params, replicas, stream, workers, initial=initial, t_max=t, mode=mode
-    )
+    runs = _dual_runs(table, replicas, stream, workers, initial=initial, t_max=t, mode=mode)
     pos, sgn, status = runs.positions, runs.signs, runs.status
     # duality_weight per replica: zero unless every walker sits on a site of
     # its sign and every revealed edge shows its revealed sign, else 1/p per
@@ -256,7 +240,7 @@ def estimate_dual_side(
     match = (forward_state.site_signs[pos] == sgn).all(axis=1)
     match &= ((status == 0) | (status == forward_state.edge_signs)).all(axis=1)
     plus, minus = (status == 1).sum(axis=1), (status == -1).sum(axis=1)
-    weight = np.where(match, params.p**-plus * (1.0 - params.p) ** -minus, 0.0)
+    weight = np.where(match, p**-plus * (1.0 - p) ** -minus, 0.0)
     return _summarize(f"dual_side:t={t:g}:{'&'.join(parts)}", prefactor * weight)
 
 
@@ -271,9 +255,7 @@ class TvDecayPoint:
 
 
 def estimate_tv_decay(
-    g: Graph,
-    kernel: AdoptionKernel,
-    params: ModelParams,
+    table: EventTable,
     initial_a: SpinBondState | ProductInitial,
     initial_b: SpinBondState | ProductInitial,
     times,
@@ -291,10 +273,10 @@ def estimate_tv_decay(
     """
     cylinders = list(cylinders)
     est_a = estimate_cylinder_probabilities(
-        g, kernel, params, initial_a, times, cylinders, replicas, stream.child(0), workers
+        table, initial_a, times, cylinders, replicas, stream.child(0), workers
     )
     est_b = estimate_cylinder_probabilities(
-        g, kernel, params, initial_b, times, cylinders, replicas, stream.child(1), workers
+        table, initial_b, times, cylinders, replicas, stream.child(1), workers
     )
     points: list[TvDecayPoint] = []
     for t in sorted(times):
@@ -323,9 +305,7 @@ class MuDynResult:
 
 
 def estimate_mu_dyn(
-    g: Graph,
-    kernel: AdoptionKernel,
-    params: ModelParams,
+    table: EventTable,
     sites,
     signs,
     replicas: int,
@@ -337,13 +317,18 @@ def estimate_mu_dyn(
     censor_tolerance: float = DEFAULT_CENSOR_TOLERANCE,
     report_limit: int = 100,
 ) -> MuDynResult:
-    """Stationary cylinder mass estimated through the coalescing dual.
+    """Stationary cylinder mass under the model ``table``, through the coalescing dual.
 
     Each replica runs walkers started on the constrained sites until they
-    form one class per occupied component; the replica value is 2^-(number
-    of classes) when every class carries a single sign and 0 otherwise. The
-    revealed-edge constraint only rescales the estimate by its exact factor
-    p^|positive| (1-p)^|negative|.
+    form one class per closed class of the kernel's walk that they occupy
+    (``closed_classes``): walkers in two closed classes never meet. The
+    replica value is 2^-(number of classes) when every class carries a
+    single sign and 0 otherwise. Each closed class runs as a chain of its
+    own, so the stationary law is a product over them, and each one's
+    ancestor sign is a fair coin. A start site outside every closed class
+    raises ``ValueError``: the walk leaves it for good, so its final class
+    count is random. The revealed-edge constraint only rescales the
+    estimate by its exact factor p^|positive| (1-p)^|negative|.
 
     Replicas still uncoalesced at the time cap are censored: they are left
     out of the mean and only counted, and more than ``censor_tolerance`` of
@@ -356,12 +341,14 @@ def estimate_mu_dyn(
             f"all-+1 site constraints, got signs {signs}"
         )
     initial = DualState.of(sites, signs, revealed_positive, revealed_negative)
+    classes = closed_classes(table.kernel)
+    for z in initial.positions:
+        if classes[z] is None:
+            raise ValueError(f"start site {z} is transient: the kernel's walk leaves it for good")
     if t_cap is None:
-        t_cap = default_time_cap(g)
-    target = len({g.component_ids[z] for z in initial.positions})  # occupied components
-    runs = _dual_runs(
-        g, kernel, params, replicas, stream, workers, initial=initial, t_max=t_cap, target=target
-    )
+        t_cap = default_time_cap(table.g)
+    target = len({classes[z] for z in initial.positions})  # occupied closed classes
+    runs = _dual_runs(table, replicas, stream, workers, initial=initial, t_max=t_cap, target=target)
     pos, sgn, time, coalesced = runs.positions, runs.signs, runs.time, runs.stopped
     reports = tuple(
         CoalescenceReport.of(DualState.of(at.tolist(), sg.tolist()), float(t), not done)
@@ -378,9 +365,8 @@ def estimate_mu_dyn(
     together = pos[coalesced, :, None] == pos[coalesced, None, :]
     clash = together & (sgn[coalesced, :, None] != sgn[coalesced, None, :])
     values = np.where(clash.any(axis=(1, 2)), 0.0, 0.5**target)
-    prefactor = params.p ** len(initial.revealed_positive) * (1.0 - params.p) ** len(
-        initial.revealed_negative
-    )
+    p = table.params.p
+    prefactor = p ** len(initial.revealed_positive) * (1.0 - p) ** len(initial.revealed_negative)
     site_part = "&".join(
         f"site{x}={'+' if s > 0 else '-'}1" for x, s in zip(sites, signs)
     )
@@ -440,9 +426,7 @@ def estimate_mgf(
 
 
 def estimate_revealed_weight(
-    g: Graph,
-    kernel: AdoptionKernel,
-    params: ModelParams,
+    table: EventTable,
     initial: DualState,
     theta: float,
     t: float,
@@ -450,7 +434,7 @@ def estimate_revealed_weight(
     stream: RngStream,
     workers: int = 1,
 ) -> EstimateResult:
-    """Sample mean of exp(theta * revealed-set size) at time t."""
-    runs = _dual_runs(g, kernel, params, replicas, stream, workers, initial=initial, t_max=t)
+    """Sample mean of exp(theta * revealed-set size) at time t under the model ``table``."""
+    runs = _dual_runs(table, replicas, stream, workers, initial=initial, t_max=t)
     size = np.count_nonzero(runs.status, axis=1)
     return _summarize(f"revealed_weight:theta={theta:g},t={t:g}", np.exp(theta * size))

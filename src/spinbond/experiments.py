@@ -1,8 +1,10 @@
 """Experiment runners behind the command line interface.
 
-``run_experiment`` is the one skeleton: it builds the graph, kernel and
-model parameters when the config needs a graph, hands them with an empty
-result to the experiment's runner, and records the runner's verdict. A
+``run_experiment`` is the one skeleton: when the config needs a graph, it
+compiles the model, graph, kernel and parameters, into one ``EventTable``,
+hands it with an empty result to the experiment's runner, and records the
+runner's verdict. The Monte Carlo estimators take that table; the exact
+oracle, the reference side, takes its ``g``, ``kernel`` and ``params``. A
 runner appends human-readable summary lines, writes its files through the
 result, and returns True, False, or None when no gate applies. JSON output
 comes from ``json.dumps``, whose floats round-trip exactly (``inf`` and
@@ -39,14 +41,8 @@ from .estimators import (
     estimate_revealed_weight,
     estimate_tv_decay,
 )
-from .forward import (
-    EventTable,
-    ModelParams,
-    SpinBondState,
-    read_state_file,
-    write_state_file,
-)
-from .graphs import Graph, read_graph_file, read_kernel_file, require_valid_kernel, uniform_kernel
+from .forward import EventTable, ModelParams, SpinBondState, read_state_file, write_state_file
+from .graphs import Graph, read_graph_file, read_kernel_file, uniform_kernel
 from .rng import RngStream
 
 # Numerical cushion on statistical gates so zero-variance estimators are
@@ -171,8 +167,8 @@ def _estimate_record(
     return rec
 
 
-def _build_model(cfg: dict):
-    """The config's graph, its validated kernel, and the model parameters."""
+def _build_model(cfg: dict) -> EventTable:
+    """The config's model: its graph, its validated kernel and (p, v), compiled once."""
     if "graph" in cfg:
         g = parse_graph_spec(cfg["graph"])
     else:
@@ -193,10 +189,9 @@ def _build_model(cfg: dict):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     try:
-        require_valid_kernel(g, kernel)
+        return EventTable(g, kernel, ModelParams(p=cfg["p"], v=cfg["v"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return g, kernel, ModelParams(p=cfg["p"], v=cfg["v"])
 
 
 def _load_state(cfg: dict, key: str, g: Graph) -> SpinBondState | None:
@@ -317,26 +312,24 @@ def run_experiment(cfg: dict, write_outputs: bool = True) -> ExperimentResult:
     }[cfg["experiment"]]
     out_dir = Path(cfg["output_dir"]) if write_outputs and "output_dir" in cfg else None
     result = ExperimentResult(cfg["experiment"], out_dir=out_dir)
-    model = _build_model(cfg) if needs_graph(cfg) else (None, None, None)
+    model = _build_model(cfg) if needs_graph(cfg) else None
     stream = RngStream(cfg["seed"], (cfg["stream"], 0))
-    result.passed = runner(cfg, result, stream, *model)
+    result.passed = runner(cfg, result, stream, model)
     return result
 
 
-def _run_duality_check(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
-    forward_initial = _load_state(cfg, "forward_initial_file", g) or _striped_state(g)
+def _run_duality_check(cfg: dict, result: ExperimentResult, stream, model: EventTable):
+    forward_initial = _load_state(cfg, "forward_initial_file", model.g) or _striped_state(model.g)
     return _exact_or_mc(
         "exact check unavailable ({}); using Monte Carlo cross-check",
         _duality_check_exact, _duality_check_mc,
-        cfg, result, stream, g, kernel, params, forward_initial,
+        cfg, result, stream, model, forward_initial,
     )
 
 
-def _duality_check_exact(
-    cfg: dict, result: ExperimentResult, stream, g, kernel, params, forward_initial
-):
+def _duality_check_exact(cfg: dict, result: ExperimentResult, stream, model, forward_initial):
     table = oracle.duality_gap_table(
-        g, kernel, params, forward_initial, cfg["k"], cfg["t"], mode=cfg["mode"]
+        model.g, model.kernel, model.params, forward_initial, cfg["k"], cfg["t"], mode=cfg["mode"]
     )
     gap = np.abs(table.lhs - table.rhs)
     worst_row = int(np.argmax(gap))
@@ -356,41 +349,23 @@ def _duality_check_exact(
     return passed
 
 
-def _duality_check_mc(
-    cfg: dict, result: ExperimentResult, stream, g, kernel, params, forward_initial
-):
+def _duality_check_mc(cfg: dict, result: ExperimentResult, stream, model, forward_initial):
     """Statistical two-sided check: forward cylinder frequency vs dual-side value.
 
     Walkers start on the first k vertices (wrapping if k exceeds the vertex
     count) with +1 signs and nothing revealed; the matching forward event
     constrains those sites to +1.
     """
-    k, t = cfg["k"], cfg["t"]
-    positions = [j % g.vertex_count for j in range(k)]
+    k, t, params = cfg["k"], cfg["t"], model.params
+    positions = [j % model.g.vertex_count for j in range(k)]
     dual_initial = DualState.of(positions, [1] * k)
     cyl = CylinderEvent.of(sites={x: 1 for x in positions})
     fwd = estimate_cylinder_probabilities(
-        g,
-        kernel,
-        params,
-        forward_initial,
-        [t],
-        [cyl],
-        cfg["replicas"],
-        stream.child(0),
-        workers=cfg["workers"],
+        model, forward_initial, [t], [cyl], cfg["replicas"], stream.child(0), cfg["workers"]
     )[(t, cyl.label())]
     dual = estimate_dual_side(
-        g,
-        kernel,
-        params,
-        forward_initial,
-        dual_initial,
-        t,
-        cfg["replicas"],
-        stream.child(1),
-        workers=cfg["workers"],
-        mode=cfg["mode"],
+        model, forward_initial, dual_initial, t, cfg["replicas"], stream.child(1),
+        cfg["workers"], cfg["mode"],
     )
     gap = abs(fwd.estimate - dual.estimate)
     pooled = math.hypot(fwd.std_error, dual.std_error)
@@ -417,11 +392,14 @@ def _duality_check_mc(
     return passed
 
 
-def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
+def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, model: EventTable):
+    g, params = model.g, model.params
     p = params.p
     pi, capped = _exact(
         cfg,
-        lambda: oracle.stationary_distribution(oracle.build_forward_generator(g, kernel, params)),
+        lambda: oracle.stationary_distribution(
+            oracle.build_forward_generator(g, model.kernel, params)
+        ),
     )
     if capped:
         result.lines.append(f"exact solve unavailable ({capped}); Monte Carlo only")
@@ -463,15 +441,8 @@ def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, g, kern
             else {}
         )
         estimates = estimate_cylinder_probabilities(
-            g,
-            kernel,
-            params,
-            ProductInitial(site_plus_prob=0.5, edge_plus_prob=p),
-            [cfg["mc_time"]],
-            cylinders,
-            cfg["replicas"],
-            stream,
-            workers=cfg["workers"],
+            model, ProductInitial(site_plus_prob=0.5, edge_plus_prob=p), [cfg["mc_time"]],
+            cylinders, cfg["replicas"], stream, cfg["workers"],
         )
         mc_ok = True
         for (t, label), est in sorted(estimates.items()):
@@ -510,7 +481,8 @@ def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, g, kern
     return all(checks) if checks else None
 
 
-def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
+def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, model: EventTable):
+    g, params = model.g, model.params
     sites = list(cfg["sites"])
     signs = list(cfg["signs"])
     positive, negative = cfg["revealed_positive"], cfg["revealed_negative"]
@@ -521,26 +493,27 @@ def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
     cyl = _cylinder(dict(zip(sites, signs)), positive, negative)
 
     def exact_mass():
-        L = oracle.build_forward_generator(g, kernel, params)
+        L = oracle.build_forward_generator(g, model.kernel, params)
         return oracle.cylinder_probability(g, oracle.stationary_distribution(L), cyl)
 
     # The exact solve draws no random numbers, so running it first lets
     # oracle "on" exit above the cap before any replica runs.
     exact, capped = _exact(cfg, exact_mass)
-    mu = estimate_mu_dyn(
-        g,
-        kernel,
-        params,
-        sites,
-        signs,
-        cfg["replicas"],
-        stream,
-        revealed_positive=positive,
-        revealed_negative=negative,
-        t_cap=cfg.get("t_cap"),
-        workers=cfg["workers"],
-        report_limit=cfg["report_limit"],
-    )
+    try:
+        mu = estimate_mu_dyn(
+            model,
+            sites,
+            signs,
+            cfg["replicas"],
+            stream,
+            revealed_positive=positive,
+            revealed_negative=negative,
+            t_cap=cfg.get("t_cap"),
+            workers=cfg["workers"],
+            report_limit=cfg["report_limit"],
+        )
+    except ValueError as exc:  # a start site the kernel's walk leaves for good
+        raise ConfigError(str(exc)) from exc
     est = mu.result
 
     passed = None
@@ -580,9 +553,9 @@ def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
     return passed
 
 
-def _run_tv_decay(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
-    initial_a = _load_state(cfg, "initial_file", g) or SpinBondState.constant(
-        g, site_sign=-1, edge_sign=-1
+def _run_tv_decay(cfg: dict, result: ExperimentResult, stream, model: EventTable):
+    initial_a = _load_state(cfg, "initial_file", model.g) or SpinBondState.constant(
+        model.g, site_sign=-1, edge_sign=-1
     )
     # The contender law starts from the sign-flipped configuration, the
     # farthest deterministic start (TV = 1 at t = 0).
@@ -595,18 +568,18 @@ def _run_tv_decay(cfg: dict, result: ExperimentResult, stream, g, kernel, params
     return _exact_or_mc(
         "exact transients unavailable ({}); using Monte Carlo bounds",
         _tv_decay_exact, _tv_decay_mc,
-        cfg, result, stream, g, kernel, params, initial_a, initial_b, times,
+        cfg, result, stream, model, initial_a, initial_b, times,
     )
 
 
 def _tv_decay_exact(
-    cfg: dict, result: ExperimentResult, stream, g, kernel, params,
+    cfg: dict, result: ExperimentResult, stream, model,
     initial_a: SpinBondState, initial_b: SpinBondState, times,
 ):
     curve = oracle.total_variation_curve(
-        oracle.build_forward_generator(g, kernel, params),
-        oracle.forward_delta(g, initial_a),
-        oracle.forward_delta(g, initial_b),
+        oracle.build_forward_generator(model.g, model.kernel, model.params),
+        oracle.forward_delta(model.g, initial_a),
+        oracle.forward_delta(model.g, initial_b),
         cfg["t_step"],
         len(times) - 1,
     )
@@ -634,27 +607,19 @@ def _tv_decay_exact(
 
 
 def _tv_decay_mc(
-    cfg: dict, result: ExperimentResult, stream, g, kernel, params,
+    cfg: dict, result: ExperimentResult, stream, model,
     initial_a: SpinBondState, initial_b: SpinBondState, times,
 ):
     points = estimate_tv_decay(
-        g,
-        kernel,
-        params,
-        initial_a,
-        initial_b,
-        times,
-        single_constraint_events(g),
-        cfg["replicas"],
-        stream,
-        workers=cfg["workers"],
+        model, initial_a, initial_b, times, single_constraint_events(model.g),
+        cfg["replicas"], stream, cfg["workers"],
     )
     final = points[-1]
     # Frequency gaps only bound TV from below, so the one checkable gate is
     # that the best observed separation has decayed into the noise floor. It
     # can fail falsely through any of the events' gaps, so its stated rate is
     # that of one gate per event.
-    events = g.vertex_count + g.edge_count
+    events = model.g.vertex_count + model.g.edge_count
     passed = final.bound <= cfg["threshold"] + cfg["sigmas"] * final.std_error
 
     result.lines += [
@@ -700,14 +665,14 @@ def _mgf_closed_form(theta: float, t: float, v: float, r0: int) -> float:
     return value
 
 
-def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
+def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, model: EventTable | None):
     v = cfg["v"]
     grid = list(product(cfg["thetas"], cfg["times"], cfg["r0_values"]))
     # Every closed form is worked out before any replica runs.
     targets = [_mgf_closed_form(theta, t, v, r0) for theta, t, r0 in grid]
     domination = None
     if cfg["check_domination"]:
-        theta = -2.0 * math.log(min(params.p, 1.0 - params.p))
+        theta = -2.0 * math.log(min(model.params.p, 1.0 - model.params.p))
         domination = theta, cfg["t"], _mgf_closed_form(theta, cfg["t"], v, 0)
     rows = []
     all_ok = True
@@ -731,7 +696,7 @@ def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, g, kernel, param
     if domination is not None:
         theta, t, bound = domination
         est = estimate_revealed_weight(
-            g, kernel, params, DualState.of([0], [1]), theta, t, cfg["replicas"],
+            model, DualState.of([0], [1]), theta, t, cfg["replicas"],
             stream.child(len(grid)), cfg["workers"],
         )
         ok = est.estimate <= bound + cfg["sigmas"] * est.std_error
@@ -739,7 +704,7 @@ def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, g, kernel, param
         rows.append(
             _estimate_record(
                 "revealed_weight",
-                {"theta": theta, "t": t, "p": params.p, "v": v},
+                {"theta": theta, "t": t, "p": model.params.p, "v": v},
                 est,
                 bound=bound,
             )
@@ -753,7 +718,8 @@ def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, g, kernel, param
     return all_ok
 
 
-def _run_raw_simulate(cfg: dict, result: ExperimentResult, stream, g, kernel, params):
+def _run_raw_simulate(cfg: dict, result: ExperimentResult, stream, model: EventTable):
+    g = model.g
     try:
         cylinders = [parse_cylinder_label(text) for text in cfg["observables"]]
     except ValueError as exc:
@@ -769,14 +735,9 @@ def _run_raw_simulate(cfg: dict, result: ExperimentResult, stream, g, kernel, pa
 
     fn = partial(
         _forward_cylinder_replica,
-        g=g,
-        table=EventTable(g, kernel, params),
-        initial=initial,
-        t_max=cfg["t_max"],
-        times=times,
-        cylinders=cylinders,
+        table=model, initial=initial, t_max=cfg["t_max"], times=times, cylinders=cylinders,
     )
-    outcomes = _collect(fn, cfg["replicas"], stream, cfg["workers"])
+    outcomes = _collect(fn, cfg["replicas"], stream, cfg["workers"], block=1)
 
     result.lines.append(
         f"raw-simulate: {cfg['replicas']} replicas on [0, {cfg['t_max']:g}], "

@@ -7,14 +7,15 @@ rate ``v``, choosing +1 with probability ``p``.
 
 All site and edge clocks together ring as one Poisson clock of constant
 rate n + v m, and each ring picks its object in proportion to its rate
-(uniformization, Jensen 1953; every ring is a real event). ``EventTable``
-says what a ring does: the ringing object takes the product of two columns
-of a state row. ``simulate_forward`` draws a Poisson ring count per
-checkpoint interval, then two uniforms per ring, a chunk at a time; it maps
-them through the table in numpy, and its one Python loop sets each ringing
-object of a list of signs to that product. It returns what the laws are
-read from: the cylinder rows at the checkpoints, the final state and the
-ring count.
+(uniformization, Jensen 1953; every ring is a real event). ``EventTable`` is
+the compiled model, graph, kernel and parameters, and says what a ring
+does: the ringing object takes the product of two columns of a state row.
+Every simulator and estimator takes the table as its one model argument.
+``simulate_forward`` draws a Poisson ring count per checkpoint interval,
+then two uniforms per ring, a chunk at a time; it maps them through the
+table in numpy, and its one Python loop sets each ringing object of a list
+of signs to that product. It returns what the laws are read from: the
+cylinder rows at the checkpoints, the final state and the ring count.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import AdoptionKernel, Graph, require_valid_kernel
-from .rng import as_generator
 
 _SIGNS = frozenset((1, -1))
 
@@ -97,12 +97,11 @@ def _check_sign_values(sites: list, edges: list) -> None:
 
 def sample_product_state(
     g: Graph,
-    rng,
+    gen: np.random.Generator,
     site_plus_prob: float = 0.5,
     edge_plus_prob: float = 0.5,
 ) -> SpinBondState:
     """Draw sites and edges independently, +1 with the given probabilities."""
-    gen = as_generator(rng)
     sites = np.where(gen.random(g.vertex_count) < site_plus_prob, 1, -1).astype(np.int8)
     edges = np.where(gen.random(g.edge_count) < edge_plus_prob, 1, -1).astype(np.int8)
     return SpinBondState(sites, edges)
@@ -134,7 +133,8 @@ class EventTable:
     (see ``validate_kernel``) raises ``ValueError``. Rows end on exactly 1.0
     and are padded with 2.0, so a draw in [0, 1) always finds a real
     position. ``rate`` is the total ring rate n + v m; ``objects`` counts the
-    objects that can ring: every site, and every edge when v > 0.
+    objects that can ring: every site, and every edge when v > 0. The table
+    keeps ``g``, ``kernel`` and ``params``: it is the whole model.
     """
 
     def __init__(self, g: Graph, kernel: AdoptionKernel, params: ModelParams):
@@ -158,7 +158,7 @@ class EventTable:
             src[k, : len(sources)] = sources
             via[k, : len(vias)] = vias
         self.src, self.via = src.ravel(), via.ravel()
-        self.params, self.n = params, n
+        self.g, self.kernel, self.params, self.n = g, kernel, params, n
         self.rate = n + params.v * m
         self.objects = n + m if params.v > 0.0 else n
 
@@ -201,23 +201,20 @@ CHUNK_CAP = 1 << 12
 
 
 def simulate_forward(
-    g: Graph,
-    kernel: AdoptionKernel | EventTable,
-    params: ModelParams,
+    table: EventTable,
     initial: SpinBondState,
     t_max: float,
-    rng,
+    gen: np.random.Generator,
     checkpoint_times=(),
     observables=(),
 ) -> ForwardTrajectory:
-    """Run the joint spin-bond process on [0, t_max] from ``initial``, left unchanged.
+    """Run the process of the model ``table`` on [0, t_max] from ``initial``, left unchanged.
 
     ``observables`` are cylinder events evaluated at each checkpoint time,
     on the state the rings before it leave; rows come back as (time,
     observable label, 0.0 or 1.0). The final state keeps the initial
-    arrays' dtypes, and ``event_count`` is the number of rings. An
-    ``EventTable`` built for ``params`` may stand in for the kernel, so that
-    many runs share one.
+    arrays' dtypes, and ``event_count`` is the number of rings. Many runs
+    may share one table.
 
     Each interval between checkpoints, the last one ending at t_max, draws
     its Poisson(rate * length) ring count, then its rings in chunks of at
@@ -225,10 +222,7 @@ def simulate_forward(
     are the draws of a one-replica block of the batched forward estimator,
     so the checkpoint rows are its hits.
     """
-    gen = as_generator(rng)
-    table = kernel if isinstance(kernel, EventTable) else EventTable(g, kernel, params)
-    if table.params != params:
-        raise ValueError(f"event table was built for {table.params}, not {params}")
+    g = table.g
     initial.check_shapes(g)
     sites = initial.site_signs.tolist()
     edges = initial.edge_signs.tolist()

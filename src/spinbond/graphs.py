@@ -7,7 +7,6 @@ construction and safe to share between concurrent replicas.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +24,6 @@ class Graph:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
-    component_ids: tuple[int, ...]
     _edge_lookup: dict[tuple[int, int], int] = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     @property
@@ -43,9 +41,6 @@ class Graph:
         if x == y:
             return False
         return ((x, y) if x < y else (y, x)) in self._edge_lookup
-
-    def component_count(self) -> int:
-        return max(self.component_ids) + 1 if self.component_ids else 0
 
 
 def build_graph(edge_list, vertex_count: int) -> Graph:
@@ -73,32 +68,12 @@ def build_graph(edge_list, vertex_count: int) -> Graph:
         adjacency[u].append((v, e))
         adjacency[v].append((u, e))
 
-    component_ids = _label_components(vertex_count, adjacency)
     return Graph(
         vertex_count=vertex_count,
         edges=tuple(edges),
         adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-        component_ids=component_ids,
         _edge_lookup=dict(seen),
     )
-
-
-def _label_components(n: int, adjacency) -> tuple[int, ...]:
-    labels = [-1] * n
-    current = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = current
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, _ in adjacency[x]:
-                if labels[y] < 0:
-                    labels[y] = current
-                    queue.append(y)
-        current += 1
-    return tuple(labels)
 
 
 # How many sizes each builtin graph kind takes; an unknown kind is rejected below.
@@ -220,6 +195,48 @@ def require_valid_kernel(g: Graph, kernel: AdoptionKernel) -> None:
     report = validate_kernel(g, kernel)
     if not report.valid:
         raise ValueError("invalid kernel: " + "; ".join(report.violations))
+
+
+def closed_classes(kernel: AdoptionKernel) -> list[int | None]:
+    """Each vertex's closed class of the kernel's walk, or None for a transient vertex.
+
+    The walk steps from x to y at rate q(x, y). Its classes are the strong
+    components of the graph of positive rates (Kosaraju: a depth-first
+    search's finishing order, then searches of the reversed graph in reverse
+    finishing order). A class is closed when no positive rate leaves it;
+    the walk leaves any other vertex for good. Under a uniform kernel the
+    closed classes are the graph's components.
+    """
+    steps = [[y for y, q in row if q > 0] for row in kernel.rows]
+    n = len(steps)
+    order, seen = [], [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [(start, iter(steps[start]))]
+        while stack:
+            x, ahead = stack[-1]
+            y = next((y for y in ahead if not seen[y]), None)
+            if y is None:
+                order.append(stack.pop()[0])
+            else:
+                seen[y] = True
+                stack.append((y, iter(steps[y])))
+    back: list[list[int]] = [[] for _ in range(n)]
+    for x, ys in enumerate(steps):
+        for y in ys:
+            back[y].append(x)
+    label = [-1] * n
+    for count, start in enumerate(x for x in reversed(order) if label[x] < 0):
+        label[start], todo = count, [start]
+        while todo:
+            for x in back[todo.pop()]:
+                if label[x] < 0:
+                    label[x] = count
+                    todo.append(x)
+    leaving = {label[x] for x, ys in enumerate(steps) for y in ys if label[y] != label[x]}
+    return [None if c in leaving else c for c in label]
 
 
 def format_graph(g: Graph) -> str:

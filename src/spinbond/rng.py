@@ -31,8 +31,3 @@ class RngStream:
         """A new generator for replica or block ``index``: ``child(index).generator()``."""
         return self.child(index).generator()
 
-
-def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng

@@ -15,6 +15,7 @@ import pytest
 from spinbond.cylinders import CylinderEvent, single_constraint_events
 from spinbond.dual import DualState, coupled_run, simulate_dual
 from spinbond.forward import (
+    EventTable,
     ModelParams,
     SpinBondState,
     simulate_forward,
@@ -117,9 +118,7 @@ def test_criterion_2_single_site_stationary_law(p3, c6):
     ]
     for (g, kern), cylinders in plans:
         results = est.estimate_cylinder_probabilities(
-            g,
-            kern,
-            ModelParams(p, v),
+            EventTable(g, kern, ModelParams(p, v)),
             est.ProductInitial(site_plus_prob=0.5, edge_plus_prob=p),
             times=[t_burn],
             cylinders=cylinders,
@@ -128,8 +127,8 @@ def test_criterion_2_single_site_stationary_law(p3, c6):
             workers=2,
         )
         for cyl in cylinders:
-            n_plus = len(cyl.positive_edges)
-            n_minus = len(cyl.negative_edges)
+            n_plus = sum(s > 0 for _, s in cyl.edge_constraints)
+            n_minus = len(cyl.edge_constraints) - n_plus
             want = 0.5 * p**n_plus * (1.0 - p) ** n_minus
             got = results[(t_burn, cyl.label())].estimate
             sigma = _binomial_sigma(want, replicas)
@@ -197,9 +196,7 @@ def test_criterion_3_mu_dyn_consistency(k2, p3):
     sync_sigmas = None
     for g, kern, sites, target, seed in configs:
         out = est.estimate_mu_dyn(
-            g,
-            kern,
-            params,
+            EventTable(g, kern, params),
             sites=sites,
             signs=[1] * len(sites),
             replicas=replicas,
@@ -284,7 +281,7 @@ def test_criterion_5_transient_mc_vs_oracle(p3):
             exact[(t, cyl.label())] = oracle.cylinder_probability(g, mu_t, cyl)
 
     results = est.estimate_cylinder_probabilities(
-        g, kern, params, initial, times, cylinders, replicas,
+        EventTable(g, kern, params), initial, times, cylinders, replicas,
         stream=RngStream(505), workers=2,
     )
     failures = []
@@ -337,7 +334,7 @@ def test_criterion_6_birth_death_mgf_and_domination(p3):
     p, v, t = 0.3, 1.0, 2.0
     theta = -2.0 * math.log(min(p, 1.0 - p))
     res = est.estimate_revealed_weight(
-        g, kern, ModelParams(p, v), DualState.of([1], [1]), theta, t,
+        EventTable(g, kern, ModelParams(p, v)), DualState.of([1], [1]), theta, t,
         replicas, RngStream(607),
     )
     bound = est.birth_death_mgf(theta, t, v, 0)
@@ -372,8 +369,9 @@ def test_criterion_7_coupling_fidelity(p3):
     t_max = 1.5
     replicas = 10_000
 
+    table = EventTable(g, kern, params)
     head, coalescing, independent = coupled_run(
-        RngStream(707).generator(), replicas, g, kern, params, initial, t_max
+        RngStream(707).generator(), replicas, table, initial, t_max
     )
     met = head.stopped
     violations = np.count_nonzero(head.positions[met, 0] != head.positions[met, 1])
@@ -381,7 +379,7 @@ def test_criterion_7_coupling_fidelity(p3):
         for part in ("positions", "signs", "status"):
             mismatch = getattr(leg, part)[~met] != getattr(head, part)[~met]
             violations += np.count_nonzero(mismatch.any(axis=1))
-    direct = simulate_dual(RngStream(708).generator(), replicas, g, kern, params, initial, t_max)
+    direct = simulate_dual(RngStream(708).generator(), replicas, table, initial, t_max)
 
     def stats(traj):
         return np.stack(
@@ -429,10 +427,9 @@ def test_criterion_8_structural_properties(k2, p3, c6):
     params = ModelParams(0.3, 1.0)
     initial = DualState.of([0, 2, 4], [1, 1, -1])
     record: list = []
-    traj = simulate_dual(
-        RngStream(808).generator(), 300, g6, kern6, params, initial, 8.0, record=record
-    )
-    start = simulate_dual(RngStream(808).generator(), 300, g6, kern6, params, initial, 0.0)
+    table6 = EventTable(g6, kern6, params)
+    traj = simulate_dual(RngStream(808).generator(), 300, table6, initial, 8.0, record=record)
+    start = simulate_dual(RngStream(808).generator(), 300, table6, initial, 0.0)
     replay_bad = replay_statuses(record, start.status, traj.status)[2]
     permanence_bad = merge_breaks(record, start.positions, start.signs)
     details.append(
@@ -446,7 +443,7 @@ def test_criterion_8_structural_properties(k2, p3, c6):
     dual_logs = []
     for _ in range(2):
         traj = simulate_forward(
-            g3, kern3, ModelParams(0.3, 1.0), striped_state(g3), 5.0,
+            EventTable(g3, kern3, ModelParams(0.3, 1.0)), striped_state(g3), 5.0,
             RngStream(809).generator(), checkpoint_times=np.linspace(0.0, 5.0, 101).tolist(),
             observables=single_constraint_events(g3),
         )
@@ -454,7 +451,7 @@ def test_criterion_8_structural_properties(k2, p3, c6):
                          traj.final_state.edge_signs.tobytes(), traj.event_count))
         record = []
         dtraj = simulate_dual(
-            RngStream(810).generator(), 100, g3, kern3, ModelParams(0.3, 1.0),
+            RngStream(810).generator(), 100, EventTable(g3, kern3, ModelParams(0.3, 1.0)),
             DualState.of([0, 2], [1, 1]), 5.0, record=record,
         )
         arrays = [dtraj.positions, dtraj.signs, dtraj.status, dtraj.time, dtraj.stopped]
@@ -466,18 +463,17 @@ def test_criterion_8_structural_properties(k2, p3, c6):
     # (c) p=1 is absorbing at consensus: all sites align, all edges positive,
     # and the absorbed state never moves again.
     absorbed = True
+    absorbing = EventTable(g3, kern3, ModelParams(1.0, 1.0))
     for seed in range(20):
         traj = simulate_forward(
-            g3, kern3, ModelParams(1.0, 1.0), striped_state(g3), 60.0,
-            RngStream(811, key=(seed,)).generator(),
+            absorbing, striped_state(g3), 60.0, RngStream(811, key=(seed,)).generator()
         )
         s = traj.final_state
         consensus = len(set(s.site_signs.tolist())) == 1 and all(
             e == 1 for e in s.edge_signs.tolist()
         )
         stay = simulate_forward(
-            g3, kern3, ModelParams(1.0, 1.0), s, 10.0,
-            RngStream(812, key=(seed,)).generator(),
+            absorbing, s, 10.0, RngStream(812, key=(seed,)).generator()
         ).final_state
         unchanged = (stay.site_signs == s.site_signs).all() and (
             stay.edge_signs == s.edge_signs

@@ -369,6 +369,42 @@ def test_cli_mu_dyn_single_site_on_cycle(tmp_path, capsys):
     assert rec["oracle_value"] == pytest.approx(0.5, abs=1e-10)
 
 
+def test_cli_mu_dyn_reducible_kernel_matches_the_oracle(tmp_path, capsys):
+    # path:4 cut in the middle by rate 0: sites 0 and 3 lie in the closed
+    # classes {0, 1} and {2, 3} of the kernel's walk, whose walkers never
+    # meet, so every replica stops at once at two classes with value 1/4,
+    # the exact stationary mass. Stated false-failure rate: the verdict
+    # line's one gate at 3 sigma, family-wise <= 0.27%; the estimate here
+    # has no variance.
+    kernel = tmp_path / "halves.txt"
+    kernel.write_text("0 1 1.0\n1 0 1.0\n1 2 0.0\n2 1 0.0\n2 3 1.0\n3 2 1.0\n")
+    out_dir = tmp_path / "halves"
+    path = write_cfg(
+        tmp_path, experiment="mu-dyn", seed=6, graph="path:4", kernel_file=str(kernel),
+        p=0.3, v=1.0, sites=[0, 3], replicas=200, t_cap=100.0, oracle="on",
+        output_dir=str(out_dir),
+    )
+    assert main(["run", path]) == 0
+    out = capsys.readouterr().out
+    assert "1 gate at 3 sigma, family-wise <= 0.27%): PASS" in out and "mu-dyn: PASS" in out
+    rec = json.loads((out_dir / "mu_dyn_estimate.jsonl").read_text())
+    assert rec["point"] == 0.25 and rec["censored"] == 0
+    assert rec["oracle_value"] == pytest.approx(0.25, abs=1e-10)
+
+
+def test_cli_mu_dyn_transient_start_site_exits_two(tmp_path, capsys):
+    # 0 -> 1 <-> 2: the walk leaves site 0 for good, so a walker from it
+    # ends in a random number of classes.
+    kernel = tmp_path / "leak.txt"
+    kernel.write_text("0 1 1.0\n1 2 1.0\n2 1 1.0\n")
+    path = write_cfg(
+        tmp_path, experiment="mu-dyn", graph="path:3", kernel_file=str(kernel),
+        sites=[2, 0], replicas=10, oracle="off",
+    )
+    assert main(["check", path]) == 2
+    assert "start site 0 is transient" in capsys.readouterr().err
+
+
 def test_cli_tv_decay_mc_mode(tmp_path):
     out_dir = tmp_path / "tvmc"
     path = write_cfg(

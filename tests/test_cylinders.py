@@ -28,14 +28,6 @@ def test_bad_signs_rejected():
         CylinderEvent.of(edges={0: 2})
 
 
-def test_edges_positive_negative_split():
-    cyl = CylinderEvent.edges_positive_negative([0, 2], [1])
-    assert cyl.positive_edges == {0, 2}
-    assert cyl.negative_edges == {1}
-    with pytest.raises(ValueError):
-        CylinderEvent.edges_positive_negative([0], [0])
-
-
 def test_label_round_trip_examples():
     cyl = CylinderEvent.of(sites={3: 1}, edges={0: -1})
     assert cyl.label() == "site3=+1&edge0=-1"

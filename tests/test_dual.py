@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from spinbond.dual import DualState, coupled_run, duality_weight, simulate_dual
 from spinbond.errors import CensoringError
 from spinbond.estimators import estimate_mu_dyn
-from spinbond.forward import ModelParams, SpinBondState
-from spinbond.graphs import build_graph, builtin_graph, uniform_kernel
+from spinbond.forward import EventTable, ModelParams, SpinBondState
+from spinbond.graphs import build_graph, builtin_graph, closed_classes, uniform_kernel
 from spinbond.rng import RngStream
 
 
@@ -34,7 +34,8 @@ def test_dual_state_validation(p3):
         warnings.simplefilter("error")  # no divide-by-zero warning before the error
         with pytest.raises(ValueError, match="at least one walker"):
             simulate_dual(
-                RngStream(0).generator(), 4, g, kern, ModelParams(0.5, 1.0), DualState.of([], []), 1.0
+                RngStream(0).generator(), 4, EventTable(g, kern, ModelParams(0.5, 1.0)),
+                DualState.of([], []), 1.0,
             )
 
 
@@ -44,18 +45,20 @@ def test_dual_rejects_a_horizon_that_is_not_a_finite_time(c6, t_max):
     g, kern = c6
     with pytest.raises(ValueError, match="t_max must be finite and >= 0"):
         simulate_dual(
-            RngStream(0).generator(), 2, g, kern, ModelParams(0.5, 1.0), DualState.of([0], [1]), t_max
+            RngStream(0).generator(), 2, EventTable(g, kern, ModelParams(0.5, 1.0)),
+            DualState.of([0], [1]), t_max,
         )
 
 
 def test_block_start_is_checked_against_the_graph():
     g = builtin_graph("cycle", 6)
     params = ModelParams(0.5, 1.0)
+    table = EventTable(g, uniform_kernel(g), params)
     gen = RngStream(1).generator()
-    block = simulate_dual(gen, 50, g, uniform_kernel(g), params, DualState.of([0, 3], [1, -1]), 1.0)
+    block = simulate_dual(gen, 50, table, DualState.of([0, 3], [1, -1]), 1.0)
     for other in (builtin_graph("path", 6), builtin_graph("cycle", 4)):
         with pytest.raises(ValueError, match="status"):
-            simulate_dual(gen, 50, other, uniform_kernel(other), params, block, 2.0)
+            simulate_dual(gen, 50, EventTable(other, uniform_kernel(other), params), block, 2.0)
     for name, value, match in (
         ("positions", 6, "positions"),
         ("positions", -1, "positions"),
@@ -65,10 +68,10 @@ def test_block_start_is_checked_against_the_graph():
         bad = replace(block, **{name: getattr(block, name).copy()})
         getattr(bad, name)[7, 1] = value
         with pytest.raises(ValueError, match=match):
-            simulate_dual(gen, 50, g, uniform_kernel(g), params, bad, 2.0)
+            simulate_dual(gen, 50, table, bad, 2.0)
     narrow = replace(block, signs=block.signs[:, :1])
     with pytest.raises(ValueError, match="signs"):
-        simulate_dual(gen, 50, g, uniform_kernel(g), params, narrow, 2.0)
+        simulate_dual(gen, 50, table, narrow, 2.0)
 
 
 def test_classes_group_by_position():
@@ -104,10 +107,11 @@ def test_duality_weight_values(p3):
 def _block(g, kern, params, initial, t_max, seed, size, **kwargs):
     """One block of ``size`` dual runs with its record, and its starting arrays."""
     record = []
+    table = EventTable(g, kern, params)
     traj = simulate_dual(
-        RngStream(seed).generator(), size, g, kern, params, initial, t_max, record=record, **kwargs
+        RngStream(seed).generator(), size, table, initial, t_max, record=record, **kwargs
     )
-    start = simulate_dual(RngStream(seed).generator(), size, g, kern, params, initial, 0.0)
+    start = simulate_dual(RngStream(seed).generator(), size, table, initial, 0.0)
     return traj, record, start
 
 
@@ -207,24 +211,24 @@ def test_event_counts_match_the_record(p3, c6):
 
 def test_stop_on_full_coalescence(p3):
     g, kern = p3
-    params = ModelParams(0.5, 1.0)
+    table = EventTable(g, kern, ModelParams(0.5, 1.0))
     gen = RngStream(5).generator()
-    single = simulate_dual(gen, 50, g, kern, params, DualState.of([1], [1]), 50.0, target=1)
+    single = simulate_dual(gen, 50, table, DualState.of([1], [1]), 50.0, target=1)
     assert single.stopped.all() and (single.time == 0.0).all()
     assert single.event_count == 0
 
-    pair = simulate_dual(gen, 200, g, kern, params, DualState.of([0, 2], [1, 1]), 500.0, target=1)
+    pair = simulate_dual(gen, 200, table, DualState.of([0, 2], [1, 1]), 500.0, target=1)
     assert pair.stopped.all() and (pair.time < 500.0).all()
     assert (pair.positions[:, 0] == pair.positions[:, 1]).all()
 
-    capped = simulate_dual(gen, 50, g, kern, params, DualState.of([0, 2], [1, 1]), 1e-9, target=1)
+    capped = simulate_dual(gen, 50, table, DualState.of([0, 2], [1, 1]), 1e-9, target=1)
     assert not capped.stopped.any() and (capped.time == 1e-9).all()
 
 
 def test_full_coalescence_counts_components():
     g = build_graph([(0, 1), (2, 3)], 4)
     traj = simulate_dual(
-        RngStream(8).generator(), 20, g, uniform_kernel(g), ModelParams(0.5, 1.0),
+        RngStream(8).generator(), 20, EventTable(g, uniform_kernel(g), ModelParams(0.5, 1.0)),
         DualState.of([0, 2], [1, 1]), 50.0, target=2,
     )
     # one walker per component is already fully coalesced
@@ -234,18 +238,21 @@ def test_full_coalescence_counts_components():
 def test_run_to_full_coalescence_reports(k2):
     g, kern = k2
     params = ModelParams(0.3, 1.0)
-    single = estimate_mu_dyn(g, kern, params, [1], [1], 10, RngStream(9)).reports[0]
+    table = EventTable(g, kern, params)
+    single = estimate_mu_dyn(table, [1], [1], 10, RngStream(9)).reports[0]
     assert single.partition == ((0,),)
     assert single.sync == (True,)
     assert single.time == 0.0 and not single.censored
 
     two = build_graph([(0, 1), (2, 3)], 4)
-    split = estimate_mu_dyn(two, uniform_kernel(two), params, [0, 2], [1, 1], 10, RngStream(10))
+    split = estimate_mu_dyn(
+        EventTable(two, uniform_kernel(two), params), [0, 2], [1, 1], 10, RngStream(10)
+    )
     assert {rep.partition for rep in split.reports} == {((0,), (1,))}
     assert {rep.sync for rep in split.reports} == {(True, True)}
 
     with pytest.raises(CensoringError, match="10 of 10 replicas"):
-        estimate_mu_dyn(g, kern, params, [0, 1], [1, 1], 10, RngStream(11), t_cap=1e-9)
+        estimate_mu_dyn(table, [0, 1], [1, 1], 10, RngStream(11), t_cap=1e-9)
 
 
 def test_pair_on_single_edge_syncs_with_probability_p(k2):
@@ -255,7 +262,7 @@ def test_pair_on_single_edge_syncs_with_probability_p(k2):
     # crossing the lone edge; the merge syncs exactly when that reveal is +.
     replicas = 4000
     traj = simulate_dual(
-        RngStream(12).generator(), replicas, g, kern, ModelParams(p, 1.0),
+        RngStream(12).generator(), replicas, EventTable(g, kern, ModelParams(p, 1.0)),
         DualState.of([0, 1], [1, 1]), 500.0, target=1,
     )
     assert traj.stopped.all() and (traj.positions[:, 0] == traj.positions[:, 1]).all()
@@ -266,25 +273,22 @@ def test_pair_on_single_edge_syncs_with_probability_p(k2):
 
 def test_independent_mode_separates_cohabitants(k2):
     g, kern = k2
-    params = ModelParams(1.0, 0.0)
+    table = EventTable(g, kern, ModelParams(1.0, 0.0))
     gen = RngStream(0).generator()
-    traj = simulate_dual(
-        gen, 50, g, kern, params, DualState.of([0, 0], [1, 1]), 3.0, mode="independent"
-    )
+    traj = simulate_dual(gen, 50, table, DualState.of([0, 0], [1, 1]), 3.0, mode="independent")
     assert (traj.positions[:, 0] != traj.positions[:, 1]).any()
     with pytest.raises(ValueError, match="first collision"):
         simulate_dual(
-            gen, 5, g, kern, params, DualState.of([0, 1], [1, 1]), 1.0,
-            mode="independent", target=0,
+            gen, 5, table, DualState.of([0, 1], [1, 1]), 1.0, mode="independent", target=0
         )
     with pytest.raises(ValueError, match="mode"):
-        simulate_dual(gen, 5, g, kern, params, DualState.of([0], [1]), 1.0, mode="x")
+        simulate_dual(gen, 5, table, DualState.of([0], [1]), 1.0, mode="x")
 
 
 def test_coalesced_walkers_share_every_later_move(p3):
     g, kern = p3
     traj = simulate_dual(
-        RngStream(11).generator(), 200, g, kern, ModelParams(0.3, 1.0),
+        RngStream(11).generator(), 200, EventTable(g, kern, ModelParams(0.3, 1.0)),
         DualState.of([0, 2], [1, -1]), 200.0,
     )
     # by this horizon every pair must have met, and met walkers stay together
@@ -307,7 +311,7 @@ def test_coupled_run_requires_distinct_starts(p3):
     g, kern = p3
     with pytest.raises(ValueError, match="distinct"):
         coupled_run(
-            RngStream(0).generator(), 5, g, kern, ModelParams(0.5, 1.0),
+            RngStream(0).generator(), 5, EventTable(g, kern, ModelParams(0.5, 1.0)),
             DualState.of([1, 1], [1, 1]), 1.0,
         )
 
@@ -318,7 +322,7 @@ def test_coupled_run_shares_history_before_collision(p3):
     # from two walkers on one site, which the coalescing leg keeps together.
     g, kern = p3
     head, coal, ind = coupled_run(
-        RngStream(3).generator(), 400, g, kern, ModelParams(0.4, 1.0),
+        RngStream(3).generator(), 400, EventTable(g, kern, ModelParams(0.4, 1.0)),
         DualState.of([0, 2], [1, -1]), 3.0,
     )
     met = head.stopped
@@ -335,11 +339,9 @@ def test_coupled_run_shares_history_before_collision(p3):
 
 def test_coupled_run_determinism(p3):
     g, kern = p3
-    params = ModelParams(0.4, 1.0)
+    table = EventTable(g, kern, ModelParams(0.4, 1.0))
     initial = DualState.of([0, 2], [1, 1])
-    a, b = (
-        coupled_run(RngStream(23).generator(), 100, g, kern, params, initial, 4.0) for _ in range(2)
-    )
+    a, b = (coupled_run(RngStream(23).generator(), 100, table, initial, 4.0) for _ in range(2))
     assert all(_same(x, y) for x, y in zip(a, b))
 
 
@@ -406,7 +408,7 @@ def test_dual_runs_keep_their_invariants(graph, mode, flags):
             if flags.get("stop") == "collision":
                 target = initial.walker_count - 1
             elif flags.get("stop") == "full coalescence":
-                target = len({g.component_ids[z] for z in initial.positions})
+                target = len({closed_classes(kern)[z] for z in initial.positions})
             traj, record, start = _block(
                 g, kern, params, initial, t_max, seed, 60, mode=mode, target=target
             )

@@ -38,9 +38,7 @@ def test_cylinder_estimates_shape_and_determinism(p3):
     params = ModelParams(0.3, 1.0)
     cyls = [CylinderEvent.of(sites={0: 1}), CylinderEvent.of(edges={0: -1})]
     kwargs = dict(
-        g=g,
-        kernel=kern,
-        params=params,
+        table=EventTable(g, kern, params),
         initial=est.ProductInitial(),
         times=[0.5, 1.5],
         cylinders=cyls,
@@ -66,9 +64,7 @@ def test_parallel_workers_reproduce_sequential(p3):
     params = ModelParams(0.4, 1.0)
     cyls = [CylinderEvent.of(sites={1: -1}), CylinderEvent.of(sites={0: 1}, edges={1: 1})]
     kwargs = dict(
-        g=g,
-        kernel=kern,
-        params=params,
+        table=EventTable(g, kern, params),
         initial=est.ProductInitial(),
         times=[0.5, 1.0],
         cylinders=cyls,
@@ -84,20 +80,19 @@ def _block_estimates(name, workers):
     """One block estimator over three blocks, the last one short."""
     replicas, stream = 2 * est.REPLICA_BLOCK + 100, RngStream(19, (4,))
     g = builtin_graph("path", 3)
-    kern, params = uniform_kernel(g), ModelParams(0.3, 1.0)
+    table = EventTable(g, uniform_kernel(g), ModelParams(0.3, 1.0))
     if name == "dual_side":
         return est.estimate_dual_side(
-            g, kern, params, striped_state(g), DualState.of([0, 2], [1, -1], [1]), 0.8,
+            table, striped_state(g), DualState.of([0, 2], [1, -1], [1]), 0.8,
             replicas, stream, workers, mode="independent",
         )
     if name == "revealed_weight":
         return est.estimate_revealed_weight(
-            g, kern, params, DualState.of([1], [1]), 0.7, 2.0, replicas, stream, workers
+            table, DualState.of([1], [1]), 0.7, 2.0, replicas, stream, workers
         )
     if name == "mu_dyn":
         return est.estimate_mu_dyn(
-            g, kern, params, [0, 2], [1, 1], replicas, stream, workers=workers,
-            report_limit=replicas,
+            table, [0, 2], [1, 1], replicas, stream, workers=workers, report_limit=replicas
         )
     return est.estimate_mgf(0.5, 1.5, 0.5, 3, replicas, stream, workers)
 
@@ -111,16 +106,18 @@ def test_block_estimators_reproduce_sequential(name):
         assert _block_estimates(name, workers) == seq
 
 
-def _first_draws(gen):
-    return gen.random(), gen.exponential()
+def _first_draws(gen, size):
+    return gen.random(), gen.exponential(), size
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_collect_matches_per_replica_generators(workers):
-    # With two workers, 2,500 replicas cross the pool's chunk split at 1,250.
+    # Blocks of one replica are replicas on their own substreams, as
+    # raw-simulate runs them. With two workers, 2,500 replicas cross the
+    # pool's chunk split at 1,250.
     stream = RngStream(2024, (3, 1))
-    expected = [_first_draws(stream.child(i).generator()) for i in range(2500)]
-    assert est._collect(_first_draws, 2500, stream, workers) == expected
+    expected = [_first_draws(stream.child(i).generator(), 1) for i in range(2500)]
+    assert est._collect(_first_draws, 2500, stream, workers, block=1) == expected
 
 
 def _block_draw(gen, size):
@@ -186,7 +183,7 @@ def test_batched_estimator_follows_the_exact_transient_law(case):
     times = [0.0, 0.4, 0.4, 1.5]
     replicas = 20_000
     got = est.estimate_cylinder_probabilities(
-        g, kern, params, initial, times, cyls, replicas, RngStream(71, (len(case),))
+        EventTable(g, kern, params), initial, times, cyls, replicas, RngStream(71, (len(case),))
     )
     L = oracle.build_forward_generator(g, kern, params)
     failures = []
@@ -286,7 +283,8 @@ def test_batched_dual_follows_the_exact_transient_law(case):
     kern = kernel_from_rates(_C4_SKEWED, 4) if skewed else uniform_kernel(g)
     params = ModelParams(p, v)
     runs = est._dual_runs(
-        g, kern, params, 20_000, RngStream(83, (len(case),)), 1, initial=initial, t_max=t, mode=mode
+        EventTable(g, kern, params), 20_000, RngStream(83, (len(case),)), 1,
+        initial=initial, t_max=t, mode=mode,
     )
     assert not _law_misses(g, kern, params, initial, t, mode, runs)
 
@@ -302,8 +300,9 @@ def test_continued_dual_block_follows_the_exact_transient_law():
     params = ModelParams(0.6, 1.0)
     initial = DualState.of([0, 2], [1, 1], [1], [3])
     gen, replicas = RngStream(86).generator(), 20_000
-    first = simulate_dual(gen, replicas, g, kern, params, initial, 0.6)
-    runs = simulate_dual(gen, replicas, g, kern, params, first, 1.2)
+    table = EventTable(g, kern, params)
+    first = simulate_dual(gen, replicas, table, initial, 0.6)
+    runs = simulate_dual(gen, replicas, table, first, 1.2)
     assert (first.time == 0.6).all() and (runs.time == 1.2).all()
     assert not _law_misses(g, kern, params, initial, 1.2, "coalescing", runs)
 
@@ -321,7 +320,7 @@ def test_coupled_legs_follow_the_exact_transient_law():
     initial = DualState.of([0, 2], [1, -1])
     t, replicas = 1.5, 20_000
     head, coalescing, independent = coupled_run(
-        RngStream(84).generator(), replicas, g, kern, params, initial, t
+        RngStream(84).generator(), replicas, EventTable(g, kern, params), initial, t
     )
     assert 0.2 < np.count_nonzero(head.stopped) / replicas < 0.95
     law0 = np.zeros(oracle.dual_state_count(g, 2))
@@ -341,16 +340,13 @@ def test_mu_dyn_single_walker_is_exact(k2):
     # with zero variance, and a revealed edge only rescales by p or 1-p.
     g, kern = k2
     params = ModelParams(0.3, 1.0)
-    plain = est.estimate_mu_dyn(
-        g, kern, params, sites=[0], signs=[1], replicas=100, stream=RngStream(3)
-    )
+    table = EventTable(g, kern, params)
+    plain = est.estimate_mu_dyn(table, sites=[0], signs=[1], replicas=100, stream=RngStream(3))
     assert plain.result.estimate == 0.5
     assert plain.result.std_error == 0.0
     assert plain.censored_count == 0
     constrained = est.estimate_mu_dyn(
-        g,
-        kern,
-        params,
+        table,
         sites=[0],
         signs=[1],
         replicas=100,
@@ -365,9 +361,7 @@ def test_mu_dyn_reports_describe_replicas(k2):
     g, kern = k2
     params = ModelParams(0.3, 1.0)
     out = est.estimate_mu_dyn(
-        g,
-        kern,
-        params,
+        EventTable(g, kern, params),
         sites=[0, 1],
         signs=[1, 1],
         replicas=40,
@@ -386,12 +380,10 @@ def test_mu_dyn_reports_describe_replicas(k2):
 
 def test_mu_dyn_censoring_raises(k2):
     g, kern = k2
-    params = ModelParams(0.3, 1.0)
+    table = EventTable(g, kern, ModelParams(0.3, 1.0))
     with pytest.raises(CensoringError):
         est.estimate_mu_dyn(
-            g,
-            kern,
-            params,
+            table,
             sites=[0, 1],
             signs=[1, 1],
             replicas=50,
@@ -400,9 +392,7 @@ def test_mu_dyn_censoring_raises(k2):
         )
     # within tolerance, censored runs are dropped from the mean, not averaged in
     partial = est.estimate_mu_dyn(
-        g,
-        kern,
-        params,
+        table,
         sites=[0, 1],
         signs=[1, 1],
         replicas=60,
@@ -414,9 +404,7 @@ def test_mu_dyn_censoring_raises(k2):
     assert partial.result.replicas == 60 - partial.censored_count
     with pytest.raises(CensoringError):  # nothing completed, nothing to average
         est.estimate_mu_dyn(
-            g,
-            kern,
-            params,
+            table,
             sites=[0, 1],
             signs=[1, 1],
             replicas=10,
@@ -433,7 +421,7 @@ def test_mu_dyn_two_walker_estimate_matches_exact(k2):
     g, kern = k2
     params = ModelParams(0.3, 1.0)
     out = est.estimate_mu_dyn(
-        g, kern, params, sites=[0, 1], signs=[1, 1], replicas=4000,
+        EventTable(g, kern, params), sites=[0, 1], signs=[1, 1], replicas=4000,
         stream=RngStream(21),
     )
     assert est.deviation_sigmas(out.result, params.p / 2.0) < 3.0
@@ -443,7 +431,7 @@ def test_mu_dyn_rejects_non_plus_site_signs(k2):
     g, kern = k2
     with pytest.raises(ValueError, match="all-\\+1"):
         est.estimate_mu_dyn(
-            g, kern, ModelParams(0.3, 1.0), sites=[0], signs=[-1], replicas=10,
+            EventTable(g, kern, ModelParams(0.3, 1.0)), sites=[0], signs=[-1], replicas=10,
             stream=RngStream(1),
         )
 
@@ -455,7 +443,7 @@ def test_mu_dyn_separate_components_never_merge():
     kern = uniform_kernel(g)
     params = ModelParams(0.4, 1.0)
     out = est.estimate_mu_dyn(
-        g, kern, params, sites=[0, 2], signs=[1, 1], replicas=200,
+        EventTable(g, kern, params), sites=[0, 2], signs=[1, 1], replicas=200,
         stream=RngStream(31),
     )
     assert out.result.estimate == 0.25
@@ -468,13 +456,45 @@ def test_mu_dyn_separate_components_never_merge():
     assert exact == pytest.approx(0.25, abs=1e-10)
 
 
+def test_mu_dyn_stops_at_the_closed_classes_of_a_reducible_kernel():
+    # cycle:6 with rate 0 across the edges {2, 3} and {5, 0}: one graph
+    # component, but the kernel's walk has the closed classes {0, 1, 2} and
+    # {3, 4, 5}, asymmetric inside. Walkers from 0 and 2 coalesce and the
+    # one from 4 stays alone, so every replica stops at two classes. Against
+    # the exact stationary mass; stated false-failure rate: one two-sided
+    # gate at 3 sigma, family-wise <= 0.27% under the normal approximation.
+    g = builtin_graph("cycle", 6)
+    rates = {
+        0: {1: 1.0, 5: 0.0}, 1: {0: 0.7, 2: 0.3}, 2: {1: 1.0, 3: 0.0},
+        3: {2: 0.0, 4: 1.0}, 4: {3: 0.2, 5: 0.8}, 5: {0: 0.0, 4: 1.0},
+    }
+    kern, params = kernel_from_rates(rates, 6), ModelParams(0.3, 1.0)
+    out = est.estimate_mu_dyn(
+        EventTable(g, kern, params), [0, 2, 4], [1, 1, 1], 4000, RngStream(97), t_cap=1e3
+    )
+    assert out.censored_count == 0
+    assert {len(rep.partition) for rep in out.reports} == {2}
+    pi = oracle.stationary_distribution(oracle.build_forward_generator(g, kern, params))
+    exact = oracle.cylinder_probability(g, pi, CylinderEvent.of(sites={0: 1, 2: 1, 4: 1}))
+    assert est.deviation_sigmas(out.result, exact) <= 3.0
+
+
+def test_mu_dyn_rejects_a_transient_start_site():
+    g = builtin_graph("path", 3)
+    leak = kernel_from_rates({0: {1: 1.0}, 1: {2: 1.0}, 2: {1: 1.0}}, 3)
+    with pytest.raises(ValueError, match="start site 0 is transient"):
+        est.estimate_mu_dyn(
+            EventTable(g, leak, ModelParams(0.3, 1.0)), [1, 0], [1, 1], 10, RngStream(1)
+        )
+
+
 def test_two_site_mass_is_quarter_in_symmetric_environment(p3):
     # At p = 1/2 the sign carried to a merge is a fair coin, so the two-site
     # all-plus mass is exactly 2^-2 -- checked by estimator and exact solve.
     g, kern = p3
     params = ModelParams(0.5, 1.0)
     out = est.estimate_mu_dyn(
-        g, kern, params, sites=[0, 2], signs=[1, 1], replicas=4000,
+        EventTable(g, kern, params), sites=[0, 2], signs=[1, 1], replicas=4000,
         stream=RngStream(37),
     )
     assert est.deviation_sigmas(out.result, 0.25) < 3.0
@@ -491,22 +511,18 @@ def test_mu_dyn_is_stationary(k2):
     params = ModelParams(0.3, 1.0)
     L = oracle.build_forward_generator(g, kern, params)
     pi = oracle.stationary_distribution(L)
+    table = EventTable(g, kern, params)
     mu = est.estimate_mu_dyn(
-        g, kern, params, sites=[0, 1], signs=[1, 1], replicas=4000,
-        stream=RngStream(59),
+        table, sites=[0, 1], signs=[1, 1], replicas=4000, stream=RngStream(59)
     )
     cyl = CylinderEvent.of(sites={0: 1, 1: 1})
-    table = EventTable(g, kern, params)
     stream = RngStream(61)
     for call, t in enumerate((1.0, 5.0)):
         values = []
         for i in range(4000):
             gen = stream.child(call).substream(i)
             start = oracle.decode_forward_state(g, int(gen.choice(pi.size, p=pi)))
-            traj = simulate_forward(
-                g, table, params, start, t, gen,
-                checkpoint_times=[t], observables=[cyl],
-            )
+            traj = simulate_forward(table, start, t, gen, checkpoint_times=[t], observables=[cyl])
             values.append(traj.checkpoint_rows[0][2])
         arr = np.asarray(values, dtype=np.float64)
         se = float(arr.std(ddof=1) / math.sqrt(arr.size))
@@ -524,11 +540,12 @@ def test_dual_side_at_time_zero_is_the_event_indicator(p3):
         np.array([1, -1, 1], dtype=np.int8), np.array([1, -1], dtype=np.int8)
     )
     matching = DualState.of([0], [1], [0], [1])
-    res = est.estimate_dual_side(g, kern, params, fwd, matching, 0.0, 20, RngStream(41))
+    table = EventTable(g, kern, params)
+    res = est.estimate_dual_side(table, fwd, matching, 0.0, 20, RngStream(41))
     assert res.estimate == 1.0
     assert res.std_error == 0.0
     mismatched = DualState.of([1], [1])  # site 1 carries -1 in fwd
-    res2 = est.estimate_dual_side(g, kern, params, fwd, mismatched, 0.0, 20, RngStream(41))
+    res2 = est.estimate_dual_side(table, fwd, mismatched, 0.0, 20, RngStream(41))
     assert res2.estimate == 0.0
 
 
@@ -545,12 +562,11 @@ def test_dual_side_cross_checks_forward_and_oracle(p3):
     ]
     L = oracle.build_forward_generator(g, kern, params)
     dist = oracle.transient_distribution(L, oracle.forward_delta(g, fwd), t)
+    table = EventTable(g, kern, params)
     for call, (dual, cyl) in enumerate(cases):
-        dual_res = est.estimate_dual_side(
-            g, kern, params, fwd, dual, t, 4000, RngStream(43, (call,))
-        )
+        dual_res = est.estimate_dual_side(table, fwd, dual, t, 4000, RngStream(43, (call,)))
         fwd_res = est.estimate_cylinder_probabilities(
-            g, kern, params, fwd, [t], [cyl], 4000, RngStream(44, (call,))
+            table, fwd, [t], [cyl], 4000, RngStream(44, (call,))
         )[(t, cyl.label())]
         pooled = math.hypot(dual_res.std_error, fwd_res.std_error)
         assert abs(dual_res.estimate - fwd_res.estimate) <= 3.0 * pooled
@@ -567,7 +583,7 @@ def test_tv_decay_identical_initials_stay_near_zero(p3):
     params = ModelParams(0.5, 1.0)
     state = SpinBondState.constant(g, site_sign=1, edge_sign=-1)
     points = est.estimate_tv_decay(
-        g, kern, params, state, state, [0.5, 1.5],
+        EventTable(g, kern, params), state, state, [0.5, 1.5],
         single_constraint_events(g), 600, RngStream(47),
     )
     for pt in points:
@@ -580,7 +596,7 @@ def test_tv_decay_separates_then_decays(p3):
     plus = SpinBondState.constant(g, site_sign=1, edge_sign=1)
     minus = SpinBondState.constant(g, site_sign=-1, edge_sign=-1)
     points = est.estimate_tv_decay(
-        g, kern, params, plus, minus, [0.0, 1.0, 12.0],
+        EventTable(g, kern, params), plus, minus, [0.0, 1.0, 12.0],
         single_constraint_events(g), 1500, RngStream(49),
     )
     assert points[0].bound == 1.0  # deterministic opposite starts
@@ -593,7 +609,7 @@ def test_single_site_frequency_relaxes_to_half_on_cycle(c6):
     g, kern = c6
     params = ModelParams(0.5, 1.0)
     res = est.estimate_cylinder_probabilities(
-        g, kern, params, SpinBondState.constant(g, site_sign=1, edge_sign=1),
+        EventTable(g, kern, params), SpinBondState.constant(g, site_sign=1, edge_sign=1),
         [30.0], [CylinderEvent.of(sites={0: 1})], 10000, RngStream(53),
     )[(30.0, "site0=+1")]
     assert abs(res.estimate - 0.5) <= 0.02
@@ -606,7 +622,7 @@ def test_spin_flip_symmetry_of_site_marginals(p3):
     params = ModelParams(0.3, 2.0)
     cyls = [CylinderEvent.of(sites={x: s}) for x in range(3) for s in (1, -1)]
     out = est.estimate_cylinder_probabilities(
-        g, kern, params, est.ProductInitial(site_plus_prob=0.5, edge_plus_prob=0.2),
+        EventTable(g, kern, params), est.ProductInitial(site_plus_prob=0.5, edge_plus_prob=0.2),
         [0.5, 1.5], cyls, 4000, RngStream(67),
     )
     for x in range(3):
@@ -689,16 +705,14 @@ def test_mgf_monte_carlo_within_three_sigma():
 
 def test_revealed_weight_estimator_basics(k2):
     g, kern = k2
-    params = ModelParams(0.3, 1.0)
+    table = EventTable(g, kern, ModelParams(0.3, 1.0))
     initial = DualState.of([0], [1])
     res = est.estimate_revealed_weight(
-        g, kern, params, initial, theta=-0.5, t=1.0, replicas=500,
-        stream=RngStream(17),
+        table, initial, theta=-0.5, t=1.0, replicas=500, stream=RngStream(17)
     )
     # exp(theta * size) with theta < 0 and size >= 0 lies in (0, 1].
     assert 0.0 < res.estimate <= 1.0
     repeat = est.estimate_revealed_weight(
-        g, kern, params, initial, theta=-0.5, t=1.0, replicas=500,
-        stream=RngStream(17),
+        table, initial, theta=-0.5, t=1.0, replicas=500, stream=RngStream(17)
     )
     assert res.estimate == repeat.estimate

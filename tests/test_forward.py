@@ -8,14 +8,7 @@ from hypothesis import given, settings, strategies as st
 import spinbond
 from spinbond import forward, oracle
 from spinbond.cylinders import CylinderEvent, single_constraint_events
-from spinbond.dual import DualState, coupled_run, simulate_dual
-from spinbond.estimators import (
-    ProductInitial,
-    _cylinder_hits,
-    _forward_cylinder_replica,
-    estimate_cylinder_probabilities,
-    estimate_mu_dyn,
-)
+from spinbond.estimators import ProductInitial, _cylinder_hits, _forward_cylinder_replica
 from spinbond.forward import (
     EventTable,
     ModelParams,
@@ -68,7 +61,8 @@ def test_simulate_does_not_mutate_initial(p3):
     g, kern = p3
     initial = striped_state(g)
     before = (initial.site_signs.copy(), initial.edge_signs.copy())
-    simulate_forward(g, kern, ModelParams(0.4, 1.0), initial, 5.0, RngStream(3))
+    table = EventTable(g, kern, ModelParams(0.4, 1.0))
+    simulate_forward(table, initial, 5.0, RngStream(3).generator())
     assert np.array_equal(initial.site_signs, before[0])
     assert np.array_equal(initial.edge_signs, before[1])
 
@@ -95,7 +89,9 @@ def test_simulate_rejects_bad_initial_states_unchanged(p3, sites, edges, message
     before = (sites.copy(), edges.copy())
     for check in (
         lambda: initial.validate(g),
-        lambda: simulate_forward(g, kern, ModelParams(0.4, 1.0), initial, 5.0, RngStream(3)),
+        lambda: simulate_forward(
+            EventTable(g, kern, ModelParams(0.4, 1.0)), initial, 5.0, RngStream(3).generator()
+        ),
     ):
         with pytest.raises(ValueError) as info:
             check()
@@ -107,7 +103,9 @@ def test_simulate_rejects_bad_initial_states_unchanged(p3, sites, edges, message
 def test_simulate_keeps_the_initial_dtype(p3):
     g, kern = p3
     initial = SpinBondState(np.array([1.0, -1.0, 1.0]), np.array([-1, 1], dtype=np.int64))
-    traj = simulate_forward(g, kern, ModelParams(0.4, 1.0), initial, 5.0, RngStream(3))
+    traj = simulate_forward(
+        EventTable(g, kern, ModelParams(0.4, 1.0)), initial, 5.0, RngStream(3).generator()
+    )
     assert traj.final_state.site_signs.dtype == np.float64
     assert traj.final_state.edge_signs.dtype == np.int64
     assert traj.final_state.site_signs is not initial.site_signs
@@ -116,13 +114,13 @@ def test_simulate_keeps_the_initial_dtype(p3):
 
 def test_determinism_same_seed(p3):
     g, kern = p3
-    params = ModelParams(0.4, 1.0)
+    table = EventTable(g, kern, ModelParams(0.4, 1.0))
     times = np.linspace(0.0, 8.0, 81).tolist()
     obs = single_constraint_events(g)
 
     def run(seed):
         traj = simulate_forward(
-            g, kern, params, striped_state(g), 8.0, RngStream(seed),
+            table, striped_state(g), 8.0, RngStream(seed).generator(),
             checkpoint_times=times, observables=obs,
         )
         final = traj.final_state
@@ -143,11 +141,10 @@ def test_edge_marginal_transient_closed_form(p3):
     n = 20000
     stream = RngStream(31)
     hits = 0
-    params = ModelParams(p, v)
-    table = EventTable(g, kern, params)  # built and checked once, not per run
+    table = EventTable(g, kern, ModelParams(p, v))  # built and checked once, not per run
     initial = SpinBondState.constant(g, 1, -1)
     for i in range(n):
-        traj = simulate_forward(g, table, params, initial, t, stream.substream(i))
+        traj = simulate_forward(table, initial, t, stream.substream(i))
         hits += traj.final_state.edge_signs[0] == 1
     se = math.sqrt(target * (1 - target) / n)
     assert abs(hits / n - target) < 3 * se
@@ -155,10 +152,10 @@ def test_edge_marginal_transient_closed_form(p3):
 
 def test_consensus_absorbs_when_edges_always_refresh_positive(p3):
     g, kern = p3
-    params = ModelParams(p=1.0, v=1.0)
+    table = EventTable(g, kern, ModelParams(p=1.0, v=1.0))
     for seed in range(30):
         traj = simulate_forward(
-            g, kern, params, SpinBondState.constant(g, -1, -1), 60.0, RngStream(seed)
+            table, SpinBondState.constant(g, -1, -1), 60.0, RngStream(seed).generator()
         )
         final = traj.final_state
         assert np.all(final.edge_signs == 1)
@@ -168,15 +165,10 @@ def test_consensus_absorbs_when_edges_always_refresh_positive(p3):
 def test_checkpoint_rows(p3):
     g, kern = p3
     obs = [CylinderEvent.of(sites={0: 1}), CylinderEvent.of(edges={1: -1})]
+    table = EventTable(g, kern, ModelParams(0.5, 1.0))
     traj = simulate_forward(
-        g,
-        kern,
-        ModelParams(0.5, 1.0),
-        striped_state(g),
-        2.0,
-        RngStream(7),
-        checkpoint_times=[0.0, 1.0, 2.0],
-        observables=obs,
+        table, striped_state(g), 2.0, RngStream(7).generator(),
+        checkpoint_times=[0.0, 1.0, 2.0], observables=obs,
     )
     assert len(traj.checkpoint_rows) == 6
     assert [row[0] for row in traj.checkpoint_rows] == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
@@ -185,8 +177,7 @@ def test_checkpoint_rows(p3):
     assert all(row[2] in (0.0, 1.0) for row in traj.checkpoint_rows)
     with pytest.raises(ValueError, match="beyond t_max"):
         simulate_forward(
-            g, kern, ModelParams(0.5, 1.0), striped_state(g), 1.0, RngStream(7),
-            checkpoint_times=[2.0],
+            table, striped_state(g), 1.0, RngStream(7).generator(), checkpoint_times=[2.0]
         )
 
 
@@ -194,8 +185,9 @@ def test_checkpoint_before_time_zero_is_rejected(p3):
     g, kern = p3
     with pytest.raises(ValueError, match="checkpoint -0.5 lies before time 0"):
         spinbond.simulate_forward(
-            g, kern, ModelParams(0.5, 1.0), striped_state(g), 1.0, RngStream(7),
-            checkpoint_times=[1.0, -0.5], observables=[CylinderEvent.of(sites={0: 1})],
+            spinbond.EventTable(g, kern, ModelParams(0.5, 1.0)), striped_state(g), 1.0,
+            RngStream(7).generator(), checkpoint_times=[1.0, -0.5],
+            observables=[CylinderEvent.of(sites={0: 1})],
         )
 
 
@@ -204,24 +196,16 @@ def test_simulate_rejects_a_horizon_that_is_not_a_finite_time(p3, t_max):
     g, kern = p3
     state = striped_state(g)
     with pytest.raises(ValueError, match="t_max must be finite and >= 0"):
-        simulate_forward(g, kern, ModelParams(0.5, 1.0), state, t_max, RngStream(0))
-
-
-def test_event_table_must_match_the_params(p3):
-    g, kern = p3
-    table = EventTable(g, kern, ModelParams(0.5, 1.0))
-    traj = simulate_forward(g, table, ModelParams(0.5, 1.0), striped_state(g), 1.0, RngStream(7))
-    same = simulate_forward(g, kern, ModelParams(0.5, 1.0), striped_state(g), 1.0, RngStream(7))
-    assert traj.event_count == same.event_count
-    assert np.array_equal(traj.final_state.site_signs, same.final_state.site_signs)
-    with pytest.raises(ValueError, match="event table was built for"):
-        simulate_forward(g, table, ModelParams(0.5, 2.0), striped_state(g), 1.0, RngStream(7))
+        simulate_forward(
+            EventTable(g, kern, ModelParams(0.5, 1.0)), state, t_max, RngStream(0).generator()
+        )
 
 
 def test_frozen_edges_when_refresh_rate_zero(p3):
     g, kern = p3
     initial = striped_state(g)
-    traj = simulate_forward(g, kern, ModelParams(0.3, 0.0), initial, 10.0, RngStream(9))
+    table = EventTable(g, kern, ModelParams(0.3, 0.0))
+    traj = simulate_forward(table, initial, 10.0, RngStream(9).generator())
     assert np.array_equal(traj.final_state.edge_signs, initial.edge_signs)
 
 
@@ -266,7 +250,7 @@ def test_signs_stay_plus_minus_one(seed, p, v):
     g = builtin_graph("path", 4)
     kern = uniform_kernel(g)
     traj = simulate_forward(
-        g, kern, ModelParams(p, v), striped_state(g), 3.0, RngStream(seed)
+        EventTable(g, kern, ModelParams(p, v)), striped_state(g), 3.0, RngStream(seed).generator()
     )
     traj.final_state.validate(g)
 
@@ -321,8 +305,7 @@ def test_forward_follows_the_exact_transient_law(case):
     hits = np.zeros(len(_TIMES) * len(obs))
     for i in range(replicas):
         traj = simulate_forward(
-            g, table, params, initial, _T_MAX, stream.substream(i),
-            checkpoint_times=_TIMES, observables=obs,
+            table, initial, _T_MAX, stream.substream(i), checkpoint_times=_TIMES, observables=obs
         )
         hits += [value for _, _, value in traj.checkpoint_rows]
     freq = dict(zip(product(_TIMES, [cyl.label() for cyl in obs]), hits / replicas))
@@ -420,9 +403,9 @@ def test_forward_rows_are_the_hits_of_a_one_replica_block(monkeypatch, case):
     for i in range(100):
         t_max = 3.0 if i % 2 else 3.5
         rows, _ = _forward_cylinder_replica(
-            stream.substream(i), g, table, initial, t_max, times, obs
+            stream.substream(i), 1, table, initial, t_max, times, obs
         )
-        hits = _cylinder_hits(stream.substream(i), 1, g, table, initial, times, obs)
+        hits = _cylinder_hits(stream.substream(i), 1, table, initial, times, obs)
         assert [value for _, _, value in rows] == hits.tolist()
 
 
@@ -431,14 +414,12 @@ def test_recorded_ring_times_are_poisson_and_uniform(p3):
     # however the checkpoints split it into intervals. Stated false-failure
     # rate: two normal gates at 4 sigma, family-wise <= 2 * 0.0063% = 0.013%.
     g, kern = p3
-    params = ModelParams(0.4, 1.0)
-    table = EventTable(g, kern, params)
+    table = EventTable(g, kern, ModelParams(0.4, 1.0))
     t_max, replicas = 2.0, 4000
     stream = RngStream(61)
     counts = np.array([
         simulate_forward(
-            g, table, params, striped_state(g), t_max, stream.substream(i),
-            checkpoint_times=[0.5, 1.2],
+            table, striped_state(g), t_max, stream.substream(i), checkpoint_times=[0.5, 1.2]
         ).event_count
         for i in range(replicas)
     ])
@@ -451,23 +432,16 @@ def test_recorded_ring_times_are_poisson_and_uniform(p3):
 
 def test_invalid_kernel_is_rejected_everywhere(p3):
     # Rows summing to 0.7 and 0.4: no simulator may quietly rescale them, and
-    # the exact builders may not take their rates as given.
+    # the exact builders may not take their rates as given. Every simulator
+    # and estimator takes an EventTable, so building one is the Monte Carlo
+    # side's one entry point.
     g, _ = p3
     bad = kernel_from_rates({0: {1: 1.0}, 1: {0: 0.7, 2: 0.0}, 2: {1: 0.4}}, g.vertex_count)
     params = ModelParams(0.5, 1.0)
-    dual = DualState.of([0, 2], [1, 1])
-    gen = RngStream(1).generator()
     for run in (
-        lambda: simulate_forward(g, bad, params, striped_state(g), 1.0, RngStream(1)),
-        lambda: simulate_dual(gen, 10, g, bad, params, dual, 1.0),
-        lambda: coupled_run(gen, 10, g, bad, params, dual, 1.0),
+        lambda: EventTable(g, bad, params),
         lambda: oracle.build_forward_generator(g, bad, params),
         lambda: oracle.build_dual_generator(g, bad, params, 2),
-        lambda: estimate_cylinder_probabilities(
-            g, bad, params, striped_state(g), [1.0], [CylinderEvent.of(sites={0: 1})], 10,
-            RngStream(1),
-        ),
-        lambda: estimate_mu_dyn(g, bad, params, [0], [1], 10, RngStream(1)),
     ):
         with pytest.raises(ValueError, match=r"invalid kernel: row sum at vertex 1 is 0\.7"):
             run()

@@ -6,6 +6,7 @@ from spinbond.graphs import (
     AdoptionKernel,
     build_graph,
     builtin_graph,
+    closed_classes,
     kernel_from_rates,
     read_graph_file,
     read_kernel_file,
@@ -76,11 +77,27 @@ def test_grid_torus_small_cases():
 
 
 def test_component_labels():
-    g = build_graph([(0, 1), (2, 3)], 5)
-    assert g.component_ids[0] == g.component_ids[1]
-    assert g.component_ids[2] == g.component_ids[3]
-    assert len({g.component_ids[0], g.component_ids[2], g.component_ids[4]}) == 3
-    assert g.component_count() == 3
+    # Under a uniform kernel the closed classes of the walk are the graph's components.
+    g = build_graph([(0, 1), (2, 3), (4, 5), (5, 6)], 7)
+    label = closed_classes(uniform_kernel(g))
+    assert label[0] == label[1] and label[2] == label[3] and label[4] == label[5] == label[6]
+    assert len(set(label)) == 3 and None not in label
+
+
+def test_closed_classes_of_reducible_kernels():
+    # path:4 cut in the middle by rate 0: two closed classes in one component.
+    halves = kernel_from_rates({0: {1: 1.0}, 1: {0: 1.0, 2: 0.0}, 2: {3: 1.0}, 3: {2: 1.0}}, 4)
+    label = closed_classes(halves)
+    assert label[0] == label[1] != label[2] == label[3] and None not in label
+    # 0 -> 1 <-> 2: the walk leaves vertex 0 for good.
+    label = closed_classes(kernel_from_rates({0: {1: 1.0}, 1: {2: 1.0}, 2: {1: 1.0}}, 3))
+    assert label[0] is None and label[1] == label[2] is not None
+    # A one-way cycle is one closed class; a one-way path into a cycle is not.
+    one_way = {x: {(x + 1) % 6: 1.0} for x in range(6)}
+    assert len(set(closed_classes(kernel_from_rates(one_way, 6)))) == 1
+    into = {0: {1: 1.0}, 1: {2: 1.0}, 2: {0: 1.0}, 3: {2: 1.0}, 4: {3: 1.0}, 5: {4: 1.0}}
+    label = closed_classes(kernel_from_rates(into, 6))
+    assert label[3:] == [None] * 3 and label[0] == label[1] == label[2] is not None
 
 
 def test_uniform_kernel_and_isolated_vertex():
@@ -162,9 +179,10 @@ def test_build_graph_adjacency_consistency(n, pairs):
         for y, e in g.adjacency[x]:
             assert g.edges[e] == ((x, y) if x < y else (y, x))
             assert (x, g.edge_id(x, y)) in g.adjacency[y]
-            assert g.component_ids[x] == g.component_ids[y]
     assert len(set(g.edges)) == g.edge_count
     if g.edge_count:
         kern = uniform_kernel(g) if all(g.degree(x) for x in range(n)) else None
         if kern is not None:
             assert validate_kernel(g, kern).valid
+            label = closed_classes(kern)
+            assert all(label[x] == label[y] is not None for x, y in g.edges)

@@ -105,7 +105,7 @@ def test_dual_block_holds_its_edge_arrays_once():
     initial = DualState.of(list(range(0, 100, 11)), [1, -1] * 5)  # ten walkers on the diagonal
     size = 4096
     traj, peak = _traced_peak(
-        lambda: simulate_dual(RngStream(5).generator(), size, g, table, PARAMS, initial, 5.0)
+        lambda: simulate_dual(RngStream(5).generator(), size, table, initial, 5.0)
     )
     assert traj.status.shape == (size, g.edge_count) and traj.reveal_count > 0
     assert peak <= 14 * size * g.edge_count

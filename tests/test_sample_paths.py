@@ -29,7 +29,7 @@ from spinbond.estimators import (
     estimate_revealed_weight,
     simulate_birth_death,
 )
-from spinbond.forward import ModelParams, simulate_forward
+from spinbond.forward import EventTable, ModelParams, simulate_forward
 from spinbond.graphs import builtin_graph, uniform_kernel
 from spinbond.rng import RngStream
 
@@ -46,8 +46,8 @@ def _forward_path(kind, sizes, seed):
     g = builtin_graph(kind, *sizes)
     obs = [CylinderEvent.of(sites={0: 1}), CylinderEvent.of(sites={1: -1}, edges={0: 1})]
     traj = simulate_forward(
-        g, uniform_kernel(g), PARAMS, striped_state(g), 3.0, RngStream(seed),
-        checkpoint_times=[0.0, 1.0, 2.5, 3.0], observables=obs,
+        EventTable(g, uniform_kernel(g), PARAMS), striped_state(g), 3.0,
+        RngStream(seed).generator(), checkpoint_times=[0.0, 1.0, 2.5, 3.0], observables=obs,
     )
     return {
         "events": traj.event_count,
@@ -63,7 +63,8 @@ def _batched_hits(kind, sizes, seed, product):
     obs = [CylinderEvent.of(sites={0: 1}), CylinderEvent.of(sites={1: -1}, edges={0: 1})]
     initial = ProductInitial(0.5, 0.3) if product else striped_state(g)
     out = estimate_cylinder_probabilities(
-        g, uniform_kernel(g), PARAMS, initial, [0.0, 1.0, 2.5], obs, 5000, RngStream(seed),
+        EventTable(g, uniform_kernel(g), PARAMS), initial, [0.0, 1.0, 2.5], obs, 5000,
+        RngStream(seed),
     )
     return [round(res.estimate * res.replicas) for res in out.values()]
 
@@ -73,7 +74,7 @@ def _dual_path(kind, sizes, seed, mode, stop, t_max):
     g = builtin_graph(kind, *sizes)
     initial = DualState.of([0, 2, 4], [1, -1, 1], revealed_positive=[1], revealed_negative=[3])
     traj = simulate_dual(
-        RngStream(seed).generator(), 1, g, uniform_kernel(g), PARAMS, initial, t_max,
+        RngStream(seed).generator(), 1, EventTable(g, uniform_kernel(g), PARAMS), initial, t_max,
         mode=mode, target=1 if stop else None,
     )
     status = traj.status[0]
@@ -95,16 +96,17 @@ def _dual_estimates(kind, sizes):
     g = builtin_graph(kind, *sizes)
     kern = uniform_kernel(g)
     initial = DualState.of([0, 2, 4], [1, -1, 1], revealed_positive=[1], revealed_negative=[3])
+    table = EventTable(g, kern, PARAMS)
     out = {
         mode: estimate_dual_side(
-            g, kern, PARAMS, striped_state(g), initial, 2.0, 5000, RngStream(1), mode=mode
+            table, striped_state(g), initial, 2.0, 5000, RngStream(1), mode=mode
         ).estimate
         for mode in ("coalescing", "independent")
     }
     out["revealed_weight"] = estimate_revealed_weight(
-        g, kern, PARAMS, initial, math.log(2.0), 2.0, 5000, RngStream(2)
+        table, initial, math.log(2.0), 2.0, 5000, RngStream(2)
     ).estimate
-    mu = estimate_mu_dyn(g, kern, PARAMS, [0, 3], [1, 1], 5000, RngStream(3), report_limit=2)
+    mu = estimate_mu_dyn(table, [0, 3], [1, 1], 5000, RngStream(3), report_limit=2)
     out.update(mu_dyn=mu.result.estimate, censored=mu.censored_count)
     out.update((f"time{i}", rep.time) for i, rep in enumerate(mu.reports))
     return out
@@ -130,20 +132,20 @@ def _dual_block(case):
     t = 1.5, so its replicas start from different clocks.
     """
     g = builtin_graph("cycle", 8)
-    kern = uniform_kernel(g)
     initial = DualState.of([0, 2, 5], [1, -1, 1], revealed_positive=[1], revealed_negative=[3])
+    table = EventTable(g, uniform_kernel(g), PARAMS)
     gen = RngStream(11).generator()
     record = []
     run = dict(target=1, record=record)
     if case == "target":
-        traj = simulate_dual(gen, 300, g, kern, PARAMS, initial, 1e4, **run)
+        traj = simulate_dual(gen, 300, table, initial, 1e4, **run)
     elif case == "t_max":
-        traj = simulate_dual(gen, 300, g, kern, PARAMS, initial, 3.0, record=record)
+        traj = simulate_dual(gen, 300, table, initial, 3.0, record=record)
     elif case == "independent":
-        traj = simulate_dual(gen, 300, g, kern, PARAMS, initial, 3.0, "independent", record=record)
+        traj = simulate_dual(gen, 300, table, initial, 3.0, "independent", record=record)
     else:
-        first = simulate_dual(gen, 300, g, kern, PARAMS, initial, 1.5, target=2)
-        traj = simulate_dual(gen, 300, g, kern, PARAMS, first, 4.0, **run)
+        first = simulate_dual(gen, 300, table, initial, 1.5, target=2)
+        traj = simulate_dual(gen, 300, table, first, 4.0, **run)
     names = ("positions", "signs", "status", "time", "stopped")
     return traj, {
         "block": _digest(getattr(traj, name) for name in names),
