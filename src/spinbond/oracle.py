@@ -4,21 +4,34 @@ Forward configurations are packed into integers with one bit per site and
 per edge (set bit means +1), dual configurations into mixed-radix integers
 (positions base |V|, signs base 2, one base-3 digit per edge: 0 unrevealed,
 1 revealed positive, 2 revealed negative). A builder fills a table of
-`targets` and `rates` with a fixed number of slots per state, one slot
-column at a time with array arithmetic on those digits; rate 0 means no
-transition, slots with one target add their rates, and the last slot
-holds the diagonal, so the table read in place as CSR is the generator.
-Each chain is then held at most twice: the uniformized jump matrix
-I + L/lam is made from L itself where the caller gives L up (the dual side
-of the duality gap table), else from one copy of L's transpose. Transient
-laws come from uniformization, one series of products per segment of at
-most _SEGMENT_TIMES times on a grid; stationary laws from power iteration
-on the same jump matrix. The duality gap table's left side takes one pass
-over the forward law per walker position/sign block, not one per dual
-state, so it does not scale as |dual| * |forward|. scipy is imported only
-where a generator is assembled (``scipy.sparse``) and where closed classes
-are counted (``scipy.sparse.csgraph``), so importing this module, or
-running any Monte Carlo path, loads none of it.
+`targets` and `rates` with a fixed number of slots per state, in blocks of
+at most _ROW_BLOCK states, with array arithmetic on those digits; rate 0
+means no transition, and the last slot holds the diagonal. Each block is
+sorted and stripped of its zeros into arrays sized for the whole table,
+which are then cut to the entries stored, so the generator holds no
+unused slot.
+The dual generator is stored by rows. Every forward transition flips one
+bit, so L's column s has the same slots as its row s with each rate taken
+at the flipped source; the forward generator is stored by columns, and
+L.T, which every forward-law product multiplies, is a CSR view of it.
+
+Each chain is held once. The transient solvers take their generator over:
+transient_steps, transient_distribution and total_variation_curve turn
+L.T into the transposed jump matrix I + L.T/lam in place, and
+transient_action turns L itself into I + L/lam (the dual side of the
+duality gap table). Callers that need a generator again pass L.copy().
+stationary_distribution alone keeps L as it is and iterates on a copy of
+L.T, because its residual max|L^T pi| is read from L, also by callers
+after it returns.
+
+Transient laws come from uniformization, one series of products per
+segment of at most _SEGMENT_TIMES times on a grid; stationary laws from
+power iteration on the same jump matrix. The duality gap table's left
+side takes one pass over the forward law per walker position/sign block,
+not one per dual state, so it does not scale as |dual| * |forward|.
+scipy is imported only where a generator is assembled (``scipy.sparse``)
+and where closed classes are counted (``scipy.sparse.csgraph``), so
+importing this module, or running any Monte Carlo path, loads none of it.
 """
 
 from __future__ import annotations
@@ -29,7 +42,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cylinders import CylinderEvent
-from .dual import DualState
 from .errors import StateSpaceCapError
 from .forward import ModelParams, SpinBondState, edge_flip_rate
 from .graphs import AdoptionKernel, Graph, require_valid_kernel
@@ -76,81 +88,131 @@ def encode_forward_state(g: Graph, state: SpinBondState) -> int:
     return index
 
 
-def decode_forward_state(g: Graph, index: int) -> SpinBondState:
-    n, m = g.vertex_count, g.edge_count
-    sites = np.array([1 if (index >> x) & 1 else -1 for x in range(n)], dtype=np.int8)
-    edges = np.array([1 if (index >> (n + e)) & 1 else -1 for e in range(m)], dtype=np.int8)
-    return SpinBondState(sites, edges)
-
-
-def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParams) -> sp.csr_matrix:
-    """Generator of the joint spin-bond chain as a sparse rate matrix.
+def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParams) -> sp.csc_matrix:
+    """Generator of the joint spin-bond chain as a sparse rate matrix, stored by columns.
 
     Row s holds the rates out of configuration s; the diagonal is minus the
     row sum. Every transition flips one bit: site x has one slot, whose rate
     sums, in kernel-row order, q(x, y) over the positive kernel entries
-    whose adopted sign differs from x's, and each edge has one slot.
+    whose adopted sign differs from x's, and each edge has one slot. So
+    column s holds the same slots with each rate taken at the source
+    s ^ (1 << b), and the table is filled by columns: L.T, which every
+    forward-law product multiplies, is a CSR view of L's own arrays.
     """
     require_valid_kernel(g, kernel)
     n, m = g.vertex_count, g.edge_count
     size = forward_state_count(g)
-    idx = np.arange(size, dtype=np.int64)
-    # One slot per site, one per edge, and the diagonal's (see _assemble_generator).
-    targets = np.empty((size, n + m + 1), dtype=np.int32)  # FORWARD_STATE_CAP < 2^31
-    rates = np.zeros(targets.shape)
-
-    for x in range(n):
-        targets[:, x] = idx ^ (1 << x)
-        bit_x = (idx >> x) & 1
-        for y, q in kernel.rows[x]:
-            if q > 0.0:
-                # adopted sign is the product of neighbor and edge signs
-                new_bit = 1 ^ ((idx >> y) & 1) ^ ((idx >> (n + g.edge_id(x, y))) & 1)
-                rates[:, x] += np.where(new_bit != bit_x, q, 0.0)
-
+    bits = np.arange(n + m, dtype=np.int32)
+    flips = np.int32(1) << bits  # FORWARD_STATE_CAP < 2^31
+    # Neighbour, edge bit and rate of the d-th positive kernel entry of every
+    # site x at [d][x], padded to a common width with rate 0.
+    entries = [[(y, n + g.edge_id(x, y), q) for y, q in kernel.rows[x] if q > 0.0] for x in range(n)]
+    width = max(map(len, entries), default=0)
+    nbr = np.tile(np.arange(n), (width, 1))
+    edge_of = np.full((width, n), n)
+    rate_of = np.zeros((width, n))
+    for x, row in enumerate(entries):
+        for d, (y, e, q) in enumerate(row):
+            nbr[d, x], edge_of[d, x], rate_of[d, x] = y, e, q
     up_rate = edge_flip_rate(-1, params)
     down_rate = edge_flip_rate(1, params)
-    for e in range(m):
-        targets[:, n + e] = idx ^ (1 << (n + e))
-        rates[:, n + e] = np.where((idx >> (n + e)) & 1, down_rate, up_rate)
 
-    return _assemble_generator(targets, rates)
+    def columns(idx: np.ndarray):
+        # Slot b of row r is the flip of bit b of state idx[r], and the last
+        # slot is the diagonal's; `out` holds the rates out of idx[r], `into`
+        # those out of the flipped state, that is into idx[r].
+        targets = np.empty((idx.size, n + m + 1), dtype=np.int32)
+        targets[:, :-1] = idx[:, None] ^ flips
+        targets[:, -1] = idx
+        bit = ((idx >> bits[:, None]) & 1).astype(bool)  # one row per bit
+        out = np.zeros(targets.shape)
+        into = np.zeros(targets.shape)
+        for d in range(width):  # each site's rates summed in kernel-row order
+            # The adopted sign, the product of neighbour and edge signs,
+            # differs from the site's: its bit is 1 ^ neighbour ^ edge.
+            differs = (bit[nbr[d]] ^ bit[edge_of[d]]) == bit[:n]
+            out[:, :n] += np.where(differs, rate_of[d][:, None], 0.0).T
+            into[:, :n] += np.where(differs, 0.0, rate_of[d][:, None]).T
+        out[:, n:-1] = np.where(bit[n:], down_rate, up_rate).T
+        into[:, n:-1] = np.where(bit[n:], up_rate, down_rate).T
+        return _generator_rows(targets, out, into)
+
+    # L.T's rows; their transpose is L stored by columns, on the same arrays.
+    return _assemble_generator(size, n + m + 1, columns).T
 
 
-def _assemble_generator(targets: np.ndarray, rates: np.ndarray) -> sp.csr_matrix:
-    """Generator from a table of transitions with one row per state.
+def _generator_rows(targets: np.ndarray, rates: np.ndarray, into: np.ndarray | None = None):
+    """Rows of a generator, or of its transpose, from their block of its slot table.
 
-    Slot j of row s jumps from s to targets[s, j] at rate rates[s, j]; rate 0
-    means no transition, and slots of one row with one target add their
-    rates. The last slot is the diagonal's, filled here. The tables are read
-    in place as CSR (and overwritten), so the result is the one
-    generator-sized matrix made; it stores no zeros and has minus the row
-    sum on its diagonal. The row sum is np.add.reduceat over the row's
-    off-diagonal entries in column order, as scipy's sum(axis=1) takes it,
-    computed _ROW_BLOCK rows at a time.
+    Slot j of row r jumps from state targets[r, -1] to targets[r, j] at rate
+    rates[r, j]; rate 0 means no transition. No two transitions of a row
+    share a target when every kernel row lists a neighbour once; two that
+    do stay two entries, which products add. The last slot is the
+    diagonal's: its target is the row's own state, and its rate is minus
+    the row sum, np.add.reduceat over the row's transitions in target
+    order, as scipy's sum(axis=1) takes it. Given into[r, j], the rate of
+    slot j's transition reversed (from targets[r, j] into the row's
+    state), the rows returned are those of the transpose. Returns the rows'
+    values, columns and lengths, with each row's columns in order and zeros
+    dropped, so a state with no transitions stores no diagonal. targets is
+    overwritten.
+    """
+    rows, slots = targets.shape
+    # Each row sorted by target, with the slot carried along in the key
+    # target * slots + slot (< 2^31, see _assemble_generator), in place.
+    key = targets
+    key *= np.int32(slots)
+    key += np.arange(slots, dtype=np.int32)
+    key.sort(axis=1)
+    columns = key // np.int32(slots)
+    key -= columns * np.int32(slots)  # now the slot of each entry
+    on_diag = key == slots - 1
+    key += np.arange(0, targets.size, slots, dtype=np.int32)[:, None]
+    out = rates.take(key)
+    off = np.flatnonzero((out != 0.0) & ~on_diag)
+    counts = np.bincount(off // slots, minlength=rows)
+    row_sum = np.zeros(rows)
+    row_sum[counts > 0] = np.add.reduceat(out.take(off), (np.cumsum(counts) - counts)[counts > 0])
+    if into is not None:
+        out = into.take(key)
+    out[on_diag] = -row_sum
+    keep = np.flatnonzero(out != 0.0)
+    return out.take(keep), columns.take(keep), np.bincount(keep // slots, minlength=rows)
+
+
+def _assemble_generator(size: int, slots: int, rows_of) -> sp.csr_matrix:
+    """A CSR matrix from its slot table, filled one block of rows at a time.
+
+    rows_of(idx) returns the values, columns and lengths of the rows of the
+    states idx, at most `slots` entries each. They are copied one block
+    after another into arrays sized for the whole table, which are then cut
+    to the entries stored; the pages past them are never written, so the
+    result holds no unused slot and no moment holds two generator-sized
+    arrays. Indices are int32, since size * slots < 2^31
+    under both state caps: 2^20 * 21 forward, and under 2 * 10^6 * 300 dual,
+    as every positive kernel entry needs an edge and 3^|E| stays below the
+    dual cap.
     """
     import scipy.sparse as sp
 
-    size, slots = targets.shape
-    targets[:, -1] = np.arange(size)
-    rates[:, -1] = -1.0  # not 0, so that the diagonal keeps its place
-    L = sp.csr_matrix(
-        (rates.ravel(), targets.ravel(), np.arange(size + 1) * slots), shape=(size, size)
-    )
-    L.sum_duplicates()
-    L.eliminate_zeros()
-    for start in range(0, size, _ROW_BLOCK):
-        ptr = L.indptr[start:start + _ROW_BLOCK + 1]
-        lengths = np.diff(ptr)
-        rows = np.arange(start, start + lengths.size, dtype=L.indices.dtype)
-        on_diag = L.indices[ptr[0]:ptr[-1]] == np.repeat(rows, lengths)
-        data = L.data[ptr[0]:ptr[-1]]
-        off = lengths - 1  # off-diagonal entries per row
-        row_sum = np.zeros(lengths.size)
-        row_sum[off > 0] = np.add.reduceat(data[~on_diag], (np.cumsum(off) - off)[off > 0])
-        data[on_diag] = -row_sum
-    L.eliminate_zeros()  # the diagonal of a state with no transitions
-    return L
+    data = np.empty(size * slots)
+    indices = np.empty(size * slots, dtype=np.int32)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    nnz = 0
+    # A block's temporaries are a few times its share of the table, so a
+    # small chain is filled in blocks of a 24th of it (at least 128 rows).
+    rows = min(_ROW_BLOCK, max(size // 24, 128))
+    for start in range(0, size, rows):
+        idx = np.arange(start, min(start + rows, size), dtype=np.int32)
+        values, columns, lengths = rows_of(idx)
+        data[nnz:nnz + values.size] = values
+        indices[nnz:nnz + values.size] = columns
+        indptr[start + 1:start + idx.size + 1] = nnz + np.cumsum(lengths)
+        nnz += values.size
+    # No view of either array exists yet, so they shrink in place.
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def _uniformize(G: sp.csr_matrix) -> float:
@@ -250,8 +312,11 @@ def _series(
     return list(zip(accs, cums))
 
 
-def transient_distribution(L: sp.csr_matrix, initial: np.ndarray, t: float) -> np.ndarray:
-    """Law at time t from a row distribution, renormalized after truncation."""
+def transient_distribution(L: sp.csc_matrix, initial: np.ndarray, t: float) -> np.ndarray:
+    """Law at time t from a row distribution, renormalized after truncation.
+
+    L is taken over, as by transient_steps.
+    """
     (law,) = transient_steps(L, initial, t, 1)
     total = law.sum()
     if not np.isfinite(total) or total <= 0.0:
@@ -259,15 +324,17 @@ def transient_distribution(L: sp.csr_matrix, initial: np.ndarray, t: float) -> n
     return law / total
 
 
-def transient_steps(L: sp.csr_matrix, rows: np.ndarray, dt: float, steps: int) -> Iterator[np.ndarray]:
+def transient_steps(L: sp.csc_matrix, rows: np.ndarray, dt: float, steps: int) -> Iterator[np.ndarray]:
     """rows @ e^{i dt L} for i = 1, ..., steps, not renormalized.
 
     rows is one row vector, or an (N, c) block with one per column; a
-    signed difference of two laws is propagated like a law. The transposed
-    jump matrix is made once, from a copy of L's transpose, and one series
-    serves each segment of the grid.
+    signed difference of two laws is propagated like a law. L is taken
+    over: its transpose becomes the transposed jump matrix in place, once,
+    and one series serves each segment of the grid. For the forward
+    generator, stored by columns, that transpose is a CSR view of L's own
+    arrays, so no copy of the chain is made; pass L.copy() to keep L.
     """
-    PT = L.T.tocsr()
+    PT = L.T
     lam = _uniformize(PT)
     for law in _uniformized(PT, lam, rows, [i * dt for i in range(1, steps + 1)]):
         if not np.all(np.isfinite(law)):
@@ -278,42 +345,46 @@ def transient_steps(L: sp.csr_matrix, rows: np.ndarray, dt: float, steps: int) -
 def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float) -> np.ndarray:
     """e^{tL} applied to a column vector of observables (no renormalization).
 
-    L is overwritten: it becomes the jump matrix I + L/lam, so no copy of
-    it is made.
+    L is taken over: it becomes the jump matrix I + L/lam, so no copy of it
+    is made.
     """
     lam = _uniformize(L)
     (out,) = _uniformized(L, lam, vec, [t])
     return out
 
 
-def count_closed_classes(L: sp.csr_matrix) -> int:
+def count_closed_classes(L: sp.csc_matrix) -> int:
     """Number of strongly connected classes with no outgoing rate.
 
     L's stored entries are its positive rates plus diagonal self-loops, which
-    change no class, so its own sparsity is the transition graph. A class is
-    open when an entry leads out of it; the entries are read _ROW_BLOCK
-    rows at a time.
+    change no class, so its own sparsity is the transition graph. It is read
+    as its transpose, the graph reversed, which is a CSR view of the forward
+    generator: the strong classes are the same, and a class is open when an
+    entry of the transpose leads into it from another. The entries are read
+    _ROW_BLOCK rows at a time.
     """
     from scipy.sparse.csgraph import connected_components
 
-    n_comp, labels = connected_components(L, directed=True, connection="strong")
+    LT = L.T.tocsr()
+    n_comp, labels = connected_components(LT, directed=True, connection="strong")
     is_open = np.zeros(n_comp, dtype=bool)
-    for start in range(0, L.shape[0], _ROW_BLOCK):
-        ptr = L.indptr[start:start + _ROW_BLOCK + 1]
-        src = np.repeat(labels[start:start + ptr.size - 1], np.diff(ptr))
-        dst = labels[L.indices[ptr[0]:ptr[-1]]]
+    for start in range(0, LT.shape[0], _ROW_BLOCK):
+        ptr = LT.indptr[start:start + _ROW_BLOCK + 1]
+        dst = np.repeat(labels[start:start + ptr.size - 1], np.diff(ptr))
+        src = labels[LT.indices[ptr[0]:ptr[-1]]]
         is_open[src[src != dst]] = True
     return n_comp - int(np.count_nonzero(is_open))
 
 
-def stationary_distribution(L: sp.csr_matrix) -> np.ndarray:
+def stationary_distribution(L: sp.csc_matrix) -> np.ndarray:
     """Unique stationary row vector of the generator.
 
     Raises ValueError when the chain has several closed classes (the
     stationary law is not unique then). Iterates the uniformized kernel
     from the uniform law until max|L^T pi| < STATIONARY_RESIDUAL_TOL, and
     raises StateSpaceCapError when STATIONARY_SWEEP_BUDGET sweeps do not get
-    there.
+    there. L is left as it is, since the residual is read from it: the jump
+    matrix is made from a copy of L's transpose.
     """
     closed = count_closed_classes(L)
     if closed != 1:
@@ -323,7 +394,7 @@ def stationary_distribution(L: sp.csr_matrix) -> np.ndarray:
     size = L.shape[0]
     # A state whose exit rate is below lam keeps a self-loop in I + L/lam,
     # so the iteration is aperiodic unless every exit rate is equal.
-    PT = L.T.tocsr()
+    PT = L.T.tocsr(copy=True)
     _uniformize(PT)
     pi = np.full(size, 1.0 / size)
     for _ in range(STATIONARY_SWEEP_BUDGET):
@@ -368,17 +439,14 @@ def cylinder_probability(g: Graph, dist: np.ndarray, cylinder: CylinderEvent) ->
     return float(dist[forward_cylinder_mask(g, cylinder)].sum())
 
 
-def total_variation(dist_a: np.ndarray, dist_b: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.asarray(dist_a) - np.asarray(dist_b)).sum())
-
-
 def total_variation_curve(
-    L: sp.csr_matrix, law_a: np.ndarray, law_b: np.ndarray, dt: float, steps: int
+    L: sp.csc_matrix, law_a: np.ndarray, law_b: np.ndarray, dt: float, steps: int
 ) -> list[float]:
     """TV between the laws started from law_a and law_b at 0, dt, ..., steps * dt.
 
     TV(t) = |(law_a - law_b) e^{tL}|_1 / 2 by linearity, so one signed
-    vector is propagated instead of both laws.
+    vector is propagated instead of both laws. L is taken over, as by
+    transient_steps.
     """
     diff = np.asarray(law_a, dtype=np.float64) - law_b
     curve = [0.5 * float(np.abs(diff).sum())]
@@ -402,24 +470,6 @@ def dual_state_count(g: Graph, k: int) -> int:
     return size
 
 
-def encode_dual_state(g: Graph, dual: DualState) -> int:
-    n = g.vertex_count
-    k = dual.walker_count
-    index = 0
-    for j in range(k - 1, -1, -1):
-        index = index * n + dual.positions[j]
-    bits = 0
-    for j, s in enumerate(dual.signs):
-        if s > 0:
-            bits |= 1 << j
-    index += n**k * bits
-    env = 0
-    for e in range(g.edge_count - 1, -1, -1):
-        digit = 1 if e in dual.revealed_positive else 2 if e in dual.revealed_negative else 0
-        env = env * 3 + digit
-    return index + n**k * 2**k * env
-
-
 def build_dual_generator(
     g: Graph,
     kernel: AdoptionKernel,
@@ -440,14 +490,8 @@ def build_dual_generator(
     n, m = g.vertex_count, g.edge_count
     p, v = params.p, params.v
     block = n**k * 2**k  # index stride of the first environment digit
-    # State-sized integers are int32, since DUAL_STATE_CAP < 2^31. The small
-    # tables below are int32 as well and every scalar is a Python int or an
-    # np.int32, so that no product widens to int64.
-    idx = np.arange(size, dtype=np.int32)
-    positions = [(idx // n**j) % n for j in range(k)]
-    sign_bits = idx // n**k
     # Neighbour, rate and edge stride of the d-th positive kernel entry of
-    # every site z at [d][z], padded to a common width with y = z at rate 0.
+    # every site z at [d, z], padded to a common width with y = z at rate 0.
     # A rate-0 entry may point at a non-neighbour, which has no edge id.
     entries = [[(y, q) for y, q in row if q > 0.0] for row in kernel.rows]
     width = max(map(len, entries))
@@ -457,59 +501,60 @@ def build_dual_generator(
     for z, row in enumerate(entries):
         for d, (y, q) in enumerate(row):
             nbr[d, z], rate_of[d, z], stride_of[d, z] = y, q, block * 3 ** g.edge_id(z, y)
+    edge_strides = block * 3 ** np.arange(m, dtype=np.int32)[:, None]
     # Two slots per walker and kernel entry, one per edge, and the diagonal's.
-    targets = np.empty((size, 2 * k * width + m + 1), dtype=np.int32)  # DUAL_STATE_CAP < 2^31
-    rates = np.empty(targets.shape)
+    slots = 2 * k * width + m + 1
 
-    for j in range(k):
-        z = positions[j]
-        # Walker j fires for its site: under the coalescing rule only when
-        # no lower-indexed walker shares it, and then it carries them all.
-        fires = np.ones(size, dtype=bool)
-        if mode == "coalescing":
-            for i in range(j):
-                fires &= positions[i] != z
-        movers = [j] if mode == "independent" else range(j, k)
-        # Per state: sum of n**i over the walkers i that move, and the index
-        # change that flips all their signs.
-        place = sum((positions[i] == z) * np.int32(n**i) for i in movers)
-        flip = sum((positions[i] == z) * (1 - 2 * ((sign_bits >> i) & 1)) * (n**k << i) for i in movers)
-        for d in range(width):
-            q = rate_of[d][z] * fires
-            stride = stride_of[d][z]
+    def rows(idx: np.ndarray):
+        # State-sized integers are int32, since DUAL_STATE_CAP < 2^31. The
+        # small tables above are int32 as well and every scalar is a Python
+        # int or an np.int32, so that no product widens to int64.
+        positions = [(idx // n**j) % n for j in range(k)]
+        sign_bits = idx // n**k
+        targets = np.empty((idx.size, slots), dtype=np.int32)
+        rates = np.empty(targets.shape)
+        for j in range(k):
+            z = positions[j]
+            # Walker j fires for its site: under the coalescing rule only
+            # when no lower-indexed walker shares it, and then it carries
+            # them all.
+            fires = np.ones(idx.size, dtype=bool)
+            if mode == "coalescing":
+                for i in range(j):
+                    fires &= positions[i] != z
+            movers = [j] if mode == "independent" else range(j, k)
+            # Per state: sum of n**i over the walkers i that move, and the
+            # index change that flips all their signs.
+            place = sum((positions[i] == z) * np.int32(n**i) for i in movers)
+            flip = sum(
+                (positions[i] == z) * (1 - 2 * ((sign_bits >> i) & 1)) * (n**k << i) for i in movers
+            )
+            # One row per kernel entry of the walker's site.
+            q = rate_of.take(z, axis=1) * fires
+            stride = stride_of.take(z, axis=1)
             digit = idx // stride % 3
             fresh = digit == 0
             live = q > 0.0
-            step = np.where(live, (nbr[d][z] - z) * place + fresh * stride, 0)
-            keep = 2 * (j * width + d)  # this slot keeps the sign, the next flips it
+            step = np.where(live, (nbr.take(z, axis=1) - z) * place + fresh * stride, 0)
+            keep = slice(2 * j * width, 2 * (j + 1) * width, 2)  # keeps the sign
+            flips = slice(2 * j * width + 1, 2 * (j + 1) * width, 2)  # flips it
             # Keep: the edge is revealed positive, or is fresh and gets
             # revealed positive with probability p.
-            targets[:, keep] = idx + step
-            rates[:, keep] = q * np.where(fresh, p, digit == 1)
+            targets[:, keep] = (idx + step).T
+            rates[:, keep] = (q * np.where(fresh, p, digit == 1)).T
             # Flip: revealed negative, or fresh and revealed negative with
             # probability 1 - p.
-            targets[:, keep + 1] = idx + np.where(live, step + flip + fresh * stride, 0)
-            rates[:, keep + 1] = q * np.where(fresh, 1.0 - p, digit == 2)
+            targets[:, flips] = (idx + np.where(live, step + flip + fresh * stride, 0)).T
+            rates[:, flips] = (q * np.where(fresh, 1.0 - p, digit == 2)).T
 
-    for slot, e in enumerate(range(m), start=2 * k * width):
-        stride = block * 3**e
-        digit = (idx // stride) % 3
-        targets[:, slot] = idx - digit * stride
-        rates[:, slot] = np.where(digit != 0, v, 0.0)
+        # Forgetting: one slot per edge.
+        digit = idx // edge_strides % 3
+        targets[:, 2 * k * width:-1] = (idx - digit * edge_strides).T
+        rates[:, 2 * k * width:-1] = np.where(digit != 0, v, 0.0).T
+        targets[:, -1] = idx
+        return _generator_rows(targets, rates)
 
-    return _assemble_generator(targets, rates)
-
-
-def forward_weight_vector(g: Graph, dual: DualState, p: float) -> np.ndarray:
-    """Duality weight of every forward configuration against a fixed dual one."""
-    n = g.vertex_count
-    mask = _forward_sign_mask(g, [
-        *zip(dual.positions, dual.signs),
-        *((n + e, 1) for e in dual.revealed_positive),
-        *((n + e, -1) for e in dual.revealed_negative),
-    ])
-    weight = p ** (-len(dual.revealed_positive)) * (1.0 - p) ** (-len(dual.revealed_negative))
-    return weight * mask.astype(np.float64)
+    return _assemble_generator(size, slots, rows)
 
 
 def duality_gap_table(
@@ -530,20 +575,23 @@ def duality_gap_table(
     mass on the forward initial state.
     """
     delta = forward_delta(g, forward_initial)
-    mu_t = transient_distribution(build_forward_generator(g, kernel, params), delta, t)
-    lhs = _weighted_cylinder_masses(g, mu_t, k, params.p)
+    # The dual generator is built first, while no dual-sized vector is held.
     rhs = transient_action(
         build_dual_generator(g, kernel, params, k, mode=mode),
         _weighted_cylinder_masses(g, delta, k, params.p),
         t,
     )
+    mu_t = transient_distribution(build_forward_generator(g, kernel, params), delta, t)
+    lhs = _weighted_cylinder_masses(g, mu_t, k, params.p)
     return np.rec.fromarrays([np.arange(lhs.size), lhs, rhs], names=["dual_state", "lhs", "rhs"])
 
 
 def _weighted_cylinder_masses(g: Graph, dist: np.ndarray, k: int, p: float) -> np.ndarray:
-    """dist @ forward_weight_vector(dual state s) for every dual state s.
+    """sum_eta dist(eta) H(eta, s) for every dual state s.
 
-    Each of the n^k 2^k position/sign blocks constrains some sites; the mass
+    H(eta, s) is the duality weight: 1{eta(x) = sign for every walker of s
+    at x, and eta(e) = the revealed sign of every revealed edge e of s},
+    times p^{-#revealed +} (1 - p)^{-#revealed -}. Each of the n^k 2^k position/sign blocks constrains some sites; the mass
     dist puts on those sites, split by edge configuration, is expanded one
     edge at a time into its three reveal digits (free, +, -), each carrying
     its duality weight (1, 1/p, 1/(1-p)). Walkers on one site with opposite

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from spinbond import oracle
+from spinbond.dual import DualState
 from spinbond.forward import SpinBondState
-from spinbond.graphs import builtin_graph, uniform_kernel
+from spinbond.graphs import Graph, builtin_graph, uniform_kernel
 
 
 @pytest.fixture(scope="session")
@@ -79,3 +81,46 @@ def replay_statuses(record, start, end):
     cleared = ~kept & (end == 0)
     bad += int(np.count_nonzero(~kept & ~cleared))
     return int(np.count_nonzero(cleared)), renewed, bad
+
+
+def decode_forward_state(g: Graph, index: int) -> SpinBondState:
+    """The forward configuration of oracle index ``index``: bit x is site x, bit n + e edge e."""
+    n, m = g.vertex_count, g.edge_count
+    sites = np.array([1 if (index >> x) & 1 else -1 for x in range(n)], dtype=np.int8)
+    edges = np.array([1 if (index >> (n + e)) & 1 else -1 for e in range(m)], dtype=np.int8)
+    return SpinBondState(sites, edges)
+
+
+def encode_dual_state(g: Graph, dual: DualState) -> int:
+    """Oracle index of a dual configuration: positions base |V|, signs base 2, edge digits base 3."""
+    n = g.vertex_count
+    k = dual.walker_count
+    index = 0
+    for j in range(k - 1, -1, -1):
+        index = index * n + dual.positions[j]
+    bits = 0
+    for j, s in enumerate(dual.signs):
+        if s > 0:
+            bits |= 1 << j
+    index += n**k * bits
+    env = 0
+    for e in range(g.edge_count - 1, -1, -1):
+        digit = 1 if e in dual.revealed_positive else 2 if e in dual.revealed_negative else 0
+        env = env * 3 + digit
+    return index + n**k * 2**k * env
+
+
+def forward_weight_vector(g: Graph, dual: DualState, p: float) -> np.ndarray:
+    """Duality weight of every forward configuration against a fixed dual one."""
+    n = g.vertex_count
+    mask = oracle._forward_sign_mask(g, [
+        *zip(dual.positions, dual.signs),
+        *((n + e, 1) for e in dual.revealed_positive),
+        *((n + e, -1) for e in dual.revealed_negative),
+    ])
+    weight = p ** (-len(dual.revealed_positive)) * (1.0 - p) ** (-len(dual.revealed_negative))
+    return weight * mask.astype(np.float64)
+
+
+def total_variation(dist_a: np.ndarray, dist_b: np.ndarray) -> float:
+    return 0.5 * float(np.abs(np.asarray(dist_a) - np.asarray(dist_b)).sum())

@@ -25,7 +25,13 @@ from spinbond.rng import RngStream
 from spinbond import estimators as est
 from spinbond import oracle
 
-from conftest import merge_breaks, replay_statuses, striped_state
+from conftest import (
+    decode_forward_state,
+    merge_breaks,
+    replay_statuses,
+    striped_state,
+    total_variation,
+)
 
 
 def _report(criterion: int, description: str, passed: bool, detail: str) -> None:
@@ -170,7 +176,7 @@ def test_criterion_3_mu_dyn_consistency(k2, p3):
     agree = sum(
         float(pi2[i])
         for i in range(8)
-        if (st := oracle.decode_forward_state(g2, i)).site_signs[0]
+        if (st := decode_forward_state(g2, i)).site_signs[0]
         == st.site_signs[1]
     )
     anchor_ok = abs(agree - p) < 1e-10
@@ -234,11 +240,11 @@ def test_criterion_4_ergodic_contraction(p3):
     step = 0.5
     mu_plus = oracle.forward_delta(g, SpinBondState.constant(g, 1, 1))
     mu_minus = oracle.forward_delta(g, SpinBondState.constant(g, -1, -1))
-    curve = [oracle.total_variation(mu_plus, mu_minus)]
+    curve = [total_variation(mu_plus, mu_minus)]
     for _ in range(40):
-        mu_plus = oracle.transient_distribution(L, mu_plus, step)
-        mu_minus = oracle.transient_distribution(L, mu_minus, step)
-        curve.append(oracle.total_variation(mu_plus, mu_minus))
+        mu_plus = oracle.transient_distribution(L.copy(), mu_plus, step)
+        mu_minus = oracle.transient_distribution(L.copy(), mu_minus, step)
+        curve.append(total_variation(mu_plus, mu_minus))
     monotone = all(b <= a + 1e-10 for a, b in zip(curve, curve[1:]))
     final_ok = curve[-1] < 0.01
     _report(
@@ -276,7 +282,7 @@ def test_criterion_5_transient_mc_vs_oracle(p3):
     mu0 = oracle.forward_delta(g, initial)
     exact = {}
     for t in times:
-        mu_t = oracle.transient_distribution(L, mu0, t)
+        mu_t = oracle.transient_distribution(L.copy(), mu0, t)
         for cyl in cylinders:
             exact[(t, cyl.label())] = oracle.cylinder_probability(g, mu_t, cyl)
 
@@ -499,9 +505,9 @@ def test_criterion_8_structural_properties(k2, p3, c6):
     for L in (gens[1], gens[4]):
         mu0 = np.zeros(L.shape[0])
         mu0[1] = 1.0
-        stepped = oracle.transient_distribution(L, mu0, 0.7)
-        stepped = oracle.transient_distribution(L, stepped, 1.8)
-        direct = oracle.transient_distribution(L, mu0, 2.5)
+        stepped = oracle.transient_distribution(L.copy(), mu0, 0.7)
+        stepped = oracle.transient_distribution(L.copy(), stepped, 1.8)
+        direct = oracle.transient_distribution(L.copy(), mu0, 2.5)
         semi_worst = max(semi_worst, float(np.abs(stepped - direct).max()))
     details.append(f"semigroup gap {semi_worst:.1e}")
 

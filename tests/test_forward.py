@@ -312,7 +312,7 @@ def test_forward_follows_the_exact_transient_law(case):
     L = oracle.build_forward_generator(g, kern, params)
     failures = []
     for t in sorted(set(_TIMES)):
-        law = oracle.transient_distribution(L, oracle.forward_delta(g, initial), t)
+        law = oracle.transient_distribution(L.copy(), oracle.forward_delta(g, initial), t)
         for cyl in obs:
             want = oracle.cylinder_probability(g, law, cyl)
             sigma = math.sqrt(max(want * (1.0 - want), 0.0) / replicas)

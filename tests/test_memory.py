@@ -1,13 +1,14 @@
 """Traced memory of the exact oracle and of one dual block.
 
 numpy reports its buffers to tracemalloc, so the traced peak of a call
-counts every array the call makes, the sparse matrices' arrays included.
-Each oracle bound is in units of the generator's own arrays, and allows the
-matrix the call is about plus one generator-sized matrix beside it; the
-state-sized vectors of these chains are small beside either. A copy of
-L + diag(-row sums) at assembly, or a jump matrix I + L/lam made beside
-L (and then transposed), breaks the bound. The dual block's bound is per
-(replica, edge) cell.
+counts every array the call makes, the sparse matrices' arrays included,
+and its traces of numpy's domain are exactly the arrays alive. Each oracle
+bound is in units of the generator's own arrays. A build may hold its
+slot table beside its block temporaries, and retains exactly the arrays of
+the generator it returns. The transient solvers take their generator over,
+so a call handed L holds only its series' vectors: a copy of L or of its
+transpose breaks their bound. The stationary solve keeps L and may hold one
+jump matrix beside it. The dual block's bound is per (replica, edge) cell.
 """
 
 import tracemalloc
@@ -20,6 +21,7 @@ import pytest
 # order the tests run in.
 import scipy.sparse.csgraph  # noqa: F401
 
+from conftest import decode_forward_state
 from spinbond import oracle
 from spinbond.dual import DualState, simulate_dual
 from spinbond.forward import EventTable, ModelParams
@@ -44,6 +46,18 @@ def _traced_peak(call):
     return result, peak
 
 
+def _retained_array_bytes(call):
+    """The call's result and the bytes of the numpy arrays it made that are still alive."""
+    tracemalloc.start()
+    try:
+        result = call()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return result, sum(trace.size for trace in arrays.traces)
+
+
 @pytest.fixture(scope="module")
 def cycle6():
     g = builtin_graph("cycle", 6)
@@ -51,12 +65,28 @@ def cycle6():
 
 
 def test_forward_build_holds_one_table(cycle6):
-    # The slot table is read in place as CSR: L and the build's temporaries
-    # stay under two generators (the table has 13 slots for 11.5 entries a row)
+    # The arrays sized for the slot table and one block's temporaries stay
+    # under two generators (the table has 13 slots for 11.5 entries a row),
+    # and the build keeps no unused slot and no temporary
     g, reference = cycle6
     L, peak = _traced_peak(lambda: oracle.build_forward_generator(g, uniform_kernel(g), PARAMS))
     assert (L != reference).nnz == 0
     assert peak < 2.0 * _generator_bytes(L)
+    L, retained = _retained_array_bytes(
+        lambda: oracle.build_forward_generator(g, uniform_kernel(g), PARAMS)
+    )
+    assert retained == _generator_bytes(L)
+
+
+def test_dual_build_retains_its_csr_arrays():
+    # 5,184 states with 13 slots for 8.3 entries a row: the table's unused
+    # slots are cut off, so what stays is the CSR arrays alone
+    g = builtin_graph("cycle", 4)
+    L_d, retained = _retained_array_bytes(
+        lambda: oracle.build_dual_generator(g, uniform_kernel(g), PARAMS, 2)
+    )
+    assert L_d.nnz < 0.7 * L_d.shape[0] * 13
+    assert retained == _generator_bytes(L_d)
 
 
 def test_stationary_solve_holds_one_jump_matrix(cycle6):
@@ -67,7 +97,10 @@ def test_stationary_solve_holds_one_jump_matrix(cycle6):
 
 
 def test_transient_steps_hold_one_jump_matrix(cycle6):
-    _, L = cycle6
+    # The jump matrix is made in place on L's transpose, a view of L's own
+    # arrays, so the call holds the series' vectors and no matrix
+    _, reference = cycle6
+    L = reference.copy()
     law = np.zeros(L.shape[0])
     law[5] = 1.0
 
@@ -78,20 +111,31 @@ def test_transient_steps_hold_one_jump_matrix(cycle6):
 
     stepped, peak = _traced_peak(steps)
     assert abs(stepped.sum() - 1.0) < 1e-12
-    assert peak < 1.5 * _generator_bytes(L)
+    assert peak < 0.6 * _generator_bytes(reference)
+
+
+def test_tv_curve_takes_its_generator_over(cycle6):
+    _, reference = cycle6
+    L = reference.copy()
+    law_a, law_b = np.zeros(L.shape[0]), np.zeros(L.shape[0])
+    law_a[5] = law_b[-1] = 1.0
+    curve, peak = _traced_peak(lambda: oracle.total_variation_curve(L, law_a, law_b, 0.5, 4))
+    assert curve[0] == 1.0 and curve[-1] < curve[0]
+    assert peak < 0.6 * _generator_bytes(reference)
 
 
 def test_duality_gap_table_holds_one_dual_generator():
-    # The dual generator becomes its own jump matrix, and the table is three
-    # columns; the bound is in units of the dual generator (5,184 states)
+    # The dual generator is built while no dual-sized vector is held and
+    # becomes its own jump matrix, and the table is three columns; the bound
+    # is in units of the dual generator (5,184 states)
     g = builtin_graph("cycle", 4)
     kern = uniform_kernel(g)
     L_d = oracle.build_dual_generator(g, kern, PARAMS, 2)
-    fwd = oracle.decode_forward_state(g, 5)
+    fwd = decode_forward_state(g, 5)
     table, peak = _traced_peak(lambda: oracle.duality_gap_table(g, kern, PARAMS, fwd, 2, 1.0))
     assert len(table) == L_d.shape[0]
     assert np.abs(table.lhs - table.rhs).max() < 1e-10
-    assert peak < 3.0 * _generator_bytes(L_d)
+    assert peak < 2.0 * _generator_bytes(L_d)
 
 
 def test_dual_block_holds_its_edge_arrays_once():

@@ -15,11 +15,17 @@ from spinbond.cylinders import CylinderEvent
 from spinbond.dual import DualState
 from spinbond.errors import StateSpaceCapError
 from spinbond.experiments import run_experiment
-from spinbond.forward import ModelParams, SpinBondState
+from spinbond.forward import ModelParams, SpinBondState, edge_flip_rate
 from spinbond.graphs import AdoptionKernel, Graph, builtin_graph, kernel_from_rates, uniform_kernel
 from spinbond import oracle
 
-from conftest import striped_state
+from conftest import (
+    decode_forward_state,
+    encode_dual_state,
+    forward_weight_vector,
+    striped_state,
+    total_variation,
+)
 
 
 # ------------------------------------------------------------- references
@@ -51,7 +57,7 @@ def decode_dual_state(g: Graph, k: int, index: int) -> DualState:
 
 def dual_delta(g: Graph, dual: DualState) -> np.ndarray:
     out = np.zeros(oracle.dual_state_count(g, dual.walker_count))
-    out[oracle.encode_dual_state(g, dual)] = 1.0
+    out[encode_dual_state(g, dual)] = 1.0
     return out
 
 
@@ -80,7 +86,7 @@ def exact_duality_check(
     k = dual_initial.walker_count
     L_f = oracle.build_forward_generator(g, kernel, params)
     mu_t = oracle.transient_distribution(L_f, oracle.forward_delta(g, forward_initial), t)
-    lhs = float(mu_t @ oracle.forward_weight_vector(g, dual_initial, params.p))
+    lhs = float(mu_t @ forward_weight_vector(g, dual_initial, params.p))
 
     L_d = oracle.build_dual_generator(g, kernel, params, k, mode=mode)
     nu_t = oracle.transient_distribution(L_d, dual_delta(g, dual_initial), t)
@@ -113,7 +119,7 @@ def test_dual_state_counts_frozen(p3, k2):
 def test_forward_encode_decode_roundtrip(p3):
     g, _ = p3
     for idx in range(oracle.forward_state_count(g)):
-        state = oracle.decode_forward_state(g, idx)
+        state = decode_forward_state(g, idx)
         assert oracle.encode_forward_state(g, state) == idx
         assert set(np.unique(state.site_signs)) <= {-1, 1}
         assert set(np.unique(state.edge_signs)) <= {-1, 1}
@@ -125,7 +131,7 @@ def test_dual_encode_decode_roundtrip(p3):
     for idx in range(total):
         dual = decode_dual_state(g, 2, idx)
         dual.validate(g)
-        assert oracle.encode_dual_state(g, dual) == idx
+        assert encode_dual_state(g, dual) == idx
 
 
 def test_forward_cap_enforced():
@@ -199,7 +205,7 @@ def _forward_generator_by_state(g, kernel, params):
     p, v = params.p, params.v
     transitions = []
     for s in range(size):
-        st = oracle.decode_forward_state(g, s)
+        st = decode_forward_state(g, s)
         for x in range(g.vertex_count):
             for y, q in kernel.rows[x]:
                 if q <= 0.0:
@@ -255,13 +261,13 @@ def _dual_generator_by_state(g, kernel, params, k, mode):
                     elif reveal_sign == -1:
                         nxt.revealed_negative.add(e)
                     if rate > 0.0:
-                        transitions.append((s, oracle.encode_dual_state(g, nxt), rate))
+                        transitions.append((s, encode_dual_state(g, nxt), rate))
         for e in d.revealed_positive | d.revealed_negative:
             nxt = DualState.of(d.positions, d.signs, d.revealed_positive, d.revealed_negative)
             nxt.revealed_positive.discard(e)
             nxt.revealed_negative.discard(e)
             if v > 0.0:
-                transitions.append((s, oracle.encode_dual_state(g, nxt), v))
+                transitions.append((s, encode_dual_state(g, nxt), v))
     return _reference_generator(size, transitions)
 
 
@@ -309,9 +315,108 @@ def test_forward_generator_matches_per_state_builder(spec, skewed, p, v):
     g = builtin_graph(name, *map(int, sizes.split(",")))
     kern = kernel_from_rates(_SKEWED_RATES[spec], g.vertex_count) if skewed else uniform_kernel(g)
     params = ModelParams(p, v)
+    # The generator is stored by columns: its transpose is a CSR view.
     _assert_same_csr(
-        oracle.build_forward_generator(g, kern, params), _forward_generator_by_state(g, kern, params)
+        oracle.build_forward_generator(g, kern, params).T,
+        _forward_generator_by_state(g, kern, params).T.tocsr(),
     )
+
+
+def _out_rate_forward_generator(g, kernel, params):
+    """Reference builder: the table of rates out of every state, read in
+    place as CSR, the oracle's assembly before it stored L by columns.
+
+    Slot x sums site x's adoption rates in kernel-row order, each edge has a
+    slot, and the last slot is the diagonal: minus np.add.reduceat over the
+    row's off-diagonal entries in column order.
+    """
+    n, m = g.vertex_count, g.edge_count
+    size = oracle.forward_state_count(g)
+    idx = np.arange(size, dtype=np.int64)
+    targets = np.empty((size, n + m + 1), dtype=np.int32)
+    rates = np.zeros(targets.shape)
+    for x in range(n):
+        targets[:, x] = idx ^ (1 << x)
+        bit_x = (idx >> x) & 1
+        for y, q in kernel.rows[x]:
+            if q > 0.0:
+                new_bit = 1 ^ ((idx >> y) & 1) ^ ((idx >> (n + g.edge_id(x, y))) & 1)
+                rates[:, x] += np.where(new_bit != bit_x, q, 0.0)
+    for e in range(n, n + m):
+        targets[:, e] = idx ^ (1 << e)
+        rates[:, e] = np.where((idx >> e) & 1, edge_flip_rate(1, params), edge_flip_rate(-1, params))
+    targets[:, -1] = idx
+    rates[:, -1] = -1.0
+    L = sp.csr_matrix(
+        (rates.ravel(), targets.ravel(), np.arange(size + 1) * (n + m + 1)), shape=(size, size)
+    )
+    L.sum_duplicates()
+    L.eliminate_zeros()
+    lengths = np.diff(L.indptr)
+    on_diag = L.indices == np.repeat(np.arange(size), lengths)
+    off = lengths - 1
+    row_sum = np.zeros(size)
+    row_sum[off > 0] = np.add.reduceat(L.data[~on_diag], (np.cumsum(off) - off)[off > 0])
+    L.data[on_diag] = -row_sum
+    L.eliminate_zeros()
+    return L
+
+
+@pytest.mark.parametrize(
+    "spec, skewed, p, v",
+    [
+        ("path:3", False, 0.3, 1.0), ("path:3", True, 0.99, 1e-3), ("cycle:4", True, 0.4, 2.0),
+        ("cycle:4", False, 1.0, 1.0), ("cycle:6", False, 0.3, 1.0), ("cycle:8", False, 0.3, 1.0),
+    ],
+)
+def test_in_rate_forward_generator_is_the_out_rate_table_by_columns(spec, skewed, p, v):
+    # L is filled by columns from the rates into each state, and its
+    # transpose, the CSR view that forward-law products multiply, holds the
+    # same bits as the out-rate table's transpose: diagonals summed in L's
+    # row order, entries in column order, no zeros
+    g = parse_graph_spec(spec)
+    kern = kernel_from_rates(_SKEWED_RATES[spec], g.vertex_count) if skewed else uniform_kernel(g)
+    L = oracle.build_forward_generator(g, kern, ModelParams(p, v))
+    reference = _out_rate_forward_generator(g, kern, ModelParams(p, v))
+    assert L.format == "csc" and L.T.format == "csr"
+    assert np.shares_memory(L.T.data, L.data) and np.shares_memory(L.T.indices, L.indices)
+    _assert_same_csr(L.T, reference.T.tocsr())
+    assert L.data.tobytes() == reference.T.tocsr().data.tobytes()
+
+
+def test_stationary_solve_leaves_its_generator_as_it_is(p3):
+    # Its residual max|L^T pi| is read from L, also after the call
+    g, kern = p3
+    L = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0))
+    kept = L.copy()
+    pi = oracle.stationary_distribution(L)
+    _assert_same_csr(L, kept)
+    assert np.abs(L.T @ pi).max() < oracle.STATIONARY_RESIDUAL_TOL
+
+
+def test_transient_solvers_take_over_the_generator_they_are_handed(p3):
+    # Each solver turns the matrix it is handed into its jump matrix in
+    # place; handed L.copy(), it leaves L as it is, and the next call on
+    # another copy gives the same bits
+    g, kern = p3
+    L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
+    L_d = oracle.build_dual_generator(g, kern, ModelParams(0.4, 2.0), 2)
+    law_a, law_b = np.zeros(L.shape[0]), np.zeros(L.shape[0])
+    law_a[9] = law_b[22] = 1.0
+    weights = np.linspace(0.0, 1.0, L_d.shape[0])
+    solvers = [
+        (L, lambda M: oracle.transient_distribution(M, law_a, 0.7)),
+        (L, lambda M: np.stack(list(oracle.transient_steps(M, law_a, 0.5, 3)))),
+        (L, lambda M: np.array(oracle.total_variation_curve(M, law_a, law_b, 0.5, 3))),
+        (L_d, lambda M: oracle.transient_action(M, weights, 0.7)),
+    ]
+    for generator, solve in solvers:
+        kept = generator.copy()
+        handed = generator.copy()
+        first = solve(handed)
+        _assert_same_csr(generator, kept)
+        assert not np.array_equal(handed.data, kept.data)
+        assert solve(generator.copy()).tobytes() == first.tobytes()
 
 
 # ---------------------------------------------------------------- transients
@@ -326,7 +431,7 @@ def test_uniformization_matches_dense_expm(p3):
     mu0[5] = 1.0
     for t in (0.05, 0.3, 1.7, 6.0):
         reference = mu0 @ expm(dense * t)
-        ours = oracle.transient_distribution(L, mu0, t)
+        ours = oracle.transient_distribution(L.copy(), mu0, t)
         assert np.abs(reference - ours).max() < 1e-10
 
 
@@ -335,9 +440,9 @@ def test_transient_semigroup_property(p3):
     L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
     mu0 = np.zeros(32)
     mu0[9] = 1.0
-    stepped = oracle.transient_distribution(L, mu0, 0.9)
-    stepped = oracle.transient_distribution(L, stepped, 1.3)
-    direct = oracle.transient_distribution(L, mu0, 2.2)
+    stepped = oracle.transient_distribution(L.copy(), mu0, 0.9)
+    stepped = oracle.transient_distribution(L.copy(), stepped, 1.3)
+    direct = oracle.transient_distribution(L.copy(), mu0, 2.2)
     assert np.abs(stepped - direct).max() < 1e-9
 
 
@@ -349,10 +454,10 @@ def test_transient_steps_block_matches_single_laws(p3):
     L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
     block = np.zeros((32, 2))
     block[9, 0] = block[22, 1] = 1.0
-    alone = [list(oracle.transient_steps(L, block[:, c], 0.5, 20)) for c in range(2)]
+    alone = [list(oracle.transient_steps(L.copy(), block[:, c], 0.5, 20)) for c in range(2)]
     singles = [block[:, 0].copy(), block[:, 1].copy()]
-    for i, laws in enumerate(oracle.transient_steps(L, block, 0.5, 20)):
-        singles = [oracle.transient_distribution(L, law, 0.5) for law in singles]
+    for i, laws in enumerate(oracle.transient_steps(L.copy(), block, 0.5, 20)):
+        singles = [oracle.transient_distribution(L.copy(), law, 0.5) for law in singles]
         for c in range(2):
             assert np.array_equal(laws[:, c], alone[c][i])
             assert np.abs(laws[:, c] - singles[c]).max() < 1e-12
@@ -388,7 +493,7 @@ def test_uniformize_in_place_matches_the_jump_matrix_beside_it(spec, p, v, case)
         L = sp.csr_matrix(L.shape)
     assert (L.diagonal() == 0.0).any() == (case != "ergodic")
     P, lam = _uniformized_kernel(L)
-    for G, reference in ((L.copy(), P), (L.T.tocsr(), P.T.tocsr())):
+    for G, reference in ((L.tocsr(copy=True), P), (L.T.tocsr(copy=True), P.T.tocsr())):
         assert oracle._uniformize(G) == lam
         if lam > 0.0:
             _assert_same_csr(G, reference)
@@ -427,11 +532,11 @@ def _per_step_tv_curve(L, law_a, law_b, dt, steps):
     op, lam = _uniformized_kernel(L)
     op = op.T.tocsr()
     laws = np.stack([law_a, law_b], axis=1)
-    curve = [oracle.total_variation(law_a, law_b)]
+    curve = [total_variation(law_a, law_b)]
     for _ in range(steps):
         laws = _per_step_uniformized(op, lam, laws, dt)
         laws = laws / np.ascontiguousarray(laws.T).sum(axis=-1)
-        curve.append(oracle.total_variation(laws[:, 0], laws[:, 1]))
+        curve.append(total_variation(laws[:, 0], laws[:, 1]))
     return curve
 
 
@@ -473,7 +578,7 @@ def test_tv_curve_matches_per_step_reference_and_dense_expm(spec, p, v, dt, step
         "no transitions": lam == 0.0,
     }[case]
     law_a, law_b = _flipped_pair(g)
-    curve = oracle.total_variation_curve(L, law_a, law_b, dt, steps)
+    curve = oracle.total_variation_curve(L.copy(), law_a, law_b, dt, steps)
     assert len(curve) == steps + 1 and curve[0] == 1.0
     reference = _per_step_tv_curve(L, law_a, law_b, dt, steps)
     assert np.abs(np.subtract(curve, reference)).max() < 1e-12
@@ -492,7 +597,7 @@ def test_tv_curve_stays_on_dense_expm_over_many_segments():
     g = parse_graph_spec("cycle:4")
     L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(0.05, 0.02))
     law_a, law_b = _flipped_pair(g)
-    curve = oracle.total_variation_curve(L, law_a, law_b, 0.5, 1200)
+    curve = oracle.total_variation_curve(L.copy(), law_a, law_b, 0.5, 1200)
     reference = _per_step_tv_curve(L, law_a, law_b, 0.5, 1200)
     assert np.abs(np.subtract(curve, reference)).max() < 5e-12
     dense = L.toarray()
@@ -572,7 +677,7 @@ def test_transient_edge_marginal_closed_form(k2):
         mu0 = np.zeros(8)
         mu0[oracle.encode_forward_state(g, state)] = 1.0
         for t in (0.2, 1.0, 4.0):
-            mu_t = oracle.transient_distribution(L, mu0, t)
+            mu_t = oracle.transient_distribution(L.copy(), mu0, t)
             assert abs(float(mu_t @ edge_plus) - closed_form(t)) < 1e-10
 
 
@@ -641,7 +746,7 @@ def test_stationary_matches_lumped_two_site_chain(k2):
     for i, (a, s) in enumerate(states):
         mass = 0.0
         for idx in range(8):
-            st = oracle.decode_forward_state(g, idx)
+            st = decode_forward_state(g, idx)
             agree = 1 if st.site_signs[0] == st.site_signs[1] else 0
             if agree == a and int(st.edge_signs[0]) == s:
                 mass += pi[idx]
@@ -712,7 +817,7 @@ def test_transient_site_marginals_fair_from_flip_invariant_initial(p3):
     for s in range(2**n):
         dist[s | (edge_bits << n)] = 0.5**n
     for t in (0.4, 1.7):
-        mu = oracle.transient_distribution(L, dist, t)
+        mu = oracle.transient_distribution(L.copy(), dist, t)
         for x in range(n):
             pr = oracle.cylinder_probability(g, mu, CylinderEvent.of(sites={x: 1}))
             assert pr == pytest.approx(0.5, abs=1e-12)
@@ -727,8 +832,8 @@ def test_total_variation_decreases_toward_stationary(p3):
     tvs = []
     mu = mu0
     for _ in range(10):
-        mu = oracle.transient_distribution(L, mu, 2.0)
-        tvs.append(oracle.total_variation(mu, pi))
+        mu = oracle.transient_distribution(L.copy(), mu, 2.0)
+        tvs.append(total_variation(mu, pi))
     for earlier, later in zip(tvs, tvs[1:]):
         assert later <= earlier + 1e-12
     assert tvs[-1] < 1e-3
@@ -771,7 +876,7 @@ def test_gap_table_lhs_matches_scalar_formula(graph, k, request):
     assert [s for s, _, _ in rows] == list(range(oracle.dual_state_count(g, k)))
     for s, lhs, _ in rows:
         dual = decode_dual_state(g, k, s)
-        scalar = float(mu_t @ oracle.forward_weight_vector(g, dual, params.p))
+        scalar = float(mu_t @ forward_weight_vector(g, dual, params.p))
         assert abs(lhs - scalar) <= 1e-13
         if k == 2 and dual.positions[0] == dual.positions[1] and dual.signs[0] != dual.signs[1]:
             assert lhs == 0.0
@@ -795,15 +900,15 @@ def test_duality_weight_vectors_agree_with_scalar(k2):
     g, kern = k2
     p = 0.3
     dual = DualState.of([0], [1], revealed_positive=[0])
-    weights = oracle.forward_weight_vector(g, dual, p)
+    weights = forward_weight_vector(g, dual, p)
     from spinbond.dual import duality_weight
 
     for idx in range(8):
-        st = oracle.decode_forward_state(g, idx)
+        st = decode_forward_state(g, idx)
         assert weights[idx] == pytest.approx(
             duality_weight(st.site_signs, st.edge_signs, dual, p)
         )
-    fwd = oracle.decode_forward_state(g, 6)
+    fwd = decode_forward_state(g, 6)
     dual_weights = oracle._weighted_cylinder_masses(g, oracle.forward_delta(g, fwd), 1, p)
     for idx in range(oracle.dual_state_count(g, 1)):
         d = decode_dual_state(g, 1, idx)
