@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -72,81 +72,105 @@ class ExperimentResult:
         self.files.append(str(path))
         return path
 
-    def write(self, name: str, records, format="jsonl", fieldnames=None, legend=None) -> None:
-        """``write_results`` into ``out_dir``; a CSV's ``legend`` text goes beside it."""
+    def write(self, name: str, table, format="jsonl", legend=None) -> None:
+        """``write_results`` of ``table`` into ``out_dir``; a CSV's ``legend`` goes beside it.
+
+        ``table`` maps names to equal-length columns, written in blocks (see
+        ``write_results``); JSON lines also take an iterable of records.
+        """
         if self.out_dir is None:
             return
-        write_results(records, self.path(name), format, fieldnames)
+        write_results(table, self.path(name), format)
         if legend is not None:
             self.path(name.replace(".csv", ".legend.txt")).write_text(legend)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# Rows per block of a column table; one block's strings are all that is
+# held. 4,096-row blocks wrote no faster (the gap table's values recur
+# about as often within 1,024 rows) and left 1 MB more peak resident memory.
+_WRITE_BLOCK = 1024
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
+def write_results(table, path, format: str = "jsonl") -> None:
+    """Write a table to ``path`` as JSON lines or CSV.
 
+    ``table`` maps field names to equal-length columns (numpy arrays or
+    sequences of floats, ints, bools or strings), and each row becomes one
+    line: a JSON object with the keys in order, or a CSV row under a header
+    of the names (header only for zero rows). The columns are written in
+    blocks of ``_WRITE_BLOCK`` rows, so only one block's strings are held.
+    In a block each distinct value of a column is encoded once: floats are
+    told apart by bit pattern, so ``-0.0`` and ``0.0`` stay apart and every
+    NaN and infinity keeps its spelling. JSON cells are what ``json.dumps``
+    gives the value (shortest round-trip floats, ``NaN``, ``Infinity``),
+    CSV cells what ``csv.writer`` gives ``true``/``false`` for bools, floats
+    at 17 significant digits and ``str`` of the rest, so the file is
+    byte-equal to one record at a time through those encoders.
 
-def write_results(records, path, format: str = "jsonl", fieldnames=None) -> None:
-    """Write mapping records to ``path`` as JSON lines or CSV, as they come.
-
-    Records keep their key order (JSONL) or follow ``fieldnames`` /
-    the first record's keys (CSV). For JSONL, ``records`` may also be one
-    mapping of equal-length number columns (sequences or numpy arrays),
-    written as one record per row. JSONL floats take ``json.dumps``'s
-    shortest round-trip form and CSV floats 17 significant digits, so equal
-    inputs give byte-equal files. An empty record set with explicit
-    fieldnames yields a header-only CSV.
+    For JSON lines, ``table`` may instead be an iterable of records of any
+    shape, written as they come with one ``json.dumps`` each.
     """
-    path = Path(path)
-    if format == "jsonl":
-        if isinstance(records, dict):
-            lines = _jsonl_columns(records)
-        else:
-            lines = (json.dumps(rec) + "\n" for rec in records)
-        with path.open("w") as fh:
-            fh.writelines(lines)
-        return
-    if format != "csv":
+    if format not in ("jsonl", "csv"):
         raise ValueError(f"format must be 'jsonl' or 'csv', got {format!r}")
-    records = iter(records)
-    if fieldnames is None:
-        first = next(records, None)
-        if first is None:
-            raise ValueError("an empty CSV needs explicit fieldnames for its header")
-        fieldnames = list(first)
-        records = chain([first], records)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        writer.writerows([_csv_cell(rec[name]) for name in fieldnames] for rec in records)
+    path = Path(path)
+    if format == "jsonl" and not isinstance(table, dict):
+        with path.open("w") as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in table)
+        return
+    cols = list(table.values())
+    rows = len(cols[0]) if cols else 0
+    if any(len(col) != rows for col in cols):
+        raise ValueError("columns must all have the same length")
+    blocks = (
+        [_block_cells(col[start:start + _WRITE_BLOCK], format) for col in cols]
+        for start in range(0, rows, _WRITE_BLOCK)
+    )
+    if format == "csv":
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(table)
+            for cells in blocks:
+                writer.writerows(zip(*cells))
+        return
+    # A line is prefix, cell, prefix, cell, ..., "}\n", so a block's lines
+    # are one join over its cells interleaved with the key prefixes.
+    prefixes = [("{" if j == 0 else ", ") + json.dumps(key) + ": " for j, key in enumerate(table)]
+    width = 2 * len(cols) + 1
+    with path.open("w") as fh:
+        for cells in blocks:
+            size = len(cells[0])
+            parts = ["}\n"] * (width * size)
+            for j, (prefix, column) in enumerate(zip(prefixes, cells)):
+                parts[2 * j::width] = [prefix] * size
+                parts[2 * j + 1::width] = column
+            fh.write("".join(parts))
 
 
-def _jsonl_columns(columns: dict):
-    """JSON lines for the rows of equal-length sequences of numbers.
-
-    Byte-equal to ``json.dumps`` on one record per row, but each block of
-    1,024 rows of a column goes through ``json.dumps`` once: a number's
-    encoding contains no ", ", so splitting the encoded list yields the
-    per-row cells, with ``NaN`` and ``Infinity`` spelled as ``json.dumps``
-    spells them. A numpy block becomes Python numbers through ``tolist``.
-    Blocks bound the cell strings held at once.
-    """
-    template = "{" + ", ".join(json.dumps(key) + ": %s" for key in columns) + "}\n"
-    cols = list(columns.values())
-    for start in range(0, len(cols[0]), 1024):
-        blocks = [col[start:start + 1024] for col in cols]
-        cells = [
-            json.dumps(b.tolist() if isinstance(b, np.ndarray) else b)[1:-1].split(", ")
-            for b in blocks
-        ]
-        yield "".join(template % row for row in zip(*cells))
+def _block_cells(block, format: str) -> list[str]:
+    """The cell strings of one block of a column, each distinct value encoded once."""
+    col = np.asarray(block)
+    kind = col.dtype.kind
+    if kind == "f":
+        bits, inverse = np.unique(col.astype(np.float64).view(np.uint64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
+    elif kind in "biuU":
+        uniq, inverse = np.unique(col, return_inverse=True)
+        values = uniq.tolist()
+    else:
+        raise TypeError(f"cannot write a column of {col.dtype}")
+    if format == "csv":
+        if kind == "f":
+            encoded = [f"{x:.17g}" for x in values]
+        elif kind == "b":
+            encoded = ["true" if x else "false" for x in values]
+        else:
+            encoded = list(map(str, values))
+    elif kind == "U":
+        encoded = list(map(json.dumps, values))
+    else:
+        # A number's or bool's JSON contains no ", ", so the list splits into its cells.
+        encoded = json.dumps(values)[1:-1].split(", ")
+    return np.array(encoded, dtype=object)[inverse].tolist()
 
 
 def _estimate_record(
@@ -470,7 +494,7 @@ def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, model: 
     if pi is not None:
         result.write(
             "stationary_distribution.csv",
-            ({"state_index": s, "probability": float(mass)} for s, mass in enumerate(pi)),
+            {"state_index": np.arange(len(pi)), "probability": pi},
             "csv",
             legend=(
                 "state_index: configuration packed into bits; bit x (x < vertex_count)\n"
@@ -595,7 +619,7 @@ def _tv_decay_exact(
     ]
     result.write(
         "tv_decay.csv",
-        ({"t": t, "total_variation": tv} for t, tv in zip(times, curve)),
+        {"t": times, "total_variation": curve},
         "csv",
         legend=(
             "t: elapsed time.\n"
@@ -632,15 +656,12 @@ def _tv_decay_mc(
     ]
     result.write(
         "tv_decay.csv",
-        (
-            {
-                "t": pt.time,
-                "tv_lower_bound": pt.bound,
-                "event": pt.event,
-                "std_error": pt.std_error,
-            }
-            for pt in points
-        ),
+        {
+            "t": [pt.time for pt in points],
+            "tv_lower_bound": [pt.bound for pt in points],
+            "event": [pt.event for pt in points],
+            "std_error": [pt.std_error for pt in points],
+        },
         "csv",
         legend=(
             "t: elapsed time.\n"
@@ -743,15 +764,16 @@ def _run_raw_simulate(cfg: dict, result: ExperimentResult, stream, model: EventT
         f"raw-simulate: {cfg['replicas']} replicas on [0, {cfg['t_max']:g}], "
         f"{len(cylinders)} observables, {len(times)} checkpoints"
     )
+    rows = [row for replica_rows, _ in outcomes for row in replica_rows]
     result.write(
         "checkpoints.csv",
-        (
-            {"replica": rep, "time": t, "observable_id": label, "value": value}
-            for rep, (rows, _) in enumerate(outcomes)
-            for t, label, value in rows
-        ),
+        {
+            "replica": np.repeat(np.arange(len(outcomes)), [len(r) for r, _ in outcomes]),
+            "time": [t for t, _, _ in rows],
+            "observable_id": [label for _, label, _ in rows],
+            "value": [value for _, _, value in rows],
+        },
         "csv",
-        fieldnames=["replica", "time", "observable_id", "value"],
     )
     if cfg["replicas"] == 1 and result.out_dir is not None:
         write_state_file(outcomes[0][1], result.path("final_state.txt"))

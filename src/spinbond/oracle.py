@@ -20,9 +20,9 @@ transient_steps, transient_distribution and total_variation_curve turn
 L.T into the transposed jump matrix I + L.T/lam in place, and
 transient_action turns L itself into I + L/lam (the dual side of the
 duality gap table). Callers that need a generator again pass L.copy().
-stationary_distribution alone keeps L as it is and iterates on a copy of
-L.T, because its residual max|L^T pi| is read from L, also by callers
-after it returns.
+stationary_distribution keeps L as it is, because its residual
+max|L^T pi| is read from L, also by callers after it returns; it steps
+pi + (L^T pi)/lam on the view L.T, so it holds no jump matrix either.
 
 Transient laws come from uniformization, one series of products per
 segment of at most _SEGMENT_TIMES times on a grid; stationary laws from
@@ -383,8 +383,9 @@ def stationary_distribution(L: sp.csc_matrix) -> np.ndarray:
     stationary law is not unique then). Iterates the uniformized kernel
     from the uniform law until max|L^T pi| < STATIONARY_RESIDUAL_TOL, and
     raises StateSpaceCapError when STATIONARY_SWEEP_BUDGET sweeps do not get
-    there. L is left as it is, since the residual is read from it: the jump
-    matrix is made from a copy of L's transpose.
+    there. L is left as it is, since the residual is read from it, also by
+    callers after the call: a step adds (L^T pi) / lam to pi, which is
+    pi (I + L/lam) on L's own arrays, with no jump matrix beside L.
     """
     closed = count_closed_classes(L)
     if closed != 1:
@@ -394,15 +395,16 @@ def stationary_distribution(L: sp.csc_matrix) -> np.ndarray:
     size = L.shape[0]
     # A state whose exit rate is below lam keeps a self-loop in I + L/lam,
     # so the iteration is aperiodic unless every exit rate is equal.
-    PT = L.T.tocsr(copy=True)
-    _uniformize(PT)
+    lam = float(np.max(-L.diagonal(), initial=0.0))
+    scale = 1.0 / lam if lam > 0.0 else 0.0
+    LT = L.T
     pi = np.full(size, 1.0 / size)
     for _ in range(STATIONARY_SWEEP_BUDGET):
         for _ in range(_STEPS_PER_SWEEP):
-            pi = PT @ pi
+            pi += (LT @ pi) * scale
         pi = np.clip(pi, 0.0, None)
         pi /= pi.sum()
-        residual = float(np.max(np.abs(L.T @ pi)))
+        residual = float(np.max(np.abs(LT @ pi)))
         if residual < STATIONARY_RESIDUAL_TOL:
             return pi
     raise StateSpaceCapError(

@@ -670,12 +670,10 @@ def test_write_results_empty_csv_is_header_only(tmp_path):
     from spinbond.experiments import write_results
 
     path = tmp_path / "empty.csv"
-    write_results([], path, "csv", fieldnames=["alpha", "beta"])
+    write_results({"alpha": [], "beta": np.array([])}, path, "csv")
     assert path.read_text() == "alpha,beta\n"
-    with pytest.raises(ValueError, match="fieldnames"):
-        write_results([], tmp_path / "no_header.csv", "csv")
     with pytest.raises(ValueError, match="format"):
-        write_results([], tmp_path / "x.tsv", "tsv")
+        write_results({"alpha": []}, tmp_path / "x.tsv", "tsv")
 
 
 def test_write_results_jsonl_round_trip(tmp_path):
@@ -698,22 +696,34 @@ def test_write_results_jsonl_round_trip(tmp_path):
     assert list(back[0]) == list(records[0])
 
 
+SPECIAL_LHS = [math.nan, math.inf, -0.0, 1.0 / 3.0, -math.inf, 5e-324, 1e300, 0.1]
+SPECIAL_RHS = [0.0, math.inf, 0.0, 0.1, 2.0, -0.0, math.nan, -math.nan]
+
+
+def _special_columns(rows):
+    """Float columns with the special values at both ends and across each block boundary."""
+    from spinbond.experiments import _WRITE_BLOCK
+
+    lhs = [i / 7.0 for i in range(rows)]
+    rhs = [-i * 1e-9 for i in range(rows)]
+    width = len(SPECIAL_LHS)
+    for at in (0, *range(_WRITE_BLOCK - width // 2, rows - width, _WRITE_BLOCK), rows - width):
+        lhs[at:at + width], rhs[at:at + width] = SPECIAL_LHS, SPECIAL_RHS
+    return lhs, rhs
+
+
 def test_write_results_jsonl_columns_match_json_dumps_per_row(tmp_path):
     from spinbond.experiments import write_results
 
-    special_lhs = [math.nan, math.inf, -0.0, 1.0 / 3.0, -math.inf, 5e-324, 1e300]
-    special_rhs = [0.0, math.inf, 0.0, 0.1, 2.0, -0.0, math.nan]
-    # 9,000 rows span nine blocks of 1,024; the special values sit at both
-    # ends of the table and on each side of the block boundary at row 4,096
-    lhs = [i / 7.0 for i in range(9000)]
-    rhs = [-i * 1e-9 for i in range(9000)]
-    for at in (0, 4090, 8993):
-        lhs[at:at + 7], rhs[at:at + 7] = special_lhs, special_rhs
+    # 9,000 rows span several of the writer's blocks
+    lhs, rhs = _special_columns(9000)
     columns = {
         "dual_state": list(range(len(lhs))),
         "lhs": tuple(lhs),
         "rhs": rhs,
         "gap": [abs(a - b) for a, b in zip(lhs, rhs)],
+        "ok": [a < b for a, b in zip(lhs, rhs)],
+        "note": [["a, b", 'quo"te', "\u00e9"][i % 3] for i in range(len(lhs))],
     }
     rows = zip(*columns.values())
     want = "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
@@ -722,15 +732,47 @@ def test_write_results_jsonl_columns_match_json_dumps_per_row(tmp_path):
     assert (tmp_path / "columns.jsonl").read_text() == want
     write_results({"gap": []}, tmp_path / "empty.jsonl", "jsonl")
     assert (tmp_path / "empty.jsonl").read_text() == ""
+    with pytest.raises(ValueError, match="same length"):
+        write_results({"a": [1, 2], "b": [1.0]}, tmp_path / "ragged.jsonl", "jsonl")
+
+
+def test_write_results_csv_columns_match_csv_writer(tmp_path):
+    from spinbond.experiments import write_results
+
+    def cell(value):  # one CSV cell, as the writer spelled it record by record
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return f"{value:.17g}"
+        return str(value)
+
+    lhs, rhs = _special_columns(9000)
+    columns = {
+        "replica": np.arange(len(lhs)) // 3,
+        "lhs": np.array(lhs),
+        "rhs": rhs,
+        "hit": [a < b for a, b in zip(lhs, rhs)],
+        "label": [["a,b", 'quo"te', "site0=+1", "x y"][i % 4] for i in range(len(lhs))],
+        "count": [i % 5 - 2 for i in range(len(lhs))],
+    }
+    as_lists = {key: list(col.tolist() if isinstance(col, np.ndarray) else col)
+                for key, col in columns.items()}
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([cell(value) for value in row] for row in zip(*as_lists.values()))
+    want = (tmp_path / "want.csv").read_bytes()
+    assert b"nan" in want and b"-inf" in want and b"-0" in want and b'"a,b"' in want
+    assert b'"quo""te"' in want and want.count(b"\r\n") == len(lhs) + 1
+    write_results(columns, tmp_path / "columns.csv", "csv")
+    assert (tmp_path / "columns.csv").read_bytes() == want
 
 
 def test_write_results_csv_field_order(tmp_path):
     from spinbond.experiments import write_results
 
     path = tmp_path / "table.csv"
-    write_results(
-        [{"b": 2.0, "a": 1}, {"b": 0.125, "a": 3}], path, "csv"
-    )
+    write_results({"b": [2.0, 0.125], "a": [1, 3]}, path, "csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "b,a"
     assert lines[1] == "2,1"
@@ -740,19 +782,15 @@ def test_write_results_csv_field_order(tmp_path):
 def test_write_results_jsonl_numpy_columns_match_sequences(tmp_path):
     from spinbond.experiments import write_results
 
-    # 2,500 rows span three blocks of 1,024; special values sit on each side
-    # of the block boundary at row 1,024
-    lhs = np.arange(2500) / 7.0
-    lhs[1020:1027] = [math.nan, math.inf, -0.0, 1.0 / 3.0, -math.inf, 5e-324, 1e300]
-    rhs = -np.arange(2500) * 1e-9
+    # 9,000 rows span several of the writer's blocks
+    lhs, rhs = (np.array(col) for col in _special_columns(9000))
     # the fields of a record array are strided views
-    table = np.rec.fromarrays([np.arange(2500), lhs, rhs], names=["dual_state", "lhs", "rhs"])
-    columns = {
-        "dual_state": table.dual_state,
-        "lhs": table.lhs,
-        "rhs": table.rhs,
-        "gap": np.abs(table.lhs - table.rhs),
-    }
+    table = np.rec.fromarrays(
+        [np.arange(len(lhs)), lhs, rhs], names=["dual_state", "lhs", "rhs"]
+    )
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gap = np.abs(table.lhs - table.rhs)
+    columns = {"dual_state": table.dual_state, "lhs": table.lhs, "rhs": table.rhs, "gap": gap}
     assert table.dual_state.dtype == np.int64 and not table.lhs.flags.contiguous
     as_lists = {key: col.tolist() for key, col in columns.items()}
     rows = zip(*as_lists.values())
@@ -764,7 +802,7 @@ def test_write_results_jsonl_numpy_columns_match_sequences(tmp_path):
     assert (tmp_path / "lists.jsonl").read_text() == want
 
 
-def test_write_results_streams_csv_records_from_a_generator(tmp_path):
+def test_write_results_streams_jsonl_records_from_a_generator(tmp_path):
     import tracemalloc
 
     from spinbond.experiments import write_results
@@ -772,18 +810,18 @@ def test_write_results_streams_csv_records_from_a_generator(tmp_path):
     def records(count):
         return ({"state_index": s, "probability": s / 7.0} for s in range(count))
 
-    write_results(list(records(50)), tmp_path / "list.csv", "csv")
-    write_results(records(50), tmp_path / "generator.csv", "csv")
-    text = (tmp_path / "generator.csv").read_text()
-    assert text == (tmp_path / "list.csv").read_text()
-    assert text.splitlines()[:2] == ["state_index,probability", "0,0"]
+    write_results(list(records(50)), tmp_path / "list.jsonl", "jsonl")
+    write_results(records(50), tmp_path / "generator.jsonl", "jsonl")
+    text = (tmp_path / "generator.jsonl").read_text()
+    assert text == (tmp_path / "list.jsonl").read_text()
+    assert text.splitlines()[0] == '{"state_index": 0, "probability": 0.0}'
     # 100,000 records held at once would take tens of MB; streamed, the
     # writer holds one record and the file buffer
     tracemalloc.start()
     try:
-        write_results(records(100_000), tmp_path / "long.csv", "csv")
+        write_results(records(100_000), tmp_path / "long.jsonl", "jsonl")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert len((tmp_path / "long.csv").read_text().splitlines()) == 100_001
+    assert len((tmp_path / "long.jsonl").read_text().splitlines()) == 100_000
