@@ -10,8 +10,6 @@ from .dual import (
     DualEvents,
     DualState,
     DualTrajectory,
-    coupled_run,
-    duality_weight,
     simulate_dual,
 )
 from .errors import CensoringError, ConfigError, SpinBondError, StateSpaceCapError
@@ -58,8 +56,6 @@ __all__ = [
     "StateSpaceCapError",
     "build_graph",
     "builtin_graph",
-    "coupled_run",
-    "duality_weight",
     "edge_flip_rate",
     "kernel_from_rates",
     "parse_cylinder_label",

@@ -63,6 +63,10 @@ _KINDS = {
 
 _SIGMAS = Key("number", 3.0, lo=0.0, strict=True)
 
+# A Monte Carlo gate weighs its estimate by the standard error, which one
+# replica does not have, so a gated run takes at least two.
+_GATED_REPLICAS = 2
+
 _COMMON = {
     "experiment": Key("str", REQUIRED, choices=EXPERIMENTS),
     "seed": Key("int", 0, lo=0),
@@ -84,7 +88,7 @@ _KEYS: dict[str, dict[str, Key]] = {
         "tolerance": Key("number", 1e-8, lo=0.0, strict=True),
         "mode": Key("str", "coalescing", choices=("coalescing", "independent")),
         "forward_initial_file": Key("str"),
-        "replicas": Key("int", 20000, lo=1),
+        "replicas": Key("int", 20000, lo=_GATED_REPLICAS),
         "sigmas": _SIGMAS,
     },
     "stationary-compare": {
@@ -99,7 +103,7 @@ _KEYS: dict[str, dict[str, Key]] = {
         "signs": Key("ints"),
         "revealed_positive": Key("ints", []),
         "revealed_negative": Key("ints", []),
-        "replicas": Key("int", REQUIRED, lo=1),
+        "replicas": Key("int", REQUIRED, lo=_GATED_REPLICAS),
         "t_cap": Key("number", lo=0.0, strict=True),
         "sigmas": _SIGMAS,
         "report_limit": Key("int", 100, lo=0),
@@ -109,14 +113,14 @@ _KEYS: dict[str, dict[str, Key]] = {
         "t_step": Key("number", 0.5, lo=0.0, strict=True),
         "threshold": Key("number", 0.01, lo=0.0, strict=True),
         "initial_file": Key("str"),
-        "replicas": Key("int", 20000, lo=1),
+        "replicas": Key("int", 20000, lo=_GATED_REPLICAS),
         "sigmas": _SIGMAS,
     },
     "mgf-check": {
         "thetas": Key("numbers", [-1.0, 0.5]),
         "times": Key("numbers", [1.0, 5.0], lo=0.0, strict=True),
         "r0_values": Key("ints", [0, 3], lo=0),
-        "replicas": Key("int", 50000, lo=1),
+        "replicas": Key("int", 50000, lo=_GATED_REPLICAS),
         "sigmas": _SIGMAS,
         "check_domination": Key("bool", False),
         "t": Key("number", 2.0, lo=0.0, strict=True),
@@ -236,8 +240,14 @@ def validate_config(raw: dict, env: dict | None = None) -> dict:
     if experiment in ERGODIC_EXPERIMENTS + ("mgf-check",) and not cfg["v"] > 0.0:
         raise ConfigError(f"experiment {experiment!r} needs v > 0, got v={cfg['v']}")
 
+    if experiment == "stationary-compare" and 0 < cfg["replicas"] < _GATED_REPLICAS:
+        raise ConfigError(
+            f"stationary-compare needs replicas 0 or >= {_GATED_REPLICAS}, got {cfg['replicas']}"
+        )
     if experiment == "stationary-compare" and cfg["oracle"] == "off" and cfg["replicas"] < 1:
-        raise ConfigError("stationary-compare with oracle 'off' needs replicas >= 1")
+        raise ConfigError(
+            f"stationary-compare with oracle 'off' needs replicas >= {_GATED_REPLICAS}"
+        )
     if experiment == "mu-dyn":
         signs = cfg.setdefault("signs", [1] * len(cfg["sites"]))
         if len(cfg["sites"]) != len(signs):

@@ -17,9 +17,9 @@ clock and moves alone.
 that holds the graph, the kernel and (p, v), in lockstep as numpy arrays,
 by exact Gillespie on the walkers' rings with forgetting sampled lazily. Its
 loop steps compact arrays of the live replicas' walkers, clocks and class
-counts, and writes a replica back to the block arrays when it stops;
-``coupled_run`` runs the two rules on one shared history up to the first
-collision.
+counts, and writes a replica back to the block arrays when it stops. A
+block may start from where a previous block stopped, so runs can go on
+under another rule from a shared history.
 """
 
 from __future__ import annotations
@@ -85,25 +85,6 @@ class DualState:
         for idx, z in enumerate(self.positions):
             by_site.setdefault(z, []).append(idx)
         return sorted((tuple(v) for v in by_site.values()), key=lambda c: c[0])
-
-
-def duality_weight(site_signs, edge_signs, dual: DualState, p: float) -> float:
-    """Weight pairing a forward configuration with a dual configuration.
-
-    Zero unless every walker sits on a site of its own sign and every
-    revealed edge shows its revealed sign; otherwise the product of 1/p per
-    positively revealed edge and 1/(1-p) per negatively revealed edge.
-    """
-    for z, s in zip(dual.positions, dual.signs):
-        if site_signs[z] != s:
-            return 0.0
-    for e in dual.revealed_positive:
-        if edge_signs[e] != 1:
-            return 0.0
-    for e in dual.revealed_negative:
-        if edge_signs[e] != -1:
-            return 0.0
-    return p ** (-len(dual.revealed_positive)) * (1.0 - p) ** (-len(dual.revealed_negative))
 
 
 @dataclass
@@ -305,33 +286,6 @@ def simulate_dual(
         kept = np.exp(v * seen[lo : lo + _RESOLVE_ROWS].take(known))
         part.flat[known[gen.random(known.size) >= kept]] = 0
     return DualTrajectory(pos, sgn, status, time, stopped, events, reveals)
-
-
-def coupled_run(
-    gen: np.random.Generator,
-    size: int,
-    table: EventTable,
-    initial: DualState,
-    t_max: float,
-) -> tuple[DualTrajectory, DualTrajectory, DualTrajectory]:
-    """Couple the independent and coalescing rules of the model ``table`` on one noise history.
-
-    Returns ``(head, coalescing, independent)`` blocks of ``size`` runs. The
-    head runs the independent rule to each replica's first collision, which
-    its ``stopped`` and ``time`` give, or to t_max. Both legs go on from the
-    head to t_max: the coalescing leg on a child generator spawned before
-    either leg draws, the independent leg on ``gen``. Before a collision each
-    walker is alone on its site, where the two rules agree, so each leg
-    follows its own rule's law. Walkers must start at pairwise distinct sites.
-    """
-    if len(set(initial.positions)) != len(initial.positions):
-        raise ValueError("coupled_run requires pairwise distinct starting sites")
-    k = initial.walker_count
-    head = simulate_dual(gen, size, table, initial, t_max, "independent", k - 1)
-    child = gen.spawn(1)[0]
-    coalescing = simulate_dual(child, size, table, head, t_max)
-    independent = simulate_dual(gen, size, table, head, t_max, "independent")
-    return head, coalescing, independent
 
 
 @dataclass(frozen=True)

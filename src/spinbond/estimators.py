@@ -34,7 +34,8 @@ from .forward import EventTable, SpinBondState, check_t_max, sample_product_stat
 from .graphs import Graph, closed_classes
 from .rng import RngStream
 
-DEFAULT_CENSOR_TOLERANCE = 1e-3
+# Largest share of mu-dyn replicas that may hit the time cap uncoalesced.
+CENSOR_TOLERANCE = 1e-3
 
 # Replicas per block of the batched estimators: a fixed constant, so that
 # estimates do not depend on how many workers share the blocks.
@@ -234,9 +235,10 @@ def estimate_dual_side(
     parts += [f"edge{e}=-1" for e in sorted(initial.revealed_negative)]
     runs = _dual_runs(table, replicas, stream, workers, initial=initial, t_max=t, mode=mode)
     pos, sgn, status = runs.positions, runs.signs, runs.status
-    # duality_weight per replica: zero unless every walker sits on a site of
-    # its sign and every revealed edge shows its revealed sign, else 1/p per
-    # positive and 1/(1-p) per negative reveal.
+    # The duality weight per replica, for forward state eta and dual state xi
+    # with walkers (z_j, s_j) and revealed edge sets R+ and R-:
+    #   H(eta, xi) = 1{eta(z_j) = s_j for all j, eta(e) = +1 on R+, -1 on R-}
+    #                * p^-|R+| (1 - p)^-|R-|.
     match = (forward_state.site_signs[pos] == sgn).all(axis=1)
     match &= ((status == 0) | (status == forward_state.edge_signs)).all(axis=1)
     plus, minus = (status == 1).sum(axis=1), (status == -1).sum(axis=1)
@@ -314,7 +316,6 @@ def estimate_mu_dyn(
     revealed_negative=(),
     t_cap: float | None = None,
     workers: int = 1,
-    censor_tolerance: float = DEFAULT_CENSOR_TOLERANCE,
     report_limit: int = 100,
 ) -> MuDynResult:
     """Stationary cylinder mass under the model ``table``, through the coalescing dual.
@@ -331,7 +332,7 @@ def estimate_mu_dyn(
     estimate by its exact factor p^|positive| (1-p)^|negative|.
 
     Replicas still uncoalesced at the time cap are censored: they are left
-    out of the mean and only counted, and more than ``censor_tolerance`` of
+    out of the mean and only counted, and more than ``CENSOR_TOLERANCE`` of
     them is an error.
     """
     signs = list(signs)
@@ -355,10 +356,10 @@ def estimate_mu_dyn(
         for at, sg, t, done in zip(pos[:report_limit], sgn[:report_limit], time, coalesced)
     )
     censored = replicas - int(np.count_nonzero(coalesced))
-    if censored > censor_tolerance * replicas or censored == replicas:
+    if censored > CENSOR_TOLERANCE * replicas or censored == replicas:
         raise CensoringError(
             f"{censored} of {replicas} replicas hit the time cap {t_cap:g} "
-            f"before coalescing (tolerance {censor_tolerance:.1%})"
+            f"before coalescing (tolerance {CENSOR_TOLERANCE:.1%})"
         )
     # A coalesced replica has ``target`` classes; its value is 2^-target
     # when no class holds walkers of both signs, and 0 otherwise.

@@ -2,13 +2,15 @@
 
 ``run_experiment`` is the one skeleton: when the config needs a graph, it
 compiles the model, graph, kernel and parameters, into one ``EventTable``,
-hands it with an empty result to the experiment's runner, and records the
-runner's verdict. The Monte Carlo estimators take that table; the exact
-oracle, the reference side, takes its ``g``, ``kernel`` and ``params``. A
-runner appends human-readable summary lines, writes its files through the
-result, and returns True, False, or None when no gate applies. JSON output
-comes from ``json.dumps``, whose floats round-trip exactly (``inf`` and
-``nan`` as ``Infinity`` and ``NaN``); CSV cells carry 17 significant digits.
+and hands it with an empty result to the experiment's runner. The Monte
+Carlo estimators take that table; the exact oracle, the reference side,
+takes its ``g``, ``kernel`` and ``params``. A runner appends human-readable
+summary lines, writes its files through the result, and records each family
+of gates it decides with ``result.gate``, a ``GateFamily`` that renders its
+own verdict line; the run's verdict, ``result.passed``, is derived from those
+records. JSON output comes from ``json.dumps``, whose floats round-trip
+exactly (``inf`` and ``nan`` as ``Infinity`` and ``NaN``); CSV cells carry 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -50,9 +52,51 @@ from .rng import RngStream
 GATE_ABS_SLACK = 1e-10
 
 
+@dataclass(frozen=True)
+class GateFamily:
+    """One family of gates a runner decided: its outcome and stated false-failure rate.
+
+    ``gates`` gates at ``sigmas`` standard errors each, two-sided, or
+    one-sided with ``sides=1``. ``sigmas == 0`` marks an exact tolerance or
+    bound, which no sampling noise can fail. The record only reports
+    ``passed``; the runner decides it by the gate's own inequality.
+    """
+
+    text: str
+    passed: bool
+    detail: str = ""
+    gates: int = 1
+    sigmas: float = 0.0
+    sides: int = 2
+
+    @property
+    def rate(self) -> float:
+        """Family-wise false-failure rate, 0 for an exact family.
+
+        The union bound under the normal approximation, which holds however
+        the gates are correlated.
+        """
+        if self.sigmas == 0:  # erfc(0) would give 1
+            return 0.0
+        return min(1.0, self.gates * self.sides / 2 * math.erfc(self.sigmas / math.sqrt(2.0)))
+
+    def line(self) -> str:
+        """The verdict line: ``text (detail; family): PASS``, each part only when present."""
+        notes = [self.detail] if self.detail else []
+        if self.sigmas:
+            kind = "" if self.sides == 2 else " one-sided"
+            plural = "s" if self.gates != 1 else ""
+            notes.append(
+                f"{self.gates}{kind} gate{plural} at {self.sigmas:g} sigma, "
+                f"family-wise <= {100 * self.rate:.2g}%"
+            )
+        paren = f" ({'; '.join(notes)})" if notes else ""
+        return f"{self.text}{paren}: {'PASS' if self.passed else 'FAIL'}"
+
+
 @dataclass
 class ExperimentResult:
-    """What one run reports: its verdict, summary lines and written files.
+    """What one run reports: its gate families, summary lines and written files.
 
     ``out_dir`` is None when the run writes nothing (``spinbond check``, or
     no ``output_dir``); ``write`` then does nothing, so records handed to it
@@ -60,10 +104,21 @@ class ExperimentResult:
     """
 
     experiment: str
-    passed: bool | None = None
     out_dir: Path | None = None
     lines: list[str] = field(default_factory=list)
     files: list[str] = field(default_factory=list)
+    gates: list[GateFamily] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool | None:
+        """Whether every gate family passed; None when no gate applies."""
+        return all(family.passed for family in self.gates) if self.gates else None
+
+    def gate(self, text: str, passed, *fields, **named) -> None:
+        """Record a ``GateFamily`` of these fields and add its verdict line."""
+        record = GateFamily(text, bool(passed), *fields, **named)
+        self.gates.append(record)
+        self.lines.append(record.line())
 
     def path(self, name: str) -> Path:
         """Record output file ``name`` and return its path in ``out_dir``."""
@@ -242,27 +297,9 @@ def _check_range(what: str, indices, count: int) -> None:
             raise ConfigError(f"{what} {i} outside 0..{count - 1}")
 
 
-def _verdict(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
-
-
 def _versus(name: str, est, target: float, sig: float, ok: bool) -> str:
-    return f"{name}: {est.estimate:.5f} vs {target:.5f} ({sig:.2f} sigma): {_verdict(ok)}"
-
-
-def _family_rate(gates: int, sigmas: float, sides: int = 2) -> str:
-    """A gate family's size, per-gate threshold and family-wise false-failure rate.
-
-    The rate is the union bound over two-sided (or, with ``sides=1``,
-    one-sided) gates under the normal approximation, which holds however
-    the gates are correlated.
-    """
-    rate = min(1.0, gates * sides / 2 * math.erfc(sigmas / math.sqrt(2.0)))
-    kind = "" if sides == 2 else " one-sided"
-    return (
-        f"{gates}{kind} gate{'s' if gates != 1 else ''} at {sigmas:g} sigma, "
-        f"family-wise <= {100 * rate:.2g}%"
-    )
+    """One gate of a family, on a line of its own; the family is recorded after it."""
+    return GateFamily(f"{name}: {est.estimate:.5f} vs {target:.5f}", ok, f"{sig:.2f} sigma").line()
 
 
 def _sigma_gate(est, target: float, sigmas: float) -> tuple[float, bool]:
@@ -288,18 +325,17 @@ def _exact(cfg: dict, solve):
         return None, exc
 
 
-def _exact_or_mc(note: str, exact, mc, cfg: dict, result: ExperimentResult, *args):
-    """The verdict of ``exact`` under the oracle policy, else that of ``mc``.
+def _exact_or_mc(note: str, exact, mc, cfg: dict, result: ExperimentResult, *args) -> None:
+    """Run ``exact`` under the oracle policy, else ``mc``.
 
     Both runners take ``(cfg, result, *args)``. A fallback above the cap
     first notes the cap error through the format string ``note``.
     """
-    passed, capped = _exact(cfg, lambda: exact(cfg, result, *args))
-    if passed is not None:
-        return passed
+    _, capped = _exact(cfg, partial(exact, cfg, result, *args))
     if capped:
         result.lines.append(note.format(capped))
-    return mc(cfg, result, *args)
+    if capped or cfg["oracle"] == "off":
+        mc(cfg, result, *args)
 
 
 def _cylinder(sites: dict, positive, negative) -> CylinderEvent:
@@ -338,13 +374,13 @@ def run_experiment(cfg: dict, write_outputs: bool = True) -> ExperimentResult:
     result = ExperimentResult(cfg["experiment"], out_dir=out_dir)
     model = _build_model(cfg) if needs_graph(cfg) else None
     stream = RngStream(cfg["seed"], (cfg["stream"], 0))
-    result.passed = runner(cfg, result, stream, model)
+    runner(cfg, result, stream, model)
     return result
 
 
 def _run_duality_check(cfg: dict, result: ExperimentResult, stream, model: EventTable):
     forward_initial = _load_state(cfg, "forward_initial_file", model.g) or _striped_state(model.g)
-    return _exact_or_mc(
+    _exact_or_mc(
         "exact check unavailable ({}); using Monte Carlo cross-check",
         _duality_check_exact, _duality_check_mc,
         cfg, result, stream, model, forward_initial,
@@ -358,19 +394,19 @@ def _duality_check_exact(cfg: dict, result: ExperimentResult, stream, model, for
     gap = np.abs(table.lhs - table.rhs)
     worst_row = int(np.argmax(gap))
     worst = float(gap[worst_row])
-    passed = worst <= cfg["tolerance"]
 
-    result.lines += [
+    result.lines.append(
         f"duality-check: {len(table)} dual initial states, k={cfg['k']}, "
-        f"t={cfg['t']:g}, mode={cfg['mode']}",
-        f"worst |lhs-rhs| = {worst:.3e} at dual state {table.dual_state[worst_row]} "
-        f"(tolerance {cfg['tolerance']:.1e}): {_verdict(passed)}",
-    ]
+        f"t={cfg['t']:g}, mode={cfg['mode']}"
+    )
+    result.gate(
+        f"worst |lhs-rhs| = {worst:.3e} at dual state {table.dual_state[worst_row]}",
+        worst <= cfg["tolerance"], f"tolerance {cfg['tolerance']:.1e}",
+    )
     result.write(
         "duality_gaps.jsonl",
         {"dual_state": table.dual_state, "lhs": table.lhs, "rhs": table.rhs, "gap": gap},
     )
-    return passed
 
 
 def _duality_check_mc(cfg: dict, result: ExperimentResult, stream, model, forward_initial):
@@ -393,16 +429,17 @@ def _duality_check_mc(cfg: dict, result: ExperimentResult, stream, model, forwar
     )
     gap = abs(fwd.estimate - dual.estimate)
     pooled = math.hypot(fwd.std_error, dual.std_error)
-    passed = gap <= cfg["sigmas"] * pooled + GATE_ABS_SLACK
 
     result.lines += [
         f"duality-check (mc): k={k}, t={t:g}, mode={cfg['mode']}, "
         f"{cfg['replicas']} replicas per side",
         f"forward {fwd.estimate:.6f} +- {fwd.std_error:.6f}, "
         f"dual {dual.estimate:.6f} +- {dual.std_error:.6f}",
-        f"|forward - dual| = {gap:.6f} within {cfg['sigmas']:g} pooled sigma "
-        f"({pooled:.6f}; {_family_rate(1, cfg['sigmas'])}): {_verdict(passed)}",
     ]
+    result.gate(
+        f"|forward - dual| = {gap:.6f} within {cfg['sigmas']:g} pooled sigma",
+        gap <= cfg["sigmas"] * pooled + GATE_ABS_SLACK, f"{pooled:.6f}", sigmas=cfg["sigmas"],
+    )
     result.write(
         "duality_mc.jsonl",
         (
@@ -413,7 +450,6 @@ def _duality_check_mc(cfg: dict, result: ExperimentResult, stream, model, forwar
             )
         ),
     )
-    return passed
 
 
 def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, model: EventTable):
@@ -428,7 +464,6 @@ def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, model: 
     if capped:
         result.lines.append(f"exact solve unavailable ({capped}); Monte Carlo only")
 
-    exact_ok = None
     rows = []
     if pi is not None:
         env_all = _env_assignments(range(g.edge_count), cfg["max_revealed"])
@@ -444,14 +479,14 @@ def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, model: 
                     rows.append(
                         {"cylinder": cyl.label(), "exact": exact, "target": target, "abs_err": err}
                     )
-        exact_ok = worst_exact <= cfg["tolerance"]
-        result.lines += [
-            f"stationary-compare: {len(rows)} cylinders, max_revealed={cfg['max_revealed']}",
-            f"exact vs product form: worst |err| = {worst_exact:.3e} "
-            f"(tolerance {cfg['tolerance']:.1e}): {_verdict(exact_ok)}",
-        ]
+        result.lines.append(
+            f"stationary-compare: {len(rows)} cylinders, max_revealed={cfg['max_revealed']}"
+        )
+        result.gate(
+            f"exact vs product form: worst |err| = {worst_exact:.3e}",
+            worst_exact <= cfg["tolerance"], f"tolerance {cfg['tolerance']:.1e}",
+        )
 
-    mc_ok = None
     if cfg["replicas"] > 0:
         mc_edges = list(range(min(2, g.edge_count)))
         subset = _env_assignments(mc_edges, min(2, cfg["max_revealed"]))
@@ -468,27 +503,20 @@ def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, model: 
             model, ProductInitial(site_plus_prob=0.5, edge_plus_prob=p), [cfg["mc_time"]],
             cylinders, cfg["replicas"], stream, cfg["workers"],
         )
-        mc_ok = True
+        oks = []
         for (t, label), est in sorted(estimates.items()):
             sig, ok = _sigma_gate(est, targets[label], cfg["sigmas"])
-            mc_ok = mc_ok and ok
+            oks.append(ok)
             rows.append(
                 _estimate_record(
-                    "forward_cylinder",
-                    {"p": p, "v": params.v, "t": t, "cylinder": label},
-                    est,
-                    oracle_value=oracle_values.get(label),
-                    target=targets[label],
-                    sigmas=sig,
+                    "forward_cylinder", {"p": p, "v": params.v, "t": t, "cylinder": label}, est,
+                    oracle_value=oracle_values.get(label), target=targets[label], sigmas=sig,
                 )
             )
             result.lines.append(_versus(f"mc {label}", est, targets[label], sig, ok))
-        result.lines.append(
-            f"mc gates ({_family_rate(len(estimates), cfg['sigmas'])}): {_verdict(mc_ok)}"
-        )
+        result.gate("mc gates", all(oks), gates=len(oks), sigmas=cfg["sigmas"])
 
-    checks = [ok for ok in (exact_ok, mc_ok) if ok is not None]
-    if not checks:
+    if not result.gates:
         result.lines.append("nothing checked: no exact solve and replicas = 0")
     result.write("stationary_compare.jsonl", rows)
     if pi is not None:
@@ -502,7 +530,6 @@ def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, model: 
                 "has sign +1.\nprobability: stationary mass of that configuration.\n"
             ),
         )
-    return all(checks) if checks else None
 
 
 def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, model: EventTable):
@@ -525,31 +552,23 @@ def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, model: EventTable):
     exact, capped = _exact(cfg, exact_mass)
     try:
         mu = estimate_mu_dyn(
-            model,
-            sites,
-            signs,
-            cfg["replicas"],
-            stream,
-            revealed_positive=positive,
-            revealed_negative=negative,
-            t_cap=cfg.get("t_cap"),
-            workers=cfg["workers"],
-            report_limit=cfg["report_limit"],
+            model, sites, signs, cfg["replicas"], stream,
+            revealed_positive=positive, revealed_negative=negative, t_cap=cfg.get("t_cap"),
+            workers=cfg["workers"], report_limit=cfg["report_limit"],
         )
     except ValueError as exc:  # a start site the kernel's walk leaves for good
         raise ConfigError(str(exc)) from exc
     est = mu.result
 
-    passed = None
     result.lines.append(
         f"mu-dyn: {est.observable} = {est.estimate:.6f} +- {est.std_error:.6f} "
         f"({est.replicas} replicas, {mu.censored_count} censored)"
     )
     if exact is not None:
-        sig, passed = _sigma_gate(est, exact, cfg["sigmas"])
-        result.lines.append(
-            f"exact stationary mass {exact:.6f}, deviation {sig:.2f} sigma "
-            f"({_family_rate(1, cfg['sigmas'])}): {_verdict(passed)}"
+        sig, ok = _sigma_gate(est, exact, cfg["sigmas"])
+        result.gate(
+            f"exact stationary mass {exact:.6f}, deviation {sig:.2f} sigma",
+            ok, sigmas=cfg["sigmas"],
         )
     elif capped:
         result.lines.append(f"exact solve unavailable ({capped}); no oracle gate applied")
@@ -574,7 +593,6 @@ def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, model: EventTable):
         result.write("mu_dyn_estimate.jsonl", [record])
         reports = json.dumps([asdict(rep) for rep in mu.reports]) + "\n"
         result.path("coalescence_reports.json").write_text(reports)
-    return passed
 
 
 def _run_tv_decay(cfg: dict, result: ExperimentResult, stream, model: EventTable):
@@ -589,7 +607,7 @@ def _run_tv_decay(cfg: dict, result: ExperimentResult, stream, model: EventTable
     )
     steps = int(round(cfg["t_max"] / cfg["t_step"]))
     times = [i * cfg["t_step"] for i in range(steps + 1)]
-    return _exact_or_mc(
+    _exact_or_mc(
         "exact transients unavailable ({}); using Monte Carlo bounds",
         _tv_decay_exact, _tv_decay_mc,
         cfg, result, stream, model, initial_a, initial_b, times,
@@ -608,15 +626,15 @@ def _tv_decay_exact(
         len(times) - 1,
     )
 
-    monotone = all(curve[i + 1] <= curve[i] + 1e-10 for i in range(len(curve) - 1))
-    small_enough = curve[-1] < cfg["threshold"]
-
-    result.lines += [
+    result.lines.append(
         f"tv-decay: grid 0..{cfg['t_max']:g} step {cfg['t_step']:g}, "
-        f"TV start {curve[0]:.6f}, TV end {curve[-1]:.2e}",
-        f"non-increasing along the grid: {_verdict(monotone)}",
-        f"final TV < {cfg['threshold']:g}: {_verdict(small_enough)}",
-    ]
+        f"TV start {curve[0]:.6f}, TV end {curve[-1]:.2e}"
+    )
+    result.gate(
+        "non-increasing along the grid",
+        all(curve[i + 1] <= curve[i] + 1e-10 for i in range(len(curve) - 1)),
+    )
+    result.gate(f"final TV < {cfg['threshold']:g}", curve[-1] < cfg["threshold"])
     result.write(
         "tv_decay.csv",
         {"t": times, "total_variation": curve},
@@ -627,7 +645,6 @@ def _tv_decay_exact(
             "from the initial configuration and from its sign flip.\n"
         ),
     )
-    return monotone and small_enough
 
 
 def _tv_decay_mc(
@@ -644,16 +661,18 @@ def _tv_decay_mc(
     # can fail falsely through any of the events' gaps, so its stated rate is
     # that of one gate per event.
     events = model.g.vertex_count + model.g.edge_count
-    passed = final.bound <= cfg["threshold"] + cfg["sigmas"] * final.std_error
 
     result.lines += [
         f"tv-decay (mc): grid 0..{cfg['t_max']:g} step {cfg['t_step']:g}, "
         f"{cfg['replicas']} replicas per law, {events} events",
         f"TV lower bound start {points[0].bound:.6f}, end {final.bound:.6f} "
         f"(argmax {final.event})",
-        f"final bound <= {cfg['threshold']:g} + {cfg['sigmas']:g} sigma "
-        f"({final.std_error:.6f}; {_family_rate(events, cfg['sigmas'])}): {_verdict(passed)}",
     ]
+    result.gate(
+        f"final bound <= {cfg['threshold']:g} + {cfg['sigmas']:g} sigma",
+        final.bound <= cfg["threshold"] + cfg["sigmas"] * final.std_error,
+        f"{final.std_error:.6f}", gates=events, sigmas=cfg["sigmas"],
+    )
     result.write(
         "tv_decay.csv",
         {
@@ -672,7 +691,6 @@ def _tv_decay_mc(
             "std_error: pooled standard error of that event's two frequencies.\n"
         ),
     )
-    return passed
 
 
 def _mgf_closed_form(theta: float, t: float, v: float, r0: int) -> float:
@@ -696,23 +714,19 @@ def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, model: EventTabl
         theta = -2.0 * math.log(min(model.params.p, 1.0 - model.params.p))
         domination = theta, cfg["t"], _mgf_closed_form(theta, cfg["t"], v, 0)
     rows = []
-    all_ok = True
+    oks = []
     for call, ((theta, t, r0), target) in enumerate(zip(grid, targets)):
         est = estimate_mgf(theta, t, v, r0, cfg["replicas"], stream.child(call), cfg["workers"])
         sig = deviation_sigmas(est, target)
-        ok = sig <= cfg["sigmas"]
-        all_ok = all_ok and ok
+        oks.append(sig <= cfg["sigmas"])
         rows.append(
             _estimate_record(
-                "birth_death_mgf",
-                {"theta": theta, "t": t, "v": v, "r0": r0},
-                est,
-                oracle_value=target,
-                sigmas=sig,
+                "birth_death_mgf", {"theta": theta, "t": t, "v": v, "r0": r0}, est,
+                oracle_value=target, sigmas=sig,
             )
         )
-        result.lines.append(_versus(est.observable, est, target, sig, ok))
-    result.lines.append(f"mgf gates ({_family_rate(len(rows), cfg['sigmas'])}): {_verdict(all_ok)}")
+        result.lines.append(_versus(est.observable, est, target, sig, oks[-1]))
+    result.gate("mgf gates", all(oks), gates=len(oks), sigmas=cfg["sigmas"])
 
     if domination is not None:
         theta, t, bound = domination
@@ -720,23 +734,18 @@ def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, model: EventTabl
             model, DualState.of([0], [1]), theta, t, cfg["replicas"],
             stream.child(len(grid)), cfg["workers"],
         )
-        ok = est.estimate <= bound + cfg["sigmas"] * est.std_error
-        all_ok = all_ok and ok
         rows.append(
             _estimate_record(
-                "revealed_weight",
-                {"theta": theta, "t": t, "p": model.params.p, "v": v},
-                est,
+                "revealed_weight", {"theta": theta, "t": t, "p": model.params.p, "v": v}, est,
                 bound=bound,
             )
         )
-        result.lines.append(
+        result.gate(
             f"revealed-set weight at theta={theta:.4f}, t={t:g}: "
-            f"{est.estimate:.5f} <= bound {bound:.5f} "
-            f"({_family_rate(1, cfg['sigmas'], sides=1)}): {_verdict(ok)}"
+            f"{est.estimate:.5f} <= bound {bound:.5f}",
+            est.estimate <= bound + cfg["sigmas"] * est.std_error, sigmas=cfg["sigmas"], sides=1,
         )
     result.write("mgf_check.jsonl", rows)
-    return all_ok
 
 
 def _run_raw_simulate(cfg: dict, result: ExperimentResult, stream, model: EventTable):
@@ -777,4 +786,3 @@ def _run_raw_simulate(cfg: dict, result: ExperimentResult, stream, model: EventT
     )
     if cfg["replicas"] == 1 and result.out_dir is not None:
         write_state_file(outcomes[0][1], result.path("final_state.txt"))
-    return None

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spinbond import oracle
-from spinbond.dual import DualState
-from spinbond.forward import SpinBondState
+from spinbond.dual import DualState, DualTrajectory, simulate_dual
+from spinbond.forward import EventTable, SpinBondState
 from spinbond.graphs import Graph, builtin_graph, uniform_kernel
 
 
@@ -124,3 +124,49 @@ def forward_weight_vector(g: Graph, dual: DualState, p: float) -> np.ndarray:
 
 def total_variation(dist_a: np.ndarray, dist_b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(dist_a) - np.asarray(dist_b)).sum())
+
+
+def duality_weight(site_signs, edge_signs, dual: DualState, p: float) -> float:
+    """Weight pairing a forward configuration with a dual configuration.
+
+    Zero unless every walker sits on a site of its own sign and every
+    revealed edge shows its revealed sign; otherwise the product of 1/p per
+    positively revealed edge and 1/(1-p) per negatively revealed edge.
+    """
+    for z, s in zip(dual.positions, dual.signs):
+        if site_signs[z] != s:
+            return 0.0
+    for e in dual.revealed_positive:
+        if edge_signs[e] != 1:
+            return 0.0
+    for e in dual.revealed_negative:
+        if edge_signs[e] != -1:
+            return 0.0
+    return p ** (-len(dual.revealed_positive)) * (1.0 - p) ** (-len(dual.revealed_negative))
+
+
+def coupled_run(
+    gen: np.random.Generator,
+    size: int,
+    table: EventTable,
+    initial: DualState,
+    t_max: float,
+) -> tuple[DualTrajectory, DualTrajectory, DualTrajectory]:
+    """Couple the independent and coalescing rules of the model ``table`` on one noise history.
+
+    Returns ``(head, coalescing, independent)`` blocks of ``size`` runs. The
+    head runs the independent rule to each replica's first collision, which
+    its ``stopped`` and ``time`` give, or to t_max. Both legs go on from the
+    head to t_max: the coalescing leg on a child generator spawned before
+    either leg draws, the independent leg on ``gen``. Before a collision each
+    walker is alone on its site, where the two rules agree, so each leg
+    follows its own rule's law. Walkers must start at pairwise distinct sites.
+    """
+    if len(set(initial.positions)) != len(initial.positions):
+        raise ValueError("coupled_run requires pairwise distinct starting sites")
+    k = initial.walker_count
+    head = simulate_dual(gen, size, table, initial, t_max, "independent", k - 1)
+    child = gen.spawn(1)[0]
+    coalescing = simulate_dual(child, size, table, head, t_max)
+    independent = simulate_dual(gen, size, table, head, t_max, "independent")
+    return head, coalescing, independent

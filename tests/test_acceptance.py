@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spinbond.cylinders import CylinderEvent, single_constraint_events
-from spinbond.dual import DualState, coupled_run, simulate_dual
+from spinbond.dual import DualState, simulate_dual
 from spinbond.forward import (
     EventTable,
     ModelParams,
@@ -26,6 +26,7 @@ from spinbond import estimators as est
 from spinbond import oracle
 
 from conftest import (
+    coupled_run,
     decode_forward_state,
     merge_breaks,
     replay_statuses,

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from spinbond.config import (
     SEED_ENV_VAR,
@@ -197,6 +198,31 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
     path = write_cfg(tmp_path, **{**DUALITY_BASE, "p": 2.0})
     assert main(["check", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# One replica has no standard error, so its Monte Carlo gate could only
+# fail. Every experiment that may gate one rejects it, on the exact path too.
+ONE_REPLICA = {
+    "duality-check-mc": {**DUALITY_BASE, "oracle": "off"},
+    "duality-check-exact": DUALITY_BASE,
+    "stationary-compare": dict(experiment="stationary-compare", graph="path:3"),
+    "mu-dyn": dict(experiment="mu-dyn", graph="complete:2", sites=[0, 1]),
+    "mu-dyn-oracle-off": dict(experiment="mu-dyn", graph="complete:2", sites=[0, 1], oracle="off"),
+    "tv-decay-mc": dict(experiment="tv-decay", graph="path:3", oracle="off"),
+    "tv-decay-exact": dict(experiment="tv-decay", graph="path:3"),
+    "mgf-check": dict(experiment="mgf-check"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_REPLICA))
+def test_cli_one_replica_on_a_gated_experiment_exits_two(case, tmp_path, capsys, monkeypatch):
+    def run_experiment(*args, **kwargs):
+        raise AssertionError("the config must be rejected before any work")
+
+    monkeypatch.setattr("spinbond.cli.run_experiment", run_experiment)
+    assert main(["check", write_cfg(tmp_path, **ONE_REPLICA[case], replicas=1)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "replicas" in err
 
 
 @pytest.mark.parametrize(
@@ -481,6 +507,37 @@ def test_cli_mu_dyn_oracle_on_exits_before_any_replica(tmp_path, capsys):
     assert main(["check", path]) == 3
     assert time.perf_counter() - start < 10.0
     assert "resource limit" in capsys.readouterr().err
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# Shipped config -> its gate families in order, as (gates, sigmas, sides);
+# sigmas 0 marks an exact family.
+SHIPPED_FAMILIES = {
+    "duality_check": [(1, 0.0, 2)],
+    "duality_check_mc": [(1, 3.0, 2)],
+    "mgf_check": [(8, 3.0, 2), (1, 3.0, 1)],
+    "mu_dyn": [(1, 3.0, 2)],
+    "raw_simulate": [],
+    "stationary_compare": [(1, 0.0, 2), (9, 3.0, 2)],
+    "tv_decay": [(1, 0.0, 2), (1, 0.0, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_FAMILIES))
+def test_shipped_config_records_its_gate_families(name, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    path = CONFIG_DIR / f"{name}.json"
+    result = experiments.run_experiment(load_config(path), write_outputs=False)
+    assert [(f.gates, f.sigmas, f.sides) for f in result.gates] == SHIPPED_FAMILIES[name]
+    for family in result.gates:
+        # The union bound: each gate fails falsely with a normal tail per side.
+        bound = min(1.0, family.gates * family.sides * stats.norm.sf(family.sigmas))
+        assert family.rate == (0.0 if family.sigmas == 0 else pytest.approx(bound, rel=1e-12))
+        assert family.line() in result.lines
+    verdict = {True: "PASS", False: "FAIL", None: "DONE"}[result.passed]
+    assert main(["check", str(path)]) == (1 if result.passed is False else 0)
+    assert capsys.readouterr().out.splitlines()[-1] == f"{result.experiment}: {verdict}"
 
 
 def test_cli_run_outputs_are_byte_identical(tmp_path):

@@ -4,10 +4,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import merge_breaks, replay_statuses
+from conftest import coupled_run, duality_weight, merge_breaks, replay_statuses
 from hypothesis import given, settings, strategies as st
 
-from spinbond.dual import DualState, coupled_run, duality_weight, simulate_dual
+from spinbond.dual import DualState, simulate_dual
 from spinbond.errors import CensoringError
 from spinbond.estimators import estimate_mu_dyn
 from spinbond.forward import EventTable, ModelParams, SpinBondState

@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import decode_forward_state, encode_dual_state, striped_state
+from conftest import coupled_run, decode_forward_state, encode_dual_state, striped_state
 from scipy import stats
 from scipy.linalg import expm
 
 from spinbond import estimators as est
 from spinbond import oracle
 from spinbond.cylinders import CylinderEvent, single_constraint_events
-from spinbond.dual import DualState, coupled_run, simulate_dual
+from spinbond.dual import DualState, simulate_dual
 from spinbond.errors import CensoringError
 from spinbond.forward import EventTable, ModelParams, SpinBondState, simulate_forward
 from spinbond.graphs import build_graph, builtin_graph, kernel_from_rates, uniform_kernel
@@ -378,7 +378,7 @@ def test_mu_dyn_reports_describe_replicas(k2):
         assert js["partition"] == [[0, 1]]
 
 
-def test_mu_dyn_censoring_raises(k2):
+def test_mu_dyn_censoring_raises(k2, monkeypatch):
     g, kern = k2
     table = EventTable(g, kern, ModelParams(0.3, 1.0))
     with pytest.raises(CensoringError):
@@ -391,6 +391,7 @@ def test_mu_dyn_censoring_raises(k2):
             t_cap=1e-6,
         )
     # within tolerance, censored runs are dropped from the mean, not averaged in
+    monkeypatch.setattr(est, "CENSOR_TOLERANCE", 1.0)
     partial = est.estimate_mu_dyn(
         table,
         sites=[0, 1],
@@ -398,7 +399,6 @@ def test_mu_dyn_censoring_raises(k2):
         replicas=60,
         stream=RngStream(9),
         t_cap=0.35,
-        censor_tolerance=1.0,
     )
     assert 0 < partial.censored_count < 60
     assert partial.result.replicas == 60 - partial.censored_count
@@ -410,7 +410,6 @@ def test_mu_dyn_censoring_raises(k2):
             replicas=10,
             stream=RngStream(9),
             t_cap=1e-9,
-            censor_tolerance=1.0,
         )
 
 

@@ -21,6 +21,7 @@ from spinbond import oracle
 
 from conftest import (
     decode_forward_state,
+    duality_weight,
     encode_dual_state,
     forward_weight_vector,
     striped_state,
@@ -901,7 +902,6 @@ def test_duality_weight_vectors_agree_with_scalar(k2):
     p = 0.3
     dual = DualState.of([0], [1], revealed_positive=[0])
     weights = forward_weight_vector(g, dual, p)
-    from spinbond.dual import duality_weight
 
     for idx in range(8):
         st = decode_forward_state(g, idx)
