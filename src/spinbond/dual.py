@@ -17,15 +17,16 @@ clock and moves alone.
 that holds the graph, the kernel and (p, v), in lockstep as numpy arrays,
 by exact Gillespie on the walkers' rings with forgetting sampled lazily. Its
 loop steps compact arrays of the live replicas' walkers, clocks and class
-counts, and writes a replica back to the block arrays when it stops. A
-block may start from where a previous block stopped, so runs can go on
-under another rule from a shared history.
+counts, and writes a replica back to the block arrays when it stops. One
+loop may step two blocks, each drawing on its own generator exactly as it
+would alone. A block may start from where a previous block stopped, so
+runs can go on under another rule from a shared history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,8 +158,8 @@ _RESOLVE_ROWS = 512
 
 
 def simulate_dual(
-    gen: np.random.Generator,
-    size: int,
+    gen: np.random.Generator | Sequence[np.random.Generator],
+    size: int | Sequence[int],
     table: EventTable,
     initial: DualState | DualTrajectory,
     t_max: float,
@@ -168,8 +169,17 @@ def simulate_dual(
 ) -> DualTrajectory:
     """``size`` dual runs of the model ``table`` in lockstep, to t_max or ``target`` classes.
 
+    One block is a generator ``gen`` and its ``size`` runs. A sequence of
+    one or two generators with as many sizes steps that many consecutive
+    blocks in one loop, so that their straggler tails share its steps; the
+    result is the blocks joined in order (``DualTrajectory.join``), bit for
+    bit, since each block keeps its draws on its own generator: per step,
+    ``standard_exponential(w)`` then ``random((3, w))`` for its ``w`` live
+    runs, none once it has none, and at the end its own resolution. A pair
+    holds both blocks' arrays at once.
+
     ``initial`` is one ``DualState`` for every replica, or a block of the
-    same size, whose replicas go on from their stop times and states.
+    same total size, whose replicas go on from their stop times and states.
 
     Each running replica draws its next ring at the constant rate k, with k
     walkers, so this is exact Gillespie. The ring belongs to a uniformly
@@ -203,6 +213,11 @@ def simulate_dual(
     if mode not in ("coalescing", "independent"):
         raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
     check_t_max(t_max)
+    gens, sizes = ([gen], [size]) if isinstance(gen, np.random.Generator) else (gen, size)
+    if not 1 <= len(gens) == len(sizes) <= 2:
+        raise ValueError(f"one or two blocks a call: {len(gens)} generators, {len(sizes)} sizes")
+    bounds = np.cumsum([0, *sizes])  # block b holds rows bounds[b]:bounds[b + 1]
+    size = int(bounds[-1])
     g = table.g
     initial.validate(g)
     if isinstance(initial, DualTrajectory):
@@ -245,8 +260,14 @@ def simulate_dual(
         if not live.size:
             break
         width = live.size
-        now = now + gen.standard_exponential(width) / k
-        u, w, q = gen.random((3, width))
+        draws = [  # each block's live columns are a run of ``live``, in block order
+            (rng.standard_exponential(cols), rng.random((3, cols)))
+            for rng, cols in zip(gens, np.diff(live.searchsorted(bounds)).tolist())
+            if cols
+        ]
+        wait, uwq = draws[0] if len(draws) == 1 else [np.hstack(d) for d in zip(*draws)]
+        now = now + wait / k
+        u, w, q = uwq
         on = now <= t_max  # a column past t_max does not move, and leaves
         slot = np.minimum((u * k).astype(np.intp), k - 1)
         z = here.reshape(-1).take(slot * width + np.arange(width))
@@ -280,11 +301,13 @@ def simulate_dual(
             record.append(DualEvents(r, t, e, s, fresh, here[:, j].T, signs[:, j].T))
     time = np.where(stopped, clock, t_max)
     seen -= time[:, None]  # minus each entry's time since it was last seen
-    for lo in range(0, size, _RESOLVE_ROWS):  # row chunks bound the per-entry temporaries
-        part = status[lo : lo + _RESOLVE_ROWS]
-        known = np.flatnonzero(part)
-        kept = np.exp(v * seen[lo : lo + _RESOLVE_ROWS].take(known))
-        part.flat[known[gen.random(known.size) >= kept]] = 0
+    for rng, first, last in zip(gens, bounds[:-1].tolist(), bounds[1:].tolist()):
+        for lo in range(first, last, _RESOLVE_ROWS):  # row chunks bound the per-entry temporaries
+            hi = min(lo + _RESOLVE_ROWS, last)
+            part = status[lo:hi]
+            known = np.flatnonzero(part)
+            kept = np.exp(v * seen[lo:hi].take(known))
+            part.flat[known[rng.random(known.size) >= kept]] = 0
     return DualTrajectory(pos, sgn, status, time, stopped, events, reveals)
 
 

@@ -10,7 +10,11 @@ class ConfigError(SpinBondError):
 
 
 class StateSpaceCapError(SpinBondError):
-    """Exact computation above a supported state count or sweep budget (exit code 3)."""
+    """Work above a supported cap (exit code 3).
+
+    An exact computation above its state count or sweep budget, or forward
+    Monte Carlo runs above their expected ring budget.
+    """
 
     def __init__(self, required: int, cap: int, label: str = "state space"):
         self.required = required

@@ -5,10 +5,13 @@ lockstep as numpy arrays; block b consumes the generator derived from the
 stream's spawn key extended by b, and workers get whole blocks, so results
 do not depend on the worker count and reruns with the same seed reproduce
 byte-identical output. Forward runs use the uniformized chain of all site
-and edge clocks (``_cylinder_hits``); dual runs draw each replica's next
-move at the walkers' rate and sample edge forgetting lazily
-(``dual.simulate_dual``); birth-death runs are batched Gillespie
-(``simulate_birth_death``). ``raw-simulate`` outputs paths, so it runs
+and edge clocks (``_cylinder_hits``), within ``FORWARD_RING_BUDGET``
+expected rings a call; dual runs draw each replica's next move at the
+walkers' rate and sample edge forgetting lazily (``dual.simulate_dual``),
+two consecutive blocks of a worker's run to a call, each on its own
+generator, so that their straggler tails share one loop; birth-death runs
+are batched Gillespie (``simulate_birth_death``). Forward and birth-death
+runs take one block a call. ``raw-simulate`` outputs paths, so it runs
 ``simulate_forward`` in blocks of one replica, on the replica's own
 substream; that run makes exactly the draws of a one-replica
 ``_cylinder_hits`` block, so replica i of ``raw-simulate`` is such a block
@@ -29,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .dual import CoalescenceReport, DualState, DualTrajectory, simulate_dual
-from .errors import CensoringError
+from .errors import CensoringError, StateSpaceCapError
 from .forward import EventTable, SpinBondState, check_t_max, sample_product_state, simulate_forward
 from .graphs import Graph, closed_classes
 from .rng import RngStream
@@ -40,6 +43,15 @@ CENSOR_TOLERANCE = 1e-3
 # Replicas per block of the batched estimators: a fixed constant, so that
 # estimates do not depend on how many workers share the blocks.
 REPLICA_BLOCK = 4096
+
+# Dual blocks stepped together in one simulate_dual call. A pair cuts the
+# steps a lone straggler tail pays for; peak memory, measured over the
+# benchmark's Monte Carlo configs, holds at two and grows from three.
+DUAL_BLOCKS_PER_CALL = 2
+
+# Expected rings of one forward Monte Carlo call, at most: 3 to 5 minutes at
+# the 3.8-5.4 million rings/s measured on a 2-core x86 machine.
+FORWARD_RING_BUDGET = 10**9
 
 
 def default_time_cap(g: Graph) -> float:
@@ -82,27 +94,35 @@ def _summarize(label: str, values: np.ndarray) -> EstimateResult:
 
 
 def _run_range(job):
-    fn, stream, start, stop, replicas, block = job
-    return [fn(stream.substream(b), min(block, replicas - b * block)) for b in range(start, stop)]
+    fn, stream, start, stop, replicas, block, group = job
+    out = []
+    for first in range(start, stop, group):
+        blocks = range(first, min(first + group, stop))
+        gens = [stream.substream(b) for b in blocks]
+        sizes = [min(block, replicas - b * block) for b in blocks]
+        out.append(fn(gens[0], sizes[0]) if group == 1 else fn(gens, sizes))
+    return out
 
 
-def _collect(fn, replicas: int, stream: RngStream, workers: int, block: int) -> list:
+def _collect(fn, replicas: int, stream: RngStream, workers: int, block: int, group=1) -> list:
     """Evaluate fn on blocks of ``block`` replicas, in block order.
 
-    The last block is possibly short, and block b calls
-    ``fn(stream.substream(b), size)`` once. Workers get contiguous runs of
-    whole blocks.
+    The last block is possibly short, and block b draws from
+    ``stream.substream(b)``. Workers get contiguous runs of whole blocks.
+    With ``group`` 1 each block is one call ``fn(generator, size)``; with a
+    larger ``group`` a call takes up to that many consecutive blocks of one
+    worker's run as ``fn(generators, sizes)``, lists in block order.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     units = -(-replicas // block)
     if workers <= 1 or units == 1:
-        return _run_range((fn, stream, 0, units, replicas, block))
+        return _run_range((fn, stream, 0, units, replicas, block, group))
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = -(-units // workers)
     jobs = [
-        (fn, stream, start, min(start + chunk, units), replicas, block)
+        (fn, stream, start, min(start + chunk, units), replicas, block, group)
         for start in range(0, units, chunk)
     ]
     out: list = []
@@ -110,6 +130,19 @@ def _collect(fn, replicas: int, stream: RngStream, workers: int, block: int) -> 
         for part in pool.map(_run_range, jobs):
             out.extend(part)
     return out
+
+
+def check_forward_rings(table: EventTable, replicas: int, horizon: float) -> None:
+    """Raise ``StateSpaceCapError`` when forward runs expect more rings than the budget.
+
+    Every site and edge clock rings within the total rate n + v m, so
+    ``replicas`` runs to ``horizon`` ring replicas * (n + v m) * horizon
+    times on average, the exact mean of their Poisson ring counts. Above
+    ``FORWARD_RING_BUDGET`` the error comes before any draw.
+    """
+    rings = replicas * table.rate * horizon
+    if rings > FORWARD_RING_BUDGET:
+        raise StateSpaceCapError(math.ceil(rings), FORWARD_RING_BUDGET, "expected forward rings")
 
 
 def _forward_cylinder_replica(gen, size, table, initial, t_max, times, cylinders):
@@ -178,7 +211,8 @@ def estimate_cylinder_probabilities(
 
     One trajectory per replica serves every requested time and cylinder;
     keys of the result are (time, cylinder label). Replicas run in blocks
-    of ``REPLICA_BLOCK`` on the uniformized chain (``_cylinder_hits``).
+    of ``REPLICA_BLOCK`` on the uniformized chain (``_cylinder_hits``),
+    within the ring budget (``check_forward_rings``).
     """
     times = sorted(times)
     cylinders = list(cylinders)
@@ -186,6 +220,7 @@ def estimate_cylinder_probabilities(
         raise ValueError(f"checkpoint times must be given and >= 0, got {times}")
     if not isinstance(initial, ProductInitial):
         initial.validate(table.g)
+    check_forward_rings(table, replicas, times[-1])
     fn = partial(_cylinder_hits, table=table, initial=initial, times=times, cylinders=cylinders)
     hits = np.sum(_collect(fn, replicas, stream, workers, block=REPLICA_BLOCK), axis=0)
     out: dict[tuple[float, str], EstimateResult] = {}
@@ -198,9 +233,14 @@ def estimate_cylinder_probabilities(
 
 
 def _dual_runs(table, replicas, stream, workers, **run):
-    """``simulate_dual(..., **run)`` over ``replicas`` runs in blocks, joined in replica order."""
+    """``simulate_dual(..., **run)`` over ``replicas`` runs in blocks, joined in replica order.
+
+    Each call steps up to ``DUAL_BLOCKS_PER_CALL`` blocks of a worker's run in one
+    lockstep loop, so that their straggler tails share its steps.
+    """
     fn = partial(simulate_dual, table=table, **run)
-    return DualTrajectory.join(_collect(fn, replicas, stream, workers, block=REPLICA_BLOCK))
+    parts = _collect(fn, replicas, stream, workers, REPLICA_BLOCK, group=DUAL_BLOCKS_PER_CALL)
+    return DualTrajectory.join(parts)
 
 
 def estimate_dual_side(

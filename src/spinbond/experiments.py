@@ -35,6 +35,7 @@ from .estimators import (
     _collect,
     _forward_cylinder_replica,
     birth_death_mgf,
+    check_forward_rings,
     deviation_sigmas,
     estimate_cylinder_probabilities,
     estimate_dual_side,
@@ -762,6 +763,7 @@ def _run_raw_simulate(cfg: dict, result: ExperimentResult, stream, model: EventT
         site_plus_prob=cfg["site_plus_prob"], edge_plus_prob=cfg["edge_plus_prob"]
     )
     times = sorted(cfg["checkpoint_times"])
+    check_forward_rings(model, cfg["replicas"], cfg["t_max"])
 
     fn = partial(
         _forward_cylinder_replica,

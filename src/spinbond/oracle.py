@@ -415,30 +415,19 @@ def stationary_distribution(L: sp.csc_matrix) -> np.ndarray:
     )
 
 
-def _forward_sign_mask(g: Graph, pairs) -> np.ndarray:
-    """Forward states whose bit i is set exactly when s > 0, for each (i, s).
-
-    Pairs, not a dict: two walkers on one site may carry opposite signs.
-    """
-    size = forward_state_count(g)
-    bits = g.vertex_count + g.edge_count
-    # Bit i of the index is axis bits - 1 - i of this view, so each pair
-    # clears one half of it in place, with no index-sized temporaries.
-    mask = np.ones((2,) * bits, dtype=bool)
-    for i, s in pairs:
-        mask[(slice(None),) * (bits - 1 - i) + (0 if s > 0 else 1,)] = False
-    return mask.reshape(size)
-
-
-def forward_cylinder_mask(g: Graph, cylinder: CylinderEvent) -> np.ndarray:
-    n = g.vertex_count
-    return _forward_sign_mask(
-        g, [*cylinder.site_constraints, *((n + e, s) for e, s in cylinder.edge_constraints)]
-    )
-
-
 def cylinder_probability(g: Graph, dist: np.ndarray, cylinder: CylinderEvent) -> float:
-    return float(dist[forward_cylinder_mask(g, cylinder)].sum())
+    """Mass of ``cylinder`` under the forward law ``dist``.
+
+    Bit i of a state index is axis bits - 1 - i of ``dist`` viewed as
+    (2,) * bits, so the cylinder's states are one basic index of that view,
+    visited in index order as a boolean mask would visit them: the sum is
+    the same bit for bit, and no state-sized mask is built.
+    """
+    n, bits = g.vertex_count, g.vertex_count + g.edge_count
+    index = [slice(None)] * bits
+    for i, s in [*cylinder.site_constraints, *((n + e, s) for e, s in cylinder.edge_constraints)]:
+        index[bits - 1 - i] = 1 if s > 0 else 0
+    return float(np.ascontiguousarray(dist.reshape((2,) * bits)[tuple(index)]).sum())
 
 
 def total_variation_curve(

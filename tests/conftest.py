@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinbond import oracle
+from spinbond.cylinders import CylinderEvent
 from spinbond.dual import DualState, DualTrajectory, simulate_dual
 from spinbond.forward import EventTable, SpinBondState
 from spinbond.graphs import Graph, builtin_graph, uniform_kernel
@@ -110,10 +111,32 @@ def encode_dual_state(g: Graph, dual: DualState) -> int:
     return index + n**k * 2**k * env
 
 
+def forward_sign_mask(g: Graph, pairs) -> np.ndarray:
+    """Forward states whose bit i is set exactly when s > 0, for each (i, s).
+
+    Pairs, not a dict: two walkers on one site may carry opposite signs.
+    """
+    bits = g.vertex_count + g.edge_count
+    # Bit i of the index is axis bits - 1 - i of this view, so each pair
+    # clears one half of it in place, with no index-sized temporaries.
+    mask = np.ones((2,) * bits, dtype=bool)
+    for i, s in pairs:
+        mask[(slice(None),) * (bits - 1 - i) + (0 if s > 0 else 1,)] = False
+    return mask.reshape(oracle.forward_state_count(g))
+
+
+def forward_cylinder_mask(g: Graph, cylinder: CylinderEvent) -> np.ndarray:
+    """The forward states in ``cylinder``, as a boolean mask over oracle indices."""
+    n = g.vertex_count
+    return forward_sign_mask(
+        g, [*cylinder.site_constraints, *((n + e, s) for e, s in cylinder.edge_constraints)]
+    )
+
+
 def forward_weight_vector(g: Graph, dual: DualState, p: float) -> np.ndarray:
     """Duality weight of every forward configuration against a fixed dual one."""
     n = g.vertex_count
-    mask = oracle._forward_sign_mask(g, [
+    mask = forward_sign_mask(g, [
         *zip(dual.positions, dual.signs),
         *((n + e, 1) for e in dual.revealed_positive),
         *((n + e, -1) for e in dual.revealed_negative),

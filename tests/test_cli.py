@@ -19,8 +19,8 @@ from spinbond.config import (
     parse_graph_spec,
     validate_config,
 )
-from spinbond import experiments
-from spinbond.errors import ConfigError
+from spinbond import estimators, experiments
+from spinbond.errors import ConfigError, StateSpaceCapError
 from spinbond.cli import main
 
 
@@ -510,6 +510,94 @@ def test_cli_mu_dyn_oracle_on_exits_before_any_replica(tmp_path, capsys):
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+# Shipped configs raised above the forward ring budget of 10^9: far above
+# it, and just above it (raw: 200 replicas * 12 rings per unit time *
+# 416,667 = 1,000,000,800 rings; stationary: 20,000 * 5 * 10,000.5 =
+# 1,000,050,000), the second under every oracle policy.
+ABOVE_RING_BUDGET = [
+    ("raw_simulate", {"t_max": 1e7}, 24_000_000_000),
+    ("raw_simulate", {"t_max": 416_667.0}, 1_000_000_800),
+    ("stationary_compare", {"mc_time": 1e9}, 100_000_000_000_000),
+    *(("stationary_compare", {"mc_time": 10_000.5, "oracle": o}, 1_000_050_000)
+      for o in ("on", "off", "auto")),
+]
+
+
+@pytest.mark.parametrize("name, change, rings", ABOVE_RING_BUDGET)
+def test_forward_work_above_the_ring_budget_exits_three_at_once(
+    tmp_path, capsys, monkeypatch, name, change, rings
+):
+    def no_replica(*args, **kwargs):
+        raise AssertionError("a replica ran above the ring budget")
+
+    monkeypatch.setattr(estimators, "_collect", no_replica)
+    monkeypatch.setattr(experiments, "_collect", no_replica)
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    path = write_cfg(tmp_path, **dict(cfg, output_dir=str(tmp_path / "out"), **change))
+    start = time.perf_counter()
+    assert main(["run", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"resource limit: expected forward rings: {rings} needed, "
+        "above the supported cap of 1000000000\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_forward_work_at_the_ring_budget_finishes(tmp_path, capsys, monkeypatch):
+    # raw_simulate.json expects exactly 200 * 12 * 5 = 12,000 rings.
+    path = str(CONFIG_DIR / "raw_simulate.json")
+    cfg = json.loads(Path(path).read_text())
+    path = write_cfg(tmp_path, **dict(cfg, output_dir=str(tmp_path / "out")))
+    monkeypatch.setattr(estimators, "FORWARD_RING_BUDGET", 11_999)
+    assert main(["run", path]) == 3
+    assert "expected forward rings: 12000 needed" in capsys.readouterr().err
+    monkeypatch.setattr(estimators, "FORWARD_RING_BUDGET", 12_000)
+    assert main(["run", path]) == 0
+    assert (tmp_path / "out" / "checkpoints.csv").exists()
+
+
+def _benchmark_monte_carlo_configs(run_dir, monkeypatch):
+    """The configs of the benchmark's Monte Carlo workload, from its own generator."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "spinbench_workloads", CONFIG_DIR.parent / "spinbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return {op.name: op.config for op in workloads.monte_carlo(3, run_dir)}
+
+
+def test_shipped_and_benchmark_forward_work_stays_far_below_the_ring_budget(
+    tmp_path, monkeypatch
+):
+    # With a budget of 0 every forward Monte Carlo call stops at its check
+    # and reports its expected rings; each must be 100 times below 10^9.
+    # mu-dyn and mgf-check run no forward chain; the exact-oracle workload
+    # runs no Monte Carlo.
+    configs = {path.stem: json.loads(path.read_text()) for path in CONFIG_DIR.glob("*.json")}
+    configs.update(_benchmark_monte_carlo_configs(tmp_path, monkeypatch))
+    monkeypatch.setattr(estimators, "FORWARD_RING_BUDGET", 0)
+    rings = {}
+    for name, cfg in sorted(configs.items()):
+        if cfg["experiment"] in ("mu-dyn", "mgf-check"):
+            continue
+        try:
+            experiments.run_experiment(validate_config(cfg, env={}), write_outputs=False)
+        except StateSpaceCapError as exc:
+            rings[name] = exc.required
+    assert rings == {
+        "duality_check_mc": 40_000 * (9 + 18) * 1,
+        "raw_simulate": 200 * (6 + 6) * 5,
+        "raw_simulate_torus30": 20 * (900 + 1800) * 20,
+        "stationary_compare": 20_000 * (3 + 2) * 20,
+    }
+    assert max(rings.values()) <= 10**9 // 100
+
 
 # Shipped config -> its gate families in order, as (gates, sigmas, sides);
 # sigmas 0 marks an exact family.

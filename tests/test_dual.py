@@ -7,7 +7,7 @@ import pytest
 from conftest import coupled_run, duality_weight, merge_breaks, replay_statuses
 from hypothesis import given, settings, strategies as st
 
-from spinbond.dual import DualState, simulate_dual
+from spinbond.dual import DualState, DualTrajectory, simulate_dual
 from spinbond.errors import CensoringError
 from spinbond.estimators import estimate_mu_dyn
 from spinbond.forward import EventTable, ModelParams, SpinBondState
@@ -305,6 +305,88 @@ def test_determinism_same_seed(p3):
     assert _same(a, b) and len(record_a) == len(record_b)
     for step_a, step_b in zip(record_a, record_b):
         assert all((x == y).all() for x, y in zip(step_a, step_b))
+
+
+# Pair cases: graph, (p, v), start, horizon and run options.
+_PAIR_CASES = {
+    "coalescing_target": (
+        "cycle:12", (0.5, 1.0), DualState.of([0, 6], [1, 1]), 1e4, dict(target=1)
+    ),
+    "independent_to_t_max": (
+        "cycle:6", (0.3, 1.0), DualState.of([0, 0, 3], [1, -1, 1]), 3.0, dict(mode="independent")
+    ),
+    "v_zero": ("grid_torus:3,3", (0.4, 0.0), DualState.of([0, 4], [1, -1]), 2.0, {}),
+    "revealed_start": (
+        "cycle:6", (0.6, 1.5), DualState.of([0, 2], [1, -1], [1], [3]), 5.0, dict(target=1)
+    ),
+}
+
+
+def _pair_and_blocks(case, sizes, seed=40):
+    """One call on a pair of blocks and each block's own call, with their step counts."""
+    spec, (p, v), initial, t_max, run = _PAIR_CASES[case]
+    kind, shape = spec.split(":")
+    g = builtin_graph(kind, *map(int, shape.split(",")))
+    table = EventTable(g, uniform_kernel(g), ModelParams(p, v))
+    stream = RngStream(seed, (7,))
+    records = [[] for _ in range(3)]
+    gens = [stream.substream(b) for b in range(len(sizes))]
+    pair = simulate_dual(gens, list(sizes), table, initial, t_max, record=records[0], **run)
+    alone = [
+        simulate_dual(stream.substream(b), size, table, initial, t_max, record=rec, **run)
+        for b, size, rec in zip(range(2), sizes, records[1:])
+    ]
+    return pair, alone, [len(rec) for rec in records]
+
+
+def _identical(a, b) -> bool:
+    """Two blocks agree in every array, dtype included, and every count."""
+    return _same(a, b) and all(
+        getattr(a, f.name).dtype == getattr(b, f.name).dtype
+        for f in fields(a) if isinstance(getattr(a, f.name), np.ndarray)
+    )
+
+
+@pytest.mark.parametrize("sizes", [(4096, 904), (1, 3)])
+@pytest.mark.parametrize("case", list(_PAIR_CASES))
+def test_a_pair_of_blocks_is_its_blocks_joined(case, sizes):
+    # Each block of a pair draws on its own generator exactly what it draws
+    # alone, and resolves its own rows, so the pair is bit for bit the two
+    # one-block calls joined, counts included. The pair steps as long as its
+    # longer block.
+    pair, alone, (steps, *block_steps) = _pair_and_blocks(case, sizes)
+    assert _identical(pair, DualTrajectory.join(alone))
+    assert pair.event_count > 0 and pair.reveal_count > 0
+    assert steps == max(block_steps)
+    if case == "coalescing_target":  # one block stops long before the other
+        assert min(block_steps) < 0.7 * steps
+
+
+def test_a_pair_goes_on_from_a_joined_start(c6):
+    # A pair continued from where a pair stopped equals each block continued
+    # from where it stopped alone, on the same generator.
+    g, kern = c6
+    table = EventTable(g, kern, ModelParams(0.4, 1.0))
+    initial, sizes, stream = DualState.of([0, 3], [1, 1], [2]), [300, 57], RngStream(43)
+    gens = [stream.substream(b) for b in range(2)]
+    first = simulate_dual(gens, sizes, table, initial, 1.0, target=1)
+    pair = simulate_dual(gens, sizes, table, first, 2.5, mode="independent")
+    heads, legs = [], []
+    for b, size in enumerate(sizes):
+        gen = stream.substream(b)
+        heads.append(simulate_dual(gen, size, table, initial, 1.0, target=1))
+        legs.append(simulate_dual(gen, size, table, heads[-1], 2.5, mode="independent"))
+    assert _identical(first, DualTrajectory.join(heads))
+    assert _identical(pair, DualTrajectory.join(legs))
+
+
+def test_at_most_two_blocks_a_call(p3):
+    g, kern = p3
+    table = EventTable(g, kern, ModelParams(0.5, 1.0))
+    gens = [RngStream(1).substream(b) for b in range(3)]
+    for gen, size in ((gens, [2, 2, 2]), (gens[:2], [2]), ([], [])):
+        with pytest.raises(ValueError, match="one or two blocks a call"):
+            simulate_dual(gen, size, table, DualState.of([0], [1]), 1.0)
 
 
 def test_coupled_run_requires_distinct_starts(p3):

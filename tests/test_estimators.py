@@ -101,9 +101,23 @@ def _block_estimates(name, workers):
 def test_block_estimators_reproduce_sequential(name):
     # As for the forward estimator: whole results, mu-dyn's coalescence
     # reports of every replica included, must not depend on the workers.
+    # The dual steps blocks 0 and 1 as a pair with one or two workers, and
+    # each block alone with three.
     seq = _block_estimates(name, 1)
     for workers in (2, 3):
         assert _block_estimates(name, workers) == seq
+
+
+def test_dual_runs_hand_the_dual_two_blocks_a_call(monkeypatch):
+    calls = []
+
+    def spy(gen, size, **run):
+        calls.append(size)
+        return simulate_dual(gen, size, **run)
+
+    monkeypatch.setattr(est, "simulate_dual", spy)
+    _block_estimates("revealed_weight", 1)
+    assert calls == [[est.REPLICA_BLOCK] * 2, [100]]
 
 
 def _first_draws(gen, size):
@@ -129,6 +143,24 @@ def test_collect_hands_out_whole_blocks(workers):
     stream = RngStream(2024, (3, 1))
     expected = [(stream.child(b).generator().random(), size) for b, size in enumerate([4, 4, 2])]
     assert est._collect(_block_draw, 10, stream, workers, block=4) == expected
+
+
+def _group_draw(gens, sizes):
+    return [gen.random() for gen in gens], sizes
+
+
+@pytest.mark.parametrize(
+    "workers, calls", [(1, [[0, 1], [2]]), (2, [[0, 1], [2]]), (3, [[0], [1], [2]])]
+)
+def test_collect_groups_blocks_within_a_workers_run(workers, calls):
+    # Groups of two consecutive blocks, never across two workers' runs.
+    stream = RngStream(2024, (3, 1))
+    sizes = [4, 4, 2]
+    expected = [
+        ([stream.child(b).generator().random() for b in call], [sizes[b] for b in call])
+        for call in calls
+    ]
+    assert est._collect(_group_draw, 10, stream, workers, block=4, group=2) == expected
 
 
 # Asymmetric kernel on C4 (edges 0-1, 1-2, 2-3, 0-3) with a rate-0 entry

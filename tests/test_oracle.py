@@ -14,7 +14,7 @@ from spinbond.config import parse_graph_spec, validate_config
 from spinbond.cylinders import CylinderEvent
 from spinbond.dual import DualState
 from spinbond.errors import StateSpaceCapError
-from spinbond.experiments import run_experiment
+from spinbond.experiments import _cylinder, _env_assignments, run_experiment
 from spinbond.forward import ModelParams, SpinBondState, edge_flip_rate
 from spinbond.graphs import AdoptionKernel, Graph, builtin_graph, kernel_from_rates, uniform_kernel
 from spinbond import oracle
@@ -23,6 +23,7 @@ from conftest import (
     decode_forward_state,
     duality_weight,
     encode_dual_state,
+    forward_cylinder_mask,
     forward_weight_vector,
     striped_state,
     total_variation,
@@ -667,7 +668,7 @@ def test_transient_edge_marginal_closed_form(k2):
     g, kern = k2
     p, v = 0.3, 1.7
     L = oracle.build_forward_generator(g, kern, ModelParams(p, v))
-    edge_plus = oracle.forward_cylinder_mask(g, CylinderEvent.of(edges={0: 1}))
+    edge_plus = forward_cylinder_mask(g, CylinderEvent.of(edges={0: 1}))
     for start_sign, closed_form in (
         (1, lambda t: p + (1.0 - p) * np.exp(-v * t)),
         (-1, lambda t: p * (1.0 - np.exp(-v * t))),
@@ -769,6 +770,34 @@ def test_stationary_single_site_product_form(p3):
                 cyl = CylinderEvent.of(sites={site: sign}, edges={0: e0})
                 want = 0.5 * (p if e0 == 1 else 1.0 - p)
                 assert abs(oracle.cylinder_probability(g, pi, cyl) - want) < 1e-10
+
+
+def test_cylinder_probability_sums_the_masked_states_bit_for_bit(c6):
+    # The bit-axis view visits a cylinder's states in the order of the
+    # boolean mask, so both sums agree exactly: on the stationary law for
+    # the 876 cylinders stationary-compare reads on cycle:6, and on a random
+    # law for cylinders that pin nothing, every site, every edge or the
+    # whole state.
+    g, kern = c6
+    pi = oracle.stationary_distribution(
+        oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0))
+    )
+    cylinders = [
+        _cylinder({x: sign}, pos, neg)
+        for x in range(g.vertex_count)
+        for sign in (1, -1)
+        for pos, neg in _env_assignments(range(g.edge_count), 2)
+    ]
+    assert len(cylinders) == 876
+    noise = np.random.default_rng(31).random(pi.size)
+    sites, edges = {x: (-1) ** x for x in range(6)}, {e: 1 - 2 * (e % 3 == 0) for e in range(6)}
+    pinned = [CylinderEvent.of(), CylinderEvent.of(sites=sites), CylinderEvent.of(edges=edges)]
+    pinned.append(CylinderEvent.of(sites=sites, edges=edges))
+    for law, cyls in ((pi, cylinders), (noise / noise.sum(), pinned)):
+        for cyl in cyls:
+            assert oracle.cylinder_probability(g, law, cyl) == float(
+                law[forward_cylinder_mask(g, cyl)].sum()
+            )
 
 
 def test_stationary_reaches_cycle8():
