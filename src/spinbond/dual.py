@@ -175,8 +175,10 @@ def simulate_dual(
     result is the blocks joined in order (``DualTrajectory.join``), bit for
     bit, since each block keeps its draws on its own generator: per step,
     ``standard_exponential(w)`` then ``random((3, w))`` for its ``w`` live
-    runs, none once it has none, and at the end its own resolution. A pair
-    holds both blocks' arrays at once.
+    runs, none once it has none, and at the end its own resolution. The
+    step's draws go straight into its rows with ``out=``: three ``random(w)``
+    calls fill the three uniform rows with exactly the values of one
+    ``random((3, w))``. A pair holds both blocks' arrays at once.
 
     ``initial`` is one ``DualState`` for every replica, or a block of the
     same total size, whose replicas go on from their stop times and states.
@@ -260,14 +262,16 @@ def simulate_dual(
         if not live.size:
             break
         width = live.size
-        draws = [  # each block's live columns are a run of ``live``, in block order
-            (rng.standard_exponential(cols), rng.random((3, cols)))
-            for rng, cols in zip(gens, np.diff(live.searchsorted(bounds)).tolist())
-            if cols
-        ]
-        wait, uwq = draws[0] if len(draws) == 1 else [np.hstack(d) for d in zip(*draws)]
+        wait, u, w, q = np.empty((4, width))
+        # Each block's live columns are a run of ``live``, in block order; a
+        # block with any fills its run of each row on its own generator.
+        runs = live.searchsorted(bounds).tolist()
+        for rng, lo, hi in zip(gens, runs[:-1], runs[1:]):
+            if lo < hi:
+                rng.standard_exponential(out=wait[lo:hi])
+                for row in (u, w, q):
+                    rng.random(out=row[lo:hi])
         now = now + wait / k
-        u, w, q = uwq
         on = now <= t_max  # a column past t_max does not move, and leaves
         slot = np.minimum((u * k).astype(np.intp), k - 1)
         z = here.reshape(-1).take(slot * width + np.arange(width))

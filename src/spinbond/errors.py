@@ -12,8 +12,9 @@ class ConfigError(SpinBondError):
 class StateSpaceCapError(SpinBondError):
     """Work above a supported cap (exit code 3).
 
-    An exact computation above its state count or sweep budget, or forward
-    Monte Carlo runs above their expected ring budget.
+    An exact computation above its state count or sweep budget, or forward,
+    birth-death or target-free dual Monte Carlo runs above their expected
+    event budgets, in total or per run.
     """
 
     def __init__(self, required: int, cap: int, label: str = "state space"):

@@ -5,17 +5,18 @@ lockstep as numpy arrays; block b consumes the generator derived from the
 stream's spawn key extended by b, and workers get whole blocks, so results
 do not depend on the worker count and reruns with the same seed reproduce
 byte-identical output. Forward runs use the uniformized chain of all site
-and edge clocks (``_cylinder_hits``), within ``FORWARD_RING_BUDGET``
-expected rings a call; dual runs draw each replica's next move at the
-walkers' rate and sample edge forgetting lazily (``dual.simulate_dual``),
-two consecutive blocks of a worker's run to a call, each on its own
-generator, so that their straggler tails share one loop; birth-death runs
-are batched Gillespie (``simulate_birth_death``). Forward and birth-death
-runs take one block a call. ``raw-simulate`` outputs paths, so it runs
-``simulate_forward`` in blocks of one replica, on the replica's own
-substream; that run makes exactly the draws of a one-replica
-``_cylinder_hits`` block, so replica i of ``raw-simulate`` is such a block
-on substream i.
+and edge clocks (``_cylinder_hits``); dual runs draw each replica's next
+move at the walkers' rate and sample edge forgetting lazily
+(``dual.simulate_dual``), two consecutive blocks of a worker's run to a
+call, each on its own generator, so that their straggler tails share one
+loop; birth-death runs are batched Gillespie (``simulate_birth_death``).
+Forward and birth-death runs take one block a call. Forward, birth-death
+and target-free dual runs check their expected events against a budget per
+call and one per run before any draw (``_check_work``). ``raw-simulate``
+outputs paths, so it runs ``simulate_forward`` in blocks of one replica, on
+the replica's own substream; that run makes exactly the draws of a
+one-replica ``_cylinder_hits`` block, so replica i of ``raw-simulate`` is
+such a block on substream i.
 
 The model is one argument: the ``EventTable`` that holds the graph, the
 kernel and (p, v). The estimators hand it as it is to every block, in this
@@ -49,9 +50,19 @@ REPLICA_BLOCK = 4096
 # benchmark's Monte Carlo configs, holds at two and grows from three.
 DUAL_BLOCKS_PER_CALL = 2
 
-# Expected rings of one forward Monte Carlo call, at most: 3 to 5 minutes at
-# the 3.8-5.4 million rings/s measured on a 2-core x86 machine.
+# Expected events of one Monte Carlo call, at most, per runner. Each is a few
+# minutes or less at the rate a full block runs on a 2-core x86 machine:
+# 3.8-5.4 million forward rings/s, about 10^7 dual rings/s and 3.3-3.7 x 10^7
+# birth-death events/s.
 FORWARD_RING_BUDGET = 10**9
+DUAL_RING_BUDGET = 10**9
+BIRTH_DEATH_EVENT_BUDGET = 10**9
+
+# Expected events of one run, at most. A block steps once per event of its
+# longest run, and a step of a few runs costs about 12 us forward, 9 us
+# birth-death and 40-45 us dual on that machine, so a run at the cap takes
+# 10-45 s; a forward block's ring counts then bin into 8 MB.
+RUN_EVENT_BUDGET = 10**6
 
 
 def default_time_cap(g: Graph) -> float:
@@ -132,17 +143,55 @@ def _collect(fn, replicas: int, stream: RngStream, workers: int, block: int, gro
     return out
 
 
-def check_forward_rings(table: EventTable, replicas: int, horizon: float) -> None:
-    """Raise ``StateSpaceCapError`` when forward runs expect more rings than the budget.
+def _check_work(label: str, replicas: int, per_run: float, budget: int) -> None:
+    """Raise ``StateSpaceCapError`` when ``replicas`` runs expect too many events.
 
-    Every site and edge clock rings within the total rate n + v m, so
-    ``replicas`` runs to ``horizon`` ring replicas * (n + v m) * horizon
-    times on average, the exact mean of their Poisson ring counts. Above
-    ``FORWARD_RING_BUDGET`` the error comes before any draw.
+    ``per_run`` is one run's mean event count: the total, ``replicas`` times
+    it, may not pass ``budget``, nor one run ``RUN_EVENT_BUDGET``. The error
+    comes before any draw.
     """
-    rings = replicas * table.rate * horizon
-    if rings > FORWARD_RING_BUDGET:
-        raise StateSpaceCapError(math.ceil(rings), FORWARD_RING_BUDGET, "expected forward rings")
+    for required, cap, what in (
+        (replicas * per_run, budget, label),
+        (per_run, RUN_EVENT_BUDGET, f"{label} per run"),
+    ):
+        if required > cap:
+            count = math.ceil(required) if math.isfinite(required) else required
+            raise StateSpaceCapError(count, cap, f"expected {what}")
+
+
+def check_forward_rings(table: EventTable, replicas: int, horizon: float) -> None:
+    """Raise ``StateSpaceCapError`` when forward runs expect more rings than the budgets.
+
+    Every site and edge clock rings within the total rate n + v m, so a run
+    to ``horizon`` rings (n + v m) * horizon times on average, the exact
+    mean of its Poisson ring count; ``FORWARD_RING_BUDGET`` bounds the
+    ``replicas`` runs together, ``RUN_EVENT_BUDGET`` each one.
+    """
+    _check_work("forward rings", replicas, table.rate * horizon, FORWARD_RING_BUDGET)
+
+
+def check_dual_rings(replicas: int, walkers: int, t: float) -> None:
+    """Raise ``StateSpaceCapError`` when dual runs to ``t`` expect more rings than the budgets.
+
+    A run of k walkers draws its rings at the constant rate k until t, or
+    until it reaches a target, so one without a target rings k t times on
+    average; ``DUAL_RING_BUDGET`` bounds the ``replicas`` runs together,
+    ``RUN_EVENT_BUDGET`` each one.
+    """
+    _check_work("dual rings", replicas, walkers * t, DUAL_RING_BUDGET)
+
+
+def check_birth_death_events(replicas: int, r0: int, v: float, t: float) -> None:
+    """Raise ``StateSpaceCapError`` when birth-death runs expect more events than the budgets.
+
+    A run's mean population is E[N_s] = r0 e^{-vs} + (1 - e^{-vs}) / v, so
+    its mean event count on [0, t], the integral of the total rate 1 + v
+    E[N_s], is 2t + (r0 - 1/v)(1 - e^{-vt}); ``BIRTH_DEATH_EVENT_BUDGET``
+    bounds the ``replicas`` runs together, ``RUN_EVENT_BUDGET`` each one.
+    """
+    gone = -math.expm1(-v * t)  # 1 - e^{-vt}
+    per_run = 2.0 * t + r0 * gone - gone / v
+    _check_work("birth-death events", replicas, per_run, BIRTH_DEATH_EVENT_BUDGET)
 
 
 def _forward_cylinder_replica(gen, size, table, initial, t_max, times, cylinders):
@@ -212,7 +261,7 @@ def estimate_cylinder_probabilities(
     One trajectory per replica serves every requested time and cylinder;
     keys of the result are (time, cylinder label). Replicas run in blocks
     of ``REPLICA_BLOCK`` on the uniformized chain (``_cylinder_hits``),
-    within the ring budget (``check_forward_rings``).
+    within the ring budgets (``check_forward_rings``).
     """
     times = sorted(times)
     cylinders = list(cylinders)
@@ -260,7 +309,8 @@ def estimate_dual_side(
     against that configuration, scaled by p^|positive| (1-p)^|negative| of
     the *initial* revealed sets. The mean equals the forward-run
     probability of the cylinder event the dual initial condition encodes,
-    so at t=0 the value is exactly that event's indicator.
+    so at t=0 the value is exactly that event's indicator. The runs stay
+    within the ring budgets (``check_dual_rings``).
     """
     p = table.params.p
     forward_state.validate(table.g)
@@ -273,6 +323,7 @@ def estimate_dual_side(
     ]
     parts += [f"edge{e}=+1" for e in sorted(initial.revealed_positive)]
     parts += [f"edge{e}=-1" for e in sorted(initial.revealed_negative)]
+    check_dual_rings(replicas, initial.walker_count, t)
     runs = _dual_runs(table, replicas, stream, workers, initial=initial, t_max=t, mode=mode)
     pos, sgn, status = runs.positions, runs.signs, runs.status
     # The duality weight per replica, for forward state eta and dual state xi
@@ -461,6 +512,7 @@ def estimate_mgf(
     stream: RngStream,
     workers: int = 1,
 ) -> EstimateResult:
+    check_birth_death_events(replicas, r0, v, t)
     fn = partial(simulate_birth_death, r0=r0, v=v, t_max=t)
     sizes = np.concatenate(_collect(fn, replicas, stream, workers, block=REPLICA_BLOCK))
     return _summarize(f"mgf:theta={theta:g},t={t:g},v={v:g},r0={r0}", np.exp(theta * sizes))
@@ -475,7 +527,11 @@ def estimate_revealed_weight(
     stream: RngStream,
     workers: int = 1,
 ) -> EstimateResult:
-    """Sample mean of exp(theta * revealed-set size) at time t under the model ``table``."""
+    """Sample mean of exp(theta * revealed-set size) at time t under the model ``table``.
+
+    The dual runs stay within the ring budgets (``check_dual_rings``).
+    """
+    check_dual_rings(replicas, initial.walker_count, t)
     runs = _dual_runs(table, replicas, stream, workers, initial=initial, t_max=t)
     size = np.count_nonzero(runs.status, axis=1)
     return _summarize(f"revealed_weight:theta={theta:g},t={t:g}", np.exp(theta * size))

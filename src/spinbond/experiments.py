@@ -35,6 +35,8 @@ from .estimators import (
     _collect,
     _forward_cylinder_replica,
     birth_death_mgf,
+    check_birth_death_events,
+    check_dual_rings,
     check_forward_rings,
     deviation_sigmas,
     estimate_cylinder_probabilities,
@@ -421,6 +423,7 @@ def _duality_check_mc(cfg: dict, result: ExperimentResult, stream, model, forwar
     positions = [j % model.g.vertex_count for j in range(k)]
     dual_initial = DualState.of(positions, [1] * k)
     cyl = CylinderEvent.of(sites={x: 1 for x in positions})
+    check_dual_rings(cfg["replicas"], k, t)  # before the forward half draws
     fwd = estimate_cylinder_probabilities(
         model, forward_initial, [t], [cyl], cfg["replicas"], stream.child(0), cfg["workers"]
     )[(t, cyl.label())]
@@ -708,12 +711,15 @@ def _mgf_closed_form(theta: float, t: float, v: float, r0: int) -> float:
 def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, model: EventTable | None):
     v = cfg["v"]
     grid = list(product(cfg["thetas"], cfg["times"], cfg["r0_values"]))
-    # Every closed form is worked out before any replica runs.
+    # Every closed form and work budget is checked before any replica runs.
     targets = [_mgf_closed_form(theta, t, v, r0) for theta, t, r0 in grid]
+    for _, t, r0 in grid:
+        check_birth_death_events(cfg["replicas"], r0, v, t)
     domination = None
     if cfg["check_domination"]:
         theta = -2.0 * math.log(min(model.params.p, 1.0 - model.params.p))
         domination = theta, cfg["t"], _mgf_closed_form(theta, cfg["t"], v, 0)
+        check_dual_rings(cfg["replicas"], 1, cfg["t"])
     rows = []
     oks = []
     for call, ((theta, t, r0), target) in enumerate(zip(grid, targets)):

@@ -135,6 +135,12 @@ class EventTable:
     position. ``rate`` is the total ring rate n + v m; ``objects`` counts the
     objects that can ring: every site, and every edge when v > 0. The table
     keeps ``g``, ``kernel`` and ``params``: it is the whole model.
+
+    A row is non-decreasing, so its first position above a draw w is the
+    number of its entries at most w. The last column holds 1.0 or the 2.0
+    padding, above every draw in [0, 1), so it never counts: ``columns``
+    counts over the leading columns alone, each kept as a contiguous array
+    over the objects (``leads``).
     """
 
     def __init__(self, g: Graph, kernel: AdoptionKernel, params: ModelParams):
@@ -158,6 +164,7 @@ class EventTable:
             src[k, : len(sources)] = sources
             via[k, : len(vias)] = vias
         self.src, self.via = src.ravel(), via.ravel()
+        self.leads = [np.ascontiguousarray(self.cum[:, j]) for j in range(width - 1)]
         self.g, self.kernel, self.params, self.n = g, kernel, params, n
         self.rate = n + params.v * m
         self.objects = n + m if params.v > 0.0 else n
@@ -170,15 +177,22 @@ class EventTable:
         picks the position in that object's row.
         """
         n, v = self.n, self.params.v
-        u = u * self.rate
-        if self.objects > n:
-            u = np.minimum(u, n) + np.maximum(u - n, 0.0) / v
-        k = np.minimum(u.astype(np.intp), self.objects - 1)
+        x = u * self.rate
+        if self.objects > n:  # min(x, n) + max(x - n, 0) / v, in place
+            edge = x - n
+            np.maximum(edge, 0.0, out=edge)
+            edge /= v
+            np.minimum(x, n, out=x)
+            x += edge
+        k = x.astype(np.intp)
+        np.minimum(k, self.objects - 1, out=k)
         return (k, *self.columns(k, w))
 
     def columns(self, k: np.ndarray, w: np.ndarray):
         """Source and via columns of the row positions that uniforms ``w`` pick for objects ``k``."""
-        entry = k * self.cum.shape[1] + (np.take(self.cum, k, axis=0) <= w[:, None]).argmin(axis=1)
+        entry = k * self.cum.shape[1]
+        for lead in self.leads:  # the row position: how many leading entries are <= w
+            entry += lead.take(k) <= w
         return self.src.take(entry), self.via.take(entry)
 
 

@@ -39,6 +39,28 @@ def striped_state(g) -> SpinBondState:
     return SpinBondState(sites, edges)
 
 
+def reference_columns(table: EventTable, k: np.ndarray, w: np.ndarray):
+    """What ``EventTable.columns`` must return: the first entry of row k of ``cum`` above w.
+
+    The rule as first written, ``(cum[k] <= w).argmin()``: the first False
+    of the row's comparisons, which exists since every row ends on 1.0 or
+    its 2.0 padding.
+    """
+    entry = k * table.cum.shape[1] + (table.cum[k] <= w[:, None]).argmin(axis=1)
+    return table.src[entry], table.via[entry]
+
+
+def reference_rings(table: EventTable, u: np.ndarray, w: np.ndarray):
+    """What ``EventTable.rings`` must return: the object ⌊u·rate⌋ on the site-then-edge
+    scale, as first written, and ``reference_columns`` of it."""
+    n, v = table.n, table.params.v
+    x = u * table.rate
+    if table.objects > n:
+        x = np.minimum(x, n) + np.maximum(x - n, 0.0) / v
+    k = np.minimum(x.astype(np.intp), table.objects - 1)
+    return (k, *reference_columns(table, k, w))
+
+
 def merge_breaks(record, pos, sgn) -> int:
     """Replicas whose met walkers later part, or change their product of signs.
 

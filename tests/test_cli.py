@@ -599,6 +599,122 @@ def test_shipped_and_benchmark_forward_work_stays_far_below_the_ring_budget(
     assert max(rings.values()) <= 10**9 // 100
 
 
+# Shipped configs changed to expect more work than a budget allows, each
+# with the figure it reports. A few replicas run long (per run), a grid
+# point runs long (birth-death), the domination check's dual runs long (in
+# total and per run), a Monte Carlo duality-check's dual half runs long and
+# is caught before its forward half, and an infinite expectation.
+ABOVE_WORK_BUDGETS = [
+    ("stationary_compare", {"replicas": 2, "mc_time": 2e6, "oracle": "off"},
+     "forward rings per run: 10000000 needed, above the supported cap of 1000000"),
+    ("stationary_compare", {"mc_time": 1.7e308, "oracle": "off"},
+     "forward rings: inf needed, above the supported cap of 1000000000"),
+    # 20,000 runs of 2 * 1e8 - (1 - e^-1e8) events at r0 = 0.
+    ("mgf_check", {"times": [1e8], "check_domination": False},
+     "birth-death events: 3999999980000 needed, above the supported cap of 1000000000"),
+    ("mgf_check", {"replicas": 2, "times": [1e6]},
+     "birth-death events per run: 1999999 needed, above the supported cap of 1000000"),
+    ("mgf_check", {"t": 1e7},
+     "dual rings: 200000000000 needed, above the supported cap of 1000000000"),
+    ("mgf_check", {"replicas": 2, "t": 2e6},
+     "dual rings per run: 2000000 needed, above the supported cap of 1000000"),
+    ("duality_check_mc", {"t": 1e5},
+     "dual rings: 8000000000 needed, above the supported cap of 1000000000"),
+]
+
+
+@pytest.mark.parametrize("name, change, message", ABOVE_WORK_BUDGETS)
+def test_work_above_a_budget_exits_three_before_any_draw(
+    tmp_path, capsys, monkeypatch, name, change, message
+):
+    def no_replica(*args, **kwargs):
+        raise AssertionError("a replica ran above a work budget")
+
+    monkeypatch.setattr(estimators, "_collect", no_replica)
+    monkeypatch.setattr(experiments, "_collect", no_replica)
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    if "times" in change:  # birth-death alone: no graph, no domination check
+        cfg = {key: value for key, value in cfg.items() if key not in ("graph", "p", "t")}
+        cfg["check_domination"] = False
+    path = write_cfg(tmp_path, **dict(cfg, output_dir=str(tmp_path / "out"), **change))
+    start = time.perf_counter()
+    assert main(["run", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"resource limit: expected {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# (config, change, budget, the config's figure, its label): the figure
+# rounded up, so that a budget one below it exits 3 and one at it finishes.
+# mgf_check with 1,000 replicas: its longest grid point, t = 5 and r0 = 3,
+# expects 10 + 2 (1 - e^-5) = 11.99 events a run, 11,986.5 in all; its
+# domination check's dual 1,000 * 1 walker * t = 2 rings.
+AT_WORK_BUDGETS = [
+    ("mgf_check", {"replicas": 1000}, "BIRTH_DEATH_EVENT_BUDGET", 11_987, "birth-death events"),
+    ("mgf_check", {"replicas": 1000}, "RUN_EVENT_BUDGET", 12, "birth-death events per run"),
+    ("mgf_check", {"replicas": 1000}, "DUAL_RING_BUDGET", 2_000, "dual rings"),
+    ("stationary_compare", {"replicas": 1000}, "RUN_EVENT_BUDGET", 100, "forward rings per run"),
+]
+
+
+@pytest.mark.parametrize("name, change, budget, figure, label", AT_WORK_BUDGETS)
+def test_work_at_a_budget_finishes(
+    tmp_path, capsys, monkeypatch, name, change, budget, figure, label
+):
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    path = write_cfg(tmp_path, **dict(cfg, output_dir=str(tmp_path / "out"), **change))
+    monkeypatch.setattr(estimators, budget, figure - 1)
+    assert main(["run", path]) == 3
+    assert f"expected {label}: {figure} needed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(estimators, budget, figure)
+    assert main(["run", path]) in (0, 1)
+    assert any((tmp_path / "out").iterdir())
+
+
+def test_shipped_and_benchmark_work_stays_far_below_every_budget(tmp_path, monkeypatch):
+    # Every work check of the shipped configs and the monte-carlo workload's,
+    # recorded as (what, replicas, events per run) and passed; each run stops
+    # at its first replica. Totals must stay 100 times below their budget of
+    # 10^9, runs 10 times below 10^6. mu-dyn's dual stops at a target and has
+    # no budget; exact runs check nothing.
+    class Stop(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    checks = {}
+    monkeypatch.setattr(
+        estimators, "_check_work",
+        lambda label, replicas, per_run, budget: checks[name].append((label, replicas, per_run)),
+    )
+    monkeypatch.setattr(estimators, "_collect", stop)
+    monkeypatch.setattr(experiments, "_collect", stop)
+    configs = {path.stem: json.loads(path.read_text()) for path in CONFIG_DIR.glob("*.json")}
+    configs.update(_benchmark_monte_carlo_configs(tmp_path, monkeypatch))
+    for name, cfg in sorted(configs.items()):
+        checks[name] = []
+        try:
+            experiments.run_experiment(validate_config(cfg, env={}), write_outputs=False)
+        except Stop:
+            pass
+    gone1, gone5 = -math.expm1(-1.0), -math.expm1(-5.0)  # 1 - e^-t at v = 1
+    birth_death = [("birth-death events", 20_000, 2 * t + r0 * gone - gone)
+                   for t, gone in ((1.0, gone1), (5.0, gone5)) for r0 in (0, 3)] * 2
+    assert {name: found for name, found in checks.items() if found} == {
+        "duality_check_mc": [("dual rings", 40_000, 2.0), ("forward rings", 40_000, 27.0)],
+        # Up front, then the first estimator's own check.
+        "mgf_check": [*birth_death, ("dual rings", 20_000, 2.0), birth_death[0]],
+        "raw_simulate": [("forward rings", 200, 60.0)],
+        "raw_simulate_torus30": [("forward rings", 20, 54_000.0)],
+        "stationary_compare": [("forward rings", 20_000, 100.0)],
+    }
+    for found in checks.values():
+        for _, replicas, per_run in found:
+            assert replicas * per_run <= 10**9 // 100 and per_run <= 10**6 // 10
+
+
 # Shipped config -> its gate families in order, as (gates, sigmas, sides);
 # sigmas 0 marks an exact family.
 SHIPPED_FAMILIES = {

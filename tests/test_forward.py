@@ -19,10 +19,10 @@ from spinbond.forward import (
     simulate_forward,
     write_state_file,
 )
-from spinbond.graphs import builtin_graph, kernel_from_rates, uniform_kernel
+from spinbond.graphs import build_graph, builtin_graph, kernel_from_rates, uniform_kernel
 from spinbond.rng import RngStream
 
-from conftest import striped_state
+from conftest import reference_columns, reference_rings, striped_state
 
 
 def test_model_params_validation():
@@ -374,6 +374,52 @@ def test_event_table_rings(k2):
         if abs(hits - trials * q) > 4.0 * math.sqrt(trials * q * (1.0 - q)) + 1e-9
     ]
     assert not failures
+
+
+@st.composite
+def _event_tables(draw):
+    """A random valid table: a connected spanning tree, so that degree-1 sites are common,
+    plus a few random edges; kernels with rate-0 entries; p and v at and near their ends."""
+    n = draw(st.integers(2, 6))
+    pairs = [(x, draw(st.integers(0, x - 1))) for x in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+    g = build_graph([(a, b) for a, b in pairs if a != b], n)
+    rates = {}
+    for x in range(n):
+        degree = g.degree(x)
+        weights = draw(st.lists(st.integers(0, 4), min_size=degree, max_size=degree).filter(any))
+        rates[x] = {y: q / sum(weights) for (y, _), q in zip(g.adjacency[x], weights)}
+    ends = [0.0, 1e-12, np.nextafter(0.0, 1.0), 1.0 - 1e-12, np.nextafter(1.0, 0.0), 1.0]
+    p = draw(st.sampled_from(ends) | st.floats(0.0, 1.0))
+    v = draw(st.sampled_from([0.0, 1e-9, 1.0, 1e3]) | st.floats(0.0, 10.0))
+    return EventTable(g, kernel_from_rates(rates, n), ModelParams(p, v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_ring_sampler_matches_the_first_entry_above_each_draw(data):
+    # rings and columns count the leading entries of a row at most w; the
+    # reference rule takes the first entry above w by argmin. They must pick
+    # the same object and entries, bit for bit, on draws that sit exactly on
+    # a cumulative entry, at 0.0 and at the largest double below 1, and on
+    # object draws that land exactly on an object's edge of the rate scale.
+    table = data.draw(_event_tables())
+    on_rows = np.unique(table.cum[table.cum < 1.0]).tolist()
+    on_objects = [j / table.rate for j in range(table.objects) if j / table.rate < 1.0]
+    ends = [0.0, float(np.nextafter(1.0, 0.0))]
+    size = data.draw(st.integers(1, 40))
+
+    def draws(values):
+        return np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    w = draws(unit | st.sampled_from(ends + on_rows))
+    u = draws(unit | st.sampled_from(ends + on_objects))
+    k = draws(st.integers(0, table.objects - 1))
+    for got, want in ((table.columns(k, w), reference_columns(table, k, w)),
+                      (table.rings(u, w), reference_rings(table, u, w))):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 # (kind, sizes, params, product start, chunk cap)
