@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinbond import oracle
+from spinbond import forward, oracle
 from spinbond.cylinders import CylinderEvent
 from spinbond.dual import DualState, DualTrajectory, simulate_dual
 from spinbond.forward import EventTable, SpinBondState
@@ -59,6 +59,31 @@ def reference_rings(table: EventTable, u: np.ndarray, w: np.ndarray):
         x = np.minimum(x, n) + np.maximum(x - n, 0.0) / v
     k = np.minimum(x.astype(np.intp), table.objects - 1)
     return (k, *reference_columns(table, k, w))
+
+
+def reference_forward(table: EventTable, initial: SpinBondState, t_max, gen, times, observables):
+    """What ``simulate_forward`` must return, as (sites, edges, checkpoint rows, ring count).
+
+    Its loop as first written: per checkpoint interval, the last one ending
+    at t_max, a Poisson ring count, then chunks of at most ``CHUNK_CAP``
+    rings, each ring's sign update read from the three lists of
+    ``EventTable.rings``.
+    """
+    n, m = table.g.vertex_count, table.g.edge_count
+    state = initial.site_signs.tolist() + initial.edge_signs.tolist() + [1, -1]
+    rows, events, start = [], 0, 0.0
+    for end, checked in [(t, observables) for t in sorted(times)] + [(t_max, ())]:
+        count = int(gen.poisson(table.rate * (end - start)))
+        for first in range(0, count, forward.CHUNK_CAP):
+            draws = gen.random(2 * min(forward.CHUNK_CAP, count - first))
+            k, src, via = table.rings(draws[0::2], draws[1::2])
+            for x, a, b in zip(k.tolist(), src.tolist(), via.tolist()):
+                state[x] = state[a] * state[b]
+        events += count
+        start = end
+        sites, edges = state[:n], state[n : n + m]
+        rows += [(end, obs.label(), 1.0 if obs.matches(sites, edges) else 0.0) for obs in checked]
+    return state[:n], state[n : n + m], rows, events
 
 
 def merge_breaks(record, pos, sgn) -> int:

@@ -1,5 +1,6 @@
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from spinbond.forward import (
 from spinbond.graphs import build_graph, builtin_graph, kernel_from_rates, uniform_kernel
 from spinbond.rng import RngStream
 
-from conftest import reference_columns, reference_rings, striped_state
+from conftest import reference_columns, reference_forward, reference_rings, striped_state
 
 
 def test_model_params_validation():
@@ -420,6 +421,36 @@ def test_the_ring_sampler_matches_the_first_entry_above_each_draw(data):
                       (table.rings(u, w), reference_rings(table, u, w))):
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_forward_runs_match_the_loop_over_the_ring_lists(data):
+    # simulate_forward must give the final state, checkpoint rows and ring
+    # count of its first loop, which read each ring from the three lists of
+    # rings, on the tables of the sampler test above, with checkpoints at 0
+    # and at t_max and chunks of one ring up to CHUNK_CAP.
+    table = data.draw(_event_tables())
+    g = table.g
+    signs = st.sampled_from([1, -1])
+    initial = SpinBondState(
+        *(np.array(data.draw(st.lists(signs, min_size=size, max_size=size)), dtype=np.int8)
+          for size in (g.vertex_count, g.edge_count))
+    )
+    t_max = data.draw(st.floats(0.0, 1.0)) * 500.0 / table.rate  # 500 rings at most, on average
+    times = [0.0, *data.draw(st.lists(st.floats(0.0, t_max), max_size=3)), t_max]
+    obs = single_constraint_events(g)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    with mock.patch.object(forward, "CHUNK_CAP", data.draw(st.sampled_from([1, 3, 4096]))):
+        traj = simulate_forward(table, initial, t_max, RngStream(seed).generator(), times, obs)
+        sites, edges, rows, events = reference_forward(
+            table, initial, t_max, RngStream(seed).generator(), times, obs
+        )
+    assert traj.final_state.site_signs.dtype == traj.final_state.edge_signs.dtype == np.int8
+    assert traj.final_state.site_signs.tolist() == sites
+    assert traj.final_state.edge_signs.tolist() == edges
+    assert traj.checkpoint_rows == rows
+    assert traj.event_count == events
 
 
 # (kind, sizes, params, product start, chunk cap)

@@ -169,6 +169,17 @@ FORWARD_PINS = {
     ("grid_torus", (3, 3), 2): dict(
         events=59, sites="+++--+-+-", edges="-----+-----++-+++-", rows="11001010",
     ),
+    # 434 columns: most column indices lie above CPython's small ints.
+    ("grid_torus", (12, 12), 1): dict(
+        events=1061,
+        sites="+++++-+---+++++----+--+-+--+++++++-++-++----+-+--++++-+++----+-+----++-++-+-++++--"
+        "+-+++--++-++++-+---+-+-++--+-+-+-+----+--+-+--++++-+-++---++++",
+        edges="+++-+-+-----+++--+-+---++--+--+---+-+-+--+-----+--+++-++++-+--+-------+--------+-+"
+        "----++------+----+----+++-+-++-+--+-+-+-------+--++++----+--+----+------+-+-+-------+"
+        "---+-----+-----+----+---------------+++-+------------+-+-++------+----+----++---+---+"
+        "-------+--+-++---++--++-+--+---+-+--",
+        rows="11000010",
+    ),
 }
 
 BATCHED_PINS = {
