@@ -25,11 +25,13 @@ runs can go on under another rule from a shared history.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import StateSpaceCapError
 from .forward import EventTable, check_t_max
 from .graphs import Graph
 
@@ -166,6 +168,7 @@ def simulate_dual(
     mode: str = "coalescing",
     target: int | None = None,
     record: list | None = None,
+    budget: tuple[float, int] | None = None,
 ) -> DualTrajectory:
     """``size`` dual runs of the model ``table`` in lockstep, to t_max or ``target`` classes.
 
@@ -203,6 +206,13 @@ def simulate_dual(
     many classes. Under the independent rule the only target is k - 1: from
     pairwise distinct sites, the first collision. ``record`` collects one
     ``DualEvents`` per step.
+
+    ``budget``, a pair (moves per replica, steps), bounds the work of runs
+    that stop at a random time: a block may move at most its size times the
+    first, and the loop may step at most the second times. Past either the
+    call raises ``StateSpaceCapError``. Each block's moves are its own, and
+    a pair steps as often as its longer block alone, so whether a call
+    raises does not depend on which blocks share it.
 
     The loop holds only the live replicas, one column each: their walkers'
     positions and signs, one row per walker slot, their clocks and their
@@ -250,7 +260,10 @@ def simulate_dual(
     on = np.ones(size, dtype=bool)  # not past t_max
     cells_status, cells_seen = status.reshape(-1), seen.reshape(-1)
     below = np.arange(k)[:, None]
-    events = reveals = 0
+    events = reveals = steps = 0
+    if budget is not None:
+        shares = [math.floor(budget[0] * part) for part in sizes]
+        moved = [0] * len(sizes)
     while True:
         leave = ~on | (count <= stop)
         if leave.any():
@@ -303,6 +316,16 @@ def simulate_dual(
         reveals += int(np.count_nonzero(fresh))
         if record is not None:
             record.append(DualEvents(r, t, e, s, fresh, here[:, j].T, signs[:, j].T))
+        if budget is not None:
+            steps += 1
+            if steps > budget[1]:
+                raise StateSpaceCapError(steps, budget[1], "dual steps of a block")
+            # Moves before each block's first column: its columns are a run of ``live``.
+            cuts = runs if isinstance(j, slice) else j.searchsorted(runs).tolist()
+            for b, share in enumerate(shares):
+                moved[b] += cuts[b + 1] - cuts[b]
+                if moved[b] > share:
+                    raise StateSpaceCapError(moved[b], share, "dual moves of a block")
     time = np.where(stopped, clock, t_max)
     seen -= time[:, None]  # minus each entry's time since it was last seen
     for rng, first, last in zip(gens, bounds[:-1].tolist(), bounds[1:].tolist()):

@@ -12,11 +12,13 @@ call, each on its own generator, so that their straggler tails share one
 loop; birth-death runs are batched Gillespie (``simulate_birth_death``).
 Forward and birth-death runs take one block a call. Forward, birth-death
 and target-free dual runs check their expected events against a budget per
-call and one per run before any draw (``_check_work``). ``raw-simulate``
-outputs paths, so it runs ``simulate_forward`` in blocks of one replica, on
-the replica's own substream; that run makes exactly the draws of a
-one-replica ``_cylinder_hits`` block, so replica i of ``raw-simulate`` is
-such a block on substream i.
+call and one per run before any draw (``_check_work``); ``mu-dyn``'s dual
+runs stop at a random time, so each block checks its moves and steps as it
+goes (``estimate_mu_dyn``). ``raw-simulate`` outputs paths, so it runs
+``simulate_forward`` in blocks of one replica, on the replica's own
+substream; that run makes exactly the draws of a one-replica
+``_cylinder_hits`` block, so replica i of ``raw-simulate`` is such a block
+on substream i.
 
 The model is one argument: the ``EventTable`` that holds the graph, the
 kernel and (p, v). The estimators hand it as it is to every block, in this
@@ -425,6 +427,12 @@ def estimate_mu_dyn(
     Replicas still uncoalesced at the time cap are censored: they are left
     out of the mean and only counted, and more than ``CENSOR_TOLERANCE`` of
     them is an error.
+
+    A run stops at a random time, so its work cannot be checked before any
+    draw. Each block gets its share of ``DUAL_RING_BUDGET``, its size over
+    ``replicas``, in moves, and ``RUN_EVENT_BUDGET`` in steps, since a block
+    steps once per move of its longest run: ``simulate_dual`` raises
+    ``StateSpaceCapError`` once a block passes either.
     """
     signs = list(signs)
     if any(s != 1 for s in signs):
@@ -440,7 +448,10 @@ def estimate_mu_dyn(
     if t_cap is None:
         t_cap = default_time_cap(table.g)
     target = len({classes[z] for z in initial.positions})  # occupied closed classes
-    runs = _dual_runs(table, replicas, stream, workers, initial=initial, t_max=t_cap, target=target)
+    budget = (DUAL_RING_BUDGET / replicas, RUN_EVENT_BUDGET)
+    runs = _dual_runs(
+        table, replicas, stream, workers, initial=initial, t_max=t_cap, target=target, budget=budget
+    )
     pos, sgn, time, coalesced = runs.positions, runs.signs, runs.time, runs.stopped
     reports = tuple(
         CoalescenceReport.of(DualState.of(at.tolist(), sg.tolist()), float(t), not done)

@@ -12,16 +12,19 @@ the compiled model, graph, kernel and parameters, and says what a ring
 does: the ringing object takes the product of two columns of a state row.
 Every simulator and estimator takes the table as its one model argument.
 ``simulate_forward`` draws a Poisson ring count per checkpoint interval,
-then two uniforms per ring, a chunk at a time; it maps them through the
-table in numpy, and its one Python loop sets each ringing object of a list
-of signs to that product. It returns what the laws are read from: the
-cylinder rows at the checkpoints, the final state and the ring count.
+then two uniforms per ring, a chunk at a time; it maps them to the table's
+flat entries in numpy, and its one Python loop reads each ring's object and
+two columns from the table's move table of shared Python ints and sets that
+object of a list of signs to the product. It returns what the laws are read
+from: the cylinder rows at the checkpoints, the final state and the ring
+count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -138,43 +141,60 @@ class EventTable:
 
     A row is non-decreasing, so its first position above a draw w is the
     number of its entries at most w. The last column holds 1.0 or the 2.0
-    padding, above every draw in [0, 1), so it never counts: ``columns``
+    padding, above every draw in [0, 1), so it never counts: ``entries``
     counts over the leading columns alone, each kept as a contiguous array
-    over the objects (``leads``).
+    over the objects (``leads``). ``rings`` and ``columns`` read ``src`` and
+    ``via`` at those entries, ``simulate_forward`` reads ``moves``.
     """
 
     def __init__(self, g: Graph, kernel: AdoptionKernel, params: ModelParams):
         require_valid_kernel(g, kernel)
         n, m = g.vertex_count, g.edge_count
         plus, minus = n + m, n + m + 1
-        rows = []
-        for x, row in enumerate(kernel.rows):
-            ys = [y for y, q in row if q != 0]
-            cumulative = np.cumsum([q for _, q in row if q != 0])
-            rows.append((cumulative / cumulative[-1], ys, [n + g.edge_id(x, y) for y in ys]))
-        refresh = [(q, col) for q, col in ((params.p, plus), (1.0 - params.p, minus)) if q != 0.0]
-        cumulative = np.cumsum([q for q, _ in refresh])
-        rows += [(cumulative / cumulative[-1], [col for _, col in refresh], [plus] * len(refresh))] * m
-        width = max(len(cum) for cum, _, _ in rows)
-        self.cum = np.full((n + m, width), 2.0)
-        src = np.full((n + m, width), plus, dtype=np.intp)
+        # Each row's (rate, source, via) entries, then one cumsum over the padded rates.
+        rows = [
+            [(q, y, n + g.edge_id(x, y)) for y, q in row if q != 0]
+            for x, row in enumerate(kernel.rows)
+        ]
+        refresh = [(params.p, plus, plus), (1.0 - params.p, minus, plus)]
+        rows += [[entry for entry in refresh if entry[0] != 0.0]] * m
+        lengths = np.array([len(row) for row in rows])
+        real = np.arange(lengths.max()) < lengths[:, None]
+        rates = np.zeros(real.shape)
+        src = np.full(real.shape, plus, dtype=np.intp)
         via = src.copy()
-        for k, (row, sources, vias) in enumerate(rows):
-            self.cum[k, : len(row)] = row
-            src[k, : len(sources)] = sources
-            via[k, : len(vias)] = vias
+        rates[real], src[real], via[real] = zip(*(entry for row in rows for entry in row))
+        self.cum = np.cumsum(rates, axis=1)
+        self.cum /= self.cum[np.arange(n + m), lengths - 1, None]
+        self.cum[~real] = 2.0
         self.src, self.via = src.ravel(), via.ravel()
-        self.leads = [np.ascontiguousarray(self.cum[:, j]) for j in range(width - 1)]
+        self.leads = [np.ascontiguousarray(self.cum[:, j]) for j in range(real.shape[1] - 1)]
         self.g, self.kernel, self.params, self.n = g, kernel, params, n
         self.rate = n + params.v * m
         self.objects = n + m if params.v > 0.0 else n
 
-    def rings(self, u: np.ndarray, w: np.ndarray):
-        """The object, source column and via column of each ring.
+    @cached_property
+    def moves(self) -> np.ndarray:
+        """Each flat entry's (object, source column, via column), in an object array.
+
+        Built on first use. Each index is one shared Python int, so the
+        per-ring loop makes no int of its own, even above CPython's cached
+        small ints.
+        """
+        ints = list(range(self.cum.shape[0] + 2))  # every object and column index
+        width = self.cum.shape[1]
+        objects = (x for x in ints[:-2] for _ in range(width))
+        lookup = ints.__getitem__
+        return np.fromiter(
+            zip(objects, map(lookup, self.src.tolist()), map(lookup, self.via.tolist())),
+            dtype=object, count=self.src.size,
+        )
+
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """The ringing object of each uniform ``u``.
 
         ``u * rate`` picks the object: below n it is site ⌊u·rate⌋, above it
-        edge ⌊(u·rate − n)/v⌋, clamped against rounding up to the top. ``w``
-        picks the position in that object's row.
+        edge ⌊(u·rate − n)/v⌋, clamped against rounding up to the top.
         """
         n, v = self.n, self.params.v
         x = u * self.rate
@@ -186,13 +206,23 @@ class EventTable:
             x += edge
         k = x.astype(np.intp)
         np.minimum(k, self.objects - 1, out=k)
+        return k
+
+    def entries(self, k: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The flat entry that uniforms ``w`` pick in the rows of objects ``k``."""
+        entry = k * self.cum.shape[1]
+        for lead in self.leads:  # the row position: how many leading entries are <= w
+            entry += lead.take(k) <= w
+        return entry
+
+    def rings(self, u: np.ndarray, w: np.ndarray):
+        """The object (``pick`` of ``u``), source column and via column of each ring."""
+        k = self.pick(u)
         return (k, *self.columns(k, w))
 
     def columns(self, k: np.ndarray, w: np.ndarray):
         """Source and via columns of the row positions that uniforms ``w`` pick for objects ``k``."""
-        entry = k * self.cum.shape[1]
-        for lead in self.leads:  # the row position: how many leading entries are <= w
-            entry += lead.take(k) <= w
+        entry = self.entries(k, w)
         return self.src.take(entry), self.via.take(entry)
 
 
@@ -232,9 +262,11 @@ def simulate_forward(
 
     Each interval between checkpoints, the last one ending at t_max, draws
     its Poisson(rate * length) ring count, then its rings in chunks of at
-    most ``CHUNK_CAP``: two uniforms per ring for ``EventTable.rings``. These
-    are the draws of a one-replica block of the batched forward estimator,
-    so the checkpoint rows are its hits.
+    most ``CHUNK_CAP``: two uniforms per ring, which pick its object and its
+    row entry as in ``EventTable.rings``. These are the draws of a
+    one-replica block of the batched forward estimator, so the checkpoint
+    rows are its hits. The loop unpacks each ring's tuple of shared ints
+    from the table's ``moves``, built on the table's first path.
     """
     g = table.g
     initial.check_shapes(g)
@@ -252,6 +284,7 @@ def simulate_forward(
 
     n, m = g.vertex_count, g.edge_count
     state = sites + edges + [1, -1]
+    moves = table.moves
     events = 0
     start = 0.0
     # The last interval, up to t_max, ends on no checkpoint.
@@ -259,8 +292,8 @@ def simulate_forward(
         count = int(gen.poisson(table.rate * (end - start)))
         for first in range(0, count, CHUNK_CAP):
             draws = gen.random(2 * min(CHUNK_CAP, count - first))
-            k, src, via = table.rings(draws[0::2], draws[1::2])
-            for x, a, b in zip(k.tolist(), src.tolist(), via.tolist()):
+            entry = table.entries(table.pick(draws[0::2]), draws[1::2])
+            for x, a, b in moves.take(entry).tolist():
                 state[x] = state[a] * state[b]
         events += count
         start = end

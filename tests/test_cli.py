@@ -649,11 +649,19 @@ def test_work_above_a_budget_exits_three_before_any_draw(
 # mgf_check with 1,000 replicas: its longest grid point, t = 5 and r0 = 3,
 # expects 10 + 2 (1 - e^-5) = 11.99 events a run, 11,986.5 in all; its
 # domination check's dual 1,000 * 1 walker * t = 2 rings.
+# mu_dyn with one block of 4,096 on cycle:8 (walkers at 0 and 4, seed 3):
+# the block steps 116 times and moves 66,180 times; its share of a budget of
+# B moves is B * 4096 / 4096, exact in floating point.
+MU_DYN_BLOCK = {"graph": "cycle:8", "sites": [0, 4], "replicas": 4096, "oracle": "off"}
 AT_WORK_BUDGETS = [
-    ("mgf_check", {"replicas": 1000}, "BIRTH_DEATH_EVENT_BUDGET", 11_987, "birth-death events"),
-    ("mgf_check", {"replicas": 1000}, "RUN_EVENT_BUDGET", 12, "birth-death events per run"),
-    ("mgf_check", {"replicas": 1000}, "DUAL_RING_BUDGET", 2_000, "dual rings"),
-    ("stationary_compare", {"replicas": 1000}, "RUN_EVENT_BUDGET", 100, "forward rings per run"),
+    ("mgf_check", {"replicas": 1000}, "BIRTH_DEATH_EVENT_BUDGET", 11_987,
+     "expected birth-death events"),
+    ("mgf_check", {"replicas": 1000}, "RUN_EVENT_BUDGET", 12, "expected birth-death events per run"),
+    ("mgf_check", {"replicas": 1000}, "DUAL_RING_BUDGET", 2_000, "expected dual rings"),
+    ("stationary_compare", {"replicas": 1000}, "RUN_EVENT_BUDGET", 100,
+     "expected forward rings per run"),
+    ("mu_dyn", MU_DYN_BLOCK, "RUN_EVENT_BUDGET", 116, "dual steps of a block"),
+    ("mu_dyn", MU_DYN_BLOCK, "DUAL_RING_BUDGET", 66_180, "dual moves of a block"),
 ]
 
 
@@ -665,19 +673,69 @@ def test_work_at_a_budget_finishes(
     path = write_cfg(tmp_path, **dict(cfg, output_dir=str(tmp_path / "out"), **change))
     monkeypatch.setattr(estimators, budget, figure - 1)
     assert main(["run", path]) == 3
-    assert f"expected {label}: {figure} needed" in capsys.readouterr().err
+    assert f"{label}: {figure} needed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     monkeypatch.setattr(estimators, budget, figure)
     assert main(["run", path]) in (0, 1)
     assert any((tmp_path / "out").iterdir())
 
 
+# Two walkers 1,500 apart on cycle:3000 meet after about 1,500^2 moves, far
+# inside the default time cap of 9 x 10^10.
+MU_DYN_FAR_APART = dict(
+    experiment="mu-dyn", seed=3, graph="cycle:3000", sites=[0, 1500], replicas=2, oracle="off"
+)
+
+
+@pytest.mark.parametrize("budget, message", [
+    ("RUN_EVENT_BUDGET", "dual steps of a block: 2001 needed, above the supported cap of 2000"),
+    ("DUAL_RING_BUDGET", "dual moves of a block: 2002 needed, above the supported cap of 2000"),
+])
+def test_mu_dyn_past_a_block_budget_exits_three(tmp_path, capsys, monkeypatch, budget, message):
+    monkeypatch.setattr(estimators, budget, 2000)
+    path = write_cfg(tmp_path, **MU_DYN_FAR_APART, output_dir=str(tmp_path / "out"))
+    start = time.perf_counter()
+    assert main(["run", path]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err == f"resource limit: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_mu_dyn_block_budgets_do_not_depend_on_the_workers(monkeypatch, workers):
+    # Blocks of 4,096, 4,096 and 100: one worker steps the first two as a
+    # pair, three workers step each alone, and the error crosses from a
+    # worker process. The longest block steps 122 times either way.
+    cfg = dict(MU_DYN_BLOCK, experiment="mu-dyn", seed=7, p=0.3, v=1.0, replicas=8292)
+    cfg = validate_config(dict(cfg, workers=workers), env={})
+    monkeypatch.setattr(estimators, "RUN_EVENT_BUDGET", 121)
+    with pytest.raises(StateSpaceCapError, match="dual steps of a block: 122 needed"):
+        experiments.run_experiment(cfg, write_outputs=False)
+    monkeypatch.setattr(estimators, "RUN_EVENT_BUDGET", 122)
+    experiments.run_experiment(cfg, write_outputs=False)
+
+
+def test_shipped_and_benchmark_mu_dyn_stays_far_below_its_block_budgets(tmp_path, monkeypatch):
+    # mu-dyn checks its blocks as they run, so with both budgets cut 100-fold
+    # its shipped config and the monte-carlo workload's must still finish.
+    monkeypatch.setattr(estimators, "DUAL_RING_BUDGET", 10**9 // 100)
+    monkeypatch.setattr(estimators, "RUN_EVENT_BUDGET", 10**6 // 100)
+    configs = {path.stem: json.loads(path.read_text()) for path in CONFIG_DIR.glob("*.json")}
+    configs.update(_benchmark_monte_carlo_configs(tmp_path, monkeypatch))
+    ran = []
+    for name, cfg in sorted(configs.items()):
+        if cfg["experiment"] == "mu-dyn":
+            experiments.run_experiment(validate_config(cfg, env={}), write_outputs=False)
+            ran.append(name)
+    assert ran == ["mu_dyn", "mu_dyn_cycle24"]
+
+
 def test_shipped_and_benchmark_work_stays_far_below_every_budget(tmp_path, monkeypatch):
     # Every work check of the shipped configs and the monte-carlo workload's,
     # recorded as (what, replicas, events per run) and passed; each run stops
     # at its first replica. Totals must stay 100 times below their budget of
-    # 10^9, runs 10 times below 10^6. mu-dyn's dual stops at a target and has
-    # no budget; exact runs check nothing.
+    # 10^9, runs 10 times below 10^6. mu-dyn's dual stops at a random time
+    # and checks its blocks as they run (above); exact runs check nothing.
     class Stop(Exception):
         pass
 

@@ -404,6 +404,8 @@ def test_the_ring_sampler_matches_the_first_entry_above_each_draw(data):
     # the same object and entries, bit for bit, on draws that sit exactly on
     # a cumulative entry, at 0.0 and at the largest double below 1, and on
     # object draws that land exactly on an object's edge of the rate scale.
+    # The move table that simulate_forward reads must hold each entry's
+    # object and columns.
     table = data.draw(_event_tables())
     on_rows = np.unique(table.cum[table.cum < 1.0]).tolist()
     on_objects = [j / table.rate for j in range(table.objects) if j / table.rate < 1.0]
@@ -421,6 +423,20 @@ def test_the_ring_sampler_matches_the_first_entry_above_each_draw(data):
                       (table.rings(u, w), reference_rings(table, u, w))):
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    width = table.cum.shape[1]
+    assert table.moves.tolist() == [
+        (entry // width, a, b)
+        for entry, (a, b) in enumerate(zip(table.src.tolist(), table.via.tolist()))
+    ]
+
+
+def test_the_move_table_holds_one_int_object_per_index():
+    # grid_torus:12,12 has 434 columns, most of them above CPython's small ints.
+    g = builtin_graph("grid_torus", 12, 12)
+    table = EventTable(g, uniform_kernel(g), ModelParams(0.3, 0.7))
+    indices = [index for move in table.moves.tolist() for index in move]
+    assert len(indices) == 3 * table.src.size
+    assert len({id(index) for index in indices}) == g.vertex_count + g.edge_count + 2
 
 
 @settings(max_examples=100, deadline=None)
