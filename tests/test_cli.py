@@ -649,19 +649,11 @@ def test_work_above_a_budget_exits_three_before_any_draw(
 # mgf_check with 1,000 replicas: its longest grid point, t = 5 and r0 = 3,
 # expects 10 + 2 (1 - e^-5) = 11.99 events a run, 11,986.5 in all; its
 # domination check's dual 1,000 * 1 walker * t = 2 rings.
-# mu_dyn with one block of 4,096 on cycle:8 (walkers at 0 and 4, seed 3):
-# the block steps 116 times and moves 66,180 times; its share of a budget of
-# B moves is B * 4096 / 4096, exact in floating point.
-MU_DYN_BLOCK = {"graph": "cycle:8", "sites": [0, 4], "replicas": 4096, "oracle": "off"}
 AT_WORK_BUDGETS = [
-    ("mgf_check", {"replicas": 1000}, "BIRTH_DEATH_EVENT_BUDGET", 11_987,
-     "expected birth-death events"),
-    ("mgf_check", {"replicas": 1000}, "RUN_EVENT_BUDGET", 12, "expected birth-death events per run"),
-    ("mgf_check", {"replicas": 1000}, "DUAL_RING_BUDGET", 2_000, "expected dual rings"),
-    ("stationary_compare", {"replicas": 1000}, "RUN_EVENT_BUDGET", 100,
-     "expected forward rings per run"),
-    ("mu_dyn", MU_DYN_BLOCK, "RUN_EVENT_BUDGET", 116, "dual steps of a block"),
-    ("mu_dyn", MU_DYN_BLOCK, "DUAL_RING_BUDGET", 66_180, "dual moves of a block"),
+    ("mgf_check", {"replicas": 1000}, "BIRTH_DEATH_EVENT_BUDGET", 11_987, "birth-death events"),
+    ("mgf_check", {"replicas": 1000}, "RUN_EVENT_BUDGET", 12, "birth-death events per run"),
+    ("mgf_check", {"replicas": 1000}, "DUAL_RING_BUDGET", 2_000, "dual rings"),
+    ("stationary_compare", {"replicas": 1000}, "RUN_EVENT_BUDGET", 100, "forward rings per run"),
 ]
 
 
@@ -673,7 +665,7 @@ def test_work_at_a_budget_finishes(
     path = write_cfg(tmp_path, **dict(cfg, output_dir=str(tmp_path / "out"), **change))
     monkeypatch.setattr(estimators, budget, figure - 1)
     assert main(["run", path]) == 3
-    assert f"{label}: {figure} needed" in capsys.readouterr().err
+    assert f"expected {label}: {figure} needed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     monkeypatch.setattr(estimators, budget, figure)
     assert main(["run", path]) in (0, 1)
@@ -701,17 +693,33 @@ def test_mu_dyn_past_a_block_budget_exits_three(tmp_path, capsys, monkeypatch, b
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_mu_dyn_block_budgets_do_not_depend_on_the_workers(monkeypatch, workers):
-    # Blocks of 4,096, 4,096 and 100: one worker steps the first two as a
-    # pair, three workers step each alone, and the error crosses from a
-    # worker process. The longest block steps 122 times either way.
-    cfg = dict(MU_DYN_BLOCK, experiment="mu-dyn", seed=7, p=0.3, v=1.0, replicas=8292)
-    cfg = validate_config(dict(cfg, workers=workers), env={})
-    monkeypatch.setattr(estimators, "RUN_EVENT_BUDGET", 121)
-    with pytest.raises(StateSpaceCapError, match="dual steps of a block: 122 needed"):
+# Two blocks of 4,096 mu-dyn runs on cycle:8 at seed 7, with three walkers,
+# so that a ring on the upper slot of a merged pair is thinned and moves
+# nothing. Alone they step 151 and 173 times and move 85,462 and 87,227
+# times; a block's share of B moves is B * 4096 / 8192, exact in floating
+# point. Each case: the budget, one under its figure, the figure.
+MU_DYN_PAIR = dict(
+    experiment="mu-dyn", seed=7, graph="cycle:8", p=0.3, v=1.0, sites=[0, 3, 5],
+    signs=[1, 1, 1], replicas=8192, oracle="off",
+)
+PAIRED_BLOCK_BUDGETS = [
+    ("RUN_EVENT_BUDGET", 172, 173, "dual steps of a block: 173 needed"),
+    ("DUAL_RING_BUDGET", 2 * 87_226, 2 * 87_227, "dual moves of a block: 87227 needed"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("budget, under, figure, message", PAIRED_BLOCK_BUDGETS)
+def test_mu_dyn_block_budgets_do_not_depend_on_the_workers(
+    monkeypatch, workers, budget, under, figure, message
+):
+    # One worker steps the two blocks as a pair, two step each alone, and
+    # the error crosses from a worker process.
+    cfg = validate_config(dict(MU_DYN_PAIR, workers=workers), env={})
+    monkeypatch.setattr(estimators, budget, under)
+    with pytest.raises(StateSpaceCapError, match=message):
         experiments.run_experiment(cfg, write_outputs=False)
-    monkeypatch.setattr(estimators, "RUN_EVENT_BUDGET", 122)
+    monkeypatch.setattr(estimators, budget, figure)
     experiments.run_experiment(cfg, write_outputs=False)
 
 
