@@ -179,16 +179,15 @@ class EventTable:
 
         Built on first use. Each index is one shared Python int, so the
         per-ring loop makes no int of its own, even above CPython's cached
-        small ints.
+        small ints. A row's padding, never drawn, shares one tuple.
         """
         ints = list(range(self.cum.shape[0] + 2))  # every object and column index
-        width = self.cum.shape[1]
-        objects = (x for x in ints[:-2] for _ in range(width))
-        lookup = ints.__getitem__
-        return np.fromiter(
-            zip(objects, map(lookup, self.src.tolist()), map(lookup, self.via.tolist())),
-            dtype=object, count=self.src.size,
-        )
+        width, plus = self.cum.shape[1], ints[-2]
+        moves = np.fromiter(((x, plus, plus) for x in ints[:-2]), dtype=object).repeat(width)
+        drawable = np.flatnonzero(self.cum.ravel() <= 1.0)
+        columns = (drawable // width, self.src[drawable], self.via[drawable])
+        moves[drawable] = np.fromiter(zip(*(map(ints.__getitem__, c.tolist()) for c in columns)), object)
+        return moves
 
     def pick(self, u: np.ndarray) -> np.ndarray:
         """The ringing object of each uniform ``u``.

@@ -15,17 +15,20 @@ bit, so L's column s has the same slots as its row s with each rate taken
 at the flipped source; the forward generator is stored by columns, and
 L.T, which every forward-law product multiplies, is a CSR view of it.
 
-Each chain is held once. The transient solvers take their generator over:
-transient_steps, transient_distribution and total_variation_curve turn
-L.T into the transposed jump matrix I + L.T/lam in place, and
-transient_action turns L itself into I + L/lam (the dual side of the
-duality gap table). Callers that need a generator again pass L.copy().
-stationary_distribution keeps L as it is, because its residual
-max|L^T pi| is read from L, also by callers after it returns; it steps
-pi + (L^T pi)/lam on the view L.T, so it holds no jump matrix either.
+Each chain is held once. The transient solvers take their generator over,
+and one routine does it: transient_steps turns L.T into the transposed
+jump matrix I + L.T/lam in place. transient_distribution and
+total_variation_curve call it on the forward generator, and
+transient_action (the dual side of the duality gap table) calls it on
+L.T, whose transpose is L's own CSR arrays. Callers that need a generator
+again pass L.copy(). stationary_distribution keeps L as it is, because
+its residual max|L^T pi| is read from L, also by callers after it
+returns; it steps pi + (L^T pi)/lam on the view L.T, so it holds no jump
+matrix either.
 
 Transient laws come from uniformization, one series of products per
-segment of at most _SEGMENT_TIMES times on a grid; stationary laws from
+segment of at most _SEGMENT_TIMES points on a time grid, where a step too
+long for one series is first cut into equal steps; stationary laws from
 power iteration on the same jump matrix. The duality gap table's left
 side takes one pass over the forward law per walker position/sign block,
 not one per dual state, so it does not scale as |dual| * |forward|.
@@ -233,54 +236,6 @@ def _uniformize(G: sp.csr_matrix) -> float:
     return lam
 
 
-def _uniformized(
-    op: sp.csr_matrix, lam: float, vec: np.ndarray, times: list[float]
-) -> Iterator[np.ndarray]:
-    """Poisson-weighted power series for e^{t lam (op - I)} @ vec at each time.
-
-    op is I + L/lam for e^{tL} @ vec, or its transpose for vec @ e^{tL};
-    vec may hold one vector per column, and times must not decrease. A
-    segment of at most _SEGMENT_TIMES times shares one sequence of products
-    op^n @ base from its start's result. It ends before lam times its span
-    would pass _MAX_UNIFORM_EXPONENT, so that e^{-lam t} cannot underflow; a
-    time that far from the previous one alone is reached in 2^d equal
-    pieces. The next segment starts from the last result divided by the
-    Poisson mass its series summed, which for a law is the renormalization
-    of a per-step routine, so truncation does not compound over segments.
-    """
-    base = np.asarray(vec, dtype=np.float64)
-    for prev, t in zip([0.0, *times], times):
-        if t < prev:
-            raise ValueError(f"time must be >= 0 and must not decrease, got {t} after {prev}")
-    start, i = 0.0, 0
-    while i < len(times):
-        span = times[i] - start
-        pieces = 1
-        while lam * (span / pieces) > _MAX_UNIFORM_EXPONENT:
-            pieces *= 2
-        end = i + 1
-        if pieces > 1:
-            mass = 1.0
-            for _ in range(pieces):
-                ((base, cum),) = _series(op, lam, base, [span / pieces])
-                mass *= cum
-            yield base
-        else:
-            while (
-                end - i < _SEGMENT_TIMES
-                and end < len(times)
-                and lam * (times[end] - start) <= _MAX_UNIFORM_EXPONENT
-            ):
-                end += 1
-            results = _series(op, lam, base, [t - start for t in times[i:end]])
-            yield from (acc for acc, _ in results)
-            base, mass = results[-1]
-            del results  # so that the next segment's sums do not sit beside these
-        base = base / mass
-        start = times[end - 1]
-        i = end
-
-
 def _series(
     op: sp.csr_matrix, lam: float, vec: np.ndarray, spans: list[float]
 ) -> list[tuple[np.ndarray, float]]:
@@ -329,27 +284,64 @@ def transient_steps(L: sp.csc_matrix, rows: np.ndarray, dt: float, steps: int) -
 
     rows is one row vector, or an (N, c) block with one per column; a
     signed difference of two laws is propagated like a law. L is taken
-    over: its transpose becomes the transposed jump matrix in place, once,
-    and one series serves each segment of the grid. For the forward
-    generator, stored by columns, that transpose is a CSR view of L's own
-    arrays, so no copy of the chain is made; pass L.copy() to keep L.
+    over: its transpose becomes the transposed jump matrix in place, once.
+    For the forward generator, stored by columns, that transpose is a CSR
+    view of L's own arrays, so no copy of the chain is made; pass L.copy()
+    to keep L.
+
+    A step with lam * dt above _MAX_UNIFORM_EXPONENT, where e^{-lam dt}
+    could underflow, is cut into 2^d equal steps on the grid first. A
+    segment of at most _SEGMENT_TIMES grid points then shares one sequence
+    of products from its start's result, and ends before lam times its span
+    would pass _MAX_UNIFORM_EXPONENT. The next segment starts from the last
+    result divided by the Poisson mass its series summed, which for a law
+    is the renormalization of a per-step routine, so truncation does not
+    compound over segments. Only the times i dt are yielded.
     """
     PT = L.T
     lam = _uniformize(PT)
-    for law in _uniformized(PT, lam, rows, [i * dt for i in range(1, steps + 1)]):
-        if not np.all(np.isfinite(law)):
-            raise RuntimeError("transient series is not finite")
-        yield law
+    grid: list[tuple[float, bool]] = []  # (time, whether it is yielded)
+    prev = 0.0
+    for t in [i * dt for i in range(1, steps + 1)]:
+        if t < prev:
+            raise ValueError(f"time must be >= 0 and must not decrease, got {t} after {prev}")
+        pieces = 1
+        while lam * ((t - prev) / pieces) > _MAX_UNIFORM_EXPONENT:
+            pieces *= 2
+        grid += [(prev + (t - prev) * j / pieces, False) for j in range(1, pieces)]
+        grid.append((t, True))
+        prev = t
+    base = np.asarray(rows, dtype=np.float64)
+    start, i = 0.0, 0
+    while i < len(grid):
+        end = i + 1
+        while (
+            end - i < _SEGMENT_TIMES
+            and end < len(grid)
+            and lam * (grid[end][0] - start) <= _MAX_UNIFORM_EXPONENT
+        ):
+            end += 1
+        results = _series(PT, lam, base, [t - start for t, _ in grid[i:end]])
+        for (law, _), (_, wanted) in zip(results, grid[i:end]):
+            if not np.all(np.isfinite(law)):
+                raise RuntimeError("transient series is not finite")
+            if wanted:
+                yield law
+        base, mass = results[-1]
+        del results  # so that the next segment's sums do not sit beside these
+        base = base / mass
+        start = grid[end - 1][0]
+        i = end
 
 
 def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float) -> np.ndarray:
     """e^{tL} applied to a column vector of observables (no renormalization).
 
-    L is taken over: it becomes the jump matrix I + L/lam, so no copy of it
-    is made.
+    L is taken over, as by transient_steps: vec @ e^{t L^T} is the same
+    vector, and L^T's transpose is a CSR view of L's own arrays, which
+    becomes the jump matrix I + L/lam in place.
     """
-    lam = _uniformize(L)
-    (out,) = _uniformized(L, lam, vec, [t])
+    (out,) = transient_steps(L.T, vec, t, 1)
     return out
 
 

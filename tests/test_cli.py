@@ -957,6 +957,107 @@ def test_cli_raw_simulate_end_to_end(tmp_path):
     assert state.edge_signs.shape == (2,)
 
 
+def test_cli_exact_duality_check_reads_graph_and_state_files(tmp_path, capsys):
+    # The graph file of cycle:5 and a state file of the striped start give
+    # the gap table of the builtin graph with the default start, byte for byte.
+    from spinbond.experiments import _striped_state
+    from spinbond.forward import write_state_file
+    from spinbond.graphs import builtin_graph
+
+    graph_file, state_file = tmp_path / "cycle5.txt", tmp_path / "striped.txt"
+    assert main(["graph", "cycle", "5", "--out", str(graph_file)]) == 0
+    write_state_file(_striped_state(builtin_graph("cycle", 5)), state_file)
+    common = dict(experiment="duality-check", p=0.3, v=1.0, k=1, t=0.8, oracle="on")
+    from_files = write_cfg(
+        tmp_path, "files.json", **common, graph_file=str(graph_file),
+        forward_initial_file=str(state_file), output_dir=str(tmp_path / "files"),
+    )
+    builtin = write_cfg(tmp_path, "builtin.json", **common, graph="cycle:5", output_dir=str(tmp_path / "builtin"))
+    assert main(["run", from_files]) == 0 and main(["run", builtin]) == 0
+    assert "duality-check: 2430 dual initial states" in capsys.readouterr().out
+    name = "duality_gaps.jsonl"
+    assert (tmp_path / "files" / name).read_bytes() == (tmp_path / "builtin" / name).read_bytes()
+
+
+def test_cli_tv_decay_and_raw_simulate_read_their_initial_file(tmp_path):
+    from spinbond.forward import SpinBondState, read_state_file, write_state_file
+    from spinbond.graphs import builtin_graph
+
+    g = builtin_graph("path", 3)
+    minus = tmp_path / "minus.txt"
+    write_state_file(SpinBondState.constant(g, site_sign=-1, edge_sign=-1), minus)
+    # tv-decay starts from the all-minus state when no file is given.
+    tv = dict(experiment="tv-decay", graph="path:3", p=0.4, v=1.0, t_max=20.0, t_step=0.5, oracle="on")
+    with_file = write_cfg(tmp_path, "a.json", **tv, initial_file=str(minus), output_dir=str(tmp_path / "a"))
+    assert main(["run", with_file]) == 0
+    assert main(["run", write_cfg(tmp_path, "b.json", **tv, output_dir=str(tmp_path / "b"))]) == 0
+    curve = (tmp_path / "a" / "tv_decay.csv").read_bytes()
+    assert curve == (tmp_path / "b" / "tv_decay.csv").read_bytes()
+
+    raw = dict(experiment="raw-simulate", seed=3, graph="path:3", p=0.4, v=1.0, observables=["full"], replicas=1)
+    for t_max, out in ((2.0, "run"), (0.0, "still")):
+        body = dict(raw, t_max=t_max, initial_file=str(minus), output_dir=str(tmp_path / out))
+        assert main(["run", write_cfg(tmp_path, f"{out}.json", **body)]) == 0
+        state = read_state_file(g, tmp_path / out / "final_state.txt")
+        assert state.site_signs.shape == (3,) and state.edge_signs.shape == (2,)
+    assert (tmp_path / "still" / "final_state.txt").read_bytes() == minus.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "files, body, message",
+    [
+        ({}, dict(experiment="duality-check", graph_file="missing.txt"), "cannot load graph file"),
+        (
+            {"kernel.txt": "0 1\n"},
+            dict(experiment="duality-check", graph="path:3", kernel_file="kernel.txt"),
+            "cannot load kernel file",
+        ),
+        (
+            {"kernel.txt": "0 2 1.0\n1 0 0.5\n1 2 0.5\n2 1 1.0\n"},
+            dict(experiment="duality-check", graph="path:3", kernel_file="kernel.txt"),
+            "invalid kernel: off-support rate q(0,2) = 1.0",
+        ),
+        (
+            {"isolated.txt": "3 1\n0 1\n"},
+            dict(experiment="duality-check", graph_file="isolated.txt"),
+            "vertex 2 is isolated",
+        ),
+        (
+            {"state.txt": "+-x\n+-\n"},
+            dict(experiment="raw-simulate", graph="path:3", t_max=1.0, observables=["full"],
+                 initial_file="state.txt"),
+            "cannot load state file",
+        ),
+        ({}, dict(experiment="mu-dyn", graph="path:3", sites=[5], replicas=10), "site 5 outside 0..2"),
+        (
+            {},
+            dict(experiment="mu-dyn", graph="path:3", sites=[0], replicas=10,
+                 revealed_positive=[0], revealed_negative=[0]),
+            "revealed_positive and revealed_negative overlap",
+        ),
+        (
+            {},
+            dict(experiment="raw-simulate", graph="path:3", t_max=1.0, observables=["site7=+1"]),
+            "observable site 7 outside 0..2",
+        ),
+        (
+            {},
+            dict(experiment="raw-simulate", graph="path:3", t_max=1.0, observables=["site0"]),
+            "bad cylinder term 'site0'",
+        ),
+    ],
+)
+def test_cli_file_and_model_errors_exit_two_and_write_nothing(tmp_path, capsys, files, body, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = {key: str(tmp_path / body[key]) for key in ("graph_file", "kernel_file", "initial_file") if key in body}
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, **{**body, **paths}, output_dir=str(out))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
 def test_cli_graph_subcommand(tmp_path, capsys):
     assert main(["graph", "path", "3"]) == 0
     out = capsys.readouterr().out.splitlines()

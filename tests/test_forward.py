@@ -439,6 +439,16 @@ def test_the_move_table_holds_one_int_object_per_index():
     assert len({id(index) for index in indices}) == g.vertex_count + g.edge_count + 2
 
 
+def test_the_move_table_shares_one_tuple_per_row_for_its_padding():
+    # complete:100 pads each of its 4,950 two-entry edge rows to the sites'
+    # width of 99: 499,950 entries, of which 19,800 can be drawn.
+    g = builtin_graph("complete", 100)
+    table = EventTable(g, uniform_kernel(g), ModelParams(0.3, 0.7))
+    drawable = int(np.count_nonzero(table.cum <= 1.0))
+    assert (table.src.size, drawable) == (499_950, 19_800)
+    assert len({id(move) for move in table.moves}) <= drawable + table.cum.shape[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_forward_runs_match_the_loop_over_the_ring_lists(data):

@@ -894,6 +894,30 @@ def test_duality_gap_table_covers_every_dual_state(p3):
         assert abs(lhs - rhs) < 1e-11
 
 
+def test_gap_table_long_step_matches_dense_expm_of_the_dual_generator(p3):
+    # lam_d * t = 1,500 is past one series' limit of 500, so the dual side's
+    # one step is cut into 4 equal steps on the grid before it is summed.
+    g, kern = p3
+    params, t = ModelParams(0.4, 2.0), 300.0
+    L_d = oracle.build_dual_generator(g, kern, params, 1)
+    assert L_d.shape == (54, 54)
+    assert float(np.max(-L_d.diagonal())) * t > 2 * oracle._MAX_UNIFORM_EXPONENT
+    fwd = striped_state(g)
+    rows = oracle.duality_gap_table(g, kern, params, fwd, k=1, t=t)
+    weights = oracle._weighted_cylinder_masses(g, oracle.forward_delta(g, fwd), 1, params.p)
+    assert np.abs(rows.rhs - expm(L_d.toarray() * t) @ weights).max() < 1e-8
+    assert np.abs(rows.lhs - rows.rhs).max() < 1e-8
+
+
+def test_transient_action_rejects_a_series_that_is_not_finite(p3):
+    g, kern = p3
+    L_d = oracle.build_dual_generator(g, kern, ModelParams(0.4, 2.0), 1)
+    vec = np.ones(L_d.shape[0])
+    vec[7] = np.inf
+    with pytest.raises(RuntimeError, match="transient series is not finite"):
+        oracle.transient_action(L_d, vec, 0.7)
+
+
 @pytest.mark.parametrize("graph, k", [("p3", 1), ("p3", 2), ("k2", 2)])
 def test_gap_table_lhs_matches_scalar_formula(graph, k, request):
     g, kern = request.getfixturevalue(graph)
