@@ -10,13 +10,14 @@ move at the walkers' rate and sample edge forgetting lazily
 (``dual.simulate_dual``), two consecutive blocks of a worker's run to a
 call, each on its own generator, so that their straggler tails share one
 loop; birth-death runs are batched Gillespie (``simulate_birth_death``).
-Forward and birth-death runs take one block a call. Forward, birth-death
-and target-free dual runs check their expected events against a budget per
-call and one per run before any draw (``_check_work``); ``mu-dyn``'s dual
-runs stop at a random time, so each block checks its moves and steps as it
-goes (``estimate_mu_dyn``). ``raw-simulate`` outputs paths, so it runs
-``simulate_forward`` in blocks of one replica, on the replica's own
-substream; that run makes exactly the draws of a one-replica
+Forward and birth-death runs take one block a call, and a run to the last
+requested time is read at every earlier one on the way. Forward,
+birth-death and target-free dual runs check their expected events against
+a budget per call and one per run before any draw (``_check_work``);
+``mu-dyn``'s dual runs stop at a random time, so each block checks its
+moves and steps as it goes (``estimate_mu_dyn``). ``raw-simulate`` outputs
+paths, so it runs ``simulate_forward`` in blocks of one replica, on the
+replica's own substream; that run makes exactly the draws of a one-replica
 ``_cylinder_hits`` block, so replica i of ``raw-simulate`` is such a block
 on substream i.
 
@@ -492,41 +493,75 @@ def birth_death_mgf(theta: float, t: float, v: float, r0: int) -> float:
     return survivor**r0 * math.exp(arrivals)
 
 
-def simulate_birth_death(gen, size: int, r0: int, v: float, t_max: float) -> np.ndarray:
-    """Populations at t_max of ``size`` runs with unit birth rate and per-head death rate v.
+def simulate_birth_death(gen, size: int, r0: int, v: float, times) -> np.ndarray:
+    """Populations at sorted ``times`` of ``size`` runs, unit birth rate, per-head death rate v.
 
-    Batched Gillespie (1977): each round, every run still short of t_max
-    draws one exponential waiting time at its total rate 1 + v k and one
-    uniform that picks a birth with probability 1 / (1 + v k).
+    Row j holds each run's population at ``times[j]``: the one just before
+    its first event past that time. Batched Gillespie (1977): each round,
+    every run still short of the last time draws one exponential waiting
+    time at its total rate 1 + v k and one uniform that picks a birth with
+    probability 1 / (1 + v k). The earlier times only read the runs, so the
+    draws are those of a run to the last time alone.
     """
-    check_t_max(t_max)
+    times = list(times)
+    if not times or times != sorted(times):
+        raise ValueError(f"checkpoint times must be given and sorted, got {times}")
+    check_t_max(times[0])
+    check_t_max(times[-1])
+    rows = np.empty((len(times), size), dtype=np.int64)
     k = np.full(size, r0, dtype=np.int64)
     clock = np.zeros(size)
     live = np.arange(size)
     while live.size:
-        rate = 1.0 + v * k[live]
-        t = clock[live] + gen.standard_exponential(live.size) / rate
+        now, start = k[live], clock[live]
+        rate = 1.0 + v * now
+        t = start + gen.standard_exponential(live.size) / rate
         birth = gen.random(live.size) * rate < 1.0
-        on = t <= t_max
+        for row, checkpoint in zip(rows[:-1], times):
+            passed = (t > checkpoint) & (start <= checkpoint)
+            row[live[passed]] = now[passed]
+        on = t <= times[-1]
         live = live[on]
         clock[live] = t[on]
         k[live] += np.where(birth[on], 1, -1)
-    return k
+    rows[-1] = k
+    return rows
+
+
+@dataclass(frozen=True)
+class MgfResult:
+    """Estimates of E[exp(theta N_t)] keyed by (theta, t), all on one replica set."""
+
+    estimates: dict[tuple[float, float], EstimateResult]
+    replicas: int
 
 
 def estimate_mgf(
-    theta: float,
-    t: float,
+    thetas,
+    times,
     v: float,
     r0: int,
     replicas: int,
     stream: RngStream,
     workers: int = 1,
-) -> EstimateResult:
-    check_birth_death_events(replicas, r0, v, t)
-    fn = partial(simulate_birth_death, r0=r0, v=v, t_max=t)
-    sizes = np.concatenate(_collect(fn, replicas, stream, workers, block=REPLICA_BLOCK))
-    return _summarize(f"mgf:theta={theta:g},t={t:g},v={v:g},r0={r0}", np.exp(theta * sizes))
+) -> MgfResult:
+    """Monte Carlo MGF of the birth-death count from ``r0`` at every theta and time.
+
+    The count's law depends on (t, r0) alone and theta only reweights it, so
+    one blocked sample (``simulate_birth_death``), run to the largest time
+    within the event budgets (``check_birth_death_events``), serves every
+    (theta, t) estimate.
+    """
+    times = sorted(times)
+    check_birth_death_events(replicas, r0, v, times[-1])
+    fn = partial(simulate_birth_death, r0=r0, v=v, times=times)
+    sizes = np.concatenate(_collect(fn, replicas, stream, workers, block=REPLICA_BLOCK), axis=1)
+    estimates = {
+        (theta, t): _summarize(f"mgf:theta={theta:g},t={t:g},v={v:g},r0={r0}", np.exp(theta * row))
+        for theta in thetas
+        for t, row in zip(times, sizes)
+    }
+    return MgfResult(estimates, replicas)
 
 
 def estimate_revealed_weight(

@@ -720,10 +720,17 @@ def _run_mgf_check(cfg: dict, result: ExperimentResult, stream, model: EventTabl
         theta = -2.0 * math.log(min(model.params.p, 1.0 - model.params.p))
         domination = theta, cfg["t"], _mgf_closed_form(theta, cfg["t"], v, 0)
         check_dual_rings(cfg["replicas"], 1, cfg["t"])
+    # One sample per start size serves every theta and time.
+    samples = {
+        r0: estimate_mgf(
+            cfg["thetas"], cfg["times"], v, r0, cfg["replicas"], stream.child(i), cfg["workers"]
+        ).estimates
+        for i, r0 in enumerate(cfg["r0_values"])
+    }
     rows = []
     oks = []
-    for call, ((theta, t, r0), target) in enumerate(zip(grid, targets)):
-        est = estimate_mgf(theta, t, v, r0, cfg["replicas"], stream.child(call), cfg["workers"])
+    for (theta, t, r0), target in zip(grid, targets):
+        est = samples[r0][(theta, t)]
         sig = deviation_sigmas(est, target)
         oks.append(sig <= cfg["sigmas"])
         rows.append(

@@ -326,8 +326,8 @@ def test_criterion_6_birth_death_mgf_and_domination(p3):
             for t in (1.0, 5.0):
                 for r0 in (0, 3):
                     res = est.estimate_mgf(
-                        theta, t, v, r0, replicas, RngStream(606, key=(call,))
-                    )
+                        [theta], [t], v, r0, replicas, RngStream(606, key=(call,))
+                    ).estimates[(theta, t)]
                     call += 1
                     target = est.birth_death_mgf(theta, t, v, r0)
                     if est.deviation_sigmas(res, target) > 3.0:

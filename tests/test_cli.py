@@ -267,6 +267,28 @@ def test_cli_mgf_closed_form_overflow_exits_two(monkeypatch, tmp_path, capsys, b
     assert not out_dir.exists()
 
 
+def test_mgf_check_writes_unsorted_repeated_times_against_their_own_time(tmp_path):
+    # One sample per r0 serves every time; records keep the config's grid
+    # order, and each carries its own time's estimate and closed form.
+    body = dict(experiment="mgf-check", seed=5, thetas=[-1.0, 0.5], r0_values=[0, 3], replicas=2000)
+    records = {}
+    for name, times in (("sorted", [1.0, 5.0]), ("unsorted", [5.0, 1.0, 5.0])):
+        out_dir = tmp_path / name
+        path = write_cfg(tmp_path, f"{name}.json", **body, times=times, output_dir=str(out_dir))
+        assert main(["run", path]) == 0
+        lines = (out_dir / "mgf_check.jsonl").read_text().splitlines()
+        records[name] = [json.loads(line) for line in lines]
+    rows = records["unsorted"]
+    grid = [(theta, t, r0) for theta in (-1.0, 0.5) for t in (5.0, 1.0, 5.0) for r0 in (0, 3)]
+    assert [(r["params"]["theta"], r["params"]["t"], r["params"]["r0"]) for r in rows] == grid
+    by_point = {tuple(r["params"][k] for k in ("theta", "t", "r0")): r for r in records["sorted"]}
+    for r in rows:
+        prm = r["params"]
+        assert r == by_point[(prm["theta"], prm["t"], prm["r0"])]
+        assert r["oracle_value"] == estimators.birth_death_mgf(prm["theta"], prm["t"], 1.0, prm["r0"])
+    assert rows[0]["point"] != rows[2]["point"]  # theta = -1, r0 = 0 at t = 5 and at t = 1
+
+
 def test_cli_cap_error_exits_three(tmp_path, capsys):
     path = write_cfg(
         tmp_path,
@@ -770,8 +792,8 @@ def test_shipped_and_benchmark_work_stays_far_below_every_budget(tmp_path, monke
                    for t, gone in ((1.0, gone1), (5.0, gone5)) for r0 in (0, 3)] * 2
     assert {name: found for name, found in checks.items() if found} == {
         "duality_check_mc": [("dual rings", 40_000, 2.0), ("forward rings", 40_000, 27.0)],
-        # Up front, then the first estimator's own check.
-        "mgf_check": [*birth_death, ("dual rings", 20_000, 2.0), birth_death[0]],
+        # Up front, then the first estimator's own check, at the largest time.
+        "mgf_check": [*birth_death, ("dual rings", 20_000, 2.0), birth_death[2]],
         "raw_simulate": [("forward rings", 200, 60.0)],
         "raw_simulate_torus30": [("forward rings", 20, 54_000.0)],
         "stationary_compare": [("forward rings", 20_000, 100.0)],

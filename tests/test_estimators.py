@@ -94,7 +94,7 @@ def _block_estimates(name, workers):
         return est.estimate_mu_dyn(
             table, [0, 2], [1, 1], replicas, stream, workers=workers, report_limit=replicas
         )
-    return est.estimate_mgf(0.5, 1.5, 0.5, 3, replicas, stream, workers)
+    return est.estimate_mgf([0.5], [1.5], 0.5, 3, replicas, stream, workers)
 
 
 @pytest.mark.parametrize("name", ["dual_side", "revealed_weight", "mu_dyn", "mgf"])
@@ -710,7 +710,8 @@ def test_batched_birth_death_follows_the_closed_form_law(r0, t, v):
     # sigma, family-wise <= 104 * 0.0063% = 0.66% under the normal
     # approximation.
     replicas = 20_000
-    sizes = est.simulate_birth_death(RngStream(89, (r0, int(t), int(v))).generator(), replicas, r0, v, t)
+    gen = RngStream(89, (r0, int(t), int(v))).generator()
+    sizes = est.simulate_birth_death(gen, replicas, r0, v, [t])[0]
     survive = math.exp(-v * t)
     arrivals = stats.poisson.pmf(np.arange(12), (1.0 - survive) / v)
     law = np.convolve(stats.binom.pmf(np.arange(r0 + 1), r0, survive), arrivals)[:12]
@@ -725,13 +726,51 @@ def test_batched_birth_death_follows_the_closed_form_law(r0, t, v):
 def test_birth_death_rejects_a_horizon_that_is_not_a_finite_time(t_max):
     # An infinite horizon never ended the loop; a NaN one returned the start.
     with pytest.raises(ValueError, match="t_max must be finite and >= 0"):
-        est.simulate_birth_death(RngStream(0).generator(), 4, 2, 1.0, t_max)
+        est.simulate_birth_death(RngStream(0).generator(), 4, 2, 1.0, [t_max])
 
 
 def test_mgf_monte_carlo_within_three_sigma():
     v, theta, t, r0 = 1.5, -0.7, 1.2, 2
-    res = est.estimate_mgf(theta, t, v, r0, replicas=20000, stream=RngStream(13))
+    out = est.estimate_mgf([theta], [t], v, r0, replicas=20000, stream=RngStream(13))
+    res = out.estimates[(theta, t)]
     assert est.deviation_sigmas(res, est.birth_death_mgf(theta, t, v, r0)) < 3.0
+    # One theta and one time draw what the one-point estimator drew.
+    assert out.replicas == res.replicas == 20000
+    assert (res.estimate, res.std_error) == (0.6334161216217647, 0.0022451019046145007)
+
+
+def test_birth_death_rows_are_checkpoints_of_one_run():
+    # Earlier times only read the runs: the last row is a run to 5.0 alone.
+    rows = est.simulate_birth_death(RngStream(23).generator(), 500, 2, 1.0, [0.5, 1.0, 5.0])
+    alone = est.simulate_birth_death(RngStream(23).generator(), 500, 2, 1.0, [5.0])
+    assert rows.shape == (3, 500) and rows.dtype == alone.dtype
+    assert np.array_equal(rows[-1], alone[0])
+    assert not np.array_equal(rows[0], rows[-1])
+    with pytest.raises(ValueError, match="sorted"):
+        est.simulate_birth_death(RngStream(23).generator(), 4, 2, 1.0, [5.0, 1.0])
+
+
+@pytest.mark.parametrize("r0", [0, 3])
+@pytest.mark.parametrize("v", [0.5, 2.0])
+def test_birth_death_checkpoints_follow_the_law_at_their_time(r0, v):
+    # Each row against its own time's closed forms: the mean
+    # r0 e^{-vt} + (1 - e^{-vt}) / v and the MGF at theta = -1 and 0.5.
+    # Stated false-failure rate: the four cases hold 36 two-sided gates
+    # (three times, three moments) at 4 sigma, family-wise
+    # <= 36 * 0.0063% = 0.23% under the normal approximation.
+    replicas, times = 20_000, [0.5, 1.0, 5.0]
+    gen = RngStream(97, (r0, int(2 * v))).generator()
+    rows = est.simulate_birth_death(gen, replicas, r0, v, times)
+    for t, row in zip(times, rows):
+        decay = math.exp(-v * t)
+        targets = [
+            (row, r0 * decay + (1.0 - decay) / v),
+            (np.exp(-1.0 * row), est.birth_death_mgf(-1.0, t, v, r0)),
+            (np.exp(0.5 * row), est.birth_death_mgf(0.5, t, v, r0)),
+        ]
+        for values, target in targets:
+            std_error = values.std(ddof=1) / math.sqrt(replicas)
+            assert abs(values.mean() - target) <= 4.0 * std_error, (t, values.mean(), target)
 
 
 def test_revealed_weight_estimator_basics(k2):

@@ -130,14 +130,14 @@ duality-check: PASS
     "mgf_check": (
         0,
         """\
-mgf:theta=-1,t=1,v=1,r0=0: 0.66746 vs 0.67060 (1.23 sigma): PASS
-mgf:theta=-1,t=1,v=1,r0=3: 0.30410 vs 0.30313 (0.46 sigma): PASS
-mgf:theta=-1,t=5,v=1,r0=0: 0.53984 vs 0.53373 (2.32 sigma): PASS
-mgf:theta=-1,t=5,v=1,r0=3: 0.53062 vs 0.52694 (1.39 sigma): PASS
-mgf:theta=0.5,t=1,v=1,r0=0: 1.49368 vs 1.50692 (2.34 sigma): PASS
-mgf:theta=0.5,t=1,v=1,r0=3: 2.86012 vs 2.86377 (0.23 sigma): PASS
-mgf:theta=0.5,t=5,v=1,r0=0: 1.91481 vs 1.90475 (1.08 sigma): PASS
-mgf:theta=0.5,t=5,v=1,r0=3: 1.94289 vs 1.92984 (1.31 sigma): PASS
+mgf:theta=-1,t=1,v=1,r0=0: 0.66863 vs 0.67060 (0.78 sigma): PASS
+mgf:theta=-1,t=1,v=1,r0=3: 0.30488 vs 0.30313 (0.82 sigma): PASS
+mgf:theta=-1,t=5,v=1,r0=0: 0.53858 vs 0.53373 (1.83 sigma): PASS
+mgf:theta=-1,t=5,v=1,r0=3: 0.52578 vs 0.52694 (0.44 sigma): PASS
+mgf:theta=0.5,t=1,v=1,r0=0: 1.51017 vs 1.50692 (0.55 sigma): PASS
+mgf:theta=0.5,t=1,v=1,r0=3: 2.83456 vs 2.86377 (1.94 sigma): PASS
+mgf:theta=0.5,t=5,v=1,r0=0: 1.89906 vs 1.90475 (0.59 sigma): PASS
+mgf:theta=0.5,t=5,v=1,r0=3: 1.94486 vs 1.92984 (1.35 sigma): PASS
 mgf gates (8 gates at 3 sigma, family-wise <= 2.2%): PASS
 revealed-set weight at theta=2.4079, t=2: 14.42278 <= bound 6264.91954 (1 one-sided gate at 3 sigma, family-wise <= 0.13%): PASS
 mgf-check: PASS

@@ -310,7 +310,7 @@ def test_dual_sample_path_is_pinned(case):
 
 def test_birth_death_values_are_pinned():
     for (r0, v, t_max), expected in BIRTH_DEATH_PINS.items():
-        assert simulate_birth_death(RngStream(7).generator(), 12, r0, v, t_max).tolist() == expected
+        assert simulate_birth_death(RngStream(7).generator(), 12, r0, v, [t_max])[0].tolist() == expected
 
 
 @pytest.mark.parametrize("case", sorted(DUAL_ESTIMATE_PINS))
