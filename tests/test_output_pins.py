@@ -4,8 +4,11 @@ The writer's tests compare it with ``json.dumps`` and ``csv.writer`` row by
 row; these pins hold the files the runners write, header, line endings and
 every digit, so a change in how a table is encoded, blocked or ordered
 fails here. The duality gap table (24,300 rows) and ``checkpoints.csv``
-(10,000 rows) each span several of the writer's blocks. A change that
-alters a table's numbers on purpose updates its pin, and says so.
+(10,000 rows) each span several of the writer's blocks. The exact
+``cycle:4``, ``cycle:5`` and ``cycle:6`` files also hold the sparse layout
+of the generators to its bits: a product, a row sum or a stationary sweep
+that adds its terms in another order fails here. A change that alters a
+table's numbers on purpose updates its pin, and says so.
 
 The stdout pins hold every verdict line and the exit code of the shipped
 configs and of one failing config per gate form, made to fail by a tiny
@@ -29,6 +32,15 @@ CONFIGS = {
         experiment="duality-check", graph="cycle:5", p=0.3, v=1.0, k=2, t=1.0, seed=1
     ),
     "tv_exact": dict(experiment="tv-decay", graph="path:3", p=0.3, v=1.0, seed=4),
+    "tv_exact_cycle6": dict(
+        experiment="tv-decay", graph="cycle:6", p=0.3, v=1.0, seed=4, initial_file="state.txt"
+    ),
+    "duality_exact_cycle4": dict(
+        experiment="duality-check", graph="cycle:4", p=0.3, v=1.0, k=2, t=1.0, seed=1
+    ),
+    "stationary_exact_cycle5": dict(
+        experiment="stationary-compare", graph="cycle:5", p=0.3, v=1.0, seed=2
+    ),
     "tv_mc": dict(
         experiment="tv-decay", graph="path:3", p=0.3, v=1.0, t_max=10.0, t_step=0.5,
         replicas=2000, seed=4, oracle="off",
@@ -48,6 +60,15 @@ OUTPUT_PINS = {
     ("tv_exact", "tv_decay.csv"): (
         "1c624255b8e88984557bbae277c9d5606c7186b55776e885cc2a7bbc12252770"
     ),
+    ("tv_exact_cycle6", "tv_decay.csv"): (
+        "d90eb46e416703c63a50afb95fbdaacafbde2f8b2b0877563d37f8d468bdf74b"
+    ),
+    ("duality_exact_cycle4", "duality_gaps.jsonl"): (
+        "0237d58e279b3d81351e597d5b5d817abdd0c80658945fc9ab459bd98a981b70"
+    ),
+    ("stationary_exact_cycle5", "stationary_distribution.csv"): (
+        "d0c922870319906873668681535292a43d2f5bf219fffe39709931c4389309af"
+    ),
     ("tv_mc", "tv_decay.csv"): (
         "eb60dd77329dfb1f7519606155241043002af9682b830de587ce1cdaab09f020"
     ),
@@ -57,10 +78,19 @@ OUTPUT_PINS = {
 }
 
 
+# State files named by a config's initial_file, written beside its output:
+# the sites of cycle:6, then its edges.
+STATE_FILES = {"tv_exact_cycle6": "++-+--\n+--+-+\n"}
+
+
 @pytest.mark.parametrize("case", sorted(OUTPUT_PINS))
 def test_result_file_is_pinned(case, tmp_path):
     name, filename = case
-    cfg = validate_config({**CONFIGS[name], "output_dir": str(tmp_path)}, env={})
+    body = dict(CONFIGS[name], output_dir=str(tmp_path))
+    if name in STATE_FILES:
+        body["initial_file"] = str(tmp_path / body["initial_file"])
+        (tmp_path / CONFIGS[name]["initial_file"]).write_text(STATE_FILES[name])
+    cfg = validate_config(body, env={})
     run_experiment(cfg)
     assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == OUTPUT_PINS[case]
 
