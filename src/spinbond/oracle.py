@@ -7,13 +7,17 @@ per edge (set bit means +1), dual configurations into mixed-radix integers
 `targets` and `rates` with a fixed number of slots per state, in blocks of
 at most _ROW_BLOCK states, with array arithmetic on those digits; rate 0
 means no transition, and the last slot holds the diagonal. Each block is
-sorted and stripped of its zeros into arrays sized for the whole table,
-which are then cut to the entries stored, so the generator holds no
-unused slot.
-The dual generator is stored by rows. Every forward transition flips one
-bit, so L's column s has the same slots as its row s with each rate taken
-at the flipped source; the forward generator is stored by columns, and
-L.T, which every forward-law product multiplies, is a CSR view of it.
+sorted by target into arrays sized for the whole table.
+Every forward transition flips one bit, so L's column s has the same
+slots as its row s with each rate taken at the flipped source; the
+forward generator is stored by columns, every one of its n + m + 1 slots
+kept, rate 0 included. L.T, which every forward-law product multiplies,
+is a CSR view of it with a fixed row width: indptr is a multiple of
+arange, and row s holds the ascending columns {s ^ 2^b} and s. A product
+then runs an inner loop of one trip count, where ragged rows cost about
+15% of its time on cycle:8. The dual generator is stored by rows with its
+zero slots dropped, since its table holds about 10 entries in 15 slots,
+and then cut to the entries stored.
 
 Each chain is held once. The transient solvers take their generator over,
 and one routine does it: transient_steps turns L.T into the transposed
@@ -100,7 +104,9 @@ def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParam
     whose adopted sign differs from x's, and each edge has one slot. So
     column s holds the same slots with each rate taken at the source
     s ^ (1 << b), and the table is filled by columns: L.T, which every
-    forward-law product multiplies, is a CSR view of L's own arrays.
+    forward-law product multiplies, is a CSR view of L's own arrays. Every
+    column keeps all n + m + 1 slots, rate 0 included, so L.T's rows have
+    one width and its indptr is a multiple of arange.
     """
     require_valid_kernel(g, kernel)
     n, m = g.vertex_count, g.edge_count
@@ -138,7 +144,8 @@ def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParam
             into[:, :n] += np.where(differs, 0.0, rate_of[d][:, None]).T
         out[:, n:-1] = np.where(bit[n:], down_rate, up_rate).T
         into[:, n:-1] = np.where(bit[n:], up_rate, down_rate).T
-        return _generator_rows(targets, out, into)
+        values, cols = _generator_rows(targets, out, into)
+        return values.ravel(), cols.ravel(), np.full(idx.size, n + m + 1)
 
     # L.T's rows; their transpose is L stored by columns, on the same arrays.
     return _assemble_generator(size, n + m + 1, columns).T
@@ -152,13 +159,13 @@ def _generator_rows(targets: np.ndarray, rates: np.ndarray, into: np.ndarray | N
     share a target when every kernel row lists a neighbour once; two that
     do stay two entries, which products add. The last slot is the
     diagonal's: its target is the row's own state, and its rate is minus
-    the row sum, np.add.reduceat over the row's transitions in target
-    order, as scipy's sum(axis=1) takes it. Given into[r, j], the rate of
-    slot j's transition reversed (from targets[r, j] into the row's
-    state), the rows returned are those of the transpose. Returns the rows'
-    values, columns and lengths, with each row's columns in order and zeros
-    dropped, so a state with no transitions stores no diagonal. targets is
-    overwritten.
+    the row sum, np.add.reduceat over the row's nonzero transitions in
+    target order, as scipy's sum(axis=1) takes it. Given into[r, j], the
+    rate of slot j's transition reversed (from targets[r, j] into the row's
+    state), the rows returned are those of the transpose. Returns the
+    rows' values and columns as (rows, slots) arrays, every slot kept and
+    each row's columns in order, so a rate-0 slot is a stored 0 and a state
+    with no transitions stores a 0 on its diagonal. targets is overwritten.
     """
     rows, slots = targets.shape
     # Each row sorted by target, with the slot carried along in the key
@@ -179,8 +186,7 @@ def _generator_rows(targets: np.ndarray, rates: np.ndarray, into: np.ndarray | N
     if into is not None:
         out = into.take(key)
     out[on_diag] = -row_sum
-    keep = np.flatnonzero(out != 0.0)
-    return out.take(keep), columns.take(keep), np.bincount(keep // slots, minlength=rows)
+    return out, columns
 
 
 def _assemble_generator(size: int, slots: int, rows_of) -> sp.csr_matrix:
@@ -189,9 +195,10 @@ def _assemble_generator(size: int, slots: int, rows_of) -> sp.csr_matrix:
     rows_of(idx) returns the values, columns and lengths of the rows of the
     states idx, at most `slots` entries each. They are copied one block
     after another into arrays sized for the whole table, which are then cut
-    to the entries stored; the pages past them are never written, so the
-    result holds no unused slot and no moment holds two generator-sized
-    arrays. Indices are int32, since size * slots < 2^31
+    to the entries stored (a no-op when every row fills its slots); the
+    pages past them are never written, so the result holds no unused slot
+    and no moment holds two generator-sized arrays. Indices are int32,
+    since size * slots < 2^31
     under both state caps: 2^20 * 21 forward, and under 2 * 10^6 * 300 dual,
     as every positive kernel entry needs an edge and 3^|E| stays below the
     dual cap.
@@ -224,15 +231,16 @@ def _uniformize(G: sp.csr_matrix) -> float:
     lam is the largest exit rate, so every entry is a probability; a
     generator with no transitions gets lam = 0 and becomes the identity.
     Entries are G_ij * (1/lam) off the diagonal and 1 + G_ii * (1/lam) on
-    it, a state with no transitions gets a 1 there, and entries that reach
-    0 are dropped, so G holds what the sum of I and G.multiply(1/lam) holds.
+    it, and a state with no transitions gets a 1 there. G keeps its
+    pattern: a stored 0 stays stored, as does an entry that reaches 0, and
+    a row that stores its diagonal, as every forward row does, has it
+    written in place, so G's arrays are not reallocated.
     """
     diag = G.diagonal()
     lam = float(np.max(-diag, initial=0.0))
     scale = 1.0 / lam if lam > 0.0 else 0.0
     G.data *= scale
     G.setdiag(1.0 + diag * scale)
-    G.eliminate_zeros()
     return lam
 
 
@@ -348,23 +356,32 @@ def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float) -> np.ndarray:
 def count_closed_classes(L: sp.csc_matrix) -> int:
     """Number of strongly connected classes with no outgoing rate.
 
-    L's stored entries are its positive rates plus diagonal self-loops, which
-    change no class, so its own sparsity is the transition graph. It is read
-    as its transpose, the graph reversed, which is a CSR view of the forward
+    L's stored entries are its rates, diagonal self-loops, which change no
+    class, and rate-0 slots, which are no transition. It is read as its
+    transpose, the graph reversed, which is a CSR view of the forward
     generator: the strong classes are the same, and a class is open when an
-    entry of the transpose leads into it from another. The entries are read
+    entry of the transpose leads into it from another. For the count, each
+    stored 0 off the diagonal is retargeted in place to its own row, a
+    self-loop, and its column is restored afterwards, also when the count
+    raises, so L's pattern is never copied. The entries are read
     _ROW_BLOCK rows at a time.
     """
     from scipy.sparse.csgraph import connected_components
 
     LT = L.T.tocsr()
-    n_comp, labels = connected_components(LT, directed=True, connection="strong")
-    is_open = np.zeros(n_comp, dtype=bool)
-    for start in range(0, LT.shape[0], _ROW_BLOCK):
-        ptr = LT.indptr[start:start + _ROW_BLOCK + 1]
-        dst = np.repeat(labels[start:start + ptr.size - 1], np.diff(ptr))
-        src = labels[LT.indices[ptr[0]:ptr[-1]]]
-        is_open[src[src != dst]] = True
+    zeros = np.flatnonzero(LT.data == 0.0)
+    kept = LT.indices[zeros]
+    try:
+        LT.indices[zeros] = np.searchsorted(LT.indptr, zeros, side="right") - 1
+        n_comp, labels = connected_components(LT, directed=True, connection="strong")
+        is_open = np.zeros(n_comp, dtype=bool)
+        for start in range(0, LT.shape[0], _ROW_BLOCK):
+            ptr = LT.indptr[start:start + _ROW_BLOCK + 1]
+            dst = np.repeat(labels[start:start + ptr.size - 1], np.diff(ptr))
+            src = labels[LT.indices[ptr[0]:ptr[-1]]]
+            is_open[src[src != dst]] = True
+    finally:
+        LT.indices[zeros] = kept
     return n_comp - int(np.count_nonzero(is_open))
 
 
@@ -535,7 +552,9 @@ def build_dual_generator(
         targets[:, 2 * k * width:-1] = (idx - digit * edge_strides).T
         rates[:, 2 * k * width:-1] = np.where(digit != 0, v, 0.0).T
         targets[:, -1] = idx
-        return _generator_rows(targets, rates)
+        values, cols = _generator_rows(targets, rates)
+        keep = np.flatnonzero(values)  # so a state with no transitions stores nothing
+        return values.take(keep), cols.take(keep), np.bincount(keep // slots, minlength=idx.size)
 
     return _assemble_generator(size, slots, rows)
 

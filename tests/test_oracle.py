@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from spinbond.cli import main
@@ -16,7 +17,9 @@ from spinbond.dual import DualState
 from spinbond.errors import StateSpaceCapError
 from spinbond.experiments import _cylinder, _env_assignments, run_experiment
 from spinbond.forward import ModelParams, SpinBondState, edge_flip_rate
-from spinbond.graphs import AdoptionKernel, Graph, builtin_graph, kernel_from_rates, uniform_kernel
+from spinbond.graphs import (
+    AdoptionKernel, Graph, build_graph, builtin_graph, kernel_from_rates, uniform_kernel,
+)
 from spinbond import oracle
 
 from conftest import (
@@ -194,11 +197,44 @@ def _reference_generator(size, transitions):
 
 
 def _assert_same_csr(A, B):
+    """A holds B's entries and no stored 0: the dual generator's layout."""
     assert A.shape == B.shape
     assert np.array_equal(A.indptr, B.indptr)
     assert np.array_equal(A.indices, B.indices)
     assert np.array_equal(A.data, B.data)
     assert (A.data != 0).all()
+
+
+def _assert_same_arrays(A, B):
+    """A and B are stored in the same arrays, bit for bit."""
+    assert A.shape == B.shape and A.format == B.format
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _forward_columns(size):
+    """Row s of a forward generator's fixed-width layout: the columns
+    s ^ 2^b for every bit b, and s, in ascending order."""
+    states = np.arange(size)
+    flips = states[:, None] ^ (1 << np.arange(size.bit_length() - 1))
+    return np.sort(np.column_stack([flips, states]), axis=1)
+
+
+def _assert_fixed_width_csr(A, B):
+    """A, the CSR view L.T of a forward generator or of its jump matrix,
+    keeps every slot: each row s holds the columns of _forward_columns,
+    and indptr is a multiple of arange. Stripped of its stored zeros it is
+    B, which holds no zero: every nonzero of A is B's entry bit for bit,
+    and A stores a 0 only where B has no entry, a rate-0 slot."""
+    columns = _forward_columns(A.shape[0])
+    assert A.format == "csr"
+    assert np.array_equal(A.indptr, np.arange(A.shape[0] + 1) * columns.shape[1])
+    assert np.array_equal(A.indices, columns.ravel())
+    stripped = A.copy()
+    stripped.eliminate_zeros()
+    _assert_same_csr(stripped, B)
+    assert stripped.data.tobytes() == B.data.tobytes()
 
 
 def _forward_generator_by_state(g, kernel, params):
@@ -318,7 +354,7 @@ def test_forward_generator_matches_per_state_builder(spec, skewed, p, v):
     kern = kernel_from_rates(_SKEWED_RATES[spec], g.vertex_count) if skewed else uniform_kernel(g)
     params = ModelParams(p, v)
     # The generator is stored by columns: its transpose is a CSR view.
-    _assert_same_csr(
+    _assert_fixed_width_csr(
         oracle.build_forward_generator(g, kern, params).T,
         _forward_generator_by_state(g, kern, params).T.tocsr(),
     )
@@ -374,16 +410,16 @@ def _out_rate_forward_generator(g, kernel, params):
 def test_in_rate_forward_generator_is_the_out_rate_table_by_columns(spec, skewed, p, v):
     # L is filled by columns from the rates into each state, and its
     # transpose, the CSR view that forward-law products multiply, holds the
-    # same bits as the out-rate table's transpose: diagonals summed in L's
-    # row order, entries in column order, no zeros
+    # same bits as the out-rate table's transpose at every nonzero:
+    # diagonals summed in L's row order, entries in column order, and a
+    # stored 0 only at a rate-0 slot
     g = parse_graph_spec(spec)
     kern = kernel_from_rates(_SKEWED_RATES[spec], g.vertex_count) if skewed else uniform_kernel(g)
     L = oracle.build_forward_generator(g, kern, ModelParams(p, v))
     reference = _out_rate_forward_generator(g, kern, ModelParams(p, v))
     assert L.format == "csc" and L.T.format == "csr"
     assert np.shares_memory(L.T.data, L.data) and np.shares_memory(L.T.indices, L.indices)
-    _assert_same_csr(L.T, reference.T.tocsr())
-    assert L.data.tobytes() == reference.T.tocsr().data.tobytes()
+    _assert_fixed_width_csr(L.T, reference.T.tocsr())
 
 
 def test_stationary_solve_leaves_its_generator_as_it_is(p3):
@@ -392,7 +428,8 @@ def test_stationary_solve_leaves_its_generator_as_it_is(p3):
     L = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0))
     kept = L.copy()
     pi = oracle.stationary_distribution(L)
-    _assert_same_csr(L, kept)
+    _assert_same_arrays(L, kept)
+    _assert_fixed_width_csr(L.T, _forward_generator_by_state(g, kern, ModelParams(0.3, 1.0)).T.tocsr())
     assert np.abs(L.T @ pi).max() < oracle.STATIONARY_RESIDUAL_TOL
 
 
@@ -406,6 +443,9 @@ def test_transient_solvers_take_over_the_generator_they_are_handed(p3):
     law_a, law_b = np.zeros(L.shape[0]), np.zeros(L.shape[0])
     law_a[9] = law_b[22] = 1.0
     weights = np.linspace(0.0, 1.0, L_d.shape[0])
+    # The forward generator keeps its rate-0 slots, the dual one drops them
+    assert L.nnz == L.shape[0] * (g.vertex_count + g.edge_count + 1) and (L.data == 0).any()
+    assert (L_d.data != 0).all()
     solvers = [
         (L, lambda M: oracle.transient_distribution(M, law_a, 0.7)),
         (L, lambda M: np.stack(list(oracle.transient_steps(M, law_a, 0.5, 3)))),
@@ -416,7 +456,7 @@ def test_transient_solvers_take_over_the_generator_they_are_handed(p3):
         kept = generator.copy()
         handed = generator.copy()
         first = solve(handed)
-        _assert_same_csr(generator, kept)
+        _assert_same_arrays(generator, kept)
         assert not np.array_equal(handed.data, kept.data)
         assert solve(generator.copy()).tobytes() == first.tobytes()
 
@@ -481,14 +521,18 @@ def _uniformized_kernel(L):
     [
         ("path:3", 0.4, 2.0, "ergodic"),
         ("cycle:4", 0.3, 1.0, "ergodic"),
+        # 256 of 65,536 states absorb (16 of 256 on cycle:4): each stores a
+        # 0 on its diagonal, which becomes a 1 in place
         ("cycle:4", 0.3, 0.0, "absorbing states"),
-        # 256 of 65,536 states absorb, few enough that scipy inserts their
-        # 1s row by row; for the 16 of 256 on cycle:4 it rebuilds through COO
         ("cycle:8", 0.3, 0.0, "absorbing states"),
         ("path:3", 0.4, 2.0, "no transitions"),
     ],
 )
 def test_uniformize_in_place_matches_the_jump_matrix_beside_it(spec, p, v, case):
+    # The jump matrix keeps the generator's pattern, so L's rows (the same
+    # pattern as its columns, since every transition flips one bit) and its
+    # transpose have the fixed-width layout, with the reference's entries at
+    # every nonzero. An empty matrix gets its 1s inserted
     g = parse_graph_spec(spec)
     L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
     if case == "no transitions":
@@ -498,9 +542,38 @@ def test_uniformize_in_place_matches_the_jump_matrix_beside_it(spec, p, v, case)
     for G, reference in ((L.tocsr(copy=True), P), (L.T.tocsr(copy=True), P.T.tocsr())):
         assert oracle._uniformize(G) == lam
         if lam > 0.0:
-            _assert_same_csr(G, reference)
+            _assert_fixed_width_csr(G, reference)
         else:
             assert (G != reference).nnz == 0
+            _assert_same_csr(G, reference)
+
+
+@pytest.mark.parametrize("spec, p, v", [("cycle:6", 0.3, 1.0), ("cycle:4", 0.3, 0.0), ("path:3", 1.0, 1.0)])
+def test_uniformize_and_transient_steps_keep_the_forward_generators_arrays(spec, p, v):
+    # Every forward row stores its diagonal and every stored 0 stays, so
+    # the jump matrix is written into the generator's own buffers: the
+    # transpose's arrays are the same objects after _uniformize, and after
+    # transient_steps L's buffers hold the jump matrix, so the view it made
+    # was not moved to new ones
+    g = parse_graph_spec(spec)
+    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
+    assert (L.data == 0.0).any()
+    reference = L.T.tocsr(copy=True)
+    lam = oracle._uniformize(reference)
+
+    G = L.copy().T
+    arrays = G.data, G.indices, G.indptr
+    assert oracle._uniformize(G) == lam
+    assert all(a is b for a, b in zip((G.data, G.indices, G.indptr), arrays))
+    _assert_same_arrays(G, reference)
+
+    arrays = L.data, L.indices, L.indptr
+    law = np.zeros(L.shape[0])
+    law[3] = 1.0
+    for _ in oracle.transient_steps(L, law, 0.5, 2):
+        pass
+    assert all(a is b for a, b in zip((L.data, L.indices, L.indptr), arrays))
+    _assert_same_arrays(L.T, reference)
 
 
 def _per_step_uniformized(op, lam, vec, t):
@@ -720,8 +793,52 @@ def test_closed_classes_and_generator_over_row_blocks(p3, block, monkeypatch):
         monkeypatch.setattr(oracle, "_ROW_BLOCK", block)
         L = oracle.build_forward_generator(g, kern, params)
         assert oracle.count_closed_classes(L) == closed
-        _assert_same_csr(L, whole)
+        _assert_same_arrays(L, whole)
+        assert L.nnz == 32 * (g.vertex_count + g.edge_count + 1)
         monkeypatch.undo()
+
+
+@st.composite
+def _reducible_generators(draw):
+    """A forward generator on a random graph of 2 to 4 sites (a spanning
+    tree plus random edges), a kernel with rate-0 entries, p at 0 or 1 and
+    v = 0, so that every edge slot and many site slots store a 0."""
+    n = draw(st.integers(2, 4))
+    pairs = [(x, draw(st.integers(0, x - 1))) for x in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    g = build_graph([(a, b) for a, b in pairs if a != b], n)
+    rates = {}
+    for x in range(n):
+        weights = draw(st.lists(st.integers(0, 3), min_size=g.degree(x), max_size=g.degree(x)).filter(any))
+        rates[x] = {y: w / sum(weights) for (y, _), w in zip(g.adjacency[x], weights)}
+    params = ModelParams(draw(st.sampled_from([0.0, 1.0])), 0.0)
+    return oracle.build_forward_generator(g, kernel_from_rates(rates, n), params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=_reducible_generators())
+def test_closed_classes_read_stored_zeros_as_no_transition(L):
+    # The count on L equals the count on a copy stripped of its zeros, and
+    # L's arrays are the same bytes afterwards, also when the strong
+    # components raise; the graph they are handed has no 0 off its diagonal
+    import scipy.sparse.csgraph as csgraph
+
+    stripped = L.copy()
+    stripped.eliminate_zeros()
+    assert stripped.nnz < L.nnz
+    kept = L.copy()
+    assert oracle.count_closed_classes(L) == oracle.count_closed_classes(stripped)
+    _assert_same_arrays(L, kept)
+
+    def raising(graph, **kwargs):
+        rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+        assert (graph.indices[graph.data == 0.0] == rows[graph.data == 0.0]).all()
+        raise RuntimeError("strong components failed")
+
+    with mock.patch.object(csgraph, "connected_components", side_effect=raising):
+        with pytest.raises(RuntimeError, match="strong components failed"):
+            oracle.count_closed_classes(L)
+    _assert_same_arrays(L, kept)
 
 
 def test_stationary_matches_lumped_two_site_chain(k2):
