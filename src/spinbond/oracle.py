@@ -7,17 +7,14 @@ per edge (set bit means +1), dual configurations into mixed-radix integers
 `targets` and `rates` with a fixed number of slots per state, in blocks of
 at most _ROW_BLOCK states, with array arithmetic on those digits; rate 0
 means no transition, and the last slot holds the diagonal. Each block is
-sorted by target into arrays sized for the whole table.
-Every forward transition flips one bit, so L's column s has the same
-slots as its row s with each rate taken at the flipped source; the
-forward generator is stored by columns, every one of its n + m + 1 slots
-kept, rate 0 included. L.T, which every forward-law product multiplies,
-is a CSR view of it with a fixed row width: indptr is a multiple of
-arange, and row s holds the ascending columns {s ^ 2^b} and s. A product
-then runs an inner loop of one trip count, where ragged rows cost about
-15% of its time on cycle:8. The dual generator is stored by rows with its
-zero slots dropped, since its table holds about 10 entries in 15 slots,
-and then cut to the entries stored.
+sorted by target into arrays sized for the whole table. Every forward
+transition flips one bit, so L's column s has the same slots as its row s
+with each rate taken at the flipped source; the forward generator is
+stored by columns with all n + m + 1 slots kept, rate 0 included, and
+L.T, which every forward-law product multiplies, is a CSR view of it with
+one row width, so a product's inner loop has one trip count. The dual
+generator is stored by rows with its zero slots dropped (about 10 entries
+in 15 slots on cycle:6 with k = 2) and cut to the entries stored.
 
 Each chain is held once. The transient solvers take their generator over,
 and one routine does it: transient_steps turns L.T into the transposed
@@ -105,8 +102,9 @@ def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParam
     column s holds the same slots with each rate taken at the source
     s ^ (1 << b), and the table is filled by columns: L.T, which every
     forward-law product multiplies, is a CSR view of L's own arrays. Every
-    column keeps all n + m + 1 slots, rate 0 included, so L.T's rows have
-    one width and its indptr is a multiple of arange.
+    column keeps all n + m + 1 slots, rate 0 included: L.T's indptr is
+    arange * (n + m + 1), and row s holds the ascending columns s ^ 2^b
+    and s.
     """
     require_valid_kernel(g, kernel)
     n, m = g.vertex_count, g.edge_count
@@ -361,27 +359,34 @@ def count_closed_classes(L: sp.csc_matrix) -> int:
     transpose, the graph reversed, which is a CSR view of the forward
     generator: the strong classes are the same, and a class is open when an
     entry of the transpose leads into it from another. For the count, each
-    stored 0 off the diagonal is retargeted in place to its own row, a
-    self-loop, and its column is restored afterwards, also when the count
-    raises, so L's pattern is never copied. The entries are read
-    _ROW_BLOCK rows at a time.
+    stored 0 is retargeted in place to its own row, a self-loop, and its
+    column is restored afterwards, also when the count raises: L's pattern
+    is never copied, and what is kept is the zeros' columns alone. The
+    entries are read _ROW_BLOCK rows at a time.
     """
     from scipy.sparse.csgraph import connected_components
 
     LT = L.T.tocsr()
-    zeros = np.flatnonzero(LT.data == 0.0)
-    kept = LT.indices[zeros]
+    starts = range(0, LT.shape[0], _ROW_BLOCK)
+    blocks = [LT.indptr[start:start + _ROW_BLOCK + 1] for start in starts]
+
+    def zeros(ptr):  # positions of the stored zeros of one block of rows
+        return ptr[0] + np.flatnonzero(LT.data[ptr[0]:ptr[-1]] == 0.0)
+
+    kept = [LT.indices[zeros(ptr)] for ptr in blocks]
     try:
-        LT.indices[zeros] = np.searchsorted(LT.indptr, zeros, side="right") - 1
+        for start, ptr in zip(starts, blocks):
+            at = zeros(ptr)
+            LT.indices[at] = start + np.searchsorted(ptr, at, side="right") - 1
         n_comp, labels = connected_components(LT, directed=True, connection="strong")
         is_open = np.zeros(n_comp, dtype=bool)
-        for start in range(0, LT.shape[0], _ROW_BLOCK):
-            ptr = LT.indptr[start:start + _ROW_BLOCK + 1]
+        for start, ptr in zip(starts, blocks):
             dst = np.repeat(labels[start:start + ptr.size - 1], np.diff(ptr))
             src = labels[LT.indices[ptr[0]:ptr[-1]]]
             is_open[src[src != dst]] = True
     finally:
-        LT.indices[zeros] = kept
+        for ptr, columns in zip(blocks, kept):
+            LT.indices[zeros(ptr)] = columns
     return n_comp - int(np.count_nonzero(is_open))
 
 
