@@ -70,7 +70,6 @@ _GATED_REPLICAS = 2
 _COMMON = {
     "experiment": Key("str", REQUIRED, choices=EXPERIMENTS),
     "seed": Key("int", 0, lo=0),
-    "stream": Key("int", 0, lo=0),
     "workers": Key("int", 1, lo=1),
     "oracle": Key("str", "auto", choices=("on", "off", "auto")),
     "output_dir": Key("str"),
@@ -86,7 +85,6 @@ _KEYS: dict[str, dict[str, Key]] = {
         "k": Key("int", 1, lo=1),
         "t": Key("number", 1.0, lo=0.0),
         "tolerance": Key("number", 1e-8, lo=0.0, strict=True),
-        "mode": Key("str", "coalescing", choices=("coalescing", "independent")),
         "forward_initial_file": Key("str"),
         "replicas": Key("int", 20000, lo=_GATED_REPLICAS),
         "sigmas": _SIGMAS,

@@ -320,12 +320,6 @@ def estimate_dual_side(
     if not 0.0 < p < 1.0:
         raise ValueError(f"duality weights need p in (0,1), got {p}")
     prefactor = p ** len(initial.revealed_positive) * (1.0 - p) ** len(initial.revealed_negative)
-    parts = [
-        f"site{x}={'+' if s > 0 else '-'}1"
-        for x, s in zip(initial.positions, initial.signs)
-    ]
-    parts += [f"edge{e}=+1" for e in sorted(initial.revealed_positive)]
-    parts += [f"edge{e}=-1" for e in sorted(initial.revealed_negative)]
     check_dual_rings(replicas, initial.walker_count, t)
     runs = _dual_runs(table, replicas, stream, workers, initial=initial, t_max=t, mode=mode)
     pos, sgn, status = runs.positions, runs.signs, runs.status
@@ -337,7 +331,7 @@ def estimate_dual_side(
     match &= ((status == 0) | (status == forward_state.edge_signs)).all(axis=1)
     plus, minus = (status == 1).sum(axis=1), (status == -1).sum(axis=1)
     weight = np.where(match, p**-plus * (1.0 - p) ** -minus, 0.0)
-    return _summarize(f"dual_side:t={t:g}:{'&'.join(parts)}", prefactor * weight)
+    return _summarize("dual_side", prefactor * weight)
 
 
 @dataclass(frozen=True)

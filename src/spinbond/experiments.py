@@ -130,17 +130,17 @@ class ExperimentResult:
         self.files.append(str(path))
         return path
 
-    def write(self, name: str, table, format="jsonl", legend=None) -> None:
-        """``write_results`` of ``table`` into ``out_dir``; a CSV's ``legend`` goes beside it.
+    def write(self, name: str, table, legend=None) -> None:
+        """``write_results`` of ``table`` into ``out_dir``; a ``legend`` goes beside it.
 
         ``table`` maps names to equal-length columns, written in blocks (see
         ``write_results``); JSON lines also take an iterable of records.
         """
         if self.out_dir is None:
             return
-        write_results(table, self.path(name), format)
+        write_results(table, self.path(name))
         if legend is not None:
-            self.path(name.replace(".csv", ".legend.txt")).write_text(legend)
+            self.path(str(Path(name).with_suffix(".legend.txt"))).write_text(legend)
 
 
 # Rows per block of a column table; one block's strings are all that is
@@ -149,8 +149,8 @@ class ExperimentResult:
 _WRITE_BLOCK = 1024
 
 
-def write_results(table, path, format: str = "jsonl") -> None:
-    """Write a table to ``path`` as JSON lines or CSV.
+def write_results(table, path) -> None:
+    """Write a table to ``path`` as JSON lines or CSV, by its suffix ``.jsonl`` or ``.csv``.
 
     ``table`` maps field names to equal-length columns (numpy arrays or
     sequences of floats, ints, bools or strings), and each row becomes one
@@ -166,12 +166,14 @@ def write_results(table, path, format: str = "jsonl") -> None:
     byte-equal to one record at a time through those encoders.
 
     For JSON lines, ``table`` may instead be an iterable of records of any
-    shape, written as they come with one ``json.dumps`` each.
+    shape, written as they come with one ``json.dumps`` each. A path with
+    any other suffix raises ``ValueError`` before anything is written.
     """
-    if format not in ("jsonl", "csv"):
-        raise ValueError(f"format must be 'jsonl' or 'csv', got {format!r}")
     path = Path(path)
-    if format == "jsonl" and not isinstance(table, dict):
+    if path.suffix not in (".jsonl", ".csv"):
+        raise ValueError(f"suffix of {path.name!r} names no results format: .jsonl or .csv")
+    as_csv = path.suffix == ".csv"
+    if not as_csv and not isinstance(table, dict):
         with path.open("w") as fh:
             fh.writelines(json.dumps(rec) + "\n" for rec in table)
         return
@@ -180,10 +182,10 @@ def write_results(table, path, format: str = "jsonl") -> None:
     if any(len(col) != rows for col in cols):
         raise ValueError("columns must all have the same length")
     blocks = (
-        [_block_cells(col[start:start + _WRITE_BLOCK], format) for col in cols]
+        [_block_cells(col[start:start + _WRITE_BLOCK], as_csv) for col in cols]
         for start in range(0, rows, _WRITE_BLOCK)
     )
-    if format == "csv":
+    if as_csv:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(table)
@@ -204,7 +206,7 @@ def write_results(table, path, format: str = "jsonl") -> None:
             fh.write("".join(parts))
 
 
-def _block_cells(block, format: str) -> list[str]:
+def _block_cells(block, as_csv: bool) -> list[str]:
     """The cell strings of one block of a column, each distinct value encoded once."""
     col = np.asarray(block)
     kind = col.dtype.kind
@@ -216,7 +218,7 @@ def _block_cells(block, format: str) -> list[str]:
         values = uniq.tolist()
     else:
         raise TypeError(f"cannot write a column of {col.dtype}")
-    if format == "csv":
+    if as_csv:
         if kind == "f":
             encoded = [f"{x:.17g}" for x in values]
         elif kind == "b":
@@ -376,7 +378,7 @@ def run_experiment(cfg: dict, write_outputs: bool = True) -> ExperimentResult:
     out_dir = Path(cfg["output_dir"]) if write_outputs and "output_dir" in cfg else None
     result = ExperimentResult(cfg["experiment"], out_dir=out_dir)
     model = _build_model(cfg) if needs_graph(cfg) else None
-    stream = RngStream(cfg["seed"], (cfg["stream"], 0))
+    stream = RngStream(cfg["seed"], (0, 0))  # every output's noise hangs off this key
     runner(cfg, result, stream, model)
     return result
 
@@ -392,7 +394,7 @@ def _run_duality_check(cfg: dict, result: ExperimentResult, stream, model: Event
 
 def _duality_check_exact(cfg: dict, result: ExperimentResult, stream, model, forward_initial):
     table = oracle.duality_gap_table(
-        model.g, model.kernel, model.params, forward_initial, cfg["k"], cfg["t"], mode=cfg["mode"]
+        model.g, model.kernel, model.params, forward_initial, cfg["k"], cfg["t"]
     )
     gap = np.abs(table.lhs - table.rhs)
     worst_row = int(np.argmax(gap))
@@ -400,7 +402,7 @@ def _duality_check_exact(cfg: dict, result: ExperimentResult, stream, model, for
 
     result.lines.append(
         f"duality-check: {len(table)} dual initial states, k={cfg['k']}, "
-        f"t={cfg['t']:g}, mode={cfg['mode']}"
+        f"t={cfg['t']:g}, mode=coalescing"
     )
     result.gate(
         f"worst |lhs-rhs| = {worst:.3e} at dual state {table.dual_state[worst_row]}",
@@ -428,14 +430,13 @@ def _duality_check_mc(cfg: dict, result: ExperimentResult, stream, model, forwar
         model, forward_initial, [t], [cyl], cfg["replicas"], stream.child(0), cfg["workers"]
     )[(t, cyl.label())]
     dual = estimate_dual_side(
-        model, forward_initial, dual_initial, t, cfg["replicas"], stream.child(1),
-        cfg["workers"], cfg["mode"],
+        model, forward_initial, dual_initial, t, cfg["replicas"], stream.child(1), cfg["workers"]
     )
     gap = abs(fwd.estimate - dual.estimate)
     pooled = math.hypot(fwd.std_error, dual.std_error)
 
     result.lines += [
-        f"duality-check (mc): k={k}, t={t:g}, mode={cfg['mode']}, "
+        f"duality-check (mc): k={k}, t={t:g}, mode=coalescing, "
         f"{cfg['replicas']} replicas per side",
         f"forward {fwd.estimate:.6f} +- {fwd.std_error:.6f}, "
         f"dual {dual.estimate:.6f} +- {dual.std_error:.6f}",
@@ -450,7 +451,7 @@ def _duality_check_mc(cfg: dict, result: ExperimentResult, stream, model, forwar
             _estimate_record(name, {"p": params.p, "v": params.v, "t": t, **extra}, est)
             for name, extra, est in (
                 ("forward_cylinder", {"cylinder": cyl.label()}, fwd),
-                ("dual_side", {"k": k, "mode": cfg["mode"]}, dual),
+                ("dual_side", {"k": k, "mode": "coalescing"}, dual),
             )
         ),
     )
@@ -527,7 +528,6 @@ def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, model: 
         result.write(
             "stationary_distribution.csv",
             {"state_index": np.arange(len(pi)), "probability": pi},
-            "csv",
             legend=(
                 "state_index: configuration packed into bits; bit x (x < vertex_count)\n"
                 "is 1 when site x has sign +1, bit vertex_count + e is 1 when edge e\n"
@@ -642,7 +642,6 @@ def _tv_decay_exact(
     result.write(
         "tv_decay.csv",
         {"t": times, "total_variation": curve},
-        "csv",
         legend=(
             "t: elapsed time.\n"
             "total_variation: TV distance between the laws at time t started\n"
@@ -685,7 +684,6 @@ def _tv_decay_mc(
             "event": [pt.event for pt in points],
             "std_error": [pt.std_error for pt in points],
         },
-        "csv",
         legend=(
             "t: elapsed time.\n"
             "tv_lower_bound: largest |frequency difference| over the single-site\n"
@@ -797,7 +795,6 @@ def _run_raw_simulate(cfg: dict, result: ExperimentResult, stream, model: EventT
             "observable_id": [label for _, label, _ in rows],
             "value": [value for _, _, value in rows],
         },
-        "csv",
     )
     if cfg["replicas"] == 1 and result.out_dir is not None:
         write_state_file(outcomes[0][1], result.path("final_state.txt"))

@@ -264,19 +264,22 @@ def read_graph_file(path) -> Graph:
     if len(header) != 2:
         raise ValueError(f"graph header must be '<vertex_count> <edge_count>', got {tokens[0]!r}")
     n, m = int(header[0]), int(header[1])
-    if len(tokens) - 1 != m:
-        raise ValueError(f"graph file declares {m} edges but contains {len(tokens) - 1}")
     pairs = []
     for line in tokens[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line {line!r}")
         pairs.append((int(parts[0]), int(parts[1])))
-    return build_graph(pairs, n)
+    g = build_graph(pairs, n)
+    if not len(pairs) == g.edge_count == m:
+        raise ValueError(
+            f"graph file declares {m} edges but lists {len(pairs)}, {g.edge_count} of them distinct"
+        )
+    return g
 
 
 def read_kernel_file(g: Graph, path) -> AdoptionKernel:
-    """Kernel file: one "x y rate" line per positive entry."""
+    """Kernel file: one "x y rate" line per entry, each pair once, both vertices in ``g``."""
     rates: dict[int, dict[int, float]] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -286,7 +289,11 @@ def read_kernel_file(g: Graph, path) -> AdoptionKernel:
         if len(parts) != 3:
             raise ValueError(f"bad kernel line {line!r}, expected 'x y rate'")
         x, y, q = int(parts[0]), int(parts[1]), float(parts[2])
-        rates.setdefault(x, {})[y] = q
+        if not (0 <= x < g.vertex_count and 0 <= y < g.vertex_count):
+            raise ValueError(f"kernel line {line!r} names a vertex outside 0..{g.vertex_count - 1}")
+        if y in rates.setdefault(x, {}):
+            raise ValueError(f"kernel line {line!r} repeats the pair {x} {y}")
+        rates[x][y] = q
     return kernel_from_rates(rates, g.vertex_count)
 
 

@@ -111,16 +111,9 @@ def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParam
     size = forward_state_count(g)
     bits = np.arange(n + m, dtype=np.int32)
     flips = np.int32(1) << bits  # FORWARD_STATE_CAP < 2^31
-    # Neighbour, edge bit and rate of the d-th positive kernel entry of every
-    # site x at [d][x], padded to a common width with rate 0.
-    entries = [[(y, n + g.edge_id(x, y), q) for y, q in kernel.rows[x] if q > 0.0] for x in range(n)]
-    width = max(map(len, entries), default=0)
-    nbr = np.tile(np.arange(n), (width, 1))
-    edge_of = np.full((width, n), n)
-    rate_of = np.zeros((width, n))
-    for x, row in enumerate(entries):
-        for d, (y, e, q) in enumerate(row):
-            nbr[d, x], edge_of[d, x], rate_of[d, x] = y, e, q
+    nbr, edge_of, rate_of = _kernel_entries(g, kernel)
+    width = len(nbr)
+    edge_of += n  # the edge's bit
     up_rate = edge_flip_rate(-1, params)
     down_rate = edge_flip_rate(1, params)
 
@@ -147,6 +140,24 @@ def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParam
 
     # L.T's rows; their transpose is L stored by columns, on the same arrays.
     return _assemble_generator(size, n + m + 1, columns).T
+
+
+def _kernel_entries(g: Graph, kernel: AdoptionKernel):
+    """Neighbour, edge id and rate of the d-th positive kernel entry of every site x at [d, x].
+
+    Padded to a common width with the site itself, edge 0 and rate 0. The
+    simulators compile their own table (``EventTable``), not this one.
+    """
+    n = g.vertex_count
+    entries = [[(y, g.edge_id(x, y), q) for y, q in kernel.rows[x] if q > 0.0] for x in range(n)]
+    width = max(map(len, entries))
+    nbr = np.tile(np.arange(n, dtype=np.int32), (width, 1))
+    edge_of = np.zeros((width, n), dtype=np.int32)
+    rate_of = np.zeros((width, n))
+    for x, row in enumerate(entries):
+        for d, (y, e, q) in enumerate(row):
+            nbr[d, x], edge_of[d, x], rate_of[d, x] = y, e, q
+    return nbr, edge_of, rate_of
 
 
 def _generator_rows(targets: np.ndarray, rates: np.ndarray, into: np.ndarray | None = None):
@@ -495,17 +506,9 @@ def build_dual_generator(
     n, m = g.vertex_count, g.edge_count
     p, v = params.p, params.v
     block = n**k * 2**k  # index stride of the first environment digit
-    # Neighbour, rate and edge stride of the d-th positive kernel entry of
-    # every site z at [d, z], padded to a common width with y = z at rate 0.
-    # A rate-0 entry may point at a non-neighbour, which has no edge id.
-    entries = [[(y, q) for y, q in row if q > 0.0] for row in kernel.rows]
-    width = max(map(len, entries))
-    nbr = np.repeat(np.arange(n, dtype=np.int32)[None, :], width, axis=0)
-    rate_of = np.zeros((width, n))
-    stride_of = np.full((width, n), block, dtype=np.int32)
-    for z, row in enumerate(entries):
-        for d, (y, q) in enumerate(row):
-            nbr[d, z], rate_of[d, z], stride_of[d, z] = y, q, block * 3 ** g.edge_id(z, y)
+    nbr, edge_of, rate_of = _kernel_entries(g, kernel)
+    width = len(nbr)
+    stride_of = block * 3**edge_of  # the edge's environment digit
     edge_strides = block * 3 ** np.arange(m, dtype=np.int32)[:, None]
     # Two slots per walker and kernel entry, one per edge, and the diagonal's.
     slots = 2 * k * width + m + 1
@@ -571,20 +574,19 @@ def duality_gap_table(
     forward_initial: SpinBondState,
     k: int,
     t: float,
-    mode: str = "coalescing",
 ) -> np.recarray:
     """Duality gaps for every dual initial configuration at once.
 
-    Returns one record (dual_state, lhs, rhs) per dual state, in index
-    order. The right side for all initial conditions is a single semigroup
-    action on the weight vector, made on the dual generator itself; that
-    vector is the left side's masses at t = 0, where the law is the point
-    mass on the forward initial state.
+    Returns one record (dual_state, lhs, rhs) per state of the coalescing
+    dual, in index order. The right side for all initial conditions is a
+    single semigroup action on the weight vector, made on the dual
+    generator itself; that vector is the left side's masses at t = 0,
+    where the law is the point mass on the forward initial state.
     """
     delta = forward_delta(g, forward_initial)
     # The dual generator is built first, while no dual-sized vector is held.
     rhs = transient_action(
-        build_dual_generator(g, kernel, params, k, mode=mode),
+        build_dual_generator(g, kernel, params, k),
         _weighted_cylinder_masses(g, delta, k, params.p),
         t,
     )

@@ -41,8 +41,6 @@ DUALITY_BASE = dict(
 def test_valid_config_fills_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, **DUALITY_BASE), env={})
     assert cfg["tolerance"] == 1e-8
-    assert cfg["mode"] == "coalescing"
-    assert cfg["stream"] == 0
     assert cfg["workers"] == 1
     assert cfg["oracle"] == "auto"
 
@@ -581,8 +579,8 @@ def test_forward_work_at_the_ring_budget_finishes(tmp_path, capsys, monkeypatch)
     assert (tmp_path / "out" / "checkpoints.csv").exists()
 
 
-def _benchmark_monte_carlo_configs(run_dir, monkeypatch):
-    """The configs of the benchmark's Monte Carlo workload, from its own generator."""
+def _benchmark_workloads(monkeypatch):
+    """The benchmark's workload generator module, loaded from its file."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
@@ -591,7 +589,33 @@ def _benchmark_monte_carlo_configs(run_dir, monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _benchmark_monte_carlo_configs(run_dir, monkeypatch):
+    """The configs of the benchmark's Monte Carlo workload, from its own generator."""
+    workloads = _benchmark_workloads(monkeypatch)
     return {op.name: op.config for op in workloads.monte_carlo(3, run_dir)}
+
+
+@pytest.mark.parametrize("seed", [3, 41])
+def test_every_benchmark_config_is_a_valid_config(tmp_path, monkeypatch, seed):
+    # The benchmark runs copies of the shipped configs and configs it
+    # generates; a key the program stops accepting would make its
+    # operations exit 2. The generator writes into tmp_path only.
+    workloads = _benchmark_workloads(monkeypatch)
+    shipped = sorted(path.name for path in CONFIG_DIR.glob("*.json"))
+    assert shipped == sorted(path.name for path in workloads.SHIPPED_DIR.glob("*.json"))
+    for name in shipped:
+        assert (workloads.SHIPPED_DIR / name).read_bytes() == (CONFIG_DIR / name).read_bytes()
+    ops = [
+        op
+        for workload in ("monte-carlo", "exact-oracle")
+        for op in workloads.WORKLOADS[workload](seed, tmp_path / workload)
+    ]
+    assert len(ops) == 12
+    for op in ops:
+        load_config(op.config_path, env={})  # the file the benchmark hands the program
 
 
 def test_shipped_and_benchmark_forward_work_stays_far_below_the_ring_budget(
@@ -1067,6 +1091,37 @@ def test_cli_tv_decay_and_raw_simulate_read_their_initial_file(tmp_path):
             dict(experiment="raw-simulate", graph="path:3", t_max=1.0, observables=["site0"]),
             "bad cylinder term 'site0'",
         ),
+        (
+            {"kernel.txt": "0 1 0.5\n0 2 0.5\n1 0 0.5\n1 2 0.5\n2 0 0.5\n2 1 0.5\n7 0 0.9\n"},
+            dict(experiment="duality-check", graph="cycle:3", kernel_file="kernel.txt"),
+            "names a vertex outside 0..2",
+        ),
+        (
+            {"kernel.txt": "0 1 0.5\n0 2 0.5\n1 0 0.5\n1 2 0.5\n2 0 0.5\n2 1 0.5\n-1 2 3.0\n"},
+            dict(experiment="duality-check", graph="cycle:3", kernel_file="kernel.txt"),
+            "names a vertex outside 0..2",
+        ),
+        (
+            {"kernel.txt": "0 1 0.5\n0 2 0.5\n1 0 0.5\n1 2 0.5\n2 0 0.5\n2 1 0.5\n0 1 0.5\n"},
+            dict(experiment="duality-check", graph="cycle:3", kernel_file="kernel.txt"),
+            "repeats the pair 0 1",
+        ),
+        (
+            {"graph.txt": "3 3\n0 1\n1 2\n1 0\n"},
+            dict(experiment="duality-check", graph_file="graph.txt"),
+            "declares 3 edges but lists 3, 2 of them distinct",
+        ),
+        # Retired keys: the duality check always runs the coalescing dual,
+        # and the seed alone picks the noise.
+        *(
+            ({}, body, f"unknown keys for experiment {body['experiment']!r}: {key}")
+            for key, body in [
+                ("mode", {**DUALITY_BASE, "mode": "coalescing"}),
+                ("mode", {**DUALITY_BASE, "mode": "independent"}),
+                ("stream", {**DUALITY_BASE, "stream": 0}),
+                ("stream", dict(experiment="mgf-check", stream=1)),
+            ]
+        ),
     ],
 )
 def test_cli_file_and_model_errors_exit_two_and_write_nothing(tmp_path, capsys, files, body, message):
@@ -1120,10 +1175,10 @@ def test_write_results_empty_csv_is_header_only(tmp_path):
     from spinbond.experiments import write_results
 
     path = tmp_path / "empty.csv"
-    write_results({"alpha": [], "beta": np.array([])}, path, "csv")
+    write_results({"alpha": [], "beta": np.array([])}, path)
     assert path.read_text() == "alpha,beta\n"
     with pytest.raises(ValueError, match="format"):
-        write_results({"alpha": []}, tmp_path / "x.tsv", "tsv")
+        write_results({"alpha": []}, tmp_path / "x.tsv")
 
 
 def test_write_results_jsonl_round_trip(tmp_path):
@@ -1138,7 +1193,7 @@ def test_write_results_jsonl_round_trip(tmp_path):
          "replicas": 0, "censored": 0},
     ]
     path = tmp_path / "records.jsonl"
-    write_results(records, path, "jsonl")
+    write_results(records, path)
     back = [json.loads(line) for line in path.read_text().splitlines()]
     # repr, because nan != nan
     assert repr(back) == repr(records)
@@ -1178,12 +1233,12 @@ def test_write_results_jsonl_columns_match_json_dumps_per_row(tmp_path):
     rows = zip(*columns.values())
     want = "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
     assert "NaN" in want and "-Infinity" in want and "-0.0" in want
-    write_results(columns, tmp_path / "columns.jsonl", "jsonl")
+    write_results(columns, tmp_path / "columns.jsonl")
     assert (tmp_path / "columns.jsonl").read_text() == want
-    write_results({"gap": []}, tmp_path / "empty.jsonl", "jsonl")
+    write_results({"gap": []}, tmp_path / "empty.jsonl")
     assert (tmp_path / "empty.jsonl").read_text() == ""
     with pytest.raises(ValueError, match="same length"):
-        write_results({"a": [1, 2], "b": [1.0]}, tmp_path / "ragged.jsonl", "jsonl")
+        write_results({"a": [1, 2], "b": [1.0]}, tmp_path / "ragged.jsonl")
 
 
 def test_write_results_csv_columns_match_csv_writer(tmp_path):
@@ -1214,7 +1269,7 @@ def test_write_results_csv_columns_match_csv_writer(tmp_path):
     want = (tmp_path / "want.csv").read_bytes()
     assert b"nan" in want and b"-inf" in want and b"-0" in want and b'"a,b"' in want
     assert b'"quo""te"' in want and want.count(b"\r\n") == len(lhs) + 1
-    write_results(columns, tmp_path / "columns.csv", "csv")
+    write_results(columns, tmp_path / "columns.csv")
     assert (tmp_path / "columns.csv").read_bytes() == want
 
 
@@ -1222,11 +1277,33 @@ def test_write_results_csv_field_order(tmp_path):
     from spinbond.experiments import write_results
 
     path = tmp_path / "table.csv"
-    write_results({"b": [2.0, 0.125], "a": [1, 3]}, path, "csv")
+    write_results({"b": [2.0, 0.125], "a": [1, 3]}, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "b,a"
     assert lines[1] == "2,1"
     assert lines[2] == "0.125,3"
+
+
+def test_write_results_suffix_picks_the_encoder(tmp_path):
+    from spinbond.experiments import ExperimentResult, write_results
+
+    table = {"b": [2.0, 0.125], "a": [1, 3]}
+    write_results(table, tmp_path / "t.csv")
+    write_results(table, tmp_path / "t.jsonl")
+    assert (tmp_path / "t.csv").read_bytes() == b"b,a\r\n2,1\r\n0.125,3\r\n"
+    assert (tmp_path / "t.jsonl").read_text() == '{"b": 2.0, "a": 1}\n{"b": 0.125, "a": 3}\n'
+    for name in ("t.tsv", "t", "t.csv.gz", "t.JSONL"):
+        with pytest.raises(ValueError, match="no results format"):
+            write_results(table, tmp_path / name)
+        assert not (tmp_path / name).exists()
+    # The legend goes beside the table, also beside a JSON lines one.
+    for name in ("t.csv", "t.jsonl"):
+        out = tmp_path / f"out_{name}"
+        result = ExperimentResult("x", out_dir=out)
+        result.write(name, table, legend="b, a\n")
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert (out / "t.legend.txt").read_text() == "b, a\n"
+        assert result.files == [str(out / name), str(out / "t.legend.txt")]
 
 
 def test_write_results_jsonl_numpy_columns_match_sequences(tmp_path):
@@ -1246,8 +1323,8 @@ def test_write_results_jsonl_numpy_columns_match_sequences(tmp_path):
     rows = zip(*as_lists.values())
     want = "".join(json.dumps(dict(zip(columns, row))) + "\n" for row in rows)
     assert "NaN" in want and "-Infinity" in want and "-0.0" in want
-    write_results(columns, tmp_path / "numpy.jsonl", "jsonl")
-    write_results(as_lists, tmp_path / "lists.jsonl", "jsonl")
+    write_results(columns, tmp_path / "numpy.jsonl")
+    write_results(as_lists, tmp_path / "lists.jsonl")
     assert (tmp_path / "numpy.jsonl").read_text() == want
     assert (tmp_path / "lists.jsonl").read_text() == want
 
@@ -1260,8 +1337,8 @@ def test_write_results_streams_jsonl_records_from_a_generator(tmp_path):
     def records(count):
         return ({"state_index": s, "probability": s / 7.0} for s in range(count))
 
-    write_results(list(records(50)), tmp_path / "list.jsonl", "jsonl")
-    write_results(records(50), tmp_path / "generator.jsonl", "jsonl")
+    write_results(list(records(50)), tmp_path / "list.jsonl")
+    write_results(records(50), tmp_path / "generator.jsonl")
     text = (tmp_path / "generator.jsonl").read_text()
     assert text == (tmp_path / "list.jsonl").read_text()
     assert text.splitlines()[0] == '{"state_index": 0, "probability": 0.0}'
@@ -1269,7 +1346,7 @@ def test_write_results_streams_jsonl_records_from_a_generator(tmp_path):
     # writer holds one record and the file buffer
     tracemalloc.start()
     try:
-        write_results(records(100_000), tmp_path / "long.jsonl", "jsonl")
+        write_results(records(100_000), tmp_path / "long.jsonl")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

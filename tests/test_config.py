@@ -16,12 +16,12 @@ def typed(cfg: dict) -> dict:
     return {key: repr(value) for key, value in cfg.items()}
 
 
-COMMON_DEFAULTS = dict(p=0.5, v=1.0, seed=0, stream=0, workers=1, oracle="auto")
+COMMON_DEFAULTS = dict(p=0.5, v=1.0, seed=0, workers=1, oracle="auto")
 
 MINIMAL = [
     (
         {"experiment": "duality-check", "graph": "path:3"},
-        dict(k=1, t=1.0, tolerance=1e-8, mode="coalescing", replicas=20000, sigmas=3.0),
+        dict(k=1, t=1.0, tolerance=1e-8, replicas=20000, sigmas=3.0),
     ),
     (
         {"experiment": "stationary-compare", "graph": "path:3"},
@@ -70,42 +70,41 @@ def test_minimal_config_resolves_to_exact_dict(raw, defaults):
 SHIPPED = {
     "duality_check": dict(
         experiment="duality-check", seed=1, graph="complete:2", p=0.3, v=1.0, k=2, t=1.0,
-        tolerance=1e-8, output_dir="out/duality_check", mode="coalescing", replicas=20000,
-        sigmas=3.0, stream=0, workers=1, oracle="auto",
+        tolerance=1e-8, output_dir="out/duality_check", replicas=20000,
+        sigmas=3.0, workers=1, oracle="auto",
     ),
     "duality_check_mc": dict(
         experiment="duality-check", graph="grid_torus:3,3", p=0.3, v=1.0, k=2, t=1.0,
         replicas=40000, seed=12, output_dir="out/duality_check_mc", tolerance=1e-8,
-        mode="coalescing", sigmas=3.0, stream=0, workers=1, oracle="auto",
+        sigmas=3.0, workers=1, oracle="auto",
     ),
     "mgf_check": dict(
         experiment="mgf-check", seed=5, v=1.0, thetas=[-1.0, 0.5], times=[1.0, 5.0],
         r0_values=[0, 3], replicas=20000, sigmas=3.0, check_domination=True,
-        graph="path:3", p=0.3, t=2.0, output_dir="out/mgf_check", stream=0, workers=1,
-        oracle="auto",
+        graph="path:3", p=0.3, t=2.0, output_dir="out/mgf_check", workers=1, oracle="auto",
     ),
     "mu_dyn": dict(
         experiment="mu-dyn", seed=3, graph="complete:2", p=0.3, v=1.0, sites=[0, 1],
         signs=[1, 1], replicas=20000, sigmas=3.0, report_limit=20,
-        output_dir="out/mu_dyn", revealed_positive=[], revealed_negative=[], stream=0,
-        workers=1, oracle="auto",
+        output_dir="out/mu_dyn", revealed_positive=[], revealed_negative=[], workers=1,
+        oracle="auto",
     ),
     "raw_simulate": dict(
         experiment="raw-simulate", seed=6, graph="cycle:6", p=0.4, v=1.0, t_max=5.0,
         checkpoint_times=[1.0, 2.5, 5.0],
         observables=["site0=+1", "site3=+1", "edge0=-1", "site0=+1&edge0=+1"],
         site_plus_prob=0.5, edge_plus_prob=0.5, replicas=200,
-        output_dir="out/raw_simulate", stream=0, workers=1, oracle="auto",
+        output_dir="out/raw_simulate", workers=1, oracle="auto",
     ),
     "stationary_compare": dict(
         experiment="stationary-compare", seed=2, graph="path:3", p=0.3, v=1.0,
         max_revealed=2, replicas=20000, mc_time=20.0, tolerance=1e-10, sigmas=3.0,
-        output_dir="out/stationary_compare", stream=0, workers=1, oracle="auto",
+        output_dir="out/stationary_compare", workers=1, oracle="auto",
     ),
     "tv_decay": dict(
         experiment="tv-decay", seed=4, graph="path:3", p=0.3, v=1.0, t_max=20.0,
         t_step=0.5, threshold=0.01, output_dir="out/tv_decay", replicas=20000,
-        sigmas=3.0, stream=0, workers=1, oracle="auto",
+        sigmas=3.0, workers=1, oracle="auto",
     ),
 }
 

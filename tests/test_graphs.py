@@ -146,6 +146,14 @@ def test_graph_file_comments_and_errors(tmp_path):
     path.write_text("3 2\n0 1\n")
     with pytest.raises(ValueError, match="declares 2 edges"):
         read_graph_file(path)
+    # As many lines as declared but 1 0 is 0 1 again, or as many distinct
+    # edges as declared but one line more.
+    path.write_text("3 3\n0 1\n1 2\n1 0\n")
+    with pytest.raises(ValueError, match="declares 3 edges but lists 3, 2 of them distinct"):
+        read_graph_file(path)
+    path.write_text("3 3\n0 1\n1 2\n1 0\n0 2\n")
+    with pytest.raises(ValueError, match="declares 3 edges but lists 4, 3 of them distinct"):
+        read_graph_file(path)
     path.write_text("3\n")
     with pytest.raises(ValueError, match="header"):
         read_graph_file(path)
@@ -164,6 +172,17 @@ def test_kernel_file_roundtrip(tmp_path):
     path.write_text("0 1\n")
     with pytest.raises(ValueError, match="expected 'x y rate'"):
         read_kernel_file(g, path)
+    # A vertex outside the graph, as source or target, or a pair named twice.
+    for extra, message in [
+        ("7 0 0.9", "outside 0..2"),
+        ("-1 2 3.0", "outside 0..2"),
+        ("0 3 0.0", "outside 0..2"),
+        ("1 0 0.25", "repeats the pair 1 0"),
+    ]:
+        write_kernel_file(kern, path)
+        path.write_text(path.read_text() + extra + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_kernel_file(g, path)
 
 
 @given(

@@ -174,7 +174,7 @@ def test_result_writer_streams_its_blocks(tmp_path):
     rhs = np.arange(rows) / 11.0
     columns = {"dual_state": np.arange(rows), "lhs": lhs, "rhs": rhs, "gap": np.abs(lhs - rhs)}
     path = tmp_path / "gaps.jsonl"
-    _, peak = _traced_peak(lambda: write_results(columns, path, "jsonl"))
+    _, peak = _traced_peak(lambda: write_results(columns, path))
     size = path.stat().st_size
     assert size > 10_000_000
     assert peak < size / 4
