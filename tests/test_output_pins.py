@@ -4,7 +4,10 @@ The writer's tests compare it with ``json.dumps`` and ``csv.writer`` row by
 row; these pins hold the files the runners write, header, line endings and
 every digit, so a change in how a table is encoded, blocked or ordered
 fails here. The duality gap table (24,300 rows) and ``checkpoints.csv``
-(10,000 rows) each span several of the writer's blocks. The exact
+(10,000 rows) each span several of the writer's blocks; the smaller
+raw-simulate pins hold how its time column is spelled for fractional,
+integer, repeated and end-point checkpoints, its final state and its
+rows' order across workers. The exact
 ``cycle:4``, ``cycle:5`` and ``cycle:6`` files also hold the sparse layout
 of the generators to its bits: a product, a row sum or a stationary sweep
 that adds its terms in another order fails here. A change that alters a
@@ -51,6 +54,28 @@ CONFIGS = {
         observables=["site0=+1", "site2=-1", "edge0=+1", "edge1=-1", "site1=+1&edge1=+1"],
         replicas=200, seed=6,
     ),
+    # Fractional times; all-integer times (the config keeps them ints); a
+    # repeated checkpoint with checkpoints at 0 and t_max, on one replica,
+    # which also writes final_state.txt; and two workers.
+    "raw_fractional": dict(
+        experiment="raw-simulate", graph="path:3", p=0.4, v=1.0, t_max=3.0,
+        checkpoint_times=[2.5, 0.1], observables=["site0=+1", "edge1=-1"], replicas=40, seed=8,
+    ),
+    "raw_integer": dict(
+        experiment="raw-simulate", graph="path:3", p=0.4, v=1.0, t_max=3,
+        checkpoint_times=[1, 2, 3], observables=["site1=-1", "site0=+1&edge0=+1"],
+        replicas=40, seed=9,
+    ),
+    "raw_one_replica": dict(
+        experiment="raw-simulate", graph="path:3", p=0.4, v=1.0, t_max=3.0,
+        checkpoint_times=[0.0, 1.5, 1.5, 3.0], observables=["site2=+1", "edge0=-1"],
+        replicas=1, seed=10,
+    ),
+    "raw_workers": dict(
+        experiment="raw-simulate", graph="path:3", p=0.4, v=1.0, t_max=2.0,
+        checkpoint_times=[0.5, 2.0], observables=["site0=-1", "edge1=+1&site2=+1"],
+        replicas=30, seed=11, workers=2,
+    ),
 }
 
 OUTPUT_PINS = {
@@ -74,6 +99,21 @@ OUTPUT_PINS = {
     ),
     ("raw", "checkpoints.csv"): (
         "9f986b1e179986c562025aed3d98ccdc0802a0dc3c650b326d712e0c1aab65a8"
+    ),
+    ("raw_fractional", "checkpoints.csv"): (
+        "cd12c374ed4c8703aee6c825a92f7e4a56f7115bd1c2b68f9d0a40a2006f08a9"
+    ),
+    ("raw_integer", "checkpoints.csv"): (
+        "ac77bc2e8db2a3230b9c037cbea0b11b5103cf95b0a183aa23f2256573a42242"
+    ),
+    ("raw_one_replica", "checkpoints.csv"): (
+        "96c61cad4de34802c064af494386a16c74a23d30780e494957bd708d40c5010f"
+    ),
+    ("raw_one_replica", "final_state.txt"): (
+        "d6fe6a83091347dd46592674b86b5de573c158e669e152315dc572904d58b939"
+    ),
+    ("raw_workers", "checkpoints.csv"): (
+        "fbad823714add8773e28bf3c29bc3744b5d17c7c607d9385735fed4ab9dec149"
     ),
 }
 
