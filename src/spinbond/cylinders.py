@@ -47,7 +47,7 @@ class CylinderEvent:
     def label(self) -> str:
         """Stable observable id, e.g. ``site3=+1&edge0=-1``; empty cylinder is ``full``.
 
-        Built once in ``of``: forward runs record it at every checkpoint.
+        Built once in ``of``.
         """
         return self._label
 

@@ -82,13 +82,6 @@ class DualState:
         if overlap:
             raise ValueError(f"edges {sorted(overlap)} revealed with both signs")
 
-    def classes(self) -> list[tuple[int, ...]]:
-        """Walker indices grouped by shared position, sorted by first member."""
-        by_site: dict[int, list[int]] = {}
-        for idx, z in enumerate(self.positions):
-            by_site.setdefault(z, []).append(idx)
-        return sorted((tuple(v) for v in by_site.values()), key=lambda c: c[0])
-
 
 @dataclass
 class DualTrajectory:
@@ -348,8 +341,15 @@ class CoalescenceReport:
     censored: bool
 
     @staticmethod
-    def of(st: DualState, time: float, censored: bool) -> "CoalescenceReport":
-        """Report on a final state: its classes and whether each shares one sign."""
-        partition = tuple(st.classes())
-        sync = tuple(all(st.signs[j] == st.signs[cls[0]] for j in cls) for cls in partition)
+    def of(positions: list, signs: list, time: float, censored: bool) -> "CoalescenceReport":
+        """Report on one replica's final walkers: their classes and whether each shares one sign.
+
+        A class is the walker indices at one position; classes come in the
+        order of their first members.
+        """
+        by_site: dict[int, list[int]] = {}
+        for idx, z in enumerate(positions):
+            by_site.setdefault(z, []).append(idx)
+        partition = tuple(map(tuple, by_site.values()))
+        sync = tuple(all(signs[j] == signs[cls[0]] for j in cls) for cls in partition)
         return CoalescenceReport(partition=partition, sync=sync, time=time, censored=censored)

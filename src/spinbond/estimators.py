@@ -198,14 +198,14 @@ def check_birth_death_events(replicas: int, r0: int, v: float, t: float) -> None
 
 
 def _forward_cylinder_replica(gen, size, table, initial, t_max, times, cylinders):
-    """A block of one forward run on [0, t_max]: its checkpoint rows and final state.
+    """A block of one forward run on [0, t_max]: its checkpoint hits and final state.
 
     ``size`` is 1: a path needs a substream of its own.
     """
     if isinstance(initial, ProductInitial):
         initial = sample_product_state(table.g, gen, initial.site_plus_prob, initial.edge_plus_prob)
     traj = simulate_forward(table, initial, t_max, gen, times, cylinders)
-    return traj.checkpoint_rows, traj.final_state
+    return traj.checkpoint_hits, traj.final_state
 
 
 def _cylinder_hits(gen, size, table, initial, times, cylinders) -> np.ndarray:
@@ -449,7 +449,7 @@ def estimate_mu_dyn(
     )
     pos, sgn, time, coalesced = runs.positions, runs.signs, runs.time, runs.stopped
     reports = tuple(
-        CoalescenceReport.of(DualState.of(at.tolist(), sg.tolist()), float(t), not done)
+        CoalescenceReport.of(at.tolist(), sg.tolist(), float(t), not done)
         for at, sg, t, done in zip(pos[:report_limit], sgn[:report_limit], time, coalesced)
     )
     censored = replicas - int(np.count_nonzero(coalesced))

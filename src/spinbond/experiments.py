@@ -74,10 +74,12 @@ class GateFamily:
 
     @property
     def rate(self) -> float:
-        """Family-wise false-failure rate, 0 for an exact family.
+        """Stated family-wise false-failure rate, 0 for an exact family.
 
-        The union bound under the normal approximation, which holds however
-        the gates are correlated.
+        The union bound over the gates of each one's size under the normal
+        approximation. The union holds however the gates are correlated,
+        but the sizes are normal ones, so the rate is approximate, not an
+        exact bound: a gate's exact, binomial, size can be larger.
         """
         if self.sigmas == 0:  # erfc(0) would give 1
             return 0.0
@@ -393,24 +395,24 @@ def _run_duality_check(cfg: dict, result: ExperimentResult, stream, model: Event
 
 
 def _duality_check_exact(cfg: dict, result: ExperimentResult, stream, model, forward_initial):
-    table = oracle.duality_gap_table(
+    lhs, rhs = oracle.duality_gap_table(
         model.g, model.kernel, model.params, forward_initial, cfg["k"], cfg["t"]
     )
-    gap = np.abs(table.lhs - table.rhs)
-    worst_row = int(np.argmax(gap))
-    worst = float(gap[worst_row])
+    gap = np.abs(lhs - rhs)
+    worst_state = int(np.argmax(gap))
+    worst = float(gap[worst_state])
 
     result.lines.append(
-        f"duality-check: {len(table)} dual initial states, k={cfg['k']}, "
+        f"duality-check: {lhs.size} dual initial states, k={cfg['k']}, "
         f"t={cfg['t']:g}, mode=coalescing"
     )
     result.gate(
-        f"worst |lhs-rhs| = {worst:.3e} at dual state {table.dual_state[worst_row]}",
+        f"worst |lhs-rhs| = {worst:.3e} at dual state {worst_state}",
         worst <= cfg["tolerance"], f"tolerance {cfg['tolerance']:.1e}",
     )
     result.write(
         "duality_gaps.jsonl",
-        {"dual_state": table.dual_state, "lhs": table.lhs, "rhs": table.rhs, "gap": gap},
+        {"dual_state": np.arange(lhs.size), "lhs": lhs, "rhs": rhs, "gap": gap},
     )
 
 
@@ -786,14 +788,15 @@ def _run_raw_simulate(cfg: dict, result: ExperimentResult, stream, model: EventT
         f"raw-simulate: {cfg['replicas']} replicas on [0, {cfg['t_max']:g}], "
         f"{len(cylinders)} observables, {len(times)} checkpoints"
     )
-    rows = [row for replica_rows, _ in outcomes for row in replica_rows]
+    # Each replica's hits run over the times, then the observables.
+    per_replica = len(times) * len(cylinders)
     result.write(
         "checkpoints.csv",
         {
-            "replica": np.repeat(np.arange(len(outcomes)), [len(r) for r, _ in outcomes]),
-            "time": [t for t, _, _ in rows],
-            "observable_id": [label for _, label, _ in rows],
-            "value": [value for _, _, value in rows],
+            "replica": np.arange(len(outcomes)).repeat(per_replica),
+            "time": np.tile(np.repeat(times, len(cylinders)), len(outcomes)),
+            "observable_id": np.tile([cyl.label() for cyl in cylinders], len(outcomes) * len(times)),
+            "value": np.concatenate([hits for hits, _ in outcomes]),
         },
     )
     if cfg["replicas"] == 1 and result.out_dir is not None:

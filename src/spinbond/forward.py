@@ -16,7 +16,7 @@ then two uniforms per ring, a chunk at a time; it maps them to the table's
 flat entries in numpy, and its one Python loop reads each ring's object and
 two columns from the table's move table of shared Python ints and sets that
 object of a list of signs to the product. It returns what the laws are read
-from: the cylinder rows at the checkpoints, the final state and the ring
+from: the cylinder hits at the checkpoints, the final state and the ring
 count.
 """
 
@@ -229,7 +229,7 @@ class EventTable:
 class ForwardTrajectory:
     final_state: SpinBondState
     event_count: int
-    checkpoint_rows: list[tuple[float, str, float]]
+    checkpoint_hits: np.ndarray
 
 
 def check_t_max(t_max: float) -> None:
@@ -254,17 +254,17 @@ def simulate_forward(
     """Run the process of the model ``table`` on [0, t_max] from ``initial``, left unchanged.
 
     ``observables`` are cylinder events evaluated at each checkpoint time,
-    on the state the rings before it leave; rows come back as (time,
-    observable label, 0.0 or 1.0). The final state keeps the initial
-    arrays' dtypes, and ``event_count`` is the number of rings. Many runs
-    may share one table.
+    on the state the rings before it leave; ``checkpoint_hits`` holds 1
+    where one holds and 0 where not, as int64, times (sorted) outermost.
+    The final state keeps the initial arrays' dtypes, and ``event_count``
+    is the number of rings. Many runs may share one table.
 
     Each interval between checkpoints, the last one ending at t_max, draws
     its Poisson(rate * length) ring count, then its rings in chunks of at
     most ``CHUNK_CAP``: two uniforms per ring, which pick its object and its
     row entry as in ``EventTable.rings``. These are the draws of a
     one-replica block of the batched forward estimator, so the checkpoint
-    rows are its hits. The loop unpacks each ring's tuple of shared ints
+    hits are that block's. The loop unpacks each ring's tuple of shared ints
     from the table's ``moves``, built on the table's first path.
     """
     g = table.g
@@ -279,7 +279,7 @@ def simulate_forward(
         raise ValueError(f"checkpoint {checkpoints[0]} lies before time 0")
     if checkpoints and checkpoints[-1] > t_max:
         raise ValueError(f"checkpoint {checkpoints[-1]} lies beyond t_max={t_max}")
-    rows: list[tuple[float, str, float]] = []
+    hits: list[bool] = []
 
     n, m = g.vertex_count, g.edge_count
     state = sites + edges + [1, -1]
@@ -297,9 +297,7 @@ def simulate_forward(
         events += count
         start = end
         now, edges_now = state[:n], state[n : n + m]
-        rows += [
-            (end, obs.label(), 1.0 if obs.matches(now, edges_now) else 0.0) for obs in checked
-        ]
+        hits += [obs.matches(now, edges_now) for obs in checked]
 
     return ForwardTrajectory(
         final_state=SpinBondState(
@@ -307,7 +305,7 @@ def simulate_forward(
             np.array(state[n : n + m], dtype=initial.edge_signs.dtype),
         ),
         event_count=events,
-        checkpoint_rows=rows,
+        checkpoint_hits=np.array(hits, dtype=np.int64),
     )
 
 

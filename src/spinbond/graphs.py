@@ -133,12 +133,6 @@ class AdoptionKernel:
 
     rows: tuple[tuple[tuple[int, float], ...], ...]
 
-    def rate(self, x: int, y: int) -> float:
-        for nbr, q in self.rows[x]:
-            if nbr == y:
-                return q
-        return 0.0
-
 
 def kernel_from_rates(rates_by_vertex, vertex_count: int) -> AdoptionKernel:
     """Assemble a kernel from {vertex: {neighbor: rate}} without validating it."""
@@ -160,23 +154,15 @@ def uniform_kernel(g: Graph) -> AdoptionKernel:
     return AdoptionKernel(rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    valid: bool
-    violations: tuple[str, ...]
-
-
-def validate_kernel(g: Graph, kernel: AdoptionKernel) -> KernelReport:
+def validate_kernel(g: Graph, kernel: AdoptionKernel) -> tuple[str, ...]:
     """Check non-negativity, edge support, and unit row outflow.
 
-    Returns a report listing every violated condition instead of raising.
+    Returns a message per violated condition instead of raising: none when
+    the kernel is valid.
     """
-    violations: list[str] = []
     if len(kernel.rows) != g.vertex_count:
-        violations.append(
-            f"kernel has {len(kernel.rows)} rows, graph has {g.vertex_count} vertices"
-        )
-        return KernelReport(valid=False, violations=tuple(violations))
+        return (f"kernel has {len(kernel.rows)} rows, graph has {g.vertex_count} vertices",)
+    violations: list[str] = []
     for x in range(g.vertex_count):
         total = 0.0
         for y, q in kernel.rows[x]:
@@ -187,14 +173,14 @@ def validate_kernel(g: Graph, kernel: AdoptionKernel) -> KernelReport:
             total += q
         if abs(total - 1.0) > ROW_SUM_TOL:
             violations.append(f"row sum at vertex {x} is {total!r}, expected 1")
-    return KernelReport(valid=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 def require_valid_kernel(g: Graph, kernel: AdoptionKernel) -> None:
     """Raise ``ValueError("invalid kernel: ...")`` naming every violation."""
-    report = validate_kernel(g, kernel)
-    if not report.valid:
-        raise ValueError("invalid kernel: " + "; ".join(report.violations))
+    violations = validate_kernel(g, kernel)
+    if violations:
+        raise ValueError("invalid kernel: " + "; ".join(violations))
 
 
 def closed_classes(kernel: AdoptionKernel) -> list[int | None]:

@@ -574,11 +574,11 @@ def duality_gap_table(
     forward_initial: SpinBondState,
     k: int,
     t: float,
-) -> np.recarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Duality gaps for every dual initial configuration at once.
 
-    Returns one record (dual_state, lhs, rhs) per state of the coalescing
-    dual, in index order. The right side for all initial conditions is a
+    Returns the columns (lhs, rhs), entry s for state s of the coalescing
+    dual. The right side for all initial conditions is a
     single semigroup action on the weight vector, made on the dual
     generator itself; that vector is the left side's masses at t = 0,
     where the law is the point mass on the forward initial state.
@@ -592,7 +592,7 @@ def duality_gap_table(
     )
     mu_t = transient_distribution(build_forward_generator(g, kernel, params), delta, t)
     lhs = _weighted_cylinder_masses(g, mu_t, k, params.p)
-    return np.rec.fromarrays([np.arange(lhs.size), lhs, rhs], names=["dual_state", "lhs", "rhs"])
+    return lhs, rhs
 
 
 def _weighted_cylinder_masses(g: Graph, dist: np.ndarray, k: int, p: float) -> np.ndarray:

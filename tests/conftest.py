@@ -62,7 +62,7 @@ def reference_rings(table: EventTable, u: np.ndarray, w: np.ndarray):
 
 
 def reference_forward(table: EventTable, initial: SpinBondState, t_max, gen, times, observables):
-    """What ``simulate_forward`` must return, as (sites, edges, checkpoint rows, ring count).
+    """What ``simulate_forward`` must return, as (sites, edges, checkpoint hits, ring count).
 
     Its loop as first written: per checkpoint interval, the last one ending
     at t_max, a Poisson ring count, then chunks of at most ``CHUNK_CAP``
@@ -71,7 +71,7 @@ def reference_forward(table: EventTable, initial: SpinBondState, t_max, gen, tim
     """
     n, m = table.g.vertex_count, table.g.edge_count
     state = initial.site_signs.tolist() + initial.edge_signs.tolist() + [1, -1]
-    rows, events, start = [], 0, 0.0
+    hits, events, start = [], 0, 0.0
     for end, checked in [(t, observables) for t in sorted(times)] + [(t_max, ())]:
         count = int(gen.poisson(table.rate * (end - start)))
         for first in range(0, count, forward.CHUNK_CAP):
@@ -82,8 +82,8 @@ def reference_forward(table: EventTable, initial: SpinBondState, t_max, gen, tim
         events += count
         start = end
         sites, edges = state[:n], state[n : n + m]
-        rows += [(end, obs.label(), 1.0 if obs.matches(sites, edges) else 0.0) for obs in checked]
-    return state[:n], state[n : n + m], rows, events
+        hits += [1 if obs.matches(sites, edges) else 0 for obs in checked]
+    return state[:n], state[n : n + m], np.array(hits, dtype=np.int64), events
 
 
 def merge_breaks(record, pos, sgn) -> int:

@@ -7,7 +7,7 @@ import pytest
 from conftest import coupled_run, duality_weight, merge_breaks, replay_statuses
 from hypothesis import given, settings, strategies as st
 
-from spinbond.dual import DualState, DualTrajectory, simulate_dual
+from spinbond.dual import CoalescenceReport, DualState, DualTrajectory, simulate_dual
 from spinbond.errors import CensoringError
 from spinbond.estimators import estimate_mu_dyn
 from spinbond.forward import EventTable, ModelParams, SpinBondState
@@ -75,8 +75,8 @@ def test_block_start_is_checked_against_the_graph():
 
 
 def test_classes_group_by_position():
-    d = DualState.of([2, 0, 2, 1], [1, 1, -1, 1])
-    assert d.classes() == [(0, 2), (1,), (3,)]
+    rep = CoalescenceReport.of([2, 0, 2, 1], [1, 1, -1, 1], 0.0, False)
+    assert rep.partition == ((0, 2), (1,), (3,))
 
 
 def test_duality_weight_values(p3):

@@ -554,7 +554,7 @@ def test_mu_dyn_is_stationary(k2):
             gen = stream.child(call).substream(i)
             start = decode_forward_state(g, int(gen.choice(pi.size, p=pi)))
             traj = simulate_forward(table, start, t, gen, checkpoint_times=[t], observables=[cyl])
-            values.append(traj.checkpoint_rows[0][2])
+            values.append(traj.checkpoint_hits[0])
         arr = np.asarray(values, dtype=np.float64)
         se = float(arr.std(ddof=1) / math.sqrt(arr.size))
         pooled = math.hypot(se, mu.result.std_error)

@@ -126,7 +126,7 @@ def test_determinism_same_seed(p3):
         )
         final = traj.final_state
         return (
-            traj.checkpoint_rows, final.site_signs.tobytes(), final.edge_signs.tobytes(),
+            traj.checkpoint_hits.tobytes(), final.site_signs.tobytes(), final.edge_signs.tobytes(),
             traj.event_count,
         )
 
@@ -163,19 +163,23 @@ def test_consensus_absorbs_when_edges_always_refresh_positive(p3):
         assert len(set(final.site_signs.tolist())) == 1
 
 
-def test_checkpoint_rows(p3):
+def test_checkpoint_hits(p3):
     g, kern = p3
     obs = [CylinderEvent.of(sites={0: 1}), CylinderEvent.of(edges={1: -1})]
     table = EventTable(g, kern, ModelParams(0.5, 1.0))
-    traj = simulate_forward(
-        table, striped_state(g), 2.0, RngStream(7).generator(),
-        checkpoint_times=[0.0, 1.0, 2.0], observables=obs,
-    )
-    assert len(traj.checkpoint_rows) == 6
-    assert [row[0] for row in traj.checkpoint_rows] == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
-    assert traj.checkpoint_rows[0] == (0.0, "site0=+1", 1.0)
-    assert traj.checkpoint_rows[1] == (0.0, "edge1=-1", 1.0)
-    assert all(row[2] in (0.0, 1.0) for row in traj.checkpoint_rows)
+
+    def run(times):
+        return simulate_forward(
+            table, striped_state(g), 2.0, RngStream(7).generator(),
+            checkpoint_times=times, observables=obs,
+        ).checkpoint_hits
+
+    hits = run([0.0, 1.0, 2.0])
+    assert hits.dtype == np.int64 and hits.shape == (6,)
+    # Times outermost, in sorted order: the striped start meets both events.
+    assert hits[:2].tolist() == [1, 1]
+    assert set(hits.tolist()) <= {0, 1}
+    assert np.array_equal(run([2.0, 0.0, 1.0]), hits)
     with pytest.raises(ValueError, match="beyond t_max"):
         simulate_forward(
             table, striped_state(g), 1.0, RngStream(7).generator(), checkpoint_times=[2.0]
@@ -308,7 +312,7 @@ def test_forward_follows_the_exact_transient_law(case):
         traj = simulate_forward(
             table, initial, _T_MAX, stream.substream(i), checkpoint_times=_TIMES, observables=obs
         )
-        hits += [value for _, _, value in traj.checkpoint_rows]
+        hits += traj.checkpoint_hits
     freq = dict(zip(product(_TIMES, [cyl.label() for cyl in obs]), hits / replicas))
     L = oracle.build_forward_generator(g, kern, params)
     failures = []
@@ -452,7 +456,7 @@ def test_the_move_table_shares_one_tuple_per_row_for_its_padding():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_forward_runs_match_the_loop_over_the_ring_lists(data):
-    # simulate_forward must give the final state, checkpoint rows and ring
+    # simulate_forward must give the final state, checkpoint hits and ring
     # count of its first loop, which read each ring from the three lists of
     # rings, on the tables of the sampler test above, with checkpoints at 0
     # and at t_max and chunks of one ring up to CHUNK_CAP.
@@ -469,13 +473,14 @@ def test_forward_runs_match_the_loop_over_the_ring_lists(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     with mock.patch.object(forward, "CHUNK_CAP", data.draw(st.sampled_from([1, 3, 4096]))):
         traj = simulate_forward(table, initial, t_max, RngStream(seed).generator(), times, obs)
-        sites, edges, rows, events = reference_forward(
+        sites, edges, hits, events = reference_forward(
             table, initial, t_max, RngStream(seed).generator(), times, obs
         )
     assert traj.final_state.site_signs.dtype == traj.final_state.edge_signs.dtype == np.int8
     assert traj.final_state.site_signs.tolist() == sites
     assert traj.final_state.edge_signs.tolist() == edges
-    assert traj.checkpoint_rows == rows
+    assert traj.checkpoint_hits.dtype == np.int64
+    assert np.array_equal(traj.checkpoint_hits, hits)
     assert traj.event_count == events
 
 
@@ -492,7 +497,7 @@ _BLOCK_CASES = [
 @pytest.mark.parametrize("case", _BLOCK_CASES)
 def test_forward_rows_are_the_hits_of_a_one_replica_block(monkeypatch, case):
     # simulate_forward makes exactly the draws of _cylinder_hits with one
-    # replica, so its checkpoint rows are that block's hits, bit for bit.
+    # replica, so its checkpoint hits are that block's, bit for bit.
     # Checkpoints at 0.0, repeated, and at t_max (or short of it).
     kind, sizes, params, product_start, cap = case
     if cap is not None:
@@ -505,11 +510,11 @@ def test_forward_rows_are_the_hits_of_a_one_replica_block(monkeypatch, case):
     stream = RngStream(5)
     for i in range(100):
         t_max = 3.0 if i % 2 else 3.5
-        rows, _ = _forward_cylinder_replica(
+        path_hits, _ = _forward_cylinder_replica(
             stream.substream(i), 1, table, initial, t_max, times, obs
         )
         hits = _cylinder_hits(stream.substream(i), 1, table, initial, times, obs)
-        assert [value for _, _, value in rows] == hits.tolist()
+        assert path_hits.dtype == hits.dtype and np.array_equal(path_hits, hits)
 
 
 def test_recorded_ring_times_are_poisson_and_uniform(p3):

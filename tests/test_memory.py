@@ -133,15 +133,15 @@ def test_tv_curve_takes_its_generator_over(cycle6):
 
 def test_duality_gap_table_holds_one_dual_generator():
     # The dual generator is built while no dual-sized vector is held and
-    # becomes its own jump matrix, and the table is three columns; the bound
+    # becomes its own jump matrix, and the table is two columns; the bound
     # is in units of the dual generator (5,184 states)
     g = builtin_graph("cycle", 4)
     kern = uniform_kernel(g)
     L_d = oracle.build_dual_generator(g, kern, PARAMS, 2)
     fwd = decode_forward_state(g, 5)
-    table, peak = _traced_peak(lambda: oracle.duality_gap_table(g, kern, PARAMS, fwd, 2, 1.0))
-    assert len(table) == L_d.shape[0]
-    assert np.abs(table.lhs - table.rhs).max() < 1e-10
+    (lhs, rhs), peak = _traced_peak(lambda: oracle.duality_gap_table(g, kern, PARAMS, fwd, 2, 1.0))
+    assert lhs.shape == rhs.shape == (L_d.shape[0],)
+    assert np.abs(lhs - rhs).max() < 1e-10
     assert peak < 2.0 * _generator_bytes(L_d)
 
 

@@ -1004,10 +1004,9 @@ def test_duality_gap_table_covers_every_dual_state(p3):
     fwd = SpinBondState(
         np.array([1, -1, 1], dtype=np.int8), np.array([1, -1], dtype=np.int8)
     )
-    rows = oracle.duality_gap_table(g, kern, params, fwd, k=1, t=0.8)
-    assert len(rows) == oracle.dual_state_count(g, 1)
-    for _, lhs, rhs in rows:
-        assert abs(lhs - rhs) < 1e-11
+    lhs, rhs = oracle.duality_gap_table(g, kern, params, fwd, k=1, t=0.8)
+    assert lhs.shape == rhs.shape == (oracle.dual_state_count(g, 1),)
+    assert np.abs(lhs - rhs).max() < 1e-11
 
 
 def test_gap_table_long_step_matches_dense_expm_of_the_dual_generator(p3):
@@ -1019,10 +1018,10 @@ def test_gap_table_long_step_matches_dense_expm_of_the_dual_generator(p3):
     assert L_d.shape == (54, 54)
     assert float(np.max(-L_d.diagonal())) * t > 2 * oracle._MAX_UNIFORM_EXPONENT
     fwd = striped_state(g)
-    rows = oracle.duality_gap_table(g, kern, params, fwd, k=1, t=t)
+    lhs, rhs = oracle.duality_gap_table(g, kern, params, fwd, k=1, t=t)
     weights = oracle._weighted_cylinder_masses(g, oracle.forward_delta(g, fwd), 1, params.p)
-    assert np.abs(rows.rhs - expm(L_d.toarray() * t) @ weights).max() < 1e-8
-    assert np.abs(rows.lhs - rows.rhs).max() < 1e-8
+    assert np.abs(rhs - expm(L_d.toarray() * t) @ weights).max() < 1e-8
+    assert np.abs(lhs - rhs).max() < 1e-8
 
 
 def test_transient_action_rejects_a_series_that_is_not_finite(p3):
@@ -1042,14 +1041,14 @@ def test_gap_table_lhs_matches_scalar_formula(graph, k, request):
     t = 0.7
     L = oracle.build_forward_generator(g, kern, params)
     mu_t = oracle.transient_distribution(L, oracle.forward_delta(g, fwd), t)
-    rows = oracle.duality_gap_table(g, kern, params, fwd, k=k, t=t)
-    assert [s for s, _, _ in rows] == list(range(oracle.dual_state_count(g, k)))
-    for s, lhs, _ in rows:
+    lhs, _ = oracle.duality_gap_table(g, kern, params, fwd, k=k, t=t)
+    assert lhs.shape == (oracle.dual_state_count(g, k),)
+    for s, value in enumerate(lhs.tolist()):
         dual = decode_dual_state(g, k, s)
         scalar = float(mu_t @ forward_weight_vector(g, dual, params.p))
-        assert abs(lhs - scalar) <= 1e-13
+        assert abs(value - scalar) <= 1e-13
         if k == 2 and dual.positions[0] == dual.positions[1] and dual.signs[0] != dual.signs[1]:
-            assert lhs == 0.0
+            assert value == 0.0
 
 
 def test_independent_rule_breaks_duality_for_shared_sites(k2):

@@ -53,7 +53,7 @@ def _forward_path(kind, sizes, seed):
         "events": traj.event_count,
         "sites": _signs(traj.final_state.site_signs),
         "edges": _signs(traj.final_state.edge_signs),
-        "rows": "".join(str(int(value)) for _, _, value in traj.checkpoint_rows),
+        "rows": "".join(map(str, traj.checkpoint_hits.tolist())),
     }
 
 
