@@ -6,7 +6,8 @@ its entry of ``_KEYS``: its kind, its default (or ``REQUIRED``; no default
 leaves an optional key absent), bounds on its value or on each list item,
 and its choices. Unknown keys are rejected so typos fail loudly instead of
 being ignored. Numbers must be finite; number keys become floats, number
-lists stay as given, and a list may be empty only when its default is.
+lists stay as given, a -0.0 in either reads as 0.0, and a list may be empty
+only when its default is.
 ``validate_config`` walks the table; the rules that tie keys together follow
 it as plain code. The environment variable SPINBOND_SEED overrides the seed,
 even an explicit one.
@@ -159,8 +160,12 @@ def _check(cfg: dict, key: str, spec: Key) -> None:
             raise ConfigError(f"key {key!r} must be <= {spec.hi}, got {x}")
         if spec.choices and x not in spec.choices:
             raise ConfigError(f"key {key!r} must be one of {sorted(spec.choices)}, got {x!r}")
+    # x + 0 keeps an int an int and reads a -0.0 as 0.0, so that an
+    # instant is spelled one way in what a run writes.
     if spec.kind == "number":
-        cfg[key] = float(value)
+        cfg[key] = float(value) + 0
+    elif spec.kind == "numbers":
+        cfg[key] = [x + 0 for x in value]
 
 
 def load_config(path, env: dict | None = None) -> dict:

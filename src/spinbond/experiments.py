@@ -625,11 +625,7 @@ def _tv_decay_exact(
     initial_a: SpinBondState, initial_b: SpinBondState, times,
 ):
     curve = oracle.total_variation_curve(
-        oracle.build_forward_generator(model.g, model.kernel, model.params),
-        oracle.forward_delta(model.g, initial_a),
-        oracle.forward_delta(model.g, initial_b),
-        cfg["t_step"],
-        len(times) - 1,
+        model.g, model.kernel, model.params, initial_a, initial_b, cfg["t_step"], len(times) - 1
     )
 
     result.lines.append(

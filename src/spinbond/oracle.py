@@ -16,16 +16,20 @@ one row width, so a product's inner loop has one trip count. The dual
 generator is stored by rows with its zero slots dropped (about 10 entries
 in 15 slots on cycle:6 with k = 2) and cut to the entries stored.
 
-Each chain is held once. The transient solvers take their generator over,
-and one routine does it: transient_steps turns L.T into the transposed
-jump matrix I + L.T/lam in place. transient_distribution and
-total_variation_curve call it on the forward generator, and
-transient_action (the dual side of the duality gap table) calls it on
-L.T, whose transpose is L's own CSR arrays. Callers that need a generator
-again pass L.copy(). stationary_distribution keeps L as it is, because
+Each chain is held once. The transient solvers take their generator over:
+_uniformize turns L.T into the transposed jump matrix I + L.T/lam in
+place, and one routine, transient_steps, steps vectors with its product.
+transient_distribution does so on the forward generator, and
+transient_action (the dual side of the duality gap table) on L itself,
+the transpose of L.T. Callers that need a generator again pass L.copy().
+total_variation_curve builds no full generator: flipping every spin
+commutes with the forward chain, so it steps the flip-even and flip-odd
+parts of its signed vector on the half-size quotient of
+build_forward_quotient. stationary_distribution keeps L as it is, because
 its residual max|L^T pi| is read from L, also by callers after it
 returns; it steps pi + (L^T pi)/lam on the view L.T, so it holds no jump
-matrix either.
+matrix either. It solves on the full chain, where a mirror pair of closed
+classes stays two.
 
 Transient laws come from uniformization, one series of products per
 segment of at most _SEGMENT_TIMES points on a time grid, where a step too
@@ -40,7 +44,7 @@ importing this module, or running any Monte Carlo path, loads none of it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -106,9 +110,48 @@ def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParam
     arange * (n + m + 1), and row s holds the ascending columns s ^ 2^b
     and s.
     """
+    columns = _forward_columns(g, kernel, params)
+    size = forward_state_count(g)
+    # L.T's rows; their transpose is L stored by columns, on the same arrays.
+    return _assemble_generator(size, g.vertex_count + g.edge_count + 1, columns).T
+
+
+def build_forward_quotient(
+    g: Graph, kernel: AdoptionKernel, params: ModelParams
+) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The forward generator on spin-flip orbits, stored by columns, and its site-0 slot.
+
+    Flipping every spin, F(s) = s ^ (2^n - 1), commutes with L: adoption
+    multiplies signs, and the edges' rates ignore the spins. Orbit j is
+    {2j, F(2j)}, whose representative 2j has site 0 at -1. Column j of Q is
+    L's column 2j, all n + m + 1 slots kept, with each row s folded to its
+    orbit (s ^ (2^n - 1) if s is odd else s) >> 1, so Q is the lumped chain
+    (Kemeny and Snell 1960). Only the site-0 slot's row is folded, into
+    orbit j ^ (2^(n-1) - 1); for n = 2 that is the site-1 slot's row, and
+    products add the two entries. site0[j] is that slot's rate,
+    L[2j + 1, 2j]. A valid kernel gives every site an edge, so n >= 2 and
+    no slot folds onto the diagonal.
+    """
+    columns = _forward_columns(g, kernel, params)
+    size = forward_state_count(g) // 2
+    site0 = np.empty(size)
+    spins = np.int32((1 << g.vertex_count) - 1)
+
+    def folded(half: np.ndarray):
+        rep = half << 1
+        values, rows, lengths = columns(rep)
+        site0[half] = values[rows == np.repeat(rep + 1, lengths)]  # one slot a column
+        rows ^= (rows & 1) * spins
+        rows >>= 1
+        return values, rows, lengths
+
+    return _assemble_generator(size, g.vertex_count + g.edge_count + 1, folded).T, site0
+
+
+def _forward_columns(g: Graph, kernel: AdoptionKernel, params: ModelParams):
+    """columns(idx): values, ascending rows and lengths of L's columns idx, every slot kept."""
     require_valid_kernel(g, kernel)
     n, m = g.vertex_count, g.edge_count
-    size = forward_state_count(g)
     bits = np.arange(n + m, dtype=np.int32)
     flips = np.int32(1) << bits  # FORWARD_STATE_CAP < 2^31
     nbr, edge_of, rate_of = _kernel_entries(g, kernel)
@@ -138,8 +181,7 @@ def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParam
         values, cols = _generator_rows(targets, out, into)
         return values.ravel(), cols.ravel(), np.full(idx.size, n + m + 1)
 
-    # L.T's rows; their transpose is L stored by columns, on the same arrays.
-    return _assemble_generator(size, n + m + 1, columns).T
+    return columns
 
 
 def _kernel_entries(g: Graph, kernel: AdoptionKernel):
@@ -254,9 +296,9 @@ def _uniformize(G: sp.csr_matrix) -> float:
 
 
 def _series(
-    op: sp.csr_matrix, lam: float, vec: np.ndarray, spans: list[float]
+    product: Callable[[np.ndarray], np.ndarray], lam: float, vec: np.ndarray, spans: list[float]
 ) -> list[tuple[np.ndarray, float]]:
-    """e^{s lam (op - I)} @ vec for each span s, from one sequence of products.
+    """e^{s lam (P - I)} @ vec for each span s, from one sequence of products w -> P @ w.
 
     Each span has its own Poisson weights, starting from e^{-lam s}, and
     stops taking terms once they hold all but UNIFORMIZATION_TAIL of its
@@ -275,7 +317,7 @@ def _series(
         n_terms += 1
         if n_terms > max_terms[live[0]]:  # spans increase, and so do the limits
             raise RuntimeError("uniformization series failed to reach its tail tolerance")
-        w = op @ w
+        w = product(w)
         for k in live:
             coeffs[k] *= lam_ts[k] / n_terms
             accs[k] += coeffs[k] * w
@@ -287,24 +329,28 @@ def _series(
 def transient_distribution(L: sp.csc_matrix, initial: np.ndarray, t: float) -> np.ndarray:
     """Law at time t from a row distribution, renormalized after truncation.
 
-    L is taken over, as by transient_steps.
+    L is taken over: its transpose, for the forward generator a CSR view
+    of L's own arrays, becomes the transposed jump matrix in place. Pass
+    L.copy() to keep L.
     """
-    (law,) = transient_steps(L, initial, t, 1)
+    PT = L.T
+    lam = _uniformize(PT)
+    (law,) = transient_steps(PT.dot, lam, initial, t, 1)
     total = law.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise RuntimeError("transient distribution lost its mass")
     return law / total
 
 
-def transient_steps(L: sp.csc_matrix, rows: np.ndarray, dt: float, steps: int) -> Iterator[np.ndarray]:
+def transient_steps(
+    product: Callable[[np.ndarray], np.ndarray], lam: float, rows: np.ndarray, dt: float, steps: int
+) -> Iterator[np.ndarray]:
     """rows @ e^{i dt L} for i = 1, ..., steps, not renormalized.
 
-    rows is one row vector, or an (N, c) block with one per column; a
-    signed difference of two laws is propagated like a law. L is taken
-    over: its transpose becomes the transposed jump matrix in place, once.
-    For the forward generator, stored by columns, that transpose is a CSR
-    view of L's own arrays, so no copy of the chain is made; pass L.copy()
-    to keep L.
+    product(w) is P.T @ w for the jump matrix P = I + L/lam, as
+    _uniformize makes it: a CSR matrix's dot, or any operator on vectors
+    of that size. rows is one row vector, or an (N, c) block with one per
+    column; a signed difference of two laws is propagated like a law.
 
     A step with lam * dt above _MAX_UNIFORM_EXPONENT, where e^{-lam dt}
     could underflow, is cut into 2^d equal steps on the grid first. A
@@ -315,8 +361,6 @@ def transient_steps(L: sp.csc_matrix, rows: np.ndarray, dt: float, steps: int) -
     is the renormalization of a per-step routine, so truncation does not
     compound over segments. Only the times i dt are yielded.
     """
-    PT = L.T
-    lam = _uniformize(PT)
     grid: list[tuple[float, bool]] = []  # (time, whether it is yielded)
     prev = 0.0
     for t in [i * dt for i in range(1, steps + 1)]:
@@ -338,7 +382,7 @@ def transient_steps(L: sp.csc_matrix, rows: np.ndarray, dt: float, steps: int) -
             and lam * (grid[end][0] - start) <= _MAX_UNIFORM_EXPONENT
         ):
             end += 1
-        results = _series(PT, lam, base, [t - start for t, _ in grid[i:end]])
+        results = _series(product, lam, base, [t - start for t, _ in grid[i:end]])
         for (law, _), (_, wanted) in zip(results, grid[i:end]):
             if not np.all(np.isfinite(law)):
                 raise RuntimeError("transient series is not finite")
@@ -354,11 +398,11 @@ def transient_steps(L: sp.csc_matrix, rows: np.ndarray, dt: float, steps: int) -
 def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float) -> np.ndarray:
     """e^{tL} applied to a column vector of observables (no renormalization).
 
-    L is taken over, as by transient_steps: vec @ e^{t L^T} is the same
-    vector, and L^T's transpose is a CSR view of L's own arrays, which
-    becomes the jump matrix I + L/lam in place.
+    L is taken over: vec @ e^{t L^T} is the same vector, so L itself
+    becomes the jump matrix I + L/lam in place, whose product steps it.
     """
-    (out,) = transient_steps(L.T, vec, t, 1)
+    lam = _uniformize(L)
+    (out,) = transient_steps(L.dot, lam, vec, t, 1)
     return out
 
 
@@ -456,19 +500,49 @@ def cylinder_probability(g: Graph, dist: np.ndarray, cylinder: CylinderEvent) ->
 
 
 def total_variation_curve(
-    L: sp.csc_matrix, law_a: np.ndarray, law_b: np.ndarray, dt: float, steps: int
+    g: Graph, kernel: AdoptionKernel, params: ModelParams,
+    state_a: SpinBondState, state_b: SpinBondState, dt: float, steps: int,
 ) -> list[float]:
-    """TV between the laws started from law_a and law_b at 0, dt, ..., steps * dt.
+    """TV between the laws started from state_a and state_b at 0, dt, ..., steps * dt.
 
-    TV(t) = |(law_a - law_b) e^{tL}|_1 / 2 by linearity, so one signed
-    vector is propagated instead of both laws. L is taken over, as by
-    transient_steps.
+    TV(t) = |(delta_a - delta_b) e^{tL}|_1 / 2 by linearity, so one signed
+    vector is propagated instead of both laws. Flipping every spin commutes
+    with L, so that vector is the sum of a flip-even part e and a flip-odd
+    part o, each of which stays so, whatever the two states. Both are held
+    on the orbits' representatives and stepped on build_forward_quotient's
+    Q: e by Q itself; o is -o on the non-representatives, which only the
+    site-0 slot reads, so o by Q minus twice that slot's term. The vector
+    is e + o on a representative and e - o on its flip. No full-size
+    generator or vector is held.
     """
-    diff = np.asarray(law_a, dtype=np.float64) - law_b
-    curve = [0.5 * float(np.abs(diff).sum())]
-    for diff in transient_steps(L, diff, dt, steps):
-        curve.append(0.5 * float(np.abs(diff).sum()))
-    return curve
+    n, m = g.vertex_count, g.edge_count
+    Q, site0 = build_forward_quotient(g, kernel, params)
+    PT = Q.T
+    lam = _uniformize(PT)  # > 0: every site of a valid kernel can flip
+    # The odd part's site-0 term, -2 P[2j + 1, 2j] o[j ^ (2^(n-1) - 1)]:
+    # that index is j reversed within its run of 2^(n-1), the spin bits
+    # after site 0.
+    site0 = site0.reshape(2**m, 2 ** (n - 1)) * (-2.0 / lam)
+
+    def odd_product(w: np.ndarray) -> np.ndarray:
+        out = PT @ w
+        out += (site0 * w.reshape(site0.shape)[:, ::-1]).ravel()
+        return out
+
+    start = np.zeros((2, PT.shape[0]))  # e and o
+    for state, weight in ((state_a, 0.5), (state_b, -0.5)):
+        s = encode_forward_state(g, state)
+        flipped = s & 1  # site 0 at +1: the flip of its orbit's representative
+        start[:, (s ^ flipped * ((1 << n) - 1)) >> 1] += (weight, -weight if flipped else weight)
+
+    def tv(e: np.ndarray, o: np.ndarray) -> float:
+        return 0.5 * float(np.abs(e + o).sum() + np.abs(e - o).sum())
+
+    halves = zip(
+        transient_steps(PT.dot, lam, start[0], dt, steps),
+        transient_steps(odd_product, lam, start[1], dt, steps),
+    )
+    return [tv(*start)] + [tv(e, o) for e, o in halves]
 
 
 def forward_delta(g: Graph, state: SpinBondState) -> np.ndarray:

@@ -58,6 +58,19 @@ MINIMAL = [
          "checkpoint_times": [1, 3], "observables": ["full"], "output_dir": "o"},
         dict(checkpoint_times=[1, 3], replicas=1, site_plus_prob=0.5, edge_plus_prob=0.5),
     ),
+    # A -0.0 reads as 0.0, in a number key and in a number list, whose ints
+    # stay ints.
+    (
+        {"experiment": "raw-simulate", "graph": "path:3", "t_max": -0.0, "p": -0.0,
+         "checkpoint_times": [-0.0, 0, 0.0], "observables": ["full"], "output_dir": "o"},
+        dict(t_max=0.0, p=0.0, checkpoint_times=[0.0, 0, 0.0], replicas=1, site_plus_prob=0.5,
+             edge_plus_prob=0.5),
+    ),
+    (
+        {"experiment": "mgf-check", "thetas": [-0.0, -1], "times": [1, 5.0]},
+        dict(thetas=[0.0, -1], times=[1, 5.0], r0_values=[0, 3], replicas=50000, sigmas=3.0,
+             check_domination=False, t=2.0),
+    ),
 ]
 
 

@@ -7,7 +7,8 @@ bound is in units of the generator's own arrays. A build may hold its
 slot table beside its block temporaries, and retains exactly the arrays of
 the generator it returns. The transient solvers take their generator over,
 so a call handed L holds only its series' vectors: a copy of L or of its
-transpose breaks their bound. The stationary solve keeps L as it is and
+transpose breaks their bound. The TV curve builds the flip quotient and no
+full generator. The stationary solve keeps L as it is and
 steps on L's own arrays, so a copy of L's transpose breaks its bound too.
 The dual block's bound is per (replica, edge) cell, and the result writer's
 is a share of the file it writes.
@@ -112,7 +113,8 @@ def test_transient_steps_hold_one_jump_matrix(cycle6):
     law[5] = 1.0
 
     def steps():
-        for stepped in oracle.transient_steps(L, law, 0.5, 4):
+        PT = L.T
+        for stepped in oracle.transient_steps(PT.dot, oracle._uniformize(PT), law, 0.5, 4):
             pass
         return stepped
 
@@ -121,14 +123,24 @@ def test_transient_steps_hold_one_jump_matrix(cycle6):
     assert peak < 0.6 * _generator_bytes(reference)
 
 
-def test_tv_curve_takes_its_generator_over(cycle6):
-    _, reference = cycle6
-    L = reference.copy()
-    law_a, law_b = np.zeros(L.shape[0]), np.zeros(L.shape[0])
-    law_a[5] = law_b[-1] = 1.0
-    curve, peak = _traced_peak(lambda: oracle.total_variation_curve(L, law_a, law_b, 0.5, 4))
+def test_tv_curve_holds_the_quotient_alone(cycle6):
+    # The curve builds the flip quotient, which retains half the full
+    # generator's slots and the site-0 slot, and steps half-size vectors:
+    # its peak, build included, stays under one full generator (0.90x),
+    # which building or holding a full generator breaks
+    g, reference = cycle6
+    (Q, site0), retained = _retained_array_bytes(
+        lambda: oracle.build_forward_quotient(g, uniform_kernel(g), PARAMS)
+    )
+    assert retained == _generator_bytes(Q) + site0.nbytes
+    assert Q.nnz == reference.nnz // 2
+    a = decode_forward_state(g, 5)
+    b = decode_forward_state(g, reference.shape[0] - 1)
+    curve, peak = _traced_peak(
+        lambda: oracle.total_variation_curve(g, uniform_kernel(g), PARAMS, a, b, 0.5, 4)
+    )
     assert curve[0] == 1.0 and curve[-1] < curve[0]
-    assert peak < 0.6 * _generator_bytes(reference)
+    assert peak < 1.0 * _generator_bytes(reference)
 
 
 def test_duality_gap_table_holds_one_dual_generator():
@@ -163,18 +175,18 @@ def test_dual_block_holds_its_edge_arrays_once():
 
 
 def test_result_writer_streams_its_blocks(tmp_path):
-    # 105,000 rows of a gap table's four columns, no value repeated, make a
-    # file of 10.3 MB. The writer holds one block's cell strings and joined
-    # lines, so its peak stays under a quarter of the file, which holding
-    # every line, or the whole text, at once breaks
-    from spinbond.experiments import write_results
+    # 25,000 rows of a gap table's four columns, no value repeated, make a
+    # file of 2.4 MB in 25 blocks. The writer holds one block's cell strings
+    # and joined lines (0.74 MB), so its peak stays under half the file,
+    # which holding every line, or the whole text, at once breaks
+    from spinbond.experiments import _WRITE_BLOCK, write_results
 
-    rows = 105_000
+    rows = 25_000
     lhs = np.arange(rows) / 7.0
     rhs = np.arange(rows) / 11.0
     columns = {"dual_state": np.arange(rows), "lhs": lhs, "rhs": rhs, "gap": np.abs(lhs - rhs)}
     path = tmp_path / "gaps.jsonl"
     _, peak = _traced_peak(lambda: write_results(columns, path))
     size = path.stat().st_size
-    assert size > 10_000_000
-    assert peak < size / 4
+    assert rows > 20 * _WRITE_BLOCK and size > 2_000_000
+    assert peak < size / 2

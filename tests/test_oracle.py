@@ -440,16 +440,14 @@ def test_transient_solvers_take_over_the_generator_they_are_handed(p3):
     g, kern = p3
     L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
     L_d = oracle.build_dual_generator(g, kern, ModelParams(0.4, 2.0), 2)
-    law_a, law_b = np.zeros(L.shape[0]), np.zeros(L.shape[0])
-    law_a[9] = law_b[22] = 1.0
+    law_a = np.zeros(L.shape[0])
+    law_a[9] = 1.0
     weights = np.linspace(0.0, 1.0, L_d.shape[0])
     # The forward generator keeps its rate-0 slots, the dual one drops them
     assert L.nnz == L.shape[0] * (g.vertex_count + g.edge_count + 1) and (L.data == 0).any()
     assert (L_d.data != 0).all()
     solvers = [
         (L, lambda M: oracle.transient_distribution(M, law_a, 0.7)),
-        (L, lambda M: np.stack(list(oracle.transient_steps(M, law_a, 0.5, 3)))),
-        (L, lambda M: np.array(oracle.total_variation_curve(M, law_a, law_b, 0.5, 3))),
         (L_d, lambda M: oracle.transient_action(M, weights, 0.7)),
     ]
     for generator, solve in solvers:
@@ -462,6 +460,13 @@ def test_transient_solvers_take_over_the_generator_they_are_handed(p3):
 
 
 # ---------------------------------------------------------------- transients
+
+
+def _steps(L, rows, dt, steps):
+    """transient_steps on the jump matrix made from L's transpose in place,
+    as transient_distribution makes it: L is taken over."""
+    PT = L.T
+    return oracle.transient_steps(PT.dot, oracle._uniformize(PT), rows, dt, steps)
 
 
 def test_uniformization_matches_dense_expm(p3):
@@ -496,9 +501,9 @@ def test_transient_steps_block_matches_single_laws(p3):
     L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
     block = np.zeros((32, 2))
     block[9, 0] = block[22, 1] = 1.0
-    alone = [list(oracle.transient_steps(L.copy(), block[:, c], 0.5, 20)) for c in range(2)]
+    alone = [list(_steps(L.copy(), block[:, c], 0.5, 20)) for c in range(2)]
     singles = [block[:, 0].copy(), block[:, 1].copy()]
-    for i, laws in enumerate(oracle.transient_steps(L.copy(), block, 0.5, 20)):
+    for i, laws in enumerate(_steps(L.copy(), block, 0.5, 20)):
         singles = [oracle.transient_distribution(L.copy(), law, 0.5) for law in singles]
         for c in range(2):
             assert np.array_equal(laws[:, c], alone[c][i])
@@ -552,8 +557,8 @@ def test_uniformize_and_transient_steps_keep_the_forward_generators_arrays(spec,
     # Every forward row stores its diagonal and every stored 0 stays, so
     # the jump matrix is written into the generator's own buffers: the
     # transpose's arrays are the same objects after _uniformize, and after
-    # transient_steps L's buffers hold the jump matrix, so the view it made
-    # was not moved to new ones
+    # transient_distribution L's buffers hold the jump matrix, so the view it
+    # made was not moved to new ones
     g = parse_graph_spec(spec)
     L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
     assert (L.data == 0.0).any()
@@ -569,8 +574,7 @@ def test_uniformize_and_transient_steps_keep_the_forward_generators_arrays(spec,
     arrays = L.data, L.indices, L.indptr
     law = np.zeros(L.shape[0])
     law[3] = 1.0
-    for _ in oracle.transient_steps(L, law, 0.5, 2):
-        pass
+    oracle.transient_distribution(L, law, 1.0)
     assert all(a is b for a, b in zip((L.data, L.indices, L.indptr), arrays))
     _assert_same_arrays(L.T, reference)
 
@@ -616,8 +620,16 @@ def _per_step_tv_curve(L, law_a, law_b, dt, steps):
 
 def _flipped_pair(g):
     a = striped_state(g)
-    b = SpinBondState((-a.site_signs).astype(np.int8), (-a.edge_signs).astype(np.int8))
-    return oracle.forward_delta(g, a), oracle.forward_delta(g, b)
+    return a, SpinBondState((-a.site_signs).astype(np.int8), (-a.edge_signs).astype(np.int8))
+
+
+def _dense_tv_curve(L, law_a, law_b, dt, steps, every=1):
+    """0.5 |(law_a - law_b) expm(t L)|_1 at every `every`-th grid point."""
+    dense = L.toarray()
+    return {
+        i: 0.5 * np.abs((law_a - law_b) @ expm(dense * (i * dt))).sum()
+        for i in range(0, steps + 1, every)
+    }
 
 
 @pytest.mark.parametrize(
@@ -640,8 +652,16 @@ def _flipped_pair(g):
 def test_tv_curve_matches_per_step_reference_and_dense_expm(spec, p, v, dt, steps, case):
     g = parse_graph_spec(spec)
     L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
+    a, b = _flipped_pair(g)
+    law_a, law_b = oracle.forward_delta(g, a), oracle.forward_delta(g, b)
     if case == "no transitions":
+        # No model is without transitions, so the loop the curve steps its
+        # halves through steps the signed difference on an empty generator
         L = sp.csr_matrix(L.shape)
+        stepped = _steps(L.copy(), law_a - law_b, dt, steps)
+        curve = [1.0] + [0.5 * float(np.abs(diff).sum()) for diff in stepped]
+    else:
+        curve = oracle.total_variation_curve(g, uniform_kernel(g), ModelParams(p, v), a, b, dt, steps)
     lam = _uniformized_kernel(L)[1]
     assert {
         "restarts": steps > oracle._SEGMENT_TIMES,
@@ -651,15 +671,70 @@ def test_tv_curve_matches_per_step_reference_and_dense_expm(spec, p, v, dt, step
         "one step": steps == 1,
         "no transitions": lam == 0.0,
     }[case]
-    law_a, law_b = _flipped_pair(g)
-    curve = oracle.total_variation_curve(L.copy(), law_a, law_b, dt, steps)
     assert len(curve) == steps + 1 and curve[0] == 1.0
     reference = _per_step_tv_curve(L, law_a, law_b, dt, steps)
     assert np.abs(np.subtract(curve, reference)).max() < 1e-12
-    dense = L.toarray()
-    for i in range(0, steps + 1, max(1, steps // 40)):
-        exact = 0.5 * np.abs((law_a - law_b) @ expm(dense * (i * dt))).sum()
+    for i, exact in _dense_tv_curve(L, law_a, law_b, dt, steps, max(1, steps // 40)).items():
         assert abs(curve[i] - exact) < 1e-10
+
+
+_QUOTIENT_CASES = [
+    # The folded site-0 slot shares its row with the site-1 slot
+    ("complete:2", False, 0.3, 1.0, "flipped"),
+    ("path:2", False, 0.3, 1.0, "flipped"),
+    ("path:3", False, 0.05, 1e-3, "flipped"),
+    ("path:3", False, 0.95, 1e3, "spins flipped"),
+    ("path:3", False, 0.05, 1e3, "flipped"),
+    ("cycle:4", False, 0.95, 1e-3, "flipped"),
+    # Unequal rates and rate-0 entries, as a kernel file gives them
+    ("cycle:4", True, 0.3, 1.0, "flipped"),
+    ("cycle:4", True, 0.3, 1.0, "spins flipped"),
+]
+
+
+@pytest.mark.parametrize("spec, skewed, p, v, pair", _QUOTIENT_CASES)
+def test_quotient_tv_curve_matches_per_step_reference_and_dense_expm(spec, skewed, p, v, pair):
+    # The curve from the flip quotient stays within 1e-13 of the full
+    # chain's signed difference stepped through the same loop, over more
+    # than one segment, whether or not the pair is a spin flip apart (its
+    # even part is then 0), and with lam * dt above the halving limit at
+    # v = 1e3. It stays on the per-step and dense references to their own
+    # accuracy: the full chain's curve is up to 1.0e-12 from both here, and
+    # they are up to 5.5e-13 apart. The spin flip commutes with L
+    # (Freivalds), and the quotient stores every slot of its 2^(n+m-1)
+    # columns, which _uniformize turns into the jump matrix in place.
+    g = parse_graph_spec(spec)
+    n, m = g.vertex_count, g.edge_count
+    kern = kernel_from_rates(_SKEWED_RATES[spec], n) if skewed else uniform_kernel(g)
+    params = ModelParams(p, v)
+    L = oracle.build_forward_generator(g, kern, params)
+    flip = np.arange(L.shape[0]) ^ ((1 << n) - 1)
+    x = np.random.default_rng(3).random(L.shape[0])
+    assert np.abs(L @ x[flip] - (L @ x)[flip]).max() < 1e-13 * np.abs(L @ x).max()
+
+    Q, site0 = oracle.build_forward_quotient(g, kern, params)
+    assert Q.shape == (2 ** (n + m - 1),) * 2 and site0.shape == (Q.shape[0],)
+    assert Q.nnz == 2 ** (n + m - 1) * (n + m + 1)
+    PT = Q.T
+    arrays = PT.data, PT.indices, PT.indptr
+    assert oracle._uniformize(PT) == _uniformized_kernel(L)[1]
+    assert all(a is b for a, b in zip((PT.data, PT.indices, PT.indptr), arrays))
+
+    a, b = _flipped_pair(g)
+    if pair == "spins flipped":
+        b = SpinBondState((-a.site_signs).astype(np.int8), a.edge_signs)
+    law_a, law_b = oracle.forward_delta(g, a), oracle.forward_delta(g, b)
+    dt, steps = 0.5, oracle._SEGMENT_TIMES + 2
+    curve = oracle.total_variation_curve(g, kern, params, a, b, dt, steps)
+    assert len(curve) == steps + 1 and curve[0] == 1.0
+    if v > 1.0:
+        assert _uniformized_kernel(L)[1] * dt > oracle._MAX_UNIFORM_EXPONENT
+    full = [0.5 * float(np.abs(diff).sum()) for diff in _steps(L.copy(), law_a - law_b, dt, steps)]
+    assert np.abs(np.subtract(curve, [1.0] + full)).max() < 1e-13
+    reference = _per_step_tv_curve(L, law_a, law_b, dt, steps)
+    assert np.abs(np.subtract(curve, reference)).max() < 2e-12
+    exact = _dense_tv_curve(L, law_a, law_b, dt, steps)
+    assert np.abs(np.subtract(curve, list(exact.values()))).max() < 2e-12
 
 
 def test_tv_curve_stays_on_dense_expm_over_many_segments():
@@ -669,14 +744,14 @@ def test_tv_curve_stays_on_dense_expm_over_many_segments():
     # reference, renormalized after each of its 1,200 steps, drifts 3.7e-12
     # from it.
     g = parse_graph_spec("cycle:4")
-    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(0.05, 0.02))
-    law_a, law_b = _flipped_pair(g)
-    curve = oracle.total_variation_curve(L.copy(), law_a, law_b, 0.5, 1200)
+    kern, params = uniform_kernel(g), ModelParams(0.05, 0.02)
+    L = oracle.build_forward_generator(g, kern, params)
+    a, b = _flipped_pair(g)
+    law_a, law_b = oracle.forward_delta(g, a), oracle.forward_delta(g, b)
+    curve = oracle.total_variation_curve(g, kern, params, a, b, 0.5, 1200)
     reference = _per_step_tv_curve(L, law_a, law_b, 0.5, 1200)
     assert np.abs(np.subtract(curve, reference)).max() < 5e-12
-    dense = L.toarray()
-    for i in range(0, 1201, 30):
-        exact = 0.5 * np.abs((law_a - law_b) @ expm(dense * (i * 0.5))).sum()
+    for i, exact in _dense_tv_curve(L, law_a, law_b, 0.5, 1200, 30).items():
         assert abs(curve[i] - exact) < 1e-12
 
 
@@ -690,17 +765,16 @@ def test_exact_tv_decay_writes_the_oracle_curve(tmp_path):
     rows = (tmp_path / "tv_decay.csv").read_text().splitlines()[1:]
     written = [float(row.split(",")[1]) for row in rows]
     a = SpinBondState.constant(g, site_sign=-1, edge_sign=-1)
-    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(0.3, 1.0))
     curve = oracle.total_variation_curve(
-        L, oracle.forward_delta(g, a), oracle.forward_delta(g, SpinBondState.constant(g)), 0.5, 12
+        g, uniform_kernel(g), ModelParams(0.3, 1.0), a, SpinBondState.constant(g), 0.5, 12
     )
     assert written == curve
 
 
 def test_exact_tv_decay_shares_products_between_grid_points():
     # cycle:4 on a 40-point grid: one series per segment needs fewer than
-    # half the sparse products of one series per step (355 calls, generator
-    # assembly included, against 40 * 23).
+    # half the sparse products of one series per step, for each of the
+    # curve's two halves (710 calls in all, against 2 * 40 * 23).
     cfg = validate_config(dict(
         experiment="tv-decay", seed=1, graph="cycle:4", p=0.3, v=1.0, t_max=20.0,
         t_step=0.5, oracle="on",
@@ -717,7 +791,7 @@ def test_exact_tv_decay_shares_products_between_grid_points():
     product = sp.csr_matrix.__matmul__
     with mock.patch.object(sp.csr_matrix, "__matmul__", autospec=True, side_effect=product) as spy:
         run_experiment(cfg, write_outputs=False)
-    assert 0 < spy.call_count < 40 * terms / 2
+    assert 0 < spy.call_count < 2 * 40 * terms / 2
 
 
 def test_transient_long_horizon_uses_halving(p3):

@@ -56,7 +56,8 @@ CONFIGS = {
     ),
     # Fractional times; all-integer times (the config keeps them ints); a
     # repeated checkpoint with checkpoints at 0 and t_max, on one replica,
-    # which also writes final_state.txt; and two workers.
+    # which also writes final_state.txt; two workers; and a -0.0 checkpoint,
+    # whose rows are spelled 0 like those of the 0.0 beside it.
     "raw_fractional": dict(
         experiment="raw-simulate", graph="path:3", p=0.4, v=1.0, t_max=3.0,
         checkpoint_times=[2.5, 0.1], observables=["site0=+1", "edge1=-1"], replicas=40, seed=8,
@@ -76,6 +77,11 @@ CONFIGS = {
         checkpoint_times=[0.5, 2.0], observables=["site0=-1", "edge1=+1&site2=+1"],
         replicas=30, seed=11, workers=2,
     ),
+    "raw_negative_zero": dict(
+        experiment="raw-simulate", graph="path:3", p=0.4, v=1.0, t_max=1.0,
+        checkpoint_times=[-0.0, 0.0, 1.0], observables=["site0=+1", "edge1=-1"],
+        replicas=3, seed=12,
+    ),
 }
 
 OUTPUT_PINS = {
@@ -83,10 +89,10 @@ OUTPUT_PINS = {
         "485a2fd3aafd614ba6dc2384dafe0740903037ba6f5be3aee561bd9c91cf6699"
     ),
     ("tv_exact", "tv_decay.csv"): (
-        "1c624255b8e88984557bbae277c9d5606c7186b55776e885cc2a7bbc12252770"
+        "eb9248e348f9b27a7026153e3a683e205db6d92985a9e67a367a316a093977ac"
     ),
     ("tv_exact_cycle6", "tv_decay.csv"): (
-        "d90eb46e416703c63a50afb95fbdaacafbde2f8b2b0877563d37f8d468bdf74b"
+        "65525a7228cb6d2ebe43ac4864f6b29c71ef1ed5db1475b1295edd418e32f093"
     ),
     ("duality_exact_cycle4", "duality_gaps.jsonl"): (
         "0237d58e279b3d81351e597d5b5d817abdd0c80658945fc9ab459bd98a981b70"
@@ -115,6 +121,9 @@ OUTPUT_PINS = {
     ("raw_workers", "checkpoints.csv"): (
         "fbad823714add8773e28bf3c29bc3744b5d17c7c607d9385735fed4ab9dec149"
     ),
+    ("raw_negative_zero", "checkpoints.csv"): (
+        "40603e9e4b27ba817cd1995d3bd324338317a33bbbf6015f14ba37a44b4393a4"
+    ),
 }
 
 
@@ -138,7 +147,8 @@ def test_result_file_is_pinned(case, tmp_path):
 _DUALITY = dict(experiment="duality-check", seed=5, graph="complete:2", p=0.3, v=1.0, k=2, t=1.0)
 
 # Each failing config fails through the gate form its name gives; the last
-# three reach no gate. cycle:11 is above the exact cap.
+# four reach no gate. cycle:11 is above the exact cap. A t_max of -0.0 is
+# printed as 0.
 CHECK_CONFIGS = {
     "duality_tolerance": {**_DUALITY, "tolerance": 1e-300},
     "stationary_tolerance": dict(
@@ -175,6 +185,10 @@ CHECK_CONFIGS = {
         experiment="mu-dyn", seed=2, graph="cycle:11", p=0.5, sites=[0], replicas=50
     ),
     "nothing_checked": dict(experiment="stationary-compare", seed=2, graph="cycle:11", p=0.5),
+    "raw_zero_horizon": dict(
+        experiment="raw-simulate", seed=12, graph="path:3", t_max=-0.0,
+        observables=["site0=+1"], replicas=2, output_dir="out",
+    ),
 }
 
 # name -> (exit code, stdout); the shipped configs go by their file stem.
@@ -351,6 +365,13 @@ mu-dyn: DONE
 exact solve unavailable (forward states: 4194304 needed, above the supported cap of 1048576); Monte Carlo only
 nothing checked: no exact solve and replicas = 0
 stationary-compare: DONE
+""",
+    ),
+    "raw_zero_horizon": (
+        0,
+        """\
+raw-simulate: 2 replicas on [0, 0], 1 observables, 1 checkpoints
+raw-simulate: DONE
 """,
     ),
 }
