@@ -12,7 +12,7 @@ class ConfigError(SpinBondError):
 class StateSpaceCapError(SpinBondError):
     """Work above a supported cap (exit code 3).
 
-    An exact computation above its state count or sweep budget; forward,
+    An exact computation above its state count or work budget; forward,
     birth-death or target-free dual Monte Carlo runs above their expected
     event budgets, in total or per run; or a block of ``mu-dyn`` dual runs
     past its share of moves or steps.

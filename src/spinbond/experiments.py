@@ -465,7 +465,7 @@ def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, model: 
     pi, capped = _exact(
         cfg,
         lambda: oracle.stationary_distribution(
-            oracle.build_forward_generator(g, model.kernel, params)
+            oracle.build_forward_generator(g, model.kernel, params), g, params
         ),
     )
     if capped:
@@ -551,7 +551,7 @@ def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, model: EventTable):
 
     def exact_mass():
         L = oracle.build_forward_generator(g, model.kernel, params)
-        return oracle.cylinder_probability(g, oracle.stationary_distribution(L), cyl)
+        return oracle.cylinder_probability(g, oracle.stationary_distribution(L, g, params), cyl)
 
     # The exact solve draws no random numbers, so running it first lets
     # oracle "on" exit above the cap before any replica runs.

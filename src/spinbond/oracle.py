@@ -34,9 +34,10 @@ classes stays two.
 Transient laws come from uniformization, one series of products per
 segment of at most _SEGMENT_TIMES points on a time grid, where a step too
 long for one series is first cut into equal steps; stationary laws from
-power iteration on the same jump matrix. The duality gap table's left
-side takes one pass over the forward law per walker position/sign block,
-not one per dual state, so it does not scale as |dual| * |forward|.
+power iteration on the same jump matrix from the edges' own law. The
+duality gap table's left side takes one pass over the forward law per
+walker position/sign block, not one per dual state, so it does not scale
+as |dual| * |forward|.
 scipy is imported only where a generator is assembled (``scipy.sparse``)
 and where closed classes are counted (``scipy.sparse.csgraph``), so
 importing this module, or running any Monte Carlo path, loads none of it.
@@ -60,18 +61,16 @@ if TYPE_CHECKING:
 FORWARD_STATE_CAP = 2**20
 DUAL_STATE_CAP = 2_000_000
 UNIFORMIZATION_TAIL = 1e-12
-STATIONARY_RESIDUAL_TOL = 1e-12
 _MAX_UNIFORM_EXPONENT = 500.0
 # Times on one uniformization series before it restarts from its last result.
 _SEGMENT_TIMES = 8
-# The stationary iteration checks its residual once per sweep of
-# _STEPS_PER_SWEEP uniformized steps and gives up after the budget. Chains
-# that converge need 5-7 sweeps at p = 0.3, v = 1 (C6 to C9) and 114 on C6
-# at p = 0.05, v = 0.02. A sweep costs about 2.3 ns per generator nonzero
-# (0.65 s on C9, 2^18 states, 2-core x86), so at the 2^20-state cap (about
-# 2e7 nonzeros) 200 sweeps end in about 10 minutes instead of hanging.
-STATIONARY_SWEEP_BUDGET = 200
-_STEPS_PER_SWEEP = 64
+# The stationary iteration stops at max|L^T pi| <= STATIONARY_RESIDUAL_TOL * lam
+# and raises past STATIONARY_WORK_BUDGET stored entries read. A step reads L's
+# nnz plus _STEP_OVERHEAD, its fixed cost (8.7 us a step on path:3 over 2.3 ns
+# an entry on C9, 2-core x86): 12,800 steps at the 2^20-state cap, 10 minutes.
+STATIONARY_RESIDUAL_TOL = 1e-14
+_STEP_OVERHEAD = 3_800
+STATIONARY_WORK_BUDGET = 12_800 * (21 * FORWARD_STATE_CAP + _STEP_OVERHEAD)
 # Rows per block of a pass over a generator's entries, so that its
 # temporaries stay small beside the generator itself.
 _ROW_BLOCK = 1024
@@ -445,42 +444,41 @@ def count_closed_classes(L: sp.csc_matrix) -> int:
     return n_comp - int(np.count_nonzero(is_open))
 
 
-def stationary_distribution(L: sp.csc_matrix) -> np.ndarray:
-    """Unique stationary row vector of the generator.
+def stationary_distribution(L: sp.csc_matrix, g: Graph, params: ModelParams) -> np.ndarray:
+    """Unique stationary row vector of the forward generator L of g at params.
 
-    Raises ValueError when the chain has several closed classes (the
-    stationary law is not unique then). Iterates the uniformized kernel
-    from the uniform law until max|L^T pi| < STATIONARY_RESIDUAL_TOL, and
-    raises StateSpaceCapError when STATIONARY_SWEEP_BUDGET sweeps do not get
-    there. L is left as it is, since the residual is read from it, also by
-    callers after the call: a step adds (L^T pi) / lam to pi, which is
-    pi (I + L/lam) on L's own arrays, with no jump matrix beside L.
+    Raises ValueError when the chain has several closed classes. Steps
+    pi + (L^T pi) / lam, that is pi (I + L/lam) on L's own arrays, which
+    callers read the residual from, until max|L^T pi| <=
+    STATIONARY_RESIDUAL_TOL * lam; raises StateSpaceCapError past
+    STATIONARY_WORK_BUDGET. The start, uniform spins times product
+    Bernoulli(p) edges, has the edges' stationary law (they alone are
+    dynamical percolation; Haggstrom, Peres and Steif 1997) and is
+    flip-symmetric, so it excites neither their slow modes nor flip-odd ones.
     """
     closed = count_closed_classes(L)
     if closed != 1:
         raise ValueError(
             f"chain has {closed} closed classes, stationary distribution is not unique"
         )
-    size = L.shape[0]
+    pi = np.full(1 << g.vertex_count, 0.5**g.vertex_count)
+    for _ in range(g.edge_count):  # edge e is bit n + e, above the spins and earlier edges
+        pi = np.kron((1.0 - params.p, params.p), pi)
     # A state whose exit rate is below lam keeps a self-loop in I + L/lam,
     # so the iteration is aperiodic unless every exit rate is equal.
     lam = float(np.max(-L.diagonal(), initial=0.0))
-    scale = 1.0 / lam if lam > 0.0 else 0.0
     LT = L.T
-    pi = np.full(size, 1.0 / size)
-    for _ in range(STATIONARY_SWEEP_BUDGET):
-        for _ in range(_STEPS_PER_SWEEP):
-            pi += (LT @ pi) * scale
-        pi = np.clip(pi, 0.0, None)
-        pi /= pi.sum()
-        residual = float(np.max(np.abs(LT @ pi)))
-        if residual < STATIONARY_RESIDUAL_TOL:
-            return pi
+    steps = STATIONARY_WORK_BUDGET // (L.nnz + _STEP_OVERHEAD) + 1  # one residual at least
+    for _ in range(steps):
+        flow = LT @ pi
+        residual = np.abs(flow).max()
+        if residual <= STATIONARY_RESIDUAL_TOL * lam:
+            np.clip(pi, 0.0, None, out=pi)
+            return pi / pi.sum()
+        pi += flow / lam
     raise StateSpaceCapError(
-        required=STATIONARY_SWEEP_BUDGET + 1,
-        cap=STATIONARY_SWEEP_BUDGET,
-        label=f"stationary sweeps on {size} states "
-        f"(residual {residual:.2e} above {STATIONARY_RESIDUAL_TOL:g})",
+        steps * (L.nnz + _STEP_OVERHEAD), STATIONARY_WORK_BUDGET, f"stationary work on "
+        f"{pi.size} states (residual {residual:.2e} above {STATIONARY_RESIDUAL_TOL * lam:.2e})",
     )
 
 

@@ -94,8 +94,9 @@ def test_criterion_2_single_site_stationary_law(p3, c6):
     worst = 0.0
     exact_gates = 0
     for g, kern in (p3, c6):
-        L = oracle.build_forward_generator(g, kern, ModelParams(p, v))
-        pi = oracle.stationary_distribution(L)
+        params = ModelParams(p, v)
+        L = oracle.build_forward_generator(g, kern, params)
+        pi = oracle.stationary_distribution(L, g, params)
         for x in range(g.vertex_count):
             for env in _env_cylinders(range(g.edge_count)):
                 cyl = CylinderEvent.of(sites={x: 1}, edges=env)
@@ -172,7 +173,9 @@ def test_criterion_3_mu_dyn_consistency(k2, p3):
 
     # exact anchor: the full 8-state solve puts mass p on site agreement
     g2, kern2 = k2
-    pi2 = oracle.stationary_distribution(oracle.build_forward_generator(g2, kern2, params))
+    pi2 = oracle.stationary_distribution(
+        oracle.build_forward_generator(g2, kern2, params), g2, params
+    )
     agree = sum(
         float(pi2[i])
         for i in range(8)
@@ -184,7 +187,9 @@ def test_criterion_3_mu_dyn_consistency(k2, p3):
     details.append(f"exact P(agreement)={agree:.12f} vs p (err {abs(agree - p):.1e})")
 
     g3, kern3 = p3
-    pi3 = oracle.stationary_distribution(oracle.build_forward_generator(g3, kern3, params))
+    pi3 = oracle.stationary_distribution(
+        oracle.build_forward_generator(g3, kern3, params), g3, params
+    )
     configs = [
         (g2, kern2, [0], 0.5, 310),
         (g2, kern2, [0, 1], p / 2.0, 311),

@@ -482,7 +482,7 @@ def test_mu_dyn_separate_components_never_merge():
     for rep in out.reports:
         assert rep.partition == ((0,), (1,))
     L = oracle.build_forward_generator(g, kern, params)
-    pi = oracle.stationary_distribution(L)
+    pi = oracle.stationary_distribution(L, g, params)
     exact = oracle.cylinder_probability(g, pi, CylinderEvent.of(sites={0: 1, 2: 1}))
     assert exact == pytest.approx(0.25, abs=1e-10)
 
@@ -505,7 +505,9 @@ def test_mu_dyn_stops_at_the_closed_classes_of_a_reducible_kernel():
     )
     assert out.censored_count == 0
     assert {len(rep.partition) for rep in out.reports} == {2}
-    pi = oracle.stationary_distribution(oracle.build_forward_generator(g, kern, params))
+    pi = oracle.stationary_distribution(
+        oracle.build_forward_generator(g, kern, params), g, params
+    )
     exact = oracle.cylinder_probability(g, pi, CylinderEvent.of(sites={0: 1, 2: 1, 4: 1}))
     assert est.deviation_sigmas(out.result, exact) <= 3.0
 
@@ -530,7 +532,7 @@ def test_two_site_mass_is_quarter_in_symmetric_environment(p3):
     )
     assert est.deviation_sigmas(out.result, 0.25) < 3.0
     L = oracle.build_forward_generator(g, kern, params)
-    pi = oracle.stationary_distribution(L)
+    pi = oracle.stationary_distribution(L, g, params)
     exact = oracle.cylinder_probability(g, pi, CylinderEvent.of(sites={0: 1, 2: 1}))
     assert exact == pytest.approx(0.25, abs=1e-10)
 
@@ -541,7 +543,7 @@ def test_mu_dyn_is_stationary(k2):
     g, kern = k2
     params = ModelParams(0.3, 1.0)
     L = oracle.build_forward_generator(g, kern, params)
-    pi = oracle.stationary_distribution(L)
+    pi = oracle.stationary_distribution(L, g, params)
     table = EventTable(g, kern, params)
     mu = est.estimate_mu_dyn(
         table, sites=[0, 1], signs=[1, 1], replicas=4000, stream=RngStream(59)

@@ -96,9 +96,9 @@ def test_stationary_solve_holds_one_jump_matrix(cycle6):
     # The one jump matrix is L itself: each step adds (L^T pi) / lam to pi
     # through the CSR view L.T, so the call holds vectors and the closed-class
     # count's temporaries, and a copy of L's transpose (1.0x) fails
-    _, L = cycle6
+    g, L = cycle6
     before = L.copy()
-    pi, peak = _traced_peak(lambda: oracle.stationary_distribution(L))
+    pi, peak = _traced_peak(lambda: oracle.stationary_distribution(L, g, PARAMS))
     assert abs(pi.sum() - 1.0) < 1e-12
     assert peak < 0.6 * _generator_bytes(L)
     assert (L != before).nnz == 0

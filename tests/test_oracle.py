@@ -425,12 +425,13 @@ def test_in_rate_forward_generator_is_the_out_rate_table_by_columns(spec, skewed
 def test_stationary_solve_leaves_its_generator_as_it_is(p3):
     # Its residual max|L^T pi| is read from L, also after the call
     g, kern = p3
-    L = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0))
+    params = ModelParams(0.3, 1.0)
+    L = oracle.build_forward_generator(g, kern, params)
     kept = L.copy()
-    pi = oracle.stationary_distribution(L)
+    pi = oracle.stationary_distribution(L, g, params)
     _assert_same_arrays(L, kept)
-    _assert_fixed_width_csr(L.T, _forward_generator_by_state(g, kern, ModelParams(0.3, 1.0)).T.tocsr())
-    assert np.abs(L.T @ pi).max() < oracle.STATIONARY_RESIDUAL_TOL
+    _assert_fixed_width_csr(L.T, _forward_generator_by_state(g, kern, params).T.tocsr())
+    assert np.abs(L.T @ pi).max() <= oracle.STATIONARY_RESIDUAL_TOL * -L.diagonal().min()
 
 
 def test_transient_solvers_take_over_the_generator_they_are_handed(p3):
@@ -798,10 +799,11 @@ def test_transient_long_horizon_uses_halving(p3):
     # Rate * horizon is ~1620 here, far past the single-step series limit;
     # the distribution must still land on the stationary law.
     g, kern = p3
-    L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
+    params = ModelParams(0.4, 2.0)
+    L = oracle.build_forward_generator(g, kern, params)
     mu0 = np.zeros(32)
     mu0[5] = 1.0
-    pi = oracle.stationary_distribution(L)
+    pi = oracle.stationary_distribution(L, g, params)
     far = oracle.transient_distribution(L, mu0, 300.0)
     assert np.abs(far - pi).max() < 1e-10
 
@@ -834,8 +836,9 @@ def test_transient_edge_marginal_closed_form(k2):
 
 def test_stationary_residual_and_normalization(p3):
     g, kern = p3
-    L = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0))
-    pi = oracle.stationary_distribution(L)
+    params = ModelParams(0.3, 1.0)
+    L = oracle.build_forward_generator(g, kern, params)
+    pi = oracle.stationary_distribution(L, g, params)
     assert abs(pi.sum() - 1.0) < 1e-12
     assert pi.min() >= 0.0
     assert np.abs(pi @ L.toarray()).max() < 1e-12
@@ -847,12 +850,12 @@ def test_stationary_rejects_reducible_chains(p3):
     frozen_env = oracle.build_forward_generator(g, kern, ModelParams(1.0, 1.0))
     assert oracle.count_closed_classes(frozen_env) == 2
     with pytest.raises(ValueError):
-        oracle.stationary_distribution(frozen_env)
+        oracle.stationary_distribution(frozen_env, g, ModelParams(1.0, 1.0))
     # v = 0: every environment assignment is its own closed class.
     frozen_edges = oracle.build_forward_generator(g, kern, ModelParams(0.5, 0.0))
     assert oracle.count_closed_classes(frozen_edges) == 8
     with pytest.raises(ValueError):
-        oracle.stationary_distribution(frozen_edges)
+        oracle.stationary_distribution(frozen_edges, g, ModelParams(0.5, 0.0))
 
 
 @pytest.mark.parametrize("block", [1, 5, 32])
@@ -872,10 +875,9 @@ def test_closed_classes_and_generator_over_row_blocks(p3, block, monkeypatch):
 
 
 @st.composite
-def _reducible_generators(draw):
-    """A forward generator on a random graph of 2 to 4 sites (a spanning
-    tree plus random edges), a kernel with rate-0 entries, p at 0 or 1 and
-    v = 0, so that every edge slot and many site slots store a 0."""
+def _graphs_and_kernels(draw):
+    """A random graph of 2 to 4 sites (a spanning tree plus random edges)
+    and a valid kernel on it with rate-0 entries and unequal rates."""
     n = draw(st.integers(2, 4))
     pairs = [(x, draw(st.integers(0, x - 1))) for x in range(1, n)]
     pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
@@ -884,8 +886,16 @@ def _reducible_generators(draw):
     for x in range(n):
         weights = draw(st.lists(st.integers(0, 3), min_size=g.degree(x), max_size=g.degree(x)).filter(any))
         rates[x] = {y: w / sum(weights) for (y, _), w in zip(g.adjacency[x], weights)}
+    return g, kernel_from_rates(rates, n)
+
+
+@st.composite
+def _reducible_generators(draw):
+    """A forward generator of _graphs_and_kernels with p at 0 or 1 and
+    v = 0, so that every edge slot and many site slots store a 0."""
+    g, kern = draw(_graphs_and_kernels())
     params = ModelParams(draw(st.sampled_from([0.0, 1.0])), 0.0)
-    return oracle.build_forward_generator(g, kernel_from_rates(rates, n), params)
+    return oracle.build_forward_generator(g, kern, params)
 
 
 @settings(max_examples=60, deadline=None)
@@ -914,6 +924,44 @@ def test_closed_classes_read_stored_zeros_as_no_transition(L):
     _assert_same_arrays(L, kept)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    chain=_graphs_and_kernels(),
+    p=st.sampled_from([0.01, 0.3, 0.5, 0.99]),
+    v=st.floats(-4.0, 3.0).map(lambda e: 10.0**e),
+)
+def test_stationary_solve_matches_a_dense_solve_over_the_theorem_class(chain, p, v):
+    # Every valid kernel, p in (0, 1) and v > 0 make the chain ergodic: its
+    # finite-graph form is one closed class. The solve lies within 1e-10 of
+    # a dense solve of the balance equations, at slow and fast edges alike.
+    g, kern = chain
+    params = ModelParams(p, v)
+    L = oracle.build_forward_generator(g, kern, params)
+    assert oracle.count_closed_classes(L) == 1
+    balance = L.toarray().T
+    balance[-1] = 1.0  # one balance equation, implied by the others, gives way to the total
+    dense = np.linalg.solve(balance, np.eye(L.shape[0])[-1])
+    assert np.abs(oracle.stationary_distribution(L, g, params) - dense).max() < 1e-10
+
+
+@pytest.mark.parametrize("spec", ["path:3", "complete:2", "cycle:5", "cycle:6"])
+def test_stationary_solve_of_the_shipped_chains_is_within_1e12_of_a_direct_solve(spec):
+    # The v = 1 chains that the shipped configs, the pins and the benchmark
+    # solve, against a sparse direct solve of the balance equations, one of
+    # which gives way to the total (ordered by minimum degree on A^T + A,
+    # 0.7 s on cycle:6 where the default order takes 7 s).
+    from scipy.sparse.linalg import spsolve
+
+    g = parse_graph_spec(spec)
+    params = ModelParams(0.3, 1.0)
+    L = oracle.build_forward_generator(g, uniform_kernel(g), params)
+    balance = sp.vstack([L.T.tocsr()[:-1], np.ones((1, L.shape[0]))]).tocsc()
+    total = np.zeros(L.shape[0])
+    total[-1] = 1.0
+    direct = spsolve(balance, total, permc_spec="MMD_AT_PLUS_A")
+    assert np.abs(oracle.stationary_distribution(L, g, params) - direct).max() < 1e-12
+
+
 def test_stationary_matches_lumped_two_site_chain(k2):
     # Independent oracle: on two sites the pair (sites agree?, edge sign) is
     # itself a 4-state Markov chain -- each site copies at rate 1, so
@@ -934,7 +982,7 @@ def test_stationary_matches_lumped_two_site_chain(k2):
     lumped = np.linalg.lstsq(A, np.array([0.0, 0.0, 0.0, 1.0]), rcond=None)[0]
 
     L = oracle.build_forward_generator(g, kern, ModelParams(p, v))
-    pi = oracle.stationary_distribution(L)
+    pi = oracle.stationary_distribution(L, g, ModelParams(p, v))
     for i, (a, s) in enumerate(states):
         mass = 0.0
         for idx in range(8):
@@ -953,7 +1001,7 @@ def test_stationary_single_site_product_form(p3):
     g, kern = p3
     p = 0.35
     L = oracle.build_forward_generator(g, kern, ModelParams(p, 0.8))
-    pi = oracle.stationary_distribution(L)
+    pi = oracle.stationary_distribution(L, g, ModelParams(p, 0.8))
     for site in range(3):
         for sign in (-1, 1):
             for e0 in (-1, 1):
@@ -970,7 +1018,7 @@ def test_cylinder_probability_sums_the_masked_states_bit_for_bit(c6):
     # whole state.
     g, kern = c6
     pi = oracle.stationary_distribution(
-        oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0))
+        oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0)), g, ModelParams(0.3, 1.0)
     )
     cylinders = [
         _cylinder({x: sign}, pos, neg)
@@ -996,7 +1044,7 @@ def test_stationary_reaches_cycle8():
     g = builtin_graph("cycle", 8)
     p = 0.3
     L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, 1.0))
-    pi = oracle.stationary_distribution(L)
+    pi = oracle.stationary_distribution(L, g, ModelParams(p, 1.0))
     assert np.abs(L.T @ pi).max() < 1e-12
     for site in range(8):
         for e0 in (-1, 1):
@@ -1005,24 +1053,44 @@ def test_stationary_reaches_cycle8():
             assert abs(oracle.cylinder_probability(g, pi, cyl) - want) < 1e-10
 
 
-def test_stationary_sweep_budget_raises_cap_error(p3, monkeypatch, tmp_path, capsys):
-    # Slow edges (v = 0.1, p = 0.05) need tens of sweeps; one is not enough.
+def test_stationary_work_budget_raises_cap_error(p3, monkeypatch, tmp_path, capsys):
+    # A budget below one step's work: the solve raises after its first
+    # residual instead of stepping.
     g, kern = p3
-    L = oracle.build_forward_generator(g, kern, ModelParams(0.05, 0.1))
-    monkeypatch.setattr(oracle, "STATIONARY_SWEEP_BUDGET", 1)
-    with pytest.raises(StateSpaceCapError, match="stationary sweeps"):
-        oracle.stationary_distribution(L)
+    params = ModelParams(0.05, 0.1)
+    L = oracle.build_forward_generator(g, kern, params)
+    monkeypatch.setattr(oracle, "STATIONARY_WORK_BUDGET", L.nnz + oracle._STEP_OVERHEAD - 1)
+    with pytest.raises(StateSpaceCapError, match="stationary work on 32 states"):
+        oracle.stationary_distribution(L, g, params)
 
     body = dict(experiment="mu-dyn", seed=3, graph="path:3", p=0.05, v=0.1,
                 sites=[0, 2], signs=[1, 1], replicas=50)
     on = tmp_path / "on.json"
     on.write_text(json.dumps(dict(body, oracle="on")))
     assert main(["check", str(on)]) == 3
-    assert "stationary sweeps" in capsys.readouterr().err
+    assert "stationary work" in capsys.readouterr().err
     auto = tmp_path / "auto.json"
     auto.write_text(json.dumps(dict(body, oracle="auto")))
     assert main(["check", str(auto)]) == 0
     assert "no oracle gate" in capsys.readouterr().out
+
+
+def test_a_wrong_edge_law_fails_the_exact_stationary_gate(monkeypatch, tmp_path, capsys):
+    # Edges refreshed to + with probability 1 - p: the solve, started from
+    # the product law at p, leaves it for the mutant's own stationary law,
+    # so the product-form gate fails; the start masks no wrong edge law.
+    def refreshed_at_one_minus_p(edge_sign, params):
+        return params.v * (1.0 - params.p) if edge_sign == -1 else params.v * params.p
+
+    monkeypatch.setattr(oracle, "edge_flip_rate", refreshed_at_one_minus_p)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(
+        experiment="stationary-compare", seed=2, graph="path:3", p=0.3, replicas=0, oracle="on"
+    )))
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "exact vs product form: worst |err| = 2.000e-01 (tolerance 1.0e-10): FAIL" in out
+    assert out.endswith("stationary-compare: FAIL\n")
 
 
 def test_transient_site_marginals_fair_from_flip_invariant_initial(p3):
@@ -1046,7 +1114,7 @@ def test_transient_site_marginals_fair_from_flip_invariant_initial(p3):
 def test_total_variation_decreases_toward_stationary(p3):
     g, kern = p3
     L = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0))
-    pi = oracle.stationary_distribution(L)
+    pi = oracle.stationary_distribution(L, g, ModelParams(0.3, 1.0))
     mu0 = np.zeros(32)
     mu0[0] = 1.0
     tvs = []

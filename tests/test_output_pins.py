@@ -9,7 +9,7 @@ raw-simulate pins hold how its time column is spelled for fractional,
 integer, repeated and end-point checkpoints, its final state and its
 rows' order across workers. The exact
 ``cycle:4``, ``cycle:5`` and ``cycle:6`` files also hold the sparse layout
-of the generators to its bits: a product, a row sum or a stationary sweep
+of the generators to its bits: a product, a row sum or a stationary step
 that adds its terms in another order fails here. A change that alters a
 table's numbers on purpose updates its pin, and says so.
 
@@ -98,7 +98,7 @@ OUTPUT_PINS = {
         "0237d58e279b3d81351e597d5b5d817abdd0c80658945fc9ab459bd98a981b70"
     ),
     ("stationary_exact_cycle5", "stationary_distribution.csv"): (
-        "d0c922870319906873668681535292a43d2f5bf219fffe39709931c4389309af"
+        "182a695e723c6e6e4cdc0f0064566ed10e79c3c06fd1fd359e84ef3a1a104250"
     ),
     ("tv_mc", "tv_decay.csv"): (
         "eb60dd77329dfb1f7519606155241043002af9682b830de587ce1cdaab09f020"
@@ -146,8 +146,8 @@ def test_result_file_is_pinned(case, tmp_path):
 
 _DUALITY = dict(experiment="duality-check", seed=5, graph="complete:2", p=0.3, v=1.0, k=2, t=1.0)
 
-# Each failing config fails through the gate form its name gives; the last
-# four reach no gate. cycle:11 is above the exact cap. A t_max of -0.0 is
+# Each failing config fails through the gate form its name gives; the four
+# after them reach no gate. cycle:11 is above the exact cap. A t_max of -0.0 is
 # printed as 0.
 CHECK_CONFIGS = {
     "duality_tolerance": {**_DUALITY, "tolerance": 1e-300},
@@ -188,6 +188,22 @@ CHECK_CONFIGS = {
     "raw_zero_horizon": dict(
         experiment="raw-simulate", seed=12, graph="path:3", t_max=-0.0,
         observables=["site0=+1"], replicas=2, output_dir="out",
+    ),
+    # The exact gate alone, where the stationary solve is slow: slow edges,
+    # whose spectral gap is of order v, and fast ones, whose rates set lam
+    # far above the spins'.
+    "stationary_slow_edges": dict(
+        experiment="stationary-compare", seed=2, graph="cycle:6", p=0.3, v=0.01, replicas=0
+    ),
+    "stationary_slower_edges": dict(
+        experiment="stationary-compare", seed=2, graph="cycle:6", p=0.3, v=0.008, replicas=0
+    ),
+    "stationary_fast_edges": dict(
+        experiment="stationary-compare", seed=2, graph="path:3", p=0.3, v=1000.0, replicas=0
+    ),
+    "stationary_fastest_edges": dict(
+        experiment="stationary-compare", seed=2, graph="cycle:3", p=0.5, v=1e5, replicas=0,
+        oracle="on",
     ),
 }
 
@@ -246,7 +262,7 @@ raw-simulate: DONE
         0,
         """\
 stationary-compare: 54 cylinders, max_revealed=2
-exact vs product form: worst |err| = 6.384e-16 (tolerance 1.0e-10): PASS
+exact vs product form: worst |err| = 1.110e-16 (tolerance 1.0e-10): PASS
 mc site0=+1: 0.50265 vs 0.50000 (0.75 sigma): PASS
 mc site0=+1&edge0=+1: 0.15300 vs 0.15000 (1.18 sigma): PASS
 mc site0=+1&edge0=+1&edge1=+1: 0.04450 vs 0.04500 (0.34 sigma): PASS
@@ -281,7 +297,7 @@ duality-check: FAIL
         1,
         """\
 stationary-compare: 30 cylinders, max_revealed=1
-exact vs product form: worst |err| = 4.718e-16 (tolerance 1.0e-300): FAIL
+exact vs product form: worst |err| = 1.110e-16 (tolerance 1.0e-300): FAIL
 stationary-compare: FAIL
 """,
     ),
@@ -298,7 +314,7 @@ duality-check: FAIL
         1,
         """\
 stationary-compare: 30 cylinders, max_revealed=1
-exact vs product form: worst |err| = 4.718e-16 (tolerance 1.0e-10): PASS
+exact vs product form: worst |err| = 1.110e-16 (tolerance 1.0e-10): PASS
 mc site0=+1: 0.46500 vs 0.50000 (1.40 sigma): FAIL
 mc site0=+1&edge0=+1: 0.14500 vs 0.15000 (0.28 sigma): FAIL
 mc site0=+1&edge0=-1: 0.32000 vs 0.35000 (1.28 sigma): FAIL
@@ -372,6 +388,38 @@ stationary-compare: DONE
         """\
 raw-simulate: 2 replicas on [0, 0], 1 observables, 1 checkpoints
 raw-simulate: DONE
+""",
+    ),
+    "stationary_slow_edges": (
+        0,
+        """\
+stationary-compare: 876 cylinders, max_revealed=2
+exact vs product form: worst |err| = 4.441e-16 (tolerance 1.0e-10): PASS
+stationary-compare: PASS
+""",
+    ),
+    "stationary_slower_edges": (
+        0,
+        """\
+stationary-compare: 876 cylinders, max_revealed=2
+exact vs product form: worst |err| = 4.441e-16 (tolerance 1.0e-10): PASS
+stationary-compare: PASS
+""",
+    ),
+    "stationary_fast_edges": (
+        0,
+        """\
+stationary-compare: 54 cylinders, max_revealed=2
+exact vs product form: worst |err| = 1.166e-15 (tolerance 1.0e-10): PASS
+stationary-compare: PASS
+""",
+    ),
+    "stationary_fastest_edges": (
+        0,
+        """\
+stationary-compare: 114 cylinders, max_revealed=2
+exact vs product form: worst |err| = 5.551e-17 (tolerance 1.0e-10): PASS
+stationary-compare: PASS
 """,
     ),
 }
