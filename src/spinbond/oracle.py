@@ -28,8 +28,8 @@ parts of its signed vector on the half-size quotient of
 build_forward_quotient. stationary_distribution keeps L as it is, because
 its residual max|L^T pi| is read from L, also by callers after it
 returns; it steps pi + (L^T pi)/lam on the view L.T, so it holds no jump
-matrix either. It solves on the full chain, where a mirror pair of closed
-classes stays two.
+matrix either, and certifies one closed class by reading L alone. It
+solves on the full chain, where a mirror pair of closed classes stays two.
 
 Transient laws come from uniformization, one series of products per
 segment of at most _SEGMENT_TIMES points on a time grid, where a step too
@@ -38,9 +38,8 @@ power iteration on the same jump matrix from the edges' own law. The
 duality gap table's left side takes one pass over the forward law per
 walker position/sign block, not one per dual state, so it does not scale
 as |dual| * |forward|.
-scipy is imported only where a generator is assembled (``scipy.sparse``)
-and where closed classes are counted (``scipy.sparse.csgraph``), so
-importing this module, or running any Monte Carlo path, loads none of it.
+scipy is imported only where a generator is assembled (``scipy.sparse``),
+so importing this module, or running any Monte Carlo path, loads none of it.
 """
 
 from __future__ import annotations
@@ -405,62 +404,39 @@ def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def count_closed_classes(L: sp.csc_matrix) -> int:
-    """Number of strongly connected classes with no outgoing rate.
+def all_states_reach(L: sp.csc_matrix, r: int) -> bool:
+    """Whether every state of the generator L has a positive-rate path into r.
 
-    L's stored entries are its rates, diagonal self-loops, which change no
-    class, and rate-0 slots, which are no transition. It is read as its
-    transpose, the graph reversed, which is a CSR view of the forward
-    generator: the strong classes are the same, and a class is open when an
-    entry of the transpose leads into it from another. For the count, each
-    stored 0 is retargeted in place to its own row, a self-loop, and its
-    column is restored afterwards, also when the count raises: L's pattern
-    is never copied, and what is kept is the zeros' columns alone. The
-    entries are read _ROW_BLOCK rows at a time.
+    Each round adds to found the states off it with a positive rate into
+    it: their entries of L @ found sum rates, none negative, so a stored 0
+    adds nothing. L is only read.
     """
-    from scipy.sparse.csgraph import connected_components
-
-    LT = L.T.tocsr()
-    starts = range(0, LT.shape[0], _ROW_BLOCK)
-    blocks = [LT.indptr[start:start + _ROW_BLOCK + 1] for start in starts]
-
-    def zeros(ptr):  # positions of the stored zeros of one block of rows
-        return ptr[0] + np.flatnonzero(LT.data[ptr[0]:ptr[-1]] == 0.0)
-
-    kept = [LT.indices[zeros(ptr)] for ptr in blocks]
-    try:
-        for start, ptr in zip(starts, blocks):
-            at = zeros(ptr)
-            LT.indices[at] = start + np.searchsorted(ptr, at, side="right") - 1
-        n_comp, labels = connected_components(LT, directed=True, connection="strong")
-        is_open = np.zeros(n_comp, dtype=bool)
-        for start, ptr in zip(starts, blocks):
-            dst = np.repeat(labels[start:start + ptr.size - 1], np.diff(ptr))
-            src = labels[LT.indices[ptr[0]:ptr[-1]]]
-            is_open[src[src != dst]] = True
-    finally:
-        for ptr, columns in zip(blocks, kept):
-            LT.indices[zeros(ptr)] = columns
-    return n_comp - int(np.count_nonzero(is_open))
+    found = np.zeros(L.shape[0])
+    found[r] = 1.0
+    size = 0
+    while (grown := np.count_nonzero(found)) > size:
+        size = grown
+        found[L @ found > 0.0] = 1.0
+    return size == found.size
 
 
 def stationary_distribution(L: sp.csc_matrix, g: Graph, params: ModelParams) -> np.ndarray:
     """Unique stationary row vector of the forward generator L of g at params.
 
-    Raises ValueError when the chain has several closed classes. Steps
-    pi + (L^T pi) / lam, that is pi (I + L/lam) on L's own arrays, which
-    callers read the residual from, until max|L^T pi| <=
+    Steps pi + (L^T pi) / lam, that is pi (I + L/lam) on L's own arrays,
+    which callers read the residual from, until max|L^T pi| <=
     STATIONARY_RESIDUAL_TOL * lam; raises StateSpaceCapError past
     STATIONARY_WORK_BUDGET. The start, uniform spins times product
     Bernoulli(p) edges, has the edges' stationary law (they alone are
     dynamical percolation; Haggstrom, Peres and Steif 1997) and is
     flip-symmetric, so it excites neither their slow modes nor flip-odd ones.
+
+    Then it raises ValueError unless every state reaches r = argmax pi,
+    that is, unless the chain has one closed class: r then lies in every
+    closed class, and one closed class holds all of pi's mass, r included,
+    and is reached from every state. No fixed r would do: at p = 0 on
+    cycle:3 the one closed class holds no all-plus state.
     """
-    closed = count_closed_classes(L)
-    if closed != 1:
-        raise ValueError(
-            f"chain has {closed} closed classes, stationary distribution is not unique"
-        )
     pi = np.full(1 << g.vertex_count, 0.5**g.vertex_count)
     for _ in range(g.edge_count):  # edge e is bit n + e, above the spins and earlier edges
         pi = np.kron((1.0 - params.p, params.p), pi)
@@ -473,13 +449,19 @@ def stationary_distribution(L: sp.csc_matrix, g: Graph, params: ModelParams) -> 
         flow = LT @ pi
         residual = np.abs(flow).max()
         if residual <= STATIONARY_RESIDUAL_TOL * lam:
-            np.clip(pi, 0.0, None, out=pi)
-            return pi / pi.sum()
+            break
         pi += flow / lam
-    raise StateSpaceCapError(
-        steps * (L.nnz + _STEP_OVERHEAD), STATIONARY_WORK_BUDGET, f"stationary work on "
-        f"{pi.size} states (residual {residual:.2e} above {STATIONARY_RESIDUAL_TOL * lam:.2e})",
-    )
+    else:
+        raise StateSpaceCapError(
+            steps * (L.nnz + _STEP_OVERHEAD), STATIONARY_WORK_BUDGET, f"stationary work on "
+            f"{pi.size} states (residual {residual:.2e} above {STATIONARY_RESIDUAL_TOL * lam:.2e})",
+        )
+    del flow  # so that the certificate's vectors do not sit beside it
+    np.clip(pi, 0.0, None, out=pi)
+    pi /= pi.sum()
+    if not all_states_reach(L, int(np.argmax(pi))):
+        raise ValueError("chain has several closed classes, stationary distribution is not unique")
+    return pi
 
 
 def cylinder_probability(g: Graph, dist: np.ndarray, cylinder: CylinderEvent) -> float:

@@ -1,9 +1,10 @@
 """Which heavy modules a fresh process loads.
 
-scipy is imported only where an exact generator is assembled, and its
-csgraph only where closed classes are counted; the process pool only when
-replicas go to more than one worker. Each case runs in a new interpreter,
-since this test process has loaded scipy already.
+scipy is imported only where an exact generator is assembled, and
+scipy.sparse alone: no exact run, the stationary solve's closed-class
+certificate included, loads scipy.sparse.csgraph. The process pool loads
+only when replicas go to more than one worker. Each case runs in a new
+interpreter, since this test process has loaded scipy already.
 """
 
 import json
@@ -75,9 +76,18 @@ def test_exact_duality_check_loads_sparse_but_not_csgraph(tmp_path):
     assert "scipy.sparse.csgraph" not in modules
 
 
-def test_stationary_compare_loads_csgraph(tmp_path):
-    cfg = dict(experiment="stationary-compare", seed=2, graph="path:3", p=0.3, replicas=0,
-               oracle="on")
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(experiment="stationary-compare", seed=2, graph="path:3", p=0.3, replicas=0,
+             oracle="on"),
+        dict(experiment="mu-dyn", seed=3, graph="path:3", sites=[0, 2], replicas=20,
+             oracle="on"),
+    ],
+    ids=["stationary-compare", "mu-dyn"],
+)
+def test_exact_stationary_runs_load_sparse_but_not_csgraph(tmp_path, cfg):
     code, modules = _loaded(tmp_path, cfg)
     assert code == 0
-    assert "scipy.sparse.csgraph" in modules
+    assert "scipy.sparse" in modules
+    assert "scipy.sparse.csgraph" not in modules

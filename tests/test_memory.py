@@ -19,10 +19,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-# The oracle imports scipy.sparse and its csgraph on first use; importing
-# them here keeps a module's own import out of every traced peak, whatever
-# order the tests run in.
-import scipy.sparse.csgraph  # noqa: F401
+# The oracle imports scipy.sparse on first use; importing it here keeps a
+# module's own import out of every traced peak, whatever order the tests
+# run in.
+import scipy.sparse  # noqa: F401
 
 from conftest import decode_forward_state
 from spinbond import oracle
@@ -94,8 +94,8 @@ def test_dual_build_retains_its_csr_arrays():
 
 def test_stationary_solve_holds_one_jump_matrix(cycle6):
     # The one jump matrix is L itself: each step adds (L^T pi) / lam to pi
-    # through the CSR view L.T, so the call holds vectors and the closed-class
-    # count's temporaries, and a copy of L's transpose (1.0x) fails
+    # through the CSR view L.T, and the closed-class certificate reads L as it
+    # is, so the call holds vectors alone, and a copy of L's transpose (1.0x) fails
     g, L = cycle6
     before = L.copy()
     pi, peak = _traced_peak(lambda: oracle.stationary_distribution(L, g, PARAMS))

@@ -844,18 +844,58 @@ def test_stationary_residual_and_normalization(p3):
     assert np.abs(pi @ L.toarray()).max() < 1e-12
 
 
+def _closed_class_count(L):
+    """Closed classes of the generator L: scipy's strong components of a
+    copy without L's stored zeros, less those that a positive rate leaves."""
+    from scipy.sparse.csgraph import connected_components
+
+    A = L.tocsr()
+    A.eliminate_zeros()
+    count, labels = connected_components(A, directed=True, connection="strong")
+    rows, cols = A.nonzero()
+    return count - np.unique(labels[rows][labels[rows] != labels[cols]]).size
+
+
+def _reaches_from_nowhere(L):
+    """No state is reached from every state, as when L has several closed classes."""
+    return not any(oracle.all_states_reach(L, r) for r in range(L.shape[0]))
+
+
 def test_stationary_rejects_reducible_chains(p3):
     g, kern = p3
     # p = 1: the two all-aligned consensus states are separate traps.
     frozen_env = oracle.build_forward_generator(g, kern, ModelParams(1.0, 1.0))
-    assert oracle.count_closed_classes(frozen_env) == 2
+    assert _closed_class_count(frozen_env) == 2 and _reaches_from_nowhere(frozen_env)
     with pytest.raises(ValueError):
         oracle.stationary_distribution(frozen_env, g, ModelParams(1.0, 1.0))
     # v = 0: every environment assignment is its own closed class.
     frozen_edges = oracle.build_forward_generator(g, kern, ModelParams(0.5, 0.0))
-    assert oracle.count_closed_classes(frozen_edges) == 8
+    assert _closed_class_count(frozen_edges) == 8 and _reaches_from_nowhere(frozen_edges)
     with pytest.raises(ValueError):
         oracle.stationary_distribution(frozen_edges, g, ModelParams(0.5, 0.0))
+
+
+@pytest.mark.parametrize(
+    "spec, closed", [("cycle:3", 1), ("cycle:5", 1), ("complete:3", 1), ("cycle:4", 2)]
+)
+def test_stationary_certifies_one_closed_class_without_the_all_plus_state(spec, closed):
+    # p = 0: every edge ends negative. An odd cycle (and complete:3, a
+    # triangle) is then frustrated, so its spins never settle and the one
+    # closed class holds no all-plus state, which does not reach every
+    # state; cycle:4 settles in either of its two alternating states.
+    g = parse_graph_spec(spec)
+    params = ModelParams(0.0, 1.0)
+    L = oracle.build_forward_generator(g, uniform_kernel(g), params)
+    assert _closed_class_count(L) == closed
+    assert not oracle.all_states_reach(L, L.shape[0] - 1)
+    if closed > 1:
+        assert _reaches_from_nowhere(L)
+        with pytest.raises(ValueError):
+            oracle.stationary_distribution(L, g, params)
+        return
+    pi = oracle.stationary_distribution(L, g, params)
+    assert oracle.all_states_reach(L, int(np.argmax(pi)))
+    assert pi[-1] == 0.0
 
 
 @pytest.mark.parametrize("block", [1, 5, 32])
@@ -868,7 +908,7 @@ def test_closed_classes_and_generator_over_row_blocks(p3, block, monkeypatch):
         whole = oracle.build_forward_generator(g, kern, params)
         monkeypatch.setattr(oracle, "_ROW_BLOCK", block)
         L = oracle.build_forward_generator(g, kern, params)
-        assert oracle.count_closed_classes(L) == closed
+        assert _closed_class_count(L) == closed and _reaches_from_nowhere(L)
         _assert_same_arrays(L, whole)
         assert L.nnz == 32 * (g.vertex_count + g.edge_count + 1)
         monkeypatch.undo()
@@ -901,27 +941,17 @@ def _reducible_generators(draw):
 @settings(max_examples=60, deadline=None)
 @given(L=_reducible_generators())
 def test_closed_classes_read_stored_zeros_as_no_transition(L):
-    # The count on L equals the count on a copy stripped of its zeros, and
-    # L's arrays are the same bytes afterwards, also when the strong
-    # components raise; the graph they are handed has no 0 off its diagonal
-    import scipy.sparse.csgraph as csgraph
-
+    # From every state r, the certificate on L gives the same answer as on
+    # a copy stripped of its zeros, and L's arrays are the same bytes
+    # afterwards. No r is reached from every state: v = 0 freezes the edges.
     stripped = L.copy()
     stripped.eliminate_zeros()
     assert stripped.nnz < L.nnz
     kept = L.copy()
-    assert oracle.count_closed_classes(L) == oracle.count_closed_classes(stripped)
+    for r in range(L.shape[0]):
+        assert oracle.all_states_reach(L, r) == oracle.all_states_reach(stripped, r)
     _assert_same_arrays(L, kept)
-
-    def raising(graph, **kwargs):
-        rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
-        assert (graph.indices[graph.data == 0.0] == rows[graph.data == 0.0]).all()
-        raise RuntimeError("strong components failed")
-
-    with mock.patch.object(csgraph, "connected_components", side_effect=raising):
-        with pytest.raises(RuntimeError, match="strong components failed"):
-            oracle.count_closed_classes(L)
-    _assert_same_arrays(L, kept)
+    assert _closed_class_count(L) > 1 and _reaches_from_nowhere(L)
 
 
 @settings(max_examples=20, deadline=None)
@@ -937,11 +967,13 @@ def test_stationary_solve_matches_a_dense_solve_over_the_theorem_class(chain, p,
     g, kern = chain
     params = ModelParams(p, v)
     L = oracle.build_forward_generator(g, kern, params)
-    assert oracle.count_closed_classes(L) == 1
+    assert _closed_class_count(L) == 1
     balance = L.toarray().T
     balance[-1] = 1.0  # one balance equation, implied by the others, gives way to the total
     dense = np.linalg.solve(balance, np.eye(L.shape[0])[-1])
-    assert np.abs(oracle.stationary_distribution(L, g, params) - dense).max() < 1e-10
+    pi = oracle.stationary_distribution(L, g, params)
+    assert np.abs(pi - dense).max() < 1e-10
+    assert oracle.all_states_reach(L, int(np.argmax(pi)))
 
 
 @pytest.mark.parametrize("spec", ["path:3", "complete:2", "cycle:5", "cycle:6"])
