@@ -13,15 +13,20 @@ with each rate taken at the flipped source; the forward generator is
 stored by columns with all n + m + 1 slots kept, rate 0 included, and
 L.T, which every forward-law product multiplies, is a CSR view of it with
 one row width, so a product's inner loop has one trip count. The dual
-generator is stored by rows with its zero slots dropped (about 10 entries
-in 15 slots on cycle:6 with k = 2) and cut to the entries stored.
+generator has one row per walker-exchange orbit, rank + R * environment
+(56,862 for 104,976 labelled states on cycle:6 with k = 2), stored by rows
+with its zero slots dropped and cut to the entries stored; DUAL_STATE_CAP
+and the duality gap table's rows count labelled states.
 
 Each chain is held once. The transient solvers take their generator over:
 _uniformize turns L.T into the transposed jump matrix I + L.T/lam in
 place, and one routine, transient_steps, steps vectors with its product.
 transient_distribution does so on the forward generator, and
-transient_action (the dual side of the duality gap table) on L itself,
-the transpose of L.T. Callers that need a generator again pass L.copy().
+transient_action (the dual side of the duality gap table, on the orbits)
+on L itself, the transpose of L.T. Callers that need a generator again
+pass L.copy(). The transient series and the stationary loop share one
+work budget in stored entries read, ORACLE_WORK_BUDGET, each counted
+before its first product.
 total_variation_curve builds no full generator: flipping every spin
 commutes with the forward chain, so it steps the flip-even and flip-odd
 parts of its signed vector on the half-size quotient of
@@ -63,13 +68,16 @@ UNIFORMIZATION_TAIL = 1e-12
 _MAX_UNIFORM_EXPONENT = 500.0
 # Times on one uniformization series before it restarts from its last result.
 _SEGMENT_TIMES = 8
-# The stationary iteration stops at max|L^T pi| <= STATIONARY_RESIDUAL_TOL * lam
-# and raises past STATIONARY_WORK_BUDGET stored entries read. A step reads L's
-# nnz plus _STEP_OVERHEAD, its fixed cost (8.7 us a step on path:3 over 2.3 ns
-# an entry on C9, 2-core x86): 12,800 steps at the 2^20-state cap, 10 minutes.
+# The stationary iteration stops at max|L^T pi| <= STATIONARY_RESIDUAL_TOL * lam.
+# It and the transient series raise past ORACLE_WORK_BUDGET stored entries
+# read. A step or a product reads the operator's entries plus _STEP_OVERHEAD,
+# its fixed cost (8.7 us a step on path:3 over 2.3 ns an entry on C9, 2-core
+# x86): 12,800 stationary steps at the 2^20-state cap, 10 minutes. A series is
+# counted at _max_terms products a segment, about 3 times what it takes, so
+# the budget holds 1.5-3 minutes of series.
 STATIONARY_RESIDUAL_TOL = 1e-14
 _STEP_OVERHEAD = 3_800
-STATIONARY_WORK_BUDGET = 12_800 * (21 * FORWARD_STATE_CAP + _STEP_OVERHEAD)
+ORACLE_WORK_BUDGET = 12_800 * (21 * FORWARD_STATE_CAP + _STEP_OVERHEAD)
 # Rows per block of a pass over a generator's entries, so that its
 # temporaries stay small beside the generator itself.
 _ROW_BLOCK = 1024
@@ -293,6 +301,11 @@ def _uniformize(G: sp.csr_matrix) -> float:
     return lam
 
 
+def _max_terms(lam_t: float) -> int:
+    """The most products one series over a span with lam * span = lam_t takes."""
+    return int(lam_t + 50.0 * np.sqrt(lam_t + 1.0) + 200.0)
+
+
 def _series(
     product: Callable[[np.ndarray], np.ndarray], lam: float, vec: np.ndarray, spans: list[float]
 ) -> list[tuple[np.ndarray, float]]:
@@ -304,7 +317,7 @@ def _series(
     span's sum with the Poisson mass it took.
     """
     lam_ts = [lam * s for s in spans]
-    max_terms = [int(x + 50.0 * np.sqrt(x + 1.0) + 200.0) for x in lam_ts]
+    max_terms = [_max_terms(x) for x in lam_ts]
     coeffs = [float(np.exp(-x)) for x in lam_ts]
     accs = [c * vec for c in coeffs]
     cums = list(coeffs)
@@ -333,7 +346,7 @@ def transient_distribution(L: sp.csc_matrix, initial: np.ndarray, t: float) -> n
     """
     PT = L.T
     lam = _uniformize(PT)
-    (law,) = transient_steps(PT.dot, lam, initial, t, 1)
+    (law,) = transient_steps(PT.dot, lam, initial, t, 1, PT.nnz)
     total = law.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise RuntimeError("transient distribution lost its mass")
@@ -341,14 +354,16 @@ def transient_distribution(L: sp.csc_matrix, initial: np.ndarray, t: float) -> n
 
 
 def transient_steps(
-    product: Callable[[np.ndarray], np.ndarray], lam: float, rows: np.ndarray, dt: float, steps: int
+    product: Callable[[np.ndarray], np.ndarray], lam: float, rows: np.ndarray, dt: float,
+    steps: int, entries: int,
 ) -> Iterator[np.ndarray]:
     """rows @ e^{i dt L} for i = 1, ..., steps, not renormalized.
 
     product(w) is P.T @ w for the jump matrix P = I + L/lam, as
     _uniformize makes it: a CSR matrix's dot, or any operator on vectors
-    of that size. rows is one row vector, or an (N, c) block with one per
-    column; a signed difference of two laws is propagated like a law.
+    of that size, which reads `entries` stored entries. rows is one row
+    vector, or an (N, c) block with one per column; a signed difference of
+    two laws is propagated like a law.
 
     A step with lam * dt above _MAX_UNIFORM_EXPONENT, where e^{-lam dt}
     could underflow, is cut into 2^d equal steps on the grid first. A
@@ -358,30 +373,24 @@ def transient_steps(
     result divided by the Poisson mass its series summed, which for a law
     is the renormalization of a per-step routine, so truncation does not
     compound over segments. Only the times i dt are yielded.
+
+    Before its first product it counts what the series can read: per
+    segment _max_terms products, each `entries` plus _STEP_OVERHEAD. Once
+    that passes ORACLE_WORK_BUDGET it raises StateSpaceCapError with the
+    count so far, so a step far too long to take is refused at once.
     """
-    grid: list[tuple[float, bool]] = []  # (time, whether it is yielded)
-    prev = 0.0
-    for t in [i * dt for i in range(1, steps + 1)]:
-        if t < prev:
-            raise ValueError(f"time must be >= 0 and must not decrease, got {t} after {prev}")
-        pieces = 1
-        while lam * ((t - prev) / pieces) > _MAX_UNIFORM_EXPONENT:
-            pieces *= 2
-        grid += [(prev + (t - prev) * j / pieces, False) for j in range(1, pieces)]
-        grid.append((t, True))
-        prev = t
     base = np.asarray(rows, dtype=np.float64)
-    start, i = 0.0, 0
-    while i < len(grid):
-        end = i + 1
-        while (
-            end - i < _SEGMENT_TIMES
-            and end < len(grid)
-            and lam * (grid[end][0] - start) <= _MAX_UNIFORM_EXPONENT
-        ):
-            end += 1
-        results = _series(product, lam, base, [t - start for t, _ in grid[i:end]])
-        for (law, _), (_, wanted) in zip(results, grid[i:end]):
+    segments, work = [], 0
+    for start, points in _segments(lam, dt, steps):
+        segments.append((start, points))
+        work += _max_terms(lam * (points[-1][0] - start)) * (entries + _STEP_OVERHEAD)
+        if work > ORACLE_WORK_BUDGET:
+            raise StateSpaceCapError(
+                work, ORACLE_WORK_BUDGET, f"transient work on {base.shape[0]} states"
+            )
+    for start, points in segments:
+        results = _series(product, lam, base, [t - start for t, _ in points])
+        for (law, _), (_, wanted) in zip(results, points):
             if not np.all(np.isfinite(law)):
                 raise RuntimeError("transient series is not finite")
             if wanted:
@@ -389,8 +398,27 @@ def transient_steps(
         base, mass = results[-1]
         del results  # so that the next segment's sums do not sit beside these
         base = base / mass
-        start = grid[end - 1][0]
-        i = end
+
+
+def _segments(lam: float, dt: float, steps: int) -> Iterator[tuple[float, list]]:
+    """transient_steps' segments: each start and its grid points (time, whether it is yielded)."""
+    start, points, prev = 0.0, [], 0.0
+    for t in [i * dt for i in range(1, steps + 1)]:
+        if t < prev:
+            raise ValueError(f"time must be >= 0 and must not decrease, got {t} after {prev}")
+        pieces = 1
+        while lam * ((t - prev) / pieces) > _MAX_UNIFORM_EXPONENT:
+            pieces *= 2
+        for j in range(1, pieces + 1):
+            point = (prev + (t - prev) * j / pieces, False) if j < pieces else (t, True)
+            if len(points) == _SEGMENT_TIMES or (
+                points and lam * (point[0] - start) > _MAX_UNIFORM_EXPONENT
+            ):
+                yield start, points
+                start, points = points[-1][0], []
+            points.append(point)
+        prev = t
+    yield start, points
 
 
 def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float) -> np.ndarray:
@@ -400,7 +428,7 @@ def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float) -> np.ndarray:
     becomes the jump matrix I + L/lam in place, whose product steps it.
     """
     lam = _uniformize(L)
-    (out,) = transient_steps(L.dot, lam, vec, t, 1)
+    (out,) = transient_steps(L.dot, lam, vec, t, 1, L.nnz)
     return out
 
 
@@ -426,7 +454,7 @@ def stationary_distribution(L: sp.csc_matrix, g: Graph, params: ModelParams) -> 
     Steps pi + (L^T pi) / lam, that is pi (I + L/lam) on L's own arrays,
     which callers read the residual from, until max|L^T pi| <=
     STATIONARY_RESIDUAL_TOL * lam; raises StateSpaceCapError past
-    STATIONARY_WORK_BUDGET. The start, uniform spins times product
+    ORACLE_WORK_BUDGET. The start, uniform spins times product
     Bernoulli(p) edges, has the edges' stationary law (they alone are
     dynamical percolation; Haggstrom, Peres and Steif 1997) and is
     flip-symmetric, so it excites neither their slow modes nor flip-odd ones.
@@ -444,7 +472,7 @@ def stationary_distribution(L: sp.csc_matrix, g: Graph, params: ModelParams) -> 
     # so the iteration is aperiodic unless every exit rate is equal.
     lam = float(np.max(-L.diagonal(), initial=0.0))
     LT = L.T
-    steps = STATIONARY_WORK_BUDGET // (L.nnz + _STEP_OVERHEAD) + 1  # one residual at least
+    steps = ORACLE_WORK_BUDGET // (L.nnz + _STEP_OVERHEAD) + 1  # one residual at least
     for _ in range(steps):
         flow = LT @ pi
         residual = np.abs(flow).max()
@@ -453,7 +481,7 @@ def stationary_distribution(L: sp.csc_matrix, g: Graph, params: ModelParams) -> 
         pi += flow / lam
     else:
         raise StateSpaceCapError(
-            steps * (L.nnz + _STEP_OVERHEAD), STATIONARY_WORK_BUDGET, f"stationary work on "
+            steps * (L.nnz + _STEP_OVERHEAD), ORACLE_WORK_BUDGET, f"stationary work on "
             f"{pi.size} states (residual {residual:.2e} above {STATIONARY_RESIDUAL_TOL * lam:.2e})",
         )
     del flow  # so that the certificate's vectors do not sit beside it
@@ -519,8 +547,8 @@ def total_variation_curve(
         return 0.5 * float(np.abs(e + o).sum() + np.abs(e - o).sum())
 
     halves = zip(
-        transient_steps(PT.dot, lam, start[0], dt, steps),
-        transient_steps(odd_product, lam, start[1], dt, steps),
+        transient_steps(PT.dot, lam, start[0], dt, steps, PT.nnz),
+        transient_steps(odd_product, lam, start[1], dt, steps, PT.nnz + site0.size),
     )
     return [tv(*start)] + [tv(e, o) for e, o in halves]
 
@@ -547,19 +575,28 @@ def build_dual_generator(
     k: int,
     mode: str = "coalescing",
 ) -> sp.csr_matrix:
-    """Generator of the k-walker dual chain with its revealed environment.
+    """Generator of the k-walker dual chain with its revealed environment, on label orbits.
 
     Under the coalescing rule every walker on the firing site moves in the
     same event, so co-located walkers never separate; under the independent
-    rule each walker fires alone.
+    rule each walker fires alone. Either rule's rates ignore the walkers'
+    labels, so the chain lumps exactly onto their orbits (Kemeny and Snell
+    1960), index rank + R * environment for the R ranks of _walker_orbits:
+    row i is its representative's labelled row with each target folded to
+    its orbit. Every move changes the walkers' (position, sign) multiset or
+    the environment, so no transition folds onto its own row; under the
+    independent rule two co-located walkers of one sign fire into one
+    orbit, which stay two entries.
     """
     require_valid_kernel(g, kernel)
     if mode not in ("coalescing", "independent"):
         raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
-    size = dual_state_count(g, k)
+    dual_state_count(g, k)  # the cap, on labelled states
     n, m = g.vertex_count, g.edge_count
     p, v = params.p, params.v
     block = n**k * 2**k  # index stride of the first environment digit
+    reps, fold = _walker_orbits(n, k)
+    orbits = np.int32(reps.size)
     nbr, edge_of, rate_of = _kernel_entries(g, kernel)
     width = len(nbr)
     stride_of = block * 3**edge_of  # the edge's environment digit
@@ -567,10 +604,11 @@ def build_dual_generator(
     # Two slots per walker and kernel entry, one per edge, and the diagonal's.
     slots = 2 * k * width + m + 1
 
-    def rows(idx: np.ndarray):
+    def rows(orbit: np.ndarray):
         # State-sized integers are int32, since DUAL_STATE_CAP < 2^31. The
         # small tables above are int32 as well and every scalar is a Python
         # int or an np.int32, so that no product widens to int64.
+        idx = reps.take(orbit % orbits) + block * (orbit // orbits)  # labelled representatives
         positions = [(idx // n**j) % n for j in range(k)]
         sign_bits = idx // n**k
         targets = np.empty((idx.size, slots), dtype=np.int32)
@@ -614,11 +652,28 @@ def build_dual_generator(
         targets[:, 2 * k * width:-1] = (idx - digit * edge_strides).T
         rates[:, 2 * k * width:-1] = np.where(digit != 0, v, 0.0).T
         targets[:, -1] = idx
+        targets = fold.take(targets % block) + orbits * (targets // block)
         values, cols = _generator_rows(targets, rates)
         keep = np.flatnonzero(values)  # so a state with no transitions stores nothing
         return values.take(keep), cols.take(keep), np.bincount(keep // slots, minlength=idx.size)
 
-    return _assemble_generator(size, slots, rows)
+    return _assemble_generator(int(orbits) * 3**m, slots, rows)
+
+
+def _walker_orbits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Label orbits of the n^k 2^k walker blocks (positions base n, then sign bits).
+
+    Returns reps, the ascending blocks whose walkers are sorted by
+    (position, sign), one per orbit, and fold, each block's orbit rank: the
+    rank in reps of the block with its walkers sorted.
+    """
+    blocks = np.arange(n**k * 2**k, dtype=np.int32)
+    keys = np.stack([2 * ((blocks // n**j) % n) + ((blocks // n**k >> j) & 1) for j in range(k)])
+    keys.sort(axis=0)
+    rep = sum((keys[j] >> 1) * np.int32(n**j) + (keys[j] & 1) * np.int32(n**k << j)
+              for j in range(k))
+    reps = np.flatnonzero(rep == blocks).astype(np.int32)
+    return reps, np.searchsorted(reps, rep).astype(np.int32)
 
 
 def duality_gap_table(
@@ -631,19 +686,25 @@ def duality_gap_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Duality gaps for every dual initial configuration at once.
 
-    Returns the columns (lhs, rhs), entry s for state s of the coalescing
-    dual. The right side for all initial conditions is a
-    single semigroup action on the weight vector, made on the dual
-    generator itself; that vector is the left side's masses at t = 0,
-    where the law is the point mass on the forward initial state.
+    Returns the columns (lhs, rhs), entry s for labelled state s of the
+    coalescing dual. The right side for all initial conditions is a single
+    semigroup action on the weight vector, made on the dual generator
+    itself; that vector is the left side's masses at t = 0, where the law
+    is the point mass on the forward initial state. The weight depends on
+    the walkers through their (position, sign) multiset alone, so it is
+    read on the orbits' representatives, and the action, a function of the
+    orbit, is expanded back to every labelled state.
     """
+    envs = 3**g.edge_count
+    reps, fold = _walker_orbits(g.vertex_count, k)
     delta = forward_delta(g, forward_initial)
     # The dual generator is built first, while no dual-sized vector is held.
     rhs = transient_action(
         build_dual_generator(g, kernel, params, k),
-        _weighted_cylinder_masses(g, delta, k, params.p),
+        _weighted_cylinder_masses(g, delta, k, params.p).reshape(envs, -1)[:, reps].ravel(),
         t,
     )
+    rhs = rhs.reshape(envs, reps.size).take(fold, axis=1).ravel()
     mu_t = transient_distribution(build_forward_generator(g, kernel, params), delta, t)
     lhs = _weighted_cylinder_masses(g, mu_t, k, params.p)
     return lhs, rhs

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinbond import forward, oracle
 from spinbond.cylinders import CylinderEvent
@@ -156,6 +157,116 @@ def encode_dual_state(g: Graph, dual: DualState) -> int:
         digit = 1 if e in dual.revealed_positive else 2 if e in dual.revealed_negative else 0
         env = env * 3 + digit
     return index + n**k * 2**k * env
+
+
+def decode_dual_state(g: Graph, k: int, index: int) -> DualState:
+    """The labelled dual configuration of index ``index``, as encode_dual_state packs it."""
+    n = g.vertex_count
+    rem, positions = index, []
+    for _ in range(k):
+        positions.append(rem % n)
+        rem //= n
+    signs = [1 if (rem >> j) & 1 else -1 for j in range(k)]
+    rem >>= k
+    pos_edges, neg_edges = set(), set()
+    for e in range(g.edge_count):
+        digit = rem % 3
+        rem //= 3
+        if digit == 1:
+            pos_edges.add(e)
+        elif digit == 2:
+            neg_edges.add(e)
+    return DualState(
+        positions=positions, signs=signs, revealed_positive=pos_edges, revealed_negative=neg_edges
+    )
+
+
+def _reference_generator(size, transitions):
+    """CSR generator from (source, target, rate) triples with positive rates.
+
+    Built with scipy's own COO -> CSR conversion, which sums duplicate
+    entries; the diagonal is minus the row sum.
+    """
+    rows, cols, vals = zip(*transitions)
+    off = sp.coo_matrix((np.array(vals, dtype=np.float64), (rows, cols)), shape=(size, size)).tocsr()
+    return (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
+
+
+def _dual_generator_by_state(g, kernel, params, k, mode):
+    """Reference builder: decode, move and encode one dual state at a time."""
+    size = oracle.dual_state_count(g, k)
+    p, v = params.p, params.v
+    transitions = []
+    for s in range(size):
+        d = decode_dual_state(g, k, s)
+        if mode == "coalescing":
+            groups = {}
+            for j, z in enumerate(d.positions):
+                groups.setdefault(z, []).append(j)
+            firing = list(groups.items())
+        else:
+            firing = [(d.positions[j], [j]) for j in range(k)]
+        for z, movers in firing:
+            for y, q in kernel.rows[z]:
+                if q <= 0.0:
+                    continue
+                e = g.edge_id(z, y)
+                if e in d.revealed_positive:
+                    branches = [(q, False, None)]
+                elif e in d.revealed_negative:
+                    branches = [(q, True, None)]
+                else:
+                    branches = [(q * p, False, 1), (q * (1.0 - p), True, -1)]
+                for rate, flip, reveal_sign in branches:
+                    nxt = DualState.of(d.positions, d.signs, d.revealed_positive, d.revealed_negative)
+                    for j in movers:
+                        nxt.positions[j] = y
+                        if flip:
+                            nxt.signs[j] = -nxt.signs[j]
+                    if reveal_sign == 1:
+                        nxt.revealed_positive.add(e)
+                    elif reveal_sign == -1:
+                        nxt.revealed_negative.add(e)
+                    if rate > 0.0:
+                        transitions.append((s, encode_dual_state(g, nxt), rate))
+        for e in d.revealed_positive | d.revealed_negative:
+            nxt = DualState.of(d.positions, d.signs, d.revealed_positive, d.revealed_negative)
+            nxt.revealed_positive.discard(e)
+            nxt.revealed_negative.discard(e)
+            if v > 0.0:
+                transitions.append((s, encode_dual_state(g, nxt), v))
+    return _reference_generator(size, transitions)
+
+
+def dual_orbits(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dual chain's label orbits, found by sorting decoded walkers.
+
+    Returns reps, the labelled index of each orbit's representative, whose
+    walkers are sorted by (position, sign), at orbit index
+    rank + R * environment for the R sorted walker blocks in ascending
+    order; and orbit, the orbit index of every labelled state.
+    """
+    block = g.vertex_count**k * 2**k
+    ranks, sorted_blocks = {}, []
+    for b in range(block):
+        d = decode_dual_state(g, k, b)
+        walkers = sorted(zip(d.positions, d.signs))
+        rep = encode_dual_state(g, DualState.of([z for z, _ in walkers], [s for _, s in walkers]))
+        if rep == b:
+            ranks[b] = len(ranks)
+        sorted_blocks.append(rep)
+    envs = np.arange(3**g.edge_count)[:, None]
+    reps = np.array(list(ranks)) + block * envs
+    orbit = np.array([ranks[rep] for rep in sorted_blocks]) + len(ranks) * envs
+    return reps.ravel(), orbit.ravel()
+
+
+def lump_dual_generator(L, reps: np.ndarray, orbit: np.ndarray):
+    """A labelled dual generator lumped onto the label orbits of
+    dual_orbits: each orbit's row is its representative's, with the
+    columns of one orbit summed."""
+    rows = L.tocsr()[reps].tocoo()
+    return sp.coo_matrix((rows.data, (rows.row, orbit[rows.col])), shape=(reps.size,) * 2).tocsr()
 
 
 def forward_sign_mask(g: Graph, pairs) -> np.ndarray:

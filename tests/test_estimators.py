@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import coupled_run, decode_forward_state, encode_dual_state, striped_state
+from conftest import (
+    _dual_generator_by_state, coupled_run, decode_forward_state, encode_dual_state, striped_state,
+)
 from scipy import stats
 from scipy.linalg import expm
 
@@ -288,12 +290,13 @@ _DUAL_LAW_CASES = {
 
 def _law_misses(g, kern, params, initial, t, mode, runs):
     """Event frequencies of the block ``runs`` more than 4 binomial sigma off
-    oracle.transient_distribution on build_dual_generator at t, or off an
-    exact 0 or 1 at all."""
+    oracle.transient_distribution at t on the labelled dual chain of the
+    reference builder, or off an exact 0 or 1 at all. The events name
+    walkers, so they need the labelled chain, not the oracle's orbits."""
     k = initial.walker_count
     law0 = np.zeros(oracle.dual_state_count(g, k))
     law0[encode_dual_state(g, initial)] = 1.0
-    law = oracle.transient_distribution(oracle.build_dual_generator(g, kern, params, k, mode), law0, t)
+    law = oracle.transient_distribution(_dual_generator_by_state(g, kern, params, k, mode), law0, t)
     want = law @ _dual_events(g, *_decoded_dual_states(g, k))
     got = _dual_events(g, runs.positions, runs.signs, runs.status).mean(axis=0)
     sigma = np.sqrt(np.clip(want * (1.0 - want), 0.0, None) / runs.time.size)
@@ -304,7 +307,7 @@ def _law_misses(g, kern, params, initial, t, mode, runs):
 @pytest.mark.parametrize("case", sorted(_DUAL_LAW_CASES))
 def test_batched_dual_follows_the_exact_transient_law(case):
     # Event frequencies of the batched dual runner against
-    # oracle.transient_distribution on build_dual_generator. Stated
+    # oracle.transient_distribution on the labelled reference chain. Stated
     # false-failure rate: the seven cases hold 171 two-sided gates at 4
     # binomial sigma, family-wise <= 171 * 0.0063% = 1.1% under the normal
     # approximation. Where the exact value is 0 or 1 the frequency must
@@ -341,9 +344,9 @@ def test_continued_dual_block_follows_the_exact_transient_law():
 
 def test_coupled_legs_follow_the_exact_transient_law():
     # Each leg of coupled_run on P3, two walkers from distinct sites, against
-    # oracle.transient_distribution on its own rule's build_dual_generator.
-    # Stated false-failure rate: 2 legs of 21 two-sided gates at 4 binomial
-    # sigma, family-wise <= 42 * 0.0063% = 0.27% under the normal
+    # oracle.transient_distribution on its own rule's labelled reference
+    # chain. Stated false-failure rate: 2 legs of 21 two-sided gates at 4
+    # binomial sigma, family-wise <= 42 * 0.0063% = 0.27% under the normal
     # approximation. Where the exact value is 0 or 1 the frequency must
     # equal it.
     g = builtin_graph("path", 3)
@@ -358,7 +361,7 @@ def test_coupled_legs_follow_the_exact_transient_law():
     law0 = np.zeros(oracle.dual_state_count(g, 2))
     law0[encode_dual_state(g, initial)] = 1.0
     for mode, leg in (("coalescing", coalescing), ("independent", independent)):
-        L = oracle.build_dual_generator(g, kern, params, 2, mode)
+        L = _dual_generator_by_state(g, kern, params, 2, mode)
         want = oracle.transient_distribution(L, law0, t) @ _dual_events(g, *_decoded_dual_states(g, 2))
         got = _dual_events(g, leg.positions, leg.signs, leg.status).mean(axis=0)
         sigma = np.sqrt(np.clip(want * (1.0 - want), 0.0, None) / replicas)

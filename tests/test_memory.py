@@ -82,7 +82,7 @@ def test_forward_build_holds_one_table(cycle6):
 
 
 def test_dual_build_retains_its_csr_arrays():
-    # 5,184 states with 13 slots for 8.3 entries a row: the table's unused
+    # 2,916 orbits with 13 slots for 8.1 entries a row: the table's unused
     # slots are cut off, so what stays is the CSR arrays alone
     g = builtin_graph("cycle", 4)
     L_d, retained = _retained_array_bytes(
@@ -114,7 +114,7 @@ def test_transient_steps_hold_one_jump_matrix(cycle6):
 
     def steps():
         PT = L.T
-        for stepped in oracle.transient_steps(PT.dot, oracle._uniformize(PT), law, 0.5, 4):
+        for stepped in oracle.transient_steps(PT.dot, oracle._uniformize(PT), law, 0.5, 4, PT.nnz):
             pass
         return stepped
 
@@ -144,15 +144,18 @@ def test_tv_curve_holds_the_quotient_alone(cycle6):
 
 
 def test_duality_gap_table_holds_one_dual_generator():
-    # The dual generator is built while no dual-sized vector is held and
-    # becomes its own jump matrix, and the table is two columns; the bound
-    # is in units of the dual generator (5,184 states)
+    # The dual generator, on the 2,916 label orbits of 5,184 states, is
+    # built while no dual-sized vector is held and becomes its own jump
+    # matrix, and the table is two columns over the labelled states; the
+    # bound is in units of the orbit generator (1.95x is read), which holds
+    # 0.55 of the labelled generator's bytes
     g = builtin_graph("cycle", 4)
     kern = uniform_kernel(g)
     L_d = oracle.build_dual_generator(g, kern, PARAMS, 2)
     fwd = decode_forward_state(g, 5)
     (lhs, rhs), peak = _traced_peak(lambda: oracle.duality_gap_table(g, kern, PARAMS, fwd, 2, 1.0))
-    assert lhs.shape == rhs.shape == (L_d.shape[0],)
+    assert L_d.shape[0] == 2916
+    assert lhs.shape == rhs.shape == (oracle.dual_state_count(g, 2),)
     assert np.abs(lhs - rhs).max() < 1e-10
     assert peak < 2.0 * _generator_bytes(L_d)
 

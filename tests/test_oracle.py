@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from spinbond.cli import main
@@ -23,41 +23,25 @@ from spinbond.graphs import (
 from spinbond import oracle
 
 from conftest import (
+    _dual_generator_by_state,
+    _reference_generator,
+    decode_dual_state,
     decode_forward_state,
+    dual_orbits,
     duality_weight,
     encode_dual_state,
     forward_cylinder_mask,
     forward_weight_vector,
+    lump_dual_generator,
     striped_state,
     total_variation,
 )
 
 
 # ------------------------------------------------------------- references
-# Test-only counterparts of the oracle: one dual state decoded, and both
-# sides of the duality identity for a single forward/dual pair, which
-# duality_gap_table computes for every dual state at once.
-
-
-def decode_dual_state(g: Graph, k: int, index: int) -> DualState:
-    n = g.vertex_count
-    rem, positions = index, []
-    for _ in range(k):
-        positions.append(rem % n)
-        rem //= n
-    signs = [1 if (rem >> j) & 1 else -1 for j in range(k)]
-    rem >>= k
-    pos_edges, neg_edges = set(), set()
-    for e in range(g.edge_count):
-        digit = rem % 3
-        rem //= 3
-        if digit == 1:
-            pos_edges.add(e)
-        elif digit == 2:
-            neg_edges.add(e)
-    return DualState(
-        positions=positions, signs=signs, revealed_positive=pos_edges, revealed_negative=neg_edges
-    )
+# Test-only counterparts of the oracle: both sides of the duality identity
+# for a single forward/dual pair, which duality_gap_table computes for every
+# dual state at once, on the labelled dual chain of the reference builder.
 
 
 def dual_delta(g: Graph, dual: DualState) -> np.ndarray:
@@ -93,7 +77,7 @@ def exact_duality_check(
     mu_t = oracle.transient_distribution(L_f, oracle.forward_delta(g, forward_initial), t)
     lhs = float(mu_t @ forward_weight_vector(g, dual_initial, params.p))
 
-    L_d = oracle.build_dual_generator(g, kernel, params, k, mode=mode)
+    L_d = _dual_generator_by_state(g, kernel, params, k, mode)
     nu_t = oracle.transient_distribution(L_d, dual_delta(g, dual_initial), t)
     weights = oracle._weighted_cylinder_masses(
         g, oracle.forward_delta(g, forward_initial), k, params.p
@@ -175,25 +159,16 @@ def test_dual_generator_rows_sum_to_zero(p3):
 def test_dual_generator_coalesced_pair_moves_together(k2):
     # Once both walkers share a site, no transition may separate them.
     g, kern = k2
+    # Orbit indices are decoded through their representatives.
+    reps, _ = dual_orbits(g, 2)
     L = oracle.build_dual_generator(g, kern, ModelParams(0.4, 1.0), 2).tocoo()
     for i, j, rate in zip(L.row, L.col, L.data):
         if i == j or rate <= 0.0:
             continue
-        src = decode_dual_state(g, 2, int(i))
-        dst = decode_dual_state(g, 2, int(j))
+        src = decode_dual_state(g, 2, int(reps[i]))
+        dst = decode_dual_state(g, 2, int(reps[j]))
         if src.positions[0] == src.positions[1]:
             assert dst.positions[0] == dst.positions[1]
-
-
-def _reference_generator(size, transitions):
-    """CSR generator from (source, target, rate) triples with positive rates.
-
-    Built with scipy's own COO -> CSR conversion, which sums duplicate
-    entries; the diagonal is minus the row sum.
-    """
-    rows, cols, vals = zip(*transitions)
-    off = sp.coo_matrix((np.array(vals, dtype=np.float64), (rows, cols)), shape=(size, size)).tocsr()
-    return (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
 
 
 def _assert_same_csr(A, B):
@@ -263,52 +238,6 @@ def _forward_generator_by_state(g, kernel, params):
     return _reference_generator(size, transitions)
 
 
-def _dual_generator_by_state(g, kernel, params, k, mode):
-    """Reference builder: decode, move and encode one dual state at a time."""
-    size = oracle.dual_state_count(g, k)
-    p, v = params.p, params.v
-    transitions = []
-    for s in range(size):
-        d = decode_dual_state(g, k, s)
-        if mode == "coalescing":
-            groups = {}
-            for j, z in enumerate(d.positions):
-                groups.setdefault(z, []).append(j)
-            firing = list(groups.items())
-        else:
-            firing = [(d.positions[j], [j]) for j in range(k)]
-        for z, movers in firing:
-            for y, q in kernel.rows[z]:
-                if q <= 0.0:
-                    continue
-                e = g.edge_id(z, y)
-                if e in d.revealed_positive:
-                    branches = [(q, False, None)]
-                elif e in d.revealed_negative:
-                    branches = [(q, True, None)]
-                else:
-                    branches = [(q * p, False, 1), (q * (1.0 - p), True, -1)]
-                for rate, flip, reveal_sign in branches:
-                    nxt = DualState.of(d.positions, d.signs, d.revealed_positive, d.revealed_negative)
-                    for j in movers:
-                        nxt.positions[j] = y
-                        if flip:
-                            nxt.signs[j] = -nxt.signs[j]
-                    if reveal_sign == 1:
-                        nxt.revealed_positive.add(e)
-                    elif reveal_sign == -1:
-                        nxt.revealed_negative.add(e)
-                    if rate > 0.0:
-                        transitions.append((s, encode_dual_state(g, nxt), rate))
-        for e in d.revealed_positive | d.revealed_negative:
-            nxt = DualState.of(d.positions, d.signs, d.revealed_positive, d.revealed_negative)
-            nxt.revealed_positive.discard(e)
-            nxt.revealed_negative.discard(e)
-            if v > 0.0:
-                transitions.append((s, encode_dual_state(g, nxt), v))
-    return _reference_generator(size, transitions)
-
-
 # Non-uniform valid kernels (unit row sums), each with a zero rate towards a
 # neighbour and one towards a non-neighbour (which has no edge id).
 _SKEWED_RATES = {
@@ -334,8 +263,31 @@ def test_dual_generator_matches_per_state_builder(spec, k, skewed, mode):
     kern = kernel_from_rates(_SKEWED_RATES[spec], g.vertex_count) if skewed else uniform_kernel(g)
     params = ModelParams(0.3, 1.5)
     A = oracle.build_dual_generator(g, kern, params, k, mode=mode)
-    B = _dual_generator_by_state(g, kern, params, k, mode)
-    _assert_same_csr(A, B)
+    B = lump_dual_generator(_dual_generator_by_state(g, kern, params, k, mode), *dual_orbits(g, k))
+    _assert_lumps(A, B, mode)
+
+
+def _assert_lumps(A, B, mode):
+    """A, the dual generator on label orbits, is B, a labelled generator
+    lumped: each row stores one diagonal entry, negative, so no transition
+    folded onto its own row, and no stored 0. Once A's duplicate entries
+    are summed (under the independent rule two co-located walkers of one
+    sign fire into one orbit; the coalescing rule makes none), A has B's
+    layout and its off-diagonal entries bit for bit, and its diagonals
+    within 4 ulp of the largest, since A sums each row in folded order."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    assert (A.data != 0).all()
+    assert np.array_equal(np.sort(rows[A.indices == rows]), np.arange(A.shape[0]))
+    assert (A.diagonal() < 0).all()
+    summed = A.copy()
+    summed.sum_duplicates()
+    assert mode == "independent" or summed.nnz == A.nnz
+    assert summed.shape == B.shape
+    assert np.array_equal(summed.indptr, B.indptr) and np.array_equal(summed.indices, B.indices)
+    on_diag = summed.indices == np.repeat(np.arange(A.shape[0]), np.diff(summed.indptr))
+    assert summed.data[~on_diag].tobytes() == B.data[~on_diag].tobytes()
+    ulp = np.spacing(np.abs(B.data[on_diag]).max())
+    assert np.abs(summed.data[on_diag] - B.data[on_diag]).max() <= 4 * ulp
 
 
 _FORWARD_GENERATOR_CASES = [
@@ -467,7 +419,7 @@ def _steps(L, rows, dt, steps):
     """transient_steps on the jump matrix made from L's transpose in place,
     as transient_distribution makes it: L is taken over."""
     PT = L.T
-    return oracle.transient_steps(PT.dot, oracle._uniformize(PT), rows, dt, steps)
+    return oracle.transient_steps(PT.dot, oracle._uniformize(PT), rows, dt, steps, PT.nnz)
 
 
 def test_uniformization_matches_dense_expm(p3):
@@ -1091,7 +1043,7 @@ def test_stationary_work_budget_raises_cap_error(p3, monkeypatch, tmp_path, caps
     g, kern = p3
     params = ModelParams(0.05, 0.1)
     L = oracle.build_forward_generator(g, kern, params)
-    monkeypatch.setattr(oracle, "STATIONARY_WORK_BUDGET", L.nnz + oracle._STEP_OVERHEAD - 1)
+    monkeypatch.setattr(oracle, "ORACLE_WORK_BUDGET", L.nnz + oracle._STEP_OVERHEAD - 1)
     with pytest.raises(StateSpaceCapError, match="stationary work on 32 states"):
         oracle.stationary_distribution(L, g, params)
 
@@ -1196,6 +1148,124 @@ def test_gap_table_long_step_matches_dense_expm_of_the_dual_generator(p3):
     weights = oracle._weighted_cylinder_masses(g, oracle.forward_delta(g, fwd), 1, params.p)
     assert np.abs(rhs - expm(L_d.toarray() * t) @ weights).max() < 1e-8
     assert np.abs(lhs - rhs).max() < 1e-8
+
+
+@st.composite
+def _dual_chains(draw):
+    """A random simple graph on 2 to 4 sites, each with an edge but not
+    always connected, a valid kernel on it with rate-0 entries and unequal
+    rates, k = 1 to 3 walkers within 1,000 labelled dual states, and a
+    forward state."""
+    n = draw(st.integers(2, 4))
+    pairs = [(x, y + (y >= x)) for x in range(n) for y in [draw(st.integers(0, n - 2))]]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    g = build_graph([(a, b) for a, b in pairs if a != b], n)
+    rates = {}
+    for x in range(n):
+        weights = draw(st.lists(st.integers(0, 3), min_size=g.degree(x), max_size=g.degree(x)).filter(any))
+        rates[x] = {y: w / sum(weights) for (y, _), w in zip(g.adjacency[x], weights)}
+    ks = [k for k in (1, 2, 3) if (2 * n) ** k * 3**g.edge_count <= 1000]
+    assume(ks)  # four sites and five edges have 1,944 states at k = 1
+    k = draw(st.sampled_from(ks))
+    fwd = decode_forward_state(g, draw(st.integers(0, 2 ** (n + g.edge_count) - 1)))
+    return g, kernel_from_rates(rates, n), k, fwd
+
+
+_TWO_EDGES = build_graph([(0, 1), (2, 3)], 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chain=_dual_chains(),
+    mode=st.sampled_from(["coalescing", "independent"]),
+    p=st.sampled_from([0.001, 0.01, 0.5, 0.99, 0.999]),
+    v=st.floats(-4.0, 3.0).map(lambda e: 10.0**e),
+)
+@example(  # two components, with a walker pair that never meets
+    chain=(_TWO_EDGES, uniform_kernel(_TWO_EDGES), 2, decode_forward_state(_TWO_EDGES, 37)),
+    mode="coalescing", p=0.01, v=1e3,
+)
+def test_dual_orbit_chain_is_the_lumped_labelled_chain(chain, mode, p, v):
+    # Over the theorem's class, with both rules: the orbit generator is the
+    # labelled reference chain lumped by sorting decoded walkers, and the
+    # right side on the orbits, read at every labelled state through its
+    # orbit, is the labelled chain's within 1e-13 of the weights' scale;
+    # under the coalescing rule the gap table's right side is too.
+    g, kern, k, fwd = chain
+    params, t = ModelParams(p, v), 0.5
+    reference = _dual_generator_by_state(g, kern, params, k, mode)
+    reps, orbit = dual_orbits(g, k)
+    L_q = oracle.build_dual_generator(g, kern, params, k, mode)
+    _assert_lumps(L_q, lump_dual_generator(reference, reps, orbit), mode)
+    weights = oracle._weighted_cylinder_masses(g, oracle.forward_delta(g, fwd), k, p)
+    labelled = oracle.transient_action(reference, weights, t)
+    scale = np.abs(weights).max()
+    rhs = oracle.transient_action(L_q, weights[reps], t)[orbit]
+    assert np.abs(rhs - labelled).max() <= 1e-13 * scale
+    if mode == "coalescing":
+        _, rhs = oracle.duality_gap_table(g, kern, params, fwd, k, t)
+        assert np.abs(rhs - labelled).max() <= 1e-13 * scale
+
+
+def _series_work(lam_ts, entries):
+    """Work a run of series over spans lam * span = lam_ts can take: each
+    at most lam_t + 50 sqrt(lam_t + 1) + 200 products, as _series limits
+    them, of entries + _STEP_OVERHEAD each."""
+    return sum(int(x + 50.0 * np.sqrt(x + 1.0) + 200.0) for x in lam_ts) * (
+        entries + oracle._STEP_OVERHEAD
+    )
+
+
+@pytest.mark.parametrize(
+    "dt, steps, lam_ts",
+    [
+        (300.0, 1, [375.0] * 4),  # lam dt = 1,500: 4 pieces, one series each
+        (0.5, 20, [20.0, 20.0, 10.0]),  # 20 times in segments of 8, 8 and 4
+    ],
+)
+def test_transient_work_budget_is_counted_before_the_first_product(p3, monkeypatch, dt, steps, lam_ts):
+    # path:3, k = 1, at v = 2: lam = 5. At a budget of exactly the work its
+    # series can take, every time is yielded; one entry under it, nothing is
+    # multiplied and the budget's label names the states.
+    g, kern = p3
+    L_d = oracle.build_dual_generator(g, kern, ModelParams(0.4, 2.0), 1)
+    lam = oracle._uniformize(L_d)
+    assert lam == 5.0
+    work = _series_work(lam_ts, L_d.nnz)
+    products = []
+
+    def product(w):
+        products.append(1)
+        return L_d @ w
+
+    def run():
+        vec = np.ones(L_d.shape[0])
+        return list(oracle.transient_steps(product, lam, vec, dt, steps, L_d.nnz))
+
+    monkeypatch.setattr(oracle, "ORACLE_WORK_BUDGET", work)
+    assert len(run()) == steps and products
+    products.clear()
+    monkeypatch.setattr(oracle, "ORACLE_WORK_BUDGET", work - 1)
+    with pytest.raises(StateSpaceCapError, match="transient work on 54 states") as err:
+        run()
+    assert not products
+    assert err.value.required == work and err.value.cap == work - 1
+
+
+def test_transient_work_past_the_budget_exits_3_at_once(tmp_path, capsys):
+    # complete:2 at v = 1e9: lam t is about 2e9, which the series would take
+    # hours to step; the dual side's count passes the budget within its
+    # first few thousand segments and nothing is written
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps(dict(
+        experiment="duality-check", seed=1, graph="complete:2", p=0.3, v=1e9, k=2, t=1.0,
+        oracle="on", output_dir=str(out),
+    )))
+    assert main(["check", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "transient work on 30 states" in err and f"cap of {oracle.ORACLE_WORK_BUDGET}" in err
+    assert not out.exists()
 
 
 def test_transient_action_rejects_a_series_that_is_not_finite(p3):

@@ -86,7 +86,7 @@ CONFIGS = {
 
 OUTPUT_PINS = {
     ("duality_exact", "duality_gaps.jsonl"): (
-        "485a2fd3aafd614ba6dc2384dafe0740903037ba6f5be3aee561bd9c91cf6699"
+        "422a78dfc42e9c2a9616f143486860679357fcd0999abca083d98a6f5ae58af6"
     ),
     ("tv_exact", "tv_decay.csv"): (
         "eb9248e348f9b27a7026153e3a683e205db6d92985a9e67a367a316a093977ac"
@@ -95,7 +95,7 @@ OUTPUT_PINS = {
         "65525a7228cb6d2ebe43ac4864f6b29c71ef1ed5db1475b1295edd418e32f093"
     ),
     ("duality_exact_cycle4", "duality_gaps.jsonl"): (
-        "0237d58e279b3d81351e597d5b5d817abdd0c80658945fc9ab459bd98a981b70"
+        "0c89c3e83580a269d580a58500727c96e812017d80b7d62ebaf642bf801f0715"
     ),
     ("stationary_exact_cycle5", "stationary_distribution.csv"): (
         "182a695e723c6e6e4cdc0f0064566ed10e79c3c06fd1fd359e84ef3a1a104250"
