@@ -303,17 +303,16 @@ def estimate_dual_side(
     replicas: int,
     stream: RngStream,
     workers: int = 1,
-    mode: str = "coalescing",
 ) -> EstimateResult:
     """Dual-side Monte Carlo value of the duality identity under the model ``table``.
 
-    Holds the spin-bond configuration fixed, evolves the dual for time t in
-    each replica, and averages the duality weight of the evolved dual
-    against that configuration, scaled by p^|positive| (1-p)^|negative| of
-    the *initial* revealed sets. The mean equals the forward-run
-    probability of the cylinder event the dual initial condition encodes,
-    so at t=0 the value is exactly that event's indicator. The runs stay
-    within the ring budgets (``check_dual_rings``).
+    Holds the spin-bond configuration fixed, evolves the coalescing dual
+    for time t in each replica, and averages the duality weight of the
+    evolved dual against that configuration, scaled by p^|positive|
+    (1-p)^|negative| of the *initial* revealed sets. The mean equals the
+    forward-run probability of the cylinder event the dual initial
+    condition encodes, so at t=0 the value is exactly that event's
+    indicator. The runs stay within the ring budgets (``check_dual_rings``).
     """
     p = table.params.p
     forward_state.validate(table.g)
@@ -321,7 +320,7 @@ def estimate_dual_side(
         raise ValueError(f"duality weights need p in (0,1), got {p}")
     prefactor = p ** len(initial.revealed_positive) * (1.0 - p) ** len(initial.revealed_negative)
     check_dual_rings(replicas, initial.walker_count, t)
-    runs = _dual_runs(table, replicas, stream, workers, initial=initial, t_max=t, mode=mode)
+    runs = _dual_runs(table, replicas, stream, workers, initial=initial, t_max=t)
     pos, sgn, status = runs.positions, runs.signs, runs.status
     # The duality weight per replica, for forward state eta and dual state xi
     # with walkers (z_j, s_j) and revealed edge sets R+ and R-:
@@ -397,7 +396,6 @@ class MuDynResult:
 def estimate_mu_dyn(
     table: EventTable,
     sites,
-    signs,
     replicas: int,
     stream: RngStream,
     revealed_positive=(),
@@ -408,16 +406,18 @@ def estimate_mu_dyn(
 ) -> MuDynResult:
     """Stationary cylinder mass under the model ``table``, through the coalescing dual.
 
-    Each replica runs walkers started on the constrained sites until they
-    form one class per closed class of the kernel's walk that they occupy
-    (``closed_classes``): walkers in two closed classes never meet. The
-    replica value is 2^-(number of classes) when every class carries a
-    single sign and 0 otherwise. Each closed class runs as a chain of its
-    own, so the stationary law is a product over them, and each one's
-    ancestor sign is a fair coin. A start site outside every closed class
-    raises ``ValueError``: the walk leaves it for good, so its final class
-    count is random. The revealed-edge constraint only rescales the
-    estimate by its exact factor p^|positive| (1-p)^|negative|.
+    The cylinder puts +1 on every site of ``sites``: the coalescence
+    identity covers only all-+1 site constraints. Each replica runs walkers
+    started on those sites until they form one class per closed class of
+    the kernel's walk that they occupy (``closed_classes``): walkers in two
+    closed classes never meet. The replica value is 2^-(number of classes)
+    when every class carries a single sign and 0 otherwise. Each closed
+    class runs as a chain of its own, so the stationary law is a product
+    over them, and each one's ancestor sign is a fair coin. A start site
+    outside every closed class raises ``ValueError``: the walk leaves it
+    for good, so its final class count is random. The revealed-edge
+    constraint only rescales the estimate by its exact factor
+    p^|positive| (1-p)^|negative|.
 
     Replicas still uncoalesced at the time cap are censored: they are left
     out of the mean and only counted, and more than ``CENSOR_TOLERANCE`` of
@@ -429,13 +429,7 @@ def estimate_mu_dyn(
     steps once per move of its longest run: ``simulate_dual`` raises
     ``StateSpaceCapError`` once a block passes either.
     """
-    signs = list(signs)
-    if any(s != 1 for s in signs):
-        raise ValueError(
-            "the coalescence identity behind this estimator only covers "
-            f"all-+1 site constraints, got signs {signs}"
-        )
-    initial = DualState.of(sites, signs, revealed_positive, revealed_negative)
+    initial = DualState.of(sites, [1] * len(sites), revealed_positive, revealed_negative)
     classes = closed_classes(table.kernel)
     for z in initial.positions:
         if classes[z] is None:
@@ -465,10 +459,7 @@ def estimate_mu_dyn(
     values = np.where(clash.any(axis=(1, 2)), 0.0, 0.5**target)
     p = table.params.p
     prefactor = p ** len(initial.revealed_positive) * (1.0 - p) ** len(initial.revealed_negative)
-    site_part = "&".join(
-        f"site{x}={'+' if s > 0 else '-'}1" for x, s in zip(sites, signs)
-    )
-    raw = _summarize(f"mu_dyn:{site_part}", values)
+    raw = _summarize("mu_dyn:" + "&".join(f"site{x}=+1" for x in sites), values)
     scaled = replace(raw, estimate=prefactor * raw.estimate, std_error=prefactor * raw.std_error)
     return MuDynResult(result=scaled, censored_count=censored, reports=reports)
 

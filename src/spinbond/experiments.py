@@ -558,7 +558,7 @@ def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, model: EventTable):
     exact, capped = _exact(cfg, exact_mass)
     try:
         mu = estimate_mu_dyn(
-            model, sites, signs, cfg["replicas"], stream,
+            model, sites, cfg["replicas"], stream,
             revealed_positive=positive, revealed_negative=negative, t_cap=cfg.get("t_cap"),
             workers=cfg["workers"], report_limit=cfg["report_limit"],
         )

@@ -454,9 +454,12 @@ def stationary_distribution(L: sp.csc_matrix, g: Graph, params: ModelParams) -> 
     Steps pi + (L^T pi) / lam, that is pi (I + L/lam) on L's own arrays,
     which callers read the residual from, until max|L^T pi| <=
     STATIONARY_RESIDUAL_TOL * lam; raises StateSpaceCapError past
-    ORACLE_WORK_BUDGET. The start, uniform spins times product
-    Bernoulli(p) edges, has the edges' stationary law (they alone are
-    dynamical percolation; Haggstrom, Peres and Steif 1997) and is
+    ORACLE_WORK_BUDGET, or sooner once the residual, from step 1,000 on,
+    has made no new minimum in the last half of the steps taken: it then
+    sits at its rounding floor (complete:2 at p = 1/2, v = 1e4), while a
+    converging one keeps making new minima. The start, uniform spins times
+    product Bernoulli(p) edges, has the edges' stationary law (they alone
+    are dynamical percolation; Haggstrom, Peres and Steif 1997) and is
     flip-symmetric, so it excites neither their slow modes nor flip-odd ones.
 
     Then it raises ValueError unless every state reaches r = argmax pi,
@@ -473,16 +476,22 @@ def stationary_distribution(L: sp.csc_matrix, g: Graph, params: ModelParams) -> 
     lam = float(np.max(-L.diagonal(), initial=0.0))
     LT = L.T
     steps = ORACLE_WORK_BUDGET // (L.nnz + _STEP_OVERHEAD) + 1  # one residual at least
-    for _ in range(steps):
+    least, at = np.inf, 0
+    for step in range(steps):
         flow = LT @ pi
         residual = np.abs(flow).max()
         if residual <= STATIONARY_RESIDUAL_TOL * lam:
             break
+        if residual < least:
+            least, at = residual, step
+        elif step >= 1_000 and step > 2 * at:
+            break  # no new least residual in half the steps: stuck at its rounding floor
         pi += flow / lam
-    else:
+    if not residual <= STATIONARY_RESIDUAL_TOL * lam:  # a NaN residual too
         raise StateSpaceCapError(
             steps * (L.nnz + _STEP_OVERHEAD), ORACLE_WORK_BUDGET, f"stationary work on "
-            f"{pi.size} states (residual {residual:.2e} above {STATIONARY_RESIDUAL_TOL * lam:.2e})",
+            f"{pi.size} states (least residual {least:.2e} at step {at} of {step + 1}, "
+            f"above {STATIONARY_RESIDUAL_TOL * lam:.2e})",
         )
     del flow  # so that the certificate's vectors do not sit beside it
     np.clip(pi, 0.0, None, out=pi)
@@ -569,28 +578,19 @@ def dual_state_count(g: Graph, k: int) -> int:
 
 
 def build_dual_generator(
-    g: Graph,
-    kernel: AdoptionKernel,
-    params: ModelParams,
-    k: int,
-    mode: str = "coalescing",
+    g: Graph, kernel: AdoptionKernel, params: ModelParams, k: int
 ) -> sp.csr_matrix:
-    """Generator of the k-walker dual chain with its revealed environment, on label orbits.
+    """Generator of the k-walker coalescing dual and its revealed environment, on label orbits.
 
-    Under the coalescing rule every walker on the firing site moves in the
-    same event, so co-located walkers never separate; under the independent
-    rule each walker fires alone. Either rule's rates ignore the walkers'
-    labels, so the chain lumps exactly onto their orbits (Kemeny and Snell
-    1960), index rank + R * environment for the R ranks of _walker_orbits:
-    row i is its representative's labelled row with each target folded to
-    its orbit. Every move changes the walkers' (position, sign) multiset or
-    the environment, so no transition folds onto its own row; under the
-    independent rule two co-located walkers of one sign fire into one
-    orbit, which stay two entries.
+    Every walker on the firing site moves in the same event, so co-located
+    walkers never separate. The rates ignore the walkers' labels, so the
+    chain lumps exactly onto their orbits (Kemeny and Snell 1960), index
+    rank + R * environment for the R ranks of _walker_orbits: row i is its
+    representative's labelled row with each target folded to its orbit.
+    Every move changes the walkers' (position, sign) multiset or the
+    environment, so no transition folds onto its own row.
     """
     require_valid_kernel(g, kernel)
-    if mode not in ("coalescing", "independent"):
-        raise ValueError(f"mode must be 'coalescing' or 'independent', got {mode!r}")
     dual_state_count(g, k)  # the cap, on labelled states
     n, m = g.vertex_count, g.edge_count
     p, v = params.p, params.v
@@ -615,14 +615,12 @@ def build_dual_generator(
         rates = np.empty(targets.shape)
         for j in range(k):
             z = positions[j]
-            # Walker j fires for its site: under the coalescing rule only
-            # when no lower-indexed walker shares it, and then it carries
-            # them all.
+            # Walker j fires for its site only when no lower-indexed walker
+            # shares it, and then it carries them all.
             fires = np.ones(idx.size, dtype=bool)
-            if mode == "coalescing":
-                for i in range(j):
-                    fires &= positions[i] != z
-            movers = [j] if mode == "independent" else range(j, k)
+            for i in range(j):
+                fires &= positions[i] != z
+            movers = range(j, k)
             # Per state: sum of n**i over the walkers i that move, and the
             # index change that flips all their signs.
             place = sum((positions[i] == z) * np.int32(n**i) for i in movers)

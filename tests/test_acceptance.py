@@ -209,7 +209,6 @@ def test_criterion_3_mu_dyn_consistency(k2, p3):
         out = est.estimate_mu_dyn(
             EventTable(g, kern, params),
             sites=sites,
-            signs=[1] * len(sites),
             replicas=replicas,
             stream=RngStream(seed),
             workers=2,

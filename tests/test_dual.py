@@ -239,20 +239,18 @@ def test_run_to_full_coalescence_reports(k2):
     g, kern = k2
     params = ModelParams(0.3, 1.0)
     table = EventTable(g, kern, params)
-    single = estimate_mu_dyn(table, [1], [1], 10, RngStream(9)).reports[0]
+    single = estimate_mu_dyn(table, [1], 10, RngStream(9)).reports[0]
     assert single.partition == ((0,),)
     assert single.sync == (True,)
     assert single.time == 0.0 and not single.censored
 
     two = build_graph([(0, 1), (2, 3)], 4)
-    split = estimate_mu_dyn(
-        EventTable(two, uniform_kernel(two), params), [0, 2], [1, 1], 10, RngStream(10)
-    )
+    split = estimate_mu_dyn(EventTable(two, uniform_kernel(two), params), [0, 2], 10, RngStream(10))
     assert {rep.partition for rep in split.reports} == {((0,), (1,))}
     assert {rep.sync for rep in split.reports} == {(True, True)}
 
     with pytest.raises(CensoringError, match="10 of 10 replicas"):
-        estimate_mu_dyn(table, [0, 1], [1, 1], 10, RngStream(11), t_cap=1e-9)
+        estimate_mu_dyn(table, [0, 1], 10, RngStream(11), t_cap=1e-9)
 
 
 def test_pair_on_single_edge_syncs_with_probability_p(k2):

@@ -85,8 +85,7 @@ def _block_estimates(name, workers):
     table = EventTable(g, uniform_kernel(g), ModelParams(0.3, 1.0))
     if name == "dual_side":
         return est.estimate_dual_side(
-            table, striped_state(g), DualState.of([0, 2], [1, -1], [1]), 0.8,
-            replicas, stream, workers, mode="independent",
+            table, striped_state(g), DualState.of([0, 2], [1, -1], [1]), 0.8, replicas, stream, workers
         )
     if name == "revealed_weight":
         return est.estimate_revealed_weight(
@@ -94,7 +93,7 @@ def _block_estimates(name, workers):
         )
     if name == "mu_dyn":
         return est.estimate_mu_dyn(
-            table, [0, 2], [1, 1], replicas, stream, workers=workers, report_limit=replicas
+            table, [0, 2], replicas, stream, workers=workers, report_limit=replicas
         )
     return est.estimate_mgf([0.5], [1.5], 0.5, 3, replicas, stream, workers)
 
@@ -376,14 +375,13 @@ def test_mu_dyn_single_walker_is_exact(k2):
     g, kern = k2
     params = ModelParams(0.3, 1.0)
     table = EventTable(g, kern, params)
-    plain = est.estimate_mu_dyn(table, sites=[0], signs=[1], replicas=100, stream=RngStream(3))
+    plain = est.estimate_mu_dyn(table, sites=[0], replicas=100, stream=RngStream(3))
     assert plain.result.estimate == 0.5
     assert plain.result.std_error == 0.0
     assert plain.censored_count == 0
     constrained = est.estimate_mu_dyn(
         table,
         sites=[0],
-        signs=[1],
         replicas=100,
         stream=RngStream(3),
         revealed_positive=[0],
@@ -398,7 +396,6 @@ def test_mu_dyn_reports_describe_replicas(k2):
     out = est.estimate_mu_dyn(
         EventTable(g, kern, params),
         sites=[0, 1],
-        signs=[1, 1],
         replicas=40,
         stream=RngStream(5),
         report_limit=10,
@@ -420,7 +417,6 @@ def test_mu_dyn_censoring_raises(k2, monkeypatch):
         est.estimate_mu_dyn(
             table,
             sites=[0, 1],
-            signs=[1, 1],
             replicas=50,
             stream=RngStream(9),
             t_cap=1e-6,
@@ -430,7 +426,6 @@ def test_mu_dyn_censoring_raises(k2, monkeypatch):
     partial = est.estimate_mu_dyn(
         table,
         sites=[0, 1],
-        signs=[1, 1],
         replicas=60,
         stream=RngStream(9),
         t_cap=0.35,
@@ -441,7 +436,6 @@ def test_mu_dyn_censoring_raises(k2, monkeypatch):
         est.estimate_mu_dyn(
             table,
             sites=[0, 1],
-            signs=[1, 1],
             replicas=10,
             stream=RngStream(9),
             t_cap=1e-9,
@@ -455,19 +449,10 @@ def test_mu_dyn_two_walker_estimate_matches_exact(k2):
     g, kern = k2
     params = ModelParams(0.3, 1.0)
     out = est.estimate_mu_dyn(
-        EventTable(g, kern, params), sites=[0, 1], signs=[1, 1], replicas=4000,
+        EventTable(g, kern, params), sites=[0, 1], replicas=4000,
         stream=RngStream(21),
     )
     assert est.deviation_sigmas(out.result, params.p / 2.0) < 3.0
-
-
-def test_mu_dyn_rejects_non_plus_site_signs(k2):
-    g, kern = k2
-    with pytest.raises(ValueError, match="all-\\+1"):
-        est.estimate_mu_dyn(
-            EventTable(g, kern, ModelParams(0.3, 1.0)), sites=[0], signs=[-1], replicas=10,
-            stream=RngStream(1),
-        )
 
 
 def test_mu_dyn_separate_components_never_merge():
@@ -477,7 +462,7 @@ def test_mu_dyn_separate_components_never_merge():
     kern = uniform_kernel(g)
     params = ModelParams(0.4, 1.0)
     out = est.estimate_mu_dyn(
-        EventTable(g, kern, params), sites=[0, 2], signs=[1, 1], replicas=200,
+        EventTable(g, kern, params), sites=[0, 2], replicas=200,
         stream=RngStream(31),
     )
     assert out.result.estimate == 0.25
@@ -504,7 +489,7 @@ def test_mu_dyn_stops_at_the_closed_classes_of_a_reducible_kernel():
     }
     kern, params = kernel_from_rates(rates, 6), ModelParams(0.3, 1.0)
     out = est.estimate_mu_dyn(
-        EventTable(g, kern, params), [0, 2, 4], [1, 1, 1], 4000, RngStream(97), t_cap=1e3
+        EventTable(g, kern, params), [0, 2, 4], 4000, RngStream(97), t_cap=1e3
     )
     assert out.censored_count == 0
     assert {len(rep.partition) for rep in out.reports} == {2}
@@ -520,7 +505,7 @@ def test_mu_dyn_rejects_a_transient_start_site():
     leak = kernel_from_rates({0: {1: 1.0}, 1: {2: 1.0}, 2: {1: 1.0}}, 3)
     with pytest.raises(ValueError, match="start site 0 is transient"):
         est.estimate_mu_dyn(
-            EventTable(g, leak, ModelParams(0.3, 1.0)), [1, 0], [1, 1], 10, RngStream(1)
+            EventTable(g, leak, ModelParams(0.3, 1.0)), [1, 0], 10, RngStream(1)
         )
 
 
@@ -530,7 +515,7 @@ def test_two_site_mass_is_quarter_in_symmetric_environment(p3):
     g, kern = p3
     params = ModelParams(0.5, 1.0)
     out = est.estimate_mu_dyn(
-        EventTable(g, kern, params), sites=[0, 2], signs=[1, 1], replicas=4000,
+        EventTable(g, kern, params), sites=[0, 2], replicas=4000,
         stream=RngStream(37),
     )
     assert est.deviation_sigmas(out.result, 0.25) < 3.0
@@ -548,9 +533,7 @@ def test_mu_dyn_is_stationary(k2):
     L = oracle.build_forward_generator(g, kern, params)
     pi = oracle.stationary_distribution(L, g, params)
     table = EventTable(g, kern, params)
-    mu = est.estimate_mu_dyn(
-        table, sites=[0, 1], signs=[1, 1], replicas=4000, stream=RngStream(59)
-    )
+    mu = est.estimate_mu_dyn(table, sites=[0, 1], replicas=4000, stream=RngStream(59))
     cyl = CylinderEvent.of(sites={0: 1, 1: 1})
     stream = RngStream(61)
     for call, t in enumerate((1.0, 5.0)):

@@ -1,6 +1,7 @@
 """Exact finite-state oracle: encodings, uniformization, stationary solve, duality."""
 
 import json
+import time
 from dataclasses import dataclass
 from unittest import mock
 
@@ -150,10 +151,9 @@ def test_forward_generator_rows_sum_to_zero(p3):
 
 def test_dual_generator_rows_sum_to_zero(p3):
     g, kern = p3
-    for mode in ("coalescing", "independent"):
-        L = oracle.build_dual_generator(g, kern, ModelParams(0.3, 1.5), 2, mode=mode)
-        rows = np.asarray(L.sum(axis=1)).ravel()
-        assert np.abs(rows).max() < 1e-12
+    L = oracle.build_dual_generator(g, kern, ModelParams(0.3, 1.5), 2)
+    rows = np.asarray(L.sum(axis=1)).ravel()
+    assert np.abs(rows).max() < 1e-12
 
 
 def test_dual_generator_coalesced_pair_moves_together(k2):
@@ -258,21 +258,27 @@ _DUAL_GENERATOR_CASES = [
 
 @pytest.mark.parametrize("spec, k, skewed, mode", _DUAL_GENERATOR_CASES)
 def test_dual_generator_matches_per_state_builder(spec, k, skewed, mode):
+    # The orbit generator is the coalescing reference chain lumped. The
+    # independent reference is the comparison's negative control: one
+    # walker moves alone under either rule, but a pair on one site leaves
+    # it at rate 1 under the coalescing rule and at rate 2 under the
+    # independent one, so from two walkers on the lumped chains differ.
     name, size = spec.split(":")
     g = builtin_graph(name, int(size))
     kern = kernel_from_rates(_SKEWED_RATES[spec], g.vertex_count) if skewed else uniform_kernel(g)
     params = ModelParams(0.3, 1.5)
-    A = oracle.build_dual_generator(g, kern, params, k, mode=mode)
+    A = oracle.build_dual_generator(g, kern, params, k)
     B = lump_dual_generator(_dual_generator_by_state(g, kern, params, k, mode), *dual_orbits(g, k))
-    _assert_lumps(A, B, mode)
+    if mode == "coalescing" or k == 1:
+        _assert_lumps(A, B)
+    else:
+        assert abs(A - B).max() > 0.5
 
 
-def _assert_lumps(A, B, mode):
+def _assert_lumps(A, B):
     """A, the dual generator on label orbits, is B, a labelled generator
     lumped: each row stores one diagonal entry, negative, so no transition
-    folded onto its own row, and no stored 0. Once A's duplicate entries
-    are summed (under the independent rule two co-located walkers of one
-    sign fire into one orbit; the coalescing rule makes none), A has B's
+    folded onto its own row, no stored 0 and no duplicate entry. A has B's
     layout and its off-diagonal entries bit for bit, and its diagonals
     within 4 ulp of the largest, since A sums each row in folded order."""
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
@@ -281,7 +287,7 @@ def _assert_lumps(A, B, mode):
     assert (A.diagonal() < 0).all()
     summed = A.copy()
     summed.sum_duplicates()
-    assert mode == "independent" or summed.nnz == A.nnz
+    assert summed.nnz == A.nnz
     assert summed.shape == B.shape
     assert np.array_equal(summed.indptr, B.indptr) and np.array_equal(summed.indices, B.indices)
     on_diag = summed.indices == np.repeat(np.arange(A.shape[0]), np.diff(summed.indptr))
@@ -1059,6 +1065,26 @@ def test_stationary_work_budget_raises_cap_error(p3, monkeypatch, tmp_path, caps
     assert "no oracle gate" in capsys.readouterr().out
 
 
+def test_stationary_solve_stuck_at_its_rounding_floor_exits_3_at_once(tmp_path, capsys):
+    # complete:2 at p = 1/2, v = 1e4: the residual's rounding floor,
+    # 9.13e-14 lam, lies above the bound, and it makes its last new minimum
+    # at step 50,604. The solve stops at step 101,210, once half its steps
+    # have brought none, instead of running the budget's 73.6 million steps
+    # (9-13 minutes), and nothing is written.
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps(dict(
+        experiment="stationary-compare", graph="complete:2", p=0.5, v=1e4, oracle="on",
+        replicas=0, output_dir=str(out),
+    )))
+    start = time.perf_counter()
+    assert main(["run", str(cfg)]) == 3
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "stationary work on 8 states (least residual 4.57e-10 at step 50604 of 101210" in err
+    assert not out.exists()
+
+
 def test_a_wrong_edge_law_fails_the_exact_stationary_gate(monkeypatch, tmp_path, capsys):
     # Edges refreshed to + with probability 1 - p: the solve, started from
     # the product law at p, leaves it for the mutant's own stationary law,
@@ -1177,34 +1203,32 @@ _TWO_EDGES = build_graph([(0, 1), (2, 3)], 4)
 @settings(max_examples=40, deadline=None)
 @given(
     chain=_dual_chains(),
-    mode=st.sampled_from(["coalescing", "independent"]),
     p=st.sampled_from([0.001, 0.01, 0.5, 0.99, 0.999]),
     v=st.floats(-4.0, 3.0).map(lambda e: 10.0**e),
 )
 @example(  # two components, with a walker pair that never meets
     chain=(_TWO_EDGES, uniform_kernel(_TWO_EDGES), 2, decode_forward_state(_TWO_EDGES, 37)),
-    mode="coalescing", p=0.01, v=1e3,
+    p=0.01, v=1e3,
 )
-def test_dual_orbit_chain_is_the_lumped_labelled_chain(chain, mode, p, v):
-    # Over the theorem's class, with both rules: the orbit generator is the
-    # labelled reference chain lumped by sorting decoded walkers, and the
-    # right side on the orbits, read at every labelled state through its
-    # orbit, is the labelled chain's within 1e-13 of the weights' scale;
-    # under the coalescing rule the gap table's right side is too.
+def test_dual_orbit_chain_is_the_lumped_labelled_chain(chain, p, v):
+    # Over the theorem's class: the orbit generator is the labelled
+    # reference chain lumped by sorting decoded walkers, and the right side
+    # on the orbits, read at every labelled state through its orbit, is the
+    # labelled chain's within 1e-13 of the weights' scale; so is the gap
+    # table's right side.
     g, kern, k, fwd = chain
     params, t = ModelParams(p, v), 0.5
-    reference = _dual_generator_by_state(g, kern, params, k, mode)
+    reference = _dual_generator_by_state(g, kern, params, k, "coalescing")
     reps, orbit = dual_orbits(g, k)
-    L_q = oracle.build_dual_generator(g, kern, params, k, mode)
-    _assert_lumps(L_q, lump_dual_generator(reference, reps, orbit), mode)
+    L_q = oracle.build_dual_generator(g, kern, params, k)
+    _assert_lumps(L_q, lump_dual_generator(reference, reps, orbit))
     weights = oracle._weighted_cylinder_masses(g, oracle.forward_delta(g, fwd), k, p)
     labelled = oracle.transient_action(reference, weights, t)
     scale = np.abs(weights).max()
     rhs = oracle.transient_action(L_q, weights[reps], t)[orbit]
     assert np.abs(rhs - labelled).max() <= 1e-13 * scale
-    if mode == "coalescing":
-        _, rhs = oracle.duality_gap_table(g, kern, params, fwd, k, t)
-        assert np.abs(rhs - labelled).max() <= 1e-13 * scale
+    _, rhs = oracle.duality_gap_table(g, kern, params, fwd, k, t)
+    assert np.abs(rhs - labelled).max() <= 1e-13 * scale
 
 
 def _series_work(lam_ts, entries):

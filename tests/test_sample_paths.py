@@ -90,23 +90,19 @@ def _dual_path(kind, sizes, seed, mode, stop, t_max):
 
 
 def _dual_estimates(kind, sizes):
-    """Batched dual estimates over two blocks: dual side in both rules, the
+    """Batched dual estimates over two blocks: the dual side, the
     revealed weight at theta = ln 2 (the mean of 2^size), and mu-dyn with
     its censored count and first two coalescence times."""
     g = builtin_graph(kind, *sizes)
     kern = uniform_kernel(g)
     initial = DualState.of([0, 2, 4], [1, -1, 1], revealed_positive=[1], revealed_negative=[3])
     table = EventTable(g, kern, PARAMS)
-    out = {
-        mode: estimate_dual_side(
-            table, striped_state(g), initial, 2.0, 5000, RngStream(1), mode=mode
-        ).estimate
-        for mode in ("coalescing", "independent")
-    }
+    dual = estimate_dual_side(table, striped_state(g), initial, 2.0, 5000, RngStream(1))
+    out = {"dual_side": dual.estimate}
     out["revealed_weight"] = estimate_revealed_weight(
         table, initial, math.log(2.0), 2.0, 5000, RngStream(2)
     ).estimate
-    mu = estimate_mu_dyn(table, [0, 3], [1, 1], 5000, RngStream(3), report_limit=2)
+    mu = estimate_mu_dyn(table, [0, 3], 5000, RngStream(3), report_limit=2)
     out.update(mu_dyn=mu.result.estimate, censored=mu.censored_count)
     out.update((f"time{i}", rep.time) for i, rep in enumerate(mu.reports))
     return out
@@ -249,8 +245,7 @@ BIRTH_DEATH_PINS = {
 
 DUAL_ESTIMATE_PINS = {
     ("cycle", (6,)): {
-        "coalescing": 0.02721553741496598,
-        "independent": 0.029836911564625847,
+        "dual_side": 0.02721553741496598,
         "revealed_weight": 5.8478,
         "mu_dyn": 0.2408,
         "censored": 0,
@@ -258,8 +253,7 @@ DUAL_ESTIMATE_PINS = {
         "time1": 6.036723073890355,
     },
     ("grid_torus", (3, 3)): {
-        "coalescing": 0.021077484936831876,
-        "independent": 0.018627817298347914,
+        "dual_side": 0.021077484936831876,
         "revealed_weight": 10.8146,
         "mu_dyn": 0.2204,
         "censored": 0,
