@@ -459,15 +459,17 @@ def _duality_check_mc(cfg: dict, result: ExperimentResult, stream, model, forwar
     )
 
 
+def _stationary_law(model: EventTable) -> np.ndarray:
+    """The exact stationary law of the model's full chain, from its solve on spin-flip orbits."""
+    g, params = model.g, model.params
+    Q = oracle.build_forward_generator(g, model.kernel, params)
+    return oracle.unfold(g, oracle.stationary_distribution(Q, g, params) / 2)
+
+
 def _run_stationary_compare(cfg: dict, result: ExperimentResult, stream, model: EventTable):
     g, params = model.g, model.params
     p = params.p
-    pi, capped = _exact(
-        cfg,
-        lambda: oracle.stationary_distribution(
-            oracle.build_forward_generator(g, model.kernel, params), g, params
-        ),
-    )
+    pi, capped = _exact(cfg, lambda: _stationary_law(model))
     if capped:
         result.lines.append(f"exact solve unavailable ({capped}); Monte Carlo only")
 
@@ -549,13 +551,9 @@ def _run_mu_dyn(cfg: dict, result: ExperimentResult, stream, model: EventTable):
         raise ConfigError("revealed_positive and revealed_negative overlap")
     cyl = _cylinder(dict(zip(sites, signs)), positive, negative)
 
-    def exact_mass():
-        L = oracle.build_forward_generator(g, model.kernel, params)
-        return oracle.cylinder_probability(g, oracle.stationary_distribution(L, g, params), cyl)
-
     # The exact solve draws no random numbers, so running it first lets
     # oracle "on" exit above the cap before any replica runs.
-    exact, capped = _exact(cfg, exact_mass)
+    exact, capped = _exact(cfg, lambda: oracle.cylinder_probability(g, _stationary_law(model), cyl))
     try:
         mu = estimate_mu_dyn(
             model, sites, cfg["replicas"], stream,

@@ -7,42 +7,27 @@ per edge (set bit means +1), dual configurations into mixed-radix integers
 `targets` and `rates` with a fixed number of slots per state, in blocks of
 at most _ROW_BLOCK states, with array arithmetic on those digits; rate 0
 means no transition, and the last slot holds the diagonal. Each block is
-sorted by target into arrays sized for the whole table. Every forward
-transition flips one bit, so L's column s has the same slots as its row s
-with each rate taken at the flipped source; the forward generator is
-stored by columns with all n + m + 1 slots kept, rate 0 included, and
-L.T, which every forward-law product multiplies, is a CSR view of it with
-one row width, so a product's inner loop has one trip count. The dual
-generator has one row per walker-exchange orbit, rank + R * environment
-(56,862 for 104,976 labelled states on cycle:6 with k = 2), stored by rows
-with its zero slots dropped and cut to the entries stored; DUAL_STATE_CAP
-and the duality gap table's rows count labelled states.
+sorted by target into arrays sized for the whole table.
 
-Each chain is held once. The transient solvers take their generator over:
-_uniformize turns L.T into the transposed jump matrix I + L.T/lam in
-place, and one routine, transient_steps, steps vectors with its product.
-transient_distribution does so on the forward generator, and
-transient_action (the dual side of the duality gap table, on the orbits)
-on L itself, the transpose of L.T. Callers that need a generator again
-pass L.copy(). The transient series and the stationary loop share one
-work budget in stored entries read, ORACLE_WORK_BUDGET, each counted
-before its first product.
-total_variation_curve builds no full generator: flipping every spin
-commutes with the forward chain, so it steps the flip-even and flip-odd
-parts of its signed vector on the half-size quotient of
-build_forward_quotient. stationary_distribution keeps L as it is, because
-its residual max|L^T pi| is read from L, also by callers after it
-returns; it steps pi + (L^T pi)/lam on the view L.T, so it holds no jump
-matrix either, and certifies one closed class by reading L alone. It
-solves on the full chain, where a mirror pair of closed classes stays two.
+The forward chain's quotient Q on spin-flip orbits is the one forward
+generator built, stored by columns with every slot kept, so Q.T, which
+every forward-law product multiplies, is a CSR view with one row width. A
+full vector is e + o on each orbit's representative and e - o on its
+flip: e steps on Q, o on Q less twice its site-0 slot. The flip-invariant
+stationary law is solved on Q and certified on the full chain from Q's
+columns, so a mirror pair of closed classes stays two. The dual generator
+has one row per walker-exchange orbit (56,862 for 104,976 labelled states
+on cycle:6 with k = 2), stored by rows with its zero slots dropped;
+DUAL_STATE_CAP and the duality gap table's rows count labelled states.
 
-Transient laws come from uniformization, one series of products per
-segment of at most _SEGMENT_TIMES points on a time grid, where a step too
-long for one series is first cut into equal steps; stationary laws from
-power iteration on the same jump matrix from the edges' own law. The
-duality gap table's left side takes one pass over the forward law per
-walker position/sign block, not one per dual state, so it does not scale
-as |dual| * |forward|.
+Each chain is held once: _uniformize turns a transient solver's generator,
+or its transpose, into its jump matrix in place, and transient_steps steps
+vectors with its product; stationary_distribution steps pi + (Q^T pi)/lam
+on the view Q.T and keeps Q as it is, since callers read its residual from
+Q. The series (uniformization) and the stationary loop (power iteration
+from the edges' own law) share one work budget in stored entries read,
+ORACLE_WORK_BUDGET, counted before the first product. The gap table's left
+side takes one pass over the forward law per walker position/sign block.
 scipy is imported only where a generator is assembled (``scipy.sparse``),
 so importing this module, or running any Monte Carlo path, loads none of it.
 """
@@ -72,9 +57,9 @@ _SEGMENT_TIMES = 8
 # It and the transient series raise past ORACLE_WORK_BUDGET stored entries
 # read. A step or a product reads the operator's entries plus _STEP_OVERHEAD,
 # its fixed cost (8.7 us a step on path:3 over 2.3 ns an entry on C9, 2-core
-# x86): 12,800 stationary steps at the 2^20-state cap, 10 minutes. A series is
-# counted at _max_terms products a segment, about 3 times what it takes, so
-# the budget holds 1.5-3 minutes of series.
+# x86): 12,800 steps of 21 slots a state on 2^20 states, 10 minutes, which
+# is 25,600 stationary steps of the quotient at the cap. A series is counted
+# at the products it takes, _tail_terms a segment.
 STATIONARY_RESIDUAL_TOL = 1e-14
 _STEP_OVERHEAD = 3_800
 ORACLE_WORK_BUDGET = 12_800 * (21 * FORWARD_STATE_CAP + _STEP_OVERHEAD)
@@ -103,55 +88,52 @@ def encode_forward_state(g: Graph, state: SpinBondState) -> int:
 
 
 def build_forward_generator(g: Graph, kernel: AdoptionKernel, params: ModelParams) -> sp.csc_matrix:
-    """Generator of the joint spin-bond chain as a sparse rate matrix, stored by columns.
+    """Generator Q of the joint spin-bond chain on spin-flip orbits, stored by columns.
 
-    Row s holds the rates out of configuration s; the diagonal is minus the
-    row sum. Every transition flips one bit: site x has one slot, whose rate
-    sums, in kernel-row order, q(x, y) over the positive kernel entries
-    whose adopted sign differs from x's, and each edge has one slot. So
-    column s holds the same slots with each rate taken at the source
-    s ^ (1 << b), and the table is filled by columns: L.T, which every
-    forward-law product multiplies, is a CSR view of L's own arrays. Every
-    column keeps all n + m + 1 slots, rate 0 included: L.T's indptr is
-    arange * (n + m + 1), and row s holds the ascending columns s ^ 2^b
-    and s.
-    """
-    columns = _forward_columns(g, kernel, params)
-    size = forward_state_count(g)
-    # L.T's rows; their transpose is L stored by columns, on the same arrays.
-    return _assemble_generator(size, g.vertex_count + g.edge_count + 1, columns).T
-
-
-def build_forward_quotient(
-    g: Graph, kernel: AdoptionKernel, params: ModelParams
-) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The forward generator on spin-flip orbits, stored by columns, and its site-0 slot.
-
-    Flipping every spin, F(s) = s ^ (2^n - 1), commutes with L: adoption
-    multiplies signs, and the edges' rates ignore the spins. Orbit j is
-    {2j, F(2j)}, whose representative 2j has site 0 at -1. Column j of Q is
-    L's column 2j, all n + m + 1 slots kept, with each row s folded to its
-    orbit (s ^ (2^n - 1) if s is odd else s) >> 1, so Q is the lumped chain
-    (Kemeny and Snell 1960). Only the site-0 slot's row is folded, into
-    orbit j ^ (2^(n-1) - 1); for n = 2 that is the site-1 slot's row, and
-    products add the two entries. site0[j] is that slot's rate,
-    L[2j + 1, 2j]. A valid kernel gives every site an edge, so n >= 2 and
-    no slot folds onto the diagonal.
+    In the full chain L every transition flips one bit: site x has one
+    slot, whose rate sums, in kernel-row order, q(x, y) over the positive
+    kernel entries whose adopted sign differs from x's, and each edge has
+    one. Flipping every spin, F(s) = s ^ (2^n - 1), commutes with L, so L
+    lumps exactly onto the orbits {2j, F(2j)} (Kemeny and Snell 1960).
+    Column j of Q is L's column 2j, all n + m + 1 slots kept in ascending
+    source order, each source s folded to its orbit (s ^ F(0) if s is odd
+    else s) >> 1. Only the site-0 source 2j + 1 is odd: it folds to
+    j ^ (2^(n-1) - 1), in the slot after the diagonal (_site0_slots), and
+    for n = 2 shares its row with the site-1 slot; products add the two.
     """
     columns = _forward_columns(g, kernel, params)
     size = forward_state_count(g) // 2
-    site0 = np.empty(size)
     spins = np.int32((1 << g.vertex_count) - 1)
 
     def folded(half: np.ndarray):
-        rep = half << 1
-        values, rows, lengths = columns(rep)
-        site0[half] = values[rows == np.repeat(rep + 1, lengths)]  # one slot a column
-        rows ^= (rows & 1) * spins
-        rows >>= 1
-        return values, rows, lengths
+        values, rows, lengths = columns(half << 1)
+        return values, (rows ^ (rows & 1) * spins) >> 1, lengths
 
-    return _assemble_generator(size, g.vertex_count + g.edge_count + 1, folded).T, site0
+    # Q.T's rows; their transpose is Q stored by columns, on the same arrays.
+    return _assemble_generator(size, g.vertex_count + g.edge_count + 1, folded).T
+
+
+def _site0_slots(Q: sp.csc_matrix) -> np.ndarray:
+    """Index in Q.data of each column's site-0 slot: column j's slot popcount(j) + 1,
+    since L's column 2j has a source 2j ^ 2^b below 2j for each set bit of j."""
+    j = np.arange(Q.shape[0], dtype=np.int32)
+    return j * np.int32(Q.nnz // Q.shape[0]) + np.bitwise_count(j) + 1
+
+
+def _orbit_view(g: Graph, x: np.ndarray) -> np.ndarray:
+    """A full vector as (2^m, 2^(n-1), 2): [:, :, 0] holds the orbits'
+    representatives in orbit order and [:, ::-1, 1] their flips."""
+    return x.reshape(1 << g.edge_count, 1 << (g.vertex_count - 1), 2)
+
+
+def unfold(g: Graph, even: np.ndarray, odd: np.ndarray | float = 0.0) -> np.ndarray:
+    """The full vector that is even + odd on each orbit's representative and even - odd
+    on its flip: a law on the orbits unfolds to its flip-invariant law as unfold(g, law / 2)."""
+    out = np.empty(2 * even.size)
+    view = _orbit_view(g, out)
+    view[:, :, 0] = (even + odd).reshape(view.shape[:2])
+    view[:, ::-1, 1] = (even - odd).reshape(view.shape[:2])
+    return out
 
 
 def _forward_columns(g: Graph, kernel: AdoptionKernel, params: ModelParams):
@@ -246,6 +228,12 @@ def _generator_rows(targets: np.ndarray, rates: np.ndarray, into: np.ndarray | N
     return out, columns
 
 
+def _block_rows(size: int) -> int:
+    """Rows per block of a pass over a chain: a 24th of a small one, at least 128,
+    as a block's temporaries are a few times its share of the generator."""
+    return min(_ROW_BLOCK, max(size // 24, 128))
+
+
 def _assemble_generator(size: int, slots: int, rows_of) -> sp.csr_matrix:
     """A CSR matrix from its slot table, filled one block of rows at a time.
 
@@ -266,9 +254,7 @@ def _assemble_generator(size: int, slots: int, rows_of) -> sp.csr_matrix:
     indices = np.empty(size * slots, dtype=np.int32)
     indptr = np.zeros(size + 1, dtype=np.int32)
     nnz = 0
-    # A block's temporaries are a few times its share of the table, so a
-    # small chain is filled in blocks of a 24th of it (at least 128 rows).
-    rows = min(_ROW_BLOCK, max(size // 24, 128))
+    rows = _block_rows(size)
     for start in range(0, size, rows):
         idx = np.arange(start, min(start + rows, size), dtype=np.int32)
         values, columns, lengths = rows_of(idx)
@@ -302,8 +288,15 @@ def _uniformize(G: sp.csr_matrix) -> float:
 
 
 def _max_terms(lam_t: float) -> int:
-    """The most products one series over a span with lam * span = lam_t takes."""
+    """The most products one series over a span with lam * span = lam_t may take."""
     return int(lam_t + 50.0 * np.sqrt(lam_t + 1.0) + 200.0)
+
+
+def _tail_terms(lam_t: float) -> int:
+    """The products one series over a span with lam * span = lam_t takes: the Poisson
+    tail at UNIFORMIZATION_TAIL, about 7 standard deviations and a skew term. From
+    lam_t = 0 to _MAX_UNIFORM_EXPONENT it is never below _series' count, nor 6 above."""
+    return int(lam_t + 7.0 * np.sqrt(lam_t + 1.0) + 9.0)
 
 
 def _series(
@@ -337,20 +330,43 @@ def _series(
     return list(zip(accs, cums))
 
 
-def transient_distribution(L: sp.csc_matrix, initial: np.ndarray, t: float) -> np.ndarray:
-    """Law at time t from a row distribution, renormalized after truncation.
-
-    L is taken over: its transpose, for the forward generator a CSR view
-    of L's own arrays, becomes the transposed jump matrix in place. Pass
-    L.copy() to keep L.
-    """
-    PT = L.T
-    lam = _uniformize(PT)
-    (law,) = transient_steps(PT.dot, lam, initial, t, 1, PT.nnz)
+def transient_distribution(Q: sp.csc_matrix, g: Graph, initial: np.ndarray, t: float) -> np.ndarray:
+    """Full law at time t from a full row distribution, renormalized after truncation.
+    Q, g's quotient chain, is taken over as _flip_steps takes it: pass Q.copy() to keep it."""
+    law = unfold(g, *next(_flip_steps(Q, g, initial, t, 1)))
     total = law.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise RuntimeError("transient distribution lost its mass")
     return law / total
+
+
+def _flip_steps(
+    Q: sp.csc_matrix, g: Graph, start: np.ndarray, dt: float, steps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The flip-even and flip-odd parts of start @ e^{i dt L}, i = 1, ..., steps, on the orbits.
+
+    start is a full row vector, such as a law or a difference of laws, and
+    Q.T becomes the transposed jump matrix in place. The even part steps by
+    Q itself; the odd part is -o on the flips, which only the site-0 slot
+    reads, so it steps by Q less twice that slot's term.
+    """
+    PT = Q.T
+    lam = _uniformize(PT)
+    # The odd part's site-0 term, -2 P[2j + 1, 2j] o[j ^ (2^(n-1) - 1)]: that
+    # index is j reversed within its run of 2^(n-1), the spin bits after site 0.
+    site0 = PT.data.take(_site0_slots(Q)).reshape(-1, 1 << (g.vertex_count - 1)) * -2.0
+
+    def odd_product(w: np.ndarray) -> np.ndarray:
+        out = PT @ w
+        out += (site0 * w.reshape(site0.shape)[:, ::-1]).ravel()
+        return out
+
+    view = _orbit_view(g, np.asarray(start, dtype=np.float64))
+    even, odd = (view[:, :, 0] + view[:, ::-1, 1]) / 2, (view[:, :, 0] - view[:, ::-1, 1]) / 2
+    return zip(
+        transient_steps(PT.dot, lam, even.ravel(), dt, steps, PT.nnz),
+        transient_steps(odd_product, lam, odd.ravel(), dt, steps, PT.nnz + site0.size),
+    )
 
 
 def transient_steps(
@@ -374,8 +390,8 @@ def transient_steps(
     is the renormalization of a per-step routine, so truncation does not
     compound over segments. Only the times i dt are yielded.
 
-    Before its first product it counts what the series can read: per
-    segment _max_terms products, each `entries` plus _STEP_OVERHEAD. Once
+    Before its first product it counts what the series will read: per
+    segment _tail_terms products, each `entries` plus _STEP_OVERHEAD. Once
     that passes ORACLE_WORK_BUDGET it raises StateSpaceCapError with the
     count so far, so a step far too long to take is refused at once.
     """
@@ -383,7 +399,7 @@ def transient_steps(
     segments, work = [], 0
     for start, points in _segments(lam, dt, steps):
         segments.append((start, points))
-        work += _max_terms(lam * (points[-1][0] - start)) * (entries + _STEP_OVERHEAD)
+        work += _tail_terms(lam * (points[-1][0] - start)) * (entries + _STEP_OVERHEAD)
         if work > ORACLE_WORK_BUDGET:
             raise StateSpaceCapError(
                 work, ORACLE_WORK_BUDGET, f"transient work on {base.shape[0]} states"
@@ -432,71 +448,85 @@ def transient_action(L: sp.csr_matrix, vec: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def all_states_reach(L: sp.csc_matrix, r: int) -> bool:
-    """Whether every state of the generator L has a positive-rate path into r.
+def all_states_reach(Q: sp.csc_matrix, g: Graph, r: int) -> bool:
+    """Whether every state of the full chain that Q lumps has a positive-rate path into state r.
 
-    Each round adds to found the states off it with a positive rate into
-    it: their entries of L @ found sum rates, none negative, so a stored 0
-    adds nothing. L is only read.
+    A frontier pass over Q's columns, in blocks: the sources of 2j are column
+    j's slots' representatives, but the site-0 slot's flip, and those of
+    F(2j) their flips. A state joins the frontier once, so a column is read at
+    most twice; a rate not above 0 (a stored 0, the diagonal) adds nothing.
     """
-    found = np.zeros(L.shape[0])
-    found[r] = 1.0
-    size = 0
-    while (grown := np.count_nonzero(found)) > size:
-        size = grown
-        found[L @ found > 0.0] = 1.0
-    return size == found.size
+    size = Q.shape[0]
+    slots = Q.nnz // size
+    rows, rates = Q.indices.reshape(size, slots), Q.data.reshape(size, slots)
+    site0 = _site0_slots(Q) % slots
+    side = r & 1  # found[0] holds the representatives, found[1] their flips
+    found = np.zeros((2, size), dtype=bool)
+    found[side, (r ^ side * ((1 << g.vertex_count) - 1)) >> 1] = True
+    frontier = found.copy()
+    while frontier.any():
+        grown = np.zeros_like(found)
+        for side, orbits in enumerate(map(np.flatnonzero, frontier)):
+            for start in range(0, orbits.size, _block_rows(size)):
+                j = orbits[start:start + _block_rows(size)]
+                live, crossed = rates[j] > 0.0, np.arange(slots) == site0[j, None]
+                sources = rows[j]
+                grown[side, sources[live & ~crossed]] = True
+                grown[1 - side, sources[live & crossed]] = True
+        frontier = grown & ~found
+        found |= frontier
+    return bool(found.all())
 
 
-def stationary_distribution(L: sp.csc_matrix, g: Graph, params: ModelParams) -> np.ndarray:
-    """Unique stationary row vector of the forward generator L of g at params.
+def stationary_distribution(Q: sp.csc_matrix, g: Graph, params: ModelParams) -> np.ndarray:
+    """Unique stationary law of g's chain at params on the orbits of its quotient Q.
 
-    Steps pi + (L^T pi) / lam, that is pi (I + L/lam) on L's own arrays,
-    which callers read the residual from, until max|L^T pi| <=
-    STATIONARY_RESIDUAL_TOL * lam; raises StateSpaceCapError past
-    ORACLE_WORK_BUDGET, or sooner once the residual, from step 1,000 on,
-    has made no new minimum in the last half of the steps taken: it then
-    sits at its rounding floor (complete:2 at p = 1/2, v = 1e4), while a
-    converging one keeps making new minima. The start, uniform spins times
-    product Bernoulli(p) edges, has the edges' stationary law (they alone
-    are dynamical percolation; Haggstrom, Peres and Steif 1997) and is
-    flip-symmetric, so it excites neither their slow modes nor flip-odd ones.
+    Entry j is orbit j's mass; the full law, unique and so flip-invariant, is
+    unfold(g, pi / 2). Steps pi + (Q^T pi) / lam on Q's own arrays, from the
+    edges' stationary law (they alone are dynamical percolation; Haggstrom,
+    Peres and Steif 1997) times uniform spins, until the full chain's
+    max|L^T pi| <= STATIONARY_RESIDUAL_TOL * lam; raises StateSpaceCapError past
+    ORACLE_WORK_BUDGET, or at its rounding floor: once |Q^T pi|_1, from
+    step 1,000 on, has made no new minimum in the last half of the steps.
 
-    Then it raises ValueError unless every state reaches r = argmax pi,
-    that is, unless the chain has one closed class: r then lies in every
-    closed class, and one closed class holds all of pi's mass, r included,
-    and is reached from every state. No fixed r would do: at p = 0 on
-    cycle:3 the one closed class holds no all-plus state.
+    Then it raises ValueError unless every state of the full chain reaches
+    r, the representative of argmax pi: r then lies in every closed class,
+    so there is one. No fixed r would do (at p = 0 on cycle:3 the one closed
+    class holds no all-plus state), nor would Q's own classes: a mirror
+    pair, such as the two consensus states at p = 1, lumps onto one.
     """
-    pi = np.full(1 << g.vertex_count, 0.5**g.vertex_count)
-    for _ in range(g.edge_count):  # edge e is bit n + e, above the spins and earlier edges
+    pi = np.full(1 << (g.vertex_count - 1), 0.5 ** (g.vertex_count - 1))
+    for _ in range(g.edge_count):  # edge e is orbit bit n - 1 + e, above the earlier bits
         pi = np.kron((1.0 - params.p, params.p), pi)
-    # A state whose exit rate is below lam keeps a self-loop in I + L/lam,
+    # A state whose exit rate is below lam keeps a self-loop in I + Q/lam,
     # so the iteration is aperiodic unless every exit rate is equal.
-    lam = float(np.max(-L.diagonal(), initial=0.0))
-    LT = L.T
-    steps = ORACLE_WORK_BUDGET // (L.nnz + _STEP_OVERHEAD) + 1  # one residual at least
+    lam = float(np.max(-Q.diagonal(), initial=0.0))
+    bound = 2 * STATIONARY_RESIDUAL_TOL * lam  # Q^T pi is twice L^T pi of the unfolded law
+    QT = Q.T
+    steps = ORACLE_WORK_BUDGET // (Q.nnz + _STEP_OVERHEAD) + 1  # one residual at least
     least, at = np.inf, 0
     for step in range(steps):
-        flow = LT @ pi
-        residual = np.abs(flow).max()
-        if residual <= STATIONARY_RESIDUAL_TOL * lam:
+        flow = QT @ pi
+        sizes = np.abs(flow)
+        residual = sizes.max()
+        if residual <= bound:
             break
-        if residual < least:
-            least, at = residual, step
+        # Each step maps Q^T pi by the stochastic P: its 1-norm never grows, its max may.
+        if (total := sizes.sum()) < least:
+            least, at = total, step
         elif step >= 1_000 and step > 2 * at:
-            break  # no new least residual in half the steps: stuck at its rounding floor
+            break
         pi += flow / lam
-    if not residual <= STATIONARY_RESIDUAL_TOL * lam:  # a NaN residual too
+    if not residual <= bound:  # a NaN residual too
         raise StateSpaceCapError(
-            steps * (L.nnz + _STEP_OVERHEAD), ORACLE_WORK_BUDGET, f"stationary work on "
-            f"{pi.size} states (least residual {least:.2e} at step {at} of {step + 1}, "
-            f"above {STATIONARY_RESIDUAL_TOL * lam:.2e})",
+            steps * (Q.nnz + _STEP_OVERHEAD), ORACLE_WORK_BUDGET, f"stationary work on "
+            f"{2 * pi.size} states (least residual sum {least:.2e} at step {at} of {step + 1}, "
+            f"max above {bound:.2e})",
         )
     del flow  # so that the certificate's vectors do not sit beside it
     np.clip(pi, 0.0, None, out=pi)
     pi /= pi.sum()
-    if not all_states_reach(L, int(np.argmax(pi))):
+    if not all_states_reach(Q, g, 2 * int(np.argmax(pi))):
         raise ValueError("chain has several closed classes, stationary distribution is not unique")
     return pi
 
@@ -523,49 +553,19 @@ def total_variation_curve(
     """TV between the laws started from state_a and state_b at 0, dt, ..., steps * dt.
 
     TV(t) = |(delta_a - delta_b) e^{tL}|_1 / 2 by linearity, so one signed
-    vector is propagated instead of both laws. Flipping every spin commutes
-    with L, so that vector is the sum of a flip-even part e and a flip-odd
-    part o, each of which stays so, whatever the two states. Both are held
-    on the orbits' representatives and stepped on build_forward_quotient's
-    Q: e by Q itself; o is -o on the non-representatives, which only the
-    site-0 slot reads, so o by Q minus twice that slot's term. The vector
-    is e + o on a representative and e - o on its flip. No full-size
-    generator or vector is held.
+    vector is propagated instead of both laws, as its flip-even and
+    flip-odd parts e and o: it is e + o on a representative and e - o on
+    its flip.
     """
-    n, m = g.vertex_count, g.edge_count
-    Q, site0 = build_forward_quotient(g, kernel, params)
-    PT = Q.T
-    lam = _uniformize(PT)  # > 0: every site of a valid kernel can flip
-    # The odd part's site-0 term, -2 P[2j + 1, 2j] o[j ^ (2^(n-1) - 1)]:
-    # that index is j reversed within its run of 2^(n-1), the spin bits
-    # after site 0.
-    site0 = site0.reshape(2**m, 2 ** (n - 1)) * (-2.0 / lam)
+    Q = build_forward_generator(g, kernel, params)
+    start = np.zeros(2 * Q.shape[0])
+    start[encode_forward_state(g, state_a)] += 1.0
+    start[encode_forward_state(g, state_b)] -= 1.0
 
-    def odd_product(w: np.ndarray) -> np.ndarray:
-        out = PT @ w
-        out += (site0 * w.reshape(site0.shape)[:, ::-1]).ravel()
-        return out
-
-    start = np.zeros((2, PT.shape[0]))  # e and o
-    for state, weight in ((state_a, 0.5), (state_b, -0.5)):
-        s = encode_forward_state(g, state)
-        flipped = s & 1  # site 0 at +1: the flip of its orbit's representative
-        start[:, (s ^ flipped * ((1 << n) - 1)) >> 1] += (weight, -weight if flipped else weight)
-
-    def tv(e: np.ndarray, o: np.ndarray) -> float:
-        return 0.5 * float(np.abs(e + o).sum() + np.abs(e - o).sum())
-
-    halves = zip(
-        transient_steps(PT.dot, lam, start[0], dt, steps, PT.nnz),
-        transient_steps(odd_product, lam, start[1], dt, steps, PT.nnz + site0.size),
-    )
-    return [tv(*start)] + [tv(e, o) for e, o in halves]
-
-
-def forward_delta(g: Graph, state: SpinBondState) -> np.ndarray:
-    out = np.zeros(forward_state_count(g))
-    out[encode_forward_state(g, state)] = 1.0
-    return out
+    halves = _flip_steps(Q, g, start, dt, steps)
+    return [0.5 * float(np.abs(start).sum())] + [
+        0.5 * float(np.abs(e + o).sum() + np.abs(e - o).sum()) for e, o in halves
+    ]
 
 
 def dual_state_count(g: Graph, k: int) -> int:
@@ -695,7 +695,8 @@ def duality_gap_table(
     """
     envs = 3**g.edge_count
     reps, fold = _walker_orbits(g.vertex_count, k)
-    delta = forward_delta(g, forward_initial)
+    delta = np.zeros(forward_state_count(g))
+    delta[encode_forward_state(g, forward_initial)] = 1.0
     # The dual generator is built first, while no dual-sized vector is held.
     rhs = transient_action(
         build_dual_generator(g, kernel, params, k),
@@ -703,7 +704,7 @@ def duality_gap_table(
         t,
     )
     rhs = rhs.reshape(envs, reps.size).take(fold, axis=1).ravel()
-    mu_t = transient_distribution(build_forward_generator(g, kernel, params), delta, t)
+    mu_t = transient_distribution(build_forward_generator(g, kernel, params), g, delta, t)
     lhs = _weighted_cylinder_masses(g, mu_t, k, params.p)
     return lhs, rhs
 

@@ -192,6 +192,76 @@ def _reference_generator(size, transitions):
     return (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
 
 
+def full_forward_generator(g: Graph, kernel, params):
+    """The full forward generator L, stored by columns, on all 2^(n+m) states.
+
+    The oracle's slot table for every state: column s holds the rates into
+    s from its sources s ^ 2^b and s, every slot kept, and L.T is a CSR
+    view of L's arrays. oracle.build_forward_generator keeps the columns of
+    the representatives 2j alone, with their sources folded to orbits.
+    """
+    bits = g.vertex_count + g.edge_count
+    columns = oracle._forward_columns(g, kernel, params)
+    return oracle._assemble_generator(1 << bits, bits + 1, columns).T
+
+
+def lump_forward_generator(L, g: Graph):
+    """A full forward generator lumped onto spin-flip orbits: orbit j's
+    column is L's column 2j with the rows of each orbit summed."""
+    spins = (1 << g.vertex_count) - 1
+    cols = L.tocsc()[:, ::2].tocoo()
+    rows = (cols.row ^ (cols.row & 1) * spins) >> 1
+    return sp.coo_matrix((cols.data, (rows, cols.col)), shape=(L.shape[0] // 2,) * 2).tocsc()
+
+
+def reference_transient(L, law, t):
+    """Law at time t from a row distribution on the generator L, renormalized:
+    uniformization on L's transpose, made its jump matrix in place, so L is
+    taken over. The oracle stepped every chain so before it stepped the
+    forward chain's spin-flip parts."""
+    PT = L.T
+    (out,) = oracle.transient_steps(PT.dot, oracle._uniformize(PT), law, t, 1, PT.nnz)
+    return out / out.sum()
+
+
+def reference_stationary(L, g: Graph, params):
+    """The full chain's stationary law by the oracle's iteration on L itself:
+    pi + (L^T pi) / lam from the same product start, until max|L^T pi| is
+    within the bound the solve on orbits meets. In exact arithmetic its
+    iterates are the orbit solve's unfolded, step for step. The bound is
+    read every 16th step, so it stops up to 15 steps later, each moving pi
+    by at most 1e-14."""
+    pi = np.full(1 << g.vertex_count, 0.5**g.vertex_count)
+    for _ in range(g.edge_count):
+        pi = np.kron((1.0 - params.p, params.p), pi)
+    lam = float(np.max(-L.diagonal()))
+    LT = L.T.tocsr()
+    while np.abs(LT @ pi).max() > oracle.STATIONARY_RESIDUAL_TOL * lam:
+        for _ in range(16):
+            pi += (LT @ pi) / lam
+    np.clip(pi, 0.0, None, out=pi)
+    return pi / pi.sum()
+
+
+def forward_delta(g: Graph, state: SpinBondState) -> np.ndarray:
+    """The point mass on ``state`` over the full chain's oracle indices."""
+    out = np.zeros(oracle.forward_state_count(g))
+    out[oracle.encode_forward_state(g, state)] = 1.0
+    return out
+
+
+def stationary_law(g: Graph, kernel, params) -> np.ndarray:
+    """The full chain's stationary law, unfolded from the oracle's solve on spin-flip orbits."""
+    Q = oracle.build_forward_generator(g, kernel, params)
+    return oracle.unfold(g, oracle.stationary_distribution(Q, g, params) / 2)
+
+
+def transient_law(g: Graph, kernel, params, law, t) -> np.ndarray:
+    """The oracle's full law at time t from the full row distribution ``law``."""
+    Q = oracle.build_forward_generator(g, kernel, params)
+    return oracle.transient_distribution(Q, g, law, t)
+
+
 def _dual_generator_by_state(g, kernel, params, k, mode):
     """Reference builder: decode, move and encode one dual state at a time."""
     size = oracle.dual_state_count(g, k)

@@ -28,6 +28,10 @@ from spinbond import oracle
 from conftest import (
     coupled_run,
     decode_forward_state,
+    forward_delta,
+    reference_transient,
+    stationary_law,
+    transient_law,
     merge_breaks,
     replay_statuses,
     striped_state,
@@ -95,8 +99,7 @@ def test_criterion_2_single_site_stationary_law(p3, c6):
     exact_gates = 0
     for g, kern in (p3, c6):
         params = ModelParams(p, v)
-        L = oracle.build_forward_generator(g, kern, params)
-        pi = oracle.stationary_distribution(L, g, params)
+        pi = stationary_law(g, kern, params)
         for x in range(g.vertex_count):
             for env in _env_cylinders(range(g.edge_count)):
                 cyl = CylinderEvent.of(sites={x: 1}, edges=env)
@@ -173,9 +176,7 @@ def test_criterion_3_mu_dyn_consistency(k2, p3):
 
     # exact anchor: the full 8-state solve puts mass p on site agreement
     g2, kern2 = k2
-    pi2 = oracle.stationary_distribution(
-        oracle.build_forward_generator(g2, kern2, params), g2, params
-    )
+    pi2 = stationary_law(g2, kern2, params)
     agree = sum(
         float(pi2[i])
         for i in range(8)
@@ -187,9 +188,7 @@ def test_criterion_3_mu_dyn_consistency(k2, p3):
     details.append(f"exact P(agreement)={agree:.12f} vs p (err {abs(agree - p):.1e})")
 
     g3, kern3 = p3
-    pi3 = oracle.stationary_distribution(
-        oracle.build_forward_generator(g3, kern3, params), g3, params
-    )
+    pi3 = stationary_law(g3, kern3, params)
     configs = [
         (g2, kern2, [0], 0.5, 310),
         (g2, kern2, [0, 1], p / 2.0, 311),
@@ -240,14 +239,14 @@ def test_criterion_4_ergodic_contraction(p3):
     # Total variation between the laws started from all-plus and all-minus
     # never increases along the grid and is below 0.01 by t=20.
     g, kern = p3
-    L = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0))
+    Q = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0))
     step = 0.5
-    mu_plus = oracle.forward_delta(g, SpinBondState.constant(g, 1, 1))
-    mu_minus = oracle.forward_delta(g, SpinBondState.constant(g, -1, -1))
+    mu_plus = forward_delta(g, SpinBondState.constant(g, 1, 1))
+    mu_minus = forward_delta(g, SpinBondState.constant(g, -1, -1))
     curve = [total_variation(mu_plus, mu_minus)]
     for _ in range(40):
-        mu_plus = oracle.transient_distribution(L.copy(), mu_plus, step)
-        mu_minus = oracle.transient_distribution(L.copy(), mu_minus, step)
+        mu_plus = oracle.transient_distribution(Q.copy(), g, mu_plus, step)
+        mu_minus = oracle.transient_distribution(Q.copy(), g, mu_minus, step)
         curve.append(total_variation(mu_plus, mu_minus))
     monotone = all(b <= a + 1e-10 for a, b in zip(curve, curve[1:]))
     final_ok = curve[-1] < 0.01
@@ -282,11 +281,10 @@ def test_criterion_5_transient_mc_vs_oracle(p3):
     cylinders = [CylinderEvent.of(sites={x: s}) for x in range(3) for s in (1, -1)]
     cylinders += [CylinderEvent.of(edges={e: s}) for e in range(2) for s in (1, -1)]
 
-    L = oracle.build_forward_generator(g, kern, params)
-    mu0 = oracle.forward_delta(g, initial)
+    mu0 = forward_delta(g, initial)
     exact = {}
     for t in times:
-        mu_t = oracle.transient_distribution(L.copy(), mu0, t)
+        mu_t = transient_law(g, kern, params, mu0, t)
         for cyl in cylinders:
             exact[(t, cyl.label())] = oracle.cylinder_probability(g, mu_t, cyl)
 
@@ -504,14 +502,18 @@ def test_criterion_8_structural_properties(k2, p3, c6):
         row_worst = max(row_worst, float(np.abs(np.asarray(L.sum(axis=1))).max()))
     details.append(f"max |row sum| = {row_worst:.1e}")
 
-    # (e) semigroup composition of the uniformized transients.
+    # (e) semigroup composition of the uniformized transients: the forward
+    # law on g3's full chain from its quotient, the dual law on its orbits.
     semi_worst = 0.0
-    for L in (gens[1], gens[4]):
-        mu0 = np.zeros(L.shape[0])
+    for L, size, transient in (
+        (gens[1], 2 * gens[1].shape[0], lambda M, law, t: oracle.transient_distribution(M, g3, law, t)),
+        (gens[4], gens[4].shape[0], reference_transient),
+    ):
+        mu0 = np.zeros(size)
         mu0[1] = 1.0
-        stepped = oracle.transient_distribution(L.copy(), mu0, 0.7)
-        stepped = oracle.transient_distribution(L.copy(), stepped, 1.8)
-        direct = oracle.transient_distribution(L.copy(), mu0, 2.5)
+        stepped = transient(L.copy(), mu0, 0.7)
+        stepped = transient(L.copy(), stepped, 1.8)
+        direct = transient(L.copy(), mu0, 2.5)
         semi_worst = max(semi_worst, float(np.abs(stepped - direct).max()))
     details.append(f"semigroup gap {semi_worst:.1e}")
 

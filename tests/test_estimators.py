@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 from conftest import (
-    _dual_generator_by_state, coupled_run, decode_forward_state, encode_dual_state, striped_state,
+    _dual_generator_by_state, coupled_run, decode_forward_state, encode_dual_state, forward_delta,
+    reference_transient, stationary_law, striped_state, transient_law,
 )
 from scipy import stats
 from scipy.linalg import expm
@@ -206,7 +207,7 @@ def test_batched_estimator_follows_the_exact_transient_law(case):
     params = ModelParams(p, v)
     if initial is None:
         initial = striped_state(g)
-        law0 = oracle.forward_delta(g, initial)
+        law0 = forward_delta(g, initial)
     else:
         law0 = _product_law(g, initial)
     cyls = single_constraint_events(g) + [
@@ -218,10 +219,9 @@ def test_batched_estimator_follows_the_exact_transient_law(case):
     got = est.estimate_cylinder_probabilities(
         EventTable(g, kern, params), initial, times, cyls, replicas, RngStream(71, (len(case),))
     )
-    L = oracle.build_forward_generator(g, kern, params)
     failures = []
     for t in sorted(set(times)):
-        law = oracle.transient_distribution(L.copy(), law0, t)
+        law = transient_law(g, kern, params, law0, t)
         for cyl in cyls:
             want = oracle.cylinder_probability(g, law, cyl)
             res = got[(t, cyl.label())]
@@ -289,13 +289,13 @@ _DUAL_LAW_CASES = {
 
 def _law_misses(g, kern, params, initial, t, mode, runs):
     """Event frequencies of the block ``runs`` more than 4 binomial sigma off
-    oracle.transient_distribution at t on the labelled dual chain of the
+    reference_transient at t on the labelled dual chain of the
     reference builder, or off an exact 0 or 1 at all. The events name
     walkers, so they need the labelled chain, not the oracle's orbits."""
     k = initial.walker_count
     law0 = np.zeros(oracle.dual_state_count(g, k))
     law0[encode_dual_state(g, initial)] = 1.0
-    law = oracle.transient_distribution(_dual_generator_by_state(g, kern, params, k, mode), law0, t)
+    law = reference_transient(_dual_generator_by_state(g, kern, params, k, mode), law0, t)
     want = law @ _dual_events(g, *_decoded_dual_states(g, k))
     got = _dual_events(g, runs.positions, runs.signs, runs.status).mean(axis=0)
     sigma = np.sqrt(np.clip(want * (1.0 - want), 0.0, None) / runs.time.size)
@@ -306,7 +306,7 @@ def _law_misses(g, kern, params, initial, t, mode, runs):
 @pytest.mark.parametrize("case", sorted(_DUAL_LAW_CASES))
 def test_batched_dual_follows_the_exact_transient_law(case):
     # Event frequencies of the batched dual runner against
-    # oracle.transient_distribution on the labelled reference chain. Stated
+    # reference_transient on the labelled reference chain. Stated
     # false-failure rate: the seven cases hold 171 two-sided gates at 4
     # binomial sigma, family-wise <= 171 * 0.0063% = 1.1% under the normal
     # approximation. Where the exact value is 0 or 1 the frequency must
@@ -343,7 +343,7 @@ def test_continued_dual_block_follows_the_exact_transient_law():
 
 def test_coupled_legs_follow_the_exact_transient_law():
     # Each leg of coupled_run on P3, two walkers from distinct sites, against
-    # oracle.transient_distribution on its own rule's labelled reference
+    # reference_transient on its own rule's labelled reference
     # chain. Stated false-failure rate: 2 legs of 21 two-sided gates at 4
     # binomial sigma, family-wise <= 42 * 0.0063% = 0.27% under the normal
     # approximation. Where the exact value is 0 or 1 the frequency must
@@ -361,7 +361,7 @@ def test_coupled_legs_follow_the_exact_transient_law():
     law0[encode_dual_state(g, initial)] = 1.0
     for mode, leg in (("coalescing", coalescing), ("independent", independent)):
         L = _dual_generator_by_state(g, kern, params, 2, mode)
-        want = oracle.transient_distribution(L, law0, t) @ _dual_events(g, *_decoded_dual_states(g, 2))
+        want = reference_transient(L, law0, t) @ _dual_events(g, *_decoded_dual_states(g, 2))
         got = _dual_events(g, leg.positions, leg.signs, leg.status).mean(axis=0)
         sigma = np.sqrt(np.clip(want * (1.0 - want), 0.0, None) / replicas)
         bad = np.flatnonzero(np.abs(got - want) > 4.0 * sigma + 1e-12)
@@ -469,8 +469,7 @@ def test_mu_dyn_separate_components_never_merge():
     assert out.result.std_error == 0.0
     for rep in out.reports:
         assert rep.partition == ((0,), (1,))
-    L = oracle.build_forward_generator(g, kern, params)
-    pi = oracle.stationary_distribution(L, g, params)
+    pi = stationary_law(g, kern, params)
     exact = oracle.cylinder_probability(g, pi, CylinderEvent.of(sites={0: 1, 2: 1}))
     assert exact == pytest.approx(0.25, abs=1e-10)
 
@@ -493,9 +492,7 @@ def test_mu_dyn_stops_at_the_closed_classes_of_a_reducible_kernel():
     )
     assert out.censored_count == 0
     assert {len(rep.partition) for rep in out.reports} == {2}
-    pi = oracle.stationary_distribution(
-        oracle.build_forward_generator(g, kern, params), g, params
-    )
+    pi = stationary_law(g, kern, params)
     exact = oracle.cylinder_probability(g, pi, CylinderEvent.of(sites={0: 1, 2: 1, 4: 1}))
     assert est.deviation_sigmas(out.result, exact) <= 3.0
 
@@ -519,8 +516,7 @@ def test_two_site_mass_is_quarter_in_symmetric_environment(p3):
         stream=RngStream(37),
     )
     assert est.deviation_sigmas(out.result, 0.25) < 3.0
-    L = oracle.build_forward_generator(g, kern, params)
-    pi = oracle.stationary_distribution(L, g, params)
+    pi = stationary_law(g, kern, params)
     exact = oracle.cylinder_probability(g, pi, CylinderEvent.of(sites={0: 1, 2: 1}))
     assert exact == pytest.approx(0.25, abs=1e-10)
 
@@ -530,8 +526,7 @@ def test_mu_dyn_is_stationary(k2):
     # all-plus mass at the mu_dyn value at every later time.
     g, kern = k2
     params = ModelParams(0.3, 1.0)
-    L = oracle.build_forward_generator(g, kern, params)
-    pi = oracle.stationary_distribution(L, g, params)
+    pi = stationary_law(g, kern, params)
     table = EventTable(g, kern, params)
     mu = est.estimate_mu_dyn(table, sites=[0, 1], replicas=4000, stream=RngStream(59))
     cyl = CylinderEvent.of(sites={0: 1, 1: 1})
@@ -579,8 +574,7 @@ def test_dual_side_cross_checks_forward_and_oracle(p3):
         (DualState.of([1], [1]), CylinderEvent.of(sites={1: 1})),
         (DualState.of([1], [1], [0], ()), CylinderEvent.of(sites={1: 1}, edges={0: 1})),
     ]
-    L = oracle.build_forward_generator(g, kern, params)
-    dist = oracle.transient_distribution(L, oracle.forward_delta(g, fwd), t)
+    dist = transient_law(g, kern, params, forward_delta(g, fwd), t)
     table = EventTable(g, kern, params)
     for call, (dual, cyl) in enumerate(cases):
         dual_res = est.estimate_dual_side(table, fwd, dual, t, 4000, RngStream(43, (call,)))

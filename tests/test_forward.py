@@ -23,7 +23,10 @@ from spinbond.forward import (
 from spinbond.graphs import build_graph, builtin_graph, kernel_from_rates, uniform_kernel
 from spinbond.rng import RngStream
 
-from conftest import reference_columns, reference_forward, reference_rings, striped_state
+from conftest import (
+    forward_delta, reference_columns, reference_forward, reference_rings, striped_state,
+    transient_law,
+)
 
 
 def test_model_params_validation():
@@ -314,10 +317,9 @@ def test_forward_follows_the_exact_transient_law(case):
         )
         hits += traj.checkpoint_hits
     freq = dict(zip(product(_TIMES, [cyl.label() for cyl in obs]), hits / replicas))
-    L = oracle.build_forward_generator(g, kern, params)
     failures = []
     for t in sorted(set(_TIMES)):
-        law = oracle.transient_distribution(L.copy(), oracle.forward_delta(g, initial), t)
+        law = transient_law(g, kern, params, forward_delta(g, initial), t)
         for cyl in obs:
             want = oracle.cylinder_probability(g, law, cyl)
             sigma = math.sqrt(max(want * (1.0 - want), 0.0) / replicas)

@@ -3,15 +3,16 @@
 numpy reports its buffers to tracemalloc, so the traced peak of a call
 counts every array the call makes, the sparse matrices' arrays included,
 and its traces of numpy's domain are exactly the arrays alive. Each oracle
-bound is in units of the generator's own arrays. A build may hold its
-slot table beside its block temporaries, and retains exactly the arrays of
-the generator it returns. The transient solvers take their generator over,
-so a call handed L holds only its series' vectors: a copy of L or of its
-transpose breaks their bound. The TV curve builds the flip quotient and no
-full generator. The stationary solve keeps L as it is and
-steps on L's own arrays, so a copy of L's transpose breaks its bound too.
-The dual block's bound is per (replica, edge) cell, and the result writer's
-is a share of the file it writes.
+bound is in units of the generator's own arrays, for the forward chain
+those of its spin-flip quotient Q, the one forward generator the oracle
+builds. A build may hold its slot table beside its block temporaries, and
+retains exactly the arrays of the generator it returns. The transient
+solvers take their generator over, so a call handed Q holds only its
+series' vectors: a copy of Q or of its transpose breaks their bound. The
+stationary solve keeps Q as it is and steps on Q's own arrays, and its
+certificate reads Q's columns in blocks, so a copy of Q's transpose breaks
+its bound too. The dual block's bound is per (replica, edge) cell, and the
+result writer's is a share of the file it writes.
 """
 
 import tracemalloc
@@ -24,7 +25,7 @@ import pytest
 # run in.
 import scipy.sparse  # noqa: F401
 
-from conftest import decode_forward_state
+from conftest import decode_forward_state, full_forward_generator
 from spinbond import oracle
 from spinbond.dual import DualState, simulate_dual
 from spinbond.forward import EventTable, ModelParams
@@ -68,17 +69,18 @@ def cycle6():
 
 
 def test_forward_build_holds_one_table(cycle6):
-    # The arrays sized for the slot table and one block's temporaries stay
-    # under two generators (the table has 13 slots for 11.5 entries a row),
-    # and the build keeps no unused slot and no temporary
+    # The arrays sized for the quotient's slot table and one block's
+    # temporaries stay under two generators (the table keeps all 13 slots
+    # of its 2,048 columns), and the build keeps no unused slot and no
+    # temporary
     g, reference = cycle6
-    L, peak = _traced_peak(lambda: oracle.build_forward_generator(g, uniform_kernel(g), PARAMS))
-    assert (L != reference).nnz == 0
-    assert peak < 2.0 * _generator_bytes(L)
-    L, retained = _retained_array_bytes(
+    Q, peak = _traced_peak(lambda: oracle.build_forward_generator(g, uniform_kernel(g), PARAMS))
+    assert (Q != reference).nnz == 0 and Q.shape == (2048, 2048)
+    assert peak < 2.0 * _generator_bytes(Q)
+    Q, retained = _retained_array_bytes(
         lambda: oracle.build_forward_generator(g, uniform_kernel(g), PARAMS)
     )
-    assert retained == _generator_bytes(L)
+    assert retained == _generator_bytes(Q)
 
 
 def test_dual_build_retains_its_csr_arrays():
@@ -93,27 +95,28 @@ def test_dual_build_retains_its_csr_arrays():
 
 
 def test_stationary_solve_holds_one_jump_matrix(cycle6):
-    # The one jump matrix is L itself: each step adds (L^T pi) / lam to pi
-    # through the CSR view L.T, and the closed-class certificate reads L as it
-    # is, so the call holds vectors alone, and a copy of L's transpose (1.0x) fails
-    g, L = cycle6
-    before = L.copy()
-    pi, peak = _traced_peak(lambda: oracle.stationary_distribution(L, g, PARAMS))
-    assert abs(pi.sum() - 1.0) < 1e-12
-    assert peak < 0.6 * _generator_bytes(L)
-    assert (L != before).nnz == 0
+    # The one jump matrix is Q itself: each step adds (Q^T pi) / lam to pi
+    # through the CSR view Q.T, and the closed-class certificate reads Q's
+    # columns a block at a time, so the call holds vectors and one block's
+    # temporaries alone, and a copy of Q's transpose (1.0x) fails
+    g, Q = cycle6
+    before = Q.copy()
+    pi, peak = _traced_peak(lambda: oracle.stationary_distribution(Q, g, PARAMS))
+    assert abs(pi.sum() - 1.0) < 1e-12 and pi.shape == (Q.shape[0],)
+    assert peak < 0.6 * _generator_bytes(Q)
+    assert (Q != before).nnz == 0
 
 
 def test_transient_steps_hold_one_jump_matrix(cycle6):
-    # The jump matrix is made in place on L's transpose, a view of L's own
+    # The jump matrix is made in place on Q's transpose, a view of Q's own
     # arrays, so the call holds the series' vectors and no matrix
     _, reference = cycle6
-    L = reference.copy()
-    law = np.zeros(L.shape[0])
+    Q = reference.copy()
+    law = np.zeros(Q.shape[0])
     law[5] = 1.0
 
     def steps():
-        PT = L.T
+        PT = Q.T
         for stepped in oracle.transient_steps(PT.dot, oracle._uniformize(PT), law, 0.5, 4, PT.nnz):
             pass
         return stepped
@@ -125,22 +128,18 @@ def test_transient_steps_hold_one_jump_matrix(cycle6):
 
 def test_tv_curve_holds_the_quotient_alone(cycle6):
     # The curve builds the flip quotient, which retains half the full
-    # generator's slots and the site-0 slot, and steps half-size vectors:
-    # its peak, build included, stays under one full generator (0.90x),
-    # which building or holding a full generator breaks
-    g, reference = cycle6
-    (Q, site0), retained = _retained_array_bytes(
-        lambda: oracle.build_forward_quotient(g, uniform_kernel(g), PARAMS)
-    )
-    assert retained == _generator_bytes(Q) + site0.nbytes
-    assert Q.nnz == reference.nnz // 2
+    # generator's slots, and steps half-size vectors: its peak, build
+    # included, stays under two quotients (one full generator), which
+    # building or holding a full generator breaks
+    g, Q = cycle6
+    assert Q.nnz == full_forward_generator(g, uniform_kernel(g), PARAMS).nnz // 2
     a = decode_forward_state(g, 5)
-    b = decode_forward_state(g, reference.shape[0] - 1)
+    b = decode_forward_state(g, 2 * Q.shape[0] - 1)
     curve, peak = _traced_peak(
         lambda: oracle.total_variation_curve(g, uniform_kernel(g), PARAMS, a, b, 0.5, 4)
     )
     assert curve[0] == 1.0 and curve[-1] < curve[0]
-    assert peak < 1.0 * _generator_bytes(reference)
+    assert peak < 1.98 * _generator_bytes(Q)
 
 
 def test_duality_gap_table_holds_one_dual_generator():

@@ -32,10 +32,17 @@ from conftest import (
     duality_weight,
     encode_dual_state,
     forward_cylinder_mask,
+    forward_delta,
     forward_weight_vector,
+    full_forward_generator,
     lump_dual_generator,
+    lump_forward_generator,
+    reference_stationary,
+    reference_transient,
+    stationary_law,
     striped_state,
     total_variation,
+    transient_law,
 )
 
 
@@ -74,15 +81,12 @@ def exact_duality_check(
     weighs it against the forward initial condition.
     """
     k = dual_initial.walker_count
-    L_f = oracle.build_forward_generator(g, kernel, params)
-    mu_t = oracle.transient_distribution(L_f, oracle.forward_delta(g, forward_initial), t)
+    mu_t = transient_law(g, kernel, params, forward_delta(g, forward_initial), t)
     lhs = float(mu_t @ forward_weight_vector(g, dual_initial, params.p))
 
     L_d = _dual_generator_by_state(g, kernel, params, k, mode)
-    nu_t = oracle.transient_distribution(L_d, dual_delta(g, dual_initial), t)
-    weights = oracle._weighted_cylinder_masses(
-        g, oracle.forward_delta(g, forward_initial), k, params.p
-    )
+    nu_t = reference_transient(L_d, dual_delta(g, dual_initial), t)
+    weights = oracle._weighted_cylinder_masses(g, forward_delta(g, forward_initial), k, params.p)
     rhs = float(nu_t @ weights)
     return DualityCheck(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
@@ -140,6 +144,7 @@ def test_dual_cap_enforced(c6):
 
 
 def test_forward_generator_rows_sum_to_zero(p3):
+    # The quotient is a generator too: its orbits' rows sum to zero
     g, kern = p3
     L = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.5))
     rows = np.asarray(L.sum(axis=1)).ravel()
@@ -307,15 +312,23 @@ _FORWARD_GENERATOR_CASES = [
 
 @pytest.mark.parametrize("spec, skewed, p, v", _FORWARD_GENERATOR_CASES)
 def test_forward_generator_matches_per_state_builder(spec, skewed, p, v):
+    # The oracle's slot table over every state is the per-state chain by
+    # columns (its transpose is a CSR view). The quotient keeps the even
+    # columns' bits, with their rows folded, and is that chain lumped onto
+    # spin-flip orbits, with no entry summed, since n >= 3 here
     name, sizes = spec.split(":")
     g = builtin_graph(name, *map(int, sizes.split(",")))
     kern = kernel_from_rates(_SKEWED_RATES[spec], g.vertex_count) if skewed else uniform_kernel(g)
     params = ModelParams(p, v)
-    # The generator is stored by columns: its transpose is a CSR view.
-    _assert_fixed_width_csr(
-        oracle.build_forward_generator(g, kern, params).T,
-        _forward_generator_by_state(g, kern, params).T.tocsr(),
-    )
+    reference = _forward_generator_by_state(g, kern, params)
+    L = full_forward_generator(g, kern, params)
+    _assert_fixed_width_csr(L.T, reference.T.tocsr())
+    Q = oracle.build_forward_generator(g, kern, params)
+    slots = g.vertex_count + g.edge_count + 1
+    assert Q.format == "csc" and Q.shape == (L.shape[0] // 2,) * 2 and Q.nnz == L.nnz // 2
+    assert np.shares_memory(Q.T.data, Q.data) and np.array_equal(Q.indptr, np.arange(Q.shape[0] + 1) * slots)
+    assert Q.data.tobytes() == L.data.reshape(-1, slots)[::2].tobytes()
+    assert abs(Q - lump_forward_generator(reference, g)).max() == 0.0
 
 
 def _out_rate_forward_generator(g, kernel, params):
@@ -373,7 +386,7 @@ def test_in_rate_forward_generator_is_the_out_rate_table_by_columns(spec, skewed
     # stored 0 only at a rate-0 slot
     g = parse_graph_spec(spec)
     kern = kernel_from_rates(_SKEWED_RATES[spec], g.vertex_count) if skewed else uniform_kernel(g)
-    L = oracle.build_forward_generator(g, kern, ModelParams(p, v))
+    L = full_forward_generator(g, kern, ModelParams(p, v))
     reference = _out_rate_forward_generator(g, kern, ModelParams(p, v))
     assert L.format == "csc" and L.T.format == "csr"
     assert np.shares_memory(L.T.data, L.data) and np.shares_memory(L.T.indices, L.indices)
@@ -381,15 +394,18 @@ def test_in_rate_forward_generator_is_the_out_rate_table_by_columns(spec, skewed
 
 
 def test_stationary_solve_leaves_its_generator_as_it_is(p3):
-    # Its residual max|L^T pi| is read from L, also after the call
+    # Its residual max|Q^T pi| is read from Q, also after the call, and the
+    # full chain's residual of the unfolded law, half of it, meets the bound
     g, kern = p3
     params = ModelParams(0.3, 1.0)
-    L = oracle.build_forward_generator(g, kern, params)
-    kept = L.copy()
-    pi = oracle.stationary_distribution(L, g, params)
-    _assert_same_arrays(L, kept)
-    _assert_fixed_width_csr(L.T, _forward_generator_by_state(g, kern, params).T.tocsr())
-    assert np.abs(L.T @ pi).max() <= oracle.STATIONARY_RESIDUAL_TOL * -L.diagonal().min()
+    Q = oracle.build_forward_generator(g, kern, params)
+    kept = Q.copy()
+    pi = oracle.stationary_distribution(Q, g, params)
+    _assert_same_arrays(Q, kept)
+    bound = oracle.STATIONARY_RESIDUAL_TOL * -Q.diagonal().min()
+    assert pi.shape == (Q.shape[0],) and np.abs(Q.T @ pi).max() <= 2 * bound
+    L = _forward_generator_by_state(g, kern, params)
+    assert np.abs(L.T @ oracle.unfold(g, pi / 2)).max() <= bound
 
 
 def test_transient_solvers_take_over_the_generator_they_are_handed(p3):
@@ -397,16 +413,16 @@ def test_transient_solvers_take_over_the_generator_they_are_handed(p3):
     # place; handed L.copy(), it leaves L as it is, and the next call on
     # another copy gives the same bits
     g, kern = p3
-    L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
+    Q = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
     L_d = oracle.build_dual_generator(g, kern, ModelParams(0.4, 2.0), 2)
-    law_a = np.zeros(L.shape[0])
+    law_a = np.zeros(2 * Q.shape[0])
     law_a[9] = 1.0
     weights = np.linspace(0.0, 1.0, L_d.shape[0])
     # The forward generator keeps its rate-0 slots, the dual one drops them
-    assert L.nnz == L.shape[0] * (g.vertex_count + g.edge_count + 1) and (L.data == 0).any()
+    assert Q.nnz == Q.shape[0] * (g.vertex_count + g.edge_count + 1) and (Q.data == 0).any()
     assert (L_d.data != 0).all()
     solvers = [
-        (L, lambda M: oracle.transient_distribution(M, law_a, 0.7)),
+        (Q, lambda M: oracle.transient_distribution(M, g, law_a, 0.7)),
         (L_d, lambda M: oracle.transient_action(M, weights, 0.7)),
     ]
     for generator, solve in solvers:
@@ -423,7 +439,7 @@ def test_transient_solvers_take_over_the_generator_they_are_handed(p3):
 
 def _steps(L, rows, dt, steps):
     """transient_steps on the jump matrix made from L's transpose in place,
-    as transient_distribution makes it: L is taken over."""
+    as reference_transient makes it: L is taken over."""
     PT = L.T
     return oracle.transient_steps(PT.dot, oracle._uniformize(PT), rows, dt, steps, PT.nnz)
 
@@ -431,39 +447,40 @@ def _steps(L, rows, dt, steps):
 def test_uniformization_matches_dense_expm(p3):
     # Independent oracle: dense matrix exponential of the same generator.
     g, kern = p3
-    L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 1.0))
-    dense = L.toarray()
+    dense = full_forward_generator(g, kern, ModelParams(0.4, 1.0)).toarray()
+    Q = oracle.build_forward_generator(g, kern, ModelParams(0.4, 1.0))
     mu0 = np.zeros(32)
     mu0[5] = 1.0
     for t in (0.05, 0.3, 1.7, 6.0):
         reference = mu0 @ expm(dense * t)
-        ours = oracle.transient_distribution(L.copy(), mu0, t)
+        ours = oracle.transient_distribution(Q.copy(), g, mu0, t)
         assert np.abs(reference - ours).max() < 1e-10
 
 
 def test_transient_semigroup_property(p3):
     g, kern = p3
-    L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
+    Q = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
     mu0 = np.zeros(32)
     mu0[9] = 1.0
-    stepped = oracle.transient_distribution(L.copy(), mu0, 0.9)
-    stepped = oracle.transient_distribution(L.copy(), stepped, 1.3)
-    direct = oracle.transient_distribution(L.copy(), mu0, 2.2)
+    stepped = oracle.transient_distribution(Q.copy(), g, mu0, 0.9)
+    stepped = oracle.transient_distribution(Q.copy(), g, stepped, 1.3)
+    direct = oracle.transient_distribution(Q.copy(), g, mu0, 2.2)
     assert np.abs(stepped - direct).max() < 1e-9
 
 
 def test_transient_steps_block_matches_single_laws(p3):
     # A block of rows steps each column exactly as that row steps alone, and
-    # every unnormalized step stays within truncation error of repeated
-    # renormalized transient_distribution steps.
+    # every unnormalized step on the full chain stays within truncation
+    # error of repeated renormalized transient_distribution steps.
     g, kern = p3
-    L = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
+    L = full_forward_generator(g, kern, ModelParams(0.4, 2.0))
+    Q = oracle.build_forward_generator(g, kern, ModelParams(0.4, 2.0))
     block = np.zeros((32, 2))
     block[9, 0] = block[22, 1] = 1.0
     alone = [list(_steps(L.copy(), block[:, c], 0.5, 20)) for c in range(2)]
     singles = [block[:, 0].copy(), block[:, 1].copy()]
     for i, laws in enumerate(_steps(L.copy(), block, 0.5, 20)):
-        singles = [oracle.transient_distribution(L.copy(), law, 0.5) for law in singles]
+        singles = [oracle.transient_distribution(Q.copy(), g, law, 0.5) for law in singles]
         for c in range(2):
             assert np.array_equal(laws[:, c], alone[c][i])
             assert np.abs(laws[:, c] - singles[c]).max() < 1e-12
@@ -498,7 +515,7 @@ def test_uniformize_in_place_matches_the_jump_matrix_beside_it(spec, p, v, case)
     # transpose have the fixed-width layout, with the reference's entries at
     # every nonzero. An empty matrix gets its 1s inserted
     g = parse_graph_spec(spec)
-    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
+    L = full_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
     if case == "no transitions":
         L = sp.csr_matrix(L.shape)
     assert (L.diagonal() == 0.0).any() == (case != "ergodic")
@@ -513,29 +530,29 @@ def test_uniformize_in_place_matches_the_jump_matrix_beside_it(spec, p, v, case)
 
 @pytest.mark.parametrize("spec, p, v", [("cycle:6", 0.3, 1.0), ("cycle:4", 0.3, 0.0), ("path:3", 1.0, 1.0)])
 def test_uniformize_and_transient_steps_keep_the_forward_generators_arrays(spec, p, v):
-    # Every forward row stores its diagonal and every stored 0 stays, so
-    # the jump matrix is written into the generator's own buffers: the
-    # transpose's arrays are the same objects after _uniformize, and after
-    # transient_distribution L's buffers hold the jump matrix, so the view it
-    # made was not moved to new ones
+    # Every column of the quotient stores its diagonal and every stored 0
+    # stays, so the jump matrix is written into the generator's own
+    # buffers: the transpose's arrays are the same objects after
+    # _uniformize, and after transient_distribution Q's buffers hold the
+    # jump matrix, so the view it made was not moved to new ones
     g = parse_graph_spec(spec)
-    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
-    assert (L.data == 0.0).any()
-    reference = L.T.tocsr(copy=True)
+    Q = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
+    assert (Q.data == 0.0).any()
+    reference = Q.T.tocsr(copy=True)
     lam = oracle._uniformize(reference)
 
-    G = L.copy().T
+    G = Q.copy().T
     arrays = G.data, G.indices, G.indptr
     assert oracle._uniformize(G) == lam
     assert all(a is b for a, b in zip((G.data, G.indices, G.indptr), arrays))
     _assert_same_arrays(G, reference)
 
-    arrays = L.data, L.indices, L.indptr
-    law = np.zeros(L.shape[0])
+    arrays = Q.data, Q.indices, Q.indptr
+    law = np.zeros(2 * Q.shape[0])
     law[3] = 1.0
-    oracle.transient_distribution(L, law, 1.0)
-    assert all(a is b for a, b in zip((L.data, L.indices, L.indptr), arrays))
-    _assert_same_arrays(L.T, reference)
+    oracle.transient_distribution(Q, g, law, 1.0)
+    assert all(a is b for a, b in zip((Q.data, Q.indices, Q.indptr), arrays))
+    _assert_same_arrays(Q.T, reference)
 
 
 def _per_step_uniformized(op, lam, vec, t):
@@ -610,9 +627,9 @@ def _dense_tv_curve(L, law_a, law_b, dt, steps, every=1):
 )
 def test_tv_curve_matches_per_step_reference_and_dense_expm(spec, p, v, dt, steps, case):
     g = parse_graph_spec(spec)
-    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
+    L = full_forward_generator(g, uniform_kernel(g), ModelParams(p, v))
     a, b = _flipped_pair(g)
-    law_a, law_b = oracle.forward_delta(g, a), oracle.forward_delta(g, b)
+    law_a, law_b = forward_delta(g, a), forward_delta(g, b)
     if case == "no transitions":
         # No model is without transitions, so the loop the curve steps its
         # halves through steps the signed difference on an empty generator
@@ -661,19 +678,22 @@ def test_quotient_tv_curve_matches_per_step_reference_and_dense_expm(spec, skewe
     # accuracy: the full chain's curve is up to 1.0e-12 from both here, and
     # they are up to 5.5e-13 apart. The spin flip commutes with L
     # (Freivalds), and the quotient stores every slot of its 2^(n+m-1)
-    # columns, which _uniformize turns into the jump matrix in place.
+    # columns, which _uniformize turns into the jump matrix in place, with
+    # column j's site-0 slot holding L[2j + 1, 2j].
     g = parse_graph_spec(spec)
     n, m = g.vertex_count, g.edge_count
     kern = kernel_from_rates(_SKEWED_RATES[spec], n) if skewed else uniform_kernel(g)
     params = ModelParams(p, v)
-    L = oracle.build_forward_generator(g, kern, params)
+    L = full_forward_generator(g, kern, params)
     flip = np.arange(L.shape[0]) ^ ((1 << n) - 1)
     x = np.random.default_rng(3).random(L.shape[0])
     assert np.abs(L @ x[flip] - (L @ x)[flip]).max() < 1e-13 * np.abs(L @ x).max()
 
-    Q, site0 = oracle.build_forward_quotient(g, kern, params)
-    assert Q.shape == (2 ** (n + m - 1),) * 2 and site0.shape == (Q.shape[0],)
+    Q = oracle.build_forward_generator(g, kern, params)
+    assert Q.shape == (2 ** (n + m - 1),) * 2
     assert Q.nnz == 2 ** (n + m - 1) * (n + m + 1)
+    reps = 2 * np.arange(Q.shape[0])
+    assert Q.data[oracle._site0_slots(Q)].tobytes() == np.asarray(L[reps + 1, reps]).ravel().tobytes()
     PT = Q.T
     arrays = PT.data, PT.indices, PT.indptr
     assert oracle._uniformize(PT) == _uniformized_kernel(L)[1]
@@ -682,7 +702,7 @@ def test_quotient_tv_curve_matches_per_step_reference_and_dense_expm(spec, skewe
     a, b = _flipped_pair(g)
     if pair == "spins flipped":
         b = SpinBondState((-a.site_signs).astype(np.int8), a.edge_signs)
-    law_a, law_b = oracle.forward_delta(g, a), oracle.forward_delta(g, b)
+    law_a, law_b = forward_delta(g, a), forward_delta(g, b)
     dt, steps = 0.5, oracle._SEGMENT_TIMES + 2
     curve = oracle.total_variation_curve(g, kern, params, a, b, dt, steps)
     assert len(curve) == steps + 1 and curve[0] == 1.0
@@ -704,9 +724,9 @@ def test_tv_curve_stays_on_dense_expm_over_many_segments():
     # from it.
     g = parse_graph_spec("cycle:4")
     kern, params = uniform_kernel(g), ModelParams(0.05, 0.02)
-    L = oracle.build_forward_generator(g, kern, params)
+    L = full_forward_generator(g, kern, params)
     a, b = _flipped_pair(g)
-    law_a, law_b = oracle.forward_delta(g, a), oracle.forward_delta(g, b)
+    law_a, law_b = forward_delta(g, a), forward_delta(g, b)
     curve = oracle.total_variation_curve(g, kern, params, a, b, 0.5, 1200)
     reference = _per_step_tv_curve(L, law_a, law_b, 0.5, 1200)
     assert np.abs(np.subtract(curve, reference)).max() < 5e-12
@@ -739,7 +759,7 @@ def test_exact_tv_decay_shares_products_between_grid_points():
         t_step=0.5, oracle="on",
     ))
     g = builtin_graph("cycle", 4)
-    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(0.3, 1.0))
+    L = full_forward_generator(g, uniform_kernel(g), ModelParams(0.3, 1.0))
     lam = _uniformized_kernel(L)[1]
     coeff = cum = float(np.exp(-lam * 0.5))
     terms = 0
@@ -758,11 +778,10 @@ def test_transient_long_horizon_uses_halving(p3):
     # the distribution must still land on the stationary law.
     g, kern = p3
     params = ModelParams(0.4, 2.0)
-    L = oracle.build_forward_generator(g, kern, params)
     mu0 = np.zeros(32)
     mu0[5] = 1.0
-    pi = oracle.stationary_distribution(L, g, params)
-    far = oracle.transient_distribution(L, mu0, 300.0)
+    pi = stationary_law(g, kern, params)
+    far = transient_law(g, kern, params, mu0, 300.0)
     assert np.abs(far - pi).max() < 1e-10
 
 
@@ -773,7 +792,7 @@ def test_transient_edge_marginal_closed_form(k2):
     # Starting minus: P(plus at t) = p (1 - exp(-v t)).
     g, kern = k2
     p, v = 0.3, 1.7
-    L = oracle.build_forward_generator(g, kern, ModelParams(p, v))
+    Q = oracle.build_forward_generator(g, kern, ModelParams(p, v))
     edge_plus = forward_cylinder_mask(g, CylinderEvent.of(edges={0: 1}))
     for start_sign, closed_form in (
         (1, lambda t: p + (1.0 - p) * np.exp(-v * t)),
@@ -785,7 +804,7 @@ def test_transient_edge_marginal_closed_form(k2):
         mu0 = np.zeros(8)
         mu0[oracle.encode_forward_state(g, state)] = 1.0
         for t in (0.2, 1.0, 4.0):
-            mu_t = oracle.transient_distribution(L.copy(), mu0, t)
+            mu_t = oracle.transient_distribution(Q.copy(), g, mu0, t)
             assert abs(float(mu_t @ edge_plus) - closed_form(t)) < 1e-10
 
 
@@ -795,11 +814,10 @@ def test_transient_edge_marginal_closed_form(k2):
 def test_stationary_residual_and_normalization(p3):
     g, kern = p3
     params = ModelParams(0.3, 1.0)
-    L = oracle.build_forward_generator(g, kern, params)
-    pi = oracle.stationary_distribution(L, g, params)
+    pi = stationary_law(g, kern, params)
     assert abs(pi.sum() - 1.0) < 1e-12
     assert pi.min() >= 0.0
-    assert np.abs(pi @ L.toarray()).max() < 1e-12
+    assert np.abs(pi @ full_forward_generator(g, kern, params).toarray()).max() < 1e-12
 
 
 def _closed_class_count(L):
@@ -814,23 +832,45 @@ def _closed_class_count(L):
     return count - np.unique(labels[rows][labels[rows] != labels[cols]]).size
 
 
-def _reaches_from_nowhere(L):
-    """No state is reached from every state, as when L has several closed classes."""
-    return not any(oracle.all_states_reach(L, r) for r in range(L.shape[0]))
+def _reaches(L, r):
+    """Whether every state of the generator L has a positive-rate path into
+    r: each round adds the states off the set with a positive rate into it,
+    whose entries of L @ found sum rates, none negative. The certificate
+    as it read the full chain before it read the quotient."""
+    found = np.zeros(L.shape[0])
+    found[r] = 1.0
+    size = 0
+    while (grown := np.count_nonzero(found)) > size:
+        size = grown
+        found[L @ found > 0.0] = 1.0
+    return size == found.size
+
+
+def _reaches_from_nowhere(Q, g):
+    """No state of the full chain that Q lumps is reached from every state,
+    as when it has several closed classes."""
+    return not any(oracle.all_states_reach(Q, g, r) for r in range(2 * Q.shape[0]))
 
 
 def test_stationary_rejects_reducible_chains(p3):
+    # Both are mirror pairs, or hold them: the flip maps one closed class
+    # onto another, so the quotient lumps them, and the certificate, which
+    # reads the full chain through Q, still finds no state reached from all.
     g, kern = p3
     # p = 1: the two all-aligned consensus states are separate traps.
-    frozen_env = oracle.build_forward_generator(g, kern, ModelParams(1.0, 1.0))
-    assert _closed_class_count(frozen_env) == 2 and _reaches_from_nowhere(frozen_env)
+    params = ModelParams(1.0, 1.0)
+    frozen_env = oracle.build_forward_generator(g, kern, params)
+    assert _closed_class_count(full_forward_generator(g, kern, params)) == 2
+    assert _closed_class_count(frozen_env) == 1 and _reaches_from_nowhere(frozen_env, g)
     with pytest.raises(ValueError):
-        oracle.stationary_distribution(frozen_env, g, ModelParams(1.0, 1.0))
+        oracle.stationary_distribution(frozen_env, g, params)
     # v = 0: every environment assignment is its own closed class.
-    frozen_edges = oracle.build_forward_generator(g, kern, ModelParams(0.5, 0.0))
-    assert _closed_class_count(frozen_edges) == 8 and _reaches_from_nowhere(frozen_edges)
+    params = ModelParams(0.5, 0.0)
+    frozen_edges = oracle.build_forward_generator(g, kern, params)
+    assert _closed_class_count(full_forward_generator(g, kern, params)) == 8
+    assert _reaches_from_nowhere(frozen_edges, g)
     with pytest.raises(ValueError):
-        oracle.stationary_distribution(frozen_edges, g, ModelParams(0.5, 0.0))
+        oracle.stationary_distribution(frozen_edges, g, params)
 
 
 @pytest.mark.parametrize(
@@ -841,34 +881,40 @@ def test_stationary_certifies_one_closed_class_without_the_all_plus_state(spec, 
     # triangle) is then frustrated, so its spins never settle and the one
     # closed class holds no all-plus state, which does not reach every
     # state; cycle:4 settles in either of its two alternating states.
+    # cycle:4's two are a mirror pair, one closed class of the quotient.
     g = parse_graph_spec(spec)
     params = ModelParams(0.0, 1.0)
-    L = oracle.build_forward_generator(g, uniform_kernel(g), params)
-    assert _closed_class_count(L) == closed
-    assert not oracle.all_states_reach(L, L.shape[0] - 1)
+    Q = oracle.build_forward_generator(g, uniform_kernel(g), params)
+    L = full_forward_generator(g, uniform_kernel(g), params)
+    assert _closed_class_count(L) == closed and _closed_class_count(Q) == 1
+    assert not oracle.all_states_reach(Q, g, L.shape[0] - 1)
     if closed > 1:
-        assert _reaches_from_nowhere(L)
+        assert _reaches_from_nowhere(Q, g)
         with pytest.raises(ValueError):
-            oracle.stationary_distribution(L, g, params)
+            oracle.stationary_distribution(Q, g, params)
         return
-    pi = oracle.stationary_distribution(L, g, params)
-    assert oracle.all_states_reach(L, int(np.argmax(pi)))
+    pi = oracle.unfold(g, oracle.stationary_distribution(Q, g, params) / 2)
+    assert oracle.all_states_reach(Q, g, int(np.argmax(pi)))
     assert pi[-1] == 0.0
 
 
 @pytest.mark.parametrize("block", [1, 5, 32])
 def test_closed_classes_and_generator_over_row_blocks(p3, block, monkeypatch):
-    # Blocks of 1 and 5 rows split the 32-state chains into 32 and 7 pieces
-    # (the last one short), and 32 rows make one block that ends with the
-    # chain; the counts and the generators' bytes do not change.
+    # Blocks of 1 and 5 rows split the 16-orbit quotients into 16 and 4
+    # pieces (the last one short), and the certificate's frontier likewise,
+    # and 32 rows make one block that ends with the chain; the counts and
+    # the generators' bytes do not change.
     g, kern = p3
     for params, closed in ((ModelParams(1.0, 1.0), 2), (ModelParams(0.5, 0.0), 8)):
         whole = oracle.build_forward_generator(g, kern, params)
+        whole_full = full_forward_generator(g, kern, params)
         monkeypatch.setattr(oracle, "_ROW_BLOCK", block)
-        L = oracle.build_forward_generator(g, kern, params)
-        assert _closed_class_count(L) == closed and _reaches_from_nowhere(L)
-        _assert_same_arrays(L, whole)
-        assert L.nnz == 32 * (g.vertex_count + g.edge_count + 1)
+        Q = oracle.build_forward_generator(g, kern, params)
+        L = full_forward_generator(g, kern, params)
+        assert _closed_class_count(L) == closed and _reaches_from_nowhere(Q, g)
+        _assert_same_arrays(Q, whole)
+        _assert_same_arrays(L, whole_full)
+        assert Q.nnz == 16 * (g.vertex_count + g.edge_count + 1)
         monkeypatch.undo()
 
 
@@ -889,27 +935,30 @@ def _graphs_and_kernels(draw):
 
 @st.composite
 def _reducible_generators(draw):
-    """A forward generator of _graphs_and_kernels with p at 0 or 1 and
-    v = 0, so that every edge slot and many site slots store a 0."""
+    """The graph of _graphs_and_kernels with its quotient and full forward
+    generators at p at 0 or 1 and v = 0, so that every edge slot and many
+    site slots store a 0."""
     g, kern = draw(_graphs_and_kernels())
     params = ModelParams(draw(st.sampled_from([0.0, 1.0])), 0.0)
-    return oracle.build_forward_generator(g, kern, params)
+    return g, oracle.build_forward_generator(g, kern, params), full_forward_generator(g, kern, params)
 
 
 @settings(max_examples=60, deadline=None)
-@given(L=_reducible_generators())
-def test_closed_classes_read_stored_zeros_as_no_transition(L):
-    # From every state r, the certificate on L gives the same answer as on
-    # a copy stripped of its zeros, and L's arrays are the same bytes
-    # afterwards. No r is reached from every state: v = 0 freezes the edges.
+@given(chain=_reducible_generators())
+def test_closed_classes_read_stored_zeros_as_no_transition(chain):
+    # From every state r, the certificate on Q gives the same answer as
+    # the full chain's rounds on a copy of L stripped of its zeros, and Q's
+    # arrays are the same bytes afterwards. No r is reached from every
+    # state: v = 0 freezes the edges.
+    g, Q, L = chain
     stripped = L.copy()
     stripped.eliminate_zeros()
-    assert stripped.nnz < L.nnz
-    kept = L.copy()
+    assert stripped.nnz < L.nnz and (Q.data == 0.0).any()
+    kept = Q.copy()
     for r in range(L.shape[0]):
-        assert oracle.all_states_reach(L, r) == oracle.all_states_reach(stripped, r)
-    _assert_same_arrays(L, kept)
-    assert _closed_class_count(L) > 1 and _reaches_from_nowhere(L)
+        assert oracle.all_states_reach(Q, g, r) == _reaches(stripped, r)
+    _assert_same_arrays(Q, kept)
+    assert _closed_class_count(L) > 1 and _reaches_from_nowhere(Q, g)
 
 
 @settings(max_examples=20, deadline=None)
@@ -924,14 +973,64 @@ def test_stationary_solve_matches_a_dense_solve_over_the_theorem_class(chain, p,
     # a dense solve of the balance equations, at slow and fast edges alike.
     g, kern = chain
     params = ModelParams(p, v)
-    L = oracle.build_forward_generator(g, kern, params)
+    L = full_forward_generator(g, kern, params)
     assert _closed_class_count(L) == 1
     balance = L.toarray().T
     balance[-1] = 1.0  # one balance equation, implied by the others, gives way to the total
     dense = np.linalg.solve(balance, np.eye(L.shape[0])[-1])
-    pi = oracle.stationary_distribution(L, g, params)
+    Q = oracle.build_forward_generator(g, kern, params)
+    pi = oracle.unfold(g, oracle.stationary_distribution(Q, g, params) / 2)
     assert np.abs(pi - dense).max() < 1e-10
-    assert oracle.all_states_reach(L, int(np.argmax(pi)))
+    assert oracle.all_states_reach(Q, g, int(np.argmax(pi)))
+
+
+_TWO_EDGES = build_graph([(0, 1), (2, 3)], 4)
+_STAR = build_graph([(0, 1), (0, 2), (0, 3), (0, 4)], 5)
+_STAR_KERNEL = kernel_from_rates(
+    {0: {1: 0.0, 2: 0.0, 3: 0.0, 4: 1.0}, 1: {0: 1.0}, 2: {0: 1.0}, 3: {0: 1.0}, 4: {0: 1.0}}, 5
+)
+
+
+@st.composite
+def _forward_chains(draw):
+    """A random simple graph on 2 to 5 sites, each with an edge but not
+    always connected, within 2^10 full states, a valid kernel on it with
+    rate-0 entries and unequal rates, and a forward state."""
+    n = draw(st.integers(2, 5))
+    pairs = [(x, y + (y >= x)) for x in range(n) for y in [draw(st.integers(0, n - 2))]]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    g = build_graph([(a, b) for a, b in pairs if a != b], n)
+    assume(n + g.edge_count <= 10)
+    rates = {}
+    for x in range(n):
+        weights = draw(st.lists(st.integers(0, 3), min_size=g.degree(x), max_size=g.degree(x)).filter(any))
+        rates[x] = {y: w / sum(weights) for (y, _), w in zip(g.adjacency[x], weights)}
+    fwd = decode_forward_state(g, draw(st.integers(0, 2 ** (n + g.edge_count) - 1)))
+    return g, kernel_from_rates(rates, n), fwd
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    chain=_forward_chains(),
+    p=st.sampled_from([0.01, 0.5, 0.99]),
+    v=st.floats(-4.0, 3.0).map(lambda e: 10.0**e),
+)
+@example(chain=(_TWO_EDGES, uniform_kernel(_TWO_EDGES), decode_forward_state(_TWO_EDGES, 37)), p=0.01, v=1e3)
+@example(chain=(_STAR, _STAR_KERNEL, decode_forward_state(_STAR, 0)), p=0.01, v=1e3)
+def test_orbit_solves_unfold_to_the_full_chains(chain, p, v):
+    # The stationary law solved on the quotient and unfolded lies within
+    # 1e-12 of the same iteration on the full reference chain, and the gap
+    # table's left side, from e + o and e - o stepped on the quotient,
+    # within 1e-12 of the weights' scale of the full chain's law weighed
+    # the same way. On the star the residual's max rises from step 11 to
+    # step 5,278 of 95,973, which the stall rule must not take for a floor.
+    g, kern, fwd = chain
+    params, t = ModelParams(p, v), 0.5
+    L = full_forward_generator(g, kern, params)
+    assert np.abs(stationary_law(g, kern, params) - reference_stationary(L, g, params)).max() <= 1e-12
+    lhs, _ = oracle.duality_gap_table(g, kern, params, fwd, 1, t)
+    full = oracle._weighted_cylinder_masses(g, reference_transient(L, forward_delta(g, fwd), t), 1, p)
+    assert np.abs(lhs - full).max() <= 1e-12 * np.abs(full).max()
 
 
 @pytest.mark.parametrize("spec", ["path:3", "complete:2", "cycle:5", "cycle:6"])
@@ -944,12 +1043,12 @@ def test_stationary_solve_of_the_shipped_chains_is_within_1e12_of_a_direct_solve
 
     g = parse_graph_spec(spec)
     params = ModelParams(0.3, 1.0)
-    L = oracle.build_forward_generator(g, uniform_kernel(g), params)
+    L = full_forward_generator(g, uniform_kernel(g), params)
     balance = sp.vstack([L.T.tocsr()[:-1], np.ones((1, L.shape[0]))]).tocsc()
     total = np.zeros(L.shape[0])
     total[-1] = 1.0
     direct = spsolve(balance, total, permc_spec="MMD_AT_PLUS_A")
-    assert np.abs(oracle.stationary_distribution(L, g, params) - direct).max() < 1e-12
+    assert np.abs(stationary_law(g, uniform_kernel(g), params) - direct).max() < 1e-12
 
 
 def test_stationary_matches_lumped_two_site_chain(k2):
@@ -971,8 +1070,7 @@ def test_stationary_matches_lumped_two_site_chain(k2):
     A = np.vstack([Q.T[1:], np.ones(4)])
     lumped = np.linalg.lstsq(A, np.array([0.0, 0.0, 0.0, 1.0]), rcond=None)[0]
 
-    L = oracle.build_forward_generator(g, kern, ModelParams(p, v))
-    pi = oracle.stationary_distribution(L, g, ModelParams(p, v))
+    pi = stationary_law(g, kern, ModelParams(p, v))
     for i, (a, s) in enumerate(states):
         mass = 0.0
         for idx in range(8):
@@ -990,8 +1088,7 @@ def test_stationary_single_site_product_form(p3):
     # P(site fixed sign, specific edge signs) = (1/2) p^{#plus} (1-p)^{#minus}.
     g, kern = p3
     p = 0.35
-    L = oracle.build_forward_generator(g, kern, ModelParams(p, 0.8))
-    pi = oracle.stationary_distribution(L, g, ModelParams(p, 0.8))
+    pi = stationary_law(g, kern, ModelParams(p, 0.8))
     for site in range(3):
         for sign in (-1, 1):
             for e0 in (-1, 1):
@@ -1007,9 +1104,7 @@ def test_cylinder_probability_sums_the_masked_states_bit_for_bit(c6):
     # law for cylinders that pin nothing, every site, every edge or the
     # whole state.
     g, kern = c6
-    pi = oracle.stationary_distribution(
-        oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0)), g, ModelParams(0.3, 1.0)
-    )
+    pi = stationary_law(g, kern, ModelParams(0.3, 1.0))
     cylinders = [
         _cylinder({x: sign}, pos, neg)
         for x in range(g.vertex_count)
@@ -1033,8 +1128,8 @@ def test_stationary_reaches_cycle8():
     # on fill-in here, while the uniformized iteration takes about a second.
     g = builtin_graph("cycle", 8)
     p = 0.3
-    L = oracle.build_forward_generator(g, uniform_kernel(g), ModelParams(p, 1.0))
-    pi = oracle.stationary_distribution(L, g, ModelParams(p, 1.0))
+    L = full_forward_generator(g, uniform_kernel(g), ModelParams(p, 1.0))
+    pi = stationary_law(g, uniform_kernel(g), ModelParams(p, 1.0))
     assert np.abs(L.T @ pi).max() < 1e-12
     for site in range(8):
         for e0 in (-1, 1):
@@ -1048,10 +1143,10 @@ def test_stationary_work_budget_raises_cap_error(p3, monkeypatch, tmp_path, caps
     # residual instead of stepping.
     g, kern = p3
     params = ModelParams(0.05, 0.1)
-    L = oracle.build_forward_generator(g, kern, params)
-    monkeypatch.setattr(oracle, "ORACLE_WORK_BUDGET", L.nnz + oracle._STEP_OVERHEAD - 1)
+    Q = oracle.build_forward_generator(g, kern, params)
+    monkeypatch.setattr(oracle, "ORACLE_WORK_BUDGET", Q.nnz + oracle._STEP_OVERHEAD - 1)
     with pytest.raises(StateSpaceCapError, match="stationary work on 32 states"):
-        oracle.stationary_distribution(L, g, params)
+        oracle.stationary_distribution(Q, g, params)
 
     body = dict(experiment="mu-dyn", seed=3, graph="path:3", p=0.05, v=0.1,
                 sites=[0, 2], signs=[1, 1], replicas=50)
@@ -1066,11 +1161,11 @@ def test_stationary_work_budget_raises_cap_error(p3, monkeypatch, tmp_path, caps
 
 
 def test_stationary_solve_stuck_at_its_rounding_floor_exits_3_at_once(tmp_path, capsys):
-    # complete:2 at p = 1/2, v = 1e4: the residual's rounding floor,
-    # 9.13e-14 lam, lies above the bound, and it makes its last new minimum
-    # at step 50,604. The solve stops at step 101,210, once half its steps
-    # have brought none, instead of running the budget's 73.6 million steps
-    # (9-13 minutes), and nothing is written.
+    # complete:2 at p = 1/2, v = 1e4: the residual's rounding floor on the
+    # quotient, 1.79e-13 lam, lies above the bound, and its sum makes its
+    # last new minimum at step 50,597. The solve stops at step 101,196, once
+    # half its steps have brought none, instead of running the budget's 73.9
+    # million steps, and nothing is written.
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out"
     cfg.write_text(json.dumps(dict(
@@ -1081,7 +1176,7 @@ def test_stationary_solve_stuck_at_its_rounding_floor_exits_3_at_once(tmp_path, 
     assert main(["run", str(cfg)]) == 3
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
-    assert "stationary work on 8 states (least residual 4.57e-10 at step 50604 of 101210" in err
+    assert "stationary work on 8 states (least residual sum 3.43e-09 at step 50597 of 101196" in err
     assert not out.exists()
 
 
@@ -1108,14 +1203,14 @@ def test_transient_site_marginals_fair_from_flip_invariant_initial(p3):
     # negate with their source), so a uniform site mixture over any fixed
     # edge configuration keeps one-site marginals at exactly 1/2.
     g, kern = p3
-    L = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.5))
+    Q = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.5))
     n = g.vertex_count
     dist = np.zeros(oracle.forward_state_count(g))
     edge_bits = 0b01  # edge 0 at +1, edge 1 at -1
     for s in range(2**n):
         dist[s | (edge_bits << n)] = 0.5**n
     for t in (0.4, 1.7):
-        mu = oracle.transient_distribution(L.copy(), dist, t)
+        mu = oracle.transient_distribution(Q.copy(), g, dist, t)
         for x in range(n):
             pr = oracle.cylinder_probability(g, mu, CylinderEvent.of(sites={x: 1}))
             assert pr == pytest.approx(0.5, abs=1e-12)
@@ -1123,14 +1218,14 @@ def test_transient_site_marginals_fair_from_flip_invariant_initial(p3):
 
 def test_total_variation_decreases_toward_stationary(p3):
     g, kern = p3
-    L = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0))
-    pi = oracle.stationary_distribution(L, g, ModelParams(0.3, 1.0))
+    Q = oracle.build_forward_generator(g, kern, ModelParams(0.3, 1.0))
+    pi = stationary_law(g, kern, ModelParams(0.3, 1.0))
     mu0 = np.zeros(32)
     mu0[0] = 1.0
     tvs = []
     mu = mu0
     for _ in range(10):
-        mu = oracle.transient_distribution(L.copy(), mu, 2.0)
+        mu = oracle.transient_distribution(Q.copy(), g, mu, 2.0)
         tvs.append(total_variation(mu, pi))
     for earlier, later in zip(tvs, tvs[1:]):
         assert later <= earlier + 1e-12
@@ -1171,7 +1266,7 @@ def test_gap_table_long_step_matches_dense_expm_of_the_dual_generator(p3):
     assert float(np.max(-L_d.diagonal())) * t > 2 * oracle._MAX_UNIFORM_EXPONENT
     fwd = striped_state(g)
     lhs, rhs = oracle.duality_gap_table(g, kern, params, fwd, k=1, t=t)
-    weights = oracle._weighted_cylinder_masses(g, oracle.forward_delta(g, fwd), 1, params.p)
+    weights = oracle._weighted_cylinder_masses(g, forward_delta(g, fwd), 1, params.p)
     assert np.abs(rhs - expm(L_d.toarray() * t) @ weights).max() < 1e-8
     assert np.abs(lhs - rhs).max() < 1e-8
 
@@ -1197,9 +1292,6 @@ def _dual_chains(draw):
     return g, kernel_from_rates(rates, n), k, fwd
 
 
-_TWO_EDGES = build_graph([(0, 1), (2, 3)], 4)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     chain=_dual_chains(),
@@ -1222,7 +1314,7 @@ def test_dual_orbit_chain_is_the_lumped_labelled_chain(chain, p, v):
     reps, orbit = dual_orbits(g, k)
     L_q = oracle.build_dual_generator(g, kern, params, k)
     _assert_lumps(L_q, lump_dual_generator(reference, reps, orbit))
-    weights = oracle._weighted_cylinder_masses(g, oracle.forward_delta(g, fwd), k, p)
+    weights = oracle._weighted_cylinder_masses(g, forward_delta(g, fwd), k, p)
     labelled = oracle.transient_action(reference, weights, t)
     scale = np.abs(weights).max()
     rhs = oracle.transient_action(L_q, weights[reps], t)[orbit]
@@ -1232,10 +1324,10 @@ def test_dual_orbit_chain_is_the_lumped_labelled_chain(chain, p, v):
 
 
 def _series_work(lam_ts, entries):
-    """Work a run of series over spans lam * span = lam_ts can take: each
-    at most lam_t + 50 sqrt(lam_t + 1) + 200 products, as _series limits
-    them, of entries + _STEP_OVERHEAD each."""
-    return sum(int(x + 50.0 * np.sqrt(x + 1.0) + 200.0) for x in lam_ts) * (
+    """Work a run of series over spans lam * span = lam_ts takes: each
+    lam_t + 7 sqrt(lam_t + 1) + 9 products, the Poisson tail at
+    UNIFORMIZATION_TAIL, of entries + _STEP_OVERHEAD each."""
+    return sum(int(x + 7.0 * np.sqrt(x + 1.0) + 9.0) for x in lam_ts) * (
         entries + oracle._STEP_OVERHEAD
     )
 
@@ -1276,6 +1368,27 @@ def test_transient_work_budget_is_counted_before_the_first_product(p3, monkeypat
     assert err.value.required == work and err.value.cap == work - 1
 
 
+@pytest.mark.parametrize("spec, v", [("cycle:6", 100.0), ("path:3", 1e4), ("cycle:8", 30.0)])
+def test_transient_work_counts_the_products_its_series_take(spec, v):
+    # The gap table's dual side at t = 1, k = 2: the products counted
+    # before the first one are never fewer than the series take, and at
+    # most 10% more. The series' products depend on lam and the grid
+    # alone, so they are counted on a one-entry vector.
+    g = parse_graph_spec(spec)
+    lam = oracle._uniformize(oracle.build_dual_generator(g, uniform_kernel(g), ModelParams(0.3, v), 2))
+    counted = sum(
+        oracle._tail_terms(lam * (points[-1][0] - start)) for start, points in oracle._segments(lam, 1.0, 1)
+    )
+    taken = []
+
+    def product(w):
+        taken.append(1)
+        return w
+
+    assert len(list(oracle.transient_steps(product, lam, np.ones(1), 1.0, 1, 1))) == 1
+    assert len(taken) <= counted <= 1.1 * len(taken)
+
+
 def test_transient_work_past_the_budget_exits_3_at_once(tmp_path, capsys):
     # complete:2 at v = 1e9: lam t is about 2e9, which the series would take
     # hours to step; the dual side's count passes the budget within its
@@ -1307,8 +1420,7 @@ def test_gap_table_lhs_matches_scalar_formula(graph, k, request):
     params = ModelParams(0.3, 1.0)
     fwd = striped_state(g)
     t = 0.7
-    L = oracle.build_forward_generator(g, kern, params)
-    mu_t = oracle.transient_distribution(L, oracle.forward_delta(g, fwd), t)
+    mu_t = transient_law(g, kern, params, forward_delta(g, fwd), t)
     lhs, _ = oracle.duality_gap_table(g, kern, params, fwd, k=k, t=t)
     assert lhs.shape == (oracle.dual_state_count(g, k),)
     for s, value in enumerate(lhs.tolist()):
@@ -1345,7 +1457,7 @@ def test_duality_weight_vectors_agree_with_scalar(k2):
             duality_weight(st.site_signs, st.edge_signs, dual, p)
         )
     fwd = decode_forward_state(g, 6)
-    dual_weights = oracle._weighted_cylinder_masses(g, oracle.forward_delta(g, fwd), 1, p)
+    dual_weights = oracle._weighted_cylinder_masses(g, forward_delta(g, fwd), 1, p)
     for idx in range(oracle.dual_state_count(g, 1)):
         d = decode_dual_state(g, 1, idx)
         assert dual_weights[idx] == pytest.approx(

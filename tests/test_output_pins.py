@@ -86,7 +86,7 @@ CONFIGS = {
 
 OUTPUT_PINS = {
     ("duality_exact", "duality_gaps.jsonl"): (
-        "422a78dfc42e9c2a9616f143486860679357fcd0999abca083d98a6f5ae58af6"
+        "ac53cc588a32fd3d587c7676cf4cd37870c30d73ce3fe6ea602ee525b05876ae"
     ),
     ("tv_exact", "tv_decay.csv"): (
         "eb9248e348f9b27a7026153e3a683e205db6d92985a9e67a367a316a093977ac"
@@ -95,10 +95,10 @@ OUTPUT_PINS = {
         "65525a7228cb6d2ebe43ac4864f6b29c71ef1ed5db1475b1295edd418e32f093"
     ),
     ("duality_exact_cycle4", "duality_gaps.jsonl"): (
-        "0c89c3e83580a269d580a58500727c96e812017d80b7d62ebaf642bf801f0715"
+        "4abc448c5ba3150302856795dfe6ad5135ace8f57aecda6a605d63e66d65f811"
     ),
     ("stationary_exact_cycle5", "stationary_distribution.csv"): (
-        "182a695e723c6e6e4cdc0f0064566ed10e79c3c06fd1fd359e84ef3a1a104250"
+        "c5ee919e3ee7191b0ae444af9cae2856b48dd0d3cbfe105f22ac4fae6a30740c"
     ),
     ("tv_mc", "tv_decay.csv"): (
         "eb60dd77329dfb1f7519606155241043002af9682b830de587ce1cdaab09f020"
@@ -213,7 +213,7 @@ STDOUT_PINS = {
         0,
         """\
 duality-check: 48 dual initial states, k=2, t=1, mode=coalescing
-worst |lhs-rhs| = 2.232e-13 at dual state 19 (tolerance 1.0e-08): PASS
+worst |lhs-rhs| = 2.234e-13 at dual state 19 (tolerance 1.0e-08): PASS
 duality-check: PASS
 """,
     ),
@@ -262,7 +262,7 @@ raw-simulate: DONE
         0,
         """\
 stationary-compare: 54 cylinders, max_revealed=2
-exact vs product form: worst |err| = 1.110e-16 (tolerance 1.0e-10): PASS
+exact vs product form: worst |err| = 5.551e-17 (tolerance 1.0e-10): PASS
 mc site0=+1: 0.50265 vs 0.50000 (0.75 sigma): PASS
 mc site0=+1&edge0=+1: 0.15300 vs 0.15000 (1.18 sigma): PASS
 mc site0=+1&edge0=+1&edge1=+1: 0.04450 vs 0.04500 (0.34 sigma): PASS
@@ -289,7 +289,7 @@ tv-decay: PASS
         1,
         """\
 duality-check: 48 dual initial states, k=2, t=1, mode=coalescing
-worst |lhs-rhs| = 2.232e-13 at dual state 19 (tolerance 1.0e-300): FAIL
+worst |lhs-rhs| = 2.234e-13 at dual state 19 (tolerance 1.0e-300): FAIL
 duality-check: FAIL
 """,
     ),
@@ -297,7 +297,7 @@ duality-check: FAIL
         1,
         """\
 stationary-compare: 30 cylinders, max_revealed=1
-exact vs product form: worst |err| = 1.110e-16 (tolerance 1.0e-300): FAIL
+exact vs product form: worst |err| = 2.776e-17 (tolerance 1.0e-300): FAIL
 stationary-compare: FAIL
 """,
     ),
@@ -314,7 +314,7 @@ duality-check: FAIL
         1,
         """\
 stationary-compare: 30 cylinders, max_revealed=1
-exact vs product form: worst |err| = 1.110e-16 (tolerance 1.0e-10): PASS
+exact vs product form: worst |err| = 2.776e-17 (tolerance 1.0e-10): PASS
 mc site0=+1: 0.46500 vs 0.50000 (1.40 sigma): FAIL
 mc site0=+1&edge0=+1: 0.14500 vs 0.15000 (0.28 sigma): FAIL
 mc site0=+1&edge0=-1: 0.32000 vs 0.35000 (1.28 sigma): FAIL
@@ -394,7 +394,7 @@ raw-simulate: DONE
         0,
         """\
 stationary-compare: 876 cylinders, max_revealed=2
-exact vs product form: worst |err| = 4.441e-16 (tolerance 1.0e-10): PASS
+exact vs product form: worst |err| = 4.996e-16 (tolerance 1.0e-10): PASS
 stationary-compare: PASS
 """,
     ),
@@ -402,7 +402,7 @@ stationary-compare: PASS
         0,
         """\
 stationary-compare: 876 cylinders, max_revealed=2
-exact vs product form: worst |err| = 4.441e-16 (tolerance 1.0e-10): PASS
+exact vs product form: worst |err| = 3.886e-16 (tolerance 1.0e-10): PASS
 stationary-compare: PASS
 """,
     ),
@@ -410,7 +410,7 @@ stationary-compare: PASS
         0,
         """\
 stationary-compare: 54 cylinders, max_revealed=2
-exact vs product form: worst |err| = 1.166e-15 (tolerance 1.0e-10): PASS
+exact vs product form: worst |err| = 2.776e-17 (tolerance 1.0e-10): PASS
 stationary-compare: PASS
 """,
     ),
@@ -418,7 +418,7 @@ stationary-compare: PASS
         0,
         """\
 stationary-compare: 114 cylinders, max_revealed=2
-exact vs product form: worst |err| = 5.551e-17 (tolerance 1.0e-10): PASS
+exact vs product form: worst |err| = 2.776e-17 (tolerance 1.0e-10): PASS
 stationary-compare: PASS
 """,
     ),
